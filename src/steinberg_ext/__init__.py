@@ -43,6 +43,7 @@ from .homology import (
     homology_over_Z,
     homology_with_coefficients,
     reverse_transpose,
+    smith_divisors,
     smith_normal_form,
     subset_lattice_complex,
 )

@@ -267,6 +267,8 @@ def cmd_cohomology(args) -> int:
     rs = build_root_system(series, rank)
     spec = parse_ring(args.ring)
     I = _parse_subset(args.I, rank)
+    if args.center_rank < 0:  # only the trivial object reads it; reject it for all
+        raise ConfigurationError("center rank must be non-negative")
     dumps: list | None = [] if args.dump_complex else None
     if args.object == "trivial":
         table = trivial_cohomology(rs, spec, args.center_rank)
@@ -381,6 +383,8 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
 
 
 def cmd_verify(args) -> int:
+    if args.parallel < 1:
+        raise ConfigurationError(f"--parallel needs at least one worker, got {args.parallel}")
     series, rank = parse_type(args.type)
     rs = build_root_system(series, rank)
     spec = parse_ring(args.ring)
@@ -415,8 +419,9 @@ def cmd_verify(args) -> int:
             lines.append(f"FAIL cohomology I={{{','.join(map(str, mask_indices(I)))}}} ({e})")
 
     tasks = [(series, rank, spec.d, spec.q, I, J, strata) for I, J in pairs]
-    if args.parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_verify_pair_task_star, tasks):
                 lines.extend(result)
     else:

@@ -17,12 +17,14 @@ degree 0 and the top-degree cohomology of the quotient representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
-from .errors import ContractError, RingAssumptionError, VerificationError
+from .errors import ConfigurationError, ContractError, RingAssumptionError, VerificationError
 from .homology import (
     ChainComplex,
-    IntMatrix,
+    Entries,
     complex_to_json_dict,
     exterior_row_complex,
     homology_with_coefficients,
@@ -154,7 +156,7 @@ def trivial_cohomology(rs: RootSystem, spec: RingSpec, center_rank: int) -> ExtT
     """Cohomology of the trivial representation: the exterior algebra of the
     rank of the center (one degree-0 line in the semisimple case)."""
     if center_rank < 0:
-        raise ContractError("center rank must be non-negative")
+        raise ConfigurationError("center rank must be non-negative")
     return exterior_table(center_rank)
 
 
@@ -344,38 +346,26 @@ def _gated_constant_row(rs: RootSystem, bottom: int, gate: int, rank: int) -> Ch
     def rank_fn(mask: int) -> int:
         return rank if gate & ~mask == 0 else 0
 
-    def rule(mask: int, beta: int) -> IntMatrix:
-        target = mask & ~(1 << beta)
-        rows, cols = rank_fn(target), rank_fn(mask)
-        if rows and cols:
-            return IntMatrix.identity(rank)
-        return IntMatrix.zero(rows, cols)
+    def rule(mask: int, beta: int) -> Entries:
+        return [(k, k, 1) for k in range(rank)]
 
     return subset_lattice_complex(rs, bottom, rank_fn, rule)
 
 
 def _gated_exterior_row(rs: RootSystem, bottom: int, gate: int, t: int) -> ChainComplex:
     """Exterior-power row supported on the sublattice above ``gate``."""
-    from itertools import combinations
     delta = full_mask(rs.rank)
 
-    def subsets(mask: int) -> list[tuple[int, ...]]:
-        return list(combinations(mask_indices(delta & ~mask), t))
+    @lru_cache(maxsize=None)
+    def subsets(mask: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(mask_indices(delta & ~mask), t))
 
     def rank_fn(mask: int) -> int:
         return comb(rs.rank - mask_size(mask), t) if gate & ~mask == 0 else 0
 
-    def rule(mask: int, beta: int) -> IntMatrix:
-        target = mask & ~(1 << beta)
-        rows, cols = rank_fn(target), rank_fn(mask)
-        if rows == 0 or cols == 0:
-            return IntMatrix.zero(rows, cols)
-        src = subsets(mask)
-        tgt = {s: i for i, s in enumerate(subsets(target))}
-        out = [[0] * cols for _ in range(rows)]
-        for j, s in enumerate(src):
-            out[tgt[s]][j] = 1
-        return IntMatrix.from_rows(out)
+    def rule(mask: int, beta: int) -> Entries:
+        index = {s: i for i, s in enumerate(subsets(mask & ~(1 << beta)))}
+        return [(index[s], j, 1) for j, s in enumerate(subsets(mask))]
 
     return subset_lattice_complex(rs, bottom, rank_fn, rule)
 
@@ -422,7 +412,7 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     if center_rank < 0:
-        raise ContractError("center rank must be non-negative")
+        raise ConfigurationError("center rank must be non-negative")
     i0, K = steinberg_degree(rs, I, J)
     closed = tensor_with_exterior(ExtTable({i0: ModulePiece(1)}), center_rank)
     if method == CLOSED_FORM:

@@ -4,14 +4,21 @@ Matrices carry arbitrary-precision integer entries: Smith normal form can
 blow up intermediate values far past machine width, and a silently wrapped
 divisor would corrupt every torsion answer downstream.  All complexes use the
 cohomological (left-to-right) indexing ``differentials[k]: degree k -> k+1``.
+
+Matrices are stored as sparse columns.  The subset-lattice differentials are
+signed incidence matrices, mostly zeros and otherwise +-1, so the ``d d = 0``
+check and the homology both run over the nonzero entries: homology eliminates
+unit pivots first and hands only the non-unit block that remains to the
+dense Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
-from typing import Callable
+from math import comb, gcd
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, ContractError
 from .rootdata import RootSystem, full_mask, mask_indices, mask_size, mask_str, validate_mask
@@ -20,24 +27,32 @@ from .ringcond import RingSpec
 # ---------------------------------------------------------------------------
 # integer matrices
 
+Column = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Integer matrix by sparse columns: ``columns[j]`` lists the nonzero
+    ``(row, value)`` pairs of column j in increasing row order."""
+
     rows: int
     cols: int
-    entries: tuple[int, ...]  # row-major
+    columns: tuple[Column, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
-            raise ContractError("matrix shape does not match its entry count")
+        if self.rows < 0 or len(self.columns) != self.cols:
+            raise ContractError("matrix shape does not match its column count")
+        for col in self.columns:
+            if col and (col[0][0] < 0 or col[-1][0] >= self.rows):
+                raise ContractError("matrix entry lies outside the row range")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, ((),) * cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(((j, 1),) for j in range(n)))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -45,31 +60,56 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ContractError("ragged rows")
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        return cls(len(rows), ncols,
+                   tuple(tuple((i, r[j]) for i, r in enumerate(rows) if r[j])
+                         for j in range(ncols)))
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """All entries, zeros included, in row-major order."""
+        return tuple(x for row in self.to_rows() for x in row)
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        for row, value in self.columns[j]:
+            if row == i:
+                return value
+        return 0
+
+    def nonzeros(self) -> Iterator[tuple[int, int, int]]:
+        """The nonzero entries as ``(row, col, value)``, column by column."""
+        for j, col in enumerate(self.columns):
+            for i, value in col:
+                yield i, j, value
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for i, j, value in self.nonzeros():
+            out[i][j] = value
+        return out
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for i, j, value in self.nonzeros():
+            out[i].append((j, value))
+        return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ContractError("matrix product shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, other.cols, tuple(_product_columns(self, other)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(value for col in self.columns for _, value in col)
+
+
+def _product_columns(a: IntMatrix, b: IntMatrix) -> Iterator[Column]:
+    """The columns of ``a * b`` one at a time, from the nonzeros alone."""
+    for col in b.columns:
+        acc: dict[int, int] = {}
+        for k, v in col:
+            for i, w in a.columns[k]:
+                acc[i] = acc.get(i, 0) + v * w
+        yield tuple(sorted((i, x) for i, x in acc.items() if x))
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +237,94 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                      IntMatrix.from_rows(v) if nc else IntMatrix.zero(0, 0))
 
 
+# ---------------------------------------------------------------------------
+# invariant factors without transforms
+
+
+def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """The Smith divisors of ``m`` without the transforms.
+
+    Every +-1 entry is a pivot that contributes the divisor 1: clear its
+    column with row operations, then drop its row and column.  Pivots are
+    taken column by column, each from the lightest row holding a unit there,
+    with another pass while fill-in creates new units.  The non-unit block
+    left over goes to :func:`smith_normal_form`, whose divisibility-chain
+    check covers the answer (leading 1s extend any chain).
+    """
+    rows: dict[int, dict[int, int]] = {}
+    where: dict[int, set[int]] = {}  # column -> rows with a nonzero in it
+    for j, col in enumerate(m.columns):
+        if col:
+            where[j] = {i for i, _ in col}
+            for i, value in col:
+                rows.setdefault(i, {})[j] = value
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in list(where):
+            holders = where[j]
+            pivot = min((i for i in holders if rows[i][j] in (1, -1)),
+                        key=lambda i: len(rows[i]), default=None)
+            if pivot is None:
+                continue
+            _eliminate_unit(rows, where, pivot, j)
+            units += 1
+            progress = True
+
+    live = [j for j, holders in where.items() if holders]
+    if not live:
+        return (1,) * units
+    index = {i: k for k, i in enumerate(sorted({i for j in live for i in where[j]}))}
+    block = IntMatrix(len(index), len(live),
+                      tuple(tuple(sorted((index[i], rows[i][j]) for i in where[j]))
+                            for j in live))
+    return (1,) * units + smith_normal_form(block).divisors
+
+
+def _eliminate_unit(rows: dict[int, dict[int, int]], where: dict[int, set[int]],
+                    r: int, j: int) -> None:
+    """Clear column j below and above the unit at (r, j), then drop row r and
+    column j; the rest of row r is cleared by column operations that touch
+    nothing else, so the remaining block keeps the other divisors."""
+    pivot_row = rows.pop(r)
+    unit = pivot_row.pop(j)
+    holders = where.pop(j)
+    holders.discard(r)
+    for c in pivot_row:
+        where[c].discard(r)
+    for i in holders:
+        row = rows[i]
+        factor = row.pop(j) * unit  # unit is its own inverse
+        for c, value in pivot_row.items():
+            new = row.get(c, 0) - factor * value
+            if new:
+                row[c] = new
+                where[c].add(i)
+            else:
+                del row[c]
+                where[c].discard(i)
+
+
 def integer_rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
+    return len(smith_divisors(m))
 
 
 # ---------------------------------------------------------------------------
 # chain complexes
 
+LabelSource = Callable[[], Iterable[Iterable[str]]]
+
 
 @dataclass(frozen=True)
 class ChainComplex:
     """Graded free modules with integer differentials, ``differentials[k]``
-    mapping degree-k chains to degree-(k+1) chains."""
+    mapping degree-k chains to degree-(k+1) chains.  Basis labels are built
+    from ``label_source`` the first time ``labels`` is read."""
 
     ranks: tuple[int, ...]
     differentials: tuple[IntMatrix, ...]
-    labels: tuple[tuple[str, ...], ...] = field(default=())
+    label_source: LabelSource | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
@@ -222,10 +334,17 @@ class ChainComplex:
                 raise ContractError(f"differential {k} has shape {dk.rows}x{dk.cols}, "
                                     f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
         for k in range(len(self.differentials) - 1):
-            if not self.differentials[k + 1].mul(self.differentials[k]).is_zero():
+            if any(_product_columns(self.differentials[k + 1], self.differentials[k])):
                 raise ContractError(f"d_{k + 1} d_{k} != 0 (sign rule or map rule is wrong)")
-        if self.labels and len(self.labels) != len(self.ranks):
+
+    @cached_property
+    def labels(self) -> tuple[tuple[str, ...], ...]:
+        if self.label_source is None:
+            return ()
+        labels = tuple(tuple(degree) for degree in self.label_source())
+        if len(labels) != len(self.ranks):
             raise ContractError("label count does not match the grading")
+        return labels
 
     @property
     def top_degree(self) -> int:
@@ -239,7 +358,7 @@ def complex_to_json_dict(c: ChainComplex) -> dict:
     return {
         "ranks": list(c.ranks),
         "differentials": [list(d.entries) for d in c.differentials],
-        "labels": [list(l) for l in c.labels] if c.labels else [],
+        "labels": [list(l) for l in c.labels],
     }
 
 
@@ -249,7 +368,7 @@ def reverse_transpose(c: ChainComplex) -> ChainComplex:
     m = c.top_degree
     ranks = tuple(reversed(c.ranks))
     diffs = tuple(c.differentials[m - 1 - u].transpose() for u in range(m))
-    labels = tuple(reversed(c.labels)) if c.labels else ()
+    labels = None if c.label_source is None else (lambda: reversed(c.labels))
     return ChainComplex(ranks, diffs, labels)
 
 
@@ -277,58 +396,29 @@ class HomologyResult:
 
 def homology_over_Z(c: ChainComplex) -> HomologyResult:
     n = len(c.ranks)
-    snfs = [smith_normal_form(d) for d in c.differentials]
+    divisors = [smith_divisors(d) for d in c.differentials]
     free = []
     torsion = []
     for k in range(n):
-        out_rank = snfs[k].rank if k < n - 1 else 0
-        in_snf = snfs[k - 1] if k > 0 else None
-        in_rank = in_snf.rank if in_snf else 0
-        free.append(c.ranks[k] - out_rank - in_rank)
-        torsion.append(tuple(x for x in (in_snf.divisors if in_snf else ()) if x > 1))
+        out_rank = len(divisors[k]) if k < n - 1 else 0
+        incoming = divisors[k - 1] if k > 0 else ()
+        free.append(c.ranks[k] - out_rank - len(incoming))
+        torsion.append(tuple(x for x in incoming if x > 1))
     return HomologyResult(tuple(free), tuple(torsion))
-
-
-def _prime_powers(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            power = 1
-            while n % p == 0:
-                n //= p
-                power *= p
-            out.append(power)
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_of(power: int) -> int:
-    p = 2
-    while power % p:
-        p += 1
-    return p
 
 
 def _invariant_factors(moduli: list[int]) -> list[int]:
     """Canonical invariant-factor form (largest first) of a direct sum of
-    cyclic groups; moduli of 1 disappear, coprime factors merge."""
-    per_prime: dict[int, list[int]] = {}
-    for m in moduli:
-        for power in _prime_powers(m):
-            per_prime.setdefault(_prime_of(power), []).append(power)
-    for powers in per_prime.values():
-        powers.sort(reverse=True)
-    factors = []
-    while any(per_prime.values()):
-        factor = 1
-        for powers in per_prime.values():
-            if powers:
-                factor *= powers.pop(0)
-        factors.append(factor)
-    return factors
+    cyclic groups; moduli of 1 disappear.  Pairwise gcd/lcm normalisation,
+    ``Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)``, sorts the moduli into a
+    divisibility chain without factoring any of them (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4)."""
+    chain = list(moduli)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return [f for f in reversed(chain) if f > 1]
 
 
 def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResult:
@@ -347,7 +437,6 @@ def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResul
     if spec.is_rational:
         return HomologyResult(integral.free_ranks, tuple(() for _ in integral.free_ranks))
 
-    from math import gcd
     n = len(c.ranks)
     free = []
     torsion = []
@@ -366,7 +455,9 @@ def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResul
 # subset-lattice complexes
 
 RankFn = Callable[[int], int]
-MapRule = Callable[[int, int], IntMatrix]
+# nonzero (row, col, value) entries of one unsigned component block
+Entries = Iterable[tuple[int, int, int]]
+MapRule = Callable[[int, int], "Entries | IntMatrix"]
 
 
 def lattice_degrees(rs: RootSystem, bottom: int) -> list[list[int]]:
@@ -393,9 +484,14 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
     ``|Delta \\ L|``, with the component from the L-summand to the
     (L minus beta)-summand signed by the 1-based position of beta in L.
 
-    ``map_rule(L, beta)`` must return the unsigned block of shape
-    ``coefficient_rank(L \\ beta) x coefficient_rank(L)``; the constructor
-    asserts ``d d = 0`` and raises if the rule breaks the sign convention.
+    ``map_rule(L, beta)`` returns the nonzero entries ``(i, j, value)``, each
+    position once, of the unsigned block of shape
+    ``coefficient_rank(L \\ beta) x coefficient_rank(L)``, or an ``IntMatrix``
+    of that shape.  It is called only when both ranks are positive.  An entry
+    outside the block or a matrix of the wrong shape raises, and the
+    constructor asserts ``d d = 0``, so a rule that breaks the sign convention
+    raises too.  Labels (``summand_label(L, b)``, else ``L={..}#b``) are only
+    built when read.
     """
     groups = lattice_degrees(rs, bottom)
     ranks_of: dict[int, int] = {}
@@ -407,53 +503,54 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
 
     offsets: list[dict[int, int]] = []
     ranks = []
-    labels = []
     for group in groups:
         off: dict[int, int] = {}
         pos = 0
-        degree_labels: list[str] = []
         for mask in group:
             off[mask] = pos
-            r = ranks_of[mask]
-            pos += r
-            if summand_label is None:
-                degree_labels.extend(f"L={mask_str(mask)}#{b}" for b in range(r))
-            else:
-                degree_labels.extend(summand_label(mask, b) for b in range(r))
+            pos += ranks_of[mask]
         offsets.append(off)
         ranks.append(pos)
-        labels.append(tuple(degree_labels))
 
     diffs = []
     for s in range(len(groups) - 1):
-        block = [[0] * ranks[s] for _ in range(ranks[s + 1])]
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(ranks[s])]
         for mask in groups[s]:
             src_rank = ranks_of[mask]
             if src_rank == 0:
                 continue
-            members = mask_indices(mask)
-            removable = [b for b in members if not bottom >> b & 1]
-            for b in removable:
+            c0 = offsets[s][mask]
+            for position, b in enumerate(mask_indices(mask)):
+                if bottom >> b & 1:
+                    continue
                 target = mask & ~(1 << b)
                 tgt_rank = ranks_of[target]
-                component = map_rule(mask, b)
-                if (component.rows, component.cols) != (tgt_rank, src_rank):
-                    raise ContractError(
-                        f"map rule for L={mask_str(mask)} minus alpha_{b} returned shape "
-                        f"{component.rows}x{component.cols}, expected {tgt_rank}x{src_rank}")
                 if tgt_rank == 0:
                     continue
-                sign = -1 if members.index(b) % 2 == 0 else 1  # (-1)^(1-based position)
+                component = map_rule(mask, b)
+                if isinstance(component, IntMatrix):
+                    if (component.rows, component.cols) != (tgt_rank, src_rank):
+                        raise ContractError(
+                            f"map rule for L={mask_str(mask)} minus alpha_{b} returned shape "
+                            f"{component.rows}x{component.cols}, expected {tgt_rank}x{src_rank}")
+                    component = component.nonzeros()
+                sign = -1 if position % 2 == 0 else 1  # (-1)^(1-based position)
                 r0 = offsets[s + 1][target]
-                c0 = offsets[s][mask]
-                for i in range(tgt_rank):
-                    for j in range(src_rank):
-                        val = component.entry(i, j)
-                        if val:
-                            block[r0 + i][c0 + j] += sign * val
-        diffs.append(IntMatrix.from_rows(block) if ranks[s + 1] else IntMatrix.zero(0, ranks[s]))
+                for i, j, value in component:
+                    if not (0 <= i < tgt_rank and 0 <= j < src_rank):
+                        raise ContractError(
+                            f"map rule for L={mask_str(mask)} minus alpha_{b} returned entry "
+                            f"({i}, {j}) outside its {tgt_rank}x{src_rank} block")
+                    if value:
+                        columns[c0 + j].append((r0 + i, sign * value))
+        diffs.append(IntMatrix(ranks[s + 1], ranks[s], tuple(tuple(sorted(col)) for col in columns)))
 
-    return ChainComplex(tuple(ranks), tuple(diffs), tuple(labels))
+    def labels() -> Iterator[tuple[str, ...]]:
+        name = summand_label or (lambda mask, b: f"L={mask_str(mask)}#{b}")
+        for group in groups:
+            yield tuple(name(mask, b) for mask in group for b in range(ranks_of[mask]))
+
+    return ChainComplex(tuple(ranks), tuple(diffs), labels)
 
 
 def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
@@ -464,20 +561,16 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
         raise ConfigurationError("exterior power degree must be non-negative")
     delta = full_mask(rs.rank)
 
-    def complement_subsets(mask: int) -> list[tuple[int, ...]]:
-        return list(combinations(mask_indices(delta & ~mask), t))
+    @lru_cache(maxsize=None)
+    def complement_subsets(mask: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(mask_indices(delta & ~mask), t))
 
     def rank_fn(mask: int) -> int:
         return comb(rs.rank - mask_size(mask), t)
 
-    def rule(mask: int, beta: int) -> IntMatrix:
-        src = complement_subsets(mask)
-        tgt = complement_subsets(mask & ~(1 << beta))
-        index = {s: i for i, s in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in range(len(tgt))]
-        for j, s in enumerate(src):
-            rows[index[s]][j] = 1
-        return IntMatrix.from_rows(rows) if tgt else IntMatrix.zero(0, len(src))
+    def rule(mask: int, beta: int) -> Entries:
+        index = {s: i for i, s in enumerate(complement_subsets(mask & ~(1 << beta)))}
+        return [(index[s], j, 1) for j, s in enumerate(complement_subsets(mask))]
 
     def label(mask: int, b: int) -> str:
         subset = complement_subsets(mask)[b]

@@ -173,3 +173,56 @@ def fraction_rank(rows, ncols=None) -> int:
         if row == nrows:
             break
     return rank
+
+
+def dense_product(a_rows, b_rows, inner: int, ncols: int) -> list[list[int]]:
+    """Schoolbook product of two dense integer matrices given by rows, with
+    the shared dimension and the column count spelled out (a factor may have
+    no rows)."""
+    return [[sum(a[k] * b_rows[k][j] for k in range(inner)) for j in range(ncols)]
+            for a in a_rows]
+
+
+def _prime_powers(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            power = 1
+            while n % p == 0:
+                n //= p
+                power *= p
+            out.append(power)
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _prime_of(power: int) -> int:
+    p = 2
+    while p * p <= power:
+        if power % p == 0:
+            return p
+        p += 1
+    return power
+
+
+def invariant_factors_by_factoring(moduli) -> list[int]:
+    """Invariant factors (largest first) of a direct sum of cyclic groups,
+    by splitting every modulus into prime powers and multiplying the largest
+    remaining power of each prime together, round after round."""
+    per_prime: dict[int, list[int]] = {}
+    for m in moduli:
+        for power in _prime_powers(m):
+            per_prime.setdefault(_prime_of(power), []).append(power)
+    for powers in per_prime.values():
+        powers.sort(reverse=True)
+    factors = []
+    while any(per_prime.values()):
+        factor = 1
+        for powers in per_prime.values():
+            if powers:
+                factor *= powers.pop(0)
+        factors.append(factor)
+    return factors

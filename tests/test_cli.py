@@ -228,3 +228,60 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["table"] == {"0": {"rank": 1, "torsion": []}}
+
+
+def test_negative_center_rank_is_a_usage_error(capsys):
+    base = ["--type", "A2", "--ring", "Q", "--center-rank", "-1"]
+    for argv in (["ext", *base, "--method", "both"],
+                 ["cohomology", *base, "--object", "trivial"],
+                 ["cohomology", *base, "--object", "v", "--I", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "center rank must be non-negative" in err
+        assert "internal contract violation" not in err
+
+
+def test_parallel_below_one_is_a_usage_error(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--type", "A1", "--ring", "Q",
+                                 "--all-pairs", "--parallel", n)
+        assert (code, out) == (2, "")
+        assert "--parallel" in err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_parallel_pool_size_is_clamped(capsys, monkeypatch):
+    import steinberg_ext.cli as cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    _InlinePool.sizes = []
+    args = ("verify", "--type", "A2", "--ring", "Q")
+    _, serial, _ = run_cli(capsys, *args, "--all-pairs")
+    _, pooled, _ = run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
+    assert pooled == serial
+    assert _InlinePool.sizes == [3]  # min(N, cpu_count, 16 pairs)
+
+    run_cli(capsys, *args, "--I", "0", "--J", "1", "--parallel", "8")
+    assert _InlinePool.sizes == [3]  # one pair: no pool at all
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
+    assert _InlinePool.sizes == [3, 16]
