@@ -24,7 +24,7 @@ from math import comb
 from .errors import ConfigurationError, ContractError, RingAssumptionError, VerificationError
 from .homology import (
     ChainComplex,
-    Entries,
+    IntMatrix,
     complex_to_json_dict,
     exterior_row_complex,
     homology_with_coefficients,
@@ -343,13 +343,12 @@ def _gated_constant_row(rs: RootSystem, bottom: int, gate: int, rank: int) -> Ch
     """Constant-rank coefficient system supported on the sublattice above
     ``gate``, with identity component maps."""
 
+    identity = IntMatrix.identity(rank)
+
     def rank_fn(mask: int) -> int:
         return rank if gate & ~mask == 0 else 0
 
-    def rule(mask: int, beta: int) -> Entries:
-        return [(k, k, 1) for k in range(rank)]
-
-    return subset_lattice_complex(rs, bottom, rank_fn, rule)
+    return subset_lattice_complex(rs, bottom, rank_fn, lambda mask, beta: identity)
 
 
 def _gated_exterior_row(rs: RootSystem, bottom: int, gate: int, t: int) -> ChainComplex:
@@ -363,9 +362,10 @@ def _gated_exterior_row(rs: RootSystem, bottom: int, gate: int, t: int) -> Chain
     def rank_fn(mask: int) -> int:
         return comb(rs.rank - mask_size(mask), t) if gate & ~mask == 0 else 0
 
-    def rule(mask: int, beta: int) -> Entries:
+    def rule(mask: int, beta: int) -> IntMatrix:
         index = {s: i for i, s in enumerate(subsets(mask & ~(1 << beta)))}
-        return [(index[s], j, 1) for j, s in enumerate(subsets(mask))]
+        src = subsets(mask)
+        return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
 
     return subset_lattice_complex(rs, bottom, rank_fn, rule)
 

@@ -43,8 +43,16 @@ class IntMatrix:
         if self.rows < 0 or len(self.columns) != self.cols:
             raise ContractError("matrix shape does not match its column count")
         for col in self.columns:
-            if col and (col[0][0] < 0 or col[-1][0] >= self.rows):
-                raise ContractError("matrix entry lies outside the row range")
+            last = -1
+            for row, value in col:
+                if row <= last or not value:
+                    break
+                last = row
+            else:
+                if last < self.rows:
+                    continue
+            raise ContractError("matrix column must list nonzero entries at "
+                                "strictly increasing rows inside the row range")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -94,22 +102,20 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product over the nonzeros alone."""
         if self.cols != other.rows:
             raise ContractError("matrix product shape mismatch")
-        return IntMatrix(self.rows, other.cols, tuple(_product_columns(self, other)))
+        columns = []
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for k, v in col:
+                for i, w in self.columns[k]:
+                    acc[i] = acc.get(i, 0) + v * w
+            columns.append(tuple(sorted((i, x) for i, x in acc.items() if x)) if acc else ())
+        return IntMatrix(self.rows, other.cols, tuple(columns))
 
     def is_zero(self) -> bool:
-        return not any(value for col in self.columns for _, value in col)
-
-
-def _product_columns(a: IntMatrix, b: IntMatrix) -> Iterator[Column]:
-    """The columns of ``a * b`` one at a time, from the nonzeros alone."""
-    for col in b.columns:
-        acc: dict[int, int] = {}
-        for k, v in col:
-            for i, w in a.columns[k]:
-                acc[i] = acc.get(i, 0) + v * w
-        yield tuple(sorted((i, x) for i, x in acc.items() if x))
+        return not any(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +326,12 @@ LabelSource = Callable[[], Iterable[Iterable[str]]]
 class ChainComplex:
     """Graded free modules with integer differentials, ``differentials[k]``
     mapping degree-k chains to degree-(k+1) chains.  Basis labels are built
-    from ``label_source`` the first time ``labels`` is read."""
+    from the keyword-only ``label_source`` the first time ``labels`` is read."""
 
     ranks: tuple[int, ...]
     differentials: tuple[IntMatrix, ...]
-    label_source: LabelSource | None = field(default=None, compare=False, repr=False)
+    label_source: LabelSource | None = field(default=None, compare=False, repr=False,
+                                             kw_only=True)
 
     def __post_init__(self):
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
@@ -334,7 +341,7 @@ class ChainComplex:
                 raise ContractError(f"differential {k} has shape {dk.rows}x{dk.cols}, "
                                     f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
         for k in range(len(self.differentials) - 1):
-            if any(_product_columns(self.differentials[k + 1], self.differentials[k])):
+            if not self.differentials[k + 1].mul(self.differentials[k]).is_zero():
                 raise ContractError(f"d_{k + 1} d_{k} != 0 (sign rule or map rule is wrong)")
 
     @cached_property
@@ -369,7 +376,7 @@ def reverse_transpose(c: ChainComplex) -> ChainComplex:
     ranks = tuple(reversed(c.ranks))
     diffs = tuple(c.differentials[m - 1 - u].transpose() for u in range(m))
     labels = None if c.label_source is None else (lambda: reversed(c.labels))
-    return ChainComplex(ranks, diffs, labels)
+    return ChainComplex(ranks, diffs, label_source=labels)
 
 
 @dataclass(frozen=True)
@@ -455,9 +462,7 @@ def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResul
 # subset-lattice complexes
 
 RankFn = Callable[[int], int]
-# nonzero (row, col, value) entries of one unsigned component block
-Entries = Iterable[tuple[int, int, int]]
-MapRule = Callable[[int, int], "Entries | IntMatrix"]
+MapRule = Callable[[int, int], IntMatrix]
 
 
 def lattice_degrees(rs: RootSystem, bottom: int) -> list[list[int]]:
@@ -484,14 +489,12 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
     ``|Delta \\ L|``, with the component from the L-summand to the
     (L minus beta)-summand signed by the 1-based position of beta in L.
 
-    ``map_rule(L, beta)`` returns the nonzero entries ``(i, j, value)``, each
-    position once, of the unsigned block of shape
-    ``coefficient_rank(L \\ beta) x coefficient_rank(L)``, or an ``IntMatrix``
-    of that shape.  It is called only when both ranks are positive.  An entry
-    outside the block or a matrix of the wrong shape raises, and the
-    constructor asserts ``d d = 0``, so a rule that breaks the sign convention
-    raises too.  Labels (``summand_label(L, b)``, else ``L={..}#b``) are only
-    built when read.
+    ``map_rule(L, beta)`` returns the unsigned block of shape
+    ``coefficient_rank(L \\ beta) x coefficient_rank(L)`` as an ``IntMatrix``;
+    it is called only when both ranks are positive.  A block of the wrong
+    shape raises, and the constructor asserts ``d d = 0``, so a rule that
+    breaks the sign convention raises too.  Labels (``summand_label(L, b)``,
+    else ``L={..}#b``) are only built when read.
     """
     groups = lattice_degrees(rs, bottom)
     ranks_of: dict[int, int] = {}
@@ -528,21 +531,14 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
                 if tgt_rank == 0:
                     continue
                 component = map_rule(mask, b)
-                if isinstance(component, IntMatrix):
-                    if (component.rows, component.cols) != (tgt_rank, src_rank):
-                        raise ContractError(
-                            f"map rule for L={mask_str(mask)} minus alpha_{b} returned shape "
-                            f"{component.rows}x{component.cols}, expected {tgt_rank}x{src_rank}")
-                    component = component.nonzeros()
+                if (component.rows, component.cols) != (tgt_rank, src_rank):
+                    raise ContractError(
+                        f"map rule for L={mask_str(mask)} minus alpha_{b} returned shape "
+                        f"{component.rows}x{component.cols}, expected {tgt_rank}x{src_rank}")
                 sign = -1 if position % 2 == 0 else 1  # (-1)^(1-based position)
                 r0 = offsets[s + 1][target]
-                for i, j, value in component:
-                    if not (0 <= i < tgt_rank and 0 <= j < src_rank):
-                        raise ContractError(
-                            f"map rule for L={mask_str(mask)} minus alpha_{b} returned entry "
-                            f"({i}, {j}) outside its {tgt_rank}x{src_rank} block")
-                    if value:
-                        columns[c0 + j].append((r0 + i, sign * value))
+                for j, col in enumerate(component.columns, c0):
+                    columns[j].extend((r0 + i, sign * value) for i, value in col)
         diffs.append(IntMatrix(ranks[s + 1], ranks[s], tuple(tuple(sorted(col)) for col in columns)))
 
     def labels() -> Iterator[tuple[str, ...]]:
@@ -550,7 +546,7 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
         for group in groups:
             yield tuple(name(mask, b) for mask in group for b in range(ranks_of[mask]))
 
-    return ChainComplex(tuple(ranks), tuple(diffs), labels)
+    return ChainComplex(tuple(ranks), tuple(diffs), label_source=labels)
 
 
 def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
@@ -568,9 +564,10 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
     def rank_fn(mask: int) -> int:
         return comb(rs.rank - mask_size(mask), t)
 
-    def rule(mask: int, beta: int) -> Entries:
+    def rule(mask: int, beta: int) -> IntMatrix:
         index = {s: i for i, s in enumerate(complement_subsets(mask & ~(1 << beta)))}
-        return [(index[s], j, 1) for j, s in enumerate(complement_subsets(mask))]
+        src = complement_subsets(mask)
+        return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
 
     def label(mask: int, b: int) -> str:
         subset = complement_subsets(mask)[b]

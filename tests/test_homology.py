@@ -513,16 +513,38 @@ def test_labels_are_built_on_first_read():
         calls.append(mask)
         return f"{mask}:{b}"
 
-    c = subset_lattice_complex(rs, 0, lambda mask: 1, lambda mask, beta: [(0, 0, 1)], label)
+    c = subset_lattice_complex(rs, 0, lambda mask: 1, lambda mask, beta: IntMatrix.identity(1),
+                               label)
     assert calls == []
     assert c.labels == (("3:0",), ("1:0", "2:0"), ("0:0",))
     assert reverse_transpose(c).labels == tuple(reversed(c.labels))
 
 
-def test_map_rule_entry_outside_block_rejected():
+@pytest.mark.parametrize("column", [
+    ((2, 1), (0, 1)),   # unsorted
+    ((1, 1), (1, 1)),   # the same row twice
+    ((3, 1),),          # below the last row
+    ((-1, 1),),         # above the first row
+    ((0, 0),),          # a stored zero
+])
+def test_malformed_sparse_column_rejected(column):
+    with pytest.raises(ContractError, match="strictly increasing"):
+        IntMatrix(3, 1, (column,))
+
+
+def test_map_rule_with_a_duplicate_entry_rejected():
     rs = build_root_system("A", 2)
-    with pytest.raises(ContractError, match="outside"):
-        subset_lattice_complex(rs, 0, lambda mask: 1, lambda mask, beta: [(1, 0, 1)])
+    with pytest.raises(ContractError, match="strictly increasing"):
+        subset_lattice_complex(rs, 0, lambda mask: 2,
+                               lambda mask, beta: IntMatrix(2, 2, (((0, 1), (0, 1)), ((1, 1),))))
+
+
+def test_labels_are_keyword_only():
+    labels = (("a",), ("b",))
+    with pytest.raises(TypeError):
+        ChainComplex((1, 1), (IntMatrix.identity(1),), labels)
+    c = ChainComplex((1, 1), (IntMatrix.identity(1),), label_source=lambda: labels)
+    assert c.labels == labels
 
 
 # ---------------------------------------------------------------------------
