@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import (
@@ -47,7 +48,7 @@ from .rootdata import (
     mask_size,
     parse_type,
 )
-from .weyl import kostant_reps, load_or_generate
+from .weyl import WeylElement, kostant_reps, load_or_generate
 
 CACHE_ENV = "STEINBERG_EXT_CACHE_DIR"
 
@@ -341,8 +342,14 @@ def cmd_check_ring(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _strata_group(series: str, rank: int, cache_dir: str | None) -> tuple[WeylElement, ...]:
+    """The Weyl group for the strata checks, loaded once per process."""
+    return load_or_generate(build_root_system(series, rank), cache_dir)
+
+
 def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
-                      strata: bool) -> list[str]:
+                      strata: bool, cache_dir: str | None) -> list[str]:
     """Per-pair checks; returns sorted human-readable result lines."""
     rs = build_root_system(series, rank)
     spec = RingSpec(d, q)
@@ -370,15 +377,12 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
 
     if strata:
         # RingAssumptionError propagates: the caller turns it into exit 3
-        table = ext_induced_via_strata(rs, I, J, spec)
+        certified: list = []
+        table = ext_induced_via_strata(rs, I, J, spec, _strata_group(series, rank, cache_dir),
+                                       certificates_out=certified)
         record("strata", table.same_modules(ext_induced_closed(rs, I, J, spec)))
-        dichotomy = True
-        for rep in kostant_reps(rs, I, J):
-            cert = vanishing_certificate(rs, rep, spec)
-            expected_none = rep.w.is_identity and not (J & ~I)
-            if (cert is None) != expected_none:
-                dichotomy = False
-        record("certificates", dichotomy)
+        record("certificates", all(
+            (cert is None) == (rep.w.is_identity and not J & ~I) for rep, cert in certified))
     return lines
 
 
@@ -418,7 +422,11 @@ def cmd_verify(args) -> int:
         except VerificationError as e:
             lines.append(f"FAIL cohomology I={{{','.join(map(str, mask_indices(I)))}}} ({e})")
 
-    tasks = [(series, rank, spec.d, spec.q, I, J, strata) for I, J in pairs]
+    cache_dir = None
+    if strata:  # load before any worker starts: a forked worker inherits it
+        cache_dir = _cache_dir(args)
+        _strata_group(series, rank, cache_dir)
+    tasks = [(series, rank, spec.d, spec.q, I, J, strata, cache_dir) for I, J in pairs]
     workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -251,13 +251,17 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
 
 
 def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                           elements=None) -> ExtTable:
+                           elements=None, certificates_out: list | None = None) -> ExtTable:
     """Ext between induced modules computed stratum by stratum along the
     double-coset filtration: every certified stratum contributes zero, the
-    lone uncertified one contributes the closed-form exterior algebra."""
+    lone uncertified one contributes the closed-form exterior algebra.
+    ``certificates_out`` receives a (representative, certificate) pair per
+    stratum."""
     out: dict[int, ModulePiece] = {}
     for rep in kostant_reps(rs, I, J, elements):
         cert = vanishing_certificate(rs, rep, spec)
+        if certificates_out is not None:
+            certificates_out.append((rep, cert))
         if cert is None:
             if not rep.w.is_identity or rep.J & ~rep.I:
                 raise ContractError("a non-surviving stratum returned no certificate")
@@ -276,6 +280,7 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
 # complex-built paths
 
 
+@lru_cache(maxsize=None)
 def _ring_passes(rs: RootSystem, spec: RingSpec) -> bool:
     return check_ring(rs, spec).ok
 

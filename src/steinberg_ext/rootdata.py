@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ConfigurationError
 
@@ -125,6 +125,15 @@ class RootSystem:
     cartan: tuple[Coords, ...]
     positive_roots: tuple[Coords, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # computed once: every lru_cache keyed on a root system hashes it.
+        # The series name is left out, so the hash is stable across processes
+        return hash((self.rank, self.cartan, self.positive_roots))
+
     @property
     def num_positive(self) -> int:
         return len(self.positive_roots)
@@ -181,6 +190,7 @@ def levi_positive_roots(rs: RootSystem, levi: int) -> tuple[Coords, ...]:
     return tuple(b for b in rs.positive_roots if support_mask(b) & ~levi == 0)
 
 
+@lru_cache(maxsize=None)
 def levi_root_indices(rs: RootSystem, levi: int) -> frozenset[int]:
     validate_mask(levi, rs.rank)
     return frozenset(k for k, b in enumerate(rs.positive_roots)

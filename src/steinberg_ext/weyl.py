@@ -10,15 +10,17 @@ operations, and the length function is the count of negative entries.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .errors import ContractError, ResourceLimitError
 from .rootdata import (
     Coords,
     RootSystem,
-    add_coords,
+    full_mask,
     levi_root_indices,
     mask_indices,
     validate_mask,
@@ -144,19 +146,19 @@ class DoubleCosetRep:
     levi: int
 
 
+def _root_sum(rs: RootSystem, indices) -> Coords:
+    """Sum of the positive roots at ``indices``."""
+    return tuple(map(sum, zip(zero_coords(rs.rank),
+                              *(rs.positive_roots[k] for k in indices))))
+
+
 def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
     """Sum of the positive roots outside the J-Levi that w sends to negative
     roots outside the (negated) I-Levi."""
     phi_j = levi_root_indices(rs, J)
     phi_i = levi_root_indices(rs, I)
-    total = zero_coords(rs.rank)
-    for k in range(rs.num_positive):
-        if k in phi_j:
-            continue
-        j, sign = w.image_of_root(k)
-        if sign < 0 and j not in phi_i:
-            total = add_coords(total, rs.positive_roots[k])
-    return total
+    return _root_sum(rs, [k for k, s in enumerate(w.signed_images)
+                          if s < 0 and k not in phi_j and -1 - s not in phi_i])
 
 
 def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
@@ -164,12 +166,8 @@ def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
     I-Levi."""
     phi_j = levi_root_indices(rs, J)
     phi_i = levi_root_indices(rs, I)
-    total = zero_coords(rs.rank)
-    for k in phi_j:
-        j, sign = w.image_of_root(k)
-        if sign > 0 and j not in phi_i:
-            total = add_coords(total, rs.positive_roots[k])
-    return total
+    images = w.signed_images
+    return _root_sum(rs, [k for k in phi_j if images[k] > 0 and images[k] - 1 not in phi_i])
 
 
 def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
@@ -194,40 +192,82 @@ def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
     return out
 
 
+# Descent buckets of the last group seen per root system.  A group is matched
+# by identity: hashing its element tuple would cost more than the lookup.
+_DESCENT_BUCKETS: dict[RootSystem, tuple[tuple[WeylElement, ...],
+                                          dict[tuple[int, int], list[int]]]] = {}
+
+
+def _descent_buckets(rs: RootSystem, group: tuple[WeylElement, ...]
+                     ) -> dict[tuple[int, int], list[int]]:
+    """Positions in ``group``, in group order, keyed by (left, right) descent
+    masks.  Bit j of the right mask is set when w(alpha_j) < 0, bit i of the
+    left mask when w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+    cached = _DESCENT_BUCKETS.get(rs)
+    if cached is not None and cached[0] is group:
+        return cached[1]
+    simple = tuple((1 << i, -1 - i) for i in range(rs.rank))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for position, w in enumerate(group):
+        images = w.signed_images
+        left = right = 0
+        for i, (bit, negated) in enumerate(simple):
+            if images[i] < 0:
+                right |= bit
+            if negated in images:
+                left |= bit
+        buckets.setdefault((left, right), []).append(position)
+    _DESCENT_BUCKETS[rs] = (group, buckets)
+    return buckets
+
+
+@lru_cache(maxsize=None)
+def parabolic_order(rs: RootSystem, levi: int) -> int:
+    """|W_levi| without the group.  The numbers of roots of each height in
+    the Levi's positive roots form a partition whose conjugate lists the
+    exponents m (Kostant), and the order is the product of the m + 1."""
+    heights = Counter(sum(rs.positive_roots[k]) for k in levi_root_indices(rs, levi))
+    order = 1
+    for j in range(1, heights[1] + 1):
+        order *= 1 + sum(1 for count in heights.values() if count >= j)
+    return order
+
+
 def kostant_reps(rs: RootSystem, I: int, J: int,
                  elements: tuple[WeylElement, ...] | None = None) -> tuple[DoubleCosetRep, ...]:
-    """One minimal-length representative per (W_I, W_J) double coset,
-    sorted by length.  The cosets are checked to partition the group and the
-    minimal-length element of each coset is checked to be unique."""
+    """One minimal-length representative per (W_I, W_J) double coset, in
+    group order (by length, then signed images).
+
+    w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
+    w^-1(alpha_i) > 0 for every i in I, so the representatives are the
+    elements whose descent masks miss J on the right and I on the left.  The
+    cosets are checked to partition the group: by Kilmoyer's theorem
+    W_I n wW_Jw^-1 = W_levi(w), so the coset of w has |W_I||W_J|/|W_levi(w)|
+    elements, and these sizes must add up to |W|."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
-    left = [x.signed_images for x in parabolic_subgroup(rs, I)]
-    right = [y.signed_images for y in parabolic_subgroup(rs, J)]
-
-    seen: set[SignedImages] = set()
+    positions = sorted(chain.from_iterable(
+        bucket for (left, right), bucket in _descent_buckets(rs, group).items()
+        if not left & I and not right & J))
+    outer = parabolic_order(rs, I) * parabolic_order(rs, J)
     reps = []
     covered = 0
-    for w in group:  # ascending length, so w is minimal in its coset
-        if w.signed_images in seen:
-            continue
-        coset = {compose_images(x, compose_images(w.signed_images, y))
-                 for x in left for y in right}
-        seen |= coset
-        covered += len(coset)
-        minimal = [im for im in coset if _length_of(im) == w.length]
-        if len(minimal) != 1:
-            raise ContractError(
-                f"double coset of length {w.length} in {rs.type_name()} has "
-                f"{len(minimal)} minimal elements; expected a unique one")
+    for position in positions:
+        w = group[position]
+        levi = intersect_levi(rs, w, I, J)
+        covered += outer // parabolic_order(rs, levi)
         reps.append(DoubleCosetRep(
             w=w, I=I, J=J, length=w.length,
             gamma_exp=gamma_exponents(rs, w, I, J),
             delta_exp=delta_exponents(rs, w, I, J),
-            levi=intersect_levi(rs, w, I, J),
+            levi=levi,
         ))
-    if covered != len(group):
-        raise ContractError("double cosets do not partition the Weyl group")
+    order = parabolic_order(rs, full_mask(rs.rank))
+    if covered != order or len(group) != order:
+        raise ContractError(
+            f"double cosets cover {covered} of {len(group)} group elements; "
+            f"|W({rs.type_name()})| = {order}: they do not partition the Weyl group")
     return tuple(reps)
 
 

@@ -3,13 +3,27 @@
 Everything here deliberately avoids the package's own code paths: roots are
 closed over the full orbit (negatives included), Weyl groups are integer
 matrices acting on simple-root coordinates, determinants come from Bareiss
-elimination and ranks from Fraction-based Gaussian elimination.
+elimination and ranks from Fraction-based Gaussian elimination.  The one
+exception is ``kostant_reps_by_enumeration``: the package's former double-coset
+code, kept to pin the descent-set version to the same bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from steinberg_ext.errors import ContractError
+from steinberg_ext.rootdata import validate_mask
+from steinberg_ext.weyl import (
+    DoubleCosetRep,
+    compose_images,
+    delta_exponents,
+    gamma_exponents,
+    generate_weyl,
+    intersect_levi,
+    parabolic_subgroup,
+)
 
 
 def full_root_orbit(cartan) -> set[tuple[int, ...]]:
@@ -226,3 +240,39 @@ def invariant_factors_by_factoring(moduli) -> list[int]:
                 factor *= powers.pop(0)
         factors.append(factor)
     return factors
+
+
+def kostant_reps_by_enumeration(rs, I: int, J: int, elements=None):
+    """Minimal double-coset representatives by forming every coset
+    W_I w W_J element by element, in group order.  The cosets are checked to
+    partition the group and each to have a unique minimal element."""
+    validate_mask(I, rs.rank)
+    validate_mask(J, rs.rank)
+    group = elements if elements is not None else generate_weyl(rs)
+    left = [x.signed_images for x in parabolic_subgroup(rs, I)]
+    right = [y.signed_images for y in parabolic_subgroup(rs, J)]
+
+    seen = set()
+    reps = []
+    covered = 0
+    for w in group:  # ascending length, so w is minimal in its coset
+        if w.signed_images in seen:
+            continue
+        coset = {compose_images(x, compose_images(w.signed_images, y))
+                 for x in left for y in right}
+        seen |= coset
+        covered += len(coset)
+        minimal = [im for im in coset if sum(1 for s in im if s < 0) == w.length]
+        if len(minimal) != 1:
+            raise ContractError(
+                f"double coset of length {w.length} in {rs.type_name()} has "
+                f"{len(minimal)} minimal elements; expected a unique one")
+        reps.append(DoubleCosetRep(
+            w=w, I=I, J=J, length=w.length,
+            gamma_exp=gamma_exponents(rs, w, I, J),
+            delta_exp=delta_exponents(rs, w, I, J),
+            levi=intersect_levi(rs, w, I, J),
+        ))
+    if covered != len(group):
+        raise ContractError("double cosets do not partition the Weyl group")
+    return tuple(reps)
