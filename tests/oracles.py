@@ -4,17 +4,18 @@ Everything here deliberately avoids the package's own code paths: roots are
 closed over the full orbit (negatives included), Weyl groups are integer
 matrices acting on simple-root coordinates, determinants come from Bareiss
 elimination and ranks from Fraction-based Gaussian elimination.  The one
-exception is ``kostant_reps_by_enumeration``: the package's former double-coset
-code, kept to pin the descent-set version to the same bytes.
+exception is ``kostant_reps_by_enumeration``, which enumerates double cosets
+in the package's signed-image encoding to pin the descent-set version.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from steinberg_ext.errors import ContractError
-from steinberg_ext.rootdata import validate_mask
+from steinberg_ext.rootdata import mask_indices, validate_mask
 from steinberg_ext.weyl import (
     DoubleCosetRep,
     compose_images,
@@ -22,7 +23,7 @@ from steinberg_ext.weyl import (
     gamma_exponents,
     generate_weyl,
     intersect_levi,
-    parabolic_subgroup,
+    simple_reflection,
 )
 
 
@@ -242,27 +243,41 @@ def invariant_factors_by_factoring(moduli) -> list[int]:
     return factors
 
 
-def kostant_reps_by_enumeration(rs, I: int, J: int, elements=None):
-    """Minimal double-coset representatives by forming every coset
-    W_I w W_J element by element, in group order.  The cosets are checked to
-    partition the group and each to have a unique minimal element."""
+@lru_cache(maxsize=None)
+def _simple_multiplication(rs):
+    """The group in package order, and for each simple reflection s the
+    positions of s*w and of w*s for every group element w."""
+    group = generate_weyl(rs)
+    index = {w.signed_images: p for p, w in enumerate(group)}
+    gens = [simple_reflection(rs, i).signed_images for i in range(rs.rank)]
+    left = [[index[compose_images(g, w.signed_images)] for w in group] for g in gens]
+    right = [[index[compose_images(w.signed_images, g)] for w in group] for g in gens]
+    return group, left, right
+
+
+def kostant_reps_by_enumeration(rs, I: int, J: int):
+    """Minimal double-coset representatives by enumerating every coset
+    W_I w W_J element by element, in group order.  A coset is the closure of
+    w under left multiplication by the simple reflections of I and right
+    multiplication by those of J; each coset is checked to have a unique
+    element of minimal length."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
-    group = elements if elements is not None else generate_weyl(rs)
-    left = [x.signed_images for x in parabolic_subgroup(rs, I)]
-    right = [y.signed_images for y in parabolic_subgroup(rs, J)]
-
-    seen = set()
+    group, left, right = _simple_multiplication(rs)
+    moves = [left[i] for i in mask_indices(I)] + [right[j] for j in mask_indices(J)]
+    seen = [False] * len(group)
     reps = []
-    covered = 0
-    for w in group:  # ascending length, so w is minimal in its coset
-        if w.signed_images in seen:
+    for p, w in enumerate(group):  # ascending length, so w is minimal in its coset
+        if seen[p]:
             continue
-        coset = {compose_images(x, compose_images(w.signed_images, y))
-                 for x in left for y in right}
-        seen |= coset
-        covered += len(coset)
-        minimal = [im for im in coset if sum(1 for s in im if s < 0) == w.length]
+        seen[p] = True
+        coset = [p]
+        for q in coset:  # grows while it is read: a breadth-first closure
+            for move in moves:
+                if not seen[move[q]]:
+                    seen[move[q]] = True
+                    coset.append(move[q])
+        minimal = [q for q in coset if group[q].length == w.length]
         if len(minimal) != 1:
             raise ContractError(
                 f"double coset of length {w.length} in {rs.type_name()} has "
@@ -273,6 +288,4 @@ def kostant_reps_by_enumeration(rs, I: int, J: int, elements=None):
             delta_exp=delta_exponents(rs, w, I, J),
             levi=intersect_levi(rs, w, I, J),
         ))
-    if covered != len(group):
-        raise ContractError("double cosets do not partition the Weyl group")
     return tuple(reps)

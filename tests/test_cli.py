@@ -212,6 +212,56 @@ def test_cache_env_var_overrides(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("weyl_A2.bin"))
 
 
+def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch):
+    import steinberg_ext.cli as cli
+    import steinberg_ext.weyl as weyl
+
+    args = ("verify", "--type", "B2", "--ring", "q=3,d=1009", "--all-pairs",
+            "--strata", "on", "--cache-dir", str(tmp_path))
+    cli._strata_group.cache_clear()
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B2.bin"]
+
+    def no_generation(*a, **k):
+        raise AssertionError("the Weyl group was generated, not read from the cache")
+
+    cli._strata_group.cache_clear()
+    monkeypatch.setattr(weyl, "generate_weyl", no_generation)
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and second == first
+
+
+def test_verify_strata_honours_the_cache_env_var(tmp_path, capsys, monkeypatch):
+    import steinberg_ext.cli as cli
+
+    monkeypatch.setenv("STEINBERG_EXT_CACHE_DIR", str(tmp_path))
+    cli._strata_group.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--strata", "on")
+    assert code == 0
+    assert list(tmp_path.glob("weyl_A2.bin"))
+
+
+def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch):
+    import steinberg_ext.extengine as extengine
+    import steinberg_ext.ringcond as ringcond
+
+    calls = []
+    original = ringcond.bon_check
+
+    def counting(rs, spec):
+        calls.append(spec)
+        return original(rs, spec)
+
+    monkeypatch.setattr(ringcond, "bon_check", counting)
+    extengine._ring_passes.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--type", "B2", "--ring", "q=3,d=1009",
+                           "--all-pairs", "--strata", "off")
+    assert code == 0 and "36 passed, 0 failed" in out
+    # one for verify's own ring report, one for every complex-built table
+    assert len(calls) == 2
+
+
 def test_parallel_same_bytes(capsys):
     args = ("verify", "--type", "A2", "--ring", "Q", "--all-pairs")
     _, serial, _ = run_cli(capsys, *args)

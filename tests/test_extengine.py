@@ -331,7 +331,6 @@ def test_method_agreement_rank4():
                     ext_v_to_induced(rs, I, J, spec, CLOSED_FORM))
 
 
-@pytest.mark.slow
 def test_strata_agreement_rank4():
     for name in ["A4", "D4"]:
         rs = build_root_system(*parse_type(name))
@@ -344,7 +343,6 @@ def test_strata_agreement_rank4():
                 assert got.same_modules(ext_induced_closed(rs, I, J, spec))
 
 
-@pytest.mark.slow
 def test_gamma_zero_iff_identity_rank4():
     for name in ["A4", "B4", "D4"]:
         rs = build_root_system(*parse_type(name))

@@ -10,6 +10,7 @@ from steinberg_ext.weyl import (
     kostant_reps,
     load_or_generate,
     load_weyl_cache,
+    parabolic_order,
     parabolic_subgroup,
     permutes_roots,
     save_weyl_cache,
@@ -19,6 +20,7 @@ from steinberg_ext.weyl import (
 import oracles
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
 
 @pytest.mark.parametrize("name,order", [("A1", 2), ("A2", 6), ("B2", 8),
@@ -102,6 +104,37 @@ def test_double_cosets_partition_everything():
                 reps = kostant_reps(rs, I, J)
                 assert [r.length for r in reps] == sorted(r.length for r in reps)
                 assert reps[0].w.is_identity
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_kostant_reps_match_enumeration(name):
+    # same representatives in the same order, with the same length, exponent
+    # vectors and Levi subset, as enumerating every coset element by element
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    for I in range(full + 1):
+        for J in range(full + 1):
+            assert kostant_reps(rs, I, J) == oracles.kostant_reps_by_enumeration(rs, I, J)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_parabolic_order_matches_subgroup(name):
+    rs = build_root_system(*parse_type(name))
+    for levi in range(full_mask(rs.rank) + 1):
+        assert parabolic_order(rs, levi) == len(parabolic_subgroup(rs, levi))
+
+
+def test_partition_check_catches_a_corrupted_group():
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    dropped = [group[1:], group[:-1], group[:20] + group[21:]]
+    duplicated = [group[:1] + group, group[:20] + group[19:], group + group[-1:]]
+    for elements in dropped + duplicated:
+        for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
+            with pytest.raises(ContractError, match="do not partition"):
+                kostant_reps(rs, I, J, elements)
+    # the intact group still passes after a corrupted one was bucketed
+    assert kostant_reps(rs, 0b011, 0b110, group) == kostant_reps(rs, 0b011, 0b110)
 
 
 def test_gamma_exponent_examples():
