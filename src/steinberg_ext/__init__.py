@@ -81,6 +81,7 @@ from .weyl import (
     intersect_levi,
     kostant_reps,
     load_or_generate,
+    parabolic_order,
     parabolic_subgroup,
 )
 

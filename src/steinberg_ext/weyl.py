@@ -13,7 +13,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 from .errors import ContractError, ResourceLimitError
@@ -206,16 +206,15 @@ def _descent_buckets(rs: RootSystem, group: tuple[WeylElement, ...]
     cached = _DESCENT_BUCKETS.get(rs)
     if cached is not None and cached[0] is group:
         return cached[1]
-    simple = tuple((1 << i, -1 - i) for i in range(rs.rank))
+    bit_of = {-1 - i: 1 << i for i in range(rs.rank)}  # image -(i+1) -> bit i
+    negated_simple = frozenset(bit_of)
+    bits = tuple(bit_of.values())
+    is_negative = (0).__gt__
     buckets: dict[tuple[int, int], list[int]] = {}
     for position, w in enumerate(group):
         images = w.signed_images
-        left = right = 0
-        for i, (bit, negated) in enumerate(simple):
-            if images[i] < 0:
-                right |= bit
-            if negated in images:
-                left |= bit
+        left = sum(map(bit_of.__getitem__, negated_simple.intersection(images)))
+        right = sum(compress(bits, map(is_negative, images)))  # first rank images
         buckets.setdefault((left, right), []).append(position)
     _DESCENT_BUCKETS[rs] = (group, buckets)
     return buckets

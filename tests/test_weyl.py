@@ -133,6 +133,13 @@ def test_partition_check_catches_a_corrupted_group():
         for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
             with pytest.raises(ContractError, match="do not partition"):
                 kostant_reps(rs, I, J, elements)
+    # one representative dropped or doubled in a group of the right size: only
+    # the coset sizes can tell (the longest element is no representative here)
+    swapped = [group[1:] + group[-1:], group[:1] + group[:-1]]
+    for elements in swapped:
+        for I, J in [(0b011, 0b110), (0b111, 0b111)]:
+            with pytest.raises(ContractError, match="do not partition"):
+                kostant_reps(rs, I, J, elements)
     # the intact group still passes after a corrupted one was bucketed
     assert kostant_reps(rs, 0b011, 0b110, group) == kostant_reps(rs, 0b011, 0b110)
 
