@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ConfigurationError
 
@@ -124,15 +124,6 @@ class RootSystem:
     rank: int
     cartan: tuple[Coords, ...]
     positive_roots: tuple[Coords, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # computed once: every lru_cache keyed on a root system hashes it.
-        # The series name is left out, so the hash is stable across processes
-        return hash((self.rank, self.cartan, self.positive_roots))
 
     @property
     def num_positive(self) -> int:
