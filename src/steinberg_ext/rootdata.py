@@ -213,10 +213,6 @@ def cofundamental_pairing(chi: Coords, beta_index: int) -> int:
     return chi[beta_index]
 
 
-def add_coords(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def zero_coords(rank: int) -> Coords:
     return (0,) * rank
 

@@ -94,8 +94,8 @@ def test_kostant_counts_match_matrix_oracle():
 
 
 def test_double_cosets_partition_everything():
-    # kostant_reps raises if the cosets fail to partition the group or if a
-    # coset has a non-unique minimal element; sweeping all pairs exercises that
+    # kostant_reps raises if the coset sizes (Kilmoyer) do not add up to the
+    # group order; sweeping all pairs exercises that
     for name in SMALL_TYPES:
         rs = build_root_system(*parse_type(name))
         full = full_mask(rs.rank)
