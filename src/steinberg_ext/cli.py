@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import permutations
 
@@ -343,7 +343,7 @@ def cmd_check_ring(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _strata_group(series: str, rank: int, cache_dir: str | None) -> tuple[WeylElement, ...]:
+def _strata_group(series: str, rank: int, cache_dir: str | None) -> Sequence[WeylElement]:
     """The Weyl group for the strata checks, loaded once per process."""
     return load_or_generate(build_root_system(series, rank), cache_dir)
 
@@ -429,6 +429,8 @@ def cmd_verify(args) -> int:
     tasks = [(series, rank, spec.d, spec.q, I, J, strata, cache_dir) for I, J in pairs]
     workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here: multiprocessing costs every other command start-up time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_verify_pair_task_star, tasks):
                 lines.extend(result)

@@ -9,11 +9,16 @@ operations, and the length function is the count of negative entries.
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
+from array import array
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
 from .errors import ContractError, ResourceLimitError
@@ -55,13 +60,24 @@ def _identity_images(n: int) -> SignedImages:
     return tuple(range(1, n + 1))
 
 
+def _action_table(u: SignedImages) -> SignedImages:
+    """u as a lookup table on signed images: entry s is u's signed image of
+    the root that s stands for, for s = 1..N and, counted from the end,
+    s = -1..-N."""
+    return (0, *u, *(-s for s in reversed(u)))
+
+
+def _reader(positions: SignedImages) -> Callable[[SignedImages], SignedImages]:
+    """The entries of a tuple at ``positions``, read in C as one tuple."""
+    if len(positions) == 1:  # itemgetter would return the bare entry
+        (k,) = positions
+        return lambda table: (table[k],)
+    return itemgetter(*positions)
+
+
 def compose_images(u: SignedImages, v: SignedImages) -> SignedImages:
     """Signed images of u∘v (apply v first, then u)."""
-    out = []
-    for sv in v:
-        su = u[abs(sv) - 1]
-        out.append(su if sv > 0 else -su)
-    return tuple(out)
+    return _reader(v)(_action_table(u))
 
 
 def _element(images: SignedImages) -> WeylElement:
@@ -90,14 +106,21 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def _closure(rs: RootSystem, generator_images: tuple[SignedImages, ...],
              cap: int) -> tuple[WeylElement, ...]:
-    identity = _identity_images(rs.num_positive)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
+    """Breadth-first closure from the identity under left multiplication by
+    simple reflections.  The elements first reached at step L are those of
+    length L, so sorting each step by its images gives group order."""
+    tables = [_action_table(g) for g in generator_images]
+    step = [_identity_images(rs.num_positive)]
+    seen = set(step)
+    elements: list[WeylElement] = []
+    length = 0
+    while step:
+        elements.extend(WeylElement(images, length) for images in sorted(step))
         nxt = []
-        for w in frontier:
-            for g in generator_images:
-                gw = compose_images(g, w)
+        for w in step:
+            images_of = _reader(w)
+            for table in tables:
+                gw = images_of(table)  # compose_images(g, w)
                 if gw not in seen:
                     if len(seen) >= cap:
                         raise ResourceLimitError(
@@ -105,9 +128,8 @@ def _closure(rs: RootSystem, generator_images: tuple[SignedImages, ...],
                             f" (at least {len(seen) + 1} elements)")
                     seen.add(gw)
                     nxt.append(gw)
-        frontier = nxt
-    elements = sorted((_element(im) for im in seen),
-                      key=lambda w: (w.length, w.signed_images))
+        step = nxt
+        length += 1
     return tuple(elements)
 
 
@@ -152,35 +174,23 @@ def _root_sum(rs: RootSystem, indices) -> Coords:
                               *(rs.positive_roots[k] for k in indices))))
 
 
-def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
-    """Sum of the positive roots outside the J-Levi that w sends to negative
-    roots outside the (negated) I-Levi."""
-    phi_j = levi_root_indices(rs, J)
-    phi_i = levi_root_indices(rs, I)
-    return _root_sum(rs, [k for k, s in enumerate(w.signed_images)
+def _gamma(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
+           phi_j: frozenset[int]) -> Coords:
+    return _root_sum(rs, [k for k, s in enumerate(images)
                           if s < 0 and k not in phi_j and -1 - s not in phi_i])
 
 
-def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
-    """Sum of the J-Levi positive roots that w keeps positive outside the
-    I-Levi."""
-    phi_j = levi_root_indices(rs, J)
-    phi_i = levi_root_indices(rs, I)
-    images = w.signed_images
+def _delta(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
+           phi_j: frozenset[int]) -> Coords:
     return _root_sum(rs, [k for k in phi_j if images[k] > 0 and images[k] - 1 not in phi_i])
 
 
-def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
-    """The subset of J whose simple roots w carries into I (as simple roots).
-
-    Defined for minimal-length double-coset representatives only; for those,
-    any beta in J landing inside the I-Levi must land on a simple root.
-    """
-    phi_i = levi_root_indices(rs, I)
+def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, ...],
+                    phi_i: frozenset[int]) -> int:
     out = 0
-    for b in mask_indices(J):
-        j, sign = w.image_of_root(b)
-        if sign < 0:
+    for b in simple_j:
+        j = images[b] - 1
+        if j < 0:
             raise ContractError(
                 f"w(alpha_{b}) is negative; not a minimal double-coset representative")
         if j in phi_i:
@@ -192,30 +202,60 @@ def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
     return out
 
 
+def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
+    """Sum of the positive roots outside the J-Levi that w sends to negative
+    roots outside the (negated) I-Levi."""
+    phi_j = levi_root_indices(rs, J)
+    return _gamma(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
+
+
+def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
+    """Sum of the J-Levi positive roots that w keeps positive outside the
+    I-Levi."""
+    phi_j = levi_root_indices(rs, J)
+    return _delta(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
+
+
+def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
+    """The subset of J whose simple roots w carries into I (as simple roots).
+
+    Defined for minimal-length double-coset representatives only; for those,
+    any beta in J landing inside the I-Levi must land on a simple root.
+    """
+    return _intersect_levi(rs, w.signed_images, mask_indices(J),
+                           levi_root_indices(rs, I))
+
+
+def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
+    """``left << 8 | right`` for every element, in group order.  Bit j of the
+    right mask is set when w(alpha_j) < 0, bit i of the left mask when
+    w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+    left_of = {frozenset(-1 - i for i in mask_indices(m)): m << 8
+               for m in range(1 << rs.rank)}
+    negated_simple = frozenset(range(-rs.rank, 0))
+    right_bits = tuple(1 << j for j in range(rs.rank))
+    is_negative = (0).__gt__
+    return array("H", [  # compress reads only the first rank images
+        left_of[negated_simple.intersection(images)]
+        + sum(compress(right_bits, map(is_negative, images)))
+        for images in map(attrgetter("signed_images"), group)])
+
+
 # Descent buckets of the last group seen per root system.  A group is matched
-# by identity: hashing its element tuple would cost more than the lookup.
-_DESCENT_BUCKETS: dict[RootSystem, tuple[tuple[WeylElement, ...],
-                                          dict[tuple[int, int], list[int]]]] = {}
+# by identity: hashing its elements would cost more than the lookup.
+_DESCENT_BUCKETS: dict[RootSystem, tuple[Sequence[WeylElement], dict[int, list[int]]]] = {}
 
 
-def _descent_buckets(rs: RootSystem, group: tuple[WeylElement, ...]
-                     ) -> dict[tuple[int, int], list[int]]:
-    """Positions in ``group``, in group order, keyed by (left, right) descent
-    masks.  Bit j of the right mask is set when w(alpha_j) < 0, bit i of the
-    left mask when w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+def _descent_buckets(rs: RootSystem, group: Sequence[WeylElement]) -> dict[int, list[int]]:
+    """Positions in ``group``, in group order, keyed by descent mask.  A group
+    read from the cache brings its masks; any other is scanned for them."""
     cached = _DESCENT_BUCKETS.get(rs)
     if cached is not None and cached[0] is group:
         return cached[1]
-    bit_of = {-1 - i: 1 << i for i in range(rs.rank)}  # image -(i+1) -> bit i
-    negated_simple = frozenset(bit_of)
-    bits = tuple(bit_of.values())
-    is_negative = (0).__gt__
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for position, w in enumerate(group):
-        images = w.signed_images
-        left = sum(map(bit_of.__getitem__, negated_simple.intersection(images)))
-        right = sum(compress(bits, map(is_negative, images)))  # first rank images
-        buckets.setdefault((left, right), []).append(position)
+    masks = group.masks if isinstance(group, CachedWeylGroup) else _descent_masks(rs, group)
+    buckets: dict[int, list[int]] = {}
+    for position, mask in enumerate(masks):
+        buckets.setdefault(mask, []).append(position)
     _DESCENT_BUCKETS[rs] = (group, buckets)
     return buckets
 
@@ -233,7 +273,7 @@ def parabolic_order(rs: RootSystem, levi: int) -> int:
 
 
 def kostant_reps(rs: RootSystem, I: int, J: int,
-                 elements: tuple[WeylElement, ...] | None = None) -> tuple[DoubleCosetRep, ...]:
+                 elements: Sequence[WeylElement] | None = None) -> tuple[DoubleCosetRep, ...]:
     """One minimal-length representative per (W_I, W_J) double coset, in
     group order (by length, then signed images).
 
@@ -246,20 +286,28 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
+    forbidden = I << 8 | J
     positions = sorted(chain.from_iterable(
-        bucket for (left, right), bucket in _descent_buckets(rs, group).items()
-        if not left & I and not right & J))
+        bucket for mask, bucket in _descent_buckets(rs, group).items()
+        if not mask & forbidden))
+    phi_i = levi_root_indices(rs, I)
+    phi_j = levi_root_indices(rs, J)
+    simple_j = mask_indices(J)
     outer = parabolic_order(rs, I) * parabolic_order(rs, J)
+    coset_size: dict[int, int] = {}  # |W_I||W_J|/|W_levi|, by levi
     reps = []
     covered = 0
     for position in positions:
         w = group[position]
-        levi = intersect_levi(rs, w, I, J)
-        covered += outer // parabolic_order(rs, levi)
+        images = w.signed_images
+        levi = _intersect_levi(rs, images, simple_j, phi_i)
+        if levi not in coset_size:
+            coset_size[levi] = outer // parabolic_order(rs, levi)
+        covered += coset_size[levi]
         reps.append(DoubleCosetRep(
             w=w, I=I, J=J, length=w.length,
-            gamma_exp=gamma_exponents(rs, w, I, J),
-            delta_exp=delta_exponents(rs, w, I, J),
+            gamma_exp=_gamma(rs, images, phi_i, phi_j),
+            delta_exp=_delta(rs, images, phi_i, phi_j),
             levi=levi,
         ))
     order = parabolic_order(rs, full_mask(rs.rank))
@@ -272,55 +320,97 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 
 # ---------------------------------------------------------------------------
 # optional binary cache, one file per (series, rank)
+#
+# Layout, little-endian: the magic, the header (series, rank, N positive
+# roots, element count), one record per element in group order (length, then
+# the N signed images, all int32), then one uint16 descent mask per element
+# (left << 8 | right, as _descent_masks computes them).
 
-_CACHE_MAGIC = b"WGC1"
+_CACHE_MAGIC = b"WGC2"
+_CACHE_HEADER = struct.Struct("<cBII")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+class CachedWeylGroup(Sequence):
+    """A Weyl group read from the cache, in group order.  It holds the flat
+    records and the stored descent masks; an element is decoded on its first
+    access and kept, so each is built at most once."""
+
+    def __init__(self, records: array, width: int, masks: array) -> None:
+        self._records = records
+        self._width = width
+        self._decoded: list[WeylElement | None] = [None] * len(masks)
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self._decoded)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        w = self._decoded[index]
+        if w is None:
+            start = index % len(self) * self._width
+            images = tuple(self._records[start + 1:start + self._width])
+            w = self._decoded[index] = WeylElement(images, self._records[start])
+        return w
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
     return Path(cache_dir) / f"weyl_{series}{rank}.bin"
 
 
-def save_weyl_cache(rs: RootSystem, elements: tuple[WeylElement, ...],
+def save_weyl_cache(rs: RootSystem, elements: Sequence[WeylElement],
                     cache_dir: str | Path) -> Path:
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = rs.num_positive
-    buf = [_CACHE_MAGIC,
-           struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))]
-    for w in elements:
-        buf.append(struct.pack(f"<I{n}i", w.length, *w.signed_images))
-    path.write_bytes(b"".join(buf))
+    record = struct.Struct(f"<I{rs.num_positive}i")
+    masks = _descent_masks(rs, elements)
+    if _BIG_ENDIAN:
+        masks.byteswap()
+    with path.open("wb") as fh:  # record by record: no second copy of the group
+        fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
+            rs.series.encode(), rs.rank, rs.num_positive, len(elements)))
+        fh.writelines(record.pack(w.length, *w.signed_images) for w in elements)
+        masks.tofile(fh)
     return path
 
 
-def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> tuple[WeylElement, ...] | None:
-    """Load the cached group; returns None on a missing file or any header
-    mismatch (the cache is then simply recomputed)."""
+def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> CachedWeylGroup | None:
+    """Load the cached group; returns None on a missing file, an older
+    format, a header mismatch or a wrong file size (the cache is then simply
+    recomputed)."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
+    prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
-        raw = path.read_bytes()
-    except OSError:
+        with path.open("rb") as fh:
+            head = fh.read(prefix)
+            if len(head) != prefix or head[:4] != _CACHE_MAGIC:
+                return None
+            series, rank, n, count = _CACHE_HEADER.unpack_from(head, 4)
+            if series != rs.series.encode() or rank != rs.rank or n != rs.num_positive:
+                return None
+            width = n + 1
+            if os.fstat(fh.fileno()).st_size != prefix + count * (4 * width + 2):
+                return None
+            records, masks = array("i"), array("H")
+            records.fromfile(fh, count * width)
+            masks.fromfile(fh, count)
+    except (OSError, EOFError, ValueError):  # the last two: it shrank while read
         return None
-    header = struct.calcsize("<cBII")
-    if len(raw) < 4 + header or raw[:4] != _CACHE_MAGIC:
-        return None
-    series, rank, n, count = struct.unpack_from("<cBII", raw, 4)
-    if series.decode() != rs.series or rank != rs.rank or n != rs.num_positive:
-        return None
-    record = struct.calcsize(f"<I{n}i")
-    if len(raw) != 4 + header + count * record:
-        return None
-    elements = []
-    offset = 4 + header
-    for _ in range(count):
-        fields = struct.unpack_from(f"<I{n}i", raw, offset)
-        offset += record
-        elements.append(WeylElement(tuple(fields[1:]), fields[0]))
-    return tuple(elements)
+    if _BIG_ENDIAN:
+        records.byteswap()
+        masks.byteswap()
+    return CachedWeylGroup(records, width, masks)
 
 
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None,
-                     cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
+                     cap: int = DEFAULT_WEYL_CAP) -> Sequence[WeylElement]:
     if cache_dir is None:
         return generate_weyl(rs, cap)
     cached = load_weyl_cache(rs, cache_dir)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from steinberg_ext.cli import parse_and_dispatch, render_table
 from steinberg_ext.extengine import ExtTable, ModulePiece
 
@@ -212,6 +214,60 @@ def test_cache_env_var_overrides(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("weyl_A2.bin"))
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_text())
+                     if name.startswith(("dcosets_B3", "dcosets_F4",
+                                         "extind_B3", "extind_F4")))
+
+
+@pytest.mark.parametrize("name", WEYL_GOLDEN)
+def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypatch):
+    # the recorded bytes, once writing the cache and once reading it back
+    import steinberg_ext.weyl as weyl
+
+    case = json.loads((GOLDEN / "cases.json").read_text())[name]
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
+    argv = (*case["argv"], "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert (code, cold.encode()) == (case["exit"], expected)
+    assert len(list(tmp_path.glob("weyl_*.bin"))) == 1
+
+    def no_generation(*a, **k):
+        raise AssertionError("the Weyl group was generated, not read from the cache")
+
+    monkeypatch.setattr(weyl, "generate_weyl", no_generation)
+    code, warm, _ = run_cli(capsys, *argv)
+    assert (code, warm.encode()) == (case["exit"], expected)
+
+
+def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys, monkeypatch):
+    # a closed-form query still leaves a readable cache file behind, so one
+    # cold query can prepare the cache for later strata and dcosets queries
+    from steinberg_ext.rootdata import build_root_system
+    from steinberg_ext.weyl import generate_weyl, load_weyl_cache
+
+    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
+    code, _, _ = run_cli(capsys, "ext-induced", "--type", "B3", "--I", "", "--J", "",
+                         "--ring", "Q", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B3.bin"]
+    rs = build_root_system("B", 3)
+    assert load_weyl_cache(rs, tmp_path) == generate_weyl(rs)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only verify --parallel N > 1 starts a pool; nothing else pays its import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, steinberg_ext.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch):
     import steinberg_ext.cli as cli
     import steinberg_ext.weyl as weyl
@@ -320,7 +376,7 @@ class _InlinePool:
 def test_parallel_pool_size_is_clamped(capsys, monkeypatch):
     import steinberg_ext.cli as cli
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     _InlinePool.sizes = []
     args = ("verify", "--type", "A2", "--ring", "Q")

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from steinberg_ext.errors import ContractError, ResourceLimitError
@@ -15,6 +17,7 @@ from steinberg_ext.weyl import (
     permutes_roots,
     save_weyl_cache,
     simple_reflection,
+    weyl_cache_path,
 )
 
 import oracles
@@ -263,3 +266,97 @@ def test_cache_rejects_corruption(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     assert load_weyl_cache(rs, tmp_path) is None
+
+
+def _cache_layout(rs, count):
+    """Offsets of the record block and of the mask block in a cache file."""
+    records = 4 + struct.calcsize("<cBII")
+    return records, records + count * 4 * (rs.num_positive + 1)
+
+
+def test_cache_v1_file_is_a_miss_and_is_rewritten(tmp_path):
+    # the previous format: same header and records, magic WGC1, no masks
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    n = rs.num_positive
+    path = weyl_cache_path(tmp_path, "B", 3)
+    path.write_bytes(b"WGC1" + struct.pack("<cBII", b"B", 3, n, len(group)) + b"".join(
+        struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in group))
+    assert load_weyl_cache(rs, tmp_path) is None
+    assert load_or_generate(rs, tmp_path) == group
+    assert path.read_bytes()[:4] == b"WGC2"
+    assert load_weyl_cache(rs, tmp_path) == group
+
+
+def test_cache_truncated_mask_block_is_a_miss(tmp_path):
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    path = save_weyl_cache(rs, group, tmp_path)
+    raw = path.read_bytes()
+    _, masks_at = _cache_layout(rs, len(group))
+    assert len(raw) == masks_at + 2 * len(group)
+    for cut in (masks_at, len(raw) - 2, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        assert load_weyl_cache(rs, tmp_path) is None
+    path.write_bytes(raw + b"\0\0")
+    assert load_weyl_cache(rs, tmp_path) is None
+
+
+def test_cache_flipped_left_descent_fails_the_partition_check(tmp_path):
+    # with J = {} and I = {i}, flipping bit i of one element's left mask adds
+    # or drops one representative, so the Kilmoyer sum misses |W| by |W_I|
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    path = save_weyl_cache(rs, group, tmp_path)
+    raw = path.read_bytes()
+    _, masks_at = _cache_layout(rs, len(group))
+    for position in (0, 1, len(group) // 2, len(group) - 1):
+        for i in range(rs.rank):
+            corrupted = bytearray(raw)
+            corrupted[masks_at + 2 * position + 1] ^= 1 << i  # left mask: high byte
+            path.write_bytes(bytes(corrupted))
+            cached = load_weyl_cache(rs, tmp_path)
+            assert cached == group  # the records are intact
+            with pytest.raises(ContractError, match="do not partition"):
+                kostant_reps(rs, 1 << i, 0, cached)
+    path.write_bytes(raw)
+    assert kostant_reps(rs, 0b001, 0, load_weyl_cache(rs, tmp_path)) == \
+        kostant_reps(rs, 0b001, 0)
+
+
+def test_cached_group_decodes_each_element_once(tmp_path):
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    save_weyl_cache(rs, group, tmp_path)
+    cached = load_weyl_cache(rs, tmp_path)
+    assert len(cached) == len(group)
+    assert cached[5] is cached[5]
+    assert cached[-1] is cached[len(group) - 1]
+    assert cached == group and group == cached and cached == list(group)
+    assert cached != group[1:] and cached != group[::-1]
+    assert list(cached) == list(group)
+    assert cached[2:7] == group[2:7]
+    assert all(cached[k] is w for k, w in enumerate(cached))
+    with pytest.raises(IndexError):
+        cached[len(group)]
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_kostant_reps_from_cache_match_generated(name, tmp_path):
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
+    generated = [kostant_reps(rs, I, J) for I, J in pairs]
+    save_weyl_cache(rs, generate_weyl(rs), tmp_path)
+    cached = load_weyl_cache(rs, tmp_path)
+    assert [kostant_reps(rs, I, J, cached) for I, J in pairs] == generated
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_generated_lengths_count_negative_images(name):
+    # lengths come from the breadth-first step an element is reached at
+    rs = build_root_system(*parse_type(name))
+    for levi in range(full_mask(rs.rank) + 1):
+        for w in parabolic_subgroup(rs, levi):
+            assert w.length == sum(1 for s in w.signed_images if s < 0)
+    assert all(permutes_roots(rs, w) for w in generate_weyl(rs))
