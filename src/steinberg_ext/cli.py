@@ -25,6 +25,7 @@ from .extengine import (
     CLOSED_FORM,
     COMPLEX_BUILT,
     ExtTable,
+    cohomology_rows_exact,
     cohomology_v,
     ext_cuspidal_line,
     ext_induced_closed,
@@ -38,14 +39,13 @@ from .extengine import (
     trivial_cohomology,
     vanishing_certificate,
 )
-from .homology import exterior_row_complex, homology_over_Z
 from .ringcond import RingSpec, check_ring, format_ring, parse_ring
 from .rootdata import (
+    RootSystem,
     build_root_system,
     full_mask,
     mask_from_indices,
     mask_indices,
-    mask_size,
     parse_type,
 )
 from .weyl import WeylElement, kostant_reps, load_or_generate
@@ -56,6 +56,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RING = 3
+
+# verify --all-pairs sweeps 4^rank pairs: every type of rank <= 8, E8 included
+MAX_PAIRS = 1 << 16
+# zelevinsky round-trips all 2^(k-1) edge subsets: k <= 17
+MAX_EDGES = 16
 
 
 def _parse_subset(text: str, rank: int) -> int:
@@ -69,12 +74,25 @@ def _parse_subset(text: str, rank: int) -> int:
     return mask_from_indices(indices, rank)
 
 
+def _parse_query(args, subsets: bool = True) -> tuple[RootSystem, RingSpec | None, int, int]:
+    """Type, ring (``None`` when not given), I and J of a subcommand, parsed
+    in that order; an absent subset, or any subset when ``subsets`` is off,
+    reads as {}."""
+    series, rank = parse_type(args.type)
+    rs = build_root_system(series, rank)
+    spec = None if args.ring is None else parse_ring(args.ring)
+    if not subsets:
+        return rs, spec, 0, 0
+    return (rs, spec, _parse_subset(getattr(args, "I", ""), rank),
+            _parse_subset(getattr(args, "J", ""), rank))
+
+
 def _subset_list(mask: int) -> list[int]:
     return list(mask_indices(mask))
 
 
-def _query_dict(series: str, rank: int, spec: RingSpec | None, **extra) -> dict:
-    query: dict = {"series": series, "rank": rank}
+def _query_dict(rs: RootSystem, spec: RingSpec | None, **extra) -> dict:
+    query: dict = {"series": rs.series, "rank": rs.rank}
     if spec is not None:
         query["ring"] = format_ring(spec)
     query.update(extra)
@@ -113,8 +131,8 @@ def _add_common(p: argparse.ArgumentParser, ring_default: str | None = "Q") -> N
                    help="root-system type, e.g. A2, B3, G2; simple roots are "
                         "indexed 0..rank-1 along the Dynkin chain (branch/short "
                         "nodes last, as in the standard tables)")
-    if ring_default is None:
-        p.add_argument("--ring", default=None,
+    if ring_default is None:  # an empty --ring also means none
+        p.add_argument("--ring", default=None, type=lambda text: text or None,
                        help="coefficient ring: 'Q' or 'q=<prime power>,d=<n>'")
     else:
         p.add_argument("--ring", default=ring_default,
@@ -207,24 +225,12 @@ def _cache_dir(args) -> str | None:
 
 
 def cmd_ext(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
-    I = _parse_subset(args.I, rank)
-    J = _parse_subset(args.J, rank)
+    rs, spec, I, J = _parse_query(args)
     dumps: list | None = [] if args.dump_complex else None
-    if args.method == CLOSED_FORM:
-        table = ext_steinberg(rs, I, J, spec, CLOSED_FORM, args.center_rank)
-    else:
-        table = ext_steinberg(rs, I, J, spec, COMPLEX_BUILT, args.center_rank,
-                              complexes_out=dumps)
-        if args.method == "both":
-            closed = ext_steinberg(rs, I, J, spec, CLOSED_FORM, args.center_rank)
-            if not table.outside_hypotheses and not table.same_modules(closed):
-                raise VerificationError("methods disagree",
-                                        {"closed": closed.to_json_dict(),
-                                         "built": table.to_json_dict()})
-    query = _query_dict(series, rank, spec, I=_subset_list(I), J=_subset_list(J),
+    # the built path checks itself against the closed form, so "both" builds
+    method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
+    table = ext_steinberg(rs, I, J, spec, method, args.center_rank, complexes_out=dumps)
+    query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J),
                         center_rank=args.center_rank)
     extra = {"complexes": dumps} if dumps else None
     emit_table(table, args.format, query, args.method, extra)
@@ -232,42 +238,30 @@ def cmd_ext(args) -> int:
 
 
 def cmd_ext_induced(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
-    I = _parse_subset(args.I, rank)
-    J = _parse_subset(args.J, rank)
+    rs, spec, I, J = _parse_query(args)
     elements = load_or_generate(rs, _cache_dir(args))
     if args.method == CLOSED_FORM:
         table = ext_induced_closed(rs, I, J, spec)
     else:
         table = ext_induced_via_strata(rs, I, J, spec, elements)
-    query = _query_dict(series, rank, spec, I=_subset_list(I), J=_subset_list(J))
+    query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
     emit_table(table, args.format, query, args.method)
     return EXIT_OK
 
 
 def cmd_ext_vi(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
-    I = _parse_subset(args.I, rank)
-    J = _parse_subset(args.J, rank)
+    rs, spec, I, J = _parse_query(args)
     dumps: list | None = [] if args.dump_complex else None
     method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
-    table = ext_v_to_induced(rs, I, J, spec, method,
-                             complexes_out=dumps if method == COMPLEX_BUILT else None)
-    query = _query_dict(series, rank, spec, I=_subset_list(I), J=_subset_list(J))
+    table = ext_v_to_induced(rs, I, J, spec, method, complexes_out=dumps)
+    query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
     extra = {"complexes": dumps} if dumps else None
     emit_table(table, args.format, query, args.method, extra)
     return EXIT_OK
 
 
 def cmd_cohomology(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
-    I = _parse_subset(args.I, rank)
+    rs, spec, I, _ = _parse_query(args)
     if args.center_rank < 0:  # only the trivial object reads it; reject it for all
         raise ConfigurationError("center rank must be non-negative")
     dumps: list | None = [] if args.dump_complex else None
@@ -277,9 +271,8 @@ def cmd_cohomology(args) -> int:
         table = induced_cohomology(rs, I, spec)
     else:
         method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
-        table = cohomology_v(rs, I, spec, method,
-                             complexes_out=dumps if method == COMPLEX_BUILT else None)
-    query = _query_dict(series, rank, spec, I=_subset_list(I), object=args.object,
+        table = cohomology_v(rs, I, spec, method, complexes_out=dumps)
+    query = _query_dict(rs, spec, I=_subset_list(I), object=args.object,
                         center_rank=args.center_rank)
     extra = {"complexes": dumps} if dumps else None
     emit_table(table, args.format, query, args.method if args.object == "v" else CLOSED_FORM,
@@ -288,11 +281,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dcosets(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring) if args.ring else None
-    I = _parse_subset(args.I, rank)
-    J = _parse_subset(args.J, rank)
+    rs, spec, I, J = _parse_query(args)
     elements = load_or_generate(rs, _cache_dir(args))
     reps = kostant_reps(rs, I, J, elements)
     rows = []
@@ -322,17 +311,15 @@ def cmd_dcosets(args) -> int:
                 int(r["surviving"])))
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        query = _query_dict(series, rank, spec, I=_subset_list(I), J=_subset_list(J))
+        query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
         sys.stdout.write(json.dumps({"query": query, "reps": rows}, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_check_ring(args) -> int:
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
+    rs, spec, _, _ = _parse_query(args)
     report = check_ring(rs, spec, theta_assumed=args.assume_theta)
-    payload = {"query": _query_dict(series, rank, spec)}
+    payload = {"query": _query_dict(rs, spec)}
     payload.update(report.to_json_dict())
     payload["theta_assumed"] = args.assume_theta
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -361,19 +348,13 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
         lines.append(f"{state} {check} I={{{','.join(map(str, mask_indices(I)))}}} "
                      f"J={{{','.join(map(str, mask_indices(J)))}}}{suffix}")
 
-    try:
-        built = ext_steinberg(rs, I, J, spec, COMPLEX_BUILT)
-        closed = ext_steinberg(rs, I, J, spec, CLOSED_FORM)
-        record("ext-methods", built.same_modules(closed) and not built.has_torsion())
-    except VerificationError as e:
-        record("ext-methods", False, str(e))
-
-    try:
-        built = ext_v_to_induced(rs, I, J, spec, COMPLEX_BUILT)
-        closed = ext_v_to_induced(rs, I, J, spec, CLOSED_FORM)
-        record("vi-methods", built.same_modules(closed) and not built.has_torsion())
-    except VerificationError as e:
-        record("vi-methods", False, str(e))
+    for check, table_of in (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced)):
+        try:
+            built = table_of(rs, I, J, spec, COMPLEX_BUILT)
+            closed = table_of(rs, I, J, spec, CLOSED_FORM)
+            record(check, built.same_modules(closed) and not built.has_torsion())
+        except VerificationError as e:
+            record(check, False, str(e))
 
     if strata:
         # RingAssumptionError propagates: the caller turns it into exit 3
@@ -389,9 +370,11 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
 def cmd_verify(args) -> int:
     if args.parallel < 1:
         raise ConfigurationError(f"--parallel needs at least one worker, got {args.parallel}")
-    series, rank = parse_type(args.type)
-    rs = build_root_system(series, rank)
-    spec = parse_ring(args.ring)
+    rs, spec, I, J = _parse_query(args, subsets=not args.all_pairs)
+    series, rank = rs.series, rs.rank
+    if args.all_pairs and 4 ** rank > MAX_PAIRS:
+        raise ResourceLimitError(f"--all-pairs on {series}{rank} would check {4 ** rank} "
+                                 f"pairs, over the cap of {MAX_PAIRS}")
 
     report = check_ring(rs, spec, theta_assumed=args.assume_theta)
     if not report.ok:
@@ -404,8 +387,6 @@ def cmd_verify(args) -> int:
         pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
         subsets = list(range(full + 1))
     else:
-        I = _parse_subset(args.I, rank)
-        J = _parse_subset(args.J, rank)
         pairs = [(I, J)]
         subsets = sorted({I, J})
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
@@ -414,10 +395,7 @@ def cmd_verify(args) -> int:
     for I in subsets:
         try:
             cohomology_v(rs, I, spec, COMPLEX_BUILT)
-            m = rank - mask_size(I)
-            rows_exact = all(homology_over_Z(exterior_row_complex(rs, I, t)).is_trivial()
-                             for t in range(m))
-            state = "PASS" if rows_exact else "FAIL"
+            state = "PASS" if cohomology_rows_exact(rs, I) else "FAIL"
             lines.append(f"{state} cohomology I={{{','.join(map(str, mask_indices(I)))}}}")
         except VerificationError as e:
             lines.append(f"FAIL cohomology I={{{','.join(map(str, mask_indices(I)))}}} ({e})")
@@ -455,6 +433,9 @@ def cmd_zelevinsky(args) -> int:
     k = args.k
     if k < 2:
         raise ConfigurationError("need k >= 2 segment vertices")
+    if k - 1 > MAX_EDGES:
+        raise ResourceLimitError(f"--k {k} would round-trip 2^{k - 1} edge subsets, "
+                                 f"over the cap of 2^{MAX_EDGES}")
     spec = parse_ring(args.ring)
     edges = k - 1
 

@@ -5,6 +5,13 @@ independently constructed subset-lattice complex; the complex-built path
 asserts agreement with the closed form whenever the coefficient ring passes
 the bon / banal checks, and labels its output "outside hypotheses" otherwise.
 
+Every complex-built table stacks rows of one gated builder,
+:func:`~steinberg_ext.homology.exterior_row_complex`, over ``bottom <= L <=
+Delta``: cohomology over I (gate I, span Delta), Ext between Steinberg
+modules over J (gate K, span Delta) and Ext into an induced module over I
+(gate I u J, span J, reversed).  Each row's integer homology is computed
+once per process and then looked up; a row is rebuilt only to be dumped.
+
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
 ``m = |Delta \\ bottom|``; a class of inner degree ``t`` at lattice degree
@@ -18,18 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .errors import ConfigurationError, ContractError, RingAssumptionError, VerificationError
 from .homology import (
-    ChainComplex,
-    IntMatrix,
     complex_to_json_dict,
     exterior_row_complex,
     homology_with_coefficients,
-    reverse_transpose,
-    subset_lattice_complex,
+    row_homology,
 )
 from .ringcond import RingSpec, check_ring, format_ring, is_unit
 from .rootdata import (
@@ -38,7 +41,6 @@ from .rootdata import (
     cofundamental_pairing,
     full_mask,
     levi_root_indices,
-    mask_indices,
     mask_size,
     mask_str,
     validate_mask,
@@ -285,45 +287,49 @@ def _ring_passes(rs: RootSystem, spec: RingSpec) -> bool:
     return check_ring(rs, spec).ok
 
 
-def _assemble_rows(rows: list[tuple[int, ChainComplex]], spec: RingSpec, lattice_top: int,
-                   slot: str, provenance: str,
-                   complexes_out: list | None = None) -> tuple[ExtTable, list[dict]]:
-    """Take row-wise homology and place each class at its total degree.
-    ``rows`` holds (inner degree, row complex) pairs; rows have no vertical
-    differentials between them."""
+def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, bottom: int,
+                 gate: int, span: int, *, shift: int = 0, reversed: bool = False,
+                 numbered: bool = True, center_rank: int = 0,
+                 complexes_out: list | None = None) -> ExtTable:
+    """The complex-built table, checked against ``closed``: rows t up to
+    ``|Delta \\ (gate n span)|`` (later rows vanish) with no vertical maps
+    between them, each row's cached integer homology taken over ``spec``, a
+    class at lattice degree s of row t placed in degree ``shift + t + s - m``.
+    A row's complex is rebuilt only for ``complexes_out`` or an error."""
+    # reversal already maps lattice degree s to m - s, so a class at reversed
+    # index u lands at shift + t + u: the covariant rule with top 0
+    top = 0 if reversed else rs.rank - mask_size(bottom)
     entries: dict[int, ModulePiece] = {}
     dumps = []
-    for inner, row in rows:
-        hom = homology_with_coefficients(row, spec)
+    for t in range(rs.rank - mask_size(gate & span) + 1):
+        def row(t=t) -> dict:
+            return complex_to_json_dict(exterior_row_complex(
+                rs, bottom, t, gate=gate, span=span, reversed=reversed, numbered=numbered))
+
+        hom = homology_with_coefficients(row_homology(rs, bottom, gate, t, span, reversed), spec)
+        inner = shift + t
         row_dump = None
         for s in hom.nonzero_degrees():
             rank, torsion = hom.piece(s)
-            n = total_degree(inner, s, lattice_top, slot)
+            n = total_degree(inner, s, top, COVARIANT)
             if n < 0:
                 raise VerificationError(
                     f"nonzero homology at negative total degree {n}",
-                    {"row": inner, "lattice_degree": s,
-                     "complex": complex_to_json_dict(row)})
+                    {"row": inner, "lattice_degree": s, "complex": row()})
             _merge(entries, n, rank, torsion)
             row_dump = row_dump or {"row": inner, "homology": {}}
             row_dump["homology"][str(s)] = {"rank": rank, "torsion": list(torsion)}
         if complexes_out is not None:
-            complexes_out.append(complex_to_json_dict(row))
+            complexes_out.append(row())
         if row_dump:
             dumps.append(row_dump)
-    return ExtTable(entries, provenance), dumps
-
-
-def _finish_built(rs: RootSystem, spec: RingSpec, built: ExtTable, closed: ExtTable,
-                  what: str, dumps: list[dict]) -> ExtTable:
-    if _ring_passes(rs, spec):
-        if not built.same_modules(closed):
-            raise VerificationError(
-                f"{what}: complex-built table disagrees with the closed form",
-                {"closed": closed.to_json_dict(), "built": built.to_json_dict(),
-                 "rows": dumps})
-    else:
+    built = tensor_with_exterior(ExtTable(entries, COMPLEX_BUILT), center_rank)
+    if not _ring_passes(rs, spec):
         built.outside_hypotheses = True
+    elif not built.same_modules(closed):
+        raise VerificationError(
+            f"{what}: complex-built table disagrees with the closed form",
+            {"closed": closed.to_json_dict(), "built": built.to_json_dict(), "rows": dumps})
     return built
 
 
@@ -339,40 +345,16 @@ def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FO
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    rows = [(t, exterior_row_complex(rs, I, t)) for t in range(m + 1)]
-    built, dumps = _assemble_rows(rows, spec, m, COVARIANT, COMPLEX_BUILT, complexes_out)
-    return _finish_built(rs, spec, built, closed, f"cohomology_v(I={mask_str(I)})", dumps)
+    return _built_table(rs, spec, closed, f"cohomology_v(I={mask_str(I)})", I, I,
+                        full_mask(rs.rank), numbered=False, complexes_out=complexes_out)
 
 
-def _gated_constant_row(rs: RootSystem, bottom: int, gate: int, rank: int) -> ChainComplex:
-    """Constant-rank coefficient system supported on the sublattice above
-    ``gate``, with identity component maps."""
-
-    identity = IntMatrix.identity(rank)
-
-    def rank_fn(mask: int) -> int:
-        return rank if gate & ~mask == 0 else 0
-
-    return subset_lattice_complex(rs, bottom, rank_fn, lambda mask, beta: identity)
-
-
-def _gated_exterior_row(rs: RootSystem, bottom: int, gate: int, t: int) -> ChainComplex:
-    """Exterior-power row supported on the sublattice above ``gate``."""
+def cohomology_rows_exact(rs: RootSystem, I: int) -> bool:
+    """Whether the rows t < ``|Delta \\ I|`` of the built ``cohomology_v``
+    are exact over Z (a row-cache lookup after that call)."""
     delta = full_mask(rs.rank)
-
-    @lru_cache(maxsize=None)
-    def subsets(mask: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(combinations(mask_indices(delta & ~mask), t))
-
-    def rank_fn(mask: int) -> int:
-        return comb(rs.rank - mask_size(mask), t) if gate & ~mask == 0 else 0
-
-    def rule(mask: int, beta: int) -> IntMatrix:
-        index = {s: i for i, s in enumerate(subsets(mask & ~(1 << beta)))}
-        src = subsets(mask)
-        return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
-
-    return subset_lattice_complex(rs, bottom, rank_fn, rule)
+    return all(row_homology(rs, I, I, t, delta).is_trivial()
+               for t in range(rs.rank - mask_size(I)))
 
 
 def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
@@ -383,7 +365,8 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
     when I and J cover Delta, zero otherwise.
 
     The built path resolves in the contravariant argument, so each row is the
-    reverse-transposed lattice complex over I gated at I u J.
+    reverse-transposed lattice complex over I gated at I u J, of constant rank
+    ``C(|Delta \\ J|, t)`` (span J).
     """
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
@@ -395,16 +378,9 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    gate = I | J
-    rows = []
-    for t in range(rs.rank - mask_size(J) + 1):
-        row = _gated_constant_row(rs, I, gate, comb(rs.rank - mask_size(J), t))
-        rows.append((t, reverse_transpose(row)))
-    # reversal already maps lattice degree s to m - s, so a class at reversed
-    # index u lands at inner + u: the covariant rule with top 0
-    built, dumps = _assemble_rows(rows, spec, 0, COVARIANT, COMPLEX_BUILT, complexes_out)
-    return _finish_built(rs, spec, built, closed,
-                         f"ext_v_to_induced(I={mask_str(I)}, J={mask_str(J)})", dumps)
+    return _built_table(rs, spec, closed,
+                        f"ext_v_to_induced(I={mask_str(I)}, J={mask_str(J)})", I, I | J, J,
+                        reversed=True, complexes_out=complexes_out)
 
 
 def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
@@ -412,8 +388,8 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
                   complexes_out: list | None = None) -> ExtTable:
     """Ext between the generalized Steinberg modules of I and J: one line in
     degree ``|I u J| - |I n J|``, tensored with the binomial table of the
-    center.  The built path resolves the second argument and reuses the
-    exterior-row machinery above the reduction subset K."""
+    center.  The built path resolves the second argument: exterior-power rows
+    over J gated at the reduction subset K, shifted by ``|Delta \\ I|``."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     if center_rank < 0:
@@ -424,16 +400,9 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-
-    m_j = rs.rank - mask_size(J)
-    shift = rs.rank - mask_size(I)
-    rows = []
-    for t in range(rs.rank - mask_size(K) + 1):
-        rows.append((shift + t, _gated_exterior_row(rs, J, K, t)))
-    built, dumps = _assemble_rows(rows, spec, m_j, COVARIANT, COMPLEX_BUILT, complexes_out)
-    built = tensor_with_exterior(built, center_rank)
-    return _finish_built(rs, spec, built, closed,
-                         f"ext_steinberg(I={mask_str(I)}, J={mask_str(J)})", dumps)
+    return _built_table(rs, spec, closed, f"ext_steinberg(I={mask_str(I)}, J={mask_str(J)})",
+                        J, K, full_mask(rs.rank), shift=rs.rank - mask_size(I),
+                        center_rank=center_rank, complexes_out=complexes_out)
 
 
 # ---------------------------------------------------------------------------

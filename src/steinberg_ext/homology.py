@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .rootdata import RootSystem, full_mask, mask_indices, mask_size, mask_str, validate_mask
 from .ringcond import RingSpec
 
@@ -428,8 +428,10 @@ def _invariant_factors(moduli: list[int]) -> list[int]:
     return [f for f in reversed(chain) if f > 1]
 
 
-def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResult:
-    """Homology over Q or Z/d.
+def homology_with_coefficients(c: ChainComplex | HomologyResult,
+                               spec: RingSpec) -> HomologyResult:
+    """Homology over Q or Z/d of a complex, or of a complex whose integer
+    homology ``c`` is already known.
 
     For Z/d the answer is assembled from the integer homology through the
     universal-coefficient splitting for complexes of free modules,
@@ -440,11 +442,11 @@ def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResul
     """
     if spec.d == 1:
         raise ConfigurationError("Z/1 is the zero ring; homology over it is degenerate")
-    integral = homology_over_Z(c)
+    integral = c if isinstance(c, HomologyResult) else homology_over_Z(c)
     if spec.is_rational:
         return HomologyResult(integral.free_ranks, tuple(() for _ in integral.free_ranks))
 
-    n = len(c.ranks)
+    n = len(integral.free_ranks)
     free = []
     torsion = []
     for k in range(n):
@@ -464,22 +466,28 @@ def homology_with_coefficients(c: ChainComplex, spec: RingSpec) -> HomologyResul
 RankFn = Callable[[int], int]
 MapRule = Callable[[int, int], IntMatrix]
 
+# The most subsets a lattice complex may enumerate, and the most basis vectors
+# it may hold; every row complex of every type of rank <= 8 is under both.
+LATTICE_CAP = 1 << 15
 
-def lattice_degrees(rs: RootSystem, bottom: int) -> list[list[int]]:
+
+@lru_cache(maxsize=None)
+def lattice_degrees(rank: int, bottom: int) -> tuple[tuple[int, ...], ...]:
     """Subsets between ``bottom`` and the full set, grouped by codimension
     ``|Delta \\ L|`` (= rank - |L|) and sorted within each degree."""
-    validate_mask(bottom, rs.rank)
-    free_bits = mask_indices(full_mask(rs.rank) & ~bottom)
+    validate_mask(bottom, rank)
+    free_bits = mask_indices(full_mask(rank) & ~bottom)
+    if 1 << len(free_bits) > LATTICE_CAP:
+        raise ResourceLimitError(f"the subsets above {mask_str(bottom)} in rank {rank} "
+                                 f"exceed the cap of {LATTICE_CAP}")
     groups: list[list[int]] = [[] for _ in range(len(free_bits) + 1)]
     for extra in range(1 << len(free_bits)):
         mask = bottom
         for pos, bit in enumerate(free_bits):
             if extra >> pos & 1:
                 mask |= 1 << bit
-        groups[rs.rank - mask_size(mask)].append(mask)
-    for g in groups:
-        g.sort()
-    return groups
+        groups[rank - mask_size(mask)].append(mask)
+    return tuple(tuple(sorted(g)) for g in groups)
 
 
 def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn,
@@ -494,9 +502,10 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
     it is called only when both ranks are positive.  A block of the wrong
     shape raises, and the constructor asserts ``d d = 0``, so a rule that
     breaks the sign convention raises too.  Labels (``summand_label(L, b)``,
-    else ``L={..}#b``) are only built when read.
+    else ``L={..}#b``) are only built when read.  More than ``LATTICE_CAP``
+    subsets or basis vectors raise before any map is built.
     """
-    groups = lattice_degrees(rs, bottom)
+    groups = lattice_degrees(rs.rank, bottom)
     ranks_of: dict[int, int] = {}
     for group in groups:
         for mask in group:
@@ -514,6 +523,9 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
             pos += ranks_of[mask]
         offsets.append(off)
         ranks.append(pos)
+    if sum(ranks) > LATTICE_CAP:
+        raise ResourceLimitError(f"a complex of {sum(ranks)} basis vectors exceeds the cap "
+                                 f"of {LATTICE_CAP}")
 
     diffs = []
     for s in range(len(groups) - 1):
@@ -549,28 +561,64 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
     return ChainComplex(tuple(ranks), tuple(diffs), label_source=labels)
 
 
-def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
-    """Row complex of t-th exterior powers of the character lattices: the
-    L-summand has one basis vector per t-subset of the complement of L, and
-    each component map is the subset-inclusion matrix."""
+def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, gate: int | None = None,
+                         span: int | None = None, reversed: bool = False,
+                         numbered: bool = False) -> ChainComplex:
+    """One row of a resolution over the subsets ``bottom <= L <= Delta``: the
+    L-summand is zero unless ``gate <= L``, else it has one basis vector per
+    t-subset of ``Delta \\ (L n span)``; every map is subset inclusion.
+
+    By default (gate = bottom, span = Delta) this is the row of t-th exterior
+    powers of the character lattices; with ``span = J <= gate`` it is the
+    constant row of rank ``C(rank - |J|, t)`` with identity maps.
+    ``reversed`` reads the row right to left with transposed maps.  Labels
+    are ``L={..}|w{..}`` by t-subset, or ``L={..}#b`` with ``numbered``.
+    """
     if t < 0:
         raise ConfigurationError("exterior power degree must be non-negative")
     delta = full_mask(rs.rank)
+    gate = bottom if gate is None else gate
+    span = delta if span is None else span
 
     @lru_cache(maxsize=None)
-    def complement_subsets(mask: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(combinations(mask_indices(delta & ~mask), t))
+    def basis(kept: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(mask_indices(delta & ~kept), t))
 
-    def rank_fn(mask: int) -> int:
-        return comb(rs.rank - mask_size(mask), t)
-
-    def rule(mask: int, beta: int) -> IntMatrix:
-        index = {s: i for i, s in enumerate(complement_subsets(mask & ~(1 << beta)))}
-        src = complement_subsets(mask)
+    @lru_cache(maxsize=None)
+    def inclusion(kept: int, target: int) -> IntMatrix:
+        index = {s: i for i, s in enumerate(basis(target))}
+        src = basis(kept)
         return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
 
-    def label(mask: int, b: int) -> str:
-        subset = complement_subsets(mask)[b]
-        return f"L={mask_str(mask)}|w{{{','.join(map(str, subset))}}}"
+    def rank_fn(mask: int) -> int:
+        return comb(rs.rank - mask_size(mask & span), t) if gate & ~mask == 0 else 0
 
-    return subset_lattice_complex(rs, bottom, rank_fn, rule, label)
+    def rule(mask: int, beta: int) -> IntMatrix:
+        return inclusion(mask & span, mask & ~(1 << beta) & span)
+
+    def label(mask: int, b: int) -> str:
+        return f"L={mask_str(mask)}|w{{{','.join(map(str, basis(mask & span)[b]))}}}"
+
+    row = subset_lattice_complex(rs, bottom, rank_fn, rule, None if numbered else label)
+    return reverse_transpose(row) if reversed else row
+
+
+# Integer homology of every row built in this process, by the arguments that
+# determine the row; the complexes themselves are not kept.  A sweep's rows
+# share a few dozen distinct results, so each is stored once.
+_ROW_HOMOLOGY: dict[tuple[int, int, int, int, int, bool], HomologyResult] = {}
+_DISTINCT: dict[HomologyResult, HomologyResult] = {}
+
+
+def row_homology(rs: RootSystem, bottom: int, gate: int, t: int, span: int,
+                 reversed: bool = False) -> HomologyResult:
+    """Integer homology of that row of :func:`exterior_row_complex`.  A row
+    reads nothing of ``rs`` but its rank, so each distinct row is built,
+    checked (``d d = 0``) and reduced once per process."""
+    key = (rs.rank, bottom, gate, t, span, reversed)
+    result = _ROW_HOMOLOGY.get(key)
+    if result is None:
+        row = exterior_row_complex(rs, bottom, t, gate=gate, span=span, reversed=reversed)
+        result = homology_over_Z(row)
+        result = _ROW_HOMOLOGY[key] = _DISTINCT.setdefault(result, result)
+    return result

@@ -61,10 +61,6 @@ class RingSpec:
     def rationals(cls, q: int = 2) -> "RingSpec":
         return cls(0, q)
 
-    @classmethod
-    def integers_mod(cls, d: int, q: int) -> "RingSpec":
-        return cls(d, q)
-
 
 def parse_ring(text: str) -> RingSpec:
     """Parse ``"Q"``, ``"Q,q=3"`` or ``"q=3,d=5"``."""

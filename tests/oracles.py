@@ -5,17 +5,29 @@ closed over the full orbit (negatives included), Weyl groups are integer
 matrices acting on simple-root coordinates, determinants come from Bareiss
 elimination and ranks from Fraction-based Gaussian elimination.  The one
 exception is ``kostant_reps_by_enumeration``, which enumerates double cosets
-in the package's signed-image encoding to pin the descent-set version.
+in the package's signed-image encoding to pin the descent-set version, and
+the three former row builders at the end, kept as written (on the package's
+``subset_lattice_complex``) to pin the one gated row builder that replaced
+them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
-from steinberg_ext.errors import ContractError
-from steinberg_ext.rootdata import mask_indices, validate_mask
+from steinberg_ext.errors import ConfigurationError, ContractError
+from steinberg_ext.homology import ChainComplex, IntMatrix, subset_lattice_complex
+from steinberg_ext.rootdata import (
+    RootSystem,
+    full_mask,
+    mask_indices,
+    mask_size,
+    mask_str,
+    validate_mask,
+)
 from steinberg_ext.weyl import (
     DoubleCosetRep,
     compose_images,
@@ -289,3 +301,65 @@ def kostant_reps_by_enumeration(rs, I: int, J: int):
             levi=intersect_levi(rs, w, I, J),
         ))
     return tuple(reps)
+
+
+# ---------------------------------------------------------------------------
+# the former row builders, each as it was written
+
+
+def exterior_row_complex(rs: RootSystem, bottom: int, t: int) -> ChainComplex:
+    """Row complex of t-th exterior powers of the character lattices: the
+    L-summand has one basis vector per t-subset of the complement of L, and
+    each component map is the subset-inclusion matrix."""
+    if t < 0:
+        raise ConfigurationError("exterior power degree must be non-negative")
+    delta = full_mask(rs.rank)
+
+    @lru_cache(maxsize=None)
+    def complement_subsets(mask: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(mask_indices(delta & ~mask), t))
+
+    def rank_fn(mask: int) -> int:
+        return comb(rs.rank - mask_size(mask), t)
+
+    def rule(mask: int, beta: int) -> IntMatrix:
+        index = {s: i for i, s in enumerate(complement_subsets(mask & ~(1 << beta)))}
+        src = complement_subsets(mask)
+        return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
+
+    def label(mask: int, b: int) -> str:
+        subset = complement_subsets(mask)[b]
+        return f"L={mask_str(mask)}|w{{{','.join(map(str, subset))}}}"
+
+    return subset_lattice_complex(rs, bottom, rank_fn, rule, label)
+
+
+def gated_constant_row(rs: RootSystem, bottom: int, gate: int, rank: int) -> ChainComplex:
+    """Constant-rank coefficient system supported on the sublattice above
+    ``gate``, with identity component maps."""
+
+    identity = IntMatrix.identity(rank)
+
+    def rank_fn(mask: int) -> int:
+        return rank if gate & ~mask == 0 else 0
+
+    return subset_lattice_complex(rs, bottom, rank_fn, lambda mask, beta: identity)
+
+
+def gated_exterior_row(rs: RootSystem, bottom: int, gate: int, t: int) -> ChainComplex:
+    """Exterior-power row supported on the sublattice above ``gate``."""
+    delta = full_mask(rs.rank)
+
+    @lru_cache(maxsize=None)
+    def subsets(mask: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(mask_indices(delta & ~mask), t))
+
+    def rank_fn(mask: int) -> int:
+        return comb(rs.rank - mask_size(mask), t) if gate & ~mask == 0 else 0
+
+    def rule(mask: int, beta: int) -> IntMatrix:
+        index = {s: i for i, s in enumerate(subsets(mask & ~(1 << beta)))}
+        src = subsets(mask)
+        return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
+
+    return subset_lattice_complex(rs, bottom, rank_fn, rule)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -391,3 +392,88 @@ def test_parallel_pool_size_is_clamped(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
     assert _InlinePool.sizes == [3, 16]
+
+
+# ---------------------------------------------------------------------------
+# per-process row cache
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DUMP_CASES = ("coh_A3_dump", "coh_G2_dump", "ext_A3_dump", "ext_B3_dump", "extvi_A3_dump",
+              "extvi_G2_dump")
+
+
+def _golden(name):
+    case = json.loads((GOLDEN / "cases.json").read_text())[name]
+    return case["argv"], (GOLDEN / f"{name}.out").read_text()
+
+
+def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
+    import steinberg_ext.homology as homology
+
+    built, reduced = [], []
+    builder, divisors = homology.exterior_row_complex, homology.smith_divisors
+
+    def counting_builder(rs, bottom, t, **kwargs):
+        row = builder(rs, bottom, t, **kwargs)
+        built.append(((rs.rank, bottom, t, *sorted(kwargs.items())), len(row.differentials)))
+        return row
+
+    def counting_divisors(m):
+        reduced.append(m)
+        return divisors(m)
+
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
+    monkeypatch.setattr(homology, "exterior_row_complex", counting_builder)
+    monkeypatch.setattr(homology, "smith_divisors", counting_divisors)
+    argv, expected = _golden("verify_B3_all")
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys)) == len(homology._ROW_HOMOLOGY) > 100
+    assert len(reduced) == sum(n for _, n in built)
+
+
+def test_dumps_rebuild_rows_the_cache_already_holds(capsys, monkeypatch):
+    import steinberg_ext.homology as homology
+
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
+    for name in DUMP_CASES:
+        argv, _ = _golden(name)
+        code, out, _ = run_cli(capsys, *(a for a in argv if a != "--dump-complex"))
+        assert code == 0 and "complexes" not in out
+    cached = len(homology._ROW_HOMOLOGY)
+    for name in DUMP_CASES:
+        argv, expected = _golden(name)
+        assert run_cli(capsys, *argv)[:2] == (0, expected), name
+    assert len(homology._ROW_HOMOLOGY) == cached  # every dumped row was a hit
+
+
+# ---------------------------------------------------------------------------
+# input caps: exit 2 before any enumeration
+
+
+def _refused_quickly(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "cap" in err and "internal contract violation" not in err
+
+
+def test_all_pairs_over_the_cap_is_refused(capsys):
+    import steinberg_ext.cli as cli
+
+    _refused_quickly(capsys, "verify", "--type", "A9", "--ring", "Q", "--all-pairs")
+    assert 4 ** 8 <= cli.MAX_PAIRS  # E8's 65,536 pairs stay under it
+
+
+def test_zelevinsky_over_the_cap_is_refused(capsys):
+    _refused_quickly(capsys, "zelevinsky", "--k", "30")
+    code, out, _ = run_cli(capsys, "zelevinsky", "--k", "8")
+    assert code == 0 and json.loads(out)["theta_roundtrip_ok"] is True
+
+
+def test_rows_over_the_cap_are_refused(capsys):
+    _refused_quickly(capsys, "cohomology", "--type", "A20", "--I", "", "--method",
+                     "complex_built")
+    _refused_quickly(capsys, "ext-vi", "--type", "A30", "--I", ",".join(map(str, range(1, 30))),
+                     "--J", "", "--method", "complex_built")

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from steinberg_ext.errors import ConfigurationError, ContractError
-from steinberg_ext.extengine import _gated_constant_row, _gated_exterior_row, steinberg_degree
+from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
+from steinberg_ext.extengine import steinberg_degree
+from steinberg_ext import homology
 from steinberg_ext.homology import (
     ChainComplex,
     IntMatrix,
@@ -367,6 +368,75 @@ def test_exterior_d_squared_random_bottoms():
             exterior_row_complex(rs, bottom, t)  # constructor asserts d*d = 0
 
 
+# ---------------------------------------------------------------------------
+# the one row builder against the three it replaced
+
+ROW_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "F4",
+             "G2"]
+
+
+def _same_complex(ours, reference, key):
+    assert ours.ranks == reference.ranks, key
+    assert ours.differentials == reference.differentials, key
+    assert ours.labels == reference.labels, key
+
+
+@pytest.mark.parametrize("name", ROW_TYPES)
+def test_row_builder_matches_the_former_builders(name):
+    """Every (bottom, gate >= bottom, t): span Delta gives the gated exterior
+    row (and, with gate = bottom, the cohomology row with its |w{..}
+    labels); span J between gate \\ bottom and gate gives the constant row of
+    rank C(rank - |J|, t) with identity maps, read either way."""
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    for bottom in range(full + 1):
+        for gate in range(full + 1):
+            if bottom & ~gate:
+                continue
+            for t in range(rs.rank - mask_size(bottom) + 1):
+                key = (bottom, gate, t)
+                _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, numbered=True),
+                              oracles.gated_exterior_row(rs, bottom, gate, t), key)
+                if gate == bottom:
+                    _same_complex(exterior_row_complex(rs, bottom, t),
+                                  oracles.exterior_row_complex(rs, bottom, t), key)
+            for J in range(full + 1):
+                if gate & ~bottom & ~J or J & ~gate:
+                    continue
+                n = rs.rank - mask_size(J)
+                for t in range(n + 1):
+                    key = (bottom, gate, t, J)
+                    reference = oracles.gated_constant_row(rs, bottom, gate, comb(n, t))
+                    _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, span=J,
+                                                       numbered=True), reference, key)
+                    _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, span=J,
+                                                       reversed=True, numbered=True),
+                                  reverse_transpose(reference), key)
+
+
+def test_lattice_cap_refuses_before_building():
+    a20 = build_root_system("A", 20)
+    full = full_mask(20)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):  # 2^20 subsets, checked before listing them
+        homology.lattice_degrees(20, 0)
+    with pytest.raises(ResourceLimitError):
+        exterior_row_complex(a20, 0, 0, gate=full)
+    with pytest.raises(ResourceLimitError):  # 2 subsets, 2 * C(20, 10) basis vectors
+        exterior_row_complex(a20, full & ~1, 10, span=0)
+
+    def no_map(mask, beta):
+        raise AssertionError("a map was built")
+
+    with pytest.raises(ResourceLimitError):
+        subset_lattice_complex(a20, full & ~1, lambda mask: homology.LATTICE_CAP, no_map)
+    assert time.perf_counter() - start < 1
+    # the largest rows of rank 8 are under the cap
+    e8 = build_root_system("E", 8)
+    assert sum(exterior_row_complex(e8, 0, 4, span=0).ranks) == 256 * 70
+    assert max(sum(exterior_row_complex(e8, 0, t).ranks) for t in range(9)) == 1792
+
+
 def test_reverse_transpose():
     c = ChainComplex((2, 3, 1), (
         IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]]),
@@ -431,22 +501,21 @@ def test_smith_divisors_match_sympy(m):
 
 def _engine_row_complexes(rs):
     """Every row complex the Ext and cohomology paths build for ``rs``,
-    keyed by how it was built."""
+    keyed by the arguments that determine it."""
     full = full_mask(rs.rank)
-    rows = {}
+    rows = set()
     for I in range(full + 1):
         for t in range(rs.rank - mask_size(I) + 1):
-            rows["cohomology", I, t] = lambda I=I, t=t: exterior_row_complex(rs, I, t)
+            rows.add((I, I, t, full, False))
         for J in range(full + 1):
             K = steinberg_degree(rs, I, J)[1]
             for t in range(rs.rank - mask_size(K) + 1):
-                rows["ext", J, K, t] = lambda J=J, K=K, t=t: _gated_exterior_row(rs, J, K, t)
-            n = rs.rank - mask_size(J)
-            for t in range(n + 1):
-                rows["vi", I, I | J, comb(n, t)] = (
-                    lambda I=I, J=J, r=comb(n, t): reverse_transpose(
-                        _gated_constant_row(rs, I, I | J, r)))
-    return {key: build() for key, build in rows.items()}
+                rows.add((J, K, t, full, False))
+            for t in range(rs.rank - mask_size(J) + 1):
+                rows.add((I, I | J, t, J, True))
+    return {(bottom, gate, t, span, rev):
+            exterior_row_complex(rs, bottom, t, gate=gate, span=span, reversed=rev)
+            for bottom, gate, t, span, rev in rows}
 
 
 def _dense_composite_is_zero(after: IntMatrix, before: IntMatrix) -> bool:
