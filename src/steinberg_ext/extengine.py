@@ -5,12 +5,12 @@ independently constructed subset-lattice complex; the complex-built path
 asserts agreement with the closed form whenever the coefficient ring passes
 the bon / banal checks, and labels its output "outside hypotheses" otherwise.
 
-Every complex-built table stacks rows of one gated builder,
-:func:`~steinberg_ext.homology.exterior_row_complex`, over ``bottom <= L <=
-Delta``: cohomology over I (gate I, span Delta), Ext between Steinberg
-modules over J (gate K, span Delta) and Ext into an induced module over I
-(gate I u J, span J, reversed).  Each row's integer homology is computed
-once per process and then looked up; a row is rebuilt only to be dumped.
+Every complex-built table stacks rows t of one builder over one subset B,
+:func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
+cohomology over I (B = I), Ext between Steinberg modules (B = K, shift
+``|J \\ I|``) and Ext into an induced module (B = I u J, span J, reversed,
+shift ``|J \\ I|``).  Each row's integer homology is looked up under
+``(rank, B, t)``; a row is built as a complex again only to be printed.
 
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
@@ -27,11 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import ConfigurationError, ContractError, RingAssumptionError, VerificationError
+from .errors import (ConfigurationError, ContractError, ResourceLimitError, RingAssumptionError,
+                     VerificationError)
 from .homology import (
+    LATTICE_CAP,
     complex_to_json_dict,
     exterior_row_complex,
     homology_with_coefficients,
+    reverse_transpose,
     row_homology,
 )
 from .ringcond import RingSpec, check_ring, format_ring, is_unit
@@ -287,30 +290,44 @@ def _ring_passes(rs: RootSystem, spec: RingSpec) -> bool:
     return check_ring(rs, spec).ok
 
 
-def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, bottom: int,
-                 gate: int, span: int, *, shift: int = 0, reversed: bool = False,
+def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B: int, *,
+                 span: int | None = None, shift: int = 0, zeros: int = 0,
                  numbered: bool = True, center_rank: int = 0,
                  complexes_out: list | None = None) -> ExtTable:
-    """The complex-built table, checked against ``closed``: rows t up to
-    ``|Delta \\ (gate n span)|`` (later rows vanish) with no vertical maps
-    between them, each row's cached integer homology taken over ``spec``, a
-    class at lattice degree s of row t placed in degree ``shift + t + s - m``.
-    A row's complex is rebuilt only for ``complexes_out`` or an error."""
-    # reversal already maps lattice degree s to m - s, so a class at reversed
-    # index u lands at shift + t + u: the covariant rule with top 0
-    top = 0 if reversed else rs.rank - mask_size(bottom)
+    """The complex-built table, checked against ``closed``, refused first if
+    a row it builds would be over the cap: rows t up to
+    ``|Delta \\ (B n span)|`` with no vertical maps between them, each row's
+    cached integer homology taken over ``spec``, a class at lattice degree s
+    of row t placed in degree ``shift + t + s - |Delta \\ B|``, or at index u
+    of a (constant) row with a span, read reversed, in ``shift + t + u``.  A
+    row is printed with ``zeros`` zero degrees after its last, or before its
+    first if read reversed."""
+    m = rs.rank - mask_size(B)
+    if span is None:
+        last, top, largest = m, m, max(comb(m, t) << m - t for t in range(m + 1))
+    else:  # printed or read off the t = 0 row
+        last, top = rs.rank - mask_size(span), 0
+        largest = (comb(last, last // 2) if complexes_out is not None else 1) << m
+    if largest > LATTICE_CAP:
+        raise ResourceLimitError(f"a row over {mask_str(B)} in rank {rs.rank} would hold "
+                                 f"{largest} basis vectors, over the cap of {LATTICE_CAP}")
     entries: dict[int, ModulePiece] = {}
     dumps = []
-    for t in range(rs.rank - mask_size(gate & span) + 1):
+    for t in range(last + 1):
         def row(t=t) -> dict:
-            return complex_to_json_dict(exterior_row_complex(
-                rs, bottom, t, gate=gate, span=span, reversed=reversed, numbered=numbered))
+            c = exterior_row_complex(rs, B, t, span=span, numbered=numbered)
+            data = complex_to_json_dict(c if span is None else reverse_transpose(c))
+            for key, fill in (("ranks", 0), ("differentials", []), ("labels", [])):
+                pad = [fill] * zeros
+                data[key] = data[key] + pad if span is None else pad + data[key]
+            return data
 
-        hom = homology_with_coefficients(row_homology(rs, bottom, gate, t, span, reversed), spec)
+        hom = row_homology(rs, B, t, span)
+        hom = homology_with_coefficients(hom if span is None else hom.dual(), spec)
         inner = shift + t
         row_dump = None
         for s in hom.nonzero_degrees():
-            rank, torsion = hom.piece(s)
+            rank, torsion = hom.free_ranks[s], hom.torsion[s]
             n = total_degree(inner, s, top, COVARIANT)
             if n < 0:
                 raise VerificationError(
@@ -345,15 +362,14 @@ def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FO
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    return _built_table(rs, spec, closed, f"cohomology_v(I={mask_str(I)})", I, I,
-                        full_mask(rs.rank), numbered=False, complexes_out=complexes_out)
+    return _built_table(rs, spec, closed, f"cohomology_v(I={mask_str(I)})", I,
+                        numbered=False, complexes_out=complexes_out)
 
 
 def cohomology_rows_exact(rs: RootSystem, I: int) -> bool:
     """Whether the rows t < ``|Delta \\ I|`` of the built ``cohomology_v``
     are exact over Z (a row-cache lookup after that call)."""
-    delta = full_mask(rs.rank)
-    return all(row_homology(rs, I, I, t, delta).is_trivial()
+    return all(row_homology(rs, I, t).is_trivial()
                for t in range(rs.rank - mask_size(I)))
 
 
@@ -365,8 +381,7 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
     when I and J cover Delta, zero otherwise.
 
     The built path resolves in the contravariant argument, so each row is the
-    reverse-transposed lattice complex over I gated at I u J, of constant rank
-    ``C(|Delta \\ J|, t)`` (span J).
+    reverse-transposed constant row of rank ``C(|Delta \\ J|, t)`` over I u J.
     """
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
@@ -379,8 +394,9 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
     return _built_table(rs, spec, closed,
-                        f"ext_v_to_induced(I={mask_str(I)}, J={mask_str(J)})", I, I | J, J,
-                        reversed=True, complexes_out=complexes_out)
+                        f"ext_v_to_induced(I={mask_str(I)}, J={mask_str(J)})", I | J, span=J,
+                        shift=mask_size(J & ~I), zeros=mask_size(J & ~I),
+                        complexes_out=complexes_out)
 
 
 def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
@@ -389,7 +405,8 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
     """Ext between the generalized Steinberg modules of I and J: one line in
     degree ``|I u J| - |I n J|``, tensored with the binomial table of the
     center.  The built path resolves the second argument: exterior-power rows
-    over J gated at the reduction subset K, shifted by ``|Delta \\ I|``."""
+    over J whose summands outside the reduction subset K are zero, which are
+    the rows over K shifted by ``|J \\ I|``."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     if center_rank < 0:
@@ -401,7 +418,7 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
     return _built_table(rs, spec, closed, f"ext_steinberg(I={mask_str(I)}, J={mask_str(J)})",
-                        J, K, full_mask(rs.rank), shift=rs.rank - mask_size(I),
+                        K, shift=mask_size(J & ~I), zeros=mask_size(K & ~J),
                         center_rank=center_rank, complexes_out=complexes_out)
 
 

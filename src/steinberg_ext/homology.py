@@ -353,10 +353,6 @@ class ChainComplex:
             raise ContractError("label count does not match the grading")
         return labels
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.ranks) - 1
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
@@ -372,7 +368,7 @@ def complex_to_json_dict(c: ChainComplex) -> dict:
 def reverse_transpose(c: ChainComplex) -> ChainComplex:
     """The complex read right-to-left with transposed maps, as produced by
     applying a contravariant functor degreewise."""
-    m = c.top_degree
+    m = len(c.ranks) - 1
     ranks = tuple(reversed(c.ranks))
     diffs = tuple(c.differentials[m - 1 - u].transpose() for u in range(m))
     labels = None if c.label_source is None else (lambda: reversed(c.labels))
@@ -387,9 +383,6 @@ class HomologyResult:
     free_ranks: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    def piece(self, k: int) -> tuple[int, tuple[int, ...]]:
-        return self.free_ranks[k], self.torsion[k]
-
     def is_trivial(self) -> bool:
         return not any(self.free_ranks) and not any(self.torsion)
 
@@ -399,6 +392,11 @@ class HomologyResult:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.free_ranks))
+
+    def dual(self) -> "HomologyResult":
+        """The homology of :func:`reverse_transpose`: free ranks read
+        backwards, torsion read backwards and moved one degree up."""
+        return HomologyResult(self.free_ranks[::-1], ((),) + self.torsion[:0:-1])
 
 
 def homology_over_Z(c: ChainComplex) -> HomologyResult:
@@ -561,23 +559,20 @@ def subset_lattice_complex(rs: RootSystem, bottom: int, coefficient_rank: RankFn
     return ChainComplex(tuple(ranks), tuple(diffs), label_source=labels)
 
 
-def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, gate: int | None = None,
-                         span: int | None = None, reversed: bool = False,
+def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, span: int | None = None,
                          numbered: bool = False) -> ChainComplex:
     """One row of a resolution over the subsets ``bottom <= L <= Delta``: the
-    L-summand is zero unless ``gate <= L``, else it has one basis vector per
-    t-subset of ``Delta \\ (L n span)``; every map is subset inclusion.
+    L-summand has one basis vector per t-subset of ``Delta \\ (L n span)``;
+    every map is subset inclusion.
 
-    By default (gate = bottom, span = Delta) this is the row of t-th exterior
-    powers of the character lattices; with ``span = J <= gate`` it is the
-    constant row of rank ``C(rank - |J|, t)`` with identity maps.
-    ``reversed`` reads the row right to left with transposed maps.  Labels
-    are ``L={..}|w{..}`` by t-subset, or ``L={..}#b`` with ``numbered``.
+    By default (span = Delta) this is the row of t-th exterior powers of the
+    character lattices; with ``span = J <= bottom`` it is the constant row of
+    rank ``C(rank - |J|, t)`` with identity maps.  Labels are ``L={..}|w{..}``
+    by t-subset, or ``L={..}#b`` with ``numbered``.
     """
     if t < 0:
         raise ConfigurationError("exterior power degree must be non-negative")
     delta = full_mask(rs.rank)
-    gate = bottom if gate is None else gate
     span = delta if span is None else span
 
     @lru_cache(maxsize=None)
@@ -591,7 +586,7 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, gate: int | Non
         return IntMatrix(len(index), len(src), tuple(((index[s], 1),) for s in src))
 
     def rank_fn(mask: int) -> int:
-        return comb(rs.rank - mask_size(mask & span), t) if gate & ~mask == 0 else 0
+        return comb(rs.rank - mask_size(mask & span), t)
 
     def rule(mask: int, beta: int) -> IntMatrix:
         return inclusion(mask & span, mask & ~(1 << beta) & span)
@@ -599,26 +594,28 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, gate: int | Non
     def label(mask: int, b: int) -> str:
         return f"L={mask_str(mask)}|w{{{','.join(map(str, basis(mask & span)[b]))}}}"
 
-    row = subset_lattice_complex(rs, bottom, rank_fn, rule, None if numbered else label)
-    return reverse_transpose(row) if reversed else row
+    return subset_lattice_complex(rs, bottom, rank_fn, rule, None if numbered else label)
 
 
-# Integer homology of every row built in this process, by the arguments that
-# determine the row; the complexes themselves are not kept.  A sweep's rows
-# share a few dozen distinct results, so each is stored once.
-_ROW_HOMOLOGY: dict[tuple[int, int, int, int, int, bool], HomologyResult] = {}
-_DISTINCT: dict[HomologyResult, HomologyResult] = {}
+# Integer homology of every exterior row built in this process, by
+# (rank, bottom, t); the complexes themselves are not kept.
+_ROW_HOMOLOGY: dict[tuple[int, int, int], HomologyResult] = {}
 
 
-def row_homology(rs: RootSystem, bottom: int, gate: int, t: int, span: int,
-                 reversed: bool = False) -> HomologyResult:
+def row_homology(rs: RootSystem, bottom: int, t: int,
+                 span: int | None = None) -> HomologyResult:
     """Integer homology of that row of :func:`exterior_row_complex`.  A row
-    reads nothing of ``rs`` but its rank, so each distinct row is built,
-    checked (``d d = 0``) and reduced once per process."""
-    key = (rs.rank, bottom, gate, t, span, reversed)
-    result = _ROW_HOMOLOGY.get(key)
-    if result is None:
-        row = exterior_row_complex(rs, bottom, t, gate=gate, span=span, reversed=reversed)
-        result = homology_over_Z(row)
-        result = _ROW_HOMOLOGY[key] = _DISTINCT.setdefault(result, result)
-    return result
+    reads nothing of ``rs`` but its rank, so each exterior row is built,
+    checked (``d d = 0``) and reduced once per process.  A constant row
+    (``span <= bottom``) is ``C(rank - |span|, t)`` copies of its t = 0 row,
+    the exterior row of t = 0, so it is never built."""
+    if span is not None:
+        if span & ~bottom:
+            raise ContractError(f"span {mask_str(span)} is not inside {mask_str(bottom)}")
+        h, copies = row_homology(rs, bottom, 0), comb(rs.rank - mask_size(span), t)
+        return HomologyResult(tuple(copies * r for r in h.free_ranks),
+                              tuple(tuple(sorted(x * copies)) for x in h.torsion))
+    key = (rs.rank, bottom, t)
+    if key not in _ROW_HOMOLOGY:
+        _ROW_HOMOLOGY[key] = homology_over_Z(exterior_row_complex(rs, bottom, t))
+    return _ROW_HOMOLOGY[key]

@@ -5,13 +5,11 @@ split-case proxy for invertibility of the pro-order)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd, prod
+from math import gcd, prod
 
 from .errors import ConfigurationError, ContractError
-from .rootdata import RootSystem, build_root_system, max_rho_coefficient
-
-RATIONAL = "rational_field"
-MOD_D = "integers_mod_d"
+from .rootdata import RootSystem, build_root_system, full_mask, max_rho_coefficient
+from .weyl import parabolic_order
 
 
 def _prime_power_base(q: int) -> int:
@@ -44,10 +42,6 @@ class RingSpec:
         if self.d < 0 or self.d == 1:
             raise ConfigurationError(f"modulus d={self.d} is degenerate (need 0 or >= 2)")
         _prime_power_base(self.q)
-
-    @property
-    def kind(self) -> str:
-        return RATIONAL if self.d == 0 else MOD_D
 
     @property
     def is_rational(self) -> bool:
@@ -117,17 +111,6 @@ _EXCEPTIONAL_DEGREES = {
 }
 
 
-def _classical_order(series: str, rank: int) -> int:
-    if series == "A":
-        return factorial(rank + 1)
-    if series in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840,
-            ("E", 7): 2903040, ("E", 8): 696729600}[(series, rank)]
-
-
 def weyl_degrees(series: str, rank: int) -> tuple[int, ...]:
     """Fundamental degrees d_1 <= ... <= d_n, validated against the group
     order and the positive-root count."""
@@ -144,7 +127,7 @@ def weyl_degrees(series: str, rank: int) -> tuple[int, ...]:
         build_root_system(series, rank)
         raise ConfigurationError(f"no degree table for {series}{rank}")
     rs = build_root_system(series, rank)
-    if prod(degrees) != _classical_order(series, rank):
+    if prod(degrees) != parabolic_order(rs, full_mask(rank)):
         raise ContractError(f"degree table for {series}{rank} fails the group-order validation")
     if sum(d - 1 for d in degrees) != rs.num_positive:
         raise ContractError(f"degree table for {series}{rank} fails the root-count validation")

@@ -428,7 +428,10 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
     argv, expected = _golden("verify_B3_all")
     assert run_cli(capsys, *argv)[:2] == (0, expected)
     keys = [key for key, _ in built]
-    assert len(keys) == len(set(keys)) == len(homology._ROW_HOMOLOGY) > 100
+    # one exterior row per (B, t <= rank - |B|); constant and reversed rows are derived
+    rows = sum(3 - bin(B).count("1") + 1 for B in range(1 << 3))
+    assert rows == 20
+    assert len(keys) == len(set(keys)) == len(homology._ROW_HOMOLOGY) == rows
     assert len(reduced) == sum(n for _, n in built)
 
 
@@ -475,5 +478,54 @@ def test_zelevinsky_over_the_cap_is_refused(capsys):
 def test_rows_over_the_cap_are_refused(capsys):
     _refused_quickly(capsys, "cohomology", "--type", "A20", "--I", "", "--method",
                      "complex_built")
-    _refused_quickly(capsys, "ext-vi", "--type", "A30", "--I", ",".join(map(str, range(1, 30))),
-                     "--J", "", "--method", "complex_built")
+    # the t = 0 row over I u J = {} spans 2^16 subsets
+    _refused_quickly(capsys, "ext-vi", "--type", "A16", "--I", "", "--J", "", "--method",
+                     "complex_built")
+
+
+def test_a_table_over_the_cap_is_refused_before_its_first_row(capsys, monkeypatch):
+    """A11 over I = {}: the row t = 3 would hold C(11, 3) * 2^8 = 42,240 basis
+    vectors, so not even the small rows t < 3 are built."""
+    import concurrent.futures
+
+    import steinberg_ext.extengine as extengine
+    import steinberg_ext.homology as homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was built or a process started")
+
+    monkeypatch.setattr(homology, "exterior_row_complex", refuse)
+    monkeypatch.setattr(extengine, "exterior_row_complex", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    _refused_quickly(capsys, "cohomology", "--type", "A11", "--I", "", "--method",
+                     "complex_built")
+
+
+def _answered_quickly(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_rows_on_a_small_lattice_are_answered(capsys):
+    """Rows stand on the lattice above B, not above the bottom the table is
+    defined over: ext-vi rows over I u J = I (2 subsets, the constant rows of
+    rank C(30, t) read off t = 0) and the one ext row over K = Delta."""
+    A30_I = ",".join(map(str, range(1, 30)))
+    out = _answered_quickly(capsys, "ext-vi", "--type", "A30", "--I", A30_I, "--J", "",
+                            "--method", "both")
+    assert out["table"] == {}  # I u J misses alpha_0: the closed form is zero
+    for dump in ((), ("--dump-complex",)):
+        out = _answered_quickly(capsys, "ext", "--type", "A20", "--I", "", "--J", "",
+                                "--method", "both", *dump)
+        assert out["table"] == {"0": {"rank": 1, "torsion": []}}
+    # the printed row keeps the 20 zero degrees of the lattice above J = {}
+    assert out["complexes"] == [{"ranks": [1] + [0] * 20, "differentials": [[]] * 20,
+                                 "labels": [[f"L={{{','.join(map(str, range(20)))}}}#0"]]
+                                 + [[]] * 20}]
+    # a printed constant row of rank C(30, 4) is over the cap
+    _refused_quickly(capsys, "ext-vi", "--type", "A30", "--I", A30_I, "--J", "",
+                     "--method", "complex_built", "--dump-complex")

@@ -13,6 +13,7 @@ from steinberg_ext.extengine import steinberg_degree
 from steinberg_ext import homology
 from steinberg_ext.homology import (
     ChainComplex,
+    HomologyResult,
     IntMatrix,
     _invariant_factors,
     complex_to_json_dict,
@@ -21,6 +22,7 @@ from steinberg_ext.homology import (
     homology_with_coefficients,
     integer_rank,
     reverse_transpose,
+    row_homology,
     smith_divisors,
     smith_normal_form,
     subset_lattice_complex,
@@ -373,6 +375,7 @@ def test_exterior_d_squared_random_bottoms():
 
 ROW_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "F4",
              "G2"]
+RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
 
 def _same_complex(ours, reference, key):
@@ -381,37 +384,100 @@ def _same_complex(ours, reference, key):
     assert ours.labels == reference.labels, key
 
 
-@pytest.mark.parametrize("name", ROW_TYPES)
-def test_row_builder_matches_the_former_builders(name):
-    """Every (bottom, gate >= bottom, t): span Delta gives the gated exterior
-    row (and, with gate = bottom, the cohomology row with its |w{..}
-    labels); span J between gate \\ bottom and gate gives the constant row of
-    rank C(rank - |J|, t) with identity maps, read either way."""
-    rs = build_root_system(*parse_type(name))
+def _padded(c, zeros, before=False):
+    """``c`` with ``zeros`` zero degrees after its last degree, or before its
+    first."""
+    pad = (0,) * zeros
+    ranks = pad + c.ranks if before else c.ranks + pad
+    zero_maps = [IntMatrix.zero(ranks[k + 1], ranks[k]) for k in range(len(ranks) - 1)]
+    if before:
+        diffs = zero_maps[:zeros] + list(c.differentials)
+    else:
+        diffs = list(c.differentials) + zero_maps[len(c.differentials):]
+    labels = ((),) * zeros
+    return ChainComplex(ranks, tuple(diffs), label_source=lambda: (
+        labels + c.labels if before else c.labels + labels))
+
+
+def _padded_homology(h, zeros, before=False):
+    free, torsion = (0,) * zeros, ((),) * zeros
+    if before:
+        return HomologyResult(free + h.free_ranks, torsion + h.torsion)
+    return HomologyResult(h.free_ranks + free, h.torsion + torsion)
+
+
+def _gated_rows(rs):
+    """Every (bottom, gate >= bottom) and every J between gate \\ bottom and
+    gate, the span of a constant row that the former builders gated there."""
     full = full_mask(rs.rank)
     for bottom in range(full + 1):
         for gate in range(full + 1):
             if bottom & ~gate:
                 continue
-            for t in range(rs.rank - mask_size(bottom) + 1):
-                key = (bottom, gate, t)
-                _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, numbered=True),
-                              oracles.gated_exterior_row(rs, bottom, gate, t), key)
-                if gate == bottom:
-                    _same_complex(exterior_row_complex(rs, bottom, t),
-                                  oracles.exterior_row_complex(rs, bottom, t), key)
-            for J in range(full + 1):
-                if gate & ~bottom & ~J or J & ~gate:
-                    continue
-                n = rs.rank - mask_size(J)
-                for t in range(n + 1):
-                    key = (bottom, gate, t, J)
-                    reference = oracles.gated_constant_row(rs, bottom, gate, comb(n, t))
-                    _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, span=J,
-                                                       numbered=True), reference, key)
-                    _same_complex(exterior_row_complex(rs, bottom, t, gate=gate, span=J,
-                                                       reversed=True, numbered=True),
-                                  reverse_transpose(reference), key)
+            spans = [J for J in range(full + 1) if not (gate & ~bottom & ~J or J & ~gate)]
+            yield bottom, gate, spans
+
+
+@pytest.mark.parametrize("name", ROW_TYPES)
+def test_row_builder_matches_the_former_builders(name):
+    """A row gated at G over ``bottom`` is the row over G with |G \\ bottom|
+    zero degrees appended (and, with gate = bottom, the cohomology row with
+    its |w{..} labels); the constant row of rank C(rank - |J|, t) with
+    identity maps is the row over G of span J, read either way, with the
+    zero degrees where the reading puts them."""
+    rs = build_root_system(*parse_type(name))
+    for bottom, gate, spans in _gated_rows(rs):
+        zeros = mask_size(gate & ~bottom)
+        for t in range(rs.rank - mask_size(bottom) + 1):
+            key = (bottom, gate, t)
+            _same_complex(_padded(exterior_row_complex(rs, gate, t, numbered=True), zeros),
+                          oracles.gated_exterior_row(rs, bottom, gate, t), key)
+            if gate == bottom:
+                _same_complex(exterior_row_complex(rs, bottom, t),
+                              oracles.exterior_row_complex(rs, bottom, t), key)
+        for J in spans:
+            n = rs.rank - mask_size(J)
+            for t in range(n + 1):
+                key = (bottom, gate, t, J)
+                reference = oracles.gated_constant_row(rs, bottom, gate, comb(n, t))
+                ours = exterior_row_complex(rs, gate, t, span=J, numbered=True)
+                _same_complex(_padded(ours, zeros), reference, key)
+                _same_complex(_padded(reverse_transpose(ours), zeros, before=True),
+                              reverse_transpose(reference), key)
+
+
+@pytest.mark.parametrize("name", RANK_LE_4)
+def test_row_homology_matches_the_former_rows(name, monkeypatch):
+    """The homology that ``row_homology`` derives (padded, scaled from the
+    t = 0 row for a constant row, dualised for a reversed one) is the
+    homology of the row the former builders built."""
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
+    rs = build_root_system(*parse_type(name))
+    for bottom, gate, spans in _gated_rows(rs):
+        zeros = mask_size(gate & ~bottom)
+        for t in range(rs.rank - mask_size(bottom) + 1):
+            assert (_padded_homology(row_homology(rs, gate, t), zeros)
+                    == homology_over_Z(oracles.gated_exterior_row(rs, bottom, gate, t)))
+        for J in spans:
+            n = rs.rank - mask_size(J)
+            for t in range(n + 1):
+                key = (bottom, gate, t, J)
+                reference = oracles.gated_constant_row(rs, bottom, gate, comb(n, t))
+                derived = row_homology(rs, gate, t, span=J)
+                assert _padded_homology(derived, zeros) == homology_over_Z(reference), key
+                assert (_padded_homology(derived.dual(), zeros, before=True)
+                        == homology_over_Z(reverse_transpose(reference))), key
+
+
+def test_constant_row_homology_repeats_torsion(monkeypatch):
+    """No t = 0 row has torsion, so the scaling is checked on a stand-in."""
+    a3 = build_root_system("A", 3)
+    stand_in = HomologyResult((0, 1), ((), (2, 6)))
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {(3, 0b011, 0): stand_in})
+    assert row_homology(a3, 0b011, 1, span=0b001) == HomologyResult((0, 2), ((), (2, 2, 6, 6)))
+    assert row_homology(a3, 0b011, 1, span=0b011).dual() == HomologyResult((1, 0), ((), (2, 6)))
+    with pytest.raises(ContractError):
+        row_homology(a3, 0b011, 0, span=0b100)
 
 
 def test_lattice_cap_refuses_before_building():
@@ -421,7 +487,7 @@ def test_lattice_cap_refuses_before_building():
     with pytest.raises(ResourceLimitError):  # 2^20 subsets, checked before listing them
         homology.lattice_degrees(20, 0)
     with pytest.raises(ResourceLimitError):
-        exterior_row_complex(a20, 0, 0, gate=full)
+        exterior_row_complex(a20, 0, 0)
     with pytest.raises(ResourceLimitError):  # 2 subsets, 2 * C(20, 10) basis vectors
         exterior_row_complex(a20, full & ~1, 10, span=0)
 
@@ -452,6 +518,48 @@ def test_reverse_transpose():
     assert tuple(reversed(h.free_ranks)) == hr.free_ranks
 
 
+@st.composite
+def _complexes_with_torsion(draw):
+    """A complex with ``d d = 0`` and torsion: a direct sum of free classes
+    and of pieces Z --n--> Z (torsion Z/|n| one degree up), mixed in each
+    degree by a unimodular change of basis, a product of elementary ones."""
+    top = draw(st.integers(0, 4))
+    dims = [0] * (top + 1)
+    entries = []  # (degree k, row in degree k + 1, column in degree k, n)
+    for k, n in draw(st.lists(st.tuples(st.integers(0, top),
+                                        st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6, 12])),
+                              max_size=8)):
+        if n and k < top:
+            entries.append((k, dims[k + 1], dims[k], n))
+            dims[k + 1] += 1
+        dims[k] += 1
+    dense = [[[0] * dims[k] for _ in range(dims[k + 1])] for k in range(top)]
+    for k, i, j, n in entries:
+        dense[k][i][j] = n
+    # row ops (i += c * j) on degree k + 1 and the inverse column ops on degree k
+    for k in range(top + 1):
+        if dims[k] < 2:
+            continue
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.permutations(range(dims[k])))[:2]
+            c = draw(st.integers(-3, 3))
+            if k > 0:
+                dense[k - 1][i] = [a + c * b for a, b in zip(dense[k - 1][i], dense[k - 1][j])]
+            if k < top:
+                for row in dense[k]:
+                    row[j] -= c * row[i]
+    diffs = tuple(IntMatrix(dims[k + 1], dims[k], tuple(
+        tuple((i, dense[k][i][j]) for i in range(dims[k + 1]) if dense[k][i][j])
+        for j in range(dims[k]))) for k in range(top))
+    return ChainComplex(tuple(dims), diffs)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_complexes_with_torsion())
+def test_dual_is_the_homology_of_the_reverse_transpose(c):
+    assert homology_over_Z(c).dual() == homology_over_Z(reverse_transpose(c))
+
+
 def test_complex_json_dump():
     c = _doubling_complex()
     data = complex_to_json_dict(c)
@@ -461,8 +569,6 @@ def test_complex_json_dump():
 
 # ---------------------------------------------------------------------------
 # sparse kernel against the dense oracle
-
-RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
 
 _entry = st.one_of(
     st.just(0), st.just(0), st.sampled_from([1, -1]), st.integers(-12, 12),
@@ -500,22 +606,22 @@ def test_smith_divisors_match_sympy(m):
 
 
 def _engine_row_complexes(rs):
-    """Every row complex the Ext and cohomology paths build for ``rs``,
-    keyed by the arguments that determine it."""
+    """Every row complex the Ext and cohomology paths build or print for
+    ``rs``, keyed by the arguments that determine it: the exterior rows over
+    I and over K, and the constant rows over I u J of span J, read reversed."""
     full = full_mask(rs.rank)
     rows = set()
     for I in range(full + 1):
         for t in range(rs.rank - mask_size(I) + 1):
-            rows.add((I, I, t, full, False))
+            rows.add((I, t, None))
         for J in range(full + 1):
             K = steinberg_degree(rs, I, J)[1]
             for t in range(rs.rank - mask_size(K) + 1):
-                rows.add((J, K, t, full, False))
+                rows.add((K, t, None))
             for t in range(rs.rank - mask_size(J) + 1):
-                rows.add((I, I | J, t, J, True))
-    return {(bottom, gate, t, span, rev):
-            exterior_row_complex(rs, bottom, t, gate=gate, span=span, reversed=rev)
-            for bottom, gate, t, span, rev in rows}
+                rows.add((I | J, t, J))
+    built = {(B, t, span): exterior_row_complex(rs, B, t, span=span) for B, t, span in rows}
+    return {key: c if key[2] is None else reverse_transpose(c) for key, c in built.items()}
 
 
 def _dense_composite_is_zero(after: IntMatrix, before: IntMatrix) -> bool:
