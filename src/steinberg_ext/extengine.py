@@ -23,9 +23,9 @@ degree 0 and the top-degree cohomology of the quotient representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import (ConfigurationError, ContractError, ResourceLimitError, RingAssumptionError,
                      VerificationError)
@@ -59,8 +59,7 @@ STRATA = "strata"
 # tables
 
 
-@dataclass(frozen=True)
-class ModulePiece:
+class ModulePiece(NamedTuple):
     rank: int
     torsion: tuple[int, ...] = ()
 
@@ -68,14 +67,26 @@ class ModulePiece:
         return self.rank == 0 and not self.torsion
 
 
-@dataclass
 class ExtTable:
     """Degree-indexed module descriptions; an absent degree is the zero
-    module.  Only ``entries`` takes part in equality of answers."""
+    module.  Only ``entries`` takes part in equality of answers
+    (:meth:`same_modules`); ``==`` compares all three fields."""
 
-    entries: dict[int, ModulePiece]
-    provenance: str = CLOSED_FORM
-    outside_hypotheses: bool = False
+    def __init__(self, entries: dict[int, ModulePiece], provenance: str = CLOSED_FORM,
+                 outside_hypotheses: bool = False) -> None:
+        self.entries = entries
+        self.provenance = provenance
+        self.outside_hypotheses = outside_hypotheses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.entries, self.provenance, self.outside_hypotheses)
+                == (other.entries, other.provenance, other.outside_hypotheses))
+
+    def __repr__(self) -> str:
+        return (f"ExtTable(entries={self.entries!r}, provenance={self.provenance!r}, "
+                f"outside_hypotheses={self.outside_hypotheses!r})")
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.entries))
@@ -185,8 +196,7 @@ def ext_induced_closed(rs: RootSystem, I: int, J: int, spec: RingSpec) -> ExtTab
 # stratum certificates (the vanishing argument, made effective)
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
+class VanishingCertificate(NamedTuple):
     rep: DoubleCosetRep
     beta_index: int
     exponent: int
@@ -206,6 +216,13 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
     coweight outside the intersection Levi.  In both branches the certified
     value is ``q^exponent - 1``, which must be a unit.
     """
+    return _certificate(rs, rep, spec, levi_root_indices(rs, rep.I))
+
+
+def _certificate(rs: RootSystem, rep: DoubleCosetRep, spec: RingSpec,
+                 phi_i: frozenset[int]) -> VanishingCertificate | None:
+    """:func:`vanishing_certificate`, given the positive roots ``phi_i`` of
+    the I-Levi (by index)."""
     w, I, J = rep.w, rep.I, rep.J
 
     if w.is_identity and not J & ~I:
@@ -214,12 +231,11 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
     if not w.is_identity:
         branch = "gamma"
         candidates = []
-        phi_i_neg = levi_root_indices(rs, I)
         for b in range(rs.rank):
             if J >> b & 1:
                 continue
             j, sign = w.image_of_root(b)
-            if sign < 0 and j not in phi_i_neg:
+            if sign < 0 and j not in phi_i:
                 exponent = cofundamental_pairing(rep.gamma_exp, b)
                 if cofundamental_pairing(rep.delta_exp, b) != 0:
                     raise ContractError(
@@ -263,8 +279,9 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
     ``certificates_out`` receives a (representative, certificate) pair per
     stratum."""
     out: dict[int, ModulePiece] = {}
+    phi_i = levi_root_indices(rs, I)
     for rep in kostant_reps(rs, I, J, elements):
-        cert = vanishing_certificate(rs, rep, spec)
+        cert = _certificate(rs, rep, spec, phi_i)
         if certificates_out is not None:
             certificates_out.append((rep, cert))
         if cert is None:
@@ -426,17 +443,29 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
 # segment-graph orientations (general-linear cuspidal lines)
 
 
-@dataclass(frozen=True)
 class Orientation:
     """Orientation of the path graph on k segment vertices: bit i set means
-    edge i points forward."""
+    edge i points forward.  Immutable, compared and hashed by (k, forward)."""
 
-    k: int
-    forward: int
+    def __init__(self, k: int, forward: int) -> None:
+        if k < 1 or forward < 0 or forward >> max(k - 1, 0):
+            raise ContractError(f"orientation bits out of range for k={k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "forward", forward)
 
-    def __post_init__(self):
-        if self.k < 1 or self.forward < 0 or self.forward >> max(self.k - 1, 0):
-            raise ContractError(f"orientation bits out of range for k={self.k}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.forward) == (other.k, other.forward)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.forward))
+
+    def __repr__(self) -> str:
+        return f"Orientation(k={self.k!r}, forward={self.forward!r})"
 
     def bits(self) -> tuple[bool, ...]:
         return tuple(bool(self.forward >> i & 1) for i in range(self.k - 1))

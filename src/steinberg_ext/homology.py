@@ -14,11 +14,10 @@ dense Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .rootdata import RootSystem, full_mask, mask_indices, mask_size, mask_str, validate_mask
@@ -30,29 +29,42 @@ from .ringcond import RingSpec
 Column = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Integer matrix by sparse columns: ``columns[j]`` lists the nonzero
-    ``(row, value)`` pairs of column j in increasing row order."""
+    ``(row, value)`` pairs of column j in increasing row order.  Immutable,
+    compared and hashed by (rows, cols, columns)."""
 
-    rows: int
-    cols: int
-    columns: tuple[Column, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or len(self.columns) != self.cols:
+    def __init__(self, rows: int, cols: int, columns: tuple[Column, ...]) -> None:
+        if rows < 0 or len(columns) != cols:
             raise ContractError("matrix shape does not match its column count")
-        for col in self.columns:
+        for col in columns:
             last = -1
             for row, value in col:
                 if row <= last or not value:
                     break
                 last = row
             else:
-                if last < self.rows:
+                if last < rows:
                     continue
             raise ContractError("matrix column must list nonzero entries at "
                                 "strictly increasing rows inside the row range")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "columns", columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.columns))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, columns={self.columns!r})"
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -75,7 +87,7 @@ class IntMatrix:
     @property
     def entries(self) -> tuple[int, ...]:
         """All entries, zeros included, in row-major order."""
-        return tuple(x for row in self.to_rows() for x in row)
+        return tuple(_row_major(self))
 
     def entry(self, i: int, j: int) -> int:
         for row, value in self.columns[j]:
@@ -134,8 +146,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     divisors: tuple[int, ...]
     u: IntMatrix  # rows x rows, unimodular
     v: IntMatrix  # cols x cols, unimodular
@@ -322,27 +333,40 @@ def integer_rank(m: IntMatrix) -> int:
 LabelSource = Callable[[], Iterable[Iterable[str]]]
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """Graded free modules with integer differentials, ``differentials[k]``
     mapping degree-k chains to degree-(k+1) chains.  Basis labels are built
-    from the keyword-only ``label_source`` the first time ``labels`` is read."""
+    from the keyword-only ``label_source`` the first time ``labels`` is read.
+    Immutable, compared and hashed by (ranks, differentials)."""
 
-    ranks: tuple[int, ...]
-    differentials: tuple[IntMatrix, ...]
-    label_source: LabelSource | None = field(default=None, compare=False, repr=False,
-                                             kw_only=True)
-
-    def __post_init__(self):
-        if len(self.differentials) != max(len(self.ranks) - 1, 0):
+    def __init__(self, ranks: tuple[int, ...], differentials: tuple[IntMatrix, ...], *,
+                 label_source: LabelSource | None = None) -> None:
+        if len(differentials) != max(len(ranks) - 1, 0):
             raise ContractError("differential count does not match the grading")
-        for k, dk in enumerate(self.differentials):
-            if (dk.rows, dk.cols) != (self.ranks[k + 1], self.ranks[k]):
+        for k, dk in enumerate(differentials):
+            if (dk.rows, dk.cols) != (ranks[k + 1], ranks[k]):
                 raise ContractError(f"differential {k} has shape {dk.rows}x{dk.cols}, "
-                                    f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
-        for k in range(len(self.differentials) - 1):
-            if not self.differentials[k + 1].mul(self.differentials[k]).is_zero():
+                                    f"expected {ranks[k + 1]}x{ranks[k]}")
+        for k in range(len(differentials) - 1):
+            if not differentials[k + 1].mul(differentials[k]).is_zero():
                 raise ContractError(f"d_{k + 1} d_{k} != 0 (sign rule or map rule is wrong)")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "differentials", differentials)
+        object.__setattr__(self, "label_source", label_source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ranks, self.differentials) == (other.ranks, other.differentials)
+
+    def __hash__(self) -> int:
+        return hash((self.ranks, self.differentials))
+
+    def __repr__(self) -> str:
+        return f"ChainComplex(ranks={self.ranks!r}, differentials={self.differentials!r})"
 
     @cached_property
     def labels(self) -> tuple[tuple[str, ...], ...]:
@@ -357,10 +381,18 @@ class ChainComplex:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
 
+def _row_major(m: IntMatrix) -> list[int]:
+    """``m.entries`` as a list, written straight from the sparse columns."""
+    out = [0] * (m.rows * m.cols)
+    for i, j, value in m.nonzeros():
+        out[i * m.cols + j] = value
+    return out
+
+
 def complex_to_json_dict(c: ChainComplex) -> dict:
     return {
         "ranks": list(c.ranks),
-        "differentials": [list(d.entries) for d in c.differentials],
+        "differentials": [_row_major(d) for d in c.differentials],
         "labels": [list(l) for l in c.labels],
     }
 
@@ -375,8 +407,7 @@ def reverse_transpose(c: ChainComplex) -> ChainComplex:
     return ChainComplex(ranks, diffs, label_source=labels)
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """Per-degree description: free rank over the coefficient ring plus the
     moduli of the non-free cyclic summands."""
 

@@ -4,8 +4,8 @@ split-case proxy for invertibility of the pro-order)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractError
 from .rootdata import RootSystem, build_root_system, full_mask, max_rho_coefficient
@@ -30,18 +30,30 @@ def _prime_power_base(q: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """Coefficient ring: Q (``d == 0``) or Z/d, plus the residue order q of
-    the underlying local field."""
+    the underlying local field.  Immutable, compared and hashed by (d, q)."""
 
-    d: int
-    q: int
+    def __init__(self, d: int, q: int) -> None:
+        if d < 0 or d == 1:
+            raise ConfigurationError(f"modulus d={d} is degenerate (need 0 or >= 2)")
+        _prime_power_base(q)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "q", q)
 
-    def __post_init__(self):
-        if self.d < 0 or self.d == 1:
-            raise ConfigurationError(f"modulus d={self.d} is degenerate (need 0 or >= 2)")
-        _prime_power_base(self.q)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.q) == (other.d, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.q))
+
+    def __repr__(self) -> str:
+        return f"RingSpec(d={self.d!r}, q={self.q!r})"
 
     @property
     def is_rational(self) -> bool:
@@ -138,23 +150,20 @@ def weyl_degrees(series: str, rank: int) -> tuple[int, ...]:
 # the ring conditions
 
 
-@dataclass(frozen=True)
-class BonReport:
+class BonReport(NamedTuple):
     ok: bool
     failing_exponent: int | None = None
     failing_factor: int | None = None
 
 
-@dataclass(frozen=True)
-class BanalReport:
+class BanalReport(NamedTuple):
     ok: bool
     char_divides: bool = False
     failing_degree: int | None = None
     failing_factor: int | None = None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     bon: BonReport
     banal_proxy: BanalReport
     assumption3: bool

@@ -10,8 +10,8 @@ order ``alpha_0 < ... < alpha_{n-1}``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -110,8 +110,7 @@ def cartan_matrix(series: str, rank: int) -> tuple[Coords, ...]:
 # the root system
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A split reduced root system.
 
     ``positive_roots`` holds integer coordinate vectors in the simple-root

@@ -15,11 +15,11 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ContractError, ResourceLimitError
 from .rootdata import (
@@ -37,8 +37,7 @@ DEFAULT_WEYL_CAP = 1 << 20
 SignedImages = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     signed_images: SignedImages
     length: int
 
@@ -153,8 +152,7 @@ def parabolic_subgroup(rs: RootSystem, levi: int,
 # double cosets and the character exponents of their strata
 
 
-@dataclass(frozen=True)
-class DoubleCosetRep:
+class DoubleCosetRep(NamedTuple):
     """Minimal-length representative of a parabolic double coset, together
     with the exponent vectors of the two modulus characters attached to its
     stratum and the Levi subset it lands in."""

@@ -6,6 +6,7 @@ from steinberg_ext.extengine import (
     COMPLEX_BUILT,
     ExtTable,
     ModulePiece,
+    Orientation,
     cohomology_v,
     ext_cuspidal_line,
     ext_induced_closed,
@@ -116,8 +117,12 @@ def test_certificate_dichotomy_over_good_ring():
         full = full_mask(rs.rank)
         for I in range(full + 1):
             for J in range(full + 1):
-                for rep in kostant_reps(rs, I, J):
+                certified = []  # the strata pass certifies each rep the same way
+                ext_induced_via_strata(rs, I, J, Z23, certificates_out=certified)
+                assert [rep for rep, _ in certified] == list(kostant_reps(rs, I, J))
+                for rep, strata_cert in certified:
                     cert = vanishing_certificate(rs, rep, Z23)
+                    assert strata_cert == cert
                     survives = rep.w.is_identity and not (J & ~I)
                     assert (cert is None) == survives
 
@@ -278,6 +283,9 @@ def test_orientations():
     assert orientation_from_permutation(3, (1, 0, 2)).bits() == (False, True)
     with pytest.raises(ContractError):
         orientation_from_permutation(3, (0, 0, 2))
+    for k, forward in [(3, 0b100), (2, -1), (0, 0)]:  # bits out of range
+        with pytest.raises(ContractError, match="out of range"):
+            Orientation(k, forward)
 
 
 def test_orientation_bijection_and_surjectivity():

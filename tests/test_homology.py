@@ -127,6 +127,8 @@ def test_complex_invariants_rejected():
         ChainComplex((1, 2), (IntMatrix.from_rows([[1]]),))
     with pytest.raises(ContractError):
         ChainComplex((1, 1, 1), (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])))
+    with pytest.raises(ContractError, match="differential count"):
+        ChainComplex((1, 1), ())
 
 
 def test_homology_with_coefficients_examples():

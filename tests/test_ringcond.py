@@ -22,6 +22,8 @@ def test_ring_spec_validation():
     with pytest.raises(ConfigurationError):
         RingSpec(1, 3)  # zero ring
     with pytest.raises(ConfigurationError):
+        RingSpec(-5, 3)  # negative modulus
+    with pytest.raises(ConfigurationError):
         RingSpec(5, 6)  # 6 is not a prime power
     with pytest.raises(ConfigurationError):
         RingSpec(5, 1)
