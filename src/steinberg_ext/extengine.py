@@ -10,7 +10,8 @@ Every complex-built table stacks rows t of one builder over one subset B,
 cohomology over I (B = I), Ext between Steinberg modules (B = K, shift
 ``|J \\ I|``) and Ext into an induced module (B = I u J, span J, reversed,
 shift ``|J \\ I|``).  Each row's integer homology is looked up under
-``(rank, B, t)``; a row is built as a complex again only to be printed.
+``(rank, B, t)``, and its homology over the ring under that row and d; a row
+is built as a complex again only to be printed.
 
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
@@ -33,17 +34,15 @@ from .homology import (
     LATTICE_CAP,
     complex_to_json_dict,
     exterior_row_complex,
-    homology_with_coefficients,
     reverse_transpose,
     row_homology,
+    row_homology_over,
 )
 from .ringcond import RingSpec, check_ring, format_ring, is_unit
 from .rootdata import (
     RootSystem,
     build_root_system,
-    cofundamental_pairing,
     full_mask,
-    levi_root_indices,
     mask_size,
     mask_str,
     validate_mask,
@@ -204,6 +203,10 @@ class VanishingCertificate(NamedTuple):
     branch: str  # "gamma" or "delta"
 
 
+# q^e - 1 (mod d unless d = 0) and whether it is a unit, by (d, q, e)
+_UNIT_VALUES: dict[tuple[int, int, int], tuple[int, bool]] = {}
+
+
 def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
                           spec: RingSpec) -> VanishingCertificate | None:
     """Produce a central element certifying that the stratum of ``rep``
@@ -211,37 +214,36 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
     (identity representative with J contained in I).
 
     For a non-identity representative the certificate pairs the gamma
-    exponent vector with a co-fundamental coweight outside J; for the
-    identity with J not inside I it pairs the delta exponent vector with a
-    coweight outside the intersection Levi.  In both branches the certified
-    value is ``q^exponent - 1``, which must be a unit.
+    exponent vector with a co-fundamental coweight at a right descent of w,
+    which lies outside J; for the identity with J not inside I it pairs the
+    delta exponent vector with a coweight outside the intersection Levi.  In
+    both branches the certified value is ``q^exponent - 1``, which must be a
+    unit.
     """
-    return _certificate(rs, rep, spec, levi_root_indices(rs, rep.I))
-
-
-def _certificate(rs: RootSystem, rep: DoubleCosetRep, spec: RingSpec,
-                 phi_i: frozenset[int]) -> VanishingCertificate | None:
-    """:func:`vanishing_certificate`, given the positive roots ``phi_i`` of
-    the I-Levi (by index)."""
     w, I, J = rep.w, rep.I, rep.J
+    # the coweight dual to alpha_b pairs with an exponent vector as its entry b
+    gamma, delta = rep.gamma_exp, rep.delta_exp
+    identity = w.is_identity
 
-    if w.is_identity and not J & ~I:
+    if identity and not J & ~I:
         return None
 
-    if not w.is_identity:
+    if not identity:
         branch = "gamma"
+        images = w.signed_images
         candidates = []
         for b in range(rs.rank):
-            if J >> b & 1:
+            if images[b] > 0:
                 continue
-            j, sign = w.image_of_root(b)
-            if sign < 0 and j not in phi_i:
-                exponent = cofundamental_pairing(rep.gamma_exp, b)
-                if cofundamental_pairing(rep.delta_exp, b) != 0:
-                    raise ContractError(
-                        "delta exponent is supported on J; it cannot pair with a "
-                        f"coweight at alpha_{b} outside J")
-                candidates.append((b, exponent))
+            if J >> b & 1:
+                raise ContractError(
+                    f"w(alpha_{b}) is negative for alpha_{b} in J; "
+                    "not a minimal double-coset representative")
+            if delta[b]:
+                raise ContractError(
+                    "delta exponent is supported on J; it cannot pair with a "
+                    f"coweight at alpha_{b} outside J")
+            candidates.append((b, gamma[b]))
         if not candidates:
             raise ContractError(
                 f"no gamma certificate direction for a length-{rep.length} representative; "
@@ -249,26 +251,26 @@ def _certificate(rs: RootSystem, rep: DoubleCosetRep, spec: RingSpec,
     else:
         branch = "delta"
         meet = J & I
-        candidates = [(b, cofundamental_pairing(rep.delta_exp, b))
-                      for b in range(rs.rank)
-                      if not meet >> b & 1 and cofundamental_pairing(rep.delta_exp, b) != 0]
+        candidates = [(b, delta[b]) for b in range(rs.rank) if not meet >> b & 1 and delta[b]]
         if not candidates:
             raise ContractError(
                 "identity stratum with J not inside I has a trivial delta character; "
                 "exponent formula is wrong")
 
-    tried = []
     for b, exponent in candidates:
-        value = spec.q ** exponent - 1
-        if not spec.is_rational:
-            value %= spec.d
-        if is_unit(value, spec):
+        key = (spec.d, spec.q, exponent)
+        if key not in _UNIT_VALUES:
+            value = spec.q ** exponent - 1
+            if not spec.is_rational:
+                value %= spec.d
+            _UNIT_VALUES[key] = (value, is_unit(value, spec))
+        value, unit = _UNIT_VALUES[key]
+        if unit:
             return VanishingCertificate(rep, b, exponent, value, branch)
-        tried.append((b, exponent))
     raise RingAssumptionError(
         f"stratum of length {rep.length} for I={mask_str(I)} J={mask_str(J)} has no unit "
         f"q^r - 1 over {format_ring(spec)} (tried exponents "
-        f"{sorted(set(e for _, e in tried))}); the ring fails the bon/banal requirements")
+        f"{sorted(set(e for _, e in candidates))}); the ring fails the bon/banal requirements")
 
 
 def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
@@ -279,9 +281,8 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
     ``certificates_out`` receives a (representative, certificate) pair per
     stratum."""
     out: dict[int, ModulePiece] = {}
-    phi_i = levi_root_indices(rs, I)
     for rep in kostant_reps(rs, I, J, elements):
-        cert = _certificate(rs, rep, spec, phi_i)
+        cert = vanishing_certificate(rs, rep, spec)
         if certificates_out is not None:
             certificates_out.append((rep, cert))
         if cert is None:
@@ -314,7 +315,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     """The complex-built table, checked against ``closed``, refused first if
     a row it builds would be over the cap: rows t up to
     ``|Delta \\ (B n span)|`` with no vertical maps between them, each row's
-    cached integer homology taken over ``spec``, a class at lattice degree s
+    homology over ``spec``, kept per row and d, a class at lattice degree s
     of row t placed in degree ``shift + t + s - |Delta \\ B|``, or at index u
     of a (constant) row with a span, read reversed, in ``shift + t + u``.  A
     row is printed with ``zeros`` zero degrees after its last, or before its
@@ -339,8 +340,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
                 data[key] = data[key] + pad if span is None else pad + data[key]
             return data
 
-        hom = row_homology(rs, B, t, span)
-        hom = homology_with_coefficients(hom if span is None else hom.dual(), spec)
+        hom = row_homology_over(rs, B, t, span, spec)
         inner = shift + t
         row_dump = None
         for s in hom.nonzero_degrees():

@@ -633,6 +633,14 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, span: int | Non
 _ROW_HOMOLOGY: dict[tuple[int, int, int], HomologyResult] = {}
 
 
+def _copies(rs: RootSystem, bottom: int, t: int, span: int) -> int:
+    """How many copies of the t = 0 row over ``bottom`` the constant row with
+    ``span`` is."""
+    if span & ~bottom:
+        raise ContractError(f"span {mask_str(span)} is not inside {mask_str(bottom)}")
+    return comb(rs.rank - mask_size(span), t)
+
+
 def row_homology(rs: RootSystem, bottom: int, t: int,
                  span: int | None = None) -> HomologyResult:
     """Integer homology of that row of :func:`exterior_row_complex`.  A row
@@ -641,12 +649,37 @@ def row_homology(rs: RootSystem, bottom: int, t: int,
     (``span <= bottom``) is ``C(rank - |span|, t)`` copies of its t = 0 row,
     the exterior row of t = 0, so it is never built."""
     if span is not None:
-        if span & ~bottom:
-            raise ContractError(f"span {mask_str(span)} is not inside {mask_str(bottom)}")
-        h, copies = row_homology(rs, bottom, 0), comb(rs.rank - mask_size(span), t)
+        h, copies = row_homology(rs, bottom, 0), _copies(rs, bottom, t, span)
         return HomologyResult(tuple(copies * r for r in h.free_ranks),
                               tuple(tuple(sorted(x * copies)) for x in h.torsion))
     key = (rs.rank, bottom, t)
     if key not in _ROW_HOMOLOGY:
         _ROW_HOMOLOGY[key] = homology_over_Z(exterior_row_complex(rs, bottom, t))
     return _ROW_HOMOLOGY[key]
+
+
+# Homology over a ring of every row a table read in this process, by the row
+# and d: (rank, bottom, t, d) for an exterior row, (rank, bottom, 0, d, copies)
+# for a constant row, so the constant rows of equal rank over one bottom share
+# an entry.  Each entry keeps the integer homology it was taken from and stands
+# only while that is still the cached row, so a fresh row cache empties this
+# one too.
+_RING_ROW_HOMOLOGY: dict[tuple[int, ...], tuple[HomologyResult, HomologyResult]] = {}
+
+
+def row_homology_over(rs: RootSystem, bottom: int, t: int, span: int | None,
+                      spec: RingSpec) -> HomologyResult:
+    """Homology over ``spec`` of that row as a table reads it, dualised for a
+    constant row (read reversed).  It depends on the ring's d alone, not on
+    q, so each row is taken once per process and d."""
+    if span is None:
+        integral, key = row_homology(rs, bottom, t), (rs.rank, bottom, t, spec.d)
+    else:
+        integral = row_homology(rs, bottom, 0)
+        key = (rs.rank, bottom, 0, spec.d, _copies(rs, bottom, t, span))
+    cached = _RING_ROW_HOMOLOGY.get(key)
+    if cached is None or cached[0] is not integral:
+        hom = row_homology(rs, bottom, t, span)
+        cached = _RING_ROW_HOMOLOGY[key] = (
+            integral, homology_with_coefficients(hom if span is None else hom.dual(), spec))
+    return cached[1]

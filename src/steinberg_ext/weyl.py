@@ -184,8 +184,9 @@ def _delta(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
 
 
 def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, ...],
-                    phi_i: frozenset[int]) -> int:
-    out = 0
+                    phi_i: frozenset[int]) -> tuple[int, int]:
+    """The Levi subset w carries into I, and the subset of J it comes from."""
+    levi = source = 0
     for b in simple_j:
         j = images[b] - 1
         if j < 0:
@@ -196,8 +197,9 @@ def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, .
                 raise ContractError(
                     f"w(alpha_{b}) lies in the I-Levi but is not simple; "
                     "not a minimal double-coset representative")
-            out |= 1 << j
-    return out
+            levi |= 1 << j
+            source |= 1 << b
+    return levi, source
 
 
 def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
@@ -221,7 +223,15 @@ def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
     any beta in J landing inside the I-Levi must land on a simple root.
     """
     return _intersect_levi(rs, w.signed_images, mask_indices(J),
-                           levi_root_indices(rs, I))
+                           levi_root_indices(rs, I))[0]
+
+
+_is_negative = (0).__gt__
+
+
+def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
+    """Sum of the inversion set N(w) = {alpha > 0 : w(alpha) < 0}."""
+    return _root_sum(rs, compress(range(rs.num_positive), map(_is_negative, images)))
 
 
 def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
@@ -232,30 +242,33 @@ def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
                for m in range(1 << rs.rank)}
     negated_simple = frozenset(range(-rs.rank, 0))
     right_bits = tuple(1 << j for j in range(rs.rank))
-    is_negative = (0).__gt__
     return array("H", [  # compress reads only the first rank images
         left_of[negated_simple.intersection(images)]
-        + sum(compress(right_bits, map(is_negative, images)))
+        + sum(compress(right_bits, map(_is_negative, images)))
         for images in map(attrgetter("signed_images"), group)])
 
 
-# Descent buckets of the last group seen per root system.  A group is matched
-# by identity: hashing its elements would cost more than the lookup.
-_DESCENT_BUCKETS: dict[RootSystem, tuple[Sequence[WeylElement], dict[int, list[int]]]] = {}
+# Per root system, the last group seen, its positions keyed by descent mask,
+# and the inversion sums of the elements read so far, by position.  A group is
+# matched by identity: hashing its elements would cost more than the lookup.
+_DESCENT_BUCKETS: dict[RootSystem, tuple[Sequence[WeylElement], dict[int, list[int]],
+                                         dict[int, Coords]]] = {}
 
 
-def _descent_buckets(rs: RootSystem, group: Sequence[WeylElement]) -> dict[int, list[int]]:
-    """Positions in ``group``, in group order, keyed by descent mask.  A group
-    read from the cache brings its masks; any other is scanned for them."""
+def _descent_buckets(rs: RootSystem, group: Sequence[WeylElement]
+                     ) -> tuple[dict[int, list[int]], dict[int, Coords]]:
+    """Positions in ``group``, in group order, keyed by descent mask, and the
+    group's inversion sums so far.  A group read from the cache brings its
+    masks; any other is scanned for them."""
     cached = _DESCENT_BUCKETS.get(rs)
     if cached is not None and cached[0] is group:
-        return cached[1]
+        return cached[1:]
     masks = group.masks if isinstance(group, CachedWeylGroup) else _descent_masks(rs, group)
     buckets: dict[int, list[int]] = {}
     for position, mask in enumerate(masks):
         buckets.setdefault(mask, []).append(position)
-    _DESCENT_BUCKETS[rs] = (group, buckets)
-    return buckets
+    cached = _DESCENT_BUCKETS[rs] = (group, buckets, {})
+    return cached[1:]
 
 
 @lru_cache(maxsize=None)
@@ -280,32 +293,46 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     elements whose descent masks miss J on the right and I on the left.  The
     cosets are checked to partition the group: by Kilmoyer's theorem
     W_I n wW_Jw^-1 = W_levi(w), so the coset of w has |W_I||W_J|/|W_levi(w)|
-    elements, and these sizes must add up to |W|."""
+    elements, and these sizes must add up to |W|.
+
+    For such a w the filters of :func:`gamma_exponents` and
+    :func:`delta_exponents` simplify.  w keeps the J-Levi's positive roots
+    positive and w^-1 the I-Levi's, so gamma is the sum of the inversion set
+    of w alone, kept per group element.  w carries the positive roots of the
+    Levi of L' = {j in J : w(alpha_j) in I} onto those of the Levi of levi(w),
+    so delta is the sum of the J-Levi's positive roots outside the L'-Levi,
+    kept per L' in each call."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
+    buckets, inversion_sums = _descent_buckets(rs, group)
     forbidden = I << 8 | J
     positions = sorted(chain.from_iterable(
-        bucket for mask, bucket in _descent_buckets(rs, group).items()
-        if not mask & forbidden))
+        bucket for mask, bucket in buckets.items() if not mask & forbidden))
     phi_i = levi_root_indices(rs, I)
     phi_j = levi_root_indices(rs, J)
     simple_j = mask_indices(J)
     outer = parabolic_order(rs, I) * parabolic_order(rs, J)
     coset_size: dict[int, int] = {}  # |W_I||W_J|/|W_levi|, by levi
+    delta_of: dict[int, Coords] = {}  # by L'
     reps = []
     covered = 0
     for position in positions:
         w = group[position]
         images = w.signed_images
-        levi = _intersect_levi(rs, images, simple_j, phi_i)
+        levi, source = _intersect_levi(rs, images, simple_j, phi_i)
         if levi not in coset_size:
             coset_size[levi] = outer // parabolic_order(rs, levi)
         covered += coset_size[levi]
+        if source not in delta_of:
+            delta_of[source] = _root_sum(rs, phi_j - levi_root_indices(rs, source))
+        gamma = inversion_sums.get(position)
+        if gamma is None:
+            gamma = inversion_sums[position] = _inversion_sum(rs, images)
         reps.append(DoubleCosetRep(
             w=w, I=I, J=J, length=w.length,
-            gamma_exp=_gamma(rs, images, phi_i, phi_j),
-            delta_exp=_delta(rs, images, phi_i, phi_j),
+            gamma_exp=gamma,
+            delta_exp=delta_of[source],
             levi=levi,
         ))
     order = parabolic_order(rs, full_mask(rs.rank))

@@ -435,6 +435,33 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
     assert len(reduced) == sum(n for _, n in built)
 
 
+def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch):
+    """The strata pass sums the inversion set of each of the 48 elements of
+    W(B3) once, and each row is taken over the ring once per d."""
+    import steinberg_ext.homology as homology
+    import steinberg_ext.weyl as weyl
+
+    summed, over_ring = [], []
+    inversion_sum, coefficients = weyl._inversion_sum, homology.homology_with_coefficients
+
+    def counting_sum(rs, images):
+        summed.append((rs.rank, images))
+        return inversion_sum(rs, images)
+
+    def counting_coefficients(c, spec):
+        over_ring.append(spec.d)
+        return coefficients(c, spec)
+
+    monkeypatch.setattr(weyl, "_DESCENT_BUCKETS", {})
+    monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
+    monkeypatch.setattr(homology, "_RING_ROW_HOMOLOGY", {})
+    monkeypatch.setattr(homology, "homology_with_coefficients", counting_coefficients)
+    argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    assert len(summed) == len(set(summed)) == 48  # |W(B3)|
+    assert over_ring == [0] * len(homology._RING_ROW_HOMOLOGY)
+
+
 def test_dumps_rebuild_rows_the_cache_already_holds(capsys, monkeypatch):
     import steinberg_ext.homology as homology
 

@@ -23,9 +23,17 @@ from steinberg_ext.extengine import (
     trivial_cohomology,
     vanishing_certificate,
 )
+from steinberg_ext.homology import HomologyResult
 from steinberg_ext.ringcond import RingSpec, check_ring
 from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
-from steinberg_ext.weyl import kostant_reps
+from steinberg_ext.weyl import (
+    DoubleCosetRep,
+    delta_exponents,
+    gamma_exponents,
+    generate_weyl,
+    kostant_reps,
+    simple_reflection,
+)
 
 Q = RingSpec.rationals()
 Z5 = RingSpec(5, 3)
@@ -89,6 +97,21 @@ def test_vanishing_certificate_ring_failure():
     rep = kostant_reps(a1, 0, 0)[1]
     with pytest.raises(RingAssumptionError):
         vanishing_certificate(a1, rep, RingSpec(2, 3))  # q - 1 = 2 is 0 mod 2
+
+
+def test_vanishing_certificate_refuses_a_right_descent_in_J():
+    """Hand-built representatives of (I, J) = ({}, {alpha_0}) that are not
+    minimal: s_0, whose only right descent lies in J, and the longest
+    element, which also has one outside J.  Without the guard the first would
+    fail the ring (exponent 0) and the second would be certified."""
+    a2 = build_root_system("A", 2)
+    I, J = 0, 0b01
+    for w in (simple_reflection(a2, 0), generate_weyl(a2)[-1]):
+        rep = DoubleCosetRep(w=w, I=I, J=J, length=w.length,
+                             gamma_exp=gamma_exponents(a2, w, I, J),
+                             delta_exp=delta_exponents(a2, w, I, J), levi=0)
+        with pytest.raises(ContractError, match="not a minimal double-coset representative"):
+            vanishing_certificate(a2, rep, Z23)
 
 
 def test_strata_examples():
@@ -157,6 +180,30 @@ def test_sweep_over_composite_conforming_modulus():
             assert not built.has_torsion()
             assert ext_induced_via_strata(a2, I, J, spec).same_modules(
                 ext_induced_closed(a2, I, J, spec))
+
+
+def test_ring_rows_are_kept_per_d(monkeypatch):
+    """No lattice row has torsion, so stand-in integer rows with torsion show
+    that a row's homology over the ring is kept per d: one table over A2 above
+    {alpha_0} reads each ring's own answer in one process, and once the real
+    rows are back, none of the stand-ins' answers is read again."""
+    import steinberg_ext.extengine as eng
+    import steinberg_ext.homology as homology
+
+    a2 = build_root_system("A", 2)
+    stand_ins = {(2, 0b01, 0): HomologyResult((0, 1), ((), ())),
+                 (2, 0b01, 1): HomologyResult((0, 0), ((), (2, 2, 9)))}
+    expected = {0: {0: 1}, 2: {0: 3, 1: 2}, 3: {0: 2, 1: 1}}  # by d: Q, Z/2, Z/3
+    rows = homology._ROW_HOMOLOGY
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", stand_ins)
+    for d, entries in expected.items():
+        # Z/2 and Z/3 with q = 3 fail the ring checks, so only Q is compared
+        built = eng._built_table(a2, RingSpec(d, 3), table({0: 1}), "stand-in", 0b01)
+        assert built.same_modules(table(entries)), d
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", rows)
+    for d in expected:
+        built = cohomology_v(a2, 0b01, RingSpec(d, 3), COMPLEX_BUILT)
+        assert built.same_modules(table({1: 1})), d
 
 
 def test_cohomology_v_anchors():

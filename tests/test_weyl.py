@@ -1,10 +1,13 @@
+import random
 import struct
 
 import pytest
 
 from steinberg_ext.errors import ContractError, ResourceLimitError
-from steinberg_ext.rootdata import build_root_system, cartan_matrix, full_mask, parse_type
+from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
+                                   levi_root_indices, parse_type)
 from steinberg_ext.weyl import (
+    _delta,
     delta_exponents,
     gamma_exponents,
     generate_weyl,
@@ -118,6 +121,52 @@ def test_kostant_reps_match_enumeration(name):
     for I in range(full + 1):
         for J in range(full + 1):
             assert kostant_reps(rs, I, J) == oracles.kostant_reps_by_enumeration(rs, I, J)
+
+
+def _widest_pair(rs, w):
+    """The largest (I, J) that w is the minimal representative for: I and J
+    outside its left and right descents."""
+    images, full = w.signed_images, full_mask(rs.rank)
+    left = sum(1 << i for i in range(rs.rank) if -1 - i in images)
+    right = sum(1 << j for j in range(rs.rank) if images[j] < 0)
+    return full & ~left, full & ~right
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "D5"])
+def test_exponents_match_the_filtered_formulas_rank5(name):
+    """On every (I, J), the gamma and delta that kostant_reps reads off the
+    inversion set and the Levi sums equal the filtered formulas of
+    gamma_exponents and delta_exponents.  Gamma's filters only grow with I and
+    J, so each element's gamma is checked once, on the widest pair it
+    represents, and each representative's gamma against its element's."""
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    gamma_of = {}
+    for rep in kostant_reps(rs, 0, 0):  # every element
+        assert rep.gamma_exp == gamma_exponents(rs, rep.w, *_widest_pair(rs, rep.w))
+        gamma_of[rep.w] = rep.gamma_exp
+    for I in range(full + 1):
+        phi_i = levi_root_indices(rs, I)
+        for J in range(full + 1):
+            phi_j = levi_root_indices(rs, J)  # delta_exponents with the lookups hoisted
+            reps = kostant_reps(rs, I, J)
+            assert [rep.gamma_exp for rep in reps] == [gamma_of[rep.w] for rep in reps]
+            assert ([rep.delta_exp for rep in reps]
+                    == [_delta(rs, rep.w.signed_images, phi_i, phi_j) for rep in reps])
+
+
+def test_exponents_match_the_filtered_formulas_e6():
+    """Seeded E6 pairs with |W_I| |W_J| in [48, 720], every representative
+    against the public formulas."""
+    rs = build_root_system("E", 6)
+    full = full_mask(rs.rank)
+    band = [(I, J) for I in range(full + 1) for J in range(full + 1)
+            if 48 <= parabolic_order(rs, I) * parabolic_order(rs, J) <= 720]
+    for I, J in random.Random(6).sample(band, 6):
+        for rep in kostant_reps(rs, I, J):
+            assert rep.gamma_exp == gamma_exponents(rs, rep.w, I, J)
+            assert rep.delta_exp == delta_exponents(rs, rep.w, I, J)
+            assert rep.levi == intersect_levi(rs, rep.w, I, J)
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
