@@ -75,6 +75,7 @@ from .rootdata import (
 from .weyl import (
     DoubleCosetRep,
     WeylElement,
+    WeylGroup,
     delta_exponents,
     gamma_exponents,
     generate_weyl,

@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
-from functools import lru_cache
 from itertools import permutations
 
 from .errors import (
@@ -48,7 +46,7 @@ from .rootdata import (
     mask_indices,
     parse_type,
 )
-from .weyl import WeylElement, kostant_reps, load_or_generate
+from .weyl import kostant_reps, load_or_generate
 
 CACHE_ENV = "STEINBERG_EXT_CACHE_DIR"
 
@@ -239,11 +237,13 @@ def cmd_ext(args) -> int:
 
 def cmd_ext_induced(args) -> int:
     rs, spec, I, J = _parse_query(args)
-    elements = load_or_generate(rs, _cache_dir(args))
+    cache_dir = _cache_dir(args)
     if args.method == CLOSED_FORM:
+        if cache_dir is not None:  # a closed-form query can prepare the cache
+            load_or_generate(rs, cache_dir)
         table = ext_induced_closed(rs, I, J, spec)
     else:
-        table = ext_induced_via_strata(rs, I, J, spec, elements)
+        table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, cache_dir))
     query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
     emit_table(table, args.format, query, args.method)
     return EXIT_OK
@@ -329,12 +329,6 @@ def cmd_check_ring(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _strata_group(series: str, rank: int, cache_dir: str | None) -> Sequence[WeylElement]:
-    """The Weyl group for the strata checks, loaded once per process."""
-    return load_or_generate(build_root_system(series, rank), cache_dir)
-
-
 def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
                       strata: bool, cache_dir: str | None) -> list[str]:
     """Per-pair checks; returns sorted human-readable result lines."""
@@ -359,7 +353,7 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
     if strata:
         # RingAssumptionError propagates: the caller turns it into exit 3
         certified: list = []
-        table = ext_induced_via_strata(rs, I, J, spec, _strata_group(series, rank, cache_dir),
+        table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, cache_dir),
                                        certificates_out=certified)
         record("strata", table.same_modules(ext_induced_closed(rs, I, J, spec)))
         record("certificates", all(
@@ -390,6 +384,12 @@ def cmd_verify(args) -> int:
         pairs = [(I, J)]
         subsets = sorted({I, J})
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
+    cache_dir = None
+    if strata:
+        # loaded before any work, so that a group over the cap is refused at
+        # once, and before any worker starts: a forked worker inherits it
+        cache_dir = _cache_dir(args)
+        load_or_generate(rs, cache_dir)
 
     lines: list[str] = []
     for I in subsets:
@@ -400,17 +400,16 @@ def cmd_verify(args) -> int:
         except VerificationError as e:
             lines.append(f"FAIL cohomology I={{{','.join(map(str, mask_indices(I)))}}} ({e})")
 
-    cache_dir = None
-    if strata:  # load before any worker starts: a forked worker inherits it
-        cache_dir = _cache_dir(args)
-        _strata_group(series, rank, cache_dir)
     tasks = [(series, rank, spec.d, spec.q, I, J, strata, cache_dir) for I, J in pairs]
     workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         # imported here: multiprocessing costs every other command start-up time
         from concurrent.futures import ProcessPoolExecutor
+        # one pair per round trip costs more than most pairs take: send each
+        # worker about four chunks
+        chunksize = -(-len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_verify_pair_task_star, tasks):
+            for result in pool.map(_verify_pair_task_star, tasks, chunksize=chunksize):
                 lines.extend(result)
     else:
         for task in tasks:

@@ -661,10 +661,8 @@ def row_homology(rs: RootSystem, bottom: int, t: int,
 # Homology over a ring of every row a table read in this process, by the row
 # and d: (rank, bottom, t, d) for an exterior row, (rank, bottom, 0, d, copies)
 # for a constant row, so the constant rows of equal rank over one bottom share
-# an entry.  Each entry keeps the integer homology it was taken from and stands
-# only while that is still the cached row, so a fresh row cache empties this
-# one too.
-_RING_ROW_HOMOLOGY: dict[tuple[int, ...], tuple[HomologyResult, HomologyResult]] = {}
+# an entry.
+_RING_ROW_HOMOLOGY: dict[tuple[int, ...], HomologyResult] = {}
 
 
 def row_homology_over(rs: RootSystem, bottom: int, t: int, span: int | None,
@@ -673,13 +671,11 @@ def row_homology_over(rs: RootSystem, bottom: int, t: int, span: int | None,
     constant row (read reversed).  It depends on the ring's d alone, not on
     q, so each row is taken once per process and d."""
     if span is None:
-        integral, key = row_homology(rs, bottom, t), (rs.rank, bottom, t, spec.d)
+        key = (rs.rank, bottom, t, spec.d)
     else:
-        integral = row_homology(rs, bottom, 0)
         key = (rs.rank, bottom, 0, spec.d, _copies(rs, bottom, t, span))
-    cached = _RING_ROW_HOMOLOGY.get(key)
-    if cached is None or cached[0] is not integral:
+    if key not in _RING_ROW_HOMOLOGY:
         hom = row_homology(rs, bottom, t, span)
-        cached = _RING_ROW_HOMOLOGY[key] = (
-            integral, homology_with_coefficients(hom if span is None else hom.dual(), spec))
-    return cached[1]
+        _RING_ROW_HOMOLOGY[key] = homology_with_coefficients(
+            hom if span is None else hom.dual(), spec)
+    return _RING_ROW_HOMOLOGY[key]

@@ -13,11 +13,16 @@ import json
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceLimitError
 
 Coords = tuple[int, ...]
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
+
+# The largest rank a type name may ask for.  The positive-root closure costs
+# about roots x rank^2, which is seconds by rank 120; every test stays within
+# rank 30.
+MAX_RANK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -239,4 +244,6 @@ def parse_type(text: str) -> tuple[str, int]:
         raise ConfigurationError(f"cannot parse type {text!r}") from None
     series = text[0].upper()
     _validate_type(series, rank)
+    if rank > MAX_RANK:
+        raise ResourceLimitError(f"type {series}{rank} is over the rank cap of {MAX_RANK}")
     return series, rank

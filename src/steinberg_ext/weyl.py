@@ -15,7 +15,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
@@ -103,12 +103,12 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _element(_simple_reflection_images(rs, i))
 
 
-def _closure(rs: RootSystem, generator_images: tuple[SignedImages, ...],
-             cap: int) -> tuple[WeylElement, ...]:
+def _closure(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
     """Breadth-first closure from the identity under left multiplication by
-    simple reflections.  The elements first reached at step L are those of
-    length L, so sorting each step by its images gives group order."""
-    tables = [_action_table(g) for g in generator_images]
+    the simple reflections of ``levi``.  The elements first reached at step L
+    are those of length L, so sorting each step by its images gives group
+    order."""
+    tables = [_action_table(_simple_reflection_images(rs, i)) for i in mask_indices(levi)]
     step = [_identity_images(rs.num_positive)]
     seen = set(step)
     elements: list[WeylElement] = []
@@ -121,10 +121,6 @@ def _closure(rs: RootSystem, generator_images: tuple[SignedImages, ...],
             for table in tables:
                 gw = images_of(table)  # compose_images(g, w)
                 if gw not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(
-                            f"Weyl enumeration for {rs.type_name()} exceeds cap {cap}"
-                            f" (at least {len(seen) + 1} elements)")
                     seen.add(gw)
                     nxt.append(gw)
         step = nxt
@@ -132,11 +128,19 @@ def _closure(rs: RootSystem, generator_images: tuple[SignedImages, ...],
     return tuple(elements)
 
 
+def _check_cap(rs: RootSystem, levi: int, cap: int) -> None:
+    """Refuse, before any element is built, a subgroup larger than ``cap``."""
+    order = parabolic_order(rs, levi)
+    if order > cap:
+        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} exceeds cap {cap} "
+                                 f"({order} elements)")
+
+
 @lru_cache(maxsize=None)
-def generate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
+def generate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
-    gens = tuple(_simple_reflection_images(rs, i) for i in range(rs.rank))
-    return _closure(rs, gens, cap)
+    _check_cap(rs, full_mask(rs.rank), cap)
+    return WeylGroup(rs, _closure(rs, full_mask(rs.rank)))
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +148,8 @@ def parabolic_subgroup(rs: RootSystem, levi: int,
                        cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections of the subset ``levi``."""
     validate_mask(levi, rs.rank)
-    gens = tuple(_simple_reflection_images(rs, i) for i in mask_indices(levi))
-    return _closure(rs, gens, cap)
+    _check_cap(rs, levi, cap)
+    return _closure(rs, levi)
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +252,47 @@ def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
         for images in map(attrgetter("signed_images"), group)])
 
 
-# Per root system, the last group seen, its positions keyed by descent mask,
-# and the inversion sums of the elements read so far, by position.  A group is
-# matched by identity: hashing its elements would cost more than the lookup.
-_DESCENT_BUCKETS: dict[RootSystem, tuple[Sequence[WeylElement], dict[int, list[int]],
-                                         dict[int, Coords]]] = {}
+class WeylGroup(Sequence):
+    """A Weyl group in group order, with the data its double cosets are read
+    from: a descent mask per element (read from the cache, else scanned once
+    here), the positions bucketed by mask, built on first use, and the
+    inversion sums read so far, by position.  In a group read from the cache
+    an element is decoded from the flat records on its first access and
+    kept.  Slices are tuples; a group equals any sequence of its elements."""
 
+    def __init__(self, rs: RootSystem, elements: Sequence[WeylElement | None],
+                 masks: array | None = None, records: array | None = None) -> None:
+        self._elements = elements
+        self._records = records
+        self._width = rs.num_positive + 1
+        self.masks = _descent_masks(rs, elements) if masks is None else masks
+        self.inversion_sums: dict[int, Coords] = {}
 
-def _descent_buckets(rs: RootSystem, group: Sequence[WeylElement]
-                     ) -> tuple[dict[int, list[int]], dict[int, Coords]]:
-    """Positions in ``group``, in group order, keyed by descent mask, and the
-    group's inversion sums so far.  A group read from the cache brings its
-    masks; any other is scanned for them."""
-    cached = _DESCENT_BUCKETS.get(rs)
-    if cached is not None and cached[0] is group:
-        return cached[1:]
-    masks = group.masks if isinstance(group, CachedWeylGroup) else _descent_masks(rs, group)
-    buckets: dict[int, list[int]] = {}
-    for position, mask in enumerate(masks):
-        buckets.setdefault(mask, []).append(position)
-    cached = _DESCENT_BUCKETS[rs] = (group, buckets, {})
-    return cached[1:]
+    @cached_property
+    def buckets(self) -> dict[int, list[int]]:
+        """Positions, in group order, keyed by descent mask."""
+        buckets: dict[int, list[int]] = {}
+        for position, mask in enumerate(self.masks):
+            buckets.setdefault(mask, []).append(position)
+        return buckets
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        w = self._elements[index]
+        if w is None:
+            start = index % len(self) * self._width
+            images = tuple(self._records[start + 1:start + self._width])
+            w = self._elements[index] = WeylElement(images, self._records[start])
+        return w
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +308,7 @@ def parabolic_order(rs: RootSystem, levi: int) -> int:
 
 
 def kostant_reps(rs: RootSystem, I: int, J: int,
-                 elements: Sequence[WeylElement] | None = None) -> tuple[DoubleCosetRep, ...]:
+                 elements: WeylGroup | None = None) -> tuple[DoubleCosetRep, ...]:
     """One minimal-length representative per (W_I, W_J) double coset, in
     group order (by length, then signed images).
 
@@ -305,10 +329,10 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
-    buckets, inversion_sums = _descent_buckets(rs, group)
+    inversion_sums = group.inversion_sums
     forbidden = I << 8 | J
     positions = sorted(chain.from_iterable(
-        bucket for mask, bucket in buckets.items() if not mask & forbidden))
+        bucket for mask, bucket in group.buckets.items() if not mask & forbidden))
     phi_i = levi_root_indices(rs, I)
     phi_j = levi_root_indices(rs, J)
     simple_j = mask_indices(J)
@@ -356,57 +380,28 @@ _CACHE_HEADER = struct.Struct("<cBII")
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-class CachedWeylGroup(Sequence):
-    """A Weyl group read from the cache, in group order.  It holds the flat
-    records and the stored descent masks; an element is decoded on its first
-    access and kept, so each is built at most once."""
-
-    def __init__(self, records: array, width: int, masks: array) -> None:
-        self._records = records
-        self._width = width
-        self._decoded: list[WeylElement | None] = [None] * len(masks)
-        self.masks = masks
-
-    def __len__(self) -> int:
-        return len(self._decoded)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        w = self._decoded[index]
-        if w is None:
-            start = index % len(self) * self._width
-            images = tuple(self._records[start + 1:start + self._width])
-            w = self._decoded[index] = WeylElement(images, self._records[start])
-        return w
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
     return Path(cache_dir) / f"weyl_{series}{rank}.bin"
 
 
-def save_weyl_cache(rs: RootSystem, elements: Sequence[WeylElement],
-                    cache_dir: str | Path) -> Path:
+def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> Path:
+    """Write ``group`` with its own descent masks."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     path.parent.mkdir(parents=True, exist_ok=True)
     record = struct.Struct(f"<I{rs.num_positive}i")
-    masks = _descent_masks(rs, elements)
+    masks = group.masks
     if _BIG_ENDIAN:
+        masks = array("H", masks)
         masks.byteswap()
     with path.open("wb") as fh:  # record by record: no second copy of the group
         fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
-            rs.series.encode(), rs.rank, rs.num_positive, len(elements)))
-        fh.writelines(record.pack(w.length, *w.signed_images) for w in elements)
+            rs.series.encode(), rs.rank, rs.num_positive, len(group)))
+        fh.writelines(record.pack(w.length, *w.signed_images) for w in group)
         masks.tofile(fh)
     return path
 
 
-def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> CachedWeylGroup | None:
+def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
     """Load the cached group; returns None on a missing file, an older
     format, a header mismatch or a wrong file size (the cache is then simply
     recomputed)."""
@@ -431,19 +426,20 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> CachedWeylGroup | 
     if _BIG_ENDIAN:
         records.byteswap()
         masks.byteswap()
-    return CachedWeylGroup(records, width, masks)
+    return WeylGroup(rs, [None] * count, masks, records)
 
 
-def load_or_generate(rs: RootSystem, cache_dir: str | Path | None,
-                     cap: int = DEFAULT_WEYL_CAP) -> Sequence[WeylElement]:
+@lru_cache(maxsize=None)
+def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:
+    """The Weyl group of ``rs``, once per process and cache directory: read
+    from the cache file, else generated and, with a directory, written there."""
     if cache_dir is None:
-        return generate_weyl(rs, cap)
-    cached = load_weyl_cache(rs, cache_dir)
-    if cached is not None:
-        return cached
-    elements = generate_weyl(rs, cap)
-    save_weyl_cache(rs, elements, cache_dir)
-    return elements
+        return generate_weyl(rs)
+    group = load_weyl_cache(rs, cache_dir)
+    if group is None:
+        group = generate_weyl(rs)
+        save_weyl_cache(rs, group, cache_dir)
+    return group
 
 
 def permutes_roots(rs: RootSystem, w: WeylElement) -> bool:

@@ -1,0 +1,17 @@
+import pytest
+
+import steinberg_ext.homology as homology
+import steinberg_ext.weyl as weyl
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty per-process caches for a test that counts what is computed or
+    swaps in stand-ins: the rows' homology over Z and over each ring (the
+    process's own dicts come back afterwards), and the Weyl groups generated
+    or loaded so far, so that the next query generates its group or reads it
+    from disk."""
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
+    monkeypatch.setattr(homology, "_RING_ROW_HOMOLOGY", {})
+    weyl.generate_weyl.cache_clear()
+    weyl.load_or_generate.cache_clear()

@@ -222,7 +222,8 @@ WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_te
 
 
 @pytest.mark.parametrize("name", WEYL_GOLDEN)
-def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypatch):
+def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypatch,
+                                               fresh_caches):
     # the recorded bytes, once writing the cache and once reading it back
     import steinberg_ext.weyl as weyl
 
@@ -237,6 +238,7 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
     def no_generation(*a, **k):
         raise AssertionError("the Weyl group was generated, not read from the cache")
 
+    weyl.load_or_generate.cache_clear()
     monkeypatch.setattr(weyl, "generate_weyl", no_generation)
     code, warm, _ = run_cli(capsys, *argv)
     assert (code, warm.encode()) == (case["exit"], expected)
@@ -269,13 +271,12 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout == "[]\n"
 
 
-def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch):
-    import steinberg_ext.cli as cli
+def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch,
+                                                   fresh_caches):
     import steinberg_ext.weyl as weyl
 
     args = ("verify", "--type", "B2", "--ring", "q=3,d=1009", "--all-pairs",
             "--strata", "on", "--cache-dir", str(tmp_path))
-    cli._strata_group.cache_clear()
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B2.bin"]
@@ -283,17 +284,14 @@ def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch
     def no_generation(*a, **k):
         raise AssertionError("the Weyl group was generated, not read from the cache")
 
-    cli._strata_group.cache_clear()
+    weyl.load_or_generate.cache_clear()
     monkeypatch.setattr(weyl, "generate_weyl", no_generation)
     code, second, _ = run_cli(capsys, *args)
     assert code == 0 and second == first
 
 
 def test_verify_strata_honours_the_cache_env_var(tmp_path, capsys, monkeypatch):
-    import steinberg_ext.cli as cli
-
     monkeypatch.setenv("STEINBERG_EXT_CACHE_DIR", str(tmp_path))
-    cli._strata_group.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--strata", "on")
     assert code == 0
     assert list(tmp_path.glob("weyl_A2.bin"))
@@ -357,9 +355,11 @@ def test_parallel_below_one_is_a_usage_error(capsys):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the chunk size
+    it is asked for, runs in-process."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -370,7 +370,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -380,11 +381,13 @@ def test_parallel_pool_size_is_clamped(capsys, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     _InlinePool.sizes = []
+    _InlinePool.chunksizes = []
     args = ("verify", "--type", "A2", "--ring", "Q")
     _, serial, _ = run_cli(capsys, *args, "--all-pairs")
     _, pooled, _ = run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
     assert pooled == serial
     assert _InlinePool.sizes == [3]  # min(N, cpu_count, 16 pairs)
+    assert _InlinePool.chunksizes == [2]  # ceil(16 pairs / (4 chunks * 3 workers))
 
     run_cli(capsys, *args, "--I", "0", "--J", "1", "--parallel", "8")
     assert _InlinePool.sizes == [3]  # one pair: no pool at all
@@ -407,7 +410,7 @@ def _golden(name):
     return case["argv"], (GOLDEN / f"{name}.out").read_text()
 
 
-def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
+def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch, fresh_caches):
     import steinberg_ext.homology as homology
 
     built, reduced = [], []
@@ -422,7 +425,6 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
         reduced.append(m)
         return divisors(m)
 
-    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     monkeypatch.setattr(homology, "exterior_row_complex", counting_builder)
     monkeypatch.setattr(homology, "smith_divisors", counting_divisors)
     argv, expected = _golden("verify_B3_all")
@@ -435,7 +437,8 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch):
     assert len(reduced) == sum(n for _, n in built)
 
 
-def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch):
+def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch,
+                                                                     fresh_caches):
     """The strata pass sums the inversion set of each of the 48 elements of
     W(B3) once, and each row is taken over the ring once per d."""
     import steinberg_ext.homology as homology
@@ -452,9 +455,7 @@ def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, mon
         over_ring.append(spec.d)
         return coefficients(c, spec)
 
-    monkeypatch.setattr(weyl, "_DESCENT_BUCKETS", {})
     monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
-    monkeypatch.setattr(homology, "_RING_ROW_HOMOLOGY", {})
     monkeypatch.setattr(homology, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
@@ -462,10 +463,9 @@ def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, mon
     assert over_ring == [0] * len(homology._RING_ROW_HOMOLOGY)
 
 
-def test_dumps_rebuild_rows_the_cache_already_holds(capsys, monkeypatch):
+def test_dumps_rebuild_rows_the_cache_already_holds(capsys, fresh_caches):
     import steinberg_ext.homology as homology
 
-    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     for name in DUMP_CASES:
         argv, _ = _golden(name)
         code, out, _ = run_cli(capsys, *(a for a in argv if a != "--dump-complex"))
@@ -556,3 +556,75 @@ def test_rows_on_a_small_lattice_are_answered(capsys):
     # a printed constant row of rank C(30, 4) is over the cap
     _refused_quickly(capsys, "ext-vi", "--type", "A30", "--I", A30_I, "--J", "",
                      "--method", "complex_built", "--dump-complex")
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("a Weyl group was enumerated")
+
+
+def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsys,
+                                                                monkeypatch):
+    import steinberg_ext.cli as cli
+    import steinberg_ext.weyl as weyl
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a cohomology row was taken")
+
+    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(weyl, "_closure", _no_enumeration)
+    monkeypatch.setattr(cli, "cohomology_v", no_rows)
+    for t in ("E7", "E8"):
+        _refused_quickly(capsys, "dcosets", "--type", t, "--I", "0", "--J", "1")
+        # a closed form that is asked to prepare the cache needs the group
+        _refused_quickly(capsys, "ext-induced", "--type", t, "--I", "0", "--J", "0",
+                         "--ring", "Q", "--cache-dir", str(tmp_path))
+        _refused_quickly(capsys, "verify", "--type", t, "--ring", "Q", "--all-pairs",
+                         "--strata", "on")
+    assert not list(tmp_path.iterdir())
+
+
+def test_closed_form_ext_induced_builds_no_group(capsys, monkeypatch):
+    import steinberg_ext.weyl as weyl
+
+    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(weyl, "generate_weyl", _no_enumeration)
+    monkeypatch.setattr(weyl, "_closure", _no_enumeration)
+    for t, rank in (("E7", 7), ("E8", 8)):
+        out = _answered_quickly(capsys, "ext-induced", "--type", t, "--I", "0", "--J", "0",
+                                "--ring", "Q")
+        assert out["method"] == "closed_form" and len(out["table"]) == rank
+
+
+def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
+    import steinberg_ext.rootdata as rootdata
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(rootdata, "_positive_closure", no_roots)
+    for t in ("A1000", "A33", "D120"):
+        _refused_quickly(capsys, "ext", "--type", t, "--I", "0", "--J", "1", "--ring", "Q")
+    assert rootdata.parse_type("A32") == ("A", 32)
+
+
+def test_each_group_scans_its_descent_masks_once(tmp_path, capsys, monkeypatch, fresh_caches):
+    """A cold dcosets query that writes the cache scans the masks once, for
+    the file and the double cosets alike; a warm one reads them from disk."""
+    import steinberg_ext.weyl as weyl
+
+    scans = []
+    descent_masks = weyl._descent_masks
+
+    def counting(rs, group):
+        scans.append(rs)
+        return descent_masks(rs, group)
+
+    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(weyl, "_descent_masks", counting)
+    argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
+            "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(scans) == 1
+    weyl.load_or_generate.cache_clear()
+    code, warm, _ = run_cli(capsys, *argv)
+    assert (code, warm) == (0, cold) and len(scans) == 1

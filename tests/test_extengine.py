@@ -182,7 +182,7 @@ def test_sweep_over_composite_conforming_modulus():
                 ext_induced_closed(a2, I, J, spec))
 
 
-def test_ring_rows_are_kept_per_d(monkeypatch):
+def test_ring_rows_are_kept_per_d(monkeypatch, fresh_caches):
     """No lattice row has torsion, so stand-in integer rows with torsion show
     that a row's homology over the ring is kept per d: one table over A2 above
     {alpha_0} reads each ring's own answer in one process, and once the real
@@ -201,6 +201,7 @@ def test_ring_rows_are_kept_per_d(monkeypatch):
         built = eng._built_table(a2, RingSpec(d, 3), table({0: 1}), "stand-in", 0b01)
         assert built.same_modules(table(entries)), d
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", rows)
+    homology._RING_ROW_HOMOLOGY.clear()  # its entries came from the stand-ins
     for d in expected:
         built = cohomology_v(a2, 0b01, RingSpec(d, 3), COMPLEX_BUILT)
         assert built.same_modules(table({1: 1})), d

@@ -1,5 +1,6 @@
 import random
 import struct
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from steinberg_ext.errors import ContractError, ResourceLimitError
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
                                    levi_root_indices, parse_type)
 from steinberg_ext.weyl import (
+    WeylGroup,
     _delta,
     delta_exponents,
     gamma_exponents,
@@ -63,6 +65,23 @@ def test_enumeration_cap():
     rs = build_root_system("A", 3)
     with pytest.raises(ResourceLimitError):
         generate_weyl(rs, cap=10)
+
+
+def test_enumeration_cap_is_checked_before_enumerating(monkeypatch):
+    import steinberg_ext.weyl as weyl
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(weyl, "_closure", no_enumeration)
+    start = time.perf_counter()
+    for name in ("E7", "E8"):
+        rs = build_root_system(*parse_type(name))
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            weyl.generate_weyl(rs)
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            weyl.parabolic_subgroup(rs, full_mask(7))  # E7 in either
+    assert time.perf_counter() - start < 1
 
 
 def test_parabolic_sizes():
@@ -179,19 +198,20 @@ def test_parabolic_order_matches_subgroup(name):
 def test_partition_check_catches_a_corrupted_group():
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
-    dropped = [group[1:], group[:-1], group[:20] + group[21:]]
-    duplicated = [group[:1] + group, group[:20] + group[19:], group + group[-1:]]
+    flat = group[:]  # a tuple, to cut and splice
+    dropped = [flat[1:], flat[:-1], flat[:20] + flat[21:]]
+    duplicated = [flat[:1] + flat, flat[:20] + flat[19:], flat + flat[-1:]]
     for elements in dropped + duplicated:
         for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, elements)
+                kostant_reps(rs, I, J, WeylGroup(rs, elements))
     # one representative dropped or doubled in a group of the right size: only
     # the coset sizes can tell (the longest element is no representative here)
-    swapped = [group[1:] + group[-1:], group[:1] + group[:-1]]
+    swapped = [flat[1:] + flat[-1:], flat[:1] + flat[:-1]]
     for elements in swapped:
         for I, J in [(0b011, 0b110), (0b111, 0b111)]:
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, elements)
+                kostant_reps(rs, I, J, WeylGroup(rs, elements))
     # the intact group still passes after a corrupted one was bucketed
     assert kostant_reps(rs, 0b011, 0b110, group) == kostant_reps(rs, 0b011, 0b110)
 
