@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import (
@@ -23,6 +24,7 @@ from .extengine import (
     CLOSED_FORM,
     COMPLEX_BUILT,
     ExtTable,
+    built_tables_kept,
     cohomology_rows_exact,
     cohomology_v,
     ext_cuspidal_line,
@@ -44,6 +46,7 @@ from .rootdata import (
     full_mask,
     mask_from_indices,
     mask_indices,
+    mask_str,
     parse_type,
 )
 from .weyl import kostant_reps, load_or_generate
@@ -329,18 +332,24 @@ def cmd_check_ring(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
+# a subset as verify prints it, formatted once per mask in each process
+_label = lru_cache(maxsize=None)(mask_str)
+
+
 def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
-                      strata: bool, cache_dir: str | None) -> list[str]:
-    """Per-pair checks; returns sorted human-readable result lines."""
+                      strata: bool, by_class: bool, cache_dir: str | None) -> list[str]:
+    """Per-pair checks; returns sorted human-readable result lines.  The
+    strata are checked per descent class when ``by_class``, else per
+    representative."""
     rs = build_root_system(series, rank)
     spec = RingSpec(d, q)
     lines = []
+    pair = f"I={_label(I)} J={_label(J)}"
 
     def record(check: str, ok: bool, detail: str = "") -> None:
         state = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail else ""
-        lines.append(f"{state} {check} I={{{','.join(map(str, mask_indices(I)))}}} "
-                     f"J={{{','.join(map(str, mask_indices(J)))}}}{suffix}")
+        lines.append(f"{state} {check} {pair}{suffix}")
 
     for check, table_of in (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced)):
         try:
@@ -351,13 +360,13 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
             record(check, False, str(e))
 
     if strata:
+        from .strata import verify_strata  # only verify compiles it
+
         # RingAssumptionError propagates: the caller turns it into exit 3
-        certified: list = []
-        table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, cache_dir),
-                                       certificates_out=certified)
+        table, certified = verify_strata(rs, I, J, spec, load_or_generate(rs, cache_dir),
+                                         by_class=by_class)
         record("strata", table.same_modules(ext_induced_closed(rs, I, J, spec)))
-        record("certificates", all(
-            (cert is None) == (rep.w.is_identity and not J & ~I) for rep, cert in certified))
+        record("certificates", certified)
     return lines
 
 
@@ -384,36 +393,44 @@ def cmd_verify(args) -> int:
         pairs = [(I, J)]
         subsets = sorted({I, J})
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
+    # the classes cost one pass over the group: a sweep reads them for every
+    # pair, a single pair reads its few representatives
+    by_class = strata and args.all_pairs
     cache_dir = None
     if strata:
-        # loaded before any work, so that a group over the cap is refused at
-        # once, and before any worker starts: a forked worker inherits it
+        # loaded, with the descent classes a sweep reads, before any work, so
+        # that a group over the cap is refused at once, and before any worker
+        # starts: a forked worker inherits it
         cache_dir = _cache_dir(args)
-        load_or_generate(rs, cache_dir)
+        group = load_or_generate(rs, cache_dir)
+        if by_class:
+            group.classes
 
     lines: list[str] = []
-    for I in subsets:
-        try:
-            cohomology_v(rs, I, spec, COMPLEX_BUILT)
-            state = "PASS" if cohomology_rows_exact(rs, I) else "FAIL"
-            lines.append(f"{state} cohomology I={{{','.join(map(str, mask_indices(I)))}}}")
-        except VerificationError as e:
-            lines.append(f"FAIL cohomology I={{{','.join(map(str, mask_indices(I)))}}} ({e})")
+    with built_tables_kept():  # forked workers inherit the cohomology tables built here
+        for I in subsets:
+            try:
+                cohomology_v(rs, I, spec, COMPLEX_BUILT)
+                state = "PASS" if cohomology_rows_exact(rs, I) else "FAIL"
+                lines.append(f"{state} cohomology I={_label(I)}")
+            except VerificationError as e:
+                lines.append(f"FAIL cohomology I={_label(I)} ({e})")
 
-    tasks = [(series, rank, spec.d, spec.q, I, J, strata, cache_dir) for I, J in pairs]
-    workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        # imported here: multiprocessing costs every other command start-up time
-        from concurrent.futures import ProcessPoolExecutor
-        # one pair per round trip costs more than most pairs take: send each
-        # worker about four chunks
-        chunksize = -(-len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_verify_pair_task_star, tasks, chunksize=chunksize):
-                lines.extend(result)
-    else:
-        for task in tasks:
-            lines.extend(_verify_pair_task(*task))
+        tasks = [(series, rank, spec.d, spec.q, I, J, strata, by_class, cache_dir)
+                 for I, J in pairs]
+        workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
+        if workers > 1:
+            # imported here: multiprocessing costs every other command start-up time
+            from concurrent.futures import ProcessPoolExecutor
+            # one pair per round trip costs more than most pairs take: send
+            # each worker about four chunks
+            chunksize = -(-len(tasks) // (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(_verify_pair_task_star, tasks, chunksize=chunksize):
+                    lines.extend(result)
+        else:
+            for task in tasks:
+                lines.extend(_verify_pair_task(*task))
 
     lines.sort()
     for line in lines:

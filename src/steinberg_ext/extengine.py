@@ -16,16 +16,20 @@ is built as a complex again only to be printed.
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
 ``m = |Delta \\ bottom|``; a class of inner degree ``t`` at lattice degree
-``s`` lands in total degree ``t + s - m`` when the resolution sits in the
-covariant argument and ``t + (m - s)`` when it sits in the contravariant one.
-The two anchor identities pinning this down are the self-Ext of any object in
-degree 0 and the top-degree cohomology of the quotient representation.
+``s`` lands in total degree ``t + s - m`` (the resolution sits in the
+covariant argument; a contravariant one is read reversed, see
+:func:`ext_v_to_induced`).  The two anchor identities pinning this down are
+the self-Ext of any object in degree 0 and the top-degree cohomology of the
+quotient representation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (ConfigurationError, ContractError, ResourceLimitError, RingAssumptionError,
@@ -91,7 +95,7 @@ class ExtTable:
         return tuple(sorted(self.entries))
 
     def same_modules(self, other: "ExtTable") -> bool:
-        return self._normal() == other._normal()
+        return self.entries == other.entries or self._normal() == other._normal()
 
     def _normal(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         return {d: (p.rank, tuple(sorted(p.torsion)))
@@ -137,14 +141,14 @@ def tensor_with_exterior(table: ExtTable, c: int) -> ExtTable:
 # degree bookkeeping
 
 COVARIANT = "covariant"
-CONTRAVARIANT = "contravariant"
 
 
 def total_degree(inner: int, lattice_s: int, lattice_top: int, slot: str) -> int:
+    """Total degree of a class of inner degree ``inner`` at lattice degree
+    ``lattice_s`` of a lattice complex with top ``lattice_top``, resolved in
+    the covariant slot, the one every built table uses."""
     if slot == COVARIANT:
         return inner + lattice_s - lattice_top
-    if slot == CONTRAVARIANT:
-        return inner + lattice_top - lattice_s
     raise ContractError(f"unknown resolution slot {slot!r}")
 
 
@@ -207,6 +211,23 @@ class VanishingCertificate(NamedTuple):
 _UNIT_VALUES: dict[tuple[int, int, int], tuple[int, bool]] = {}
 
 
+def _unit_value(spec: RingSpec, exponent: int) -> tuple[int, bool]:
+    """``q^exponent - 1`` over ``spec`` and whether it is a unit."""
+    key = (spec.d, spec.q, exponent)
+    if key not in _UNIT_VALUES:
+        value = spec.q ** exponent - 1
+        if not spec.is_rational:
+            value %= spec.d
+        _UNIT_VALUES[key] = (value, is_unit(value, spec))
+    return _UNIT_VALUES[key]
+
+
+def _delta_candidates(rs: RootSystem, I: int, J: int, delta) -> list[tuple[int, int]]:
+    """(b, delta_b) for the coweights outside the intersection Levi."""
+    meet = J & I
+    return [(b, delta[b]) for b in range(rs.rank) if not meet >> b & 1 and delta[b]]
+
+
 def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
                           spec: RingSpec) -> VanishingCertificate | None:
     """Produce a central element certifying that the stratum of ``rep``
@@ -250,21 +271,14 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
                 "the representative is not minimal or the exponent formula is wrong")
     else:
         branch = "delta"
-        meet = J & I
-        candidates = [(b, delta[b]) for b in range(rs.rank) if not meet >> b & 1 and delta[b]]
+        candidates = _delta_candidates(rs, I, J, delta)
         if not candidates:
             raise ContractError(
                 "identity stratum with J not inside I has a trivial delta character; "
                 "exponent formula is wrong")
 
     for b, exponent in candidates:
-        key = (spec.d, spec.q, exponent)
-        if key not in _UNIT_VALUES:
-            value = spec.q ** exponent - 1
-            if not spec.is_rational:
-                value %= spec.d
-            _UNIT_VALUES[key] = (value, is_unit(value, spec))
-        value, unit = _UNIT_VALUES[key]
+        value, unit = _unit_value(spec, exponent)
         if unit:
             return VanishingCertificate(rep, b, exponent, value, branch)
     raise RingAssumptionError(
@@ -304,22 +318,88 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
 
 
 @lru_cache(maxsize=None)
-def _ring_passes(rs: RootSystem, spec: RingSpec) -> bool:
-    return check_ring(rs, spec).ok
+def _ring_passes(series: str, rank: int, d: int, q: int) -> bool:
+    """Whether Z/d (Q for d = 0) with residue order q passes its checks for
+    the type, keyed by plain values: a root system is slow to hash."""
+    return check_ring(build_root_system(series, rank), RingSpec(d, q)).ok
+
+
+# The most dense matrix entries a dumped table may print, summed over the
+# differentials of its rows (about 6 MB of JSON): every cohomology dump of
+# rank <= 8 is under it, the E7 ext-vi dump over I = J = {} (10.3 M) is not.
+DUMP_CAP = 1 << 21
+
+# Built tables of the current ``verify`` call, before any comparison, by what
+# they depend on, with the homology of their rows; None outside a call.
+_BUILT_TABLES: dict[tuple, tuple[dict[int, ModulePiece], list]] | None = None
+
+
+@contextmanager
+def built_tables_kept() -> Iterator[None]:
+    """Build each table once inside the block: a sweep asks for one table
+    under many pairs (the ext table depends on K, ``|J \\ I|``,
+    ``|K \\ J|``, d and the center rank; the ext-vi table on I u J,
+    ``|J|``, ``|J \\ I|`` and d), and each pair still compares it with its
+    own closed form.  The tables are dropped on leaving the block, on error
+    too, so no later call reads a table that other code built."""
+    global _BUILT_TABLES
+    _BUILT_TABLES = {}
+    try:
+        yield
+    finally:
+        _BUILT_TABLES = None
+
+
+def _dense_entries(m: int, last: int, constant: int | None) -> int:
+    """Dense entries of the differentials of rows t <= ``last`` over a
+    lattice of ``m`` free simple roots: a summand at codimension s has
+    C(s, t) basis vectors, or C(constant, t) in a constant row."""
+    total = 0
+    for t in range(last + 1):
+        ranks = [comb(m, s) * comb(s if constant is None else constant, t) for s in range(m + 1)]
+        total += sum(map(mul, ranks, ranks[1:]))
+    return total
 
 
 def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B: int, *,
-                 span: int | None = None, shift: int = 0, zeros: int = 0,
-                 numbered: bool = True, center_rank: int = 0,
+                 masks: tuple[int, ...] = (), span: int | None = None, shift: int = 0,
+                 zeros: int = 0, numbered: bool = True, center_rank: int = 0,
                  complexes_out: list | None = None) -> ExtTable:
     """The complex-built table, checked against ``closed``, refused first if
-    a row it builds would be over the cap: rows t up to
-    ``|Delta \\ (B n span)|`` with no vertical maps between them, each row's
-    homology over ``spec``, kept per row and d, a class at lattice degree s
-    of row t placed in degree ``shift + t + s - |Delta \\ B|``, or at index u
-    of a (constant) row with a span, read reversed, in ``shift + t + u``.  A
-    row is printed with ``zeros`` zero degrees after its last, or before its
-    first if read reversed."""
+    a row it builds, or a dump of its rows, would be over its cap: rows t up
+    to ``|Delta \\ (B n span)|`` with no vertical maps between them, each
+    row's homology over ``spec``, kept per row and d, a class at lattice
+    degree s of row t placed in degree ``shift + t + s - |Delta \\ B|``, or
+    at index u of a (constant) row with a span, read reversed, in
+    ``shift + t + u``.  A row is printed with ``zeros`` zero degrees after
+    its last, or before its first if read reversed.  A disagreement names
+    the table as ``what``, formatted with the subsets ``masks``."""
+    kept = _BUILT_TABLES if complexes_out is None else None  # a dump builds its rows
+    key = (rs.rank, B, None if span is None else mask_size(span), shift, zeros, center_rank,
+           spec.d)
+    if kept is not None and key in kept:
+        entries, dumps = kept[key]
+    else:
+        entries, dumps = _build_rows(rs, spec, B, span, shift, zeros, numbered, center_rank,
+                                     complexes_out)
+        if kept is not None:
+            kept[key] = entries, dumps
+    built = ExtTable(entries, COMPLEX_BUILT)
+    if not _ring_passes(rs.series, rs.rank, spec.d, spec.q):
+        built.outside_hypotheses = True
+    elif not built.same_modules(closed):
+        raise VerificationError(
+            f"{what.format(*map(mask_str, masks))}: complex-built table disagrees with the "
+            "closed form",
+            {"closed": closed.to_json_dict(), "built": built.to_json_dict(), "rows": dumps})
+    return built
+
+
+def _build_rows(rs: RootSystem, spec: RingSpec, B: int, span: int | None, shift: int,
+                zeros: int, numbered: bool, center_rank: int,
+                complexes_out: list | None) -> tuple[dict[int, ModulePiece], list]:
+    """The entries of a built table and the homology of its rows, after the
+    caps; see :func:`_built_table`."""
     m = rs.rank - mask_size(B)
     if span is None:
         last, top, largest = m, m, max(comb(m, t) << m - t for t in range(m + 1))
@@ -329,6 +409,12 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     if largest > LATTICE_CAP:
         raise ResourceLimitError(f"a row over {mask_str(B)} in rank {rs.rank} would hold "
                                  f"{largest} basis vectors, over the cap of {LATTICE_CAP}")
+    if complexes_out is not None:
+        dense = _dense_entries(m, last, None if span is None else last)
+        if dense > DUMP_CAP:
+            raise ResourceLimitError(f"a dump of the rows over {mask_str(B)} in rank {rs.rank} "
+                                     f"would print {dense} matrix entries, over the cap of "
+                                     f"{DUMP_CAP}")
     entries: dict[int, ModulePiece] = {}
     dumps = []
     for t in range(last + 1):
@@ -357,14 +443,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
             complexes_out.append(row())
         if row_dump:
             dumps.append(row_dump)
-    built = tensor_with_exterior(ExtTable(entries, COMPLEX_BUILT), center_rank)
-    if not _ring_passes(rs, spec):
-        built.outside_hypotheses = True
-    elif not built.same_modules(closed):
-        raise VerificationError(
-            f"{what}: complex-built table disagrees with the closed form",
-            {"closed": closed.to_json_dict(), "built": built.to_json_dict(), "rows": dumps})
-    return built
+    return tensor_with_exterior(ExtTable(entries), center_rank).entries, dumps
 
 
 def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FORM,
@@ -379,7 +458,7 @@ def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FO
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    return _built_table(rs, spec, closed, f"cohomology_v(I={mask_str(I)})", I,
+    return _built_table(rs, spec, closed, "cohomology_v(I={})", I, masks=(I,),
                         numbered=False, complexes_out=complexes_out)
 
 
@@ -410,9 +489,8 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    return _built_table(rs, spec, closed,
-                        f"ext_v_to_induced(I={mask_str(I)}, J={mask_str(J)})", I | J, span=J,
-                        shift=mask_size(J & ~I), zeros=mask_size(J & ~I),
+    return _built_table(rs, spec, closed, "ext_v_to_induced(I={}, J={})", I | J,
+                        masks=(I, J), span=J, shift=mask_size(J & ~I), zeros=mask_size(J & ~I),
                         complexes_out=complexes_out)
 
 
@@ -434,8 +512,8 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
-    return _built_table(rs, spec, closed, f"ext_steinberg(I={mask_str(I)}, J={mask_str(J)})",
-                        K, shift=mask_size(J & ~I), zeros=mask_size(K & ~J),
+    return _built_table(rs, spec, closed, "ext_steinberg(I={}, J={})", K, masks=(I, J),
+                        shift=mask_size(J & ~I), zeros=mask_size(K & ~J),
                         center_rank=center_rank, complexes_out=complexes_out)
 
 

@@ -1,0 +1,185 @@
+"""The double-coset strata of every pair, checked per descent class, for
+``verify``.
+
+``verify --strata on`` prints two lines per pair and needs no
+representative to print them.  So each pair of an ``--all-pairs`` sweep is
+checked against data taken once per group (:class:`DescentClasses`,
+``WeylGroup.classes``), per ring and per J, instead of through the
+representatives of :func:`~steinberg_ext.weyl.kostant_reps`; a pair that
+fails a check is rerun through them, so that it raises what the
+per-representative path raises.  A single pair, which would pay the whole
+pass over the group for its few representatives, ``dcosets`` and
+``ext-induced --method strata``, which print or return each representative,
+keep that path.  Only ``verify`` imports this module, so no other command
+compiles it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import reduce
+from itertools import chain, compress
+from operator import or_
+
+from .extengine import (
+    STRATA,
+    ExtTable,
+    _delta_candidates,
+    _unit_value,
+    empty_table,
+    ext_induced_closed,
+    ext_induced_via_strata,
+    exterior_table,
+)
+from .ringcond import RingSpec
+from .rootdata import RootSystem, full_mask, mask_indices, mask_size, support_mask
+from .weyl import (
+    WeylGroup,
+    _identity_images,
+    _is_negative,
+    _reader,
+    levi_difference_sum,
+    parabolic_order,
+)
+
+
+class DescentClasses:
+    """A group's elements sorted into the classes that decide its double
+    cosets, in one pass, for checks that pay per class and not per
+    representative.
+
+    - ``classes``: elements counted by descent mask and simple-image map
+      (entry b is 1 << i when w(alpha_b) = alpha_i, else 0).
+    - ``exponents``: by descent mask, the distinct tuples (gamma_b for the
+      right descents b of w, read off the images) of its non-identity
+      elements; a stratum's certificate reads exactly these (see
+      ``extengine.vanishing_certificate``).  The inversion sums gamma are
+      kept on the group, as ``kostant_reps`` keeps them.
+    - ``suspects``: (mask, b, support) for each element and b where
+      w(alpha_b) is negative outside the right mask (support 0), or a
+      non-simple positive root whose support misses the left mask.  In a
+      genuine group there are none: a representative w of (I, J) with
+      w(alpha_j) in Phi_I has w(alpha_j) simple (Kilmoyer), so such a root's
+      support meets a left descent of w.
+    - ``identity_alone``: the identity is the one element of length 0, with
+      mask 0.
+    - ``uncertified``: by ring (d, q), the masks of the buckets holding an
+      element with no certificate; filled by the caller that has the ring.
+    """
+
+    def __init__(self, rs: RootSystem, group: WeylGroup) -> None:
+        rank, n = rs.rank, rs.num_positive
+        self.order = parabolic_order(rs, full_mask(rank))
+        self.size = len(group)
+        self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rank))
+        # tables read at a signed image, a negative one from the end
+        simple_bit = [0] * (2 * n + 1)
+        simple_bit[1:rank + 1] = (1 << i for i in range(rank))
+        support_of = [0] * (2 * n + 1)
+        support_of[rank + 1:n + 1] = map(support_mask, rs.positive_roots[rank:])
+        misses_left = [[bool(support) and not support & left for support in support_of]
+                       for left in range(1 << rank)]
+        right_bits = tuple(1 << b for b in range(rank))
+        classes: Counter = Counter()
+        exponents: dict[int, set[tuple[int, ...]]] = {}
+        suspects = []
+        identities = []
+        for position, (mask, (images, length)) in enumerate(zip(group.masks, group.records())):
+            simple = images[:rank]
+            classes[mask, tuple(map(simple_bit.__getitem__, simple))] += 1
+            gamma = group.inversion_sum(position, images)
+            descents = list(map(_is_negative, simple))
+            if length == 0:
+                identities.append((images, mask))
+            else:
+                exponents.setdefault(mask, set()).add(tuple(compress(gamma, descents)))
+            stray = sum(compress(right_bits, descents)) & ~mask
+            if stray or any(map(misses_left[mask >> 8].__getitem__, simple)):
+                suspects.extend((mask, b, 0) for b in mask_indices(stray))
+                suspects.extend((mask, b, support_of[s]) for b, s in enumerate(simple)
+                                if misses_left[mask >> 8][s])
+        self.classes = classes
+        self.exponents = exponents
+        self.suspects = tuple(suspects)
+        self.identity_alone = identities == [(_identity_images(n), 0)]
+        self.uncertified: dict[tuple[int, int], frozenset[int]] = {}
+        self._counts: dict[int, dict[tuple[int, int], int]] = {}
+
+    def counts(self, J: int) -> dict[tuple[int, int], int]:
+        """The elements whose right mask misses J, counted by (left mask,
+        S_J(w)), where S_J(w) is the set of simple roots w carries some
+        alpha_j (j in J) onto; kept per J."""
+        counts = self._counts.get(J)
+        if counts is None:
+            counts = self._counts[J] = {}
+            read = _reader(mask_indices(J)) if J else lambda bits: ()
+            for (mask, bits), count in self.classes.items():
+                if not mask & J:
+                    key = (mask >> 8, reduce(or_, read(bits), 0))
+                    counts[key] = counts.get(key, 0) + count
+        return counts
+
+    def covers(self, I: int, J: int) -> bool:
+        """Whether the (W_I, W_J) double cosets partition the group, as
+        ``kostant_reps`` checks it: the group has |W| elements, no
+        representative fails the Levi guard of ``intersect_levi``, and
+        Kilmoyer's sizes |W_I||W_J|/|W_{I n S_J(w)}| add up to |W|."""
+        forbidden = I << 8 | J
+        if self.size != self.order or any(
+                J >> b & 1 and not mask & forbidden and not support & ~I
+                for mask, b, support in self.suspects):
+            return False
+        orders = self.orders
+        outer = orders[I] * orders[J]
+        return self.order == sum(count * (outer // orders[levi & I])
+                                 for (left, levi), count in self.counts(J).items()
+                                 if not left & I)
+
+
+def _uncertified(spec: RingSpec, classes: DescentClasses) -> frozenset[int]:
+    """Masks of the buckets holding a non-identity element none of whose
+    right descents b has a unit q^gamma_b - 1, kept per group and ring."""
+    key = (spec.d, spec.q)
+    if key not in classes.uncertified:
+        exponents = set(chain.from_iterable(chain.from_iterable(classes.exponents.values())))
+        unit = {e: _unit_value(spec, e)[1] for e in exponents}
+        classes.uncertified[key] = frozenset(
+            mask for mask, gammas in classes.exponents.items()
+            if not all(any(map(unit.__getitem__, g)) for g in gammas))
+    return classes.uncertified[key]
+
+
+def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup, *,
+                  by_class: bool = True) -> tuple[ExtTable, bool]:
+    """The table of :func:`ext_induced_via_strata`, and whether every
+    stratum's certificate is where the theorem puts it (none on the identity
+    with J inside I alone), checked, when ``by_class``, per descent class of
+    ``group`` instead of per representative:
+
+    - the double cosets partition the group (:meth:`DescentClasses.covers`);
+    - no bucket the pair reads holds an element without a gamma
+      certificate;
+    - the identity has a delta certificate when J is not inside I;
+    - the table (the identity's exterior algebra when J is inside I, zero
+      otherwise) equals the closed form.
+
+    A pair failing any of them, or checked per representative, goes through
+    its representatives, which raise what :func:`ext_induced_via_strata`
+    raises."""
+    survives = not J & ~I
+    if by_class:
+        classes = group.classes
+        forbidden = I << 8 | J
+        table = (exterior_table(rs.rank - mask_size(J), provenance=STRATA) if survives
+                 else empty_table(STRATA))
+        if (classes.identity_alone and classes.covers(I, J)
+                and not any(not mask & forbidden for mask in _uncertified(spec, classes))
+                and (survives or any(
+                    _unit_value(spec, e)[1] for _, e in
+                    _delta_candidates(rs, I, J, levi_difference_sum(rs, J, J & I))))
+                and table.same_modules(ext_induced_closed(rs, I, J, spec))):
+            return table, True
+    certified: list = []
+    table = ext_induced_via_strata(rs, I, J, spec, group, certificates_out=certified)
+    return table, all((cert is None) == (rep.w.is_identity and survives)
+                      for rep, cert in certified)

@@ -14,12 +14,12 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContractError, ResourceLimitError
 from .rootdata import (
@@ -31,6 +31,9 @@ from .rootdata import (
     validate_mask,
     zero_coords,
 )
+
+if TYPE_CHECKING:
+    from .strata import DescentClasses
 
 DEFAULT_WEYL_CAP = 1 << 20
 
@@ -176,6 +179,13 @@ def _root_sum(rs: RootSystem, indices) -> Coords:
                               *(rs.positive_roots[k] for k in indices))))
 
 
+def levi_difference_sum(rs: RootSystem, J: int, L: int) -> Coords:
+    """Sum of the positive roots of the J-Levi outside the L-Levi: the delta
+    exponent vector of a representative that carries the simple roots of
+    ``L`` (a subset of J) into I and no other simple root of J."""
+    return _root_sum(rs, levi_root_indices(rs, J) - levi_root_indices(rs, L))
+
+
 def _gamma(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
            phi_j: frozenset[int]) -> Coords:
     return _root_sum(rs, [k for k, s in enumerate(images)
@@ -235,7 +245,8 @@ _is_negative = (0).__gt__
 
 def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
     """Sum of the inversion set N(w) = {alpha > 0 : w(alpha) < 0}."""
-    return _root_sum(rs, compress(range(rs.num_positive), map(_is_negative, images)))
+    return tuple(map(sum, zip(zero_coords(rs.rank),
+                              *compress(rs.positive_roots, map(_is_negative, images)))))
 
 
 def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
@@ -262,6 +273,7 @@ class WeylGroup(Sequence):
 
     def __init__(self, rs: RootSystem, elements: Sequence[WeylElement | None],
                  masks: array | None = None, records: array | None = None) -> None:
+        self.rs = rs
         self._elements = elements
         self._records = records
         self._width = rs.num_positive + 1
@@ -275,6 +287,30 @@ class WeylGroup(Sequence):
         for position, mask in enumerate(self.masks):
             buckets.setdefault(mask, []).append(position)
         return buckets
+
+    @cached_property
+    def classes(self) -> DescentClasses:
+        """The descent classes a ``verify --all-pairs`` sweep reads in place of
+        representatives."""
+        from .strata import DescentClasses  # only verify compiles it
+        return DescentClasses(self.rs, self)
+
+    def inversion_sum(self, position: int, images: SignedImages) -> Coords:
+        """The inversion sum of the element at ``position``, whose signed
+        images are ``images``: summed on first use and kept."""
+        gamma = self.inversion_sums.get(position)
+        if gamma is None:
+            gamma = self.inversion_sums[position] = _inversion_sum(self.rs, images)
+        return gamma
+
+    def records(self) -> Iterator[tuple[SignedImages, int]]:
+        """(signed images, length) of every element, in group order, read
+        from the cache records without decoding or keeping an element."""
+        if self._records is None:
+            return iter(self._elements)
+        records, width = self._records, self._width
+        return ((tuple(records[start + 1:start + width]), records[start])
+                for start in range(0, len(records), width))
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -329,12 +365,10 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
-    inversion_sums = group.inversion_sums
     forbidden = I << 8 | J
     positions = sorted(chain.from_iterable(
         bucket for mask, bucket in group.buckets.items() if not mask & forbidden))
     phi_i = levi_root_indices(rs, I)
-    phi_j = levi_root_indices(rs, J)
     simple_j = mask_indices(J)
     outer = parabolic_order(rs, I) * parabolic_order(rs, J)
     coset_size: dict[int, int] = {}  # |W_I||W_J|/|W_levi|, by levi
@@ -349,13 +383,10 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
             coset_size[levi] = outer // parabolic_order(rs, levi)
         covered += coset_size[levi]
         if source not in delta_of:
-            delta_of[source] = _root_sum(rs, phi_j - levi_root_indices(rs, source))
-        gamma = inversion_sums.get(position)
-        if gamma is None:
-            gamma = inversion_sums[position] = _inversion_sum(rs, images)
+            delta_of[source] = levi_difference_sum(rs, J, source)
         reps.append(DoubleCosetRep(
             w=w, I=I, J=J, length=w.length,
-            gamma_exp=gamma,
+            gamma_exp=group.inversion_sum(position, images),
             delta_exp=delta_of[source],
             levi=levi,
         ))

@@ -10,8 +10,14 @@ def fresh_caches(monkeypatch):
     swaps in stand-ins: the rows' homology over Z and over each ring (the
     process's own dicts come back afterwards), and the Weyl groups generated
     or loaded so far, so that the next query generates its group or reads it
-    from disk."""
+    from disk.  The groups made during the test are dropped afterwards: they
+    keep what they read under the test's stand-ins (inversion sums, the
+    buckets each ring certifies)."""
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     monkeypatch.setattr(homology, "_RING_ROW_HOMOLOGY", {})
-    weyl.generate_weyl.cache_clear()
-    weyl.load_or_generate.cache_clear()
+    memos = (weyl.generate_weyl, weyl.load_or_generate)  # a test may patch the names
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,52 @@ def test_cli_import_leaves_multiprocessing_out():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_verify_compiles_the_class_checks():
+    """Every command is one process that imports (and, without bytecode,
+    compiles) the package: the per-class strata checks stay out of all
+    but ``verify``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys; from steinberg_ext.cli import parse_and_dispatch; "
+            "parse_and_dispatch(sys.argv[1:]); print('steinberg_ext.strata' in sys.modules)")
+    for argv, imported in ((("dcosets", "--type", "A2", "--I", "0", "--J", "1"), "False"),
+                           (("ext-induced", "--type", "A2", "--method", "strata"), "False"),
+                           (("verify", "--type", "A2", "--all-pairs"), "True")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == imported, argv
+
+
+def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeypatch,
+                                                                 fresh_caches):
+    """The descent classes cost a pass over the whole group, which a sweep
+    pays once for all its pairs and a single pair would pay for its few
+    representatives: a single pair goes through them, a sweep does not."""
+    import steinberg_ext.extengine as extengine
+    import steinberg_ext.strata as strata
+
+    passes, asked = [], []
+    classes_init, kostant = strata.DescentClasses.__init__, extengine.kostant_reps
+
+    def counting_init(self, rs, group):
+        passes.append(rs.rank)
+        classes_init(self, rs, group)
+
+    def counting_kostant(rs, I, J, *rest):
+        asked.append((I, J))
+        return kostant(rs, I, J, *rest)
+
+    monkeypatch.setattr(strata.DescentClasses, "__init__", counting_init)
+    monkeypatch.setattr(extengine, "kostant_reps", counting_kostant)
+    base = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--strata", "on")
+    code, out, _ = run_cli(capsys, *base, "--I", "0", "--J", "1,2")
+    assert code == 0 and "PASS certificates I={0} J={1,2}" in out
+    assert (passes, asked) == ([], [(0b001, 0b110)])
+    assert run_cli(capsys, *base, "--all-pairs")[0] == 0
+    assert (passes, asked) == ([3], [(0b001, 0b110)])
 
 
 def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch,
@@ -558,6 +605,42 @@ def test_rows_on_a_small_lattice_are_answered(capsys):
                      "--method", "complex_built", "--dump-complex")
 
 
+def test_a_dump_over_the_cap_is_refused_before_any_row(capsys, monkeypatch):
+    """E7 ext-vi over I = J = {} would print 10,306,296 dense entries (31 MB);
+    the cap is checked from the ranks alone, before any row is built."""
+    import steinberg_ext.extengine as extengine
+    import steinberg_ext.homology as homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(homology, "exterior_row_complex", refuse)
+    monkeypatch.setattr(extengine, "exterior_row_complex", refuse)
+    _refused_quickly(capsys, "ext-vi", "--type", "E7", "--I", "", "--J", "", "--method",
+                     "complex_built", "--dump-complex")
+    assert extengine._dense_entries(7, 7, 7) == 10306296 > extengine.DUMP_CAP
+
+
+def test_the_dump_bound_counts_the_printed_entries(capsys, monkeypatch):
+    import steinberg_ext.extengine as extengine
+
+    counted = []
+    dense_entries = extengine._dense_entries
+
+    def counting(*args):
+        counted.append(dense_entries(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(extengine, "_dense_entries", counting)
+    for name in DUMP_CASES:
+        argv, expected = _golden(name)
+        counted.clear()
+        assert run_cli(capsys, *argv)[:2] == (0, expected), name
+        printed = sum(len(d) for c in json.loads(expected)["complexes"]
+                      for d in c["differentials"])
+        assert counted == [printed], name
+
+
 def _no_enumeration(*args, **kwargs):
     raise AssertionError("a Weyl group was enumerated")
 
@@ -628,3 +711,112 @@ def test_each_group_scans_its_descent_masks_once(tmp_path, capsys, monkeypatch, 
     weyl.load_or_generate.cache_clear()
     code, warm, _ = run_cli(capsys, *argv)
     assert (code, warm) == (0, cold) and len(scans) == 1
+
+
+# ---------------------------------------------------------------------------
+# verify pays per class and per distinct table
+
+# sha256 of the stdout of verify --all-pairs, pinned from the per-representative
+# and per-pair implementation
+PINNED_SWEEPS = {
+    ("D4", "q=3,d=1009", "on"): "3929917d6680ed91b831bff5ab032e5d89174854df8f38863139ab72814e88aa",
+    ("B4", "q=3,d=1009", "on"): "f78312b99bfed4a1ead59dfd41085383843bf821102b4d65c380d5ad096574a0",
+    ("A5", "Q", "off"): "97fceb9ef26f3240b09190febad0ae9a395f6e7a81f70a2fee187a65b7ff897e",
+    ("B5", "Q", "off"): "e7b1985209f1da6ef2f9ebf559e7db48185fbef49912c6096d4460b0f2c474d7",
+}
+
+
+def test_verify_sweep_bytes_are_pinned(capsys):
+    import hashlib
+
+    for (name, ring, strata), digest in PINNED_SWEEPS.items():
+        args = ("verify", "--type", name, "--ring", ring, "--all-pairs", "--strata", strata)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
+        if name == "D4":
+            assert run_cli(capsys, *args, "--parallel", "2")[:2] == (0, out)
+
+
+def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):
+    import steinberg_ext.extengine as eng
+    from steinberg_ext.errors import ContractError, VerificationError
+    from steinberg_ext.ringcond import RingSpec
+    from steinberg_ext.rootdata import build_root_system
+
+    assert run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--all-pairs")[0] == 0
+    assert eng._BUILT_TABLES is None
+    honest = eng.total_degree
+    monkeypatch.setattr(eng, "total_degree", lambda *args: honest(*args) + 1)
+    with pytest.raises(VerificationError):
+        eng.ext_steinberg(build_root_system("A", 2), 0b01, 0b10, RingSpec(0, 2),
+                          eng.COMPLEX_BUILT)
+    monkeypatch.setattr(eng, "total_degree", honest)
+
+    def broken(rs, I):
+        raise ContractError("stand-in failure")
+
+    import steinberg_ext.cli as cli
+
+    monkeypatch.setattr(cli, "cohomology_rows_exact", broken)
+    code, out, err = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--all-pairs")
+    assert (code, out) == (1, "") and "stand-in failure" in err
+    assert eng._BUILT_TABLES is None  # dropped on error too
+
+
+def test_verify_builds_each_distinct_table_once(capsys, monkeypatch):
+    """A5 over Q: 1,024 pairs ask for 2,048 built tables and 64 cohomology
+    tables, but an ext table depends only on (K, |J \\ I|, |K \\ J|), an
+    ext-vi table on (I u J, |J|, |J \\ I|), and a cohomology table is the
+    ext table of K = I with no shift."""
+    import steinberg_ext.extengine as eng
+
+    built = []
+    build_rows = eng._build_rows
+
+    def counting(rs, spec, B, span, shift, zeros, *rest):
+        built.append(("ext", B, shift, zeros) if span is None
+                     else ("ext-vi", B, span.bit_count(), shift))
+        return build_rows(rs, spec, B, span, shift, zeros, *rest)
+
+    monkeypatch.setattr(eng, "_build_rows", counting)
+    code, _, _ = run_cli(capsys, "verify", "--type", "A5", "--ring", "Q", "--all-pairs",
+                         "--strata", "off")
+    assert code == 0
+    full, size = 0b11111, int.bit_count
+    ext = {("ext", (full & ~I) | J, size(J & ~I), size(full & ~(I | J)))
+           for I in range(32) for J in range(32)}
+    vi = {("ext-vi", I | J, size(J), size(J & ~I)) for I in range(32) for J in range(32)}
+    cohomology = {("ext", I, 0, 0) for I in range(32)}
+    assert len(ext) == len(vi) == 272 and cohomology <= ext
+    assert len(built) == len(set(built)) == len(ext | vi) == 544
+
+
+def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, monkeypatch,
+                                                                       fresh_caches):
+    """A stand-in ring on which q^e - 1 is no unit for one exponent e that
+    is the only one at the right descents of exactly one element of W(B3):
+    the class path reruns the first pair that reads its bucket through the
+    representatives, so exit code and stderr are those of the per-rep path."""
+    import steinberg_ext.extengine as eng
+    from steinberg_ext.rootdata import build_root_system
+    from steinberg_ext.strata import DescentClasses
+    from steinberg_ext.weyl import _inversion_sum, generate_weyl
+
+    rs = build_root_system("B", 3)
+    only = Counter()
+    for w in generate_weyl(rs)[1:]:
+        gamma = _inversion_sum(rs, w.signed_images)
+        exponents = {gamma[b] for b in range(rs.rank) if w.signed_images[b] < 0}
+        if len(exponents) == 1:
+            only[exponents.pop()] += 1
+    e = min(e for e, count in only.items() if count == 1)
+    is_unit = eng.is_unit
+    monkeypatch.setattr(eng, "is_unit",
+                        lambda value, spec: value != (3 ** e - 1) % 1009 and is_unit(value, spec))
+    monkeypatch.setattr(eng, "_UNIT_VALUES", {})
+    argv = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
+    by_class = run_cli(capsys, *argv)
+    monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
+    by_rep = run_cli(capsys, *argv)
+    assert by_class == by_rep
+    assert by_class[:2] == (3, "") and "has no unit" in by_class[2]

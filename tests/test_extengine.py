@@ -1,6 +1,10 @@
+import random
+from array import array
+from collections import Counter
+
 import pytest
 
-from steinberg_ext.errors import ContractError, RingAssumptionError
+from steinberg_ext.errors import ContractError, RingAssumptionError, VerificationError
 from steinberg_ext.extengine import (
     CLOSED_FORM,
     COMPLEX_BUILT,
@@ -26,8 +30,10 @@ from steinberg_ext.extengine import (
 from steinberg_ext.homology import HomologyResult
 from steinberg_ext.ringcond import RingSpec, check_ring
 from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
+from steinberg_ext.strata import verify_strata
 from steinberg_ext.weyl import (
     DoubleCosetRep,
+    WeylGroup,
     delta_exponents,
     gamma_exponents,
     generate_weyl,
@@ -167,6 +173,154 @@ def test_strata_failure_scope_over_z5():
     assert blocked == 103
 
 
+class _RerunThroughTheReps(Exception):
+    pass
+
+
+def _class_verdicts(monkeypatch, rs, group, pairs):
+    """Per pair and ring, whether :func:`verify_strata` answers from the
+    descent classes alone, against whether every representative is
+    certified; the Levi of each representative against the class counts."""
+    import steinberg_ext.strata as strata
+
+    def rerun(*args, **kwargs):
+        raise _RerunThroughTheReps
+
+    monkeypatch.setattr(strata, "ext_induced_via_strata", rerun)
+    classes = group.classes
+    for I, J in pairs:
+        reps = kostant_reps(rs, I, J, group)
+        levis = Counter()
+        for (left, image), count in classes.counts(J).items():
+            if not left & I:
+                levis[image & I] += count
+        assert levis == Counter(rep.levi for rep in reps), (I, J)
+        assert classes.covers(I, J), (I, J)
+        for spec in (RingSpec(1009, 3), Z5):
+            try:
+                for rep in reps:
+                    vanishing_certificate(rs, rep, spec)
+                every_rep_certified = True
+            except RingAssumptionError:
+                every_rep_certified = False
+            try:
+                got, certified = verify_strata(rs, I, J, spec, group)
+            except _RerunThroughTheReps:
+                assert not every_rep_certified, (I, J, spec)
+                continue
+            assert every_rep_certified and certified, (I, J, spec)
+            assert got.same_modules(ext_induced_closed(rs, I, J, spec))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
+                                  "C4", "C5", "D4", "D5", "F4", "G2"])
+def test_descent_classes_match_the_representatives(name, monkeypatch):
+    """Every pair of every type of rank <= 5, over a ring that certifies
+    every stratum and one (Z/5, q = 3) that does not."""
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
+    _class_verdicts(monkeypatch, rs, generate_weyl(rs), pairs)
+
+
+def test_descent_classes_match_the_representatives_e6(monkeypatch):
+    rs = build_root_system("E", 6)
+    rng = random.Random(6)
+    pairs = [(rng.getrandbits(6), rng.getrandbits(6)) for _ in range(12)]
+    _class_verdicts(monkeypatch, rs, generate_weyl(rs), pairs + [(0, 0), (0b111111, 0)])
+
+
+def test_a_corrupted_group_fails_the_class_path_too():
+    """The corrupted groups of ``test_partition_check_catches_a_corrupted_group``."""
+    rs = build_root_system("B", 3)
+    flat = generate_weyl(rs)[:]
+    dropped = [flat[1:], flat[:-1], flat[:20] + flat[21:]]
+    duplicated = [flat[:1] + flat, flat[:20] + flat[19:], flat + flat[-1:]]
+    swapped = [flat[1:] + flat[-1:], flat[:1] + flat[:-1]]
+    pairs = [(0, 0), (0b011, 0b110), (0b111, 0b111)]
+    for elements, tried in [(e, pairs) for e in dropped + duplicated] + \
+            [(e, pairs[1:]) for e in swapped]:
+        for I, J in tried:
+            group = WeylGroup(rs, elements)
+            assert not (group.classes.identity_alone and group.classes.covers(I, J))
+            with pytest.raises(ContractError, match="do not partition"):
+                verify_strata(rs, I, J, Z23, group)
+    # at (0, 0) every element is a representative, so the sizes of the group
+    # with the identity doubled add up; only the strata table tells
+    doubled = WeylGroup(rs, swapped[1])
+    assert doubled.classes.covers(0, 0) and not doubled.classes.identity_alone
+    with pytest.raises(VerificationError, match="strata path disagrees"):
+        verify_strata(rs, 0, 0, Z23, doubled)
+
+
+def _hide_one_rep(rs, group, w_at, I, J, masks):
+    """Hide from (I, J) a genuine representative, neither the identity nor
+    the element at ``w_at``, whose coset has |W_I||W_J| elements (Levi {}),
+    by giving it a descent in J on the right; whether there is one."""
+    for rep in kostant_reps(rs, I, J, group):
+        at = group.index(rep.w)
+        if rep.levi == 0 and at not in (0, w_at):
+            masks[at] |= J & -J
+            return True
+    return False
+
+
+@pytest.mark.parametrize("corruption", ["non-simple", "negative"])
+def test_the_levi_guard_is_kept_by_the_class_path(corruption):
+    """A3: an element w that is no representative of (I, J) reads as one
+    through its masks: it carries alpha_b (b in J) onto a non-simple root of
+    Phi_I with its left mask cleared, or onto a negative root with bit b of
+    its right mask cleared.  With a genuine representative of the same coset
+    size hidden, Kilmoyer's sum still comes to |W|: only the Levi guard of
+    intersect_levi tells, and the class path keeps it."""
+    from steinberg_ext.rootdata import support_mask
+
+    rs = build_root_system("A", 3)
+    group = generate_weyl(rs)
+    for p, w in enumerate(group):
+        masks = array("H", group.masks)
+        images = w.signed_images
+        if corruption == "non-simple":
+            b = next((b for b in range(rs.rank) if images[b] > rs.rank), None)
+            if b is None:
+                continue
+            I, J = support_mask(rs.positive_roots[images[b] - 1]), 1 << b
+            masks[p] &= ~(I << 8)
+            expected = "lies in the I-Levi but is not simple"
+        else:
+            b = next((b for b in range(rs.rank) if images[b] < 0), None)
+            I, J = 0, 1 << b if b is not None else 0
+            masks[p] &= ~J
+            expected = f"w\\(alpha_{b}\\) is negative"
+        if J and masks[p] != group.masks[p] and _hide_one_rep(rs, group, p, I, J, masks):
+            break
+    else:
+        raise AssertionError("no such element in A3")
+    corrupted = WeylGroup(rs, group[:], masks)
+    classes = corrupted.classes
+    orders = classes.orders
+    assert corrupted.classes.size == classes.order == sum(
+        count * orders[I] * orders[J] // orders[levi & I]
+        for (left, levi), count in classes.counts(J).items() if not left & I)
+    assert not classes.covers(I, J)
+    with pytest.raises(ContractError, match=expected):
+        verify_strata(rs, I, J, Z23, corrupted)
+
+
+def test_a_disagreement_names_the_table(monkeypatch):
+    import steinberg_ext.extengine as eng
+
+    honest = eng.total_degree
+    monkeypatch.setattr(eng, "total_degree", lambda *args: honest(*args) + 1)
+    a2 = build_root_system("A", 2)
+    for build, args, name in [(ext_steinberg, (0b01, 0b10), "ext_steinberg(I={0}, J={1})"),
+                              (ext_v_to_induced, (0b01, 0b10), "ext_v_to_induced(I={0}, J={1})"),
+                              (cohomology_v, (0b01,), "cohomology_v(I={0})")]:
+        with pytest.raises(VerificationError) as info:
+            build(a2, *args, Q, COMPLEX_BUILT)
+        assert str(info.value) == f"{name}: complex-built table disagrees with the closed form"
+
+
 def test_sweep_over_composite_conforming_modulus():
     # d = 77 = 7 * 11 passes the ring checks for A2 with q = 3; the whole
     # stack (UCT over a non-field, certificates, method agreement) must work
@@ -303,6 +457,18 @@ def test_degree_shift_mutation_is_caught(monkeypatch):
         eng.cohomology_v(a2, 0b01, Q, COMPLEX_BUILT)
     with pytest.raises(VerificationError):
         eng.ext_v_to_induced(a2, 0b01, 0b10, Q, COMPLEX_BUILT)
+
+
+def test_kept_tables_are_told_apart_by_the_center_rank():
+    import steinberg_ext.extengine as eng
+
+    a2 = build_root_system("A", 2)
+    with eng.built_tables_kept():
+        for c in (0, 1, 2, 0):
+            built = ext_steinberg(a2, 0b01, 0b10, Q, COMPLEX_BUILT, center_rank=c)
+            assert built.same_modules(ext_steinberg(a2, 0b01, 0b10, Q, CLOSED_FORM, c))
+        assert len(eng._BUILT_TABLES) == 3
+    assert eng._BUILT_TABLES is None
 
 
 def test_tensor_with_exterior():
