@@ -3,87 +3,116 @@
 Builds split reduced root systems, Weyl double cosets with their stratum
 characters, and integer subset-lattice complexes, then checks the closed-form
 Ext answers against Smith-normal-form homology over Q or Z/d.
+
+Every export, and every submodule, is imported on first access (PEP 562):
+importing the package compiles none of its modules, so a command compiles
+only the modules it runs.
 """
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    ResourceLimitError,
-    RingAssumptionError,
-    SteinbergExtError,
-    VerificationError,
-)
-from .extengine import (
-    ExtTable,
-    ModulePiece,
-    Orientation,
-    VanishingCertificate,
-    cohomology_v,
-    ext_cuspidal_line,
-    ext_induced_closed,
-    ext_induced_via_strata,
-    ext_steinberg,
-    ext_v_to_induced,
-    exterior_table,
-    induced_cohomology,
-    orientation_from_permutation,
-    orientation_from_subset,
-    steinberg_degree,
-    subset_from_orientation,
-    tensor_with_exterior,
-    trivial_cohomology,
-    vanishing_certificate,
-)
-from .homology import (
-    ChainComplex,
-    HomologyResult,
-    IntMatrix,
-    SmithForm,
-    exterior_row_complex,
-    homology_over_Z,
-    homology_with_coefficients,
-    reverse_transpose,
-    smith_divisors,
-    smith_normal_form,
-    subset_lattice_complex,
-)
-from .ringcond import (
-    ConditionReport,
-    RingSpec,
-    banal_proxy_check,
-    bon_check,
-    check_ring,
-    format_ring,
-    is_unit,
-    parse_ring,
-    weyl_degrees,
-)
-from .rootdata import (
-    RootSystem,
-    build_root_system,
-    cofundamental_pairing,
-    full_mask,
-    levi_positive_roots,
-    mask_from_indices,
-    mask_indices,
-    mask_size,
-    max_rho_coefficient,
-    parse_type,
-    rho_coefficients,
-    root_system_json,
-)
-from .weyl import (
-    DoubleCosetRep,
-    WeylElement,
-    WeylGroup,
-    delta_exponents,
-    gamma_exponents,
-    generate_weyl,
-    intersect_levi,
-    kostant_reps,
-    load_or_generate,
-    parabolic_order,
-    parabolic_subgroup,
-)
+from importlib import import_module
 
+# each exported name by the module that defines it
+_EXPORTS = {
+    "errors": (
+        "ConfigurationError",
+        "ContractError",
+        "ResourceLimitError",
+        "RingAssumptionError",
+        "SteinbergExtError",
+        "VerificationError",
+    ),
+    "tables": (
+        "ExtTable",
+        "ModulePiece",
+        "Orientation",
+        "ext_cuspidal_line",
+        "ext_induced_closed",
+        "exterior_table",
+        "induced_cohomology",
+        "orientation_from_permutation",
+        "orientation_from_subset",
+        "steinberg_degree",
+        "subset_from_orientation",
+        "tensor_with_exterior",
+        "trivial_cohomology",
+    ),
+    "extengine": (
+        "VanishingCertificate",
+        "cohomology_v",
+        "ext_induced_via_strata",
+        "ext_steinberg",
+        "ext_v_to_induced",
+        "vanishing_certificate",
+    ),
+    "homology": (
+        "ChainComplex",
+        "HomologyResult",
+        "IntMatrix",
+        "SmithForm",
+        "exterior_row_complex",
+        "homology_over_Z",
+        "homology_with_coefficients",
+        "reverse_transpose",
+        "smith_divisors",
+        "smith_normal_form",
+        "subset_lattice_complex",
+    ),
+    "ringcond": (
+        "ConditionReport",
+        "RingSpec",
+        "banal_proxy_check",
+        "bon_check",
+        "check_ring",
+        "format_ring",
+        "is_unit",
+        "parse_ring",
+        "weyl_degrees",
+    ),
+    "rootdata": (
+        "RootSystem",
+        "build_root_system",
+        "cofundamental_pairing",
+        "full_mask",
+        "levi_positive_roots",
+        "mask_from_indices",
+        "mask_indices",
+        "mask_size",
+        "max_rho_coefficient",
+        "parabolic_order",
+        "parse_type",
+        "rho_coefficients",
+        "root_system_json",
+    ),
+    "weyl": (
+        "DoubleCosetRep",
+        "WeylElement",
+        "WeylGroup",
+        "delta_exponents",
+        "gamma_exponents",
+        "generate_weyl",
+        "intersect_levi",
+        "kostant_reps",
+        "load_or_generate",
+        "parabolic_subgroup",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(("cli", "errors", "extengine", "homology", "ringcond", "rootdata",
+                         "strata", "tables", "weyl"))
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys() | _SUBMODULES)

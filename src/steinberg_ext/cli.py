@@ -12,7 +12,11 @@ import os
 import sys
 from functools import lru_cache
 from itertools import permutations
+from typing import TYPE_CHECKING
 
+# Each handler imports the modules it runs where it runs them: every command
+# is a process of its own, and compiles only those (check-ring compiles no
+# table module, and only the strata paths compile the Weyl group).
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -20,27 +24,11 @@ from .errors import (
     RingAssumptionError,
     VerificationError,
 )
-from .extengine import (
-    CLOSED_FORM,
-    COMPLEX_BUILT,
-    ExtTable,
-    built_tables_kept,
-    cohomology_rows_exact,
-    cohomology_v,
-    ext_cuspidal_line,
-    ext_induced_closed,
-    ext_induced_via_strata,
-    ext_steinberg,
-    ext_v_to_induced,
-    induced_cohomology,
-    orientation_from_permutation,
-    orientation_from_subset,
-    subset_from_orientation,
-    trivial_cohomology,
-    vanishing_certificate,
-)
 from .ringcond import RingSpec, check_ring, format_ring, parse_ring
 from .rootdata import (
+    CLOSED_FORM,
+    COMPLEX_BUILT,
+    STRATA,
     RootSystem,
     build_root_system,
     full_mask,
@@ -49,7 +37,9 @@ from .rootdata import (
     mask_str,
     parse_type,
 )
-from .weyl import kostant_reps, load_or_generate
+
+if TYPE_CHECKING:
+    from .tables import ExtTable
 
 CACHE_ENV = "STEINBERG_EXT_CACHE_DIR"
 
@@ -170,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ext-induced", help="Ext table between two induced modules")
     _add_common(p)
     _pair_args(p)
-    p.add_argument("--method", choices=(CLOSED_FORM, "strata", "both"), default=CLOSED_FORM)
+    p.add_argument("--method", choices=(CLOSED_FORM, STRATA, "both"), default=CLOSED_FORM)
 
     p = sub.add_parser("ext-vi", help="Ext table from a Steinberg-type module "
                                       "into an induced module")
@@ -226,6 +216,8 @@ def _cache_dir(args) -> str | None:
 
 
 def cmd_ext(args) -> int:
+    from .extengine import ext_steinberg
+
     rs, spec, I, J = _parse_query(args)
     dumps: list | None = [] if args.dump_complex else None
     # the built path checks itself against the closed form, so "both" builds
@@ -242,10 +234,17 @@ def cmd_ext_induced(args) -> int:
     rs, spec, I, J = _parse_query(args)
     cache_dir = _cache_dir(args)
     if args.method == CLOSED_FORM:
+        from .tables import ext_induced_closed
+
         if cache_dir is not None:  # a closed-form query can prepare the cache
+            from .weyl import load_or_generate
+
             load_or_generate(rs, cache_dir)
         table = ext_induced_closed(rs, I, J, spec)
     else:
+        from .extengine import ext_induced_via_strata
+        from .weyl import load_or_generate
+
         table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, cache_dir))
     query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
     emit_table(table, args.format, query, args.method)
@@ -253,6 +252,8 @@ def cmd_ext_induced(args) -> int:
 
 
 def cmd_ext_vi(args) -> int:
+    from .extengine import ext_v_to_induced
+
     rs, spec, I, J = _parse_query(args)
     dumps: list | None = [] if args.dump_complex else None
     method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
@@ -269,10 +270,16 @@ def cmd_cohomology(args) -> int:
         raise ConfigurationError("center rank must be non-negative")
     dumps: list | None = [] if args.dump_complex else None
     if args.object == "trivial":
+        from .tables import trivial_cohomology
+
         table = trivial_cohomology(rs, spec, args.center_rank)
     elif args.object == "induced":
+        from .tables import induced_cohomology
+
         table = induced_cohomology(rs, I, spec)
     else:
+        from .extengine import cohomology_v
+
         method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
         table = cohomology_v(rs, I, spec, method, complexes_out=dumps)
     query = _query_dict(rs, spec, I=_subset_list(I), object=args.object,
@@ -284,6 +291,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dcosets(args) -> int:
+    from .weyl import kostant_reps, load_or_generate
+
     rs, spec, I, J = _parse_query(args)
     elements = load_or_generate(rs, _cache_dir(args))
     reps = kostant_reps(rs, I, J, elements)
@@ -297,6 +306,8 @@ def cmd_dcosets(args) -> int:
             "surviving": rep.w.is_identity and not (J & ~I),
         }
         if spec is not None:
+            from .extengine import vanishing_certificate
+
             cert = vanishing_certificate(rs, rep, spec)
             entry["certificate"] = None if cert is None else {
                 "beta": cert.beta_index, "exponent": cert.exponent,
@@ -341,6 +352,9 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
     """Per-pair checks; returns sorted human-readable result lines.  The
     strata are checked per descent class when ``by_class``, else per
     representative."""
+    from .extengine import ext_steinberg, ext_v_to_induced
+    from .tables import ext_induced_closed, ext_steinberg_closed, ext_v_to_induced_closed
+
     rs = build_root_system(series, rank)
     spec = RingSpec(d, q)
     lines = []
@@ -351,16 +365,18 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
         suffix = f" ({detail})" if detail else ""
         lines.append(f"{state} {check} {pair}{suffix}")
 
-    for check, table_of in (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced)):
+    for check, closed_of, table_of in (("ext-methods", ext_steinberg_closed, ext_steinberg),
+                                       ("vi-methods", ext_v_to_induced_closed, ext_v_to_induced)):
         try:
-            built = table_of(rs, I, J, spec, COMPLEX_BUILT)
-            closed = table_of(rs, I, J, spec, CLOSED_FORM)
+            closed = closed_of(rs, I, J)  # once: the built path checks against it too
+            built = table_of(rs, I, J, spec, COMPLEX_BUILT, closed=closed)
             record(check, built.same_modules(closed) and not built.has_torsion())
         except VerificationError as e:
             record(check, False, str(e))
 
     if strata:
         from .strata import verify_strata  # only verify compiles it
+        from .weyl import load_or_generate
 
         # RingAssumptionError propagates: the caller turns it into exit 3
         table, certified = verify_strata(rs, I, J, spec, load_or_generate(rs, cache_dir),
@@ -371,6 +387,8 @@ def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
 
 
 def cmd_verify(args) -> int:
+    from .extengine import built_tables_kept, cohomology_rows_exact, cohomology_v
+
     if args.parallel < 1:
         raise ConfigurationError(f"--parallel needs at least one worker, got {args.parallel}")
     rs, spec, I, J = _parse_query(args, subsets=not args.all_pairs)
@@ -401,6 +419,8 @@ def cmd_verify(args) -> int:
         # loaded, with the descent classes a sweep reads, before any work, so
         # that a group over the cap is refused at once, and before any worker
         # starts: a forked worker inherits it
+        from .weyl import load_or_generate
+
         cache_dir = _cache_dir(args)
         group = load_or_generate(rs, cache_dir)
         if by_class:
@@ -446,6 +466,9 @@ def _verify_pair_task_star(task) -> list[str]:
 
 
 def cmd_zelevinsky(args) -> int:
+    from .tables import (ext_cuspidal_line, orientation_from_permutation,
+                         orientation_from_subset, subset_from_orientation)
+
     k = args.k
     if k < 2:
         raise ConfigurationError("need k >= 2 segment vertices")

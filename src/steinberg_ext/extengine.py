@@ -1,9 +1,12 @@
 """Ext tables for generalized Steinberg representations, two ways.
 
-Every answer is exposed both as the closed form and as the homology of an
-independently constructed subset-lattice complex; the complex-built path
-asserts agreement with the closed form whenever the coefficient ring passes
-the bon / banal checks, and labels its output "outside hypotheses" otherwise.
+Every answer is exposed both as the closed form of
+:mod:`~steinberg_ext.tables` and as the homology of an independently
+constructed subset-lattice complex; the complex-built path asserts agreement
+with the closed form whenever the coefficient ring passes the bon / banal
+checks, and labels its output "outside hypotheses" otherwise.  The strata
+path, the one that reads a Weyl group, imports :mod:`~steinberg_ext.weyl`
+when it runs, so the other commands never compile it.
 
 Every complex-built table stacks rows t of one builder over one subset B,
 :func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
@@ -30,10 +33,9 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (ConfigurationError, ContractError, ResourceLimitError, RingAssumptionError,
-                     VerificationError)
+from .errors import ContractError, ResourceLimitError, RingAssumptionError, VerificationError
 from .homology import (
     LATTICE_CAP,
     complex_to_json_dict,
@@ -44,6 +46,9 @@ from .homology import (
 )
 from .ringcond import RingSpec, check_ring, format_ring, is_unit
 from .rootdata import (
+    CLOSED_FORM,
+    COMPLEX_BUILT,
+    STRATA,
     RootSystem,
     build_root_system,
     full_mask,
@@ -51,90 +56,31 @@ from .rootdata import (
     mask_str,
     validate_mask,
 )
-from .weyl import DoubleCosetRep, kostant_reps
+from .tables import (
+    ExtTable,
+    ModulePiece,
+    _merge,
+    ext_induced_closed,
+    ext_steinberg_closed,
+    ext_v_to_induced_closed,
+    exterior_table,
+    tensor_with_exterior,
+)
+# the closed forms and orientations callers have always imported from here
+from .tables import (
+    Orientation,
+    empty_table,
+    ext_cuspidal_line,
+    induced_cohomology,
+    orientation_from_permutation,
+    orientation_from_subset,
+    steinberg_degree,
+    subset_from_orientation,
+    trivial_cohomology,
+)
 
-CLOSED_FORM = "closed_form"
-COMPLEX_BUILT = "complex_built"
-STRATA = "strata"
-
-
-# ---------------------------------------------------------------------------
-# tables
-
-
-class ModulePiece(NamedTuple):
-    rank: int
-    torsion: tuple[int, ...] = ()
-
-    def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-
-class ExtTable:
-    """Degree-indexed module descriptions; an absent degree is the zero
-    module.  Only ``entries`` takes part in equality of answers
-    (:meth:`same_modules`); ``==`` compares all three fields."""
-
-    def __init__(self, entries: dict[int, ModulePiece], provenance: str = CLOSED_FORM,
-                 outside_hypotheses: bool = False) -> None:
-        self.entries = entries
-        self.provenance = provenance
-        self.outside_hypotheses = outside_hypotheses
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.entries, self.provenance, self.outside_hypotheses)
-                == (other.entries, other.provenance, other.outside_hypotheses))
-
-    def __repr__(self) -> str:
-        return (f"ExtTable(entries={self.entries!r}, provenance={self.provenance!r}, "
-                f"outside_hypotheses={self.outside_hypotheses!r})")
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
-    def same_modules(self, other: "ExtTable") -> bool:
-        return self.entries == other.entries or self._normal() == other._normal()
-
-    def _normal(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        return {d: (p.rank, tuple(sorted(p.torsion)))
-                for d, p in self.entries.items() if not p.is_zero()}
-
-    def has_torsion(self) -> bool:
-        return any(p.torsion for p in self.entries.values())
-
-    def to_json_dict(self) -> dict:
-        return {str(d): {"rank": p.rank, "torsion": sorted(p.torsion)}
-                for d, p in sorted(self.entries.items()) if not p.is_zero()}
-
-
-def _merge(target: dict[int, ModulePiece], degree: int, rank: int,
-           torsion: tuple[int, ...] = ()) -> None:
-    old = target.get(degree, ModulePiece(0))
-    target[degree] = ModulePiece(old.rank + rank, tuple(sorted(old.torsion + torsion)))
-
-
-def exterior_table(n: int, shift: int = 0, provenance: str = CLOSED_FORM) -> ExtTable:
-    """Binomial table of an n-dimensional exterior algebra, shifted upward."""
-    return ExtTable({shift + j: ModulePiece(comb(n, j)) for j in range(n + 1)}, provenance)
-
-
-def empty_table(provenance: str = CLOSED_FORM) -> ExtTable:
-    return ExtTable({}, provenance)
-
-
-def tensor_with_exterior(table: ExtTable, c: int) -> ExtTable:
-    """Tensor a table with the binomial exterior algebra of a rank-c center;
-    free or cyclic, every summand is replicated with binomial multiplicity."""
-    if c == 0:
-        return table
-    out: dict[int, ModulePiece] = {}
-    for degree, piece in table.entries.items():
-        for j in range(c + 1):
-            mult = comb(c, j)
-            _merge(out, degree + j, piece.rank * mult, piece.torsion * mult)
-    return ExtTable(out, table.provenance, table.outside_hypotheses)
+if TYPE_CHECKING:
+    from .weyl import DoubleCosetRep
 
 
 # ---------------------------------------------------------------------------
@@ -150,49 +96,6 @@ def total_degree(inner: int, lattice_s: int, lattice_top: int, slot: str) -> int
     if slot == COVARIANT:
         return inner + lattice_s - lattice_top
     raise ContractError(f"unknown resolution slot {slot!r}")
-
-
-def steinberg_degree(rs: RootSystem, I: int, J: int) -> tuple[int, int]:
-    """The nonvanishing degree ``|I u J| - |I n J|`` and the reduction subset
-    ``K = (Delta \\ I) u J``; the degree chain through K is asserted to close.
-    """
-    delta = full_mask(rs.rank)
-    K = (delta & ~I) | J
-    i0 = mask_size(I | J) - mask_size(I & J)
-    chain = (mask_size(delta & ~K) + mask_size(delta & ~I)
-             + mask_size(J) - mask_size(K))
-    if chain != i0:
-        raise ContractError(
-            f"degree chain {chain} != |IuJ| - |InJ| = {i0} for I={mask_str(I)} J={mask_str(J)}")
-    return i0, K
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-
-def trivial_cohomology(rs: RootSystem, spec: RingSpec, center_rank: int) -> ExtTable:
-    """Cohomology of the trivial representation: the exterior algebra of the
-    rank of the center (one degree-0 line in the semisimple case)."""
-    if center_rank < 0:
-        raise ConfigurationError("center rank must be non-negative")
-    return exterior_table(center_rank)
-
-
-def induced_cohomology(rs: RootSystem, I: int, spec: RingSpec) -> ExtTable:
-    """Cohomology of the induced module of the standard parabolic P_I."""
-    validate_mask(I, rs.rank)
-    return exterior_table(rs.rank - mask_size(I))
-
-
-def ext_induced_closed(rs: RootSystem, I: int, J: int, spec: RingSpec) -> ExtTable:
-    """Ext between induced modules: the exterior algebra of the J-complement
-    when J is contained in I, zero otherwise."""
-    validate_mask(I, rs.rank)
-    validate_mask(J, rs.rank)
-    if J & ~I:
-        return empty_table()
-    return exterior_table(rs.rank - mask_size(J))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +197,8 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
     lone uncertified one contributes the closed-form exterior algebra.
     ``certificates_out`` receives a (representative, certificate) pair per
     stratum."""
+    from .weyl import kostant_reps  # only the strata paths compile it
+
     out: dict[int, ModulePiece] = {}
     for rep in kostant_reps(rs, I, J, elements):
         cert = vanishing_certificate(rs, rep, spec)
@@ -470,21 +375,17 @@ def cohomology_rows_exact(rs: RootSystem, I: int) -> bool:
 
 
 def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                     method: str = CLOSED_FORM,
-                     complexes_out: list | None = None) -> ExtTable:
+                     method: str = CLOSED_FORM, complexes_out: list | None = None, *,
+                     closed: ExtTable | None = None) -> ExtTable:
     """Ext from the generalized Steinberg module of I into the induced module
-    of J: the exterior algebra of the J-complement shifted by ``|Delta \\ I|``
-    when I and J cover Delta, zero otherwise.
+    of J (:func:`~steinberg_ext.tables.ext_v_to_induced_closed`, or
+    ``closed`` when the caller has made it already).
 
     The built path resolves in the contravariant argument, so each row is the
     reverse-transposed constant row of rank ``C(|Delta \\ J|, t)`` over I u J.
     """
-    validate_mask(I, rs.rank)
-    validate_mask(J, rs.rank)
-    delta = full_mask(rs.rank)
-    shift = rs.rank - mask_size(I)
-    closed = (exterior_table(rs.rank - mask_size(J), shift)
-              if I | J == delta else empty_table())
+    if closed is None:
+        closed = ext_v_to_induced_closed(rs, I, J)
     if method == CLOSED_FORM:
         return closed
     if method != COMPLEX_BUILT:
@@ -496,103 +397,21 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
 
 def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
                   method: str = CLOSED_FORM, center_rank: int = 0,
-                  complexes_out: list | None = None) -> ExtTable:
-    """Ext between the generalized Steinberg modules of I and J: one line in
-    degree ``|I u J| - |I n J|``, tensored with the binomial table of the
-    center.  The built path resolves the second argument: exterior-power rows
-    over J whose summands outside the reduction subset K are zero, which are
-    the rows over K shifted by ``|J \\ I|``."""
-    validate_mask(I, rs.rank)
-    validate_mask(J, rs.rank)
-    if center_rank < 0:
-        raise ConfigurationError("center rank must be non-negative")
-    i0, K = steinberg_degree(rs, I, J)
-    closed = tensor_with_exterior(ExtTable({i0: ModulePiece(1)}), center_rank)
+                  complexes_out: list | None = None, *,
+                  closed: ExtTable | None = None) -> ExtTable:
+    """Ext between the generalized Steinberg modules of I and J
+    (:func:`~steinberg_ext.tables.ext_steinberg_closed`, or ``closed`` when
+    the caller has made it already).  The built path resolves the second
+    argument: exterior-power rows over J whose summands outside the
+    reduction subset K are zero, which are the rows over K shifted by
+    ``|J \\ I|``."""
+    if closed is None:
+        closed = ext_steinberg_closed(rs, I, J, center_rank)
     if method == CLOSED_FORM:
         return closed
     if method != COMPLEX_BUILT:
         raise ContractError(f"unknown method {method!r}")
+    K = (full_mask(rs.rank) & ~I) | J
     return _built_table(rs, spec, closed, "ext_steinberg(I={}, J={})", K, masks=(I, J),
                         shift=mask_size(J & ~I), zeros=mask_size(K & ~J),
                         center_rank=center_rank, complexes_out=complexes_out)
-
-
-# ---------------------------------------------------------------------------
-# segment-graph orientations (general-linear cuspidal lines)
-
-
-class Orientation:
-    """Orientation of the path graph on k segment vertices: bit i set means
-    edge i points forward.  Immutable, compared and hashed by (k, forward)."""
-
-    def __init__(self, k: int, forward: int) -> None:
-        if k < 1 or forward < 0 or forward >> max(k - 1, 0):
-            raise ContractError(f"orientation bits out of range for k={k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "forward", forward)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.forward) == (other.k, other.forward)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.forward))
-
-    def __repr__(self) -> str:
-        return f"Orientation(k={self.k!r}, forward={self.forward!r})"
-
-    def bits(self) -> tuple[bool, ...]:
-        return tuple(bool(self.forward >> i & 1) for i in range(self.k - 1))
-
-
-def orientation_from_subset(k: int, I: int) -> Orientation:
-    """Edge i points forward exactly when alpha_i lies in the subset; this is
-    a bijection from subsets onto orientations and round-trips by
-    construction."""
-    if k < 1:
-        raise ContractError("need at least one segment")
-    validate_mask(I, k - 1)
-    orientation = Orientation(k, I)
-    if subset_from_orientation(orientation) != I:
-        raise ContractError("orientation/subset round trip failed")
-    return orientation
-
-
-def subset_from_orientation(orientation: Orientation) -> int:
-    return orientation.forward
-
-
-def orientation_from_permutation(k: int, w) -> Orientation:
-    """Edge i points forward exactly when the permutation increases from
-    position i to i+1."""
-    w = tuple(w)
-    if sorted(w) != list(range(k)):
-        raise ContractError(f"{w!r} is not a permutation of 0..{k - 1}")
-    bits = 0
-    for i in range(k - 1):
-        if w[i] < w[i + 1]:
-            bits |= 1 << i
-    return Orientation(k, bits)
-
-
-def ext_cuspidal_line(k: int, I: int, J: int, spec: RingSpec) -> ExtTable:
-    """Ext between the segment-quotient modules on a cuspidal line of the
-    general linear group: two adjacent lines starting at ``|IuJ| - |InJ|``
-    (a rank-one center on top of the type A answer)."""
-    if k < 2:
-        raise ContractError("cuspidal line needs k >= 2 segments")
-    validate_mask(I, k - 1)
-    validate_mask(J, k - 1)
-    i0 = mask_size(I | J) - mask_size(I & J)
-    rs = build_root_system("A", k - 1)
-    reference = ext_steinberg(rs, I, J, spec, CLOSED_FORM, center_rank=1)
-    table = ExtTable({i0: ModulePiece(1), i0 + 1: ModulePiece(1)})
-    if not table.same_modules(reference):
-        raise VerificationError(
-            "cuspidal-line table disagrees with the rank-one-center answer",
-            {"cuspidal": table.to_json_dict(), "reference": reference.to_json_dict()})
-    return table

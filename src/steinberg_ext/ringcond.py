@@ -8,8 +8,8 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import ConfigurationError, ContractError
-from .rootdata import RootSystem, build_root_system, full_mask, max_rho_coefficient
-from .weyl import parabolic_order
+from .rootdata import (RootSystem, build_root_system, full_mask, max_rho_coefficient,
+                       parabolic_order)
 
 
 def _prime_power_base(q: int) -> int:

@@ -10,6 +10,7 @@ order ``alpha_0 < ... < alpha_{n-1}``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,6 +24,13 @@ SERIES = ("A", "B", "C", "D", "E", "F", "G")
 # about roots x rank^2, which is seconds by rank 120; every test stays within
 # rank 30.
 MAX_RANK = 32
+
+# The ways a table is computed: the CLI's --method choices and a table's
+# provenance.  Defined here, in a module every command imports, so that the
+# parser needs none of the modules that compute the tables.
+CLOSED_FORM = "closed_form"
+COMPLEX_BUILT = "complex_built"
+STRATA = "strata"
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +198,18 @@ def levi_root_indices(rs: RootSystem, levi: int) -> frozenset[int]:
     validate_mask(levi, rs.rank)
     return frozenset(k for k, b in enumerate(rs.positive_roots)
                      if support_mask(b) & ~levi == 0)
+
+
+@lru_cache(maxsize=None)
+def parabolic_order(rs: RootSystem, levi: int) -> int:
+    """|W_levi| without the group.  The numbers of roots of each height in
+    the Levi's positive roots form a partition whose conjugate lists the
+    exponents m (Kostant), and the order is the product of the m + 1."""
+    heights = Counter(sum(rs.positive_roots[k]) for k in levi_root_indices(rs, levi))
+    order = 1
+    for j in range(1, heights[1] + 1):
+        order *= 1 + sum(1 for count in heights.values() if count >= j)
+    return order
 
 
 def rho_coefficients(rs: RootSystem) -> Coords:

@@ -21,18 +21,10 @@ from functools import reduce
 from itertools import chain, compress
 from operator import or_
 
-from .extengine import (
-    STRATA,
-    ExtTable,
-    _delta_candidates,
-    _unit_value,
-    empty_table,
-    ext_induced_closed,
-    ext_induced_via_strata,
-    exterior_table,
-)
+from .extengine import _delta_candidates, _unit_value, ext_induced_via_strata
 from .ringcond import RingSpec
-from .rootdata import RootSystem, full_mask, mask_indices, mask_size, support_mask
+from .rootdata import STRATA, RootSystem, full_mask, mask_indices, mask_size, support_mask
+from .tables import ExtTable, empty_table, ext_induced_closed, exterior_table
 from .weyl import (
     WeylGroup,
     _identity_images,

@@ -13,7 +13,6 @@ import os
 import struct
 import sys
 from array import array
-from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress
@@ -28,6 +27,7 @@ from .rootdata import (
     full_mask,
     levi_root_indices,
     mask_indices,
+    parabolic_order,
     validate_mask,
     zero_coords,
 )
@@ -329,18 +329,6 @@ class WeylGroup(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-
-@lru_cache(maxsize=None)
-def parabolic_order(rs: RootSystem, levi: int) -> int:
-    """|W_levi| without the group.  The numbers of roots of each height in
-    the Levi's positive roots form a partition whose conjugate lists the
-    exponents m (Kostant), and the order is the product of the m + 1."""
-    heights = Counter(sum(rs.positive_roots[k]) for k in levi_root_indices(rs, levi))
-    order = 1
-    for j in range(1, heights[1] + 1):
-        order *= 1 + sum(1 for count in heights.values() if count >= j)
-    return order
 
 
 def kostant_reps(rs: RootSystem, I: int, J: int,

@@ -272,21 +272,51 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout == "[]\n"
 
 
-def test_only_verify_compiles_the_class_checks():
-    """Every command is one process that imports (and, without bytecode,
-    compiles) the package: the per-class strata checks stay out of all
-    but ``verify``."""
+# (argv, package modules the command must not load, modules it must load)
+_COMMAND_MODULES = (
+    (("check-ring", "--type", "A5"), {"homology", "extengine", "weyl", "strata"}, set()),
+    (("zelevinsky", "--k", "4", "--I", "0", "--J", "1,2"),
+     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
+    (("cohomology", "--type", "A3", "--I", "1", "--object", "induced"),
+     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
+    (("ext-induced", "--type", "A3", "--I", "1", "--J", "1"),
+     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
+    (("cohomology", "--type", "A3", "--I", "1", "--method", "both"), {"weyl", "strata"},
+     {"homology"}),
+    (("ext", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"), {"weyl", "strata"},
+     {"homology"}),
+    (("ext-vi", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"), {"weyl", "strata"},
+     {"homology"}),
+    (("verify", "--type", "A2", "--all-pairs", "--strata", "off"), {"weyl", "strata"},
+     {"homology"}),
+    (("dcosets", "--type", "A2", "--I", "0", "--J", "1"), {"strata"}, {"weyl"}),
+    (("ext-induced", "--type", "A2", "--method", "strata"), {"strata"}, {"weyl"}),
+    (("verify", "--type", "A2", "--all-pairs"), set(), {"strata"}),
+)
+
+
+def _modules_loaded(argv) -> set[str]:
+    """The package modules one ``python -m steinberg_ext`` process imports,
+    read off ``-X importtime``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys; from steinberg_ext.cli import parse_and_dispatch; "
-            "parse_and_dispatch(sys.argv[1:]); print('steinberg_ext.strata' in sys.modules)")
-    for argv, imported in ((("dcosets", "--type", "A2", "--I", "0", "--J", "1"), "False"),
-                           (("ext-induced", "--type", "A2", "--method", "strata"), "False"),
-                           (("verify", "--type", "A2", "--all-pairs"), "True")):
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == imported, argv
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "steinberg_ext", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name.split(".", 1)[1] for name in names if name.startswith("steinberg_ext.")}
+
+
+def test_only_verify_compiles_the_class_checks():
+    """Every command is one process that imports (and, without bytecode,
+    compiles) only the modules it runs: the per-class strata checks stay
+    out of all but ``verify``, the Weyl group out of every command that
+    reads no group, and the complexes out of ``check-ring`` and every
+    command that prints only closed forms."""
+    for argv, absent, present in _COMMAND_MODULES:
+        loaded = _modules_loaded(argv)
+        assert not loaded & absent and present <= loaded, (argv, sorted(loaded))
 
 
 def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeypatch,
@@ -294,11 +324,11 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
     """The descent classes cost a pass over the whole group, which a sweep
     pays once for all its pairs and a single pair would pay for its few
     representatives: a single pair goes through them, a sweep does not."""
-    import steinberg_ext.extengine as extengine
     import steinberg_ext.strata as strata
+    import steinberg_ext.weyl as weyl
 
     passes, asked = [], []
-    classes_init, kostant = strata.DescentClasses.__init__, extengine.kostant_reps
+    classes_init, kostant = strata.DescentClasses.__init__, weyl.kostant_reps
 
     def counting_init(self, rs, group):
         passes.append(rs.rank)
@@ -309,7 +339,7 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
         return kostant(rs, I, J, *rest)
 
     monkeypatch.setattr(strata.DescentClasses, "__init__", counting_init)
-    monkeypatch.setattr(extengine, "kostant_reps", counting_kostant)
+    monkeypatch.setattr(weyl, "kostant_reps", counting_kostant)
     base = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--strata", "on")
     code, out, _ = run_cli(capsys, *base, "--I", "0", "--J", "1,2")
     assert code == 0 and "PASS certificates I={0} J={1,2}" in out
@@ -647,7 +677,7 @@ def _no_enumeration(*args, **kwargs):
 
 def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsys,
                                                                 monkeypatch):
-    import steinberg_ext.cli as cli
+    import steinberg_ext.extengine as extengine
     import steinberg_ext.weyl as weyl
 
     def no_rows(*args, **kwargs):
@@ -655,7 +685,7 @@ def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsy
 
     monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     monkeypatch.setattr(weyl, "_closure", _no_enumeration)
-    monkeypatch.setattr(cli, "cohomology_v", no_rows)
+    monkeypatch.setattr(extengine, "cohomology_v", no_rows)
     for t in ("E7", "E8"):
         _refused_quickly(capsys, "dcosets", "--type", t, "--I", "0", "--J", "1")
         # a closed form that is asked to prepare the cache needs the group
@@ -755,9 +785,7 @@ def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):
     def broken(rs, I):
         raise ContractError("stand-in failure")
 
-    import steinberg_ext.cli as cli
-
-    monkeypatch.setattr(cli, "cohomology_rows_exact", broken)
+    monkeypatch.setattr(eng, "cohomology_rows_exact", broken)
     code, out, err = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--all-pairs")
     assert (code, out) == (1, "") and "stand-in failure" in err
     assert eng._BUILT_TABLES is None  # dropped on error too
@@ -789,6 +817,31 @@ def test_verify_builds_each_distinct_table_once(capsys, monkeypatch):
     cohomology = {("ext", I, 0, 0) for I in range(32)}
     assert len(ext) == len(vi) == 272 and cohomology <= ext
     assert len(built) == len(set(built)) == len(ext | vi) == 544
+
+
+def test_verify_makes_each_closed_form_once_per_check(capsys, monkeypatch):
+    """B3 over Q: each of the 64 pairs makes its ext and its ext-vi closed
+    form once, and both the built table's check and the PASS line compare
+    against it."""
+    import steinberg_ext.extengine as eng
+    import steinberg_ext.tables as tables
+
+    made = Counter()
+
+    def counting(name, closed_of):
+        def closed(rs, I, J, *rest):
+            made[name, I, J] += 1
+            return closed_of(rs, I, J, *rest)
+        return closed
+
+    for name in ("ext_steinberg_closed", "ext_v_to_induced_closed"):
+        stand_in = counting(name, getattr(tables, name))
+        for module in (tables, eng):
+            monkeypatch.setattr(module, name, stand_in)
+    code, out, _ = run_cli(capsys, "verify", "--type", "B3", "--ring", "Q", "--all-pairs",
+                           "--strata", "off")
+    assert code == 0 and "136 passed, 0 failed" in out
+    assert len(made) == 2 * 64 and set(made.values()) == {1}
 
 
 def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, monkeypatch,

@@ -6,6 +6,9 @@ differs is a behaviour change and has to be made on purpose.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,17 @@ from steinberg_ext.cli import parse_and_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# one case per subcommand in the corpus, replayed as its own process
+ENTRY_POINT_CASES = {
+    "cohomology": "coh_G2_dump",
+    "dcosets": "dcosets_B3_json_zd",
+    "ext": "ext_B3_center",
+    "ext-induced": "extind_F4_strata_zd",
+    "ext-vi": "extvi_B3_zd_tsv",
+    "verify": "verify_G2_strata",
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -23,3 +37,22 @@ def test_golden_replay(name, capsys):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_subcommand_is_replayed_through_the_entry_point():
+    assert {case["argv"][0] for case in CASES.values()} == set(ENTRY_POINT_CASES)
+    assert all(CASES[name]["argv"][0] == command
+               for command, name in ENTRY_POINT_CASES.items())
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINT_CASES.values()))
+def test_golden_replay_through_the_entry_point(name):
+    """In a process of its own, as a user runs it, and without bytecode, so
+    that each module a command imports only when it runs is compiled and
+    imported there: in this process every module is imported already."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("STEINBERG_EXT")}
+    env.update(PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "steinberg_ext", *CASES[name]["argv"]],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == CASES[name]["exit"], proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
