@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .errors import ConfigurationError, ResourceLimitError
@@ -201,15 +202,20 @@ def levi_root_indices(rs: RootSystem, levi: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def parabolic_order(rs: RootSystem, levi: int) -> int:
-    """|W_levi| without the group.  The numbers of roots of each height in
-    the Levi's positive roots form a partition whose conjugate lists the
-    exponents m (Kostant), and the order is the product of the m + 1."""
+def parabolic_exponents(rs: RootSystem, levi: int) -> tuple[int, ...]:
+    """The exponents m of W_levi, without the group: the numbers of roots of
+    each height in the Levi's positive roots form a partition whose
+    conjugate lists them (Kostant)."""
     heights = Counter(sum(rs.positive_roots[k]) for k in levi_root_indices(rs, levi))
-    order = 1
-    for j in range(1, heights[1] + 1):
-        order *= 1 + sum(1 for count in heights.values() if count >= j)
-    return order
+    return tuple(sum(1 for count in heights.values() if count >= j)
+                 for j in range(1, heights[1] + 1))
+
+
+@lru_cache(maxsize=None)
+def parabolic_order(rs: RootSystem, levi: int) -> int:
+    """|W_levi| without the group: the product of the m + 1 over its
+    exponents m."""
+    return prod(m + 1 for m in parabolic_exponents(rs, levi))
 
 
 def rho_coefficients(rs: RootSystem) -> Coords:

@@ -5,6 +5,14 @@ An element is stored as a tuple ``signed_images`` where entry ``k`` is
 ``-(j+1)`` if it maps it to minus the j-th positive root.  The encoding is
 unique per element, so subgroup and double-coset computations are plain set
 operations, and the length function is the count of negative entries.
+
+A group is enumerated once (``_closure``), by a breadth-first walk that
+reaches each element from its smallest left descent, straight into flat
+records (per element its length, then its signed images, in one int32 array)
+and one descent mask per element.  Those two arrays are what a
+:class:`WeylGroup` holds and what its cache file stores, so a generated group
+and one read from the cache have one representation, and an element is
+decoded only on its first access.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, starmap
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,6 +35,8 @@ from .rootdata import (
     full_mask,
     levi_root_indices,
     mask_indices,
+    mask_str,
+    parabolic_exponents,
     parabolic_order,
     validate_mask,
     zero_coords,
@@ -106,29 +116,90 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _element(_simple_reflection_images(rs, i))
 
 
-def _closure(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
-    """Breadth-first closure from the identity under left multiplication by
-    the simple reflections of ``levi``.  The elements first reached at step L
-    are those of length L, so sorting each step by its images gives group
-    order."""
-    tables = [_action_table(_simple_reflection_images(rs, i)) for i in mask_indices(levi)]
+def _guards(rs: RootSystem, levi: int) -> tuple[tuple[int, SignedImages, frozenset[int]], ...]:
+    """For each generator s_i of ``levi``, in increasing i: its bit, its
+    action table, and the signed images of w that make j < i (in ``levi``) a
+    left descent of s_i·w.  That happens when w(beta) = -s_i(alpha_j) for
+    some beta, since then s_i·w sends beta to -alpha_j; s_i(alpha_j) is the
+    positive root at index m_ij, so the image is -(m_ij + 1)."""
+    guards = []
+    earlier: list[int] = []
+    for i in mask_indices(levi):
+        images = _simple_reflection_images(rs, i)
+        guards.append((1 << i, _action_table(images), frozenset(-images[j] for j in earlier)))
+        earlier.append(i)
+    return tuple(guards)
+
+
+def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
+    """The number of elements of each length in W_levi: the coefficients of
+    the Poincaré polynomial, the product of 1 + q + ... + q^m over the
+    exponents m."""
+    sizes = [1]
+    for m in parabolic_exponents(rs, levi):
+        sizes = [sum(sizes[max(0, k - m):k + 1]) for k in range(len(sizes) + m)]
+    return sizes
+
+
+def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
+    """Enumerate the subgroup generated by the reflections of ``levi``, in
+    group order: one record per element (its length, then its signed images)
+    in a flat int32 array, and its descent mask ``left << 8 | right`` in a
+    uint16 array.
+
+    A breadth-first walk by left multiplication, layer by layer in length.
+    Each element is reached once, from its smallest left descent i: from w
+    the walk takes s_i·w only when i is no left descent of w and no j < i is
+    a left descent of s_i·w, which ``_guards`` reads off w before composing.
+    So no element is composed twice and no seen-set is kept; each layer's
+    size is checked against the Poincaré polynomial instead.  The left mask
+    comes from the same lookups."""
+    rank = rs.rank
+    if rs.positive_roots[:rank] != tuple(tuple(int(j == i) for j in range(rank))
+                                        for i in range(rank)):
+        raise ContractError(f"the simple roots of {rs.type_name()} are not its first "
+                            f"{rank} positive roots")
+    guards = _guards(rs, levi)
+    descent_bit = {-1 - i: 1 << i for i in mask_indices(levi)}  # -alpha_i is an image
+    watched = frozenset(descent_bit).union(*(forbidden for _, _, forbidden in guards))
+    plans: dict[frozenset[int], tuple[int, tuple[SignedImages, ...]]] = {}
+    right_bits = tuple(1 << j for j in range(rank))
+    pack = struct.Struct(f"{rs.num_positive + 1}i").pack  # one record, as array("i") holds it
+    records, masks = array("i"), array("H")
     step = [_identity_images(rs.num_positive)]
-    seen = set(step)
-    elements: list[WeylElement] = []
-    length = 0
-    while step:
-        elements.extend(WeylElement(images, length) for images in sorted(step))
-        nxt = []
+    for length, size in enumerate(_layer_sizes(rs, levi)):
+        if len(step) != size:
+            raise ContractError(
+                f"{len(step)} elements of length {length} in W_{mask_str(levi)} of "
+                f"{rs.type_name()}; its Poincaré polynomial has {size}")
+        step.sort()
+        nxt: list[SignedImages] = []
+        packed = []
         for w in step:
-            images_of = _reader(w)
-            for table in tables:
-                gw = images_of(table)  # compose_images(g, w)
-                if gw not in seen:
-                    seen.add(gw)
-                    nxt.append(gw)
+            present = watched.intersection(w)
+            plan = plans.get(present)
+            if plan is None:  # the left mask, and the tables of the steps taken
+                left = sum(descent_bit.get(s, 0) for s in present)
+                plan = plans[present] = (left << 8, tuple(
+                    table for bit, table, forbidden in guards
+                    if not left & bit and forbidden.isdisjoint(present)))
+            left, tables = plan
+            packed.append(pack(length, *w))
+            masks.append(left + sum(compress(right_bits, map(_is_negative, w))))
+            if tables:
+                nxt.extend(map(_reader(w), tables))  # compose_images(s_i, w)
+        records.frombytes(b"".join(packed))
         step = nxt
-        length += 1
-    return tuple(elements)
+    if step:
+        raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "
+                            f"{rs.type_name()}, past its longest element")
+    return records, masks
+
+
+def _unpacked(records: array, width: int) -> Iterator[tuple[SignedImages, int]]:
+    """(signed images, length) of each record of ``width`` entries."""
+    return ((tuple(records[start + 1:start + width]), records[start])
+            for start in range(0, len(records), width))
 
 
 def _check_cap(rs: RootSystem, levi: int, cap: int) -> None:
@@ -143,7 +214,8 @@ def _check_cap(rs: RootSystem, levi: int, cap: int) -> None:
 def generate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
     _check_cap(rs, full_mask(rs.rank), cap)
-    return WeylGroup(rs, _closure(rs, full_mask(rs.rank)))
+    records, masks = _closure(rs, full_mask(rs.rank))
+    return WeylGroup(rs, [None] * len(masks), masks, records)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +224,8 @@ def parabolic_subgroup(rs: RootSystem, levi: int,
     """Subgroup generated by the reflections of the subset ``levi``."""
     validate_mask(levi, rs.rank)
     _check_cap(rs, levi, cap)
-    return _closure(rs, levi)
+    records, _ = _closure(rs, levi)
+    return tuple(starmap(WeylElement, _unpacked(records, rs.num_positive + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +338,24 @@ def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
 
 class WeylGroup(Sequence):
     """A Weyl group in group order, with the data its double cosets are read
-    from: a descent mask per element (read from the cache, else scanned once
-    here), the positions bucketed by mask, built on first use, and the
-    inversion sums read so far, by position.  In a group read from the cache
-    an element is decoded from the flat records on its first access and
-    kept.  Slices are tuples; a group equals any sequence of its elements."""
+    from: the flat records (per element its length, then its signed images,
+    in one int32 array), a descent mask per element, the positions bucketed
+    by mask, built on first use, and the inversion sums read so far, by
+    position.  A generated group and one read from the cache both come as
+    records and masks, with no element built: an element is decoded on its
+    first access and kept.  A group built from elements packs their records
+    and scans their masks here.  Slices are tuples; a group equals any
+    sequence of its elements."""
 
     def __init__(self, rs: RootSystem, elements: Sequence[WeylElement | None],
                  masks: array | None = None, records: array | None = None) -> None:
         self.rs = rs
         self._elements = elements
-        self._records = records
         self._width = rs.num_positive + 1
+        if records is None:
+            records = array("i", chain.from_iterable(
+                (w.length, *w.signed_images) for w in elements))
+        self._records = records
         self.masks = _descent_masks(rs, elements) if masks is None else masks
         self.inversion_sums: dict[int, Coords] = {}
 
@@ -305,12 +384,8 @@ class WeylGroup(Sequence):
 
     def records(self) -> Iterator[tuple[SignedImages, int]]:
         """(signed images, length) of every element, in group order, read
-        from the cache records without decoding or keeping an element."""
-        if self._records is None:
-            return iter(self._elements)
-        records, width = self._records, self._width
-        return ((tuple(records[start + 1:start + width]), records[start])
-                for start in range(0, len(records), width))
+        from the records without decoding or keeping an element."""
+        return _unpacked(self._records, self._width)
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -392,7 +467,7 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 # Layout, little-endian: the magic, the header (series, rank, N positive
 # roots, element count), one record per element in group order (length, then
 # the N signed images, all int32), then one uint16 descent mask per element
-# (left << 8 | right, as _descent_masks computes them).
+# (left << 8 | right).  These are the two arrays a WeylGroup holds.
 
 _CACHE_MAGIC = b"WGC2"
 _CACHE_HEADER = struct.Struct("<cBII")
@@ -404,18 +479,18 @@ def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
 
 
 def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> Path:
-    """Write ``group`` with its own descent masks."""
+    """Write ``group``'s records and descent masks as they are held."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     path.parent.mkdir(parents=True, exist_ok=True)
-    record = struct.Struct(f"<I{rs.num_positive}i")
-    masks = group.masks
-    if _BIG_ENDIAN:
-        masks = array("H", masks)
+    records, masks = group._records, group.masks
+    if _BIG_ENDIAN:  # swap copies: the group keeps its own
+        records, masks = array("i", records), array("H", masks)
+        records.byteswap()
         masks.byteswap()
-    with path.open("wb") as fh:  # record by record: no second copy of the group
+    with path.open("wb") as fh:
         fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
             rs.series.encode(), rs.rank, rs.num_positive, len(group)))
-        fh.writelines(record.pack(w.length, *w.signed_images) for w in group)
+        records.tofile(fh)
         masks.tofile(fh)
     return path
 

@@ -5,7 +5,8 @@ closed over the full orbit (negatives included), Weyl groups are integer
 matrices acting on simple-root coordinates, determinants come from Bareiss
 elimination and ranks from Fraction-based Gaussian elimination.  The one
 exception is ``kostant_reps_by_enumeration``, which enumerates double cosets
-in the package's signed-image encoding to pin the descent-set version, and
+in the package's signed-image encoding to pin the descent-set version, the
+former seen-set Weyl closure, which pins the descent-guarded enumerator, and
 the three former row builders at the end, kept as written (on the package's
 ``subset_lattice_complex``) to pin the one gated row builder that replaced
 them.
@@ -30,6 +31,11 @@ from steinberg_ext.rootdata import (
 )
 from steinberg_ext.weyl import (
     DoubleCosetRep,
+    WeylElement,
+    _action_table,
+    _identity_images,
+    _reader,
+    _simple_reflection_images,
     compose_images,
     delta_exponents,
     gamma_exponents,
@@ -253,6 +259,33 @@ def invariant_factors_by_factoring(moduli) -> list[int]:
                 factor *= powers.pop(0)
         factors.append(factor)
     return factors
+
+
+def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
+    """The package's former Weyl enumerator, as it was written: a
+    breadth-first closure from the identity under left multiplication by the
+    simple reflections of ``levi``, composing every element with every
+    generator and keeping the products not seen before.  The elements first
+    reached at step L are those of length L, so sorting each step by its
+    images gives group order."""
+    tables = [_action_table(_simple_reflection_images(rs, i)) for i in mask_indices(levi)]
+    step = [_identity_images(rs.num_positive)]
+    seen = set(step)
+    elements: list[WeylElement] = []
+    length = 0
+    while step:
+        elements.extend(WeylElement(images, length) for images in sorted(step))
+        nxt = []
+        for w in step:
+            images_of = _reader(w)
+            for table in tables:
+                gw = images_of(table)  # compose_images(g, w)
+                if gw not in seen:
+                    seen.add(gw)
+                    nxt.append(gw)
+        step = nxt
+        length += 1
+    return tuple(elements)
 
 
 @lru_cache(maxsize=None)

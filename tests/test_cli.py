@@ -721,8 +721,9 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
 
 
 def test_each_group_scans_its_descent_masks_once(tmp_path, capsys, monkeypatch, fresh_caches):
-    """A cold dcosets query that writes the cache scans the masks once, for
-    the file and the double cosets alike; a warm one reads them from disk."""
+    """No query scans the descent masks of a group: a cold dcosets query
+    that writes the cache takes them from the enumeration, for the file and
+    the double cosets alike, and a warm one reads them from disk."""
     import steinberg_ext.weyl as weyl
 
     scans = []
@@ -737,10 +738,10 @@ def test_each_group_scans_its_descent_masks_once(tmp_path, capsys, monkeypatch, 
     argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
             "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(scans) == 1
+    assert code == 0 and len(scans) == 0
     weyl.load_or_generate.cache_clear()
     code, warm, _ = run_cli(capsys, *argv)
-    assert (code, warm) == (0, cold) and len(scans) == 1
+    assert (code, warm) == (0, cold) and len(scans) == 0
 
 
 # ---------------------------------------------------------------------------

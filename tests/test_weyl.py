@@ -429,3 +429,125 @@ def test_generated_lengths_count_negative_images(name):
         for w in parabolic_subgroup(rs, levi):
             assert w.length == sum(1 for s in w.signed_images if s < 0)
     assert all(permutes_roots(rs, w) for w in generate_weyl(rs))
+
+
+# ---------------------------------------------------------------------------
+# the descent-guarded enumerator against the seen-set closure it replaced
+
+RANK_AT_MOST_5 = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+                  "C5", "D4", "D5", "G2"]
+
+
+def _oracle_cache_bytes(rs, elements):
+    """A WGC2 file for ``elements``, packed record by record with struct."""
+    import steinberg_ext.weyl as weyl
+
+    n = rs.num_positive
+    return (b"WGC2" + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
+            + b"".join(struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in elements)
+            + struct.pack(f"<{len(elements)}H", *weyl._descent_masks(rs, elements)))
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["F4", "E6"])
+def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system(*parse_type(name))
+    oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
+    records, masks = weyl._closure(rs, full_mask(rs.rank))
+    assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
+    assert masks == weyl._descent_masks(rs, oracle)
+    group = generate_weyl(rs)
+    assert group == oracle
+    path = save_weyl_cache(rs, group, tmp_path)
+    assert path.read_bytes() == _oracle_cache_bytes(rs, oracle)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_parabolic_subgroups_match_the_seen_set_closure(name):
+    rs = build_root_system(*parse_type(name))
+    for levi in range(full_mask(rs.rank) + 1):
+        assert parabolic_subgroup(rs, levi) == oracles.weyl_closure_by_seen_set(rs, levi)
+
+
+def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
+    """A guard that lets an element in twice, or keeps one out, changes a
+    layer's size, which the Poincaré polynomial catches; a layer past the
+    longest element is caught as well."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    full = full_mask(rs.rank)
+    guards, layer_sizes = weyl._guards, weyl._layer_sizes
+
+    def admits_duplicates(rs, levi):  # s_0 s_2 = s_2 s_0 is reached from both
+        return tuple((bit, table, frozenset()) for bit, table, _ in guards(rs, levi))
+
+    def drops_elements(rs, levi):  # the last generator is taken from the identity only
+        *rest, (bit, table, _) = guards(rs, levi)
+        return (*rest, (bit, table, frozenset(range(-rs.num_positive, 0))))
+
+    for wrong in (admits_duplicates, drops_elements):
+        monkeypatch.setattr(weyl, "_guards", wrong)
+        with pytest.raises(ContractError, match="Poincaré polynomial"):
+            weyl._closure(rs, full)
+    monkeypatch.setattr(weyl, "_guards", guards)
+    monkeypatch.setattr(weyl, "_layer_sizes", lambda rs, levi: layer_sizes(rs, levi)[:-1])
+    with pytest.raises(ContractError, match="past its longest element"):
+        weyl._closure(rs, full)
+    monkeypatch.undo()
+    assert weyl._closure(rs, full)[0].tolist() == \
+        [x for w in generate_weyl(rs) for x in (w.length, *w.signed_images)]
+
+
+def test_simple_roots_out_of_place_are_refused():
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    roots = rs.positive_roots
+    for moved in ((roots[3], *roots[1:3], roots[0], *roots[4:]), roots[1:] + roots[:1]):
+        with pytest.raises(ContractError, match="first 3 positive roots"):
+            weyl._closure(rs._replace(positive_roots=moved), full_mask(3))
+
+
+def test_big_endian_save_swaps_a_copy(tmp_path, monkeypatch):
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
+    monkeypatch.setattr(weyl, "_BIG_ENDIAN", True)
+    path = save_weyl_cache(rs, group, tmp_path)
+    fresh = weyl.generate_weyl.__wrapped__(rs)
+    assert group == fresh and group.masks == fresh.masks
+    assert list(group.records()) == list(fresh.records())
+    records_at, masks_at = _cache_layout(rs, len(group))
+    raw = path.read_bytes()  # the identity: length 0, then image 1; its mask is 0
+    assert raw[records_at:records_at + 8] == b"\0\0\0\0\0\0\0\1"
+    assert raw[masks_at + 2:masks_at + 4] == fresh.masks[1].to_bytes(2, "big")
+    loaded = load_weyl_cache(rs, tmp_path)  # swapped back on load
+    assert loaded == fresh and loaded.masks == fresh.masks
+    assert list(loaded.records()) == list(fresh.records())
+
+
+def test_generated_group_decodes_each_element_once(monkeypatch):
+    import steinberg_ext.weyl as weyl
+
+    built = []
+    element = weyl.WeylElement
+
+    def counting(images, length):
+        built.append(images)
+        return element(images, length)
+
+    monkeypatch.setattr(weyl, "WeylElement", counting)
+    rs = build_root_system("B", 3)
+    group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
+    assert list(group.records())[5] == tuple(oracles.weyl_closure_by_seen_set(
+        rs, full_mask(3))[5])
+    assert len(group.buckets) > 1 and not built
+    assert group[5] is group[5] and len(built) == 1
+    assert group[-1] is group[len(group) - 1] and len(built) == 2
+    elements = list(group)
+    assert len(built) == len(group) == 48
+    assert all(group[k] is w for k, w in enumerate(elements)) and len(built) == 48
+    assert group[2:7] == tuple(elements[2:7]) and len(built) == 48
