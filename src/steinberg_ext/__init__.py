@@ -36,13 +36,15 @@ _EXPORTS = {
         "tensor_with_exterior",
         "trivial_cohomology",
     ),
-    "extengine": (
+    "certificates": (
         "VanishingCertificate",
-        "cohomology_v",
         "ext_induced_via_strata",
+        "vanishing_certificate",
+    ),
+    "extengine": (
+        "cohomology_v",
         "ext_steinberg",
         "ext_v_to_induced",
-        "vanishing_certificate",
     ),
     "homology": (
         "ChainComplex",
@@ -97,8 +99,8 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(("cli", "errors", "extengine", "homology", "ringcond", "rootdata",
-                         "strata", "tables", "weyl"))
+_SUBMODULES = frozenset(("certificates", "cli", "errors", "extengine", "homology", "ringcond",
+                         "rootdata", "strata", "tables", "weyl"))
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

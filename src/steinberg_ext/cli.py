@@ -242,7 +242,7 @@ def cmd_ext_induced(args) -> int:
             load_or_generate(rs, cache_dir)
         table = ext_induced_closed(rs, I, J, spec)
     else:
-        from .extengine import ext_induced_via_strata
+        from .certificates import ext_induced_via_strata
         from .weyl import load_or_generate
 
         table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, cache_dir))
@@ -306,7 +306,7 @@ def cmd_dcosets(args) -> int:
             "surviving": rep.w.is_identity and not (J & ~I),
         }
         if spec is not None:
-            from .extengine import vanishing_certificate
+            from .certificates import vanishing_certificate
 
             cert = vanishing_certificate(rs, rep, spec)
             entry["certificate"] = None if cert is None else {

@@ -5,8 +5,9 @@ Every answer is exposed both as the closed form of
 constructed subset-lattice complex; the complex-built path asserts agreement
 with the closed form whenever the coefficient ring passes the bon / banal
 checks, and labels its output "outside hypotheses" otherwise.  The strata
-path, the one that reads a Weyl group, imports :mod:`~steinberg_ext.weyl`
-when it runs, so the other commands never compile it.
+path, the one that reads a Weyl group and no complex, is defined in
+:mod:`~steinberg_ext.certificates` and re-exported here, so the commands
+that run it never compile :mod:`~steinberg_ext.homology`.
 
 Every complex-built table stacks rows t of one builder over one subset B,
 :func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
@@ -33,9 +34,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ContractError, ResourceLimitError, RingAssumptionError, VerificationError
+from .errors import ContractError, ResourceLimitError, VerificationError
 from .homology import (
     LATTICE_CAP,
     complex_to_json_dict,
@@ -44,11 +44,10 @@ from .homology import (
     row_homology,
     row_homology_over,
 )
-from .ringcond import RingSpec, check_ring, format_ring, is_unit
+from .ringcond import RingSpec, check_ring
 from .rootdata import (
     CLOSED_FORM,
     COMPLEX_BUILT,
-    STRATA,
     RootSystem,
     build_root_system,
     full_mask,
@@ -60,17 +59,27 @@ from .tables import (
     ExtTable,
     ModulePiece,
     _merge,
-    ext_induced_closed,
     ext_steinberg_closed,
     ext_v_to_induced_closed,
-    exterior_table,
     tensor_with_exterior,
 )
-# the closed forms and orientations callers have always imported from here
+# the names callers have always imported from here: the strata path, which
+# reads no complex and so lives in ``certificates``, and the closed forms and
+# orientations of ``tables``
+from .certificates import (
+    _UNIT_VALUES,
+    VanishingCertificate,
+    _delta_candidates,
+    _unit_value,
+    ext_induced_via_strata,
+    vanishing_certificate,
+)
 from .tables import (
     Orientation,
     empty_table,
     ext_cuspidal_line,
+    ext_induced_closed,
+    exterior_table,
     induced_cohomology,
     orientation_from_permutation,
     orientation_from_subset,
@@ -78,9 +87,6 @@ from .tables import (
     subset_from_orientation,
     trivial_cohomology,
 )
-
-if TYPE_CHECKING:
-    from .weyl import DoubleCosetRep
 
 
 # ---------------------------------------------------------------------------
@@ -96,126 +102,6 @@ def total_degree(inner: int, lattice_s: int, lattice_top: int, slot: str) -> int
     if slot == COVARIANT:
         return inner + lattice_s - lattice_top
     raise ContractError(f"unknown resolution slot {slot!r}")
-
-
-# ---------------------------------------------------------------------------
-# stratum certificates (the vanishing argument, made effective)
-
-
-class VanishingCertificate(NamedTuple):
-    rep: DoubleCosetRep
-    beta_index: int
-    exponent: int
-    unit_value: int
-    branch: str  # "gamma" or "delta"
-
-
-# q^e - 1 (mod d unless d = 0) and whether it is a unit, by (d, q, e)
-_UNIT_VALUES: dict[tuple[int, int, int], tuple[int, bool]] = {}
-
-
-def _unit_value(spec: RingSpec, exponent: int) -> tuple[int, bool]:
-    """``q^exponent - 1`` over ``spec`` and whether it is a unit."""
-    key = (spec.d, spec.q, exponent)
-    if key not in _UNIT_VALUES:
-        value = spec.q ** exponent - 1
-        if not spec.is_rational:
-            value %= spec.d
-        _UNIT_VALUES[key] = (value, is_unit(value, spec))
-    return _UNIT_VALUES[key]
-
-
-def _delta_candidates(rs: RootSystem, I: int, J: int, delta) -> list[tuple[int, int]]:
-    """(b, delta_b) for the coweights outside the intersection Levi."""
-    meet = J & I
-    return [(b, delta[b]) for b in range(rs.rank) if not meet >> b & 1 and delta[b]]
-
-
-def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
-                          spec: RingSpec) -> VanishingCertificate | None:
-    """Produce a central element certifying that the stratum of ``rep``
-    contributes nothing, or ``None`` for the unique surviving stratum
-    (identity representative with J contained in I).
-
-    For a non-identity representative the certificate pairs the gamma
-    exponent vector with a co-fundamental coweight at a right descent of w,
-    which lies outside J; for the identity with J not inside I it pairs the
-    delta exponent vector with a coweight outside the intersection Levi.  In
-    both branches the certified value is ``q^exponent - 1``, which must be a
-    unit.
-    """
-    w, I, J = rep.w, rep.I, rep.J
-    # the coweight dual to alpha_b pairs with an exponent vector as its entry b
-    gamma, delta = rep.gamma_exp, rep.delta_exp
-    identity = w.is_identity
-
-    if identity and not J & ~I:
-        return None
-
-    if not identity:
-        branch = "gamma"
-        images = w.signed_images
-        candidates = []
-        for b in range(rs.rank):
-            if images[b] > 0:
-                continue
-            if J >> b & 1:
-                raise ContractError(
-                    f"w(alpha_{b}) is negative for alpha_{b} in J; "
-                    "not a minimal double-coset representative")
-            if delta[b]:
-                raise ContractError(
-                    "delta exponent is supported on J; it cannot pair with a "
-                    f"coweight at alpha_{b} outside J")
-            candidates.append((b, gamma[b]))
-        if not candidates:
-            raise ContractError(
-                f"no gamma certificate direction for a length-{rep.length} representative; "
-                "the representative is not minimal or the exponent formula is wrong")
-    else:
-        branch = "delta"
-        candidates = _delta_candidates(rs, I, J, delta)
-        if not candidates:
-            raise ContractError(
-                "identity stratum with J not inside I has a trivial delta character; "
-                "exponent formula is wrong")
-
-    for b, exponent in candidates:
-        value, unit = _unit_value(spec, exponent)
-        if unit:
-            return VanishingCertificate(rep, b, exponent, value, branch)
-    raise RingAssumptionError(
-        f"stratum of length {rep.length} for I={mask_str(I)} J={mask_str(J)} has no unit "
-        f"q^r - 1 over {format_ring(spec)} (tried exponents "
-        f"{sorted(set(e for _, e in candidates))}); the ring fails the bon/banal requirements")
-
-
-def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                           elements=None, certificates_out: list | None = None) -> ExtTable:
-    """Ext between induced modules computed stratum by stratum along the
-    double-coset filtration: every certified stratum contributes zero, the
-    lone uncertified one contributes the closed-form exterior algebra.
-    ``certificates_out`` receives a (representative, certificate) pair per
-    stratum."""
-    from .weyl import kostant_reps  # only the strata paths compile it
-
-    out: dict[int, ModulePiece] = {}
-    for rep in kostant_reps(rs, I, J, elements):
-        cert = vanishing_certificate(rs, rep, spec)
-        if certificates_out is not None:
-            certificates_out.append((rep, cert))
-        if cert is None:
-            if not rep.w.is_identity or rep.J & ~rep.I:
-                raise ContractError("a non-surviving stratum returned no certificate")
-            for degree, piece in exterior_table(rs.rank - mask_size(J)).entries.items():
-                _merge(out, degree, piece.rank, piece.torsion)
-    table = ExtTable(out, STRATA)
-    closed = ext_induced_closed(rs, I, J, spec)
-    if not table.same_modules(closed):
-        raise VerificationError(
-            f"strata path disagrees with the closed form for I={mask_str(I)} J={mask_str(J)}",
-            {"closed": closed.to_json_dict(), "strata": table.to_json_dict()})
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import chain, compress
 from operator import or_
 
-from .extengine import _delta_candidates, _unit_value, ext_induced_via_strata
+from .certificates import _delta_candidates, _unit_value, ext_induced_via_strata
 from .ringcond import RingSpec
 from .rootdata import STRATA, RootSystem, full_mask, mask_indices, mask_size, support_mask
 from .tables import ExtTable, empty_table, ext_induced_closed, exterior_table
@@ -45,7 +45,7 @@ class DescentClasses:
     - ``exponents``: by descent mask, the distinct tuples (gamma_b for the
       right descents b of w, read off the images) of its non-identity
       elements; a stratum's certificate reads exactly these (see
-      ``extengine.vanishing_certificate``).  The inversion sums gamma are
+      ``certificates.vanishing_certificate``).  The inversion sums gamma are
       kept on the group, as ``kostant_reps`` keeps them.
     - ``suspects``: (mask, b, support) for each element and b where
       w(alpha_b) is negative outside the right mask (support 0), or a

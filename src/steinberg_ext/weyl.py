@@ -9,10 +9,17 @@ operations, and the length function is the count of negative entries.
 A group is enumerated once (``_closure``), by a breadth-first walk that
 reaches each element from its smallest left descent, straight into flat
 records (per element its length, then its signed images, in one int32 array)
-and one descent mask per element.  Those two arrays are what a
-:class:`WeylGroup` holds and what its cache file stores, so a generated group
-and one read from the cache have one representation, and an element is
-decoded only on its first access.
+and one descent mask per element.  Inside the walk an element is a ``bytes``
+of byte codes, image s as the byte 128 + s: composing with a simple
+reflection is one ``bytes.translate``, sorting the byte strings of a length
+layer sorts it by signed images, and each sorted layer is widened to its
+int32 records on its own, so the walk holds one layer beside its output.  A
+byte holds the images of at most 127 positive roots; every group under the
+enumeration cap has at most 49, and every parabolic subgroup of E6–E8 at
+most 120, and a larger type is refused before any element is built.  The
+records and masks are what a :class:`WeylGroup` holds and what its cache
+file stores, so a generated group and one read from the cache have one
+representation, and an element is decoded only on its first access.
 """
 
 from __future__ import annotations
@@ -141,6 +148,26 @@ def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
     return sizes
 
 
+# Inside the enumeration signed image s is the byte _ZERO + s, its byte code,
+# so the images of at most _MAX_BYTE_CODED positive roots fit.
+_ZERO = 128
+_MAX_BYTE_CODED = 127
+# byte code -> the low byte of its image as an int32, and -> the byte that
+# fills the other three (0xFF for a negative image, else 0)
+_LOW_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
+_SIGN_FILL = bytes(0xFF * (b < _ZERO) for b in range(256))
+
+
+def _byte_table(table: SignedImages) -> bytes:
+    """An action table (:func:`_action_table`) as a ``bytes.translate``
+    table on byte codes: code _ZERO + s goes to _ZERO + table[s]."""
+    codes = bytearray(range(256))
+    n = len(table) // 2
+    for s in range(-n, n + 1):
+        codes[_ZERO + s] = _ZERO + table[s]
+    return bytes(codes)
+
+
 def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
     """Enumerate the subgroup generated by the reflections of ``levi``, in
     group order: one record per element (its length, then its signed images)
@@ -153,30 +180,40 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
     a left descent of s_i·w, which ``_guards`` reads off w before composing.
     So no element is composed twice and no seen-set is kept; each layer's
     size is checked against the Poincaré polynomial instead.  The left mask
-    comes from the same lookups."""
-    rank = rs.rank
+    comes from the same lookups.
+
+    Inside the walk an element is its byte codes, so s_i·w is one
+    ``translate`` by s_i's byte table, and sorting a layer's byte strings
+    sorts it by signed images.  Each sorted layer is widened to int32
+    records by strided slice assignment into a buffer of that layer only."""
+    n, rank = rs.num_positive, rs.rank
+    if n > _MAX_BYTE_CODED:
+        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} holds {n} positive "
+                                 f"roots; a byte code holds at most {_MAX_BYTE_CODED}")
     if rs.positive_roots[:rank] != tuple(tuple(int(j == i) for j in range(rank))
                                         for i in range(rank)):
         raise ContractError(f"the simple roots of {rs.type_name()} are not its first "
                             f"{rank} positive roots")
-    guards = _guards(rs, levi)
-    descent_bit = {-1 - i: 1 << i for i in mask_indices(levi)}  # -alpha_i is an image
+    guards = [(bit, _byte_table(table), frozenset(_ZERO + s for s in forbidden))
+              for bit, table, forbidden in _guards(rs, levi)]
+    descent_bit = {_ZERO - 1 - i: 1 << i for i in mask_indices(levi)}  # -alpha_i is an image
     watched = frozenset(descent_bit).union(*(forbidden for _, _, forbidden in guards))
-    plans: dict[frozenset[int], tuple[int, tuple[SignedImages, ...]]] = {}
-    right_bits = tuple(1 << j for j in range(rank))
-    pack = struct.Struct(f"{rs.num_positive + 1}i").pack  # one record, as array("i") holds it
+    unwatched = bytes(b for b in range(256) if b not in watched)
+    plans: dict[frozenset[int], tuple[int, tuple[bytes, ...]]] = {}
+    # the right mask, by the sign fills of the images of the simple roots
+    right_of = {bytes(0xFF * (m >> j & 1) for j in range(rank)): m for m in range(1 << rank)}
+    low_at = 3 if _BIG_ENDIAN else 0  # where an int32's low byte sits
     records, masks = array("i"), array("H")
-    step = [_identity_images(rs.num_positive)]
+    step = [bytes(range(_ZERO + 1, _ZERO + 1 + n))]
     for length, size in enumerate(_layer_sizes(rs, levi)):
         if len(step) != size:
             raise ContractError(
                 f"{len(step)} elements of length {length} in W_{mask_str(levi)} of "
                 f"{rs.type_name()}; its Poincaré polynomial has {size}")
         step.sort()
-        nxt: list[SignedImages] = []
-        packed = []
+        nxt: list[bytes] = []
         for w in step:
-            present = watched.intersection(w)
+            present = frozenset(w.translate(None, unwatched))
             plan = plans.get(present)
             if plan is None:  # the left mask, and the tables of the steps taken
                 left = sum(descent_bit.get(s, 0) for s in present)
@@ -184,11 +221,16 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
                     table for bit, table, forbidden in guards
                     if not left & bit and forbidden.isdisjoint(present)))
             left, tables = plan
-            packed.append(pack(length, *w))
-            masks.append(left + sum(compress(right_bits, map(_is_negative, w))))
+            masks.append(left + right_of[w[:rank].translate(_SIGN_FILL)])
             if tables:
-                nxt.extend(map(_reader(w), tables))  # compose_images(s_i, w)
-        records.frombytes(b"".join(packed))
+                nxt.extend(map(w.translate, tables))  # compose_images(s_i, w)
+        code = bytes((_ZERO + length,))
+        codes = code + code.join(step)  # per element its length, then its images
+        low, fill = codes.translate(_LOW_BYTE), codes.translate(_SIGN_FILL)
+        wide = bytearray(4 * len(codes))
+        for k in range(4):
+            wide[k::4] = low if k == low_at else fill
+        records.frombytes(wide)
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "

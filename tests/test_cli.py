@@ -292,6 +292,10 @@ _COMMAND_MODULES = (
     (("dcosets", "--type", "A2", "--I", "0", "--J", "1"), {"strata"}, {"weyl"}),
     (("ext-induced", "--type", "A2", "--method", "strata"), {"strata"}, {"weyl"}),
     (("verify", "--type", "A2", "--all-pairs"), set(), {"strata"}),
+    (("dcosets", "--type", "A2", "--I", "0", "--J", "1", "--ring", "q=3,d=1009"),
+     {"homology", "extengine", "strata"}, {"weyl"}),
+    (("ext-induced", "--type", "A2", "--method", "strata", "--ring", "q=3,d=1009"),
+     {"homology", "extengine", "strata"}, {"weyl"}),
 )
 
 
@@ -851,7 +855,7 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     is the only one at the right descents of exactly one element of W(B3):
     the class path reruns the first pair that reads its bucket through the
     representatives, so exit code and stderr are those of the per-rep path."""
-    import steinberg_ext.extengine as eng
+    import steinberg_ext.certificates as certificates
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.strata import DescentClasses
     from steinberg_ext.weyl import _inversion_sum, generate_weyl
@@ -864,10 +868,10 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
         if len(exponents) == 1:
             only[exponents.pop()] += 1
     e = min(e for e, count in only.items() if count == 1)
-    is_unit = eng.is_unit
-    monkeypatch.setattr(eng, "is_unit",
+    is_unit = certificates.is_unit
+    monkeypatch.setattr(certificates, "is_unit",
                         lambda value, spec: value != (3 ** e - 1) % 1009 and is_unit(value, spec))
-    monkeypatch.setattr(eng, "_UNIT_VALUES", {})
+    monkeypatch.setattr(certificates, "_UNIT_VALUES", {})
     argv = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
     by_class = run_cli(capsys, *argv)
     monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)

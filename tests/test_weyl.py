@@ -448,7 +448,7 @@ def _oracle_cache_bytes(rs, elements):
             + struct.pack(f"<{len(elements)}H", *weyl._descent_masks(rs, elements)))
 
 
-@pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["F4", "E6"])
+@pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["A6", "B6", "C6", "D6", "F4", "E6"])
 def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
     import steinberg_ext.weyl as weyl
 
@@ -510,14 +510,71 @@ def test_simple_roots_out_of_place_are_refused():
             weyl._closure(rs._replace(positive_roots=moved), full_mask(3))
 
 
+def test_byte_codes_hold_at_most_127_roots(monkeypatch):
+    """An image is one byte inside the enumeration, so a subgroup of a type
+    with over 127 positive roots is refused before any element is built,
+    however small the subgroup."""
+    import steinberg_ext.weyl as weyl
+
+    def no_enumeration(*args):
+        raise AssertionError("the enumeration started")
+
+    a16 = build_root_system("A", 16)  # 136 positive roots
+    monkeypatch.setattr(weyl, "_guards", no_enumeration)
+    monkeypatch.setattr(weyl, "_layer_sizes", no_enumeration)
+    start = time.perf_counter()
+    for levi in (0, 0b1, full_mask(16)):
+        with pytest.raises(ResourceLimitError, match="at most 127"):
+            weyl._closure(a16, levi)
+    with pytest.raises(ResourceLimitError, match="at most 127"):
+        weyl.parabolic_subgroup(a16, 0b11)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.undo()
+    assert len(weyl.parabolic_subgroup(build_root_system("A", 15), 0b11)) == 6  # 120 roots
+
+
+def test_closure_widens_records_in_the_byte_order_it_is_told(monkeypatch):
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    records, masks = weyl._closure(rs, full_mask(3))
+    monkeypatch.setattr(weyl, "_BIG_ENDIAN", not weyl._BIG_ENDIAN)
+    swapped, swapped_masks = weyl._closure(rs, full_mask(3))
+    assert swapped != records and swapped_masks == masks
+    swapped.byteswap()
+    assert swapped == records
+
+
+def test_closure_holds_one_layer_beside_what_it_returns():
+    """The enumeration widens each layer to records on its own: its traced
+    peak on E6 stays within 1.2 times the records and masks it returns
+    (widening the whole group at once takes about 3 times)."""
+    import tracemalloc
+
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("E", 6)
+    full = full_mask(rs.rank)
+    weyl._guards(rs, full)  # fills the reflection tables, kept for the process
+    weyl._layer_sizes(rs, full)
+    tracemalloc.start()
+    try:
+        records, masks = weyl._closure(rs, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = records.itemsize * len(records) + masks.itemsize * len(masks)
+    assert len(masks) == 51840 and peak <= 1.2 * kept, (peak, kept)
+
+
 def test_big_endian_save_swaps_a_copy(tmp_path, monkeypatch):
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system("B", 3)
     group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
+    fresh = weyl.generate_weyl.__wrapped__(rs)  # before the patch: it sets the records' order
     monkeypatch.setattr(weyl, "_BIG_ENDIAN", True)
     path = save_weyl_cache(rs, group, tmp_path)
-    fresh = weyl.generate_weyl.__wrapped__(rs)
     assert group == fresh and group.masks == fresh.masks
     assert list(group.records()) == list(fresh.records())
     records_at, masks_at = _cache_layout(rs, len(group))
