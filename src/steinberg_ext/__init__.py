@@ -73,9 +73,7 @@ _EXPORTS = {
     "rootdata": (
         "RootSystem",
         "build_root_system",
-        "cofundamental_pairing",
         "full_mask",
-        "levi_positive_roots",
         "mask_from_indices",
         "mask_indices",
         "mask_size",
@@ -83,16 +81,12 @@ _EXPORTS = {
         "parabolic_order",
         "parse_type",
         "rho_coefficients",
-        "root_system_json",
     ),
     "weyl": (
         "DoubleCosetRep",
         "WeylElement",
         "WeylGroup",
-        "delta_exponents",
-        "gamma_exponents",
         "generate_weyl",
-        "intersect_levi",
         "kostant_reps",
         "load_or_generate",
         "parabolic_subgroup",

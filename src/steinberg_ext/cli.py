@@ -109,8 +109,8 @@ def render_table(table: ExtTable, fmt: str, query: dict, method: str,
 
 
 def emit_table(table: ExtTable, fmt: str, query: dict, method: str,
-               extra: dict | None = None, out=None) -> None:
-    (out or sys.stdout).write(render_table(table, fmt, query, method, extra))
+               extra: dict | None = None) -> None:
+    sys.stdout.write(render_table(table, fmt, query, method, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,10 @@ def cmd_ext_vi(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .tables import check_center_rank
+
     rs, spec, I, _ = _parse_query(args)
-    if args.center_rank < 0:  # only the trivial object reads it; reject it for all
-        raise ConfigurationError("center rank must be non-negative")
+    check_center_rank(args.center_rank)  # only the trivial object reads it; check it for all
     dumps: list | None = [] if args.dump_complex else None
     if args.object == "trivial":
         from .tables import trivial_cohomology

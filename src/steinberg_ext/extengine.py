@@ -66,14 +66,7 @@ from .tables import (
 # the names callers have always imported from here: the strata path, which
 # reads no complex and so lives in ``certificates``, and the closed forms and
 # orientations of ``tables``
-from .certificates import (
-    _UNIT_VALUES,
-    VanishingCertificate,
-    _delta_candidates,
-    _unit_value,
-    ext_induced_via_strata,
-    vanishing_certificate,
-)
+from .certificates import VanishingCertificate, ext_induced_via_strata, vanishing_certificate
 from .tables import (
     Orientation,
     empty_table,
@@ -92,16 +85,11 @@ from .tables import (
 # ---------------------------------------------------------------------------
 # degree bookkeeping
 
-COVARIANT = "covariant"
-
-
-def total_degree(inner: int, lattice_s: int, lattice_top: int, slot: str) -> int:
+def total_degree(inner: int, lattice_s: int, lattice_top: int) -> int:
     """Total degree of a class of inner degree ``inner`` at lattice degree
     ``lattice_s`` of a lattice complex with top ``lattice_top``, resolved in
     the covariant slot, the one every built table uses."""
-    if slot == COVARIANT:
-        return inner + lattice_s - lattice_top
-    raise ContractError(f"unknown resolution slot {slot!r}")
+    return inner + lattice_s - lattice_top
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +210,7 @@ def _build_rows(rs: RootSystem, spec: RingSpec, B: int, span: int | None, shift:
         row_dump = None
         for s in hom.nonzero_degrees():
             rank, torsion = hom.free_ranks[s], hom.torsion[s]
-            n = total_degree(inner, s, top, COVARIANT)
+            n = total_degree(inner, s, top)
             if n < 0:
                 raise VerificationError(
                     f"nonzero homology at negative total degree {n}",

@@ -323,10 +323,6 @@ def _eliminate_unit(rows: dict[int, dict[int, int]], where: dict[int, set[int]],
                 where[c].discard(i)
 
 
-def integer_rank(m: IntMatrix) -> int:
-    return len(smith_divisors(m))
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 

@@ -7,14 +7,21 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .rootdata import (RootSystem, build_root_system, full_mask, max_rho_coefficient,
                        parabolic_order)
+
+
+# Every residue order is under this cap: q is factored by trial division up
+# to sqrt(q), so at most 2^16 divisions.
+MAX_RESIDUE_ORDER = 1 << 32
 
 
 def _prime_power_base(q: int) -> int:
     if q < 2:
         raise ConfigurationError(f"residue order q={q} must be a prime power >= 2")
+    if q >= MAX_RESIDUE_ORDER:
+        raise ResourceLimitError(f"residue order q={q} is over the cap of 2^32 - 1")
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -9,7 +9,6 @@ order ``alpha_0 < ... < alpha_{n-1}``.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from math import prod
@@ -188,12 +187,6 @@ def support_mask(coords: Coords) -> int:
     return mask
 
 
-def levi_positive_roots(rs: RootSystem, levi: int) -> tuple[Coords, ...]:
-    """Positive roots supported on the subset ``levi`` of the simple roots."""
-    validate_mask(levi, rs.rank)
-    return tuple(b for b in rs.positive_roots if support_mask(b) & ~levi == 0)
-
-
 @lru_cache(maxsize=None)
 def levi_root_indices(rs: RootSystem, levi: int) -> frozenset[int]:
     validate_mask(levi, rs.rank)
@@ -235,28 +228,8 @@ def max_rho_coefficient(rs: RootSystem) -> int:
     return max(rho_coefficients(rs))
 
 
-def cofundamental_pairing(chi: Coords, beta_index: int) -> int:
-    """Pairing of a character with the co-fundamental coweight dual to
-    alpha_{beta_index}: simply the coefficient of that simple root."""
-    if not 0 <= beta_index < len(chi):
-        raise ConfigurationError(f"simple-root index {beta_index} out of range")
-    return chi[beta_index]
-
-
 def zero_coords(rank: int) -> Coords:
     return (0,) * rank
-
-
-def root_system_json(rs: RootSystem) -> str:
-    return json.dumps(
-        {
-            "series": rs.series,
-            "rank": rs.rank,
-            "cartan": [list(r) for r in rs.cartan],
-            "positive_roots": [list(r) for r in rs.positive_roots],
-        },
-        sort_keys=True,
-    )
 
 
 def parse_type(text: str) -> tuple[str, int]:

@@ -114,7 +114,7 @@ class DescentClasses:
     def covers(self, I: int, J: int) -> bool:
         """Whether the (W_I, W_J) double cosets partition the group, as
         ``kostant_reps`` checks it: the group has |W| elements, no
-        representative fails the Levi guard of ``intersect_levi``, and
+        representative fails the Levi guard of ``_intersect_levi``, and
         Kilmoyer's sizes |W_I||W_J|/|W_{I n S_J(w)}| add up to |W|."""
         forbidden = I << 8 | J
         if self.size != self.order or any(

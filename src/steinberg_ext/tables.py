@@ -14,9 +14,10 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigurationError, ContractError, VerificationError
+from .errors import ConfigurationError, ContractError, ResourceLimitError, VerificationError
 from .rootdata import (
     CLOSED_FORM,
+    MAX_RANK,
     RootSystem,
     build_root_system,
     full_mask,
@@ -127,11 +128,19 @@ def steinberg_degree(rs: RootSystem, I: int, J: int) -> tuple[int, int]:
 # closed forms
 
 
+def check_center_rank(center_rank: int) -> None:
+    """Refuse a negative center rank, and one over ``MAX_RANK``: at 32 every
+    binomial C(c, j) of the center's table fits a machine word."""
+    if center_rank < 0:
+        raise ConfigurationError("center rank must be non-negative")
+    if center_rank > MAX_RANK:
+        raise ResourceLimitError(f"center rank {center_rank} is over the cap of {MAX_RANK}")
+
+
 def trivial_cohomology(rs: RootSystem, spec: RingSpec, center_rank: int) -> ExtTable:
     """Cohomology of the trivial representation: the exterior algebra of the
     rank of the center (one degree-0 line in the semisimple case)."""
-    if center_rank < 0:
-        raise ConfigurationError("center rank must be non-negative")
+    check_center_rank(center_rank)
     return exterior_table(center_rank)
 
 
@@ -157,8 +166,7 @@ def ext_steinberg_closed(rs: RootSystem, I: int, J: int, center_rank: int = 0) -
     center."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
-    if center_rank < 0:
-        raise ConfigurationError("center rank must be non-negative")
+    check_center_rank(center_rank)
     i0, _ = steinberg_degree(rs, I, J)
     return tensor_with_exterior(ExtTable({i0: ModulePiece(1)}), center_rank)
 

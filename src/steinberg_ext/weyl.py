@@ -31,7 +31,7 @@ from array import array
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress, starmap
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,15 +65,6 @@ class WeylElement(NamedTuple):
     def is_identity(self) -> bool:
         return self.length == 0
 
-    def image_of_root(self, k: int) -> tuple[int, int]:
-        """Index and sign of the image of the k-th positive root."""
-        s = self.signed_images[k]
-        return (abs(s) - 1, 1 if s > 0 else -1)
-
-
-def _length_of(images: SignedImages) -> int:
-    return sum(1 for s in images if s < 0)
-
 
 def _identity_images(n: int) -> SignedImages:
     return tuple(range(1, n + 1))
@@ -94,15 +85,6 @@ def _reader(positions: SignedImages) -> Callable[[SignedImages], SignedImages]:
     return itemgetter(*positions)
 
 
-def compose_images(u: SignedImages, v: SignedImages) -> SignedImages:
-    """Signed images of u∘v (apply v first, then u)."""
-    return _reader(v)(_action_table(u))
-
-
-def _element(images: SignedImages) -> WeylElement:
-    return WeylElement(images, _length_of(images))
-
-
 @lru_cache(maxsize=None)
 def _simple_reflection_images(rs: RootSystem, i: int) -> SignedImages:
     index = {coords: k for k, coords in enumerate(rs.positive_roots)}
@@ -117,10 +99,6 @@ def _simple_reflection_images(rs: RootSystem, i: int) -> SignedImages:
                 raise ContractError(f"reflection s_{i} left the root system")
             out.append(-(index[neg] + 1))
     return tuple(out)
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return _element(_simple_reflection_images(rs, i))
 
 
 def _guards(rs: RootSystem, levi: int) -> tuple[tuple[int, SignedImages, frozenset[int]], ...]:
@@ -223,7 +201,7 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
             left, tables = plan
             masks.append(left + right_of[w[:rank].translate(_SIGN_FILL)])
             if tables:
-                nxt.extend(map(w.translate, tables))  # compose_images(s_i, w)
+                nxt.extend(map(w.translate, tables))  # s_i·w for each step taken
         code = bytes((_ZERO + length,))
         codes = code + code.join(step)  # per element its length, then its images
         low, fill = codes.translate(_LOW_BYTE), codes.translate(_SIGN_FILL)
@@ -244,28 +222,27 @@ def _unpacked(records: array, width: int) -> Iterator[tuple[SignedImages, int]]:
             for start in range(0, len(records), width))
 
 
-def _check_cap(rs: RootSystem, levi: int, cap: int) -> None:
-    """Refuse, before any element is built, a subgroup larger than ``cap``."""
+def _check_cap(rs: RootSystem, levi: int) -> None:
+    """Refuse, before any element is built, a subgroup larger than
+    ``DEFAULT_WEYL_CAP``."""
     order = parabolic_order(rs, levi)
-    if order > cap:
-        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} exceeds cap {cap} "
-                                 f"({order} elements)")
+    if order > DEFAULT_WEYL_CAP:
+        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} exceeds cap "
+                                 f"{DEFAULT_WEYL_CAP} ({order} elements)")
 
 
 @lru_cache(maxsize=None)
-def generate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
+def generate_weyl(rs: RootSystem) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
-    _check_cap(rs, full_mask(rs.rank), cap)
-    records, masks = _closure(rs, full_mask(rs.rank))
-    return WeylGroup(rs, [None] * len(masks), masks, records)
+    _check_cap(rs, full_mask(rs.rank))
+    return WeylGroup(rs, *_closure(rs, full_mask(rs.rank)))
 
 
 @lru_cache(maxsize=None)
-def parabolic_subgroup(rs: RootSystem, levi: int,
-                       cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
+def parabolic_subgroup(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections of the subset ``levi``."""
     validate_mask(levi, rs.rank)
-    _check_cap(rs, levi, cap)
+    _check_cap(rs, levi)
     records, _ = _closure(rs, levi)
     return tuple(starmap(WeylElement, _unpacked(records, rs.num_positive + 1)))
 
@@ -301,17 +278,6 @@ def levi_difference_sum(rs: RootSystem, J: int, L: int) -> Coords:
     return _root_sum(rs, levi_root_indices(rs, J) - levi_root_indices(rs, L))
 
 
-def _gamma(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
-           phi_j: frozenset[int]) -> Coords:
-    return _root_sum(rs, [k for k, s in enumerate(images)
-                          if s < 0 and k not in phi_j and -1 - s not in phi_i])
-
-
-def _delta(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
-           phi_j: frozenset[int]) -> Coords:
-    return _root_sum(rs, [k for k in phi_j if images[k] > 0 and images[k] - 1 not in phi_i])
-
-
 def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, ...],
                     phi_i: frozenset[int]) -> tuple[int, int]:
     """The Levi subset w carries into I, and the subset of J it comes from."""
@@ -331,30 +297,6 @@ def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, .
     return levi, source
 
 
-def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
-    """Sum of the positive roots outside the J-Levi that w sends to negative
-    roots outside the (negated) I-Levi."""
-    phi_j = levi_root_indices(rs, J)
-    return _gamma(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
-
-
-def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
-    """Sum of the J-Levi positive roots that w keeps positive outside the
-    I-Levi."""
-    phi_j = levi_root_indices(rs, J)
-    return _delta(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
-
-
-def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
-    """The subset of J whose simple roots w carries into I (as simple roots).
-
-    Defined for minimal-length double-coset representatives only; for those,
-    any beta in J landing inside the I-Levi must land on a simple root.
-    """
-    return _intersect_levi(rs, w.signed_images, mask_indices(J),
-                           levi_root_indices(rs, I))[0]
-
-
 _is_negative = (0).__gt__
 
 
@@ -364,41 +306,22 @@ def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
                               *compress(rs.positive_roots, map(_is_negative, images)))))
 
 
-def _descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
-    """``left << 8 | right`` for every element, in group order.  Bit j of the
-    right mask is set when w(alpha_j) < 0, bit i of the left mask when
-    w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
-    left_of = {frozenset(-1 - i for i in mask_indices(m)): m << 8
-               for m in range(1 << rs.rank)}
-    negated_simple = frozenset(range(-rs.rank, 0))
-    right_bits = tuple(1 << j for j in range(rs.rank))
-    return array("H", [  # compress reads only the first rank images
-        left_of[negated_simple.intersection(images)]
-        + sum(compress(right_bits, map(_is_negative, images)))
-        for images in map(attrgetter("signed_images"), group)])
-
-
 class WeylGroup(Sequence):
     """A Weyl group in group order, with the data its double cosets are read
     from: the flat records (per element its length, then its signed images,
     in one int32 array), a descent mask per element, the positions bucketed
     by mask, built on first use, and the inversion sums read so far, by
     position.  A generated group and one read from the cache both come as
-    records and masks, with no element built: an element is decoded on its
-    first access and kept.  A group built from elements packs their records
-    and scans their masks here.  Slices are tuples; a group equals any
-    sequence of its elements."""
+    the records and masks of :func:`_closure`, with no element built: an
+    element is decoded on its first access and kept.  Slices are tuples; a
+    group equals any sequence of its elements."""
 
-    def __init__(self, rs: RootSystem, elements: Sequence[WeylElement | None],
-                 masks: array | None = None, records: array | None = None) -> None:
+    def __init__(self, rs: RootSystem, records: array, masks: array) -> None:
         self.rs = rs
-        self._elements = elements
         self._width = rs.num_positive + 1
-        if records is None:
-            records = array("i", chain.from_iterable(
-                (w.length, *w.signed_images) for w in elements))
         self._records = records
-        self.masks = _descent_masks(rs, elements) if masks is None else masks
+        self.masks = masks
+        self._elements: list[WeylElement | None] = [None] * len(masks)
         self.inversion_sums: dict[int, Coords] = {}
 
     @cached_property
@@ -460,8 +383,8 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     W_I n wW_Jw^-1 = W_levi(w), so the coset of w has |W_I||W_J|/|W_levi(w)|
     elements, and these sizes must add up to |W|.
 
-    For such a w the filters of :func:`gamma_exponents` and
-    :func:`delta_exponents` simplify.  w keeps the J-Levi's positive roots
+    For such a w the filters of the general gamma and delta formulas (kept
+    as references in ``tests/oracles.py``) simplify.  w keeps the J-Levi's positive roots
     positive and w^-1 the I-Levi's, so gamma is the sum of the inversion set
     of w alone, kept per group element.  w carries the positive roots of the
     Levi of L' = {j in J : w(alpha_j) in I} onto those of the Levi of levi(w),
@@ -562,7 +485,7 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
     if _BIG_ENDIAN:
         records.byteswap()
         masks.byteswap()
-    return WeylGroup(rs, [None] * count, masks, records)
+    return WeylGroup(rs, records, masks)
 
 
 @lru_cache(maxsize=None)
@@ -576,11 +499,3 @@ def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> Wey
         group = generate_weyl(rs)
         save_weyl_cache(rs, group, cache_dir)
     return group
-
-
-def permutes_roots(rs: RootSystem, w: WeylElement) -> bool:
-    """Check that the stored signed images really permute the root set and
-    that the stored length matches the root action."""
-    images = [abs(s) - 1 for s in w.signed_images]
-    return sorted(images) == list(range(rs.num_positive)) and \
-        w.length == _length_of(w.signed_images)

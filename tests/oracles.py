@@ -3,27 +3,43 @@
 Everything here deliberately avoids the package's own code paths: roots are
 closed over the full orbit (negatives included), Weyl groups are integer
 matrices acting on simple-root coordinates, determinants come from Bareiss
-elimination and ranks from Fraction-based Gaussian elimination.  The one
-exception is ``kostant_reps_by_enumeration``, which enumerates double cosets
-in the package's signed-image encoding to pin the descent-set version, the
-former seen-set Weyl closure, which pins the descent-guarded enumerator, and
-the three former row builders at the end, kept as written (on the package's
-``subset_lattice_complex``) to pin the one gated row builder that replaced
-them.
+elimination and ranks from Fraction-based Gaussian elimination.  The
+exceptions work in the package's signed-image encoding or on its own
+builders:
+
+- the definitions the package once held and no command runs, kept as they
+  were written: the general gamma and delta formulas and the Levi wrapper
+  (``gamma_exponents``, ``delta_exponents``, ``intersect_levi``) that
+  ``kostant_reps`` specialises to minimal representatives, the element
+  helpers ``simple_reflection``, ``compose_images`` and ``permutes_roots``,
+  the descent-mask scan ``descent_masks`` that pins the enumerator's masks,
+  ``weyl_group``, which builds a group (a corrupted one, say) from an element
+  list, and ``integer_rank``;
+- ``kostant_reps_by_enumeration``, which enumerates double cosets to pin the
+  descent-set version, and the former seen-set Weyl closure, which pins the
+  descent-guarded enumerator;
+- the three former row builders at the end, kept as written (on the
+  package's ``subset_lattice_complex``) to pin the one gated row builder
+  that replaced them.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, compress, product
 from math import comb
+from operator import attrgetter
 
 from steinberg_ext.errors import ConfigurationError, ContractError
-from steinberg_ext.homology import ChainComplex, IntMatrix, subset_lattice_complex
+from steinberg_ext.homology import ChainComplex, IntMatrix, smith_divisors, subset_lattice_complex
 from steinberg_ext.rootdata import (
+    Coords,
     RootSystem,
     full_mask,
+    levi_root_indices,
     mask_indices,
     mask_size,
     mask_str,
@@ -31,17 +47,17 @@ from steinberg_ext.rootdata import (
 )
 from steinberg_ext.weyl import (
     DoubleCosetRep,
+    SignedImages,
     WeylElement,
+    WeylGroup,
     _action_table,
     _identity_images,
+    _intersect_levi,
+    _is_negative,
     _reader,
+    _root_sum,
     _simple_reflection_images,
-    compose_images,
-    delta_exponents,
-    gamma_exponents,
     generate_weyl,
-    intersect_levi,
-    simple_reflection,
 )
 
 
@@ -259,6 +275,96 @@ def invariant_factors_by_factoring(moduli) -> list[int]:
                 factor *= powers.pop(0)
         factors.append(factor)
     return factors
+
+
+# ---------------------------------------------------------------------------
+# definitions the package once held, as they were written
+
+
+def integer_rank(m: IntMatrix) -> int:
+    return len(smith_divisors(m))
+
+
+def _length_of(images: SignedImages) -> int:
+    return sum(1 for s in images if s < 0)
+
+
+def compose_images(u: SignedImages, v: SignedImages) -> SignedImages:
+    """Signed images of u∘v (apply v first, then u)."""
+    return _reader(v)(_action_table(u))
+
+
+def _element(images: SignedImages) -> WeylElement:
+    return WeylElement(images, _length_of(images))
+
+
+def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+    return _element(_simple_reflection_images(rs, i))
+
+
+def permutes_roots(rs: RootSystem, w: WeylElement) -> bool:
+    """Check that the stored signed images really permute the root set and
+    that the stored length matches the root action."""
+    images = [abs(s) - 1 for s in w.signed_images]
+    return sorted(images) == list(range(rs.num_positive)) and \
+        w.length == _length_of(w.signed_images)
+
+
+def _gamma(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
+           phi_j: frozenset[int]) -> Coords:
+    return _root_sum(rs, [k for k, s in enumerate(images)
+                          if s < 0 and k not in phi_j and -1 - s not in phi_i])
+
+
+def _delta(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],
+           phi_j: frozenset[int]) -> Coords:
+    return _root_sum(rs, [k for k in phi_j if images[k] > 0 and images[k] - 1 not in phi_i])
+
+
+def gamma_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
+    """Sum of the positive roots outside the J-Levi that w sends to negative
+    roots outside the (negated) I-Levi."""
+    phi_j = levi_root_indices(rs, J)
+    return _gamma(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
+
+
+def delta_exponents(rs: RootSystem, w: WeylElement, I: int, J: int) -> Coords:
+    """Sum of the J-Levi positive roots that w keeps positive outside the
+    I-Levi."""
+    phi_j = levi_root_indices(rs, J)
+    return _delta(rs, w.signed_images, levi_root_indices(rs, I), phi_j)
+
+
+def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
+    """The subset of J whose simple roots w carries into I (as simple roots).
+
+    Defined for minimal-length double-coset representatives only; for those,
+    any beta in J landing inside the I-Levi must land on a simple root.
+    """
+    return _intersect_levi(rs, w.signed_images, mask_indices(J),
+                           levi_root_indices(rs, I))[0]
+
+
+def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
+    """``left << 8 | right`` for every element, in group order.  Bit j of the
+    right mask is set when w(alpha_j) < 0, bit i of the left mask when
+    w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+    left_of = {frozenset(-1 - i for i in mask_indices(m)): m << 8
+               for m in range(1 << rs.rank)}
+    negated_simple = frozenset(range(-rs.rank, 0))
+    right_bits = tuple(1 << j for j in range(rs.rank))
+    return array("H", [  # compress reads only the first rank images
+        left_of[negated_simple.intersection(images)]
+        + sum(compress(right_bits, map(_is_negative, images)))
+        for images in map(attrgetter("signed_images"), group)])
+
+
+def weyl_group(rs: RootSystem, elements: Sequence[WeylElement],
+               masks: array | None = None) -> WeylGroup:
+    """A group of ``elements`` in their order, right or corrupted: their
+    records packed, and their descent masks scanned unless given."""
+    records = array("i", chain.from_iterable((w.length, *w.signed_images) for w in elements))
+    return WeylGroup(rs, records, descent_masks(rs, elements) if masks is None else masks)
 
 
 def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:

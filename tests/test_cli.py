@@ -591,6 +591,30 @@ def test_rows_over_the_cap_are_refused(capsys):
                      "complex_built")
 
 
+def test_a_center_rank_over_the_cap_is_refused(capsys):
+    """A center of rank c tensors a table with the binomials C(c, j): at 2000
+    the ext table overflowed a tuple repeat, and at 20000 the trivial
+    cohomology ran on for seconds.  Up to ``MAX_RANK`` = 32 it answers."""
+    _refused_quickly(capsys, "ext", "--type", "A2", "--I", "0", "--J", "1",
+                     "--center-rank", "2000", "--ring", "Q")
+    _refused_quickly(capsys, "cohomology", "--type", "A2", "--object", "trivial",
+                     "--center-rank", "20000", "--ring", "Q")
+    for argv in (("ext", "--I", "0", "--J", "1"), ("cohomology", "--object", "trivial")):
+        code, out, _ = run_cli(capsys, *argv, "--type", "A2", "--center-rank", "32",
+                               "--ring", "Q", "--format", "tsv")
+        assert code == 0 and "\t601080390\t-\n" in out  # C(32, 16)
+
+
+def test_a_residue_order_over_the_cap_is_refused(capsys):
+    """Every command parses its ring, and q is factored by trial division up
+    to sqrt(q): q = 2^61 - 1 would take about 1.5e9 divisions.  The largest
+    prime under 2^32 still parses."""
+    from steinberg_ext.ringcond import RingSpec, parse_ring
+
+    _refused_quickly(capsys, "check-ring", "--type", "A2", "--ring", "q=2305843009213693951,d=5")
+    assert parse_ring("q=4294967291,d=5") == RingSpec(5, 4294967291)
+
+
 def test_a_table_over_the_cap_is_refused_before_its_first_row(capsys, monkeypatch):
     """A11 over I = {}: the row t = 3 would hold C(11, 3) * 2^8 = 42,240 basis
     vectors, so not even the small rows t < 3 are built."""
@@ -724,28 +748,22 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
     assert rootdata.parse_type("A32") == ("A", 32)
 
 
-def test_each_group_scans_its_descent_masks_once(tmp_path, capsys, monkeypatch, fresh_caches):
-    """No query scans the descent masks of a group: a cold dcosets query
-    that writes the cache takes them from the enumeration, for the file and
-    the double cosets alike, and a warm one reads them from disk."""
+def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                                        fresh_caches):
+    """A cold dcosets query, which enumerates the group and writes the cache,
+    and a warm one, which reads the records and descent masks from disk,
+    print the same bytes.  A group has one constructor, which takes its masks
+    as given, so no query scans them."""
     import steinberg_ext.weyl as weyl
 
-    scans = []
-    descent_masks = weyl._descent_masks
-
-    def counting(rs, group):
-        scans.append(rs)
-        return descent_masks(rs, group)
-
     monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
-    monkeypatch.setattr(weyl, "_descent_masks", counting)
     argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
             "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(scans) == 0
+    assert code == 0
     weyl.load_or_generate.cache_clear()
     code, warm, _ = run_cli(capsys, *argv)
-    assert (code, warm) == (0, cold) and len(scans) == 0
+    assert (code, warm) == (0, cold)
 
 
 # ---------------------------------------------------------------------------

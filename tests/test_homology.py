@@ -20,7 +20,6 @@ from steinberg_ext.homology import (
     exterior_row_complex,
     homology_over_Z,
     homology_with_coefficients,
-    integer_rank,
     reverse_transpose,
     row_homology,
     smith_divisors,
@@ -31,6 +30,7 @@ from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
 
 import oracles
+from oracles import integer_rank
 
 
 # ---------------------------------------------------------------------------

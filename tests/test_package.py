@@ -1,6 +1,8 @@
 """The package's exports: each loads on first access from the module that
-defines it, and importing the package loads none of its modules."""
+defines it, and importing the package loads none of its modules.  Every
+function and class the package defines is used by the package itself."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,12 +27,10 @@ EXPORTS = [
     "smith_normal_form", "subset_lattice_complex",
     "ConditionReport", "RingSpec", "banal_proxy_check", "bon_check", "check_ring",
     "format_ring", "is_unit", "parse_ring", "weyl_degrees",
-    "RootSystem", "build_root_system", "cofundamental_pairing", "full_mask",
-    "levi_positive_roots", "mask_from_indices", "mask_indices", "mask_size",
-    "max_rho_coefficient", "parse_type", "rho_coefficients", "root_system_json",
-    "DoubleCosetRep", "WeylElement", "WeylGroup", "delta_exponents", "gamma_exponents",
-    "generate_weyl", "intersect_levi", "kostant_reps", "load_or_generate", "parabolic_order",
-    "parabolic_subgroup",
+    "RootSystem", "build_root_system", "full_mask", "mask_from_indices", "mask_indices",
+    "mask_size", "max_rho_coefficient", "parse_type", "rho_coefficients",
+    "DoubleCosetRep", "WeylElement", "WeylGroup", "generate_weyl", "kostant_reps",
+    "load_or_generate", "parabolic_order", "parabolic_subgroup",
 ]
 
 
@@ -85,3 +85,38 @@ def test_submodules_stay_reachable_as_attributes():
     out = _fresh("import steinberg_ext; "
                  "print(steinberg_ext.weyl.__name__, steinberg_ext.strata.__name__)")
     assert out == "steinberg_ext.weyl steinberg_ext.strata\n"
+
+
+def _names(statement: ast.stmt):
+    """The names a top-level statement refers to: each name it reads or
+    calls, each attribute, each name it imports, and, for ``_EXPORTS``, each
+    exported name."""
+    exports = isinstance(statement, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "_EXPORTS" for target in statement.targets)
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif exports and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_used_by_the_package():
+    """A module-level function or class that only tests read belongs in
+    ``tests/oracles.py``: each one must be named somewhere in the package
+    besides its own definition, in a call, a reference, an import or an
+    ``_EXPORTS`` entry.  Dunder hooks are called by Python itself."""
+    statements = [statement for path in sorted((SRC / "steinberg_ext").glob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    named = {}
+    for statement in statements:
+        for name in _names(statement):
+            named.setdefault(name, set()).add(id(statement))
+    unused = [statement.name for statement in statements
+              if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+              and not statement.name.startswith("__")
+              and not named.get(statement.name, set()) - {id(statement)}]
+    assert unused == []

@@ -4,15 +4,13 @@ from steinberg_ext.errors import ConfigurationError
 from steinberg_ext.rootdata import (
     build_root_system,
     cartan_matrix,
-    cofundamental_pairing,
     full_mask,
-    levi_positive_roots,
+    levi_root_indices,
     mask_from_indices,
     mask_indices,
     max_rho_coefficient,
     parse_type,
     rho_coefficients,
-    root_system_json,
 )
 
 import oracles
@@ -70,11 +68,16 @@ def test_parse_type_rejects_garbage():
         parse_type("Axy")
 
 
+def _levi_roots(rs, levi):
+    """The positive roots at ``levi_root_indices``, in root order."""
+    return tuple(rs.positive_roots[k] for k in sorted(levi_root_indices(rs, levi)))
+
+
 def test_levi_positive_roots_examples():
     rs = build_root_system("A", 2)
-    assert levi_positive_roots(rs, 0) == ()
-    assert levi_positive_roots(rs, 0b01) == ((1, 0),)
-    assert set(levi_positive_roots(rs, full_mask(2))) == set(rs.positive_roots)
+    assert _levi_roots(rs, 0) == ()
+    assert _levi_roots(rs, 0b01) == ((1, 0),)
+    assert set(_levi_roots(rs, full_mask(2))) == set(rs.positive_roots)
 
 
 def test_levi_monotone():
@@ -84,7 +87,7 @@ def test_levi_monotone():
         for big in range(full + 1):
             if small & ~big:
                 continue
-            assert set(levi_positive_roots(rs, small)) <= set(levi_positive_roots(rs, big))
+            assert set(_levi_roots(rs, small)) <= set(_levi_roots(rs, big))
 
 
 def test_rho_examples():
@@ -111,25 +114,9 @@ def test_rho_entries_at_least_one():
         assert min(rho_coefficients(build_root_system(*parse_type(name)))) >= 1
 
 
-def test_cofundamental_pairing_examples():
-    rs = build_root_system("A", 2)
-    assert cofundamental_pairing((0, 1), 1) == 1
-    assert cofundamental_pairing((1, 1), 0) == 1
-    assert cofundamental_pairing(rho_coefficients(build_root_system("G", 2)), 0) == 10
-    with pytest.raises(ConfigurationError):
-        cofundamental_pairing((1, 0), 5)
-
-
 def test_mask_helpers():
     assert mask_from_indices([0, 2], 3) == 0b101
     assert mask_indices(0b101) == (0, 2)
     with pytest.raises(ConfigurationError):
         mask_from_indices([3], 3)
 
-
-def test_root_system_json_shape():
-    import json
-    data = json.loads(root_system_json(build_root_system("A", 2)))
-    assert data["series"] == "A" and data["rank"] == 2
-    assert data["cartan"] == [[2, -1], [-1, 2]]
-    assert [1, 0] in data["positive_roots"] and [1, 1] in data["positive_roots"]

@@ -8,24 +8,25 @@ from steinberg_ext.errors import ContractError, ResourceLimitError
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
                                    levi_root_indices, parse_type)
 from steinberg_ext.weyl import (
-    WeylGroup,
-    _delta,
-    delta_exponents,
-    gamma_exponents,
     generate_weyl,
-    intersect_levi,
     kostant_reps,
     load_or_generate,
     load_weyl_cache,
     parabolic_order,
     parabolic_subgroup,
-    permutes_roots,
     save_weyl_cache,
-    simple_reflection,
     weyl_cache_path,
 )
 
 import oracles
+from oracles import (
+    _delta,
+    delta_exponents,
+    gamma_exponents,
+    intersect_levi,
+    permutes_roots,
+    simple_reflection,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
 RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
@@ -61,10 +62,13 @@ def test_lengths_match_root_action():
     assert series_lengths == oracle_lengths
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    import steinberg_ext.weyl as weyl
+
     rs = build_root_system("A", 3)
+    monkeypatch.setattr(weyl, "DEFAULT_WEYL_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        generate_weyl(rs, cap=10)
+        weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
 
 
 def test_enumeration_cap_is_checked_before_enumerating(monkeypatch):
@@ -204,14 +208,14 @@ def test_partition_check_catches_a_corrupted_group():
     for elements in dropped + duplicated:
         for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, WeylGroup(rs, elements))
+                kostant_reps(rs, I, J, oracles.weyl_group(rs, elements))
     # one representative dropped or doubled in a group of the right size: only
     # the coset sizes can tell (the longest element is no representative here)
     swapped = [flat[1:] + flat[-1:], flat[:1] + flat[:-1]]
     for elements in swapped:
         for I, J in [(0b011, 0b110), (0b111, 0b111)]:
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, WeylGroup(rs, elements))
+                kostant_reps(rs, I, J, oracles.weyl_group(rs, elements))
     # the intact group still passes after a corrupted one was bucketed
     assert kostant_reps(rs, 0b011, 0b110, group) == kostant_reps(rs, 0b011, 0b110)
 
@@ -273,7 +277,8 @@ def test_gamma_delta_match_matrix_action():
 
 
 def _image_coords(rs, w, j):
-    k, sign = w.image_of_root(j)
+    s = w.signed_images[j]
+    k, sign = abs(s) - 1, 1 if s > 0 else -1
     return tuple(sign * c for c in rs.positive_roots[k])
 
 
@@ -440,12 +445,10 @@ RANK_AT_MOST_5 = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C
 
 def _oracle_cache_bytes(rs, elements):
     """A WGC2 file for ``elements``, packed record by record with struct."""
-    import steinberg_ext.weyl as weyl
-
     n = rs.num_positive
     return (b"WGC2" + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
             + b"".join(struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in elements)
-            + struct.pack(f"<{len(elements)}H", *weyl._descent_masks(rs, elements)))
+            + struct.pack(f"<{len(elements)}H", *oracles.descent_masks(rs, elements)))
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["A6", "B6", "C6", "D6", "F4", "E6"])
@@ -456,7 +459,7 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
     records, masks = weyl._closure(rs, full_mask(rs.rank))
     assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
-    assert masks == weyl._descent_masks(rs, oracle)
+    assert masks == oracles.descent_masks(rs, oracle)
     group = generate_weyl(rs)
     assert group == oracle
     path = save_weyl_cache(rs, group, tmp_path)
