@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every pair of subsets instead of a single (I, J)")
     p.add_argument("--strata", choices=("auto", "on", "off"), default="auto",
                    help="include the double-coset strata sweep (auto: rank <= 3)")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="worker processes for the pair sweep (same bytes, less wall time)")
 
     p = sub.add_parser("zelevinsky", help="segment-graph orientation combinatorics "
                                           "and the cuspidal-line Ext table")
@@ -344,54 +342,14 @@ def cmd_check_ring(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-# a subset as verify prints it, formatted once per mask in each process
-_label = lru_cache(maxsize=None)(mask_str)
-
-
-def _verify_pair_task(series: str, rank: int, d: int, q: int, I: int, J: int,
-                      strata: bool, by_class: bool, cache_dir: str | None) -> list[str]:
-    """Per-pair checks; returns sorted human-readable result lines.  The
-    strata are checked per descent class when ``by_class``, else per
-    representative."""
-    from .extengine import ext_steinberg, ext_v_to_induced
+def cmd_verify(args) -> int:
+    """Every check of one pair, or of all pairs, in one loop over the root
+    system, ring and group parsed and built once.  The strata are checked
+    per descent class in a sweep, per representative for a single pair."""
+    from .extengine import (built_tables_kept, cohomology_rows_exact, cohomology_v,
+                            ext_steinberg, ext_v_to_induced)
     from .tables import ext_induced_closed, ext_steinberg_closed, ext_v_to_induced_closed
 
-    rs = build_root_system(series, rank)
-    spec = RingSpec(d, q)
-    lines = []
-    pair = f"I={_label(I)} J={_label(J)}"
-
-    def record(check: str, ok: bool, detail: str = "") -> None:
-        state = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        lines.append(f"{state} {check} {pair}{suffix}")
-
-    for check, closed_of, table_of in (("ext-methods", ext_steinberg_closed, ext_steinberg),
-                                       ("vi-methods", ext_v_to_induced_closed, ext_v_to_induced)):
-        try:
-            closed = closed_of(rs, I, J)  # once: the built path checks against it too
-            built = table_of(rs, I, J, spec, COMPLEX_BUILT, closed=closed)
-            record(check, built.same_modules(closed) and not built.has_torsion())
-        except VerificationError as e:
-            record(check, False, str(e))
-
-    if strata:
-        from .strata import verify_strata  # only verify compiles it
-        from .weyl import load_or_generate
-
-        # RingAssumptionError propagates: the caller turns it into exit 3
-        table, certified = verify_strata(rs, I, J, spec, load_or_generate(rs, cache_dir),
-                                         by_class=by_class)
-        record("strata", table.same_modules(ext_induced_closed(rs, I, J, spec)))
-        record("certificates", certified)
-    return lines
-
-
-def cmd_verify(args) -> int:
-    from .extengine import built_tables_kept, cohomology_rows_exact, cohomology_v
-
-    if args.parallel < 1:
-        raise ConfigurationError(f"--parallel needs at least one worker, got {args.parallel}")
     rs, spec, I, J = _parse_query(args, subsets=not args.all_pairs)
     series, rank = rs.series, rs.rank
     if args.all_pairs and 4 ** rank > MAX_PAIRS:
@@ -415,43 +373,48 @@ def cmd_verify(args) -> int:
     # the classes cost one pass over the group: a sweep reads them for every
     # pair, a single pair reads its few representatives
     by_class = strata and args.all_pairs
-    cache_dir = None
+    group = None
     if strata:
         # loaded, with the descent classes a sweep reads, before any work, so
-        # that a group over the cap is refused at once, and before any worker
-        # starts: a forked worker inherits it
+        # that a group over the cap is refused at once
+        from .strata import verify_strata  # only verify compiles it
         from .weyl import load_or_generate
 
-        cache_dir = _cache_dir(args)
-        group = load_or_generate(rs, cache_dir)
+        group = load_or_generate(rs, _cache_dir(args))
         if by_class:
             group.classes
 
+    methods = (("ext-methods", ext_steinberg_closed, ext_steinberg),
+               ("vi-methods", ext_v_to_induced_closed, ext_v_to_induced))
+    label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
     lines: list[str] = []
-    with built_tables_kept():  # forked workers inherit the cohomology tables built here
+
+    def record(check: str, subject: str, ok: bool, detail: str = "") -> None:
+        suffix = f" ({detail})" if detail else ""
+        lines.append(f"{'PASS' if ok else 'FAIL'} {check} {subject}{suffix}")
+
+    with built_tables_kept():
         for I in subsets:
             try:
                 cohomology_v(rs, I, spec, COMPLEX_BUILT)
-                state = "PASS" if cohomology_rows_exact(rs, I) else "FAIL"
-                lines.append(f"{state} cohomology I={_label(I)}")
+                record("cohomology", f"I={label(I)}", cohomology_rows_exact(rs, I))
             except VerificationError as e:
-                lines.append(f"FAIL cohomology I={_label(I)} ({e})")
+                record("cohomology", f"I={label(I)}", False, str(e))
 
-        tasks = [(series, rank, spec.d, spec.q, I, J, strata, by_class, cache_dir)
-                 for I, J in pairs]
-        workers = min(args.parallel, os.cpu_count() or 1, len(tasks))
-        if workers > 1:
-            # imported here: multiprocessing costs every other command start-up time
-            from concurrent.futures import ProcessPoolExecutor
-            # one pair per round trip costs more than most pairs take: send
-            # each worker about four chunks
-            chunksize = -(-len(tasks) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_verify_pair_task_star, tasks, chunksize=chunksize):
-                    lines.extend(result)
-        else:
-            for task in tasks:
-                lines.extend(_verify_pair_task(*task))
+        for I, J in pairs:
+            pair = f"I={label(I)} J={label(J)}"
+            for check, closed_of, table_of in methods:
+                try:
+                    closed = closed_of(rs, I, J)  # once: the built path checks against it too
+                    built = table_of(rs, I, J, spec, COMPLEX_BUILT, closed=closed)
+                    record(check, pair, built.same_modules(closed) and not built.has_torsion())
+                except VerificationError as e:
+                    record(check, pair, False, str(e))
+            if group is not None:
+                # RingAssumptionError propagates: the dispatcher turns it into exit 3
+                table, certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
+                record("strata", pair, table.same_modules(ext_induced_closed(rs, I, J, spec)))
+                record("certificates", pair, certified)
 
     lines.sort()
     for line in lines:
@@ -460,10 +423,6 @@ def cmd_verify(args) -> int:
     sys.stdout.write(f"checked {len(lines)} assertions for {series}{rank} over "
                      f"{format_ring(spec)}: {len(lines) - failed} passed, {failed} failed\n")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
-
-
-def _verify_pair_task_star(task) -> list[str]:
-    return _verify_pair_task(*task)
 
 
 def cmd_zelevinsky(args) -> int:

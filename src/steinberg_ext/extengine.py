@@ -97,10 +97,10 @@ def total_degree(inner: int, lattice_s: int, lattice_top: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ring_passes(series: str, rank: int, d: int, q: int) -> bool:
-    """Whether Z/d (Q for d = 0) with residue order q passes its checks for
-    the type, keyed by plain values: a root system is slow to hash."""
-    return check_ring(build_root_system(series, rank), RingSpec(d, q)).ok
+def _ring_passes(series: str, rank: int, spec: RingSpec) -> bool:
+    """Whether the ring passes its checks for the type, keyed by the type's
+    name: a root system is slow to hash, a ring hashes by (d, q)."""
+    return check_ring(build_root_system(series, rank), spec).ok
 
 
 # The most dense matrix entries a dumped table may print, summed over the
@@ -164,7 +164,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
         if kept is not None:
             kept[key] = entries, dumps
     built = ExtTable(entries, COMPLEX_BUILT)
-    if not _ring_passes(rs.series, rs.rank, spec.d, spec.q):
+    if not _ring_passes(rs.series, rs.rank, spec):
         built.outside_hypotheses = True
     elif not built.same_modules(closed):
         raise VerificationError(

@@ -39,12 +39,13 @@ def _prime_power_base(q: int) -> int:
 
 class RingSpec:
     """Coefficient ring: Q (``d == 0``) or Z/d, plus the residue order q of
-    the underlying local field.  Immutable, compared and hashed by (d, q)."""
+    the underlying local field and its prime ``residue_char``, factored once
+    here.  Immutable, compared and hashed by (d, q)."""
 
     def __init__(self, d: int, q: int) -> None:
         if d < 0 or d == 1:
             raise ConfigurationError(f"modulus d={d} is degenerate (need 0 or >= 2)")
-        _prime_power_base(q)
+        object.__setattr__(self, "residue_char", _prime_power_base(q))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "q", q)
 
@@ -65,10 +66,6 @@ class RingSpec:
     @property
     def is_rational(self) -> bool:
         return self.d == 0
-
-    @property
-    def residue_char(self) -> int:
-        return _prime_power_base(self.q)
 
     @classmethod
     def rationals(cls, q: int = 2) -> "RingSpec":

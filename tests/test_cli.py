@@ -261,15 +261,18 @@ def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys, monkeypatch)
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # only verify --parallel N > 1 starts a pool; nothing else pays its import
+    # no command starts a process pool, so neither the import nor a verify
+    # sweep pays the import of one
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, steinberg_ext.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys, steinberg_ext.cli as cli; "
+            "code = cli.parse_and_dispatch(['verify', '--type', 'A2', '--ring', 'Q', "
+            "'--all-pairs']); print(code, sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert "0 failed" in proc.stdout and proc.stdout.endswith("\n0 []\n")
 
 
 # (argv, package modules the command must not load, modules it must load)
@@ -379,30 +382,41 @@ def test_verify_strata_honours_the_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch):
+    """The ring is parsed, so q factored, once per command, and checked once
+    for the command's report and once for all its built tables, however many
+    pairs it sweeps: at the largest q under the cap, an A4 sweep takes no
+    longer than the pairs take."""
     import steinberg_ext.extengine as extengine
     import steinberg_ext.ringcond as ringcond
 
-    calls = []
-    original = ringcond.bon_check
+    checks, factorings = [], []
+    bon_check, prime_power_base = ringcond.bon_check, ringcond._prime_power_base
 
-    def counting(rs, spec):
-        calls.append(spec)
-        return original(rs, spec)
+    def counting_check(rs, spec):
+        checks.append(spec)
+        return bon_check(rs, spec)
 
-    monkeypatch.setattr(ringcond, "bon_check", counting)
-    extengine._ring_passes.cache_clear()
-    code, out, _ = run_cli(capsys, "verify", "--type", "B2", "--ring", "q=3,d=1009",
-                           "--all-pairs", "--strata", "off")
-    assert code == 0 and "36 passed, 0 failed" in out
-    # one for verify's own ring report, one for every complex-built table
-    assert len(calls) == 2
+    def counting_base(q):
+        factorings.append(q)
+        return prime_power_base(q)
 
+    monkeypatch.setattr(ringcond, "bon_check", counting_check)
+    monkeypatch.setattr(ringcond, "_prime_power_base", counting_base)
+    for name, passed in (("B2", 36), ("B3", 136)):
+        checks.clear()
+        factorings.clear()
+        extengine._ring_passes.cache_clear()
+        code, out, _ = run_cli(capsys, "verify", "--type", name, "--ring", "q=3,d=1009",
+                               "--all-pairs", "--strata", "off")
+        assert code == 0 and f"{passed} passed, 0 failed" in out
+        # one for verify's own ring report, one for every complex-built table
+        assert (len(checks), factorings) == (2, [3]), name
 
-def test_parallel_same_bytes(capsys):
-    args = ("verify", "--type", "A2", "--ring", "Q", "--all-pairs")
-    _, serial, _ = run_cli(capsys, *args)
-    _, parallel, _ = run_cli(capsys, *args, "--parallel", "2")
-    assert serial == parallel
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--type", "A4", "--all-pairs", "--strata", "off",
+                           "--ring", "q=4294967291,d=1000003")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "528 passed, 0 failed" in out
 
 
 def test_module_entrypoint_subprocess():
@@ -427,55 +441,12 @@ def test_negative_center_rank_is_a_usage_error(capsys):
         assert "internal contract violation" not in err
 
 
-def test_parallel_below_one_is_a_usage_error(capsys):
-    for n in ("0", "-3"):
-        code, out, err = run_cli(capsys, "verify", "--type", "A1", "--ring", "Q",
-                                 "--all-pairs", "--parallel", n)
-        assert (code, out) == (2, "")
-        assert "--parallel" in err
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size and the chunk size
-    it is asked for, runs in-process."""
-
-    sizes: list[int] = []
-    chunksizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, items)
-
-
-def test_parallel_pool_size_is_clamped(capsys, monkeypatch):
-    import steinberg_ext.cli as cli
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    _InlinePool.sizes = []
-    _InlinePool.chunksizes = []
-    args = ("verify", "--type", "A2", "--ring", "Q")
-    _, serial, _ = run_cli(capsys, *args, "--all-pairs")
-    _, pooled, _ = run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
-    assert pooled == serial
-    assert _InlinePool.sizes == [3]  # min(N, cpu_count, 16 pairs)
-    assert _InlinePool.chunksizes == [2]  # ceil(16 pairs / (4 chunks * 3 workers))
-
-    run_cli(capsys, *args, "--I", "0", "--J", "1", "--parallel", "8")
-    assert _InlinePool.sizes == [3]  # one pair: no pool at all
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    run_cli(capsys, *args, "--all-pairs", "--parallel", "1000000")
-    assert _InlinePool.sizes == [3, 16]
+def test_parallel_is_an_unknown_argument(capsys):
+    # verify sweeps its pairs in one process; it has no worker count to take
+    code, out, err = run_cli(capsys, "verify", "--type", "A1", "--ring", "Q",
+                             "--all-pairs", "--parallel", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --parallel 2" in err
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +589,6 @@ def test_a_residue_order_over_the_cap_is_refused(capsys):
 def test_a_table_over_the_cap_is_refused_before_its_first_row(capsys, monkeypatch):
     """A11 over I = {}: the row t = 3 would hold C(11, 3) * 2^8 = 42,240 basis
     vectors, so not even the small rows t < 3 are built."""
-    import concurrent.futures
-
     import steinberg_ext.extengine as extengine
     import steinberg_ext.homology as homology
 
@@ -629,7 +598,6 @@ def test_a_table_over_the_cap_is_refused_before_its_first_row(capsys, monkeypatc
     monkeypatch.setattr(homology, "exterior_row_complex", refuse)
     monkeypatch.setattr(extengine, "exterior_row_complex", refuse)
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     _refused_quickly(capsys, "cohomology", "--type", "A11", "--I", "", "--method",
                      "complex_built")
 
@@ -779,6 +747,25 @@ PINNED_SWEEPS = {
 }
 
 
+def test_each_pair_alone_prints_its_lines_of_the_sweep(capsys):
+    """One loop serves a sweep and a single pair: each pair checked alone,
+    through its representatives, prints the lines the sweep, which reads the
+    descent classes, prints for it."""
+    from steinberg_ext.rootdata import mask_indices
+
+    base = ("verify", "--type", "B2", "--ring", "q=3,d=1009", "--strata", "on")
+    code, out, _ = run_cli(capsys, *base, "--all-pairs")
+    assert code == 0
+    sweep = set(out.splitlines()[:-1])
+    for I in range(4):
+        for J in range(4):
+            code, out, _ = run_cli(capsys, *base, "--I", ",".join(map(str, mask_indices(I))),
+                                   "--J", ",".join(map(str, mask_indices(J))))
+            lines = out.splitlines()[:-1]
+            assert code == 0 and len(lines) == 4 + len({I, J}), (I, J)
+            assert set(lines) <= sweep, (I, J)
+
+
 def test_verify_sweep_bytes_are_pinned(capsys):
     import hashlib
 
@@ -786,8 +773,6 @@ def test_verify_sweep_bytes_are_pinned(capsys):
         args = ("verify", "--type", name, "--ring", ring, "--all-pairs", "--strata", strata)
         code, out, _ = run_cli(capsys, *args)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
-        if name == "D4":
-            assert run_cli(capsys, *args, "--parallel", "2")[:2] == (0, out)
 
 
 def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):

@@ -34,6 +34,29 @@ def test_residue_char():
     assert RingSpec(0, 8).residue_char == 2
 
 
+def test_a_ring_factors_its_residue_order_once(monkeypatch):
+    """q is factored by trial division when the ring is made, and its base is
+    kept; the ring is still compared and hashed by (d, q) alone."""
+    import steinberg_ext.ringcond as ringcond
+
+    factored = []
+    base = ringcond._prime_power_base
+
+    def counting(q):
+        factored.append(q)
+        return base(q)
+
+    monkeypatch.setattr(ringcond, "_prime_power_base", counting)
+    spec = RingSpec(5, 4294967291)
+    assert [spec.residue_char, spec.residue_char] == [4294967291] * 2
+    check_ring(build_root_system("A", 2), spec)
+    assert factored == [4294967291]
+    assert spec == RingSpec(5, 4294967291) and hash(spec) == hash((5, 4294967291))
+    assert spec != RingSpec(7, 4294967291)
+    with pytest.raises(AttributeError):
+        spec.residue_char = 2
+
+
 def test_is_unit():
     assert is_unit(2, RingSpec(5, 3))
     assert not is_unit(2, RingSpec(2, 3))
