@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContractError, RingAssumptionError, VerificationError
 from .ringcond import RingSpec, format_ring, is_unit
-from .rootdata import STRATA, RootSystem, mask_size, mask_str
+from .rootdata import RootSystem, mask_size, mask_str
 from .tables import ExtTable, ModulePiece, _merge, ext_induced_closed, exterior_table
 
 if TYPE_CHECKING:
@@ -132,7 +132,7 @@ def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
                 raise ContractError("a non-surviving stratum returned no certificate")
             for degree, piece in exterior_table(rs.rank - mask_size(J)).entries.items():
                 _merge(out, degree, piece.rank, piece.torsion)
-    table = ExtTable(out, STRATA)
+    table = ExtTable(out)
     closed = ext_induced_closed(rs, I, J, spec)
     if not table.same_modules(closed):
         raise VerificationError(

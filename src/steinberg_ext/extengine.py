@@ -69,7 +69,6 @@ from .tables import (
 from .certificates import VanishingCertificate, ext_induced_via_strata, vanishing_certificate
 from .tables import (
     Orientation,
-    empty_table,
     ext_cuspidal_line,
     ext_induced_closed,
     exterior_table,
@@ -163,7 +162,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
                                      complexes_out)
         if kept is not None:
             kept[key] = entries, dumps
-    built = ExtTable(entries, COMPLEX_BUILT)
+    built = ExtTable(entries)
     if not _ring_passes(rs.series, rs.rank, spec):
         built.outside_hypotheses = True
     elif not built.same_modules(closed):
@@ -249,17 +248,14 @@ def cohomology_rows_exact(rs: RootSystem, I: int) -> bool:
 
 
 def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                     method: str = CLOSED_FORM, complexes_out: list | None = None, *,
-                     closed: ExtTable | None = None) -> ExtTable:
+                     method: str = CLOSED_FORM, complexes_out: list | None = None) -> ExtTable:
     """Ext from the generalized Steinberg module of I into the induced module
-    of J (:func:`~steinberg_ext.tables.ext_v_to_induced_closed`, or
-    ``closed`` when the caller has made it already).
+    of J (:func:`~steinberg_ext.tables.ext_v_to_induced_closed`).
 
     The built path resolves in the contravariant argument, so each row is the
     reverse-transposed constant row of rank ``C(|Delta \\ J|, t)`` over I u J.
     """
-    if closed is None:
-        closed = ext_v_to_induced_closed(rs, I, J)
+    closed = ext_v_to_induced_closed(rs, I, J)
     if method == CLOSED_FORM:
         return closed
     if method != COMPLEX_BUILT:
@@ -271,16 +267,13 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
 
 def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
                   method: str = CLOSED_FORM, center_rank: int = 0,
-                  complexes_out: list | None = None, *,
-                  closed: ExtTable | None = None) -> ExtTable:
+                  complexes_out: list | None = None) -> ExtTable:
     """Ext between the generalized Steinberg modules of I and J
-    (:func:`~steinberg_ext.tables.ext_steinberg_closed`, or ``closed`` when
-    the caller has made it already).  The built path resolves the second
-    argument: exterior-power rows over J whose summands outside the
-    reduction subset K are zero, which are the rows over K shifted by
-    ``|J \\ I|``."""
-    if closed is None:
-        closed = ext_steinberg_closed(rs, I, J, center_rank)
+    (:func:`~steinberg_ext.tables.ext_steinberg_closed`).  The built path
+    resolves the second argument: exterior-power rows over J whose summands
+    outside the reduction subset K are zero, which are the rows over K
+    shifted by ``|J \\ I|``."""
+    closed = ext_steinberg_closed(rs, I, J, center_rank)
     if method == CLOSED_FORM:
         return closed
     if method != COMPLEX_BUILT:

@@ -25,9 +25,9 @@ SERIES = ("A", "B", "C", "D", "E", "F", "G")
 # rank 30.
 MAX_RANK = 32
 
-# The ways a table is computed: the CLI's --method choices and a table's
-# provenance.  Defined here, in a module every command imports, so that the
-# parser needs none of the modules that compute the tables.
+# The ways a table is computed: the CLI's --method choices.  Defined here,
+# in a module every command imports, so that the parser needs none of the
+# modules that compute the tables.
 CLOSED_FORM = "closed_form"
 COMPLEX_BUILT = "complex_built"
 STRATA = "strata"

@@ -23,8 +23,8 @@ from operator import or_
 
 from .certificates import _delta_candidates, _unit_value, ext_induced_via_strata
 from .ringcond import RingSpec
-from .rootdata import STRATA, RootSystem, full_mask, mask_indices, mask_size, support_mask
-from .tables import ExtTable, empty_table, ext_induced_closed, exterior_table
+from .rootdata import RootSystem, full_mask, mask_indices, mask_size, support_mask
+from .tables import ExtTable, ext_induced_closed, exterior_table
 from .weyl import (
     WeylGroup,
     _identity_images,
@@ -162,8 +162,7 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGro
     if by_class:
         classes = group.classes
         forbidden = I << 8 | J
-        table = (exterior_table(rs.rank - mask_size(J), provenance=STRATA) if survives
-                 else empty_table(STRATA))
+        table = exterior_table(rs.rank - mask_size(J)) if survives else ExtTable({})
         if (classes.identity_alone and classes.covers(I, J)
                 and not any(not mask & forbidden for mask in _uncertified(spec, classes))
                 and (survives or any(

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigurationError, ContractError, ResourceLimitError, VerificationError
 from .rootdata import (
-    CLOSED_FORM,
     MAX_RANK,
     RootSystem,
     build_root_system,
@@ -45,22 +44,20 @@ class ModulePiece(NamedTuple):
 class ExtTable:
     """Degree-indexed module descriptions; an absent degree is the zero
     module.  Only ``entries`` takes part in equality of answers
-    (:meth:`same_modules`); ``==`` compares all three fields."""
+    (:meth:`same_modules`); ``==`` compares both fields."""
 
-    def __init__(self, entries: dict[int, ModulePiece], provenance: str = CLOSED_FORM,
-                 outside_hypotheses: bool = False) -> None:
+    def __init__(self, entries: dict[int, ModulePiece], outside_hypotheses: bool = False) -> None:
         self.entries = entries
-        self.provenance = provenance
         self.outside_hypotheses = outside_hypotheses
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.entries, self.provenance, self.outside_hypotheses)
-                == (other.entries, other.provenance, other.outside_hypotheses))
+        return ((self.entries, self.outside_hypotheses)
+                == (other.entries, other.outside_hypotheses))
 
     def __repr__(self) -> str:
-        return (f"ExtTable(entries={self.entries!r}, provenance={self.provenance!r}, "
+        return (f"ExtTable(entries={self.entries!r}, "
                 f"outside_hypotheses={self.outside_hypotheses!r})")
 
     def degrees(self) -> tuple[int, ...]:
@@ -87,13 +84,9 @@ def _merge(target: dict[int, ModulePiece], degree: int, rank: int,
     target[degree] = ModulePiece(old.rank + rank, tuple(sorted(old.torsion + torsion)))
 
 
-def exterior_table(n: int, shift: int = 0, provenance: str = CLOSED_FORM) -> ExtTable:
+def exterior_table(n: int, shift: int = 0) -> ExtTable:
     """Binomial table of an n-dimensional exterior algebra, shifted upward."""
-    return ExtTable({shift + j: ModulePiece(comb(n, j)) for j in range(n + 1)}, provenance)
-
-
-def empty_table(provenance: str = CLOSED_FORM) -> ExtTable:
-    return ExtTable({}, provenance)
+    return ExtTable({shift + j: ModulePiece(comb(n, j)) for j in range(n + 1)})
 
 
 def tensor_with_exterior(table: ExtTable, c: int) -> ExtTable:
@@ -106,7 +99,7 @@ def tensor_with_exterior(table: ExtTable, c: int) -> ExtTable:
         for j in range(c + 1):
             mult = comb(c, j)
             _merge(out, degree + j, piece.rank * mult, piece.torsion * mult)
-    return ExtTable(out, table.provenance, table.outside_hypotheses)
+    return ExtTable(out, table.outside_hypotheses)
 
 
 def steinberg_degree(rs: RootSystem, I: int, J: int) -> tuple[int, int]:
@@ -156,7 +149,7 @@ def ext_induced_closed(rs: RootSystem, I: int, J: int, spec: RingSpec) -> ExtTab
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     if J & ~I:
-        return empty_table()
+        return ExtTable({})
     return exterior_table(rs.rank - mask_size(J))
 
 
@@ -178,7 +171,7 @@ def ext_v_to_induced_closed(rs: RootSystem, I: int, J: int) -> ExtTable:
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     if I | J != full_mask(rs.rank):
-        return empty_table()
+        return ExtTable({})
     return exterior_table(rs.rank - mask_size(J), rs.rank - mask_size(I))
 
 

@@ -209,13 +209,6 @@ def test_cache_dir_used(tmp_path, capsys):
     assert code == 0 and first == second
 
 
-def test_cache_env_var_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STEINBERG_EXT_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "dcosets", "--type", "A2", "--I", "", "--J", "")
-    assert code == 0
-    assert list(tmp_path.glob("weyl_A2.bin"))
-
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_text())
                      if name.startswith(("dcosets_B3", "dcosets_F4",
@@ -230,7 +223,6 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
 
     case = json.loads((GOLDEN / "cases.json").read_text())[name]
     expected = (GOLDEN / f"{name}.out").read_bytes()
-    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     argv = (*case["argv"], "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
     assert (code, cold.encode()) == (case["exit"], expected)
@@ -245,13 +237,12 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
     assert (code, warm.encode()) == (case["exit"], expected)
 
 
-def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys, monkeypatch):
+def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys):
     # a closed-form query still leaves a readable cache file behind, so one
     # cold query can prepare the cache for later strata and dcosets queries
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.weyl import generate_weyl, load_weyl_cache
 
-    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     code, _, _ = run_cli(capsys, "ext-induced", "--type", "B3", "--I", "", "--J", "",
                          "--ring", "Q", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -374,13 +365,6 @@ def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch
     assert code == 0 and second == first
 
 
-def test_verify_strata_honours_the_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STEINBERG_EXT_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--strata", "on")
-    assert code == 0
-    assert list(tmp_path.glob("weyl_A2.bin"))
-
-
 def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch):
     """The ring is parsed, so q factored, once per command, and checked once
     for the command's report and once for all its built tables, however many
@@ -447,6 +431,47 @@ def test_parallel_is_an_unknown_argument(capsys):
                              "--all-pairs", "--parallel", "2")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --parallel 2" in err
+
+
+# The options of each subcommand, besides -h: each takes only what its
+# handler reads.
+CLI_OPTIONS = {
+    "ext": {"--type", "--ring", "--I", "--J", "--format", "--dump-complex", "--method",
+            "--center-rank"},
+    "ext-induced": {"--type", "--ring", "--I", "--J", "--format", "--cache-dir", "--method"},
+    "ext-vi": {"--type", "--ring", "--I", "--J", "--format", "--dump-complex", "--method"},
+    "cohomology": {"--type", "--ring", "--I", "--format", "--dump-complex", "--object",
+                   "--method", "--center-rank"},
+    "dcosets": {"--type", "--ring", "--I", "--J", "--format", "--cache-dir"},
+    "check-ring": {"--type", "--ring", "--assume-theta"},
+    "verify": {"--type", "--ring", "--I", "--J", "--cache-dir", "--all-pairs", "--strata"},
+    "zelevinsky": {"--k", "--I", "--J", "--ring", "--format"},
+}
+# the options every root-system subcommand used to take, read or not, with a value
+_FORMERLY_COMMON = {"--format": ("json",), "--cache-dir": ("weyl",), "--assume-theta": (),
+                "--dump-complex": ()}
+
+
+def test_each_subcommand_takes_only_the_options_its_handler_reads():
+    import argparse
+
+    from steinberg_ext.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {name: {option for action in parser._actions for option in action.option_strings}
+            - {"-h", "--help"} for name, parser in sub.choices.items()} == CLI_OPTIONS
+
+
+def test_an_option_a_handler_does_not_read_is_an_unknown_argument(capsys):
+    removed = [(command, option) for command in CLI_OPTIONS if command != "zelevinsky"
+               for option in _FORMERLY_COMMON if option not in CLI_OPTIONS[command]]
+    assert len(removed) == 16
+    for command, option in removed:
+        given = (option, *_FORMERLY_COMMON[option])
+        code, out, err = run_cli(capsys, command, "--type", "A1", *given)
+        assert (code, out) == (2, ""), (command, option)
+        assert f"unrecognized arguments: {' '.join(given)}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +704,6 @@ def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsy
     def no_rows(*args, **kwargs):
         raise AssertionError("a cohomology row was taken")
 
-    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     monkeypatch.setattr(weyl, "_closure", _no_enumeration)
     monkeypatch.setattr(extengine, "cohomology_v", no_rows)
     for t in ("E7", "E8"):
@@ -695,7 +719,6 @@ def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsy
 def test_closed_form_ext_induced_builds_no_group(capsys, monkeypatch):
     import steinberg_ext.weyl as weyl
 
-    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     monkeypatch.setattr(weyl, "generate_weyl", _no_enumeration)
     monkeypatch.setattr(weyl, "_closure", _no_enumeration)
     for t, rank in (("E7", 7), ("E8", 8)):
@@ -716,15 +739,13 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
     assert rootdata.parse_type("A32") == ("A", 32)
 
 
-def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, monkeypatch,
-                                                        fresh_caches):
+def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, fresh_caches):
     """A cold dcosets query, which enumerates the group and writes the cache,
     and a warm one, which reads the records and descent masks from disk,
     print the same bytes.  A group has one constructor, which takes its masks
     as given, so no query scans them."""
     import steinberg_ext.weyl as weyl
 
-    monkeypatch.delenv("STEINBERG_EXT_CACHE_DIR", raising=False)
     argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
             "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
@@ -829,8 +850,8 @@ def test_verify_builds_each_distinct_table_once(capsys, monkeypatch):
 
 def test_verify_makes_each_closed_form_once_per_check(capsys, monkeypatch):
     """B3 over Q: each of the 64 pairs makes its ext and its ext-vi closed
-    form once, and both the built table's check and the PASS line compare
-    against it."""
+    form once, for the built table's check, whose verdict the PASS line
+    prints."""
     import steinberg_ext.extengine as eng
     import steinberg_ext.tables as tables
 
@@ -881,3 +902,59 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     by_rep = run_cli(capsys, *argv)
     assert by_class == by_rep
     assert by_class[:2] == (3, "") and "has no unit" in by_class[2]
+
+
+def test_verify_compares_each_check_once(capsys, monkeypatch):
+    """The engine compares each built table and each strata table with its
+    closed form, and verify prints that verdict without comparing again: a
+    B3 sweep compares 8 cohomology tables and 2 tables a pair, and the strata
+    one more a pair."""
+    compared = []
+    same_modules = ExtTable.same_modules
+
+    def counting(self, other):
+        compared.append(1)
+        return same_modules(self, other)
+
+    monkeypatch.setattr(ExtTable, "same_modules", counting)
+    for ring, strata, passed in (("Q", "off", 136), ("q=3,d=1009", "on", 264)):
+        compared.clear()
+        code, out, _ = run_cli(capsys, "verify", "--type", "B3", "--ring", ring, "--all-pairs",
+                               "--strata", strata)
+        assert code == 0 and f"{passed} passed, 0 failed" in out
+        assert len(compared) == 8 + 64 * (2 if strata == "off" else 3)
+
+
+def test_a_strata_disagreement_fails_its_pair_and_the_sweep_goes_on(capsys, monkeypatch,
+                                                                   fresh_caches):
+    """A stand-in closed form that disagrees with the strata on one pair of
+    B2: that pair prints both its strata lines as FAIL, with the engine's
+    message, and every other line is printed as without the stand-in."""
+    import steinberg_ext.certificates as certificates
+    import steinberg_ext.strata as strata
+
+    argv = ("verify", "--type", "B2", "--ring", "q=3,d=1009", "--strata", "on")
+    code, honest, _ = run_cli(capsys, *argv, "--all-pairs")
+    assert code == 0
+    closed_form = strata.ext_induced_closed
+
+    def disagreeing(rs, I, J, spec):
+        table = closed_form(rs, I, J, spec)
+        return ExtTable({9: ModulePiece(1)}) if (I, J) == (0b01, 0b10) else table
+
+    for module in (strata, certificates):
+        monkeypatch.setattr(module, "ext_induced_closed", disagreeing)
+    code, out, err = run_cli(capsys, *argv, "--all-pairs")
+    assert (code, err) == (1, "")
+    lines, kept = out.splitlines(), honest.splitlines()
+    failing = ["certificates I={0} J={1}", "strata I={0} J={1}"]
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(" (")[0] for line in failed] == [f"FAIL {c}" for c in failing]
+    assert all("strata path disagrees with the closed form" in line for line in failed)
+    assert [line for line in lines if line not in failed] == [
+        line for line in kept if line not in {f"PASS {c}" for c in failing}][:-1] + [
+        kept[-1].replace("68 passed, 0 failed", "66 passed, 2 failed")]
+    # a single pair, checked through its representatives, fails the same way
+    code, out, _ = run_cli(capsys, *argv, "--I", "0", "--J", "1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == failed

@@ -49,8 +49,7 @@ RECORDS = [
     (ChainComplex, {"ranks": (1, 1), "differentials": (IntMatrix.from_rows([[2]]),)}, True),
     (RingSpec, {"d": 5, "q": 3}, True),
     (Orientation, {"k": 3, "forward": 0b01}, True),
-    (ExtTable, {"entries": {0: ModulePiece(1)}, "provenance": "strata",
-                "outside_hypotheses": True}, False),
+    (ExtTable, {"entries": {0: ModulePiece(1)}, "outside_hypotheses": True}, False),
 ]
 
 
