@@ -413,16 +413,17 @@ def cmd_verify(args) -> int:
         for I, J in pairs:
             pair = f"I={label(I)} J={label(J)}"
             for check, table_of in methods:
-                # agreement with a closed form, which is torsion-free, leaves no torsion
+                # the ring passed above, so a check passes unless the engine's
+                # comparison with the closed form raises
                 try:
-                    built = table_of(rs, I, J, spec, COMPLEX_BUILT)
-                    record(check, pair, not built.outside_hypotheses)
+                    table_of(rs, I, J, spec, COMPLEX_BUILT)
+                    record(check, pair, True)
                 except VerificationError as e:
                     record(check, pair, False, str(e))
             if group is not None:
                 # RingAssumptionError propagates: the dispatcher turns it into exit 3
                 try:
-                    _, certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
+                    certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
                     record("strata", pair, True)
                     record("certificates", pair, certified)
                 except VerificationError as e:

@@ -3,9 +3,10 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against data taken once per group (:class:`DescentClasses`,
-``WeylGroup.classes``), per ring and per J, instead of through the
-representatives of :func:`~steinberg_ext.weyl.kostant_reps`; a pair that
+checked against data taken in one pass over the group's records and masks
+(:class:`DescentClasses`, ``WeylGroup.classes``), and from it per ring and
+per J, instead of through the representatives of
+:func:`~steinberg_ext.weyl.kostant_reps`; a pair that
 fails a check is rerun through them, so that it raises what the
 per-representative path raises.  A single pair, which would pay the whole
 pass over the group for its few representatives, ``dcosets`` and
@@ -28,6 +29,7 @@ from .tables import ExtTable, ext_induced_closed, exterior_table
 from .weyl import (
     WeylGroup,
     _identity_images,
+    _inversion_sum,
     _is_negative,
     _reader,
     levi_difference_sum,
@@ -45,8 +47,8 @@ class DescentClasses:
     - ``exponents``: by descent mask, the distinct tuples (gamma_b for the
       right descents b of w, read off the images) of its non-identity
       elements; a stratum's certificate reads exactly these (see
-      ``certificates.vanishing_certificate``).  The inversion sums gamma are
-      kept on the group, as ``kostant_reps`` keeps them.
+      ``certificates.vanishing_certificate``).  Each element's inversion
+      sum gamma is summed once, here, and only these entries of it are kept.
     - ``suspects``: (mask, b, support) for each element and b where
       w(alpha_b) is negative outside the right mask (support 0), or a
       non-simple positive root whose support misses the left mask.  In a
@@ -55,8 +57,6 @@ class DescentClasses:
       support meets a left descent of w.
     - ``identity_alone``: the identity is the one element of length 0, with
       mask 0.
-    - ``uncertified``: by ring (d, q), the masks of the buckets holding an
-      element with no certificate; filled by the caller that has the ring.
     """
 
     def __init__(self, rs: RootSystem, group: WeylGroup) -> None:
@@ -76,10 +76,10 @@ class DescentClasses:
         exponents: dict[int, set[tuple[int, ...]]] = {}
         suspects = []
         identities = []
-        for position, (mask, (images, length)) in enumerate(zip(group.masks, group.records())):
+        for mask, (images, length) in zip(group.masks, group.records()):
             simple = images[:rank]
             classes[mask, tuple(map(simple_bit.__getitem__, simple))] += 1
-            gamma = group.inversion_sum(position, images)
+            gamma = _inversion_sum(rs, images)
             descents = list(map(_is_negative, simple))
             if length == 0:
                 identities.append((images, mask))
@@ -94,7 +94,7 @@ class DescentClasses:
         self.exponents = exponents
         self.suspects = tuple(suspects)
         self.identity_alone = identities == [(_identity_images(n), 0)]
-        self.uncertified: dict[tuple[int, int], frozenset[int]] = {}
+        self._uncertified: dict[tuple[int, int], frozenset[int]] = {}
         self._counts: dict[int, dict[tuple[int, int], int]] = {}
 
     def counts(self, J: int) -> dict[tuple[int, int], int]:
@@ -110,6 +110,19 @@ class DescentClasses:
                     key = (mask >> 8, reduce(or_, read(bits), 0))
                     counts[key] = counts.get(key, 0) + count
         return counts
+
+    def uncertified(self, spec: RingSpec) -> frozenset[int]:
+        """The masks holding a non-identity element none of whose right
+        descents b has a unit q^gamma_b - 1 over ``spec``; kept per ring."""
+        key = (spec.d, spec.q)
+        masks = self._uncertified.get(key)
+        if masks is None:
+            exponents = set(chain.from_iterable(chain.from_iterable(self.exponents.values())))
+            unit = {e: _unit_value(spec, e)[1] for e in exponents}
+            masks = self._uncertified[key] = frozenset(
+                mask for mask, gammas in self.exponents.items()
+                if not all(any(map(unit.__getitem__, g)) for g in gammas))
+        return masks
 
     def covers(self, I: int, J: int) -> bool:
         """Whether the (W_I, W_J) double cosets partition the group, as
@@ -128,49 +141,34 @@ class DescentClasses:
                                  if not left & I)
 
 
-def _uncertified(spec: RingSpec, classes: DescentClasses) -> frozenset[int]:
-    """Masks of the buckets holding a non-identity element none of whose
-    right descents b has a unit q^gamma_b - 1, kept per group and ring."""
-    key = (spec.d, spec.q)
-    if key not in classes.uncertified:
-        exponents = set(chain.from_iterable(chain.from_iterable(classes.exponents.values())))
-        unit = {e: _unit_value(spec, e)[1] for e in exponents}
-        classes.uncertified[key] = frozenset(
-            mask for mask, gammas in classes.exponents.items()
-            if not all(any(map(unit.__getitem__, g)) for g in gammas))
-    return classes.uncertified[key]
-
-
 def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup, *,
-                  by_class: bool = True) -> tuple[ExtTable, bool]:
-    """The table of :func:`ext_induced_via_strata`, and whether every
-    stratum's certificate is where the theorem puts it (none on the identity
-    with J inside I alone), checked, when ``by_class``, per descent class of
-    ``group`` instead of per representative:
+                  by_class: bool = True) -> bool:
+    """Whether every stratum's certificate is where the theorem puts it (none
+    on the identity with J inside I alone), checked, when ``by_class``, per
+    descent class of ``group`` instead of per representative:
 
     - the double cosets partition the group (:meth:`DescentClasses.covers`);
-    - no bucket the pair reads holds an element without a gamma
-      certificate;
+    - no mask the pair reads holds an element without a gamma certificate;
     - the identity has a delta certificate when J is not inside I;
     - the table (the identity's exterior algebra when J is inside I, zero
       otherwise) equals the closed form.
 
     A pair failing any of them, or checked per representative, goes through
     its representatives, which raise what :func:`ext_induced_via_strata`
-    raises."""
+    raises: a table that disagrees with the closed form raises
+    ``VerificationError``."""
     survives = not J & ~I
     if by_class:
         classes = group.classes
         forbidden = I << 8 | J
         table = exterior_table(rs.rank - mask_size(J)) if survives else ExtTable({})
         if (classes.identity_alone and classes.covers(I, J)
-                and not any(not mask & forbidden for mask in _uncertified(spec, classes))
+                and not any(not mask & forbidden for mask in classes.uncertified(spec))
                 and (survives or any(
                     _unit_value(spec, e)[1] for _, e in
                     _delta_candidates(rs, I, J, levi_difference_sum(rs, J, J & I))))
                 and table.same_modules(ext_induced_closed(rs, I, J, spec))):
-            return table, True
+            return True
     certified: list = []
-    table = ext_induced_via_strata(rs, I, J, spec, group, certificates_out=certified)
-    return table, all((cert is None) == (rep.w.is_identity and survives)
-                      for rep, cert in certified)
+    ext_induced_via_strata(rs, I, J, spec, group, certificates_out=certified)
+    return all((cert is None) == (rep.w.is_identity and survives) for rep, cert in certified)

@@ -19,7 +19,7 @@ enumeration cap has at most 49, and every parabolic subgroup of E6–E8 at
 most 120, and a larger type is refused before any element is built.  The
 records and masks are what a :class:`WeylGroup` holds and what its cache
 file stores, so a generated group and one read from the cache have one
-representation, and an element is decoded only on its first access.
+representation, and an element is decoded from its record on each read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, compress, starmap
+from itertools import compress, starmap
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -307,30 +307,18 @@ def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
 
 
 class WeylGroup(Sequence):
-    """A Weyl group in group order, with the data its double cosets are read
-    from: the flat records (per element its length, then its signed images,
-    in one int32 array), a descent mask per element, the positions bucketed
-    by mask, built on first use, and the inversion sums read so far, by
-    position.  A generated group and one read from the cache both come as
-    the records and masks of :func:`_closure`, with no element built: an
-    element is decoded on its first access and kept.  Slices are tuples; a
-    group equals any sequence of its elements."""
+    """A Weyl group in group order, as the two arrays of :func:`_closure`:
+    the flat records (per element its length, then its signed images, in
+    one int32 array) and a descent mask per element.  A generated group and
+    one read from the cache both come as these arrays, with no element
+    built: each read decodes its element from the records.  Slices are
+    tuples; a group equals any sequence of its elements."""
 
     def __init__(self, rs: RootSystem, records: array, masks: array) -> None:
         self.rs = rs
         self._width = rs.num_positive + 1
         self._records = records
         self.masks = masks
-        self._elements: list[WeylElement | None] = [None] * len(masks)
-        self.inversion_sums: dict[int, Coords] = {}
-
-    @cached_property
-    def buckets(self) -> dict[int, list[int]]:
-        """Positions, in group order, keyed by descent mask."""
-        buckets: dict[int, list[int]] = {}
-        for position, mask in enumerate(self.masks):
-            buckets.setdefault(mask, []).append(position)
-        return buckets
 
     @cached_property
     def classes(self) -> DescentClasses:
@@ -339,31 +327,20 @@ class WeylGroup(Sequence):
         from .strata import DescentClasses  # only verify compiles it
         return DescentClasses(self.rs, self)
 
-    def inversion_sum(self, position: int, images: SignedImages) -> Coords:
-        """The inversion sum of the element at ``position``, whose signed
-        images are ``images``: summed on first use and kept."""
-        gamma = self.inversion_sums.get(position)
-        if gamma is None:
-            gamma = self.inversion_sums[position] = _inversion_sum(self.rs, images)
-        return gamma
-
     def records(self) -> Iterator[tuple[SignedImages, int]]:
         """(signed images, length) of every element, in group order, read
-        from the records without decoding or keeping an element."""
+        from the records without building an element."""
         return _unpacked(self._records, self._width)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.masks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        w = self._elements[index]
-        if w is None:
-            start = index % len(self) * self._width
-            images = tuple(self._records[start + 1:start + self._width])
-            w = self._elements[index] = WeylElement(images, self._records[start])
-        return w
+        start = range(len(self))[index] * self._width
+        return WeylElement(tuple(self._records[start + 1:start + self._width]),
+                           self._records[start])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -378,24 +355,24 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 
     w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
     w^-1(alpha_i) > 0 for every i in I, so the representatives are the
-    elements whose descent masks miss J on the right and I on the left.  The
-    cosets are checked to partition the group: by Kilmoyer's theorem
+    elements whose descent masks miss J on the right and I on the left, found
+    in one scan of the masks.  The cosets are checked to partition the
+    group: by Kilmoyer's theorem
     W_I n wW_Jw^-1 = W_levi(w), so the coset of w has |W_I||W_J|/|W_levi(w)|
     elements, and these sizes must add up to |W|.
 
     For such a w the filters of the general gamma and delta formulas (kept
     as references in ``tests/oracles.py``) simplify.  w keeps the J-Levi's positive roots
     positive and w^-1 the I-Levi's, so gamma is the sum of the inversion set
-    of w alone, kept per group element.  w carries the positive roots of the
-    Levi of L' = {j in J : w(alpha_j) in I} onto those of the Levi of levi(w),
+    of w alone, summed per representative.  w carries the positive roots of
+    the Levi of L' = {j in J : w(alpha_j) in I} onto those of the Levi of levi(w),
     so delta is the sum of the J-Levi's positive roots outside the L'-Levi,
     kept per L' in each call."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
     forbidden = I << 8 | J
-    positions = sorted(chain.from_iterable(
-        bucket for mask, bucket in group.buckets.items() if not mask & forbidden))
+    positions = [p for p, mask in enumerate(group.masks) if not mask & forbidden]
     phi_i = levi_root_indices(rs, I)
     simple_j = mask_indices(J)
     outer = parabolic_order(rs, I) * parabolic_order(rs, J)
@@ -414,7 +391,7 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
             delta_of[source] = levi_difference_sum(rs, J, source)
         reps.append(DoubleCosetRep(
             w=w, I=I, J=J, length=w.length,
-            gamma_exp=group.inversion_sum(position, images),
+            gamma_exp=_inversion_sum(rs, images),
             delta_exp=delta_of[source],
             levi=levi,
         ))
@@ -488,10 +465,9 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
     return WeylGroup(rs, records, masks)
 
 
-@lru_cache(maxsize=None)
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:
-    """The Weyl group of ``rs``, once per process and cache directory: read
-    from the cache file, else generated and, with a directory, written there."""
+    """The Weyl group of ``rs``: read from the cache file, else generated
+    and, with a directory, written there."""
     if cache_dir is None:
         return generate_weyl(rs)
     group = load_weyl_cache(rs, cache_dir)

@@ -231,7 +231,6 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
     def no_generation(*a, **k):
         raise AssertionError("the Weyl group was generated, not read from the cache")
 
-    weyl.load_or_generate.cache_clear()
     monkeypatch.setattr(weyl, "generate_weyl", no_generation)
     code, warm, _ = run_cli(capsys, *argv)
     assert (code, warm.encode()) == (case["exit"], expected)
@@ -359,7 +358,6 @@ def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch
     def no_generation(*a, **k):
         raise AssertionError("the Weyl group was generated, not read from the cache")
 
-    weyl.load_or_generate.cache_clear()
     monkeypatch.setattr(weyl, "generate_weyl", no_generation)
     code, second, _ = run_cli(capsys, *args)
     assert code == 0 and second == first
@@ -517,8 +515,10 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch, f
 def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch,
                                                                      fresh_caches):
     """The strata pass sums the inversion set of each of the 48 elements of
-    W(B3) once, and each row is taken over the ring once per d."""
+    W(B3) once, counted in both modules that sum them, and each row is taken
+    over the ring once per d."""
     import steinberg_ext.homology as homology
+    import steinberg_ext.strata as strata
     import steinberg_ext.weyl as weyl
 
     summed, over_ring = [], []
@@ -532,7 +532,8 @@ def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, mon
         over_ring.append(spec.d)
         return coefficients(c, spec)
 
-    monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
+    for module in (weyl, strata):
+        monkeypatch.setattr(module, "_inversion_sum", counting_sum)
     monkeypatch.setattr(homology, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
@@ -744,13 +745,10 @@ def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, fresh_
     and a warm one, which reads the records and descent masks from disk,
     print the same bytes.  A group has one constructor, which takes its masks
     as given, so no query scans them."""
-    import steinberg_ext.weyl as weyl
-
     argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
             "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
     assert code == 0
-    weyl.load_or_generate.cache_clear()
     code, warm, _ = run_cli(capsys, *argv)
     assert (code, warm) == (0, cold)
 
@@ -765,6 +763,8 @@ PINNED_SWEEPS = {
     ("B4", "q=3,d=1009", "on"): "f78312b99bfed4a1ead59dfd41085383843bf821102b4d65c380d5ad096574a0",
     ("A5", "Q", "off"): "97fceb9ef26f3240b09190febad0ae9a395f6e7a81f70a2fee187a65b7ff897e",
     ("B5", "Q", "off"): "e7b1985209f1da6ef2f9ebf559e7db48185fbef49912c6096d4460b0f2c474d7",
+    ("E6", "q=3,d=1000003", "on"):
+        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088",
 }
 
 
@@ -877,7 +877,7 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
                                                                        fresh_caches):
     """A stand-in ring on which q^e - 1 is no unit for one exponent e that
     is the only one at the right descents of exactly one element of W(B3):
-    the class path reruns the first pair that reads its bucket through the
+    the class path reruns the first pair that reads its mask through the
     representatives, so exit code and stderr are those of the per-rep path."""
     import steinberg_ext.certificates as certificates
     from steinberg_ext.rootdata import build_root_system

@@ -199,12 +199,11 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
             except RingAssumptionError:
                 every_rep_certified = False
             try:
-                got, certified = verify_strata(rs, I, J, spec, group)
+                certified = verify_strata(rs, I, J, spec, group)
             except _RerunThroughTheReps:
                 assert not every_rep_certified, (I, J, spec)
                 continue
             assert every_rep_certified and certified, (I, J, spec)
-            assert got.same_modules(ext_induced_closed(rs, I, J, spec))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",

@@ -398,19 +398,38 @@ def test_cache_flipped_left_descent_fails_the_partition_check(tmp_path):
         kostant_reps(rs, 0b001, 0)
 
 
-def test_cached_group_decodes_each_element_once(tmp_path):
+def _counting_decodes(monkeypatch) -> list:
+    """The signed images of every element the package builds from here on."""
+    import steinberg_ext.weyl as weyl
+
+    built = []
+    element = weyl.WeylElement
+
+    def counting(images, length):
+        built.append(images)
+        return element(images, length)
+
+    monkeypatch.setattr(weyl, "WeylElement", counting)
+    return built
+
+
+def test_cached_group_decodes_on_each_read(tmp_path, monkeypatch):
+    """Loading a group decodes no element; each read decodes its element
+    from the records, so two reads are equal, not one object."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     save_weyl_cache(rs, group, tmp_path)
+    built = _counting_decodes(monkeypatch)
     cached = load_weyl_cache(rs, tmp_path)
-    assert len(cached) == len(group)
-    assert cached[5] is cached[5]
-    assert cached[-1] is cached[len(group) - 1]
+    assert len(cached) == len(group) and not built
+    assert cached[5] == cached[5] and cached[5] is not cached[5] and len(built) == 4
+    assert cached[-1] == cached[len(group) - 1] == group[-1]
+    monkeypatch.undo()
     assert cached == group and group == cached and cached == list(group)
     assert cached != group[1:] and cached != group[::-1]
     assert list(cached) == list(group)
     assert cached[2:7] == group[2:7]
-    assert all(cached[k] is w for k, w in enumerate(cached))
+    assert [cached[k] for k in range(len(cached))] == list(cached)
     with pytest.raises(IndexError):
         cached[len(group)]
 
@@ -589,25 +608,36 @@ def test_big_endian_save_swaps_a_copy(tmp_path, monkeypatch):
     assert list(loaded.records()) == list(fresh.records())
 
 
-def test_generated_group_decodes_each_element_once(monkeypatch):
+def test_generated_group_decodes_on_each_read(monkeypatch):
+    """Generating a group, and the class pass over it, decode no element;
+    each read decodes its element from the records, so two reads are equal,
+    not one object."""
     import steinberg_ext.weyl as weyl
 
-    built = []
-    element = weyl.WeylElement
-
-    def counting(images, length):
-        built.append(images)
-        return element(images, length)
-
-    monkeypatch.setattr(weyl, "WeylElement", counting)
+    built = _counting_decodes(monkeypatch)
     rs = build_root_system("B", 3)
     group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
     assert list(group.records())[5] == tuple(oracles.weyl_closure_by_seen_set(
         rs, full_mask(3))[5])
-    assert len(group.buckets) > 1 and not built
-    assert group[5] is group[5] and len(built) == 1
-    assert group[-1] is group[len(group) - 1] and len(built) == 2
+    assert group.classes.size == 48 and not built
+    assert group[5] == group[5] and group[5] is not group[5] and len(built) == 4
+    assert group[-1] == group[len(group) - 1] and len(built) == 6
     elements = list(group)
-    assert len(built) == len(group) == 48
-    assert all(group[k] is w for k, w in enumerate(elements)) and len(built) == 48
-    assert group[2:7] == tuple(elements[2:7]) and len(built) == 48
+    assert len(built) == 6 + len(group) == 54
+    assert group[2:7] == tuple(elements[2:7]) and len(built) == 59
+
+
+def test_a_read_leaves_its_group_as_it_found_it(tmp_path):
+    """A group holds its records and masks and keeps nothing a read makes:
+    representatives and decoded elements leave its attributes as they were,
+    and the class pass adds only the classes."""
+    rs = build_root_system("B", 3)
+    save_weyl_cache(rs, generate_weyl(rs), tmp_path)
+    for group in (generate_weyl.__wrapped__(rs), load_weyl_cache(rs, tmp_path)):
+        before = set(vars(group))
+        for I, J in ((0, 0), (0b011, 0b110), (0b111, 0b111)):
+            kostant_reps(rs, I, J, group)
+        assert list(group)[1:5] == list(group[1:5])
+        assert set(vars(group)) == before
+        group.classes
+        assert set(vars(group)) == before | {"classes"}
