@@ -13,9 +13,10 @@ Every complex-built table stacks rows t of one builder over one subset B,
 :func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
 cohomology over I (B = I), Ext between Steinberg modules (B = K, shift
 ``|J \\ I|``) and Ext into an induced module (B = I u J, span J, reversed,
-shift ``|J \\ I|``).  Each row's integer homology is looked up under
-``(rank, B, t)``, and its homology over the ring under that row and d; a row
-is built as a complex again only to be printed.
+shift ``|J \\ I|``).  A row depends only on its shape, ``m = |Delta \\ B|``
+and t, so each row's integer homology is looked up under ``(m, t)``, and its
+homology over the ring under that shape and d; a row is built as a complex
+again only to be printed.
 
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
@@ -108,17 +109,19 @@ def _ring_passes(series: str, rank: int, spec: RingSpec) -> bool:
 DUMP_CAP = 1 << 21
 
 # Built tables of the current ``verify`` call, before any comparison, by what
-# they depend on, with the homology of their rows; None outside a call.
-_BUILT_TABLES: dict[tuple, tuple[dict[int, ModulePiece], list]] | None = None
+# they depend on, with the homology of their rows and the ring's verdict;
+# None outside a call.
+_BUILT_TABLES: dict[tuple, tuple[dict[int, ModulePiece], list, bool]] | None = None
 
 
 @contextmanager
 def built_tables_kept() -> Iterator[None]:
-    """Build each table once inside the block: a sweep asks for one table
-    under many pairs (the ext table depends on K, ``|J \\ I|``,
-    ``|K \\ J|``, d and the center rank; the ext-vi table on I u J,
-    ``|J|``, ``|J \\ I|`` and d), and each pair still compares it with its
-    own closed form.  The tables are dropped on leaving the block, on error
+    """Build each table once inside the block, which serves one type and one
+    ring: a sweep asks for one table under many pairs (the ext table depends
+    on ``|K|``, ``|J \\ I|``, ``|K \\ J|``, d and the center rank; the
+    ext-vi table on ``|I u J|``, ``|J|``, ``|J \\ I|`` and d), and each pair
+    still compares it with its own closed form.  The ring's verdict is kept
+    with each table.  The tables are dropped on leaving the block, on error
     too, so no later call reads a table that other code built."""
     global _BUILT_TABLES
     _BUILT_TABLES = {}
@@ -146,24 +149,25 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     """The complex-built table, checked against ``closed``, refused first if
     a row it builds, or a dump of its rows, would be over its cap: rows t up
     to ``|Delta \\ (B n span)|`` with no vertical maps between them, each
-    row's homology over ``spec``, kept per row and d, a class at lattice
+    row's homology over ``spec``, kept per shape and d, a class at lattice
     degree s of row t placed in degree ``shift + t + s - |Delta \\ B|``, or
     at index u of a (constant) row with a span, read reversed, in
     ``shift + t + u``.  A row is printed with ``zeros`` zero degrees after
     its last, or before its first if read reversed.  A disagreement names
     the table as ``what``, formatted with the subsets ``masks``."""
     kept = _BUILT_TABLES if complexes_out is None else None  # a dump builds its rows
-    key = (rs.rank, B, None if span is None else mask_size(span), shift, zeros, center_rank,
-           spec.d)
+    key = (rs.rank, mask_size(B), None if span is None else mask_size(span), shift, zeros,
+           center_rank, spec.d)
     if kept is not None and key in kept:
-        entries, dumps = kept[key]
+        entries, dumps, passes = kept[key]
     else:
         entries, dumps = _build_rows(rs, spec, B, span, shift, zeros, numbered, center_rank,
                                      complexes_out)
+        passes = _ring_passes(rs.series, rs.rank, spec)
         if kept is not None:
-            kept[key] = entries, dumps
+            kept[key] = entries, dumps, passes
     built = ExtTable(entries)
-    if not _ring_passes(rs.series, rs.rank, spec):
+    if not passes:
         built.outside_hypotheses = True
     elif not built.same_modules(closed):
         raise VerificationError(

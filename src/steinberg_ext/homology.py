@@ -624,9 +624,9 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, span: int | Non
     return subset_lattice_complex(rs, bottom, rank_fn, rule, None if numbered else label)
 
 
-# Integer homology of every exterior row built in this process, by
-# (rank, bottom, t); the complexes themselves are not kept.
-_ROW_HOMOLOGY: dict[tuple[int, int, int], HomologyResult] = {}
+# Integer homology of every exterior row built in this process, by (m, t)
+# with m = |Delta \ bottom|, the row's shape; the complexes are not kept.
+_ROW_HOMOLOGY: dict[tuple[int, int], HomologyResult] = {}
 
 
 def _copies(rs: RootSystem, bottom: int, t: int, span: int) -> int:
@@ -639,37 +639,45 @@ def _copies(rs: RootSystem, bottom: int, t: int, span: int) -> int:
 
 def row_homology(rs: RootSystem, bottom: int, t: int,
                  span: int | None = None) -> HomologyResult:
-    """Integer homology of that row of :func:`exterior_row_complex`.  A row
-    reads nothing of ``rs`` but its rank, so each exterior row is built,
-    checked (``d d = 0``) and reduced once per process.  A constant row
-    (``span <= bottom``) is ``C(rank - |span|, t)`` copies of its t = 0 row,
-    the exterior row of t = 0, so it is never built."""
+    """Integer homology of that row of :func:`exterior_row_complex`.
+
+    The row over ``bottom`` reads only its m free simple roots: numbering
+    them in order maps it onto the row over {} in rank m, up to the sign of
+    each component, which changes by (-1)^#{b in bottom : b < beta}; scaling
+    the L-summand by the product of those signs over the free roots outside
+    L undoes it.  So the homology depends on (m, t) alone, and each shape is
+    built (from the row the caller asked for), checked (``d d = 0``) and
+    reduced once per process.  A constant row (``span <= bottom``) is
+    ``C(rank - |span|, t)`` copies of its t = 0 row, the exterior row of
+    t = 0, so it is never built."""
+    validate_mask(bottom, rs.rank)
     if span is not None:
         h, copies = row_homology(rs, bottom, 0), _copies(rs, bottom, t, span)
         return HomologyResult(tuple(copies * r for r in h.free_ranks),
                               tuple(tuple(sorted(x * copies)) for x in h.torsion))
-    key = (rs.rank, bottom, t)
+    key = (rs.rank - mask_size(bottom), t)
     if key not in _ROW_HOMOLOGY:
         _ROW_HOMOLOGY[key] = homology_over_Z(exterior_row_complex(rs, bottom, t))
     return _ROW_HOMOLOGY[key]
 
 
-# Homology over a ring of every row a table read in this process, by the row
-# and d: (rank, bottom, t, d) for an exterior row, (rank, bottom, 0, d, copies)
-# for a constant row, so the constant rows of equal rank over one bottom share
-# an entry.
+# Homology over a ring of every row a table read in this process, by the
+# row's shape and d: (m, t, d) for an exterior row, (m, 0, d, copies) for a
+# constant row, so the constant rows of equal rank and shape share an entry.
 _RING_ROW_HOMOLOGY: dict[tuple[int, ...], HomologyResult] = {}
 
 
 def row_homology_over(rs: RootSystem, bottom: int, t: int, span: int | None,
                       spec: RingSpec) -> HomologyResult:
     """Homology over ``spec`` of that row as a table reads it, dualised for a
-    constant row (read reversed).  It depends on the ring's d alone, not on
-    q, so each row is taken once per process and d."""
+    constant row (read reversed).  It depends on the row's shape and the
+    ring's d alone, not on q, so each is taken once per process and d."""
+    validate_mask(bottom, rs.rank)
+    m = rs.rank - mask_size(bottom)
     if span is None:
-        key = (rs.rank, bottom, t, spec.d)
+        key = (m, t, spec.d)
     else:
-        key = (rs.rank, bottom, 0, spec.d, _copies(rs, bottom, t, span))
+        key = (m, 0, spec.d, _copies(rs, bottom, t, span))
     if key not in _RING_ROW_HOMOLOGY:
         hom = row_homology(rs, bottom, t, span)
         _RING_ROW_HOMOLOGY[key] = homology_with_coefficients(

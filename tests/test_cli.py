@@ -488,8 +488,9 @@ def _golden(name):
 def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch, fresh_caches):
     import steinberg_ext.homology as homology
 
-    built, reduced = [], []
+    built, reduced, multiplied = [], [], []
     builder, divisors = homology.exterior_row_complex, homology.smith_divisors
+    product = homology.IntMatrix.mul
 
     def counting_builder(rs, bottom, t, **kwargs):
         row = builder(rs, bottom, t, **kwargs)
@@ -500,16 +501,50 @@ def test_verify_builds_and_reduces_each_distinct_row_once(capsys, monkeypatch, f
         reduced.append(m)
         return divisors(m)
 
+    def counting_product(a, b):
+        multiplied.append((a, b))
+        return product(a, b)
+
     monkeypatch.setattr(homology, "exterior_row_complex", counting_builder)
     monkeypatch.setattr(homology, "smith_divisors", counting_divisors)
+    monkeypatch.setattr(homology.IntMatrix, "mul", counting_product)
     argv, expected = _golden("verify_B3_all")
     assert run_cli(capsys, *argv)[:2] == (0, expected)
     keys = [key for key, _ in built]
-    # one exterior row per (B, t <= rank - |B|); constant and reversed rows are derived
-    rows = sum(3 - bin(B).count("1") + 1 for B in range(1 << 3))
-    assert rows == 20
+    # one exterior row per shape (m = 3 - |B|, t <= m), built over the first
+    # bottom that asks for it; constant and reversed rows are derived
+    rows = sum(m + 1 for m in range(3 + 1))
+    assert rows == 10
     assert len(keys) == len(set(keys)) == len(homology._ROW_HOMOLOGY) == rows
+    shapes = {(3 - bottom.bit_count(), t) for _, bottom, t, *_ in keys}
+    assert shapes == set(homology._ROW_HOMOLOGY)
     assert len(reduced) == sum(n for _, n in built)
+    # and each built row passed its d d = 0 check, one product per pair of maps
+    assert len(multiplied) == sum(max(n - 1, 0) for _, n in built)
+
+
+def test_a_larger_sweep_builds_only_its_new_shapes(capsys, monkeypatch, fresh_caches):
+    """Rows are kept by shape (m, t) across types and ranks: after an A3
+    sweep in the process has built the 10 rows with m <= 3, an A4 sweep
+    builds only the 5 rows with m = 4, over the bottom {}."""
+    import steinberg_ext.homology as homology
+
+    built = []
+    builder = homology.exterior_row_complex
+
+    def counting_builder(rs, bottom, t, **kwargs):
+        built.append((rs.rank, bottom, t))
+        return builder(rs, bottom, t, **kwargs)
+
+    monkeypatch.setattr(homology, "exterior_row_complex", counting_builder)
+    sweep = ("verify", "--ring", "Q", "--all-pairs", "--strata", "off")
+    assert run_cli(capsys, *sweep, "--type", "A3")[0] == 0
+    assert len(built) == len(homology._ROW_HOMOLOGY) == 10
+    built.clear()
+    code, out, _ = run_cli(capsys, *sweep, "--type", "A4")
+    assert code == 0 and "528 passed, 0 failed" in out
+    assert built == [(4, 0, t) for t in range(5)]
+    assert len(homology._ROW_HOMOLOGY) == 15
 
 
 def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch,
@@ -820,32 +855,57 @@ def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):
     assert eng._BUILT_TABLES is None  # dropped on error too
 
 
-def test_verify_builds_each_distinct_table_once(capsys, monkeypatch):
-    """A5 over Q: 1,024 pairs ask for 2,048 built tables and 64 cohomology
-    tables, but an ext table depends only on (K, |J \\ I|, |K \\ J|), an
-    ext-vi table on (I u J, |J|, |J \\ I|), and a cohomology table is the
-    ext table of K = I with no shift."""
+def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_caches):
+    """A5 over Q: 1,024 pairs ask for 2,048 built tables and 32 cohomology
+    tables, but an ext table depends only on (|K|, |J \\ I|, |K \\ J|), an
+    ext-vi table on (|I u J|, |J|, |J \\ I|), and a cohomology table is the
+    ext table of |K| = |I| with no shift.  The 112 tables read 21 rows, one
+    per shape (m, t), and take the ring's verdict once each; every one of the
+    2,080 checks still compares its table with its own closed form."""
     import steinberg_ext.extengine as eng
+    import steinberg_ext.homology as homology
+    from steinberg_ext.tables import ExtTable
 
-    built = []
-    build_rows = eng._build_rows
+    built, verdicts, compared = [], [], []
+    build_rows, ring_passes = eng._build_rows, eng._ring_passes
+    same_modules = ExtTable.same_modules
 
     def counting(rs, spec, B, span, shift, zeros, *rest):
-        built.append(("ext", B, shift, zeros) if span is None
-                     else ("ext-vi", B, span.bit_count(), shift))
+        built.append(("ext", B.bit_count(), shift, zeros) if span is None
+                     else ("ext-vi", B.bit_count(), span.bit_count(), shift))
         return build_rows(rs, spec, B, span, shift, zeros, *rest)
 
+    def counting_verdict(*args):
+        verdicts.append(args)
+        return ring_passes(*args)
+
+    def comparing(self, other):
+        compared.append(other)
+        return same_modules(self, other)
+
+    closed_made = []
+    for name in ("ext_steinberg_closed", "ext_v_to_induced_closed"):
+        def closed(*args, closed_of=getattr(eng, name)):
+            closed_made.append(closed_of(*args))
+            return closed_made[-1]
+        monkeypatch.setattr(eng, name, closed)
     monkeypatch.setattr(eng, "_build_rows", counting)
+    monkeypatch.setattr(eng, "_ring_passes", counting_verdict)
+    monkeypatch.setattr(ExtTable, "same_modules", comparing)
     code, _, _ = run_cli(capsys, "verify", "--type", "A5", "--ring", "Q", "--all-pairs",
                          "--strata", "off")
     assert code == 0
     full, size = 0b11111, int.bit_count
-    ext = {("ext", (full & ~I) | J, size(J & ~I), size(full & ~(I | J)))
+    ext = {("ext", size((full & ~I) | J), size(J & ~I), size(full & ~(I | J)))
            for I in range(32) for J in range(32)}
-    vi = {("ext-vi", I | J, size(J), size(J & ~I)) for I in range(32) for J in range(32)}
-    cohomology = {("ext", I, 0, 0) for I in range(32)}
-    assert len(ext) == len(vi) == 272 and cohomology <= ext
-    assert len(built) == len(set(built)) == len(ext | vi) == 544
+    vi = {("ext-vi", size(I | J), size(J), size(J & ~I)) for I in range(32) for J in range(32)}
+    cohomology = {("ext", size(I), 0, 0) for I in range(32)}
+    assert len(ext) == len(vi) == 56 and cohomology <= ext
+    assert len(built) == len(set(built)) == len(ext | vi) == len(verdicts) == 112
+    assert len(homology._ROW_HOMOLOGY) == sum(m + 1 for m in range(5 + 1)) == 21
+    # each pair's two closed forms, each compared once; then one per cohomology table
+    assert len(closed_made) == 2 * 1024 and len(compared) == 2048 + 32
+    assert all(a is b for a, b in zip(closed_made, compared[32:]))
 
 
 def test_verify_makes_each_closed_form_once_per_check(capsys, monkeypatch):

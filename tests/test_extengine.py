@@ -339,8 +339,8 @@ def test_ring_rows_are_kept_per_d(monkeypatch, fresh_caches):
     import steinberg_ext.homology as homology
 
     a2 = build_root_system("A", 2)
-    stand_ins = {(2, 0b01, 0): HomologyResult((0, 1), ((), ())),
-                 (2, 0b01, 1): HomologyResult((0, 0), ((), (2, 2, 9)))}
+    stand_ins = {(1, 0): HomologyResult((0, 1), ((), ())),  # by shape (m, t), m = 2 - 1
+                 (1, 1): HomologyResult((0, 0), ((), (2, 2, 9)))}
     expected = {0: {0: 1}, 2: {0: 3, 1: 2}, 3: {0: 2, 1: 1}}  # by d: Q, Z/2, Z/3
     rows = homology._ROW_HOMOLOGY
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", stand_ins)

@@ -475,11 +475,77 @@ def test_constant_row_homology_repeats_torsion(monkeypatch):
     """No t = 0 row has torsion, so the scaling is checked on a stand-in."""
     a3 = build_root_system("A", 3)
     stand_in = HomologyResult((0, 1), ((), (2, 6)))
-    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {(3, 0b011, 0): stand_in})
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {(1, 0): stand_in})  # m = 3 - |{0,1}|
     assert row_homology(a3, 0b011, 1, span=0b001) == HomologyResult((0, 2), ((), (2, 2, 6, 6)))
     assert row_homology(a3, 0b011, 1, span=0b011).dual() == HomologyResult((1, 0), ((), (2, 6)))
     with pytest.raises(ContractError):
         row_homology(a3, 0b011, 0, span=0b100)
+
+
+def _row_over_nothing(m, t):
+    """Integer homology of the exterior row over {} in rank m."""
+    if m == 0:  # one summand, the t-subsets of no roots
+        return HomologyResult((comb(0, t),), ((),))
+    return homology_over_Z(exterior_row_complex(build_root_system("A", m), 0, t))
+
+
+def _constant_row_over_nothing(m, copies):
+    """Integer homology of the reversed constant row of rank ``copies`` over
+    {} in rank m, from the lattice builder with identity maps."""
+    if m == 0:
+        return HomologyResult((copies,), ((),))
+    c = subset_lattice_complex(build_root_system("A", m), 0, lambda mask: copies,
+                               lambda mask, beta: IntMatrix.identity(copies))
+    return homology_over_Z(reverse_transpose(c))
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_a_row_depends_only_on_its_shape(rank):
+    """The row caches key a row by (m, t), m = |Delta \\ B|: every exterior row
+    over every bottom B, built and reduced, has the homology of the row over
+    {} in rank m, and every reversed constant row over B with span J <= B
+    that of the constant row of the same rank over {} in rank m."""
+    rs = build_root_system("A", rank)
+    expected, expected_constant = {}, {}
+    for bottom in range(1 << rank):
+        m = rank - mask_size(bottom)
+        for t in range(m + 1):
+            if (m, t) not in expected:
+                expected[m, t] = _row_over_nothing(m, t)
+            assert homology_over_Z(exterior_row_complex(rs, bottom, t)) == expected[m, t], \
+                (bottom, t)
+        for J in range(bottom + 1):
+            if J & ~bottom:
+                continue
+            n = rank - mask_size(J)
+            for t in range(n + 1):
+                copies = comb(n, t)
+                if (m, copies) not in expected_constant:
+                    expected_constant[m, copies] = _constant_row_over_nothing(m, copies)
+                row = reverse_transpose(exterior_row_complex(rs, bottom, t, span=J))
+                assert homology_over_Z(row) == expected_constant[m, copies], (bottom, J, t)
+
+
+def test_a_bad_mask_is_refused_on_a_cache_hit(fresh_caches):
+    """A row is kept by its shape, so a hit says nothing of the mask asked
+    for: a mask with bits past the rank is refused after the shape it would
+    have is cached."""
+    a2, q = build_root_system("A", 2), RingSpec(0, 3)
+    for t in range(2):  # every shape with m = 1
+        row_homology(a2, 0b01, t)
+        homology.row_homology_over(a2, 0b01, t, None, q)
+    homology.row_homology_over(a2, 0b01, 1, 0, q)
+    cached = len(homology._ROW_HOMOLOGY), len(homology._RING_ROW_HOMOLOGY)
+    for bad in (0b100, 0b1000, -1):  # each of one bit, so of the cached m = 1
+        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
+            row_homology(a2, bad, 0)
+        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
+            row_homology(a2, bad, 0, span=0)
+        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
+            homology.row_homology_over(a2, bad, 0, None, q)
+        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
+            homology.row_homology_over(a2, bad, 1, 0, q)
+    assert (len(homology._ROW_HOMOLOGY), len(homology._RING_ROW_HOMOLOGY)) == cached
 
 
 def test_lattice_cap_refuses_before_building():
