@@ -62,15 +62,12 @@ def _parse_subset(text: str, rank: int) -> int:
     return mask_from_indices(indices, rank)
 
 
-def _parse_query(args, subsets: bool = True) -> tuple[RootSystem, RingSpec | None, int, int]:
+def _parse_query(args) -> tuple[RootSystem, RingSpec | None, int, int]:
     """Type, ring (``None`` when not given), I and J of a subcommand, parsed
-    in that order; an absent subset, or any subset when ``subsets`` is off,
-    reads as {}."""
+    in that order; an absent subset reads as {}."""
     series, rank = parse_type(args.type)
     rs = build_root_system(series, rank)
     spec = None if args.ring is None else parse_ring(args.ring)
-    if not subsets:
-        return rs, spec, 0, 0
     return (rs, spec, _parse_subset(getattr(args, "I", ""), rank),
             _parse_subset(getattr(args, "J", ""), rank))
 
@@ -357,10 +354,9 @@ def cmd_verify(args) -> int:
     per descent class in a sweep, per representative for a single pair.  The
     engine compares each table with its closed form: a check whose call raises
     a ``VerificationError`` prints its lines as FAIL, and the sweep goes on."""
-    from .extengine import (built_tables_kept, cohomology_rows_exact, cohomology_v,
-                            ext_steinberg, ext_v_to_induced)
+    from .extengine import cohomology_rows_exact, cohomology_v, ext_steinberg, ext_v_to_induced
 
-    rs, spec, I, J = _parse_query(args, subsets=not args.all_pairs)
+    rs, spec, I, J = _parse_query(args)
     series, rank = rs.series, rs.rank
     if args.all_pairs and 4 ** rank > MAX_PAIRS:
         raise ResourceLimitError(f"--all-pairs on {series}{rank} would check {4 ** rank} "
@@ -402,33 +398,32 @@ def cmd_verify(args) -> int:
         suffix = f" ({detail})" if detail else ""
         lines.append(f"{'PASS' if ok else 'FAIL'} {check} {subject}{suffix}")
 
-    with built_tables_kept():
-        for I in subsets:
-            try:
-                cohomology_v(rs, I, spec, COMPLEX_BUILT)
-                record("cohomology", f"I={label(I)}", cohomology_rows_exact(rs, I))
-            except VerificationError as e:
-                record("cohomology", f"I={label(I)}", False, str(e))
+    for I in subsets:
+        try:
+            cohomology_v(rs, I, spec, COMPLEX_BUILT)
+            record("cohomology", f"I={label(I)}", cohomology_rows_exact(rs, I))
+        except VerificationError as e:
+            record("cohomology", f"I={label(I)}", False, str(e))
 
-        for I, J in pairs:
-            pair = f"I={label(I)} J={label(J)}"
-            for check, table_of in methods:
-                # the ring passed above, so a check passes unless the engine's
-                # comparison with the closed form raises
-                try:
-                    table_of(rs, I, J, spec, COMPLEX_BUILT)
-                    record(check, pair, True)
-                except VerificationError as e:
-                    record(check, pair, False, str(e))
-            if group is not None:
-                # RingAssumptionError propagates: the dispatcher turns it into exit 3
-                try:
-                    certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
-                    record("strata", pair, True)
-                    record("certificates", pair, certified)
-                except VerificationError as e:
-                    record("strata", pair, False, str(e))
-                    record("certificates", pair, False, str(e))
+    for I, J in pairs:
+        pair = f"I={label(I)} J={label(J)}"
+        for check, table_of in methods:
+            # the ring passed above, so a check passes unless the engine's
+            # comparison with the closed form raises
+            try:
+                table_of(rs, I, J, spec, COMPLEX_BUILT)
+                record(check, pair, True)
+            except VerificationError as e:
+                record(check, pair, False, str(e))
+        if group is not None:
+            # RingAssumptionError propagates: the dispatcher turns it into exit 3
+            try:
+                certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
+                record("strata", pair, True)
+                record("certificates", pair, certified)
+            except VerificationError as e:
+                record("strata", pair, False, str(e))
+                record("certificates", pair, False, str(e))
 
     lines.sort()
     for line in lines:

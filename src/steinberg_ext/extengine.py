@@ -14,9 +14,10 @@ Every complex-built table stacks rows t of one builder over one subset B,
 cohomology over I (B = I), Ext between Steinberg modules (B = K, shift
 ``|J \\ I|``) and Ext into an induced module (B = I u J, span J, reversed,
 shift ``|J \\ I|``).  A row depends only on its shape, ``m = |Delta \\ B|``
-and t, so each row's integer homology is looked up under ``(m, t)``, and its
-homology over the ring under that shape and d; a row is built as a complex
-again only to be printed.
+and t, so each row's integer homology is looked up under ``(m, t)``, and a
+row is built as a complex again only to be printed.  Each built table is
+kept for the process, with the ring's verdict, under everything the two
+depend on (:func:`_built_table`).
 
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
@@ -30,8 +31,6 @@ quotient representation.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -41,9 +40,9 @@ from .homology import (
     LATTICE_CAP,
     complex_to_json_dict,
     exterior_row_complex,
+    homology_with_coefficients,
     reverse_transpose,
     row_homology,
-    row_homology_over,
 )
 from .ringcond import RingSpec, check_ring
 from .rootdata import (
@@ -108,27 +107,9 @@ def _ring_passes(series: str, rank: int, spec: RingSpec) -> bool:
 # rank <= 8 is under it, the E7 ext-vi dump over I = J = {} (10.3 M) is not.
 DUMP_CAP = 1 << 21
 
-# Built tables of the current ``verify`` call, before any comparison, by what
-# they depend on, with the homology of their rows and the ring's verdict;
-# None outside a call.
-_BUILT_TABLES: dict[tuple, tuple[dict[int, ModulePiece], list, bool]] | None = None
-
-
-@contextmanager
-def built_tables_kept() -> Iterator[None]:
-    """Build each table once inside the block, which serves one type and one
-    ring: a sweep asks for one table under many pairs (the ext table depends
-    on ``|K|``, ``|J \\ I|``, ``|K \\ J|``, d and the center rank; the
-    ext-vi table on ``|I u J|``, ``|J|``, ``|J \\ I|`` and d), and each pair
-    still compares it with its own closed form.  The ring's verdict is kept
-    with each table.  The tables are dropped on leaving the block, on error
-    too, so no later call reads a table that other code built."""
-    global _BUILT_TABLES
-    _BUILT_TABLES = {}
-    try:
-        yield
-    finally:
-        _BUILT_TABLES = None
+# Every table built in this process, before any comparison, by what it and
+# the ring's verdict depend on, with the homology of its rows and that verdict.
+_BUILT_TABLES: dict[tuple, tuple[dict[int, ModulePiece], list, bool]] = {}
 
 
 def _dense_entries(m: int, last: int, constant: int | None) -> int:
@@ -149,24 +130,29 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     """The complex-built table, checked against ``closed``, refused first if
     a row it builds, or a dump of its rows, would be over its cap: rows t up
     to ``|Delta \\ (B n span)|`` with no vertical maps between them, each
-    row's homology over ``spec``, kept per shape and d, a class at lattice
-    degree s of row t placed in degree ``shift + t + s - |Delta \\ B|``, or
-    at index u of a (constant) row with a span, read reversed, in
-    ``shift + t + u``.  A row is printed with ``zeros`` zero degrees after
-    its last, or before its first if read reversed.  A disagreement names
-    the table as ``what``, formatted with the subsets ``masks``."""
-    kept = _BUILT_TABLES if complexes_out is None else None  # a dump builds its rows
-    key = (rs.rank, mask_size(B), None if span is None else mask_size(span), shift, zeros,
-           center_rank, spec.d)
-    if kept is not None and key in kept:
-        entries, dumps, passes = kept[key]
+    row's homology over ``spec``, a class at lattice degree s of row t placed
+    in degree ``shift + t + s - |Delta \\ B|``, or at index u of a (constant)
+    row with a span, read reversed, in ``shift + t + u``.  A row is printed
+    with ``zeros`` zero degrees after its last, or before its first if read
+    reversed.  A disagreement names the table as ``what``, formatted with the
+    subsets ``masks``.
+
+    The rows read B through ``|Delta \\ B|`` alone, so a sweep asks for one
+    table under many pairs.  Each table is kept for the process, before its
+    comparison, with the ring's verdict: under the type, ``|B|``, ``|span|``,
+    the shift, the zeros, the center rank, d and q, all that the two depend
+    on.  Each caller still compares it with its own closed form; a dump
+    builds its rows and reads no kept table."""
+    key = (rs.series, rs.rank, mask_size(B), None if span is None else mask_size(span), shift,
+           zeros, center_rank, spec.d, spec.q)
+    if complexes_out is None and key in _BUILT_TABLES:
+        entries, dumps, passes = _BUILT_TABLES[key]
     else:
         entries, dumps = _build_rows(rs, spec, B, span, shift, zeros, numbered, center_rank,
                                      complexes_out)
         passes = _ring_passes(rs.series, rs.rank, spec)
-        if kept is not None:
-            kept[key] = entries, dumps, passes
-    built = ExtTable(entries)
+        _BUILT_TABLES[key] = entries, dumps, passes
+    built = ExtTable(dict(entries))  # the caller's to change, not the kept table
     if not passes:
         built.outside_hypotheses = True
     elif not built.same_modules(closed):
@@ -208,7 +194,8 @@ def _build_rows(rs: RootSystem, spec: RingSpec, B: int, span: int | None, shift:
                 data[key] = data[key] + pad if span is None else pad + data[key]
             return data
 
-        hom = row_homology_over(rs, B, t, span, spec)
+        hom = row_homology(rs, B, t, span)
+        hom = homology_with_coefficients(hom if span is None else hom.dual(), spec)
         inner = shift + t
         row_dump = None
         for s in hom.nonzero_degrees():

@@ -659,27 +659,3 @@ def row_homology(rs: RootSystem, bottom: int, t: int,
     if key not in _ROW_HOMOLOGY:
         _ROW_HOMOLOGY[key] = homology_over_Z(exterior_row_complex(rs, bottom, t))
     return _ROW_HOMOLOGY[key]
-
-
-# Homology over a ring of every row a table read in this process, by the
-# row's shape and d: (m, t, d) for an exterior row, (m, 0, d, copies) for a
-# constant row, so the constant rows of equal rank and shape share an entry.
-_RING_ROW_HOMOLOGY: dict[tuple[int, ...], HomologyResult] = {}
-
-
-def row_homology_over(rs: RootSystem, bottom: int, t: int, span: int | None,
-                      spec: RingSpec) -> HomologyResult:
-    """Homology over ``spec`` of that row as a table reads it, dualised for a
-    constant row (read reversed).  It depends on the row's shape and the
-    ring's d alone, not on q, so each is taken once per process and d."""
-    validate_mask(bottom, rs.rank)
-    m = rs.rank - mask_size(bottom)
-    if span is None:
-        key = (m, t, spec.d)
-    else:
-        key = (m, 0, spec.d, _copies(rs, bottom, t, span))
-    if key not in _RING_ROW_HOMOLOGY:
-        hom = row_homology(rs, bottom, t, span)
-        _RING_ROW_HOMOLOGY[key] = homology_with_coefficients(
-            hom if span is None else hom.dual(), spec)
-    return _RING_ROW_HOMOLOGY[key]

@@ -73,7 +73,8 @@ class RingSpec:
 
 
 def parse_ring(text: str) -> RingSpec:
-    """Parse ``"Q"``, ``"Q,q=3"`` or ``"q=3,d=5"``."""
+    """Parse ``"Q"``, ``"Q,q=3"`` or ``"q=3,d=5"``; each component at most
+    once."""
     text = text.strip()
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -82,6 +83,8 @@ def parse_ring(text: str) -> RingSpec:
     rational = False
     for part in parts:
         if part.upper() == "Q":
+            if rational:
+                raise ConfigurationError(f"ring {text!r} repeats its component 'Q'")
             rational = True
             continue
         if "=" not in part:
@@ -90,6 +93,8 @@ def parse_ring(text: str) -> RingSpec:
         key = key.strip().lower()
         if key not in ("q", "d"):
             raise ConfigurationError(f"unknown ring field {key!r}")
+        if key in fields:
+            raise ConfigurationError(f"ring {text!r} repeats its component {key!r}")
         try:
             fields[key] = int(value)
         except ValueError:

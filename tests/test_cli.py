@@ -81,7 +81,7 @@ def test_ext_induced_strata_bad_ring_exits_three(capsys):
     assert "ring-assumption" in err
 
 
-def test_verification_mismatch_exits_one(capsys, monkeypatch):
+def test_verification_mismatch_exits_one(capsys, monkeypatch, fresh_caches):
     import steinberg_ext.extengine as eng
 
     honest = eng.total_degree
@@ -100,6 +100,18 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "ext", "--type", "H9", "--ring", "Q")[0] == 2
     assert run_cli(capsys, "ext", "--type", "A2", "--I", "5", "--ring", "Q")[0] == 2
     assert run_cli(capsys, "ext", "--type", "A2", "--ring", "q=6,d=5")[0] == 2
+    assert run_cli(capsys, "ext", "--type", "A2", "--ring", "q=3,d=5,d=7")[0] == 2
+
+
+def test_verify_all_pairs_parses_the_subsets_it_is_given(capsys):
+    """A sweep checks every pair, but a given --I or --J is parsed all the
+    same: a malformed or out-of-range one exits 2, a valid one changes
+    nothing."""
+    sweep = ("verify", "--type", "A2", "--ring", "Q", "--all-pairs")
+    for bad in (("--I", "7", "--J", "x"), ("--I", "x"), ("--J", "2"), ("--I", "0,5")):
+        code, out, err = run_cli(capsys, *sweep, *bad)
+        assert (code, out) == (2, "") and err.startswith("error: "), bad
+    assert run_cli(capsys, *sweep, "--I", "0", "--J", "1") == run_cli(capsys, *sweep)
 
 
 def test_tsv_rendering():
@@ -363,7 +375,7 @@ def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch
     assert code == 0 and second == first
 
 
-def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch):
+def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch, fresh_caches):
     """The ring is parsed, so q factored, once per command, and checked once
     for the command's report and once for all its built tables, however many
     pairs it sweeps: at the largest q under the cap, an A4 sweep takes no
@@ -547,17 +559,17 @@ def test_a_larger_sweep_builds_only_its_new_shapes(capsys, monkeypatch, fresh_ca
     assert len(homology._ROW_HOMOLOGY) == 15
 
 
-def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, monkeypatch,
-                                                                     fresh_caches):
+def test_verify_sums_each_inversion_set_and_converts_each_table_row_once(capsys, monkeypatch,
+                                                                         fresh_caches):
     """The strata pass sums the inversion set of each of the 48 elements of
-    W(B3) once, counted in both modules that sum them, and each row is taken
-    over the ring once per d."""
-    import steinberg_ext.homology as homology
+    W(B3) once, counted in both modules that sum them, and each distinct
+    built table takes each of its rows over the ring once: 85 rows in all."""
+    import steinberg_ext.extengine as eng
     import steinberg_ext.strata as strata
     import steinberg_ext.weyl as weyl
 
     summed, over_ring = [], []
-    inversion_sum, coefficients = weyl._inversion_sum, homology.homology_with_coefficients
+    inversion_sum, coefficients = weyl._inversion_sum, eng.homology_with_coefficients
 
     def counting_sum(rs, images):
         summed.append((rs.rank, images))
@@ -569,11 +581,11 @@ def test_verify_sums_each_inversion_set_and_takes_each_ring_row_once(capsys, mon
 
     for module in (weyl, strata):
         monkeypatch.setattr(module, "_inversion_sum", counting_sum)
-    monkeypatch.setattr(homology, "homology_with_coefficients", counting_coefficients)
+    monkeypatch.setattr(eng, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
     assert len(summed) == len(set(summed)) == 48  # |W(B3)|
-    assert over_ring == [0] * len(homology._RING_ROW_HOMOLOGY)
+    assert over_ring == [0] * 85
 
 
 def test_dumps_rebuild_rows_the_cache_already_holds(capsys, fresh_caches):
@@ -831,20 +843,9 @@ def test_verify_sweep_bytes_are_pinned(capsys):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
-def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):
+def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, monkeypatch):
     import steinberg_ext.extengine as eng
-    from steinberg_ext.errors import ContractError, VerificationError
-    from steinberg_ext.ringcond import RingSpec
-    from steinberg_ext.rootdata import build_root_system
-
-    assert run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--all-pairs")[0] == 0
-    assert eng._BUILT_TABLES is None
-    honest = eng.total_degree
-    monkeypatch.setattr(eng, "total_degree", lambda *args: honest(*args) + 1)
-    with pytest.raises(VerificationError):
-        eng.ext_steinberg(build_root_system("A", 2), 0b01, 0b10, RingSpec(0, 2),
-                          eng.COMPLEX_BUILT)
-    monkeypatch.setattr(eng, "total_degree", honest)
+    from steinberg_ext.errors import ContractError
 
     def broken(rs, I):
         raise ContractError("stand-in failure")
@@ -852,7 +853,6 @@ def test_no_built_table_outlives_its_verify_call(capsys, monkeypatch):
     monkeypatch.setattr(eng, "cohomology_rows_exact", broken)
     code, out, err = run_cli(capsys, "verify", "--type", "A2", "--ring", "Q", "--all-pairs")
     assert (code, out) == (1, "") and "stand-in failure" in err
-    assert eng._BUILT_TABLES is None  # dropped on error too
 
 
 def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_caches):

@@ -301,7 +301,7 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
         verify_strata(rs, I, J, Z23, corrupted)
 
 
-def test_a_disagreement_names_the_table(monkeypatch):
+def test_a_disagreement_names_the_table(monkeypatch, fresh_caches):
     import steinberg_ext.extengine as eng
 
     honest = eng.total_degree
@@ -334,7 +334,8 @@ def test_ring_rows_are_kept_per_d(monkeypatch, fresh_caches):
     """No lattice row has torsion, so stand-in integer rows with torsion show
     that a row's homology over the ring is kept per d: one table over A2 above
     {alpha_0} reads each ring's own answer in one process, and once the real
-    rows are back, none of the stand-ins' answers is read again."""
+    rows are back and the tables built from the stand-ins are dropped, none of
+    the stand-ins' answers is read again."""
     import steinberg_ext.extengine as eng
     import steinberg_ext.homology as homology
 
@@ -349,7 +350,7 @@ def test_ring_rows_are_kept_per_d(monkeypatch, fresh_caches):
         built = eng._built_table(a2, RingSpec(d, 3), table({0: 1}), "stand-in", 0b01)
         assert built.same_modules(table(entries)), d
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", rows)
-    homology._RING_ROW_HOMOLOGY.clear()  # its entries came from the stand-ins
+    eng._BUILT_TABLES.clear()  # its entries came from the stand-ins
     for d in expected:
         built = cohomology_v(a2, 0b01, RingSpec(d, 3), COMPLEX_BUILT)
         assert built.same_modules(table({1: 1})), d
@@ -431,7 +432,7 @@ def test_outside_hypotheses_labeling():
     assert not good.outside_hypotheses
 
 
-def test_degree_shift_mutation_is_caught(monkeypatch):
+def test_degree_shift_mutation_is_caught(monkeypatch, fresh_caches):
     # sabotage the centralized degree bookkeeping: every complex-built path
     # must notice the disagreement with the closed form and refuse to return
     import steinberg_ext.extengine as eng
@@ -453,16 +454,43 @@ def test_degree_shift_mutation_is_caught(monkeypatch):
         eng.ext_v_to_induced(a2, 0b01, 0b10, Q, COMPLEX_BUILT)
 
 
-def test_kept_tables_are_told_apart_by_the_center_rank():
+def test_kept_tables_are_told_apart_by_the_center_rank(fresh_caches):
     import steinberg_ext.extengine as eng
 
     a2 = build_root_system("A", 2)
-    with eng.built_tables_kept():
-        for c in (0, 1, 2, 0):
-            built = ext_steinberg(a2, 0b01, 0b10, Q, COMPLEX_BUILT, center_rank=c)
-            assert built.same_modules(ext_steinberg(a2, 0b01, 0b10, Q, CLOSED_FORM, c))
-        assert len(eng._BUILT_TABLES) == 3
-    assert eng._BUILT_TABLES is None
+    for c in (0, 1, 2, 0):
+        built = ext_steinberg(a2, 0b01, 0b10, Q, COMPLEX_BUILT, center_rank=c)
+        assert built.same_modules(ext_steinberg(a2, 0b01, 0b10, Q, CLOSED_FORM, c))
+    assert len(eng._BUILT_TABLES) == 3
+
+
+def test_a_kept_table_is_not_changed_through_a_returned_one(fresh_caches):
+    a2 = build_root_system("A", 2)
+    first = ext_steinberg(a2, 0b01, 0b10, Q, COMPLEX_BUILT)
+    first.entries.clear()
+    assert ext_steinberg(a2, 0b01, 0b10, Q, COMPLEX_BUILT).same_modules(table({2: 1}))
+
+
+def test_kept_tables_are_told_apart_by_the_type_and_q(monkeypatch, fresh_caches):
+    """A kept table keeps the ring's verdict, which depends on the type and
+    on q, not only on the rows: over q=3,d=7 the ring passes for A3 and
+    fails for B3, and over q=2,d=7 it fails for A3.  Each table read in one
+    process carries the verdict a fresh process gives it."""
+    import steinberg_ext.extengine as eng
+
+    a3, b3 = build_root_system("A", 3), build_root_system("B", 3)
+    q3, q2 = RingSpec(7, 3), RingSpec(7, 2)
+    queries = [(a3, q3), (b3, q3), (a3, q3), (a3, q2)]
+    read = [ext_steinberg(rs, 0b001, 0b010, spec, COMPLEX_BUILT).outside_hypotheses
+            for rs, spec in queries]
+    kept = len(eng._BUILT_TABLES)
+    alone = []
+    for rs, spec in queries:
+        with monkeypatch.context() as fresh:
+            fresh.setattr(eng, "_BUILT_TABLES", {})
+            alone.append(ext_steinberg(rs, 0b001, 0b010, spec, COMPLEX_BUILT).outside_hypotheses)
+    assert read == alone == [False, True, False, True]
+    assert kept == 3
 
 
 def test_tensor_with_exterior():

@@ -9,7 +9,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
-from steinberg_ext.extengine import steinberg_degree
+from steinberg_ext.extengine import cohomology_v, steinberg_degree
 from steinberg_ext import homology
 from steinberg_ext.homology import (
     ChainComplex,
@@ -27,7 +27,8 @@ from steinberg_ext.homology import (
     subset_lattice_complex,
 )
 from steinberg_ext.ringcond import RingSpec
-from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
+from steinberg_ext.rootdata import (COMPLEX_BUILT, build_root_system, full_mask, mask_size,
+                                    parse_type)
 
 import oracles
 from oracles import integer_rank
@@ -526,26 +527,58 @@ def test_a_row_depends_only_on_its_shape(rank):
                 assert homology_over_Z(row) == expected_constant[m, copies], (bottom, J, t)
 
 
+def test_every_row_a_command_can_build_reduces_by_unit_pivots(monkeypatch):
+    """A table is refused when its largest row, max_t C(m, t) 2^(m - t) basis
+    vectors over m free roots, is over LATTICE_CAP, and a row's homology
+    depends only on its shape (m, t).  So these are all the rows a command
+    can build: each shape with 1 <= m up to the bound the cap gives.  Every
+    one passes its d d = 0 check, one product per pair of maps, reduces by
+    unit pivots alone, and is exact but for one Z at lattice degree m when
+    t = m."""
+    def largest(m):
+        return max(comb(m, t) << m - t for t in range(m + 1))
+
+    top = 1
+    while largest(top + 1) <= homology.LATTICE_CAP:
+        top += 1
+    products = []
+    product = IntMatrix.mul
+
+    def counting(a, b):
+        products.append((a.rows, b.cols))
+        return product(a, b)
+
+    def dense(m):
+        raise AssertionError(f"a {m.rows}x{m.cols} block reached the dense Smith normal form")
+
+    monkeypatch.setattr(IntMatrix, "mul", counting)
+    monkeypatch.setattr(homology, "smith_normal_form", dense)
+    for m in range(1, top + 1):
+        rs = build_root_system("A", m)
+        for t in range(m + 1):
+            products.clear()
+            h = homology_over_Z(exterior_row_complex(rs, 0, t))
+            assert len(products) == m - 1, (m, t)
+            free = tuple(int(t == m and s == m) for s in range(m + 1))
+            assert h == HomologyResult(free, ((),) * (m + 1)), (m, t)
+    with pytest.raises(ResourceLimitError):  # the next m is refused before any row
+        cohomology_v(build_root_system("A", top + 1), 0, RingSpec.rationals(), COMPLEX_BUILT)
+
+
 def test_a_bad_mask_is_refused_on_a_cache_hit(fresh_caches):
     """A row is kept by its shape, so a hit says nothing of the mask asked
     for: a mask with bits past the rank is refused after the shape it would
     have is cached."""
-    a2, q = build_root_system("A", 2), RingSpec(0, 3)
+    a2 = build_root_system("A", 2)
     for t in range(2):  # every shape with m = 1
         row_homology(a2, 0b01, t)
-        homology.row_homology_over(a2, 0b01, t, None, q)
-    homology.row_homology_over(a2, 0b01, 1, 0, q)
-    cached = len(homology._ROW_HOMOLOGY), len(homology._RING_ROW_HOMOLOGY)
+    cached = len(homology._ROW_HOMOLOGY)
     for bad in (0b100, 0b1000, -1):  # each of one bit, so of the cached m = 1
         with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
             row_homology(a2, bad, 0)
         with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
             row_homology(a2, bad, 0, span=0)
-        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
-            homology.row_homology_over(a2, bad, 0, None, q)
-        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
-            homology.row_homology_over(a2, bad, 1, 0, q)
-    assert (len(homology._ROW_HOMOLOGY), len(homology._RING_ROW_HOMOLOGY)) == cached
+    assert len(homology._ROW_HOMOLOGY) == cached
 
 
 def test_lattice_cap_refuses_before_building():

@@ -76,6 +76,14 @@ def test_parse_and_format_roundtrip():
             parse_ring(bad)
 
 
+def test_a_repeated_ring_component_is_refused():
+    # the last value would otherwise win: q=3,d=5,d=7 read as d = 7
+    for text, component in [("q=3,d=5,d=7", "'d'"), ("Q,q=3,q=5", "'q'"), ("d=5,q=3,q=3", "'q'"),
+                            ("Q,Q", "'Q'"), ("Q,d=0,d=0", "'d'")]:
+        with pytest.raises(ConfigurationError, match=f"repeats its component {component}"):
+            parse_ring(text)
+
+
 def test_bon_examples():
     a1 = build_root_system("A", 1)
     assert bon_check(a1, RingSpec(5, 3)).ok
