@@ -114,20 +114,15 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
 
 
 def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                           elements=None, certificates_out: list | None = None) -> ExtTable:
+                           elements=None) -> ExtTable:
     """Ext between induced modules computed stratum by stratum along the
     double-coset filtration: every certified stratum contributes zero, the
-    lone uncertified one contributes the closed-form exterior algebra.
-    ``certificates_out`` receives a (representative, certificate) pair per
-    stratum."""
+    lone uncertified one contributes the closed-form exterior algebra."""
     from .weyl import kostant_reps  # a certificate alone needs no group code
 
     out: dict[int, ModulePiece] = {}
     for rep in kostant_reps(rs, I, J, elements):
-        cert = vanishing_certificate(rs, rep, spec)
-        if certificates_out is not None:
-            certificates_out.append((rep, cert))
-        if cert is None:
+        if vanishing_certificate(rs, rep, spec) is None:
             if not rep.w.is_identity or rep.J & ~rep.I:
                 raise ContractError("a non-surviving stratum returned no certificate")
             for degree, piece in exterior_table(rs.rank - mask_size(J)).entries.items():

@@ -376,19 +376,18 @@ def cmd_verify(args) -> int:
         pairs = [(I, J)]
         subsets = sorted({I, J})
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
-    # the classes cost one pass over the group: a sweep reads them for every
-    # pair, a single pair reads its few representatives
-    by_class = strata and args.all_pairs
-    group = None
+    group = classes = None
     if strata:
         # loaded, with the descent classes a sweep reads, before any work, so
-        # that a group over the cap is refused at once
-        from .strata import verify_strata  # only verify compiles it
+        # that a group over the cap is refused at once; the classes cost one
+        # pass over the group, which a sweep pays for all its pairs and a
+        # single pair would pay for its few representatives
+        from .strata import DescentClasses, verify_strata  # only verify compiles it
         from .weyl import load_or_generate
 
         group = load_or_generate(rs, args.cache_dir)
-        if by_class:
-            group.classes
+        if args.all_pairs:
+            classes = DescentClasses(rs, group, spec)
 
     methods = (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced))
     label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
@@ -418,12 +417,12 @@ def cmd_verify(args) -> int:
         if group is not None:
             # RingAssumptionError propagates: the dispatcher turns it into exit 3
             try:
-                certified = verify_strata(rs, I, J, spec, group, by_class=by_class)
-                record("strata", pair, True)
-                record("certificates", pair, certified)
+                verify_strata(rs, I, J, spec, group, classes)
+                ok, detail = True, ""
             except VerificationError as e:
-                record("strata", pair, False, str(e))
-                record("certificates", pair, False, str(e))
+                ok, detail = False, str(e)
+            record("strata", pair, ok, detail)
+            record("certificates", pair, ok, detail)
 
     lines.sort()
     for line in lines:
@@ -444,6 +443,8 @@ def cmd_zelevinsky(args) -> int:
     if k - 1 > MAX_EDGES:
         raise ResourceLimitError(f"--k {k} would round-trip 2^{k - 1} edge subsets, "
                                  f"over the cap of 2^{MAX_EDGES}")
+    if (args.I is None) != (args.J is None):
+        raise ConfigurationError("--I and --J go together: give both for a table, or neither")
     spec = parse_ring(args.ring)
     edges = k - 1
 
@@ -457,7 +458,7 @@ def cmd_zelevinsky(args) -> int:
     payload: dict = {"k": k, "theta_roundtrip_ok": roundtrip,
                      "sk_orientations_surjective": surjective,
                      "ring": format_ring(spec)}
-    if args.I is not None and args.J is not None:
+    if args.I is not None:
         I = _parse_subset(args.I, edges)
         J = _parse_subset(args.J, edges)
         table = ext_cuspidal_line(k, I, J, spec)

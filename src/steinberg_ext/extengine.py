@@ -140,11 +140,12 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     The rows read B through ``|Delta \\ B|`` alone, so a sweep asks for one
     table under many pairs.  Each table is kept for the process, before its
     comparison, with the ring's verdict: under the type, ``|B|``, ``|span|``,
-    the shift, the zeros, the center rank, d and q, all that the two depend
-    on.  Each caller still compares it with its own closed form; a dump
-    builds its rows and reads no kept table."""
+    the shift, the center rank, d and q, all that the two depend on.  The
+    zeros are not in the key: only a printed row reads them, and a dump
+    builds its rows and reads no kept table.  Each caller still compares the
+    table with its own closed form."""
     key = (rs.series, rs.rank, mask_size(B), None if span is None else mask_size(span), shift,
-           zeros, center_rank, spec.d, spec.q)
+           center_rank, spec.d, spec.q)
     if complexes_out is None and key in _BUILT_TABLES:
         entries, dumps, passes = _BUILT_TABLES[key]
     else:

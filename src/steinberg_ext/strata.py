@@ -3,28 +3,28 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against data taken in one pass over the group's records and masks
-(:class:`DescentClasses`, ``WeylGroup.classes``), and from it per ring and
-per J, instead of through the representatives of
-:func:`~steinberg_ext.weyl.kostant_reps`; a pair that
-fails a check is rerun through them, so that it raises what the
-per-representative path raises.  A single pair, which would pay the whole
-pass over the group for its few representatives, ``dcosets`` and
-``ext-induced --method strata``, which print or return each representative,
-keep that path.  Only ``verify`` imports this module, so no other command
-compiles it.
+checked against data taken in one pass over the group's records and masks,
+over the sweep's one ring (:class:`DescentClasses`), and from it per J,
+instead of through the representatives of
+:func:`~steinberg_ext.weyl.kostant_reps`; a pair that fails a check is
+rerun through them, so that it raises what the per-representative path
+raises.  A single pair, which would pay the whole pass over the group for
+its few representatives, ``dcosets`` and ``ext-induced --method strata``,
+which print or return each representative, keep that path.  Only ``verify``
+imports this module, so no other command compiles it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 
 from .certificates import _delta_candidates, _unit_value, ext_induced_via_strata
 from .ringcond import RingSpec
-from .rootdata import RootSystem, full_mask, mask_indices, mask_size, support_mask
+from .rootdata import (RootSystem, full_mask, mask_indices, mask_size, max_rho_coefficient,
+                       support_mask)
 from .tables import ExtTable, ext_induced_closed, exterior_table
 from .weyl import (
     WeylGroup,
@@ -39,16 +39,18 @@ from .weyl import (
 
 class DescentClasses:
     """A group's elements sorted into the classes that decide its double
-    cosets, in one pass, for checks that pay per class and not per
-    representative.
+    cosets, in one pass over the group and over one ring, for checks that
+    pay per class and not per representative.
 
     - ``classes``: elements counted by descent mask and simple-image map
       (entry b is 1 << i when w(alpha_b) = alpha_i, else 0).
-    - ``exponents``: by descent mask, the distinct tuples (gamma_b for the
-      right descents b of w, read off the images) of its non-identity
-      elements; a stratum's certificate reads exactly these (see
+    - ``uncertified``: the masks holding a non-identity element none of
+      whose right descents b has a unit q^gamma_b - 1 over ``spec``; a
+      stratum's certificate reads exactly these (see
       ``certificates.vanishing_certificate``).  Each element's inversion
-      sum gamma is summed once, here, and only these entries of it are kept.
+      sum gamma is summed once, here, and read only at its right descents,
+      in a table of the units q^e - 1 for e up to the largest coefficient
+      of 2 rho (bon's bound), which bounds every gamma_b.
     - ``suspects``: (mask, b, support) for each element and b where
       w(alpha_b) is negative outside the right mask (support 0), or a
       non-simple positive root whose support misses the left mask.  In a
@@ -59,7 +61,7 @@ class DescentClasses:
       mask 0.
     """
 
-    def __init__(self, rs: RootSystem, group: WeylGroup) -> None:
+    def __init__(self, rs: RootSystem, group: WeylGroup, spec: RingSpec) -> None:
         rank, n = rs.rank, rs.num_positive
         self.order = parabolic_order(rs, full_mask(rank))
         self.size = len(group)
@@ -72,8 +74,9 @@ class DescentClasses:
         misses_left = [[bool(support) and not support & left for support in support_of]
                        for left in range(1 << rank)]
         right_bits = tuple(1 << b for b in range(rank))
+        unit = [False, *(_unit_value(spec, e)[1] for e in range(1, max_rho_coefficient(rs) + 1))]
         classes: Counter = Counter()
-        exponents: dict[int, set[tuple[int, ...]]] = {}
+        uncertified = set()
         suspects = []
         identities = []
         for mask, (images, length) in zip(group.masks, group.records()):
@@ -83,18 +86,17 @@ class DescentClasses:
             descents = list(map(_is_negative, simple))
             if length == 0:
                 identities.append((images, mask))
-            else:
-                exponents.setdefault(mask, set()).add(tuple(compress(gamma, descents)))
+            elif not any(map(unit.__getitem__, compress(gamma, descents))):
+                uncertified.add(mask)
             stray = sum(compress(right_bits, descents)) & ~mask
             if stray or any(map(misses_left[mask >> 8].__getitem__, simple)):
                 suspects.extend((mask, b, 0) for b in mask_indices(stray))
                 suspects.extend((mask, b, support_of[s]) for b, s in enumerate(simple)
                                 if misses_left[mask >> 8][s])
         self.classes = classes
-        self.exponents = exponents
+        self.uncertified = frozenset(uncertified)
         self.suspects = tuple(suspects)
         self.identity_alone = identities == [(_identity_images(n), 0)]
-        self._uncertified: dict[tuple[int, int], frozenset[int]] = {}
         self._counts: dict[int, dict[tuple[int, int], int]] = {}
 
     def counts(self, J: int) -> dict[tuple[int, int], int]:
@@ -110,19 +112,6 @@ class DescentClasses:
                     key = (mask >> 8, reduce(or_, read(bits), 0))
                     counts[key] = counts.get(key, 0) + count
         return counts
-
-    def uncertified(self, spec: RingSpec) -> frozenset[int]:
-        """The masks holding a non-identity element none of whose right
-        descents b has a unit q^gamma_b - 1 over ``spec``; kept per ring."""
-        key = (spec.d, spec.q)
-        masks = self._uncertified.get(key)
-        if masks is None:
-            exponents = set(chain.from_iterable(chain.from_iterable(self.exponents.values())))
-            unit = {e: _unit_value(spec, e)[1] for e in exponents}
-            masks = self._uncertified[key] = frozenset(
-                mask for mask, gammas in self.exponents.items()
-                if not all(any(map(unit.__getitem__, g)) for g in gammas))
-        return masks
 
     def covers(self, I: int, J: int) -> bool:
         """Whether the (W_I, W_J) double cosets partition the group, as
@@ -141,11 +130,11 @@ class DescentClasses:
                                  if not left & I)
 
 
-def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup, *,
-                  by_class: bool = True) -> bool:
-    """Whether every stratum's certificate is where the theorem puts it (none
-    on the identity with J inside I alone), checked, when ``by_class``, per
-    descent class of ``group`` instead of per representative:
+def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup,
+                  classes: DescentClasses | None = None) -> None:
+    """Check that every stratum's certificate is where the theorem puts it
+    (none on the identity with J inside I alone), per descent class when
+    ``classes``, taken from ``group`` over ``spec``, are given:
 
     - the double cosets partition the group (:meth:`DescentClasses.covers`);
     - no mask the pair reads holds an element without a gamma certificate;
@@ -153,22 +142,19 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGro
     - the table (the identity's exterior algebra when J is inside I, zero
       otherwise) equals the closed form.
 
-    A pair failing any of them, or checked per representative, goes through
-    its representatives, which raise what :func:`ext_induced_via_strata`
+    A pair failing any of them, or given no classes, goes through its
+    representatives, which raise what :func:`ext_induced_via_strata`
     raises: a table that disagrees with the closed form raises
     ``VerificationError``."""
     survives = not J & ~I
-    if by_class:
-        classes = group.classes
+    if classes is not None:
         forbidden = I << 8 | J
         table = exterior_table(rs.rank - mask_size(J)) if survives else ExtTable({})
         if (classes.identity_alone and classes.covers(I, J)
-                and not any(not mask & forbidden for mask in classes.uncertified(spec))
+                and not any(not mask & forbidden for mask in classes.uncertified)
                 and (survives or any(
                     _unit_value(spec, e)[1] for _, e in
                     _delta_candidates(rs, I, J, levi_difference_sum(rs, J, J & I))))
                 and table.same_modules(ext_induced_closed(rs, I, J, spec))):
-            return True
-    certified: list = []
-    ext_induced_via_strata(rs, I, J, spec, group, certificates_out=certified)
-    return all((cert is None) == (rep.w.is_identity and survives) for rep, cert in certified)
+            return
+    ext_induced_via_strata(rs, I, J, spec, group)

@@ -29,13 +29,13 @@ import struct
 import sys
 from array import array
 from collections.abc import Callable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, starmap
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .errors import ContractError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .rootdata import (
     Coords,
     RootSystem,
@@ -48,9 +48,6 @@ from .rootdata import (
     validate_mask,
     zero_coords,
 )
-
-if TYPE_CHECKING:
-    from .strata import DescentClasses
 
 DEFAULT_WEYL_CAP = 1 << 20
 
@@ -315,17 +312,9 @@ class WeylGroup(Sequence):
     tuples; a group equals any sequence of its elements."""
 
     def __init__(self, rs: RootSystem, records: array, masks: array) -> None:
-        self.rs = rs
         self._width = rs.num_positive + 1
         self._records = records
         self.masks = masks
-
-    @cached_property
-    def classes(self) -> DescentClasses:
-        """The descent classes a ``verify --all-pairs`` sweep reads in place of
-        representatives."""
-        from .strata import DescentClasses  # only verify compiles it
-        return DescentClasses(self.rs, self)
 
     def records(self) -> Iterator[tuple[SignedImages, int]]:
         """(signed images, length) of every element, in group order, read
@@ -421,19 +410,24 @@ def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
 
 
 def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> Path:
-    """Write ``group``'s records and descent masks as they are held."""
+    """Write ``group``'s records and descent masks as they are held; a path
+    that cannot be written is a configuration error."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
-    path.parent.mkdir(parents=True, exist_ok=True)
     records, masks = group._records, group.masks
     if _BIG_ENDIAN:  # swap copies: the group keeps its own
         records, masks = array("i", records), array("H", masks)
         records.byteswap()
         masks.byteswap()
-    with path.open("wb") as fh:
-        fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
-            rs.series.encode(), rs.rank, rs.num_positive, len(group)))
-        records.tofile(fh)
-        masks.tofile(fh)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("wb") as fh:
+            fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
+                rs.series.encode(), rs.rank, rs.num_positive, len(group)))
+            records.tofile(fh)
+            masks.tofile(fh)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write the Weyl cache {path}: "
+                                 f"{e.strerror or e}") from None
     return path
 
 

@@ -11,9 +11,8 @@ def fresh_caches(monkeypatch):
     swaps in stand-ins: the rows' homology over Z and the built tables (the
     process's own dicts come back afterwards), and the Weyl groups generated
     so far, so that the next query generates its group or reads it from disk.
-    The groups made during the test are dropped afterwards: their descent
-    classes were read under the test's stand-ins, with the masks each ring
-    leaves uncertified."""
+    The groups made during the test are dropped afterwards: they may have
+    been made under the test's stand-ins."""
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     monkeypatch.setattr(extengine, "_BUILT_TABLES", {})
     memo = weyl.generate_weyl  # a test may patch the name

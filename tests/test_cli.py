@@ -101,6 +101,8 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "ext", "--type", "A2", "--I", "5", "--ring", "Q")[0] == 2
     assert run_cli(capsys, "ext", "--type", "A2", "--ring", "q=6,d=5")[0] == 2
     assert run_cli(capsys, "ext", "--type", "A2", "--ring", "q=3,d=5,d=7")[0] == 2
+    for lone in (("--I", "0"), ("--J", "1")):  # a table needs both subsets
+        assert run_cli(capsys, "zelevinsky", "--k", "4", *lone)[:2] == (2, "")
 
 
 def test_verify_all_pairs_parses_the_subsets_it_is_given(capsys):
@@ -221,6 +223,21 @@ def test_cache_dir_used(tmp_path, capsys):
     assert code == 0 and first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("dcosets", "--type", "A2"),
+    ("ext-induced", "--type", "A2", "--ring", "q=3,d=23", "--method", "strata"),
+    ("verify", "--type", "A2", "--ring", "q=3,d=23", "--strata", "on"),
+])
+def test_an_unwritable_cache_dir_is_a_usage_error(argv, tmp_path, capsys, fresh_caches):
+    """A cache directory that is a regular file: the cache cannot be read,
+    and writing it exits 2 with the path named, before any output."""
+    taken = tmp_path / "file"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(taken))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the Weyl cache ") and str(taken) in err
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_text())
                      if name.startswith(("dcosets_B3", "dcosets_F4",
@@ -339,9 +356,9 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
     passes, asked = [], []
     classes_init, kostant = strata.DescentClasses.__init__, weyl.kostant_reps
 
-    def counting_init(self, rs, group):
+    def counting_init(self, rs, group, spec):
         passes.append(rs.rank)
-        classes_init(self, rs, group)
+        classes_init(self, rs, group, spec)
 
     def counting_kostant(rs, I, J, *rest):
         asked.append((I, J))
@@ -487,6 +504,21 @@ def test_an_option_a_handler_does_not_read_is_an_unknown_argument(capsys):
 # ---------------------------------------------------------------------------
 # per-process row cache
 
+@pytest.mark.parametrize("argv", [
+    ("dcosets", "--type", "A2"),
+    ("ext-induced", "--type", "A2", "--ring", "q=3,d=23", "--method", "strata"),
+    ("verify", "--type", "A2", "--ring", "q=3,d=23", "--strata", "on"),
+])
+def test_an_unwritable_cache_dir_is_a_usage_error(argv, tmp_path, capsys, fresh_caches):
+    """A cache directory that is a regular file: the cache cannot be read,
+    and writing it exits 2 with the path named, before any output."""
+    taken = tmp_path / "file"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(taken))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the Weyl cache ") and str(taken) in err
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DUMP_CASES = ("coh_A3_dump", "coh_G2_dump", "ext_A3_dump", "ext_B3_dump", "extvi_A3_dump",
               "extvi_G2_dump")
@@ -563,7 +595,9 @@ def test_verify_sums_each_inversion_set_and_converts_each_table_row_once(capsys,
                                                                          fresh_caches):
     """The strata pass sums the inversion set of each of the 48 elements of
     W(B3) once, counted in both modules that sum them, and each distinct
-    built table takes each of its rows over the ring once: 85 rows in all."""
+    built table takes each of its rows over the ring once: 70 rows in all,
+    20 for the 10 ext tables (keyed by |K| and |J \\ I|) and 50 for the 20
+    ext-vi tables."""
     import steinberg_ext.extengine as eng
     import steinberg_ext.strata as strata
     import steinberg_ext.weyl as weyl
@@ -585,7 +619,7 @@ def test_verify_sums_each_inversion_set_and_converts_each_table_row_once(capsys,
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
     assert len(summed) == len(set(summed)) == 48  # |W(B3)|
-    assert over_ring == [0] * 85
+    assert over_ring == [0] * 70
 
 
 def test_dumps_rebuild_rows_the_cache_already_holds(capsys, fresh_caches):
@@ -857,11 +891,13 @@ def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, mon
 
 def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_caches):
     """A5 over Q: 1,024 pairs ask for 2,048 built tables and 32 cohomology
-    tables, but an ext table depends only on (|K|, |J \\ I|, |K \\ J|), an
-    ext-vi table on (|I u J|, |J|, |J \\ I|), and a cohomology table is the
-    ext table of |K| = |I| with no shift.  The 112 tables read 21 rows, one
-    per shape (m, t), and take the ring's verdict once each; every one of the
-    2,080 checks still compares its table with its own closed form."""
+    tables, but an ext table depends only on (|K|, |J \\ I|), an ext-vi
+    table on (|I u J|, |J|, |J \\ I|), and a cohomology table is the ext
+    table of |K| = |I| with no shift.  The zeros a printed ext row ends with,
+    |K \\ J|, change no entry, so they split no table.  The 77 tables read
+    21 rows, one per shape (m, t), and take the ring's verdict once each;
+    every one of the 2,080 checks still compares its table with its own
+    closed form."""
     import steinberg_ext.extengine as eng
     import steinberg_ext.homology as homology
     from steinberg_ext.tables import ExtTable
@@ -871,7 +907,7 @@ def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_cache
     same_modules = ExtTable.same_modules
 
     def counting(rs, spec, B, span, shift, zeros, *rest):
-        built.append(("ext", B.bit_count(), shift, zeros) if span is None
+        built.append(("ext", B.bit_count(), shift) if span is None
                      else ("ext-vi", B.bit_count(), span.bit_count(), shift))
         return build_rows(rs, spec, B, span, shift, zeros, *rest)
 
@@ -896,12 +932,11 @@ def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_cache
                          "--strata", "off")
     assert code == 0
     full, size = 0b11111, int.bit_count
-    ext = {("ext", size((full & ~I) | J), size(J & ~I), size(full & ~(I | J)))
-           for I in range(32) for J in range(32)}
+    ext = {("ext", size((full & ~I) | J), size(J & ~I)) for I in range(32) for J in range(32)}
     vi = {("ext-vi", size(I | J), size(J), size(J & ~I)) for I in range(32) for J in range(32)}
-    cohomology = {("ext", size(I), 0, 0) for I in range(32)}
-    assert len(ext) == len(vi) == 56 and cohomology <= ext
-    assert len(built) == len(set(built)) == len(ext | vi) == len(verdicts) == 112
+    cohomology = {("ext", size(I), 0) for I in range(32)}
+    assert (len(ext), len(vi)) == (21, 56) and cohomology <= ext
+    assert len(built) == len(set(built)) == len(ext | vi) == len(verdicts) == 77
     assert len(homology._ROW_HOMOLOGY) == sum(m + 1 for m in range(5 + 1)) == 21
     # each pair's two closed forms, each compared once; then one per cohomology table
     assert len(closed_made) == 2 * 1024 and len(compared) == 2048 + 32

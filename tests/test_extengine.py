@@ -30,7 +30,7 @@ from steinberg_ext.extengine import (
 from steinberg_ext.homology import HomologyResult
 from steinberg_ext.ringcond import RingSpec, check_ring
 from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
-from steinberg_ext.strata import verify_strata
+from steinberg_ext.strata import DescentClasses, verify_strata
 from steinberg_ext.weyl import DoubleCosetRep, generate_weyl, kostant_reps
 
 import oracles
@@ -141,12 +141,8 @@ def test_certificate_dichotomy_over_good_ring():
         full = full_mask(rs.rank)
         for I in range(full + 1):
             for J in range(full + 1):
-                certified = []  # the strata pass certifies each rep the same way
-                ext_induced_via_strata(rs, I, J, Z23, certificates_out=certified)
-                assert [rep for rep, _ in certified] == list(kostant_reps(rs, I, J))
-                for rep, strata_cert in certified:
+                for rep in kostant_reps(rs, I, J):
                     cert = vanishing_certificate(rs, rep, Z23)
-                    assert strata_cert == cert
                     survives = rep.w.is_identity and not (J & ~I)
                     assert (cert is None) == survives
 
@@ -174,24 +170,25 @@ class _RerunThroughTheReps(Exception):
 
 def _class_verdicts(monkeypatch, rs, group, pairs):
     """Per pair and ring, whether :func:`verify_strata` answers from the
-    descent classes alone, against whether every representative is
-    certified; the Levi of each representative against the class counts."""
+    descent classes over that ring alone, against whether every
+    representative is certified; the Levi of each representative against
+    the class counts."""
     import steinberg_ext.strata as strata
 
     def rerun(*args, **kwargs):
         raise _RerunThroughTheReps
 
     monkeypatch.setattr(strata, "ext_induced_via_strata", rerun)
-    classes = group.classes
+    over = {spec: DescentClasses(rs, group, spec) for spec in (RingSpec(1009, 3), Z5)}
     for I, J in pairs:
         reps = kostant_reps(rs, I, J, group)
-        levis = Counter()
-        for (left, image), count in classes.counts(J).items():
-            if not left & I:
-                levis[image & I] += count
-        assert levis == Counter(rep.levi for rep in reps), (I, J)
-        assert classes.covers(I, J), (I, J)
-        for spec in (RingSpec(1009, 3), Z5):
+        for spec, classes in over.items():
+            levis = Counter()
+            for (left, image), count in classes.counts(J).items():
+                if not left & I:
+                    levis[image & I] += count
+            assert levis == Counter(rep.levi for rep in reps), (I, J)
+            assert classes.covers(I, J), (I, J)
             try:
                 for rep in reps:
                     vanishing_certificate(rs, rep, spec)
@@ -199,11 +196,11 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
             except RingAssumptionError:
                 every_rep_certified = False
             try:
-                certified = verify_strata(rs, I, J, spec, group)
+                verify_strata(rs, I, J, spec, group, classes)
             except _RerunThroughTheReps:
                 assert not every_rep_certified, (I, J, spec)
                 continue
-            assert every_rep_certified and certified, (I, J, spec)
+            assert every_rep_certified, (I, J, spec)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
@@ -236,15 +233,17 @@ def test_a_corrupted_group_fails_the_class_path_too():
             [(e, pairs[1:]) for e in swapped]:
         for I, J in tried:
             group = oracles.weyl_group(rs, elements)
-            assert not (group.classes.identity_alone and group.classes.covers(I, J))
+            classes = DescentClasses(rs, group, Z23)
+            assert not (classes.identity_alone and classes.covers(I, J))
             with pytest.raises(ContractError, match="do not partition"):
-                verify_strata(rs, I, J, Z23, group)
+                verify_strata(rs, I, J, Z23, group, classes)
     # at (0, 0) every element is a representative, so the sizes of the group
     # with the identity doubled add up; only the strata table tells
     doubled = oracles.weyl_group(rs, swapped[1])
-    assert doubled.classes.covers(0, 0) and not doubled.classes.identity_alone
+    classes = DescentClasses(rs, doubled, Z23)
+    assert classes.covers(0, 0) and not classes.identity_alone
     with pytest.raises(VerificationError, match="strata path disagrees"):
-        verify_strata(rs, 0, 0, Z23, doubled)
+        verify_strata(rs, 0, 0, Z23, doubled, classes)
 
 
 def _hide_one_rep(rs, group, w_at, I, J, masks):
@@ -291,14 +290,14 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
     else:
         raise AssertionError("no such element in A3")
     corrupted = oracles.weyl_group(rs, group[:], masks)
-    classes = corrupted.classes
+    classes = DescentClasses(rs, corrupted, Z23)
     orders = classes.orders
-    assert corrupted.classes.size == classes.order == sum(
+    assert classes.size == classes.order == sum(
         count * orders[I] * orders[J] // orders[levi & I]
         for (left, levi), count in classes.counts(J).items() if not left & I)
     assert not classes.covers(I, J)
     with pytest.raises(ContractError, match=expected):
-        verify_strata(rs, I, J, Z23, corrupted)
+        verify_strata(rs, I, J, Z23, corrupted, classes)
 
 
 def test_a_disagreement_names_the_table(monkeypatch, fresh_caches):
@@ -491,6 +490,28 @@ def test_kept_tables_are_told_apart_by_the_type_and_q(monkeypatch, fresh_caches)
             alone.append(ext_steinberg(rs, 0b001, 0b010, spec, COMPLEX_BUILT).outside_hypotheses)
     assert read == alone == [False, True, False, True]
     assert kept == 3
+
+
+@pytest.mark.parametrize("spec", [Q, RingSpec(1009, 3), Z5])
+def test_a_kept_table_equals_one_built_with_an_empty_memo(spec, monkeypatch, fresh_caches):
+    """Every A4 ext and ext-vi pair, read through the memo the pairs before
+    it filled, equals the same pair built with an empty memo: entries and
+    the ring's verdict (over Z/5, q = 3, the ring fails for A4)."""
+    import steinberg_ext.extengine as eng
+
+    a4 = build_root_system("A", 4)
+    full = full_mask(4)
+    for I in range(full + 1):
+        for J in range(full + 1):
+            for build in (ext_steinberg, ext_v_to_induced):
+                shared = build(a4, I, J, spec, COMPLEX_BUILT)
+                with monkeypatch.context() as fresh:
+                    fresh.setattr(eng, "_BUILT_TABLES", {})
+                    alone = build(a4, I, J, spec, COMPLEX_BUILT)
+                assert shared == alone and shared.outside_hypotheses == (spec == Z5), \
+                    (build.__name__, I, J)
+    # 15 ext shapes (|K|, |J \\ I|) and 35 ext-vi shapes (|I u J|, |J|, |J \\ I|)
+    assert len(eng._BUILT_TABLES) == 15 + 35
 
 
 def test_tensor_with_exterior():

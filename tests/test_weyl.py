@@ -5,6 +5,7 @@ import time
 import pytest
 
 from steinberg_ext.errors import ContractError, ResourceLimitError
+from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
                                    levi_root_indices, parse_type)
 from steinberg_ext.weyl import (
@@ -613,13 +614,14 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
     each read decodes its element from the records, so two reads are equal,
     not one object."""
     import steinberg_ext.weyl as weyl
+    from steinberg_ext.strata import DescentClasses
 
     built = _counting_decodes(monkeypatch)
     rs = build_root_system("B", 3)
     group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
     assert list(group.records())[5] == tuple(oracles.weyl_closure_by_seen_set(
         rs, full_mask(3))[5])
-    assert group.classes.size == 48 and not built
+    assert DescentClasses(rs, group, RingSpec(1009, 3)).size == 48 and not built
     assert group[5] == group[5] and group[5] is not group[5] and len(built) == 4
     assert group[-1] == group[len(group) - 1] and len(built) == 6
     elements = list(group)
@@ -629,8 +631,10 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
 
 def test_a_read_leaves_its_group_as_it_found_it(tmp_path):
     """A group holds its records and masks and keeps nothing a read makes:
-    representatives and decoded elements leave its attributes as they were,
-    and the class pass adds only the classes."""
+    representatives, decoded elements and the class pass leave its
+    attributes as they were."""
+    from steinberg_ext.strata import DescentClasses
+
     rs = build_root_system("B", 3)
     save_weyl_cache(rs, generate_weyl(rs), tmp_path)
     for group in (generate_weyl.__wrapped__(rs), load_weyl_cache(rs, tmp_path)):
@@ -638,6 +642,5 @@ def test_a_read_leaves_its_group_as_it_found_it(tmp_path):
         for I, J in ((0, 0), (0b011, 0b110), (0b111, 0b111)):
             kostant_reps(rs, I, J, group)
         assert list(group)[1:5] == list(group[1:5])
+        DescentClasses(rs, group, RingSpec(1009, 3))
         assert set(vars(group)) == before
-        group.classes
-        assert set(vars(group)) == before | {"classes"}
