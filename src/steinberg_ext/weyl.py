@@ -8,18 +8,19 @@ operations, and the length function is the count of negative entries.
 
 A group is enumerated once (``_closure``), by a breadth-first walk that
 reaches each element from its smallest left descent, straight into flat
-records (per element its length, then its signed images, in one int32 array)
-and one descent mask per element.  Inside the walk an element is a ``bytes``
-of byte codes, image s as the byte 128 + s: composing with a simple
-reflection is one ``bytes.translate``, sorting the byte strings of a length
-layer sorts it by signed images, and each sorted layer is widened to its
-int32 records on its own, so the walk holds one layer beside its output.  A
-byte holds the images of at most 127 positive roots; every group under the
-enumeration cap has at most 49, and every parabolic subgroup of E6–E8 at
-most 120, and a larger type is refused before any element is built.  The
-records and masks are what a :class:`WeylGroup` holds and what its cache
-file stores, so a generated group and one read from the cache have one
-representation, and an element is decoded from its record on each read.
+records (per element its length, then its signed images, one signed byte
+each, in one ``array("b")``) and one descent mask per element.  Inside the
+walk an element is a ``bytes`` of byte codes, image s as the byte 128 + s:
+composing with a simple reflection is one ``bytes.translate``, sorting the
+byte strings of a length layer sorts it by signed images, and each sorted
+layer is translated to its signed-byte records on its own, so the walk holds
+one layer beside its output.  A byte holds the images of at most 127
+positive roots, and so every length too; every group under the enumeration
+cap has at most 49, and every parabolic subgroup of E6–E8 at most 120, and a
+larger type is refused before any element is built.  The records and masks
+are what a :class:`WeylGroup` holds and what its cache file stores, so a
+generated group and one read from the cache have one representation, and an
+element is decoded from its record on each read.
 """
 
 from __future__ import annotations
@@ -124,12 +125,13 @@ def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
 
 
 # Inside the enumeration signed image s is the byte _ZERO + s, its byte code,
-# so the images of at most _MAX_BYTE_CODED positive roots fit.
+# so the images of at most _MAX_BYTE_CODED positive roots fit; a record holds
+# each image, and each length, as one signed byte.
 _ZERO = 128
 _MAX_BYTE_CODED = 127
-# byte code -> the low byte of its image as an int32, and -> the byte that
-# fills the other three (0xFF for a negative image, else 0)
-_LOW_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
+# byte code -> its image as a signed byte, and -> 0xFF for a negative image,
+# else 0
+_SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
 _SIGN_FILL = bytes(0xFF * (b < _ZERO) for b in range(256))
 
 
@@ -146,8 +148,8 @@ def _byte_table(table: SignedImages) -> bytes:
 def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
     """Enumerate the subgroup generated by the reflections of ``levi``, in
     group order: one record per element (its length, then its signed images)
-    in a flat int32 array, and its descent mask ``left << 8 | right`` in a
-    uint16 array.
+    in a flat array of signed bytes, and its descent mask
+    ``left << 8 | right`` in a uint16 array.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -159,8 +161,8 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
 
     Inside the walk an element is its byte codes, so s_i·w is one
     ``translate`` by s_i's byte table, and sorting a layer's byte strings
-    sorts it by signed images.  Each sorted layer is widened to int32
-    records by strided slice assignment into a buffer of that layer only."""
+    sorts it by signed images.  Each sorted layer becomes its records by one
+    more ``translate``, to signed bytes, of that layer only."""
     n, rank = rs.num_positive, rs.rank
     if n > _MAX_BYTE_CODED:
         raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} holds {n} positive "
@@ -177,8 +179,7 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
     plans: dict[frozenset[int], tuple[int, tuple[bytes, ...]]] = {}
     # the right mask, by the sign fills of the images of the simple roots
     right_of = {bytes(0xFF * (m >> j & 1) for j in range(rank)): m for m in range(1 << rank)}
-    low_at = 3 if _BIG_ENDIAN else 0  # where an int32's low byte sits
-    records, masks = array("i"), array("H")
+    records, masks = array("b"), array("H")
     step = [bytes(range(_ZERO + 1, _ZERO + 1 + n))]
     for length, size in enumerate(_layer_sizes(rs, levi)):
         if len(step) != size:
@@ -200,12 +201,8 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
             if tables:
                 nxt.extend(map(w.translate, tables))  # s_i·w for each step taken
         code = bytes((_ZERO + length,))
-        codes = code + code.join(step)  # per element its length, then its images
-        low, fill = codes.translate(_LOW_BYTE), codes.translate(_SIGN_FILL)
-        wide = bytearray(4 * len(codes))
-        for k in range(4):
-            wide[k::4] = low if k == low_at else fill
-        records.frombytes(wide)
+        # per element its length, then its images
+        records.frombytes((code + code.join(step)).translate(_SIGNED_BYTE))
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "
@@ -305,8 +302,8 @@ def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
 
 class WeylGroup(Sequence):
     """A Weyl group in group order, as the two arrays of :func:`_closure`:
-    the flat records (per element its length, then its signed images, in
-    one int32 array) and a descent mask per element.  A generated group and
+    the flat records (per element its length, then its signed images, one
+    signed byte each) and a descent mask per element.  A generated group and
     one read from the cache both come as these arrays, with no element
     built: each read decodes its element from the records.  Slices are
     tuples; a group equals any sequence of its elements."""
@@ -395,14 +392,15 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 # ---------------------------------------------------------------------------
 # optional binary cache, one file per (series, rank)
 #
-# Layout, little-endian: the magic, the header (series, rank, N positive
-# roots, element count), one record per element in group order (length, then
-# the N signed images, all int32), then one uint16 descent mask per element
-# (left << 8 | right).  These are the two arrays a WeylGroup holds.
+# Layout: the magic, which names the byte order of the masks (l or b), the
+# little-endian header (series, rank, N positive roots, element count), one
+# record per element in group order (length, then the N signed images, one
+# signed byte each), then one uint16 descent mask per element
+# (left << 8 | right).  These are the two arrays a WeylGroup holds, written
+# as they are held; a file of the other byte order is a miss.
 
-_CACHE_MAGIC = b"WGC2"
+_CACHE_MAGIC = b"WGC3" + sys.byteorder[0].encode()
 _CACHE_HEADER = struct.Struct("<cBII")
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
@@ -413,18 +411,13 @@ def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> 
     """Write ``group``'s records and descent masks as they are held; a path
     that cannot be written is a configuration error."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
-    records, masks = group._records, group.masks
-    if _BIG_ENDIAN:  # swap copies: the group keeps its own
-        records, masks = array("i", records), array("H", masks)
-        records.byteswap()
-        masks.byteswap()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as fh:
             fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
                 rs.series.encode(), rs.rank, rs.num_positive, len(group)))
-            records.tofile(fh)
-            masks.tofile(fh)
+            group._records.tofile(fh)
+            group.masks.tofile(fh)
     except OSError as e:
         raise ConfigurationError(f"cannot write the Weyl cache {path}: "
                                  f"{e.strerror or e}") from None
@@ -433,30 +426,30 @@ def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> 
 
 def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
     """Load the cached group; returns None on a missing file, an older
-    format, a header mismatch or a wrong file size (the cache is then simply
-    recomputed)."""
+    format or the other byte order, a header mismatch, a wrong file size or
+    a record entry outside -N..N (the cache is then simply recomputed)."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
         with path.open("rb") as fh:
             head = fh.read(prefix)
-            if len(head) != prefix or head[:4] != _CACHE_MAGIC:
+            if len(head) != prefix or not head.startswith(_CACHE_MAGIC):
                 return None
-            series, rank, n, count = _CACHE_HEADER.unpack_from(head, 4)
+            series, rank, n, count = _CACHE_HEADER.unpack_from(head, len(_CACHE_MAGIC))
             if series != rs.series.encode() or rank != rs.rank or n != rs.num_positive:
                 return None
-            width = n + 1
-            if os.fstat(fh.fileno()).st_size != prefix + count * (4 * width + 2):
+            size = count * (n + 1)
+            if os.fstat(fh.fileno()).st_size != prefix + size + 2 * count:
                 return None
-            records, masks = array("i"), array("H")
-            records.fromfile(fh, count * width)
+            raw = fh.read(size)
+            masks = array("H")
             masks.fromfile(fh, count)
     except (OSError, EOFError, ValueError):  # the last two: it shrank while read
         return None
-    if _BIG_ENDIAN:
-        records.byteswap()
-        masks.byteswap()
-    return WeylGroup(rs, records, masks)
+    # every length and image lies in -N..N, as a signed byte
+    if raw.translate(None, bytes(s & 0xFF for s in range(-n, n + 1))):
+        return None
+    return WeylGroup(rs, array("b", raw), masks)
 
 
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:

@@ -363,7 +363,7 @@ def weyl_group(rs: RootSystem, elements: Sequence[WeylElement],
                masks: array | None = None) -> WeylGroup:
     """A group of ``elements`` in their order, right or corrupted: their
     records packed, and their descent masks scanned unless given."""
-    records = array("i", chain.from_iterable((w.length, *w.signed_images) for w in elements))
+    records = array("b", chain.from_iterable((w.length, *w.signed_images) for w in elements))
     return WeylGroup(rs, records, descent_masks(rs, elements) if masks is None else masks)
 
 

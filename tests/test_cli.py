@@ -265,6 +265,33 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
     assert (code, warm.encode()) == (case["exit"], expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ("dcosets", "--type", "B3", "--I", "", "--J", ""),
+    ("ext-induced", "--type", "B3", "--I", "", "--J", "0", "--ring", "q=3,d=1009",
+     "--method", "strata"),
+    ("verify", "--type", "B3", "--all-pairs", "--strata", "on", "--ring", "q=3,d=1009"),
+])
+def test_a_cache_record_outside_the_signed_images_is_a_miss(argv, tmp_path, capsys,
+                                                            fresh_caches):
+    """Element 5's first image set to 99 in a B3 cache file, whose images lie
+    in -9..9: each strata command prints what it prints without a cache,
+    exits 0, and rewrites the file."""
+    from steinberg_ext.rootdata import build_root_system
+    from steinberg_ext.weyl import generate_weyl, save_weyl_cache
+
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    path = save_weyl_cache(rs, group, tmp_path)
+    raw = path.read_bytes()
+    width = rs.num_positive + 1
+    at = len(raw) - len(group) * (width + 2) + 5 * width + 1  # element 5's first image
+    path.write_bytes(raw[:at] + bytes((99,)) + raw[at + 1:])
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
+    assert path.read_bytes() == raw
+
+
 def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys):
     # a closed-form query still leaves a readable cache file behind, so one
     # cold query can prepare the cache for later strata and dcosets queries
