@@ -303,7 +303,10 @@ def cmd_dcosets(args) -> int:
     reps = kostant_reps(rs, I, J, elements)
     if spec is not None:
         from .certificates import vanishing_certificate
-    rows = []
+    # Each row is encoded as it is made: one json.dumps of the whole document
+    # holds a fragment per token, which on E6 outweighs the group itself.
+    tsv = args.format == "tsv"
+    rows = ["length\tgamma_exp\tdelta_exp\tlevi\tsurviving"] if tsv else []
     for rep in reps:
         entry = {
             "length": rep.length,
@@ -318,20 +321,22 @@ def cmd_dcosets(args) -> int:
                 "beta": cert.beta_index, "exponent": cert.exponent,
                 "unit_value": cert.unit_value, "branch": cert.branch,
             }
-        rows.append(entry)
-    if args.format == "tsv":
-        lines = ["length\tgamma_exp\tdelta_exp\tlevi\tsurviving"]
-        for r in rows:
-            lines.append("{}\t{}\t{}\t{}\t{}".format(
-                r["length"],
-                ",".join(map(str, r["gamma_exp"])),
-                ",".join(map(str, r["delta_exp"])),
-                ",".join(map(str, r["levi"])) or "-",
-                int(r["surviving"])))
-        sys.stdout.write("\n".join(lines) + "\n")
+        if tsv:
+            rows.append("{}\t{}\t{}\t{}\t{}".format(
+                entry["length"],
+                ",".join(map(str, entry["gamma_exp"])),
+                ",".join(map(str, entry["delta_exp"])),
+                ",".join(map(str, entry["levi"])) or "-",
+                int(entry["surviving"])))
+        else:
+            rows.append(json.dumps(entry, sort_keys=True))
+    if tsv:
+        sys.stdout.write("\n".join(rows) + "\n")
     else:
-        query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
-        sys.stdout.write(json.dumps({"query": query, "reps": rows}, sort_keys=True) + "\n")
+        # the bytes of json.dumps({"query": ..., "reps": [...]}, sort_keys=True)
+        query = json.dumps(_query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J)),
+                           sort_keys=True)
+        sys.stdout.write('{"query": ' + query + ', "reps": [' + ", ".join(rows) + "]}\n")
     return EXIT_OK
 
 

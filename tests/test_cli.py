@@ -177,6 +177,8 @@ def test_dcosets_json_and_tsv(capsys):
     assert data["reps"][0]["surviving"] is True
     assert data["reps"][0]["certificate"] is None
     assert data["reps"][1]["certificate"]["exponent"] == 1
+    # rows are encoded one at a time, into the bytes of one dump of the document
+    assert out == json.dumps(data, sort_keys=True) + "\n"
 
     code, out, _ = run_cli(capsys, "dcosets", "--type", "A2", "--I", "0", "--J", "0",
                            "--format", "tsv")
