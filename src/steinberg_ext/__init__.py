@@ -87,6 +87,7 @@ _EXPORTS = {
         "WeylElement",
         "WeylGroup",
         "generate_weyl",
+        "iter_kostant_reps",
         "kostant_reps",
         "load_or_generate",
         "parabolic_subgroup",

@@ -296,11 +296,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dcosets(args) -> int:
-    from .weyl import kostant_reps, load_or_generate
+    from .weyl import iter_kostant_reps, load_or_generate
 
     rs, spec, I, J = _parse_query(args)
-    elements = load_or_generate(rs, args.cache_dir)
-    reps = kostant_reps(rs, I, J, elements)
+    reps = iter_kostant_reps(rs, I, J, load_or_generate(rs, args.cache_dir))
     if spec is not None:
         from .certificates import vanishing_certificate
     # Each row is encoded as it is made: one json.dumps of the whole document

@@ -7,29 +7,34 @@ unique per element, so subgroup and double-coset computations are plain set
 operations, and the length function is the count of negative entries.
 
 A group is enumerated once (``_closure``), by a breadth-first walk that
-reaches each element from its smallest left descent, straight into flat
-records (per element its length, then its signed images, one signed byte
-each, in one ``array("b")``) and one descent mask per element.  Inside the
-walk an element is a ``bytes`` of byte codes, image s as the byte 128 + s:
-composing with a simple reflection is one ``bytes.translate``, sorting the
-byte strings of a length layer sorts it by signed images, and each sorted
-layer is translated to its signed-byte records on its own, so the walk holds
-one layer beside its output.  A byte holds the images of at most 127
+reaches each element from its smallest left descent and yields, layer by
+layer, flat records (per element its length, then its signed images, one
+signed byte each) and one descent mask per element.  Inside the walk an
+element is a ``bytes`` of byte codes, image s as the byte 128 + s: composing
+with a simple reflection is one ``bytes.translate``, sorting the byte strings
+of a length layer sorts it by signed images, and each sorted layer is
+translated to its signed-byte records block by block, so the walk holds
+about one layer and none of its output.  A byte holds the images of at most 127
 positive roots, and so every length too; every group under the enumeration
 cap has at most 49, and every parabolic subgroup of E6–E8 at most 120, and a
 larger type is refused before any element is built.  The records and masks
-are what a :class:`WeylGroup` holds and what its cache file stores, so a
-generated group and one read from the cache have one representation, and an
-element is decoded from its record on each read.
+are what a :class:`WeylGroup` holds and what its cache file stores: a
+generated group joins them into two arrays, and a cache miss writes them to
+the file as they come and reads the group back from it.  So a generated group
+and one read from the cache have one representation, and an element is
+decoded from its record on each read.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
 import struct
 import sys
+import zlib
 from array import array
-from collections.abc import Callable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, starmap
 from operator import eq, itemgetter
@@ -114,13 +119,33 @@ def _guards(rs: RootSystem, levi: int) -> tuple[tuple[int, SignedImages, frozens
     return tuple(guards)
 
 
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _over(a: list[int], b: list[int]) -> list[int]:
+    """The quotient of a polynomial by one that divides it with constant
+    term 1 (a Poincaré polynomial), as coefficient lists."""
+    rest, out = list(a), []
+    for k in range(len(a) - len(b) + 1):
+        out.append(rest[k])
+        for j, y in enumerate(b):
+            rest[k + j] -= out[k] * y
+    return out
+
+
 def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
     """The number of elements of each length in W_levi: the coefficients of
     the Poincaré polynomial, the product of 1 + q + ... + q^m over the
     exponents m."""
     sizes = [1]
     for m in parabolic_exponents(rs, levi):
-        sizes = [sum(sizes[max(0, k - m):k + 1]) for k in range(len(sizes) + m)]
+        sizes = _times(sizes, [1] * (m + 1))
     return sizes
 
 
@@ -129,6 +154,7 @@ def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
 # each image, and each length, as one signed byte.
 _ZERO = 128
 _MAX_BYTE_CODED = 127
+_BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
 # byte code -> its image as a signed byte, and -> 0xFF for a negative image,
 # else 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
@@ -145,11 +171,14 @@ def _byte_table(table: SignedImages) -> bytes:
     return bytes(codes)
 
 
-def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
+def _closure(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
     """Enumerate the subgroup generated by the reflections of ``levi``, in
-    group order: one record per element (its length, then its signed images)
-    in a flat array of signed bytes, and its descent mask
-    ``left << 8 | right`` in a uint16 array.
+    group order, as it is walked: one length layer after the other, each in
+    blocks of at most ``_BLOCK`` elements, a block as its records (per
+    element its length, then its signed images, one signed byte each) and
+    its descent masks ``left << 8 | right`` in a uint16 array.  A type over
+    the byte codes' reach, or with its simple roots out of place, is refused
+    here, before any element is built.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -161,8 +190,12 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
 
     Inside the walk an element is its byte codes, so s_i·w is one
     ``translate`` by s_i's byte table, and sorting a layer's byte strings
-    sorts it by signed images.  Each sorted layer becomes its records by one
-    more ``translate``, to signed bytes, of that layer only."""
+    sorts it by signed images.  A sorted layer is read a block at a time: the
+    block's elements give their masks and their steps into the next layer,
+    become the block's records by one more ``translate``, to signed bytes,
+    and are yielded and dropped.  So the walk holds about one layer, part
+    of the one it reads and part of the one it makes, and nothing it has
+    yielded."""
     n, rank = rs.num_positive, rs.rank
     if n > _MAX_BYTE_CODED:
         raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} holds {n} positive "
@@ -171,42 +204,63 @@ def _closure(rs: RootSystem, levi: int) -> tuple[array, array]:
                                         for i in range(rank)):
         raise ContractError(f"the simple roots of {rs.type_name()} are not its first "
                             f"{rank} positive roots")
+    return _walk(rs, levi)
+
+
+def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
+    """The walk of :func:`_closure`, once its checks have passed."""
+    rank = rs.rank
     guards = [(bit, _byte_table(table), frozenset(_ZERO + s for s in forbidden))
               for bit, table, forbidden in _guards(rs, levi)]
     descent_bit = {_ZERO - 1 - i: 1 << i for i in mask_indices(levi)}  # -alpha_i is an image
     watched = frozenset(descent_bit).union(*(forbidden for _, _, forbidden in guards))
     unwatched = bytes(b for b in range(256) if b not in watched)
-    plans: dict[frozenset[int], tuple[int, tuple[bytes, ...]]] = {}
     # the right mask, by the sign fills of the images of the simple roots
     right_of = {bytes(0xFF * (m >> j & 1) for j in range(rank)): m for m in range(1 << rank)}
-    records, masks = array("b"), array("H")
-    step = [bytes(range(_ZERO + 1, _ZERO + 1 + n))]
+    plans: dict[frozenset[int], tuple[int, tuple[bytes, ...]]] = {}
+    step = [bytes(range(_ZERO + 1, _ZERO + 1 + rs.num_positive))]
     for length, size in enumerate(_layer_sizes(rs, levi)):
         if len(step) != size:
             raise ContractError(
                 f"{len(step)} elements of length {length} in W_{mask_str(levi)} of "
                 f"{rs.type_name()}; its Poincaré polynomial has {size}")
-        step.sort()
-        nxt: list[bytes] = []
-        for w in step:
-            present = frozenset(w.translate(None, unwatched))
-            plan = plans.get(present)
-            if plan is None:  # the left mask, and the tables of the steps taken
-                left = sum(descent_bit.get(s, 0) for s in present)
-                plan = plans[present] = (left << 8, tuple(
-                    table for bit, table, forbidden in guards
-                    if not left & bit and forbidden.isdisjoint(present)))
-            left, tables = plan
-            masks.append(left + right_of[w[:rank].translate(_SIGN_FILL)])
-            if tables:
-                nxt.extend(map(w.translate, tables))  # s_i·w for each step taken
+        # taken from the end in blocks, so sorted in reverse: a block's
+        # elements are freed once its records are yielded
+        step.sort(reverse=True)
         code = bytes((_ZERO + length,))
-        # per element its length, then its images
-        records.frombytes((code + code.join(step)).translate(_SIGNED_BYTE))
+        nxt: list[bytes] = []
+        while step:
+            block = step[-_BLOCK:]
+            del step[-_BLOCK:]
+            block.reverse()
+            masks = array("H")
+            for w in block:
+                present = frozenset(w.translate(None, unwatched))
+                plan = plans.get(present)
+                if plan is None:  # the left mask, and the tables of the steps taken
+                    left = sum(descent_bit.get(s, 0) for s in present)
+                    plan = plans[present] = (left << 8, tuple(
+                        table for bit, table, forbidden in guards
+                        if not left & bit and forbidden.isdisjoint(present)))
+                left, tables = plan
+                masks.append(left + right_of[w[:rank].translate(_SIGN_FILL)])
+                if tables:
+                    nxt.extend(map(w.translate, tables))  # s_i·w for each step taken
+            # per element its length, then its images
+            yield code.join([b"", *block]).translate(_SIGNED_BYTE), masks
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "
                             f"{rs.type_name()}, past its longest element")
+
+
+def _joined(blocks: Iterator[tuple[bytes, array]]) -> tuple[array, array]:
+    """The blocks of :func:`_closure` as one array of records and one of
+    masks."""
+    records, masks = array("b"), array("H")
+    for block, block_masks in blocks:
+        records.frombytes(block)
+        masks.extend(block_masks)
     return records, masks
 
 
@@ -229,7 +283,7 @@ def _check_cap(rs: RootSystem, levi: int) -> None:
 def generate_weyl(rs: RootSystem) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
     _check_cap(rs, full_mask(rs.rank))
-    return WeylGroup(rs, *_closure(rs, full_mask(rs.rank)))
+    return WeylGroup(rs, *_joined(_closure(rs, full_mask(rs.rank))))
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +291,7 @@ def parabolic_subgroup(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections of the subset ``levi``."""
     validate_mask(levi, rs.rank)
     _check_cap(rs, levi)
-    records, _ = _closure(rs, levi)
+    records, _ = _joined(_closure(rs, levi))
     return tuple(starmap(WeylElement, _unpacked(records, rs.num_positive + 1)))
 
 
@@ -334,18 +388,59 @@ class WeylGroup(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def kostant_reps(rs: RootSystem, I: int, J: int,
-                 elements: WeylGroup | None = None) -> tuple[DoubleCosetRep, ...]:
+def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions,
+                     simple_j: tuple[int, ...], phi_i: frozenset[int]) -> None:
+    """Check that the (W_I, W_J) double cosets of the representatives at
+    ``positions`` partition ``group``, reading of each only its length and
+    the images of the simple roots.
+
+    By Kilmoyer's theorem W_I n wW_Jw^-1 = W_levi(w), and each element of
+    W_I w W_J is x·w·y with lengths adding, x in W_I and y a minimal
+    representative of W_J modulo a conjugate of W_levi(w) (Geck and Pfeiffer
+    §2.1–2.2).  So the coset of w has |W_I||W_J|/|W_levi(w)| elements, and
+    t^l(w)·W_I(t)·W_J(t)/W_levi(w)(t) counts them by length: these must add
+    up to |W|, and degree by degree to the Poincaré polynomial W(t)."""
+    records, width, rank = group._records, group._width, rs.rank
+    by_levi: Counter = Counter()  # representatives by (levi, length)
+    for position in positions:
+        start = position * width
+        levi, _ = _intersect_levi(rs, records[start + 1:start + 1 + rank], simple_j, phi_i)
+        by_levi[levi, records[start]] += 1
+    full = full_mask(rank)
+    order, outer = parabolic_order(rs, full), parabolic_order(rs, I) * parabolic_order(rs, J)
+    covered = sum(count * (outer // parabolic_order(rs, levi))
+                  for (levi, _), count in by_levi.items())
+    if covered != order or len(group) != order:
+        raise ContractError(
+            f"double cosets cover {covered} of {len(group)} group elements; "
+            f"|W({rs.type_name()})| = {order}: they do not partition the Weyl group")
+    outer_series = _times(_layer_sizes(rs, I), _layer_sizes(rs, J))
+    series = {levi: _over(outer_series, _layer_sizes(rs, levi)) for levi, _ in by_levi}
+    graded: Counter = Counter()
+    for (levi, length), count in by_levi.items():
+        for k, size in enumerate(series[levi]):
+            graded[length + k] += count * size
+    expected = dict(enumerate(_layer_sizes(rs, full)))
+    if dict(graded) != expected:
+        raise ContractError(
+            f"double cosets cover {[graded[k] for k in expected]} group elements by length; "
+            f"W({rs.type_name()})(t) has {list(expected.values())}: they do not partition "
+            "the Weyl group by length")
+
+
+def iter_kostant_reps(rs: RootSystem, I: int, J: int,
+                      elements: WeylGroup | None = None) -> Iterator[DoubleCosetRep]:
     """One minimal-length representative per (W_I, W_J) double coset, in
-    group order (by length, then signed images).
+    group order (by length, then signed images), each decoded as it is
+    read: the representatives stream, and none is kept here.
 
     w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
     w^-1(alpha_i) > 0 for every i in I, so the representatives are the
     elements whose descent masks miss J on the right and I on the left, found
-    in one scan of the masks.  The cosets are checked to partition the
-    group: by Kilmoyer's theorem
-    W_I n wW_Jw^-1 = W_levi(w), so the coset of w has |W_I||W_J|/|W_levi(w)|
-    elements, and these sizes must add up to |W|.
+    in a scan of the masks.  A first scan, made in this call before any
+    representative is read, checks that their cosets partition the group
+    (:func:`_check_partition`), so a corrupted group raises
+    ``ContractError`` before its first representative is used.
 
     For such a w the filters of the general gamma and delta formulas (kept
     as references in ``tests/oracles.py``) simplify.  w keeps the J-Levi's positive roots
@@ -358,35 +453,36 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
     forbidden = I << 8 | J
-    positions = [p for p, mask in enumerate(group.masks) if not mask & forbidden]
     phi_i = levi_root_indices(rs, I)
     simple_j = mask_indices(J)
-    outer = parabolic_order(rs, I) * parabolic_order(rs, J)
-    coset_size: dict[int, int] = {}  # |W_I||W_J|/|W_levi|, by levi
-    delta_of: dict[int, Coords] = {}  # by L'
-    reps = []
-    covered = 0
-    for position in positions:
-        w = group[position]
-        images = w.signed_images
-        levi, source = _intersect_levi(rs, images, simple_j, phi_i)
-        if levi not in coset_size:
-            coset_size[levi] = outer // parabolic_order(rs, levi)
-        covered += coset_size[levi]
-        if source not in delta_of:
-            delta_of[source] = levi_difference_sum(rs, J, source)
-        reps.append(DoubleCosetRep(
-            w=w, I=I, J=J, length=w.length,
-            gamma_exp=_inversion_sum(rs, images),
-            delta_exp=delta_of[source],
-            levi=levi,
-        ))
-    order = parabolic_order(rs, full_mask(rs.rank))
-    if covered != order or len(group) != order:
-        raise ContractError(
-            f"double cosets cover {covered} of {len(group)} group elements; "
-            f"|W({rs.type_name()})| = {order}: they do not partition the Weyl group")
-    return tuple(reps)
+
+    def positions() -> Iterator[int]:
+        return (p for p, mask in enumerate(group.masks) if not mask & forbidden)
+
+    _check_partition(rs, I, J, group, positions(), simple_j, phi_i)
+
+    def reps() -> Iterator[DoubleCosetRep]:
+        delta_of: dict[int, Coords] = {}  # by L'
+        for position in positions():
+            w = group[position]
+            images = w.signed_images
+            levi, source = _intersect_levi(rs, images, simple_j, phi_i)
+            if source not in delta_of:
+                delta_of[source] = levi_difference_sum(rs, J, source)
+            yield DoubleCosetRep(
+                w=w, I=I, J=J, length=w.length,
+                gamma_exp=_inversion_sum(rs, images),
+                delta_exp=delta_of[source],
+                levi=levi,
+            )
+
+    return reps()
+
+
+def kostant_reps(rs: RootSystem, I: int, J: int,
+                 elements: WeylGroup | None = None) -> tuple[DoubleCosetRep, ...]:
+    """The representatives of :func:`iter_kostant_reps`, as one tuple."""
+    return tuple(iter_kostant_reps(rs, I, J, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -395,29 +491,52 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 # Layout: the magic, which names the byte order of the masks (l or b), the
 # little-endian header (series, rank, N positive roots, element count), one
 # record per element in group order (length, then the N signed images, one
-# signed byte each), then one uint16 descent mask per element
-# (left << 8 | right).  These are the two arrays a WeylGroup holds, written
-# as they are held; a file of the other byte order is a miss.
+# signed byte each), one uint16 descent mask per element (left << 8 | right),
+# then the little-endian CRC-32 of the records and masks.  These are the two
+# arrays a WeylGroup holds, written as they are held and read straight back
+# into them; a file of the other byte order, or of an older format, is a miss.
 
-_CACHE_MAGIC = b"WGC3" + sys.byteorder[0].encode()
+_CACHE_MAGIC = b"WGC4" + sys.byteorder[0].encode()
 _CACHE_HEADER = struct.Struct("<cBII")
+_CACHE_CRC = struct.Struct("<I")
+_CHUNK = 1 << 16  # the record bytes the range check reads at a time
 
 
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
     return Path(cache_dir) / f"weyl_{series}{rank}.bin"
 
 
-def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> Path:
-    """Write ``group``'s records and descent masks as they are held; a path
-    that cannot be written is a configuration error."""
+def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, array]],
+                    cache_dir: str | Path) -> Path:
+    """Write the cache file of ``rs`` from ``blocks``, pairs of records and
+    masks as :func:`_closure` yields them (a held group is the one pair of
+    its arrays): each block's records as it comes, then the masks, kept
+    until then, and the header last.  The file is written under a temporary
+    name in its directory and renamed into place when complete, so a walk
+    that fails or is interrupted leaves no file; a path that cannot be
+    written is a configuration error."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as fh:
-            fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
-                rs.series.encode(), rs.rank, rs.num_positive, len(group)))
-            group._records.tofile(fh)
-            group.masks.tofile(fh)
+        try:
+            with partial.open("wb") as fh:
+                fh.seek(prefix)
+                crc, masks = 0, array("H")
+                for records, block_masks in blocks:
+                    fh.write(records)
+                    crc = zlib.crc32(records, crc)
+                    masks.extend(block_masks)
+                fh.write(masks)
+                fh.write(_CACHE_CRC.pack(zlib.crc32(masks, crc)))
+                fh.seek(0)
+                fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
+                    rs.series.encode(), rs.rank, rs.num_positive, len(masks)))
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
     except OSError as e:
         raise ConfigurationError(f"cannot write the Weyl cache {path}: "
                                  f"{e.strerror or e}") from None
@@ -425,9 +544,11 @@ def save_weyl_cache(rs: RootSystem, group: WeylGroup, cache_dir: str | Path) -> 
 
 
 def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
-    """Load the cached group; returns None on a missing file, an older
-    format or the other byte order, a header mismatch, a wrong file size or
-    a record entry outside -N..N (the cache is then simply recomputed)."""
+    """Load the cached group, reading its records and masks straight into
+    the arrays it keeps; returns None on a missing file, an older format or
+    the other byte order, a header mismatch, a wrong file size, a checksum
+    that does not match, or a record entry outside -N..N (the cache is then
+    simply rewritten)."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
@@ -439,26 +560,45 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
             if series != rs.series.encode() or rank != rs.rank or n != rs.num_positive:
                 return None
             size = count * (n + 1)
-            if os.fstat(fh.fileno()).st_size != prefix + size + 2 * count:
+            if os.fstat(fh.fileno()).st_size != prefix + size + 2 * count + _CACHE_CRC.size:
                 return None
-            raw = fh.read(size)
-            masks = array("H")
-            masks.fromfile(fh, count)
-    except (OSError, EOFError, ValueError):  # the last two: it shrank while read
+            records, masks = array("b", [0]) * size, array("H", [0]) * count
+            if fh.readinto(records) != size or fh.readinto(masks) != 2 * count:
+                return None  # it shrank while read
+            tail = fh.read()
+    except OSError:
         return None
-    # every length and image lies in -N..N, as a signed byte
-    if raw.translate(None, bytes(s & 0xFF for s in range(-n, n + 1))):
+    # every length and image lies in -N..N, as a signed byte: decoding the
+    # records a chunk at a time by a map that leaves every other byte
+    # undefined (U+FFFE) raises, and holds one chunk's decoding; the
+    # checksum reads the same chunks, in place
+    valid = frozenset(s & 0xFF for s in range(-n, n + 1))
+    decoding = "".join("\0" if b in valid else "\ufffe" for b in range(256))
+    view, crc = memoryview(records), 0
+    try:
+        for start in range(0, size, _CHUNK):
+            chunk = view[start:start + _CHUNK]
+            codecs.charmap_decode(chunk, "strict", decoding)
+            crc = zlib.crc32(chunk, crc)
+    except UnicodeDecodeError:
         return None
-    return WeylGroup(rs, array("b", raw), masks)
+    if tail != _CACHE_CRC.pack(zlib.crc32(masks, crc)):
+        return None
+    return WeylGroup(rs, records, masks)
 
 
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:
-    """The Weyl group of ``rs``: read from the cache file, else generated
-    and, with a directory, written there."""
+    """The Weyl group of ``rs``: generated, or with a directory read from its
+    cache file, which a miss first writes as the walk makes each layer; the
+    group is then read back from the file, so none is held twice."""
     if cache_dir is None:
         return generate_weyl(rs)
     group = load_weyl_cache(rs, cache_dir)
     if group is None:
-        group = generate_weyl(rs)
-        save_weyl_cache(rs, group, cache_dir)
+        full = full_mask(rs.rank)
+        _check_cap(rs, full)
+        path = save_weyl_cache(rs, _closure(rs, full), cache_dir)
+        group = load_weyl_cache(rs, cache_dir)
+        if group is None:
+            raise ConfigurationError(f"the Weyl cache {path} does not read back as written")
     return group

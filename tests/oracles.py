@@ -367,6 +367,12 @@ def weyl_group(rs: RootSystem, elements: Sequence[WeylElement],
     return WeylGroup(rs, records, descent_masks(rs, elements) if masks is None else masks)
 
 
+def blocks(group: WeylGroup) -> list[tuple[array, array]]:
+    """A held group as the one block of records and masks that
+    :func:`~steinberg_ext.weyl.save_weyl_cache` writes."""
+    return [(group._records, group.masks)]
+
+
 def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
     """The package's former Weyl enumerator, as it was written: a
     breadth-first closure from the identity under left multiplication by the

@@ -279,19 +279,76 @@ def test_a_cache_record_outside_the_signed_images_is_a_miss(argv, tmp_path, caps
     in -9..9: each strata command prints what it prints without a cache,
     exits 0, and rewrites the file."""
     from steinberg_ext.rootdata import build_root_system
-    from steinberg_ext.weyl import generate_weyl, save_weyl_cache
+    from steinberg_ext.weyl import load_or_generate, weyl_cache_path
 
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0
     rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    path = save_weyl_cache(rs, group, tmp_path)
+    group = load_or_generate(rs, tmp_path)
+    path = weyl_cache_path(tmp_path, "B", 3)
     raw = path.read_bytes()
     width = rs.num_positive + 1
-    at = len(raw) - len(group) * (width + 2) + 5 * width + 1  # element 5's first image
+    at = len(raw) - 4 - len(group) * (width + 2) + 5 * width + 1  # element 5's first image
     path.write_bytes(raw[:at] + bytes((99,)) + raw[at + 1:])
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
     assert path.read_bytes() == raw
+
+
+def test_a_wrong_cache_record_inside_the_signed_images_is_a_miss(tmp_path, capsys,
+                                                                fresh_caches):
+    """Element 5's third image negated (-3 to 3) in a B3 cache file: every
+    entry stays inside -9..9, so only the file's checksum can tell.  With the
+    file read as it stood, ``dcosets`` printed another sha256 (c846a5ed...)
+    and exited 0; it is a miss, so the command prints what it prints without
+    a cache and rewrites the file."""
+    import hashlib
+
+    from steinberg_ext.rootdata import build_root_system
+    from steinberg_ext.weyl import load_or_generate, weyl_cache_path
+
+    argv = ("dcosets", "--type", "B3", "--I", "", "--J", "")
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(expected.encode()).hexdigest().startswith("5ac5951b")
+    rs = build_root_system("B", 3)
+    group = load_or_generate(rs, tmp_path)
+    path = weyl_cache_path(tmp_path, "B", 3)
+    raw = path.read_bytes()
+    at = len(raw) - 4 - len(group) * (rs.num_positive + 3) + 5 * (rs.num_positive + 1) + 3
+    assert group[5].signed_images[2] == raw[at] - 256 == -3
+    path.write_bytes(raw[:at] + bytes((3,)) + raw[at + 1:])
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("argv", [
+    ("dcosets", "--type", "B3", "--I", "0,1", "--J", "1,2", "--ring", "q=3,d=1009"),
+    ("ext-induced", "--type", "B3", "--I", "0,1", "--J", "1,2", "--ring", "q=3,d=1009",
+     "--method", "strata"),
+])
+def test_a_corrupted_group_is_refused_before_any_certificate(argv, capsys, monkeypatch):
+    """The representatives stream to the certificates and rows, but the
+    check that their cosets partition the group comes first: a group with
+    one element dropped exits 1 with the contract violation, with no
+    certificate computed and nothing on stdout."""
+    import steinberg_ext.certificates as certificates
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.rootdata import build_root_system
+
+    import oracles
+
+    rs = build_root_system("B", 3)
+    corrupted = oracles.weyl_group(rs, weyl.generate_weyl(rs)[:-1])
+    certified = []
+    certificate = certificates.vanishing_certificate
+
+    def counting(*args):
+        certified.append(args[1])
+        return certificate(*args)
+
+    monkeypatch.setattr(weyl, "load_or_generate", lambda rs, cache_dir: corrupted)
+    monkeypatch.setattr(certificates, "vanishing_certificate", counting)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, certified) == (1, "", []) and "do not partition" in err
 
 
 def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys):
@@ -383,7 +440,7 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
     import steinberg_ext.weyl as weyl
 
     passes, asked = [], []
-    classes_init, kostant = strata.DescentClasses.__init__, weyl.kostant_reps
+    classes_init, kostant = strata.DescentClasses.__init__, weyl.iter_kostant_reps
 
     def counting_init(self, rs, group, spec):
         passes.append(rs.rank)
@@ -394,7 +451,7 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
         return kostant(rs, I, J, *rest)
 
     monkeypatch.setattr(strata.DescentClasses, "__init__", counting_init)
-    monkeypatch.setattr(weyl, "kostant_reps", counting_kostant)
+    monkeypatch.setattr(weyl, "iter_kostant_reps", counting_kostant)
     base = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--strata", "on")
     code, out, _ = run_cli(capsys, *base, "--I", "0", "--J", "1,2")
     assert code == 0 and "PASS certificates I={0} J={1,2}" in out

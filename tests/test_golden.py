@@ -39,6 +39,34 @@ def test_golden_replay(name, capsys):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+# the cases that read a Weyl group: each takes --cache-dir
+GROUP_CASES = sorted(name for name, case in CASES.items()
+                     if case["argv"][0] in ("dcosets", "verify")
+                     or "strata" in case["argv"] and case["argv"][0] == "ext-induced")
+
+
+@pytest.fixture(scope="module")
+def shared_cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("weyl")
+
+
+@pytest.mark.parametrize("name", GROUP_CASES)
+def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, capsys):
+    """Each case that reads a group, twice through one cache directory
+    shared by all of them: cold, with its type's file removed, so that the
+    walk writes it, then warm, reading it in place.  Both print the golden
+    bytes."""
+    case = CASES[name]
+    argv = case["argv"]
+    path = shared_cache_dir / f"weyl_{argv[argv.index('--type') + 1]}.bin"
+    path.unlink(missing_ok=True)
+    for _ in ("cold", "warm"):
+        code = parse_and_dispatch([*argv, "--cache-dir", str(shared_cache_dir)])
+        assert code == case["exit"]
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+        assert path.is_file() or case["exit"] != 0
+
+
 def test_every_subcommand_is_replayed_through_the_entry_point():
     assert {case["argv"][0] for case in CASES.values()} == set(ENTRY_POINT_CASES)
     assert all(CASES[name]["argv"][0] == command
