@@ -11,13 +11,20 @@ reaches each element from its smallest left descent and yields, layer by
 layer, flat records (per element its length, then its signed images, one
 signed byte each) and one descent mask per element.  Inside the walk an
 element is a ``bytes`` of byte codes, image s as the byte 128 + s: composing
-with a simple reflection is one ``bytes.translate``, sorting the byte strings
-of a length layer sorts it by signed images, and each sorted layer is
-translated to its signed-byte records block by block, so the walk holds
-about one layer and none of its output.  A byte holds the images of at most 127
-positive roots, and so every length too; every group under the enumeration
-cap has at most 49, and every parabolic subgroup of E6–E8 at most 120, and a
-larger type is refused before any element is built.  The records and masks
+with a simple reflection is one ``bytes.translate``, and sorting the byte
+strings of a length layer sorts it by signed images.  Each sorted layer is
+read 256 elements at a time, by columns: the block is joined into one
+buffer, and its descent masks and guards come from translating that buffer
+by 256-byte tables and OR-ing its columns as big integers, so a block costs
+a fixed number of bytes operations however many elements it holds.  The
+block is translated to its signed-byte records and yielded, so the walk
+holds about one layer and none of its output.  A byte holds the images of at
+most 127 positive roots, and so every length too; every group under the
+enumeration cap has at most 49, and every parabolic subgroup of E6–E8 at
+most 120, and a larger type is refused before any element is built.  A mask
+takes one byte lane per 8 simple roots: uint16 up to rank 8, which every
+group under the cap has, uint32 for a parabolic subgroup of a larger type
+(up to A15).  The records and masks
 are what a :class:`WeylGroup` holds and what its cache file stores: a
 generated group joins them into two arrays, and a cache miss writes them to
 the file as they come and reads the group back from it.  So a generated group
@@ -36,7 +43,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import compress, starmap
+from itertools import compress, repeat, starmap
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -155,10 +162,9 @@ def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
 _ZERO = 128
 _MAX_BYTE_CODED = 127
 _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
-# byte code -> its image as a signed byte, and -> 0xFF for a negative image,
-# else 0
+# byte code -> its image as a signed byte, and -> 1 for a negative image, else 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
-_SIGN_FILL = bytes(0xFF * (b < _ZERO) for b in range(256))
+_NEGATIVE = bytes(b < _ZERO for b in range(256))
 
 
 def _byte_table(table: SignedImages) -> bytes:
@@ -171,31 +177,52 @@ def _byte_table(table: SignedImages) -> bytes:
     return bytes(codes)
 
 
+def _lane_tables(codes_of: Sequence[Iterable[int]]) -> list[bytes]:
+    """For bits 0, 1, ..., one ``bytes.translate`` table per byte lane:
+    each sends a byte code to the bits of its lane whose codes
+    (``codes_of[bit]``) hold it, bit b at bit b % 8 of lane b // 8."""
+    tables = [bytearray(256) for _ in range(0, len(codes_of), 8)]
+    for bit, codes in enumerate(codes_of):
+        for code in codes:
+            tables[bit >> 3][code] |= 1 << (bit & 7)
+    return list(map(bytes, tables))
+
+
 def _closure(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
     """Enumerate the subgroup generated by the reflections of ``levi``, in
     group order, as it is walked: one length layer after the other, each in
     blocks of at most ``_BLOCK`` elements, a block as its records (per
     element its length, then its signed images, one signed byte each) and
-    its descent masks ``left << 8 | right`` in a uint16 array.  A type over
-    the byte codes' reach, or with its simple roots out of place, is refused
-    here, before any element is built.
+    its descent masks ``left << 8 | right`` in a uint16 array.  Over rank 8,
+    which no group under the cap has, a mask takes two byte lanes a side,
+    ``left << 16 | right``, in a uint32 array.  A type over the byte codes'
+    reach, or with its simple roots out of place, is refused here, before
+    any element is built.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
     the walk takes s_i·w only when i is no left descent of w and no j < i is
-    a left descent of s_i·w, which ``_guards`` reads off w before composing.
-    So no element is composed twice and no seen-set is kept; each layer's
-    size is checked against the Poincaré polynomial instead.  The left mask
-    comes from the same lookups.
+    a left descent of s_i·w, which ``_guards`` reads off w's images before
+    composing.  So no element is composed twice and no seen-set is kept;
+    each layer's size is checked against the Poincaré polynomial instead.
 
     Inside the walk an element is its byte codes, so s_i·w is one
     ``translate`` by s_i's byte table, and sorting a layer's byte strings
-    sorts it by signed images.  A sorted layer is read a block at a time: the
-    block's elements give their masks and their steps into the next layer,
-    become the block's records by one more ``translate``, to signed bytes,
-    and are yielded and dropped.  So the walk holds about one layer, part
-    of the one it reads and part of the one it makes, and nothing it has
-    yielded."""
+    sorts it by signed images.  A sorted layer is read a block at a time, by
+    columns: the block's elements are joined into one buffer of byte-coded
+    records, whose column k (``buffer[k::width]``) holds one image of every
+    element.  A 256-byte table sends each code to the bits it sets, so
+    translating the buffer and OR-ing its columns as big integers
+    (``int.from_bytes``) gives, one byte per element and lane of 8 bits,
+    the left mask (where a code of -alpha_i is an image) and the guards'
+    verdicts (a bit per generator, set where its own left descent or one of
+    its forbidden codes is an image); the signs of the first rank columns
+    give the right mask.  A generator's steps are the translates of the
+    elements its verdict bit lets through (``compress``), and the block's
+    records are one more ``translate``, to signed bytes.  So a block costs
+    a fixed number of bytes operations, whatever it holds.  It is yielded
+    and dropped: the walk holds about one layer, part of the one it reads
+    and part of the one it makes, and nothing it has yielded."""
     n, rank = rs.num_positive, rs.rank
     if n > _MAX_BYTE_CODED:
         raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} holds {n} positive "
@@ -207,18 +234,33 @@ def _closure(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
     return _walk(rs, levi)
 
 
+def _ored_columns(buffer: bytes, width: int, count: int) -> bytes:
+    """Byte e: the OR of the image bytes (all but the first) of the e-th of
+    the ``count`` records of ``width`` bytes in ``buffer``."""
+    ored = 0
+    for k in range(1, width):
+        ored |= int.from_bytes(buffer[k::width], "little")
+    return ored.to_bytes(count, "little")
+
+
 def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
     """The walk of :func:`_closure`, once its checks have passed."""
-    rank = rs.rank
-    guards = [(bit, _byte_table(table), frozenset(_ZERO + s for s in forbidden))
-              for bit, table, forbidden in _guards(rs, levi)]
-    descent_bit = {_ZERO - 1 - i: 1 << i for i in mask_indices(levi)}  # -alpha_i is an image
-    watched = frozenset(descent_bit).union(*(forbidden for _, _, forbidden in guards))
-    unwatched = bytes(b for b in range(256) if b not in watched)
-    # the right mask, by the sign fills of the images of the simple roots
-    right_of = {bytes(0xFF * (m >> j & 1) for j in range(rank)): m for m in range(1 << rank)}
-    plans: dict[frozenset[int], tuple[int, tuple[bytes, ...]]] = {}
-    step = [bytes(range(_ZERO + 1, _ZERO + 1 + rs.num_positive))]
+    rank, width = rs.rank, rs.num_positive + 1  # a record: its length, then its images
+    guards = _guards(rs, levi)
+    left_tables = _lane_tables([(_ZERO - 1 - i,) if levi >> i & 1 else () for i in range(rank)])
+    # the g-th guard blocks its step where -alpha_i, its generator's, or one
+    # of its forbidden codes is an image
+    blocked_tables = _lane_tables([(_ZERO - bit.bit_length(), *(_ZERO + s for s in forbidden))
+                                   for bit, _, forbidden in guards])
+    steps = [(g >> 3, bytes(not b >> (g & 7) & 1 for b in range(256)), _byte_table(table))
+             for g, (_, table, _) in enumerate(guards)]
+    right_lanes = [range(lane, min(rank, lane + 8)) for lane in range(0, rank, 8)]
+    typecode = "H" if rank <= 8 else "I"
+    item = array(typecode).itemsize
+    # where a mask's lanes go in its item, least significant first: the
+    # right lanes, then the left
+    offsets = range(item) if sys.byteorder == "little" else range(item - 1, -1, -1)
+    step = [bytes(range(_ZERO + 1, _ZERO + width))]
     for length, size in enumerate(_layer_sizes(rs, levi)):
         if len(step) != size:
             raise ContractError(
@@ -233,21 +275,22 @@ def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
             block = step[-_BLOCK:]
             del step[-_BLOCK:]
             block.reverse()
-            masks = array("H")
-            for w in block:
-                present = frozenset(w.translate(None, unwatched))
-                plan = plans.get(present)
-                if plan is None:  # the left mask, and the tables of the steps taken
-                    left = sum(descent_bit.get(s, 0) for s in present)
-                    plan = plans[present] = (left << 8, tuple(
-                        table for bit, table, forbidden in guards
-                        if not left & bit and forbidden.isdisjoint(present)))
-                left, tables = plan
-                masks.append(left + right_of[w[:rank].translate(_SIGN_FILL)])
-                if tables:
-                    nxt.extend(map(w.translate, tables))  # s_i·w for each step taken
-            # per element its length, then its images
-            yield code.join([b"", *block]).translate(_SIGNED_BYTE), masks
+            count = len(block)
+            buffer = code.join([b"", *block])  # per element its length, then its images
+            negative = buffer.translate(_NEGATIVE)
+            lanes = [sum(int.from_bytes(negative[1 + j::width], "little") << (j & 7)
+                         for j in lane).to_bytes(count, "little") for lane in right_lanes]
+            lanes.extend(_ored_columns(buffer.translate(table), width, count)
+                         for table in left_tables)
+            masks = bytearray(item * count)
+            for offset, lane in zip(offsets, lanes):
+                masks[offset::item] = lane
+            blocked = [_ored_columns(buffer.translate(table), width, count)
+                       for table in blocked_tables]
+            for lane, lets_through, table in steps:  # s_i·w for each step taken
+                nxt.extend(map(bytes.translate, compress(block, blocked[lane].translate(
+                    lets_through)), repeat(table)))
+            yield buffer.translate(_SIGNED_BYTE), array(typecode, masks)
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "
@@ -257,7 +300,8 @@ def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
 def _joined(blocks: Iterator[tuple[bytes, array]]) -> tuple[array, array]:
     """The blocks of :func:`_closure` as one array of records and one of
     masks."""
-    records, masks = array("b"), array("H")
+    block, masks = next(blocks)  # the identity's, masks in the type's array
+    records = array("b", block)
     for block, block_masks in blocks:
         records.frombytes(block)
         masks.extend(block_masks)

@@ -715,6 +715,70 @@ def test_parabolic_subgroups_match_the_seen_set_closure(name):
         assert parabolic_subgroup(rs, levi) == oracles.weyl_closure_by_seen_set(rs, levi)
 
 
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_parabolic_masks_match_the_descent_scan(name):
+    """The masks the walk yields for every Levi, not only for the full
+    group, are the oracle's scan of the seen-set closure's elements."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system(*parse_type(name))
+    for levi in range(full_mask(rs.rank) + 1):
+        _, masks = weyl._joined(weyl._closure(rs, levi))
+        assert masks == oracles.descent_masks(rs, oracles.weyl_closure_by_seen_set(rs, levi))
+
+
+# Levis with a generator past index 7: its left bit, and over 8 generators
+# a guard's verdict bit, lies past the first byte lane
+PAST_RANK_8 = [("A", 12, 0b110000000000, 6),  # generators 10 and 11: A2
+               ("A", 15, 0b101010101010111, 1536),  # A3 x A1^6, 9 generators
+               ("B", 9, 0b110000001, 16)]  # A1 x B2
+
+
+@pytest.mark.parametrize("series,rank,levi,order", PAST_RANK_8)
+def test_a_levi_past_the_eighth_generator(series, rank, levi, order):
+    """Over rank 8 a mask takes one byte lane per 8 simple roots, so the
+    masks are ``left << 16 | right`` in a uint32 array; every group under
+    the cap has rank at most 8, so the full groups and the cache file keep
+    uint16.  (``left << 8`` of a generator past 7 overflowed uint16.)"""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system(series, rank)
+    oracle = oracles.weyl_closure_by_seen_set(rs, levi)
+    assert len(oracle) == order == parabolic_order(rs, levi)
+    assert parabolic_subgroup(rs, levi) == oracle
+    records, masks = weyl._joined(weyl._closure(rs, levi))
+    assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
+    assert masks.typecode == "I" and masks == oracles.descent_masks(rs, oracle)
+    assert masks[-1] == levi << 16 | levi  # the longest element descends at every generator
+
+
+def test_the_walk_reads_a_block_in_c_not_element_by_element():
+    """A block of up to 256 elements costs the walk a fixed number of C
+    calls, whatever it holds: one E6 walk (51,840 elements in 225 blocks)
+    makes 23,130, under one for every two elements, where a loop over the
+    elements made about five per element (243,052)."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("E", 6)
+    full = full_mask(rs.rank)
+    weyl._guards(rs, full)  # fills the reflection tables, kept for the process
+    walk = weyl._closure(rs, full)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    sys.setprofile(count)
+    try:
+        blocks = [masks for _, masks in walk]  # no C call of its own
+    finally:
+        sys.setprofile(None)
+    elements = sum(map(len, blocks))
+    assert elements == 51840 and len(blocks) == 225
+    assert calls < elements // 2, calls
+
+
 def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
     """A guard that lets an element in twice, or keeps one out, changes a
     layer's size, which the Poincaré polynomial catches; a layer past the
