@@ -90,7 +90,6 @@ _EXPORTS = {
         "iter_kostant_reps",
         "kostant_reps",
         "load_or_generate",
-        "parabolic_subgroup",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,12 +4,12 @@ split-case proxy for invertibility of the pro-order)."""
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError
 from .rootdata import (RootSystem, build_root_system, full_mask, max_rho_coefficient,
-                       parabolic_order)
+                       parabolic_exponents)
 
 
 # Every residue order is under this cap: q is factored by trial division up
@@ -123,36 +123,12 @@ def is_unit(x: int, spec: RingSpec) -> bool:
 # ---------------------------------------------------------------------------
 # fundamental degrees of the reflection group
 
-_EXCEPTIONAL_DEGREES = {
-    ("G", 2): (2, 6),
-    ("F", 4): (2, 6, 8, 12),
-    ("E", 6): (2, 5, 6, 8, 9, 12),
-    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
-    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
-}
-
-
 def weyl_degrees(series: str, rank: int) -> tuple[int, ...]:
-    """Fundamental degrees d_1 <= ... <= d_n, validated against the group
-    order and the positive-root count."""
-    if (series, rank) in _EXCEPTIONAL_DEGREES:
-        degrees = _EXCEPTIONAL_DEGREES[(series, rank)]
-    elif series == "A":
-        degrees = tuple(range(2, rank + 2))
-    elif series in ("B", "C"):
-        degrees = tuple(2 * i for i in range(1, rank + 1))
-    elif series == "D":
-        degrees = tuple(sorted([2 * i for i in range(1, rank)] + [rank]))
-    else:
-        # delegate the invalid-type diagnostics to the root-system builder
-        build_root_system(series, rank)
-        raise ConfigurationError(f"no degree table for {series}{rank}")
+    """Fundamental degrees d_1 <= ... <= d_n: the exponents of the group
+    plus one.  Their product is then |W| and the sum of the d_i - 1 the
+    positive-root count, as the exponents are read off the root heights."""
     rs = build_root_system(series, rank)
-    if prod(degrees) != parabolic_order(rs, full_mask(rank)):
-        raise ContractError(f"degree table for {series}{rank} fails the group-order validation")
-    if sum(d - 1 for d in degrees) != rs.num_positive:
-        raise ContractError(f"degree table for {series}{rank} fails the root-count validation")
-    return degrees
+    return tuple(sorted(m + 1 for m in parabolic_exponents(rs, full_mask(rank))))
 
 
 # ---------------------------------------------------------------------------

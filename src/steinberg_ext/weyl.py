@@ -18,18 +18,15 @@ buffer, and its descent masks and guards come from translating that buffer
 by 256-byte tables and OR-ing its columns as big integers, so a block costs
 a fixed number of bytes operations however many elements it holds.  The
 block is translated to its signed-byte records and yielded, so the walk
-holds about one layer and none of its output.  A byte holds the images of at
-most 127 positive roots, and so every length too; every group under the
-enumeration cap has at most 49, and every parabolic subgroup of E6–E8 at
-most 120, and a larger type is refused before any element is built.  A mask
-takes one byte lane per 8 simple roots: uint16 up to rank 8, which every
-group under the cap has, uint32 for a parabolic subgroup of a larger type
-(up to A15).  The records and masks
-are what a :class:`WeylGroup` holds and what its cache file stores: a
-generated group joins them into two arrays, and a cache miss writes them to
-the file as they come and reads the group back from it.  So a generated group
-and one read from the cache have one representation, and an element is
-decoded from its record on each read.
+holds about one layer and none of its output.  Only whole groups are
+walked, and only under the enumeration cap, which every type over rank 8
+exceeds: so a group has at most 49 positive roots, well within a byte
+code's 127, and a mask is ``left << 8 | right`` in a uint16.  The records
+and masks are what a :class:`WeylGroup` holds and what its cache file
+stores: a generated group joins them into two arrays, and a cache miss
+writes them to the file as they come and reads the group back from it.  So
+a generated group and one read from the cache have one representation, and
+an element is decoded from its record on each read.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -55,7 +52,6 @@ from .rootdata import (
     full_mask,
     levi_root_indices,
     mask_indices,
-    mask_str,
     parabolic_exponents,
     parabolic_order,
     validate_mask,
@@ -111,18 +107,16 @@ def _simple_reflection_images(rs: RootSystem, i: int) -> SignedImages:
     return tuple(out)
 
 
-def _guards(rs: RootSystem, levi: int) -> tuple[tuple[int, SignedImages, frozenset[int]], ...]:
-    """For each generator s_i of ``levi``, in increasing i: its bit, its
-    action table, and the signed images of w that make j < i (in ``levi``) a
-    left descent of s_i·w.  That happens when w(beta) = -s_i(alpha_j) for
-    some beta, since then s_i·w sends beta to -alpha_j; s_i(alpha_j) is the
-    positive root at index m_ij, so the image is -(m_ij + 1)."""
+def _guards(rs: RootSystem) -> tuple[tuple[SignedImages, frozenset[int]], ...]:
+    """For each generator s_i, in increasing i: its action table, and the
+    signed images of w that make j < i a left descent of s_i·w.  That
+    happens when w(beta) = -s_i(alpha_j) for some beta, since then s_i·w
+    sends beta to -alpha_j; s_i(alpha_j) is the positive root at index m_ij,
+    so the image is -(m_ij + 1)."""
     guards = []
-    earlier: list[int] = []
-    for i in mask_indices(levi):
+    for i in range(rs.rank):
         images = _simple_reflection_images(rs, i)
-        guards.append((1 << i, _action_table(images), frozenset(-images[j] for j in earlier)))
-        earlier.append(i)
+        guards.append((_action_table(images), frozenset(-images[j] for j in range(i))))
     return tuple(guards)
 
 
@@ -157,10 +151,10 @@ def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
 
 
 # Inside the enumeration signed image s is the byte _ZERO + s, its byte code,
-# so the images of at most _MAX_BYTE_CODED positive roots fit; a record holds
-# each image, and each length, as one signed byte.
+# so the images of at most 127 positive roots fit, and every group under the
+# cap has at most 49; a record holds each image, and each length, as one
+# signed byte.
 _ZERO = 128
-_MAX_BYTE_CODED = 127
 _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
 # byte code -> its image as a signed byte, and -> 1 for a negative image, else 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
@@ -177,27 +171,27 @@ def _byte_table(table: SignedImages) -> bytes:
     return bytes(codes)
 
 
-def _lane_tables(codes_of: Sequence[Iterable[int]]) -> list[bytes]:
-    """For bits 0, 1, ..., one ``bytes.translate`` table per byte lane:
-    each sends a byte code to the bits of its lane whose codes
-    (``codes_of[bit]``) hold it, bit b at bit b % 8 of lane b // 8."""
-    tables = [bytearray(256) for _ in range(0, len(codes_of), 8)]
+def _bit_table(codes_of: Sequence[Iterable[int]]) -> bytes:
+    """A ``bytes.translate`` table that sends a byte code to the bits whose
+    codes (``codes_of[bit]``) hold it: one bit per simple root, and every
+    group under the cap has at most 8."""
+    table = bytearray(256)
     for bit, codes in enumerate(codes_of):
         for code in codes:
-            tables[bit >> 3][code] |= 1 << (bit & 7)
-    return list(map(bytes, tables))
+            table[code] |= 1 << bit
+    return bytes(table)
 
 
-def _closure(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
-    """Enumerate the subgroup generated by the reflections of ``levi``, in
-    group order, as it is walked: one length layer after the other, each in
-    blocks of at most ``_BLOCK`` elements, a block as its records (per
-    element its length, then its signed images, one signed byte each) and
-    its descent masks ``left << 8 | right`` in a uint16 array.  Over rank 8,
-    which no group under the cap has, a mask takes two byte lanes a side,
-    ``left << 16 | right``, in a uint32 array.  A type over the byte codes'
-    reach, or with its simple roots out of place, is refused here, before
-    any element is built.
+def _closure(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
+    """Enumerate the Weyl group of ``rs`` in group order, as it is walked:
+    one length layer after the other, each in blocks of at most ``_BLOCK``
+    elements, a block as its records (per element its length, then its
+    signed images, one signed byte each) and its descent masks
+    ``left << 8 | right`` in a uint16 array.  A group over
+    ``DEFAULT_WEYL_CAP``, or a type with its simple roots out of place, is
+    refused here, before any element is built.  Every type under the cap has
+    rank at most 8 and at most 49 positive roots (B7), so a mask side and a
+    guard's verdicts take one byte, and an image one byte code.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -213,25 +207,26 @@ def _closure(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
     records, whose column k (``buffer[k::width]``) holds one image of every
     element.  A 256-byte table sends each code to the bits it sets, so
     translating the buffer and OR-ing its columns as big integers
-    (``int.from_bytes``) gives, one byte per element and lane of 8 bits,
-    the left mask (where a code of -alpha_i is an image) and the guards'
-    verdicts (a bit per generator, set where its own left descent or one of
-    its forbidden codes is an image); the signs of the first rank columns
-    give the right mask.  A generator's steps are the translates of the
-    elements its verdict bit lets through (``compress``), and the block's
-    records are one more ``translate``, to signed bytes.  So a block costs
-    a fixed number of bytes operations, whatever it holds.  It is yielded
-    and dropped: the walk holds about one layer, part of the one it reads
-    and part of the one it makes, and nothing it has yielded."""
-    n, rank = rs.num_positive, rs.rank
-    if n > _MAX_BYTE_CODED:
-        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} holds {n} positive "
-                                 f"roots; a byte code holds at most {_MAX_BYTE_CODED}")
+    (``int.from_bytes``) gives, one byte per element, the left mask (where a
+    code of -alpha_i is an image) and the guards' verdicts (a bit per
+    generator, set where its own left descent or one of its forbidden codes
+    is an image); the signs of the first rank columns give the right mask.
+    A generator's steps are the translates of the elements its verdict bit
+    lets through (``compress``), and the block's records are one more
+    ``translate``, to signed bytes.  So a block costs a fixed number of
+    bytes operations, whatever it holds.  It is yielded and dropped: the
+    walk holds about one layer, part of the one it reads and part of the one
+    it makes, and nothing it has yielded."""
+    rank = rs.rank
+    order = parabolic_order(rs, full_mask(rank))
+    if order > DEFAULT_WEYL_CAP:
+        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} exceeds cap "
+                                 f"{DEFAULT_WEYL_CAP} ({order} elements)")
     if rs.positive_roots[:rank] != tuple(tuple(int(j == i) for j in range(rank))
                                         for i in range(rank)):
         raise ContractError(f"the simple roots of {rs.type_name()} are not its first "
                             f"{rank} positive roots")
-    return _walk(rs, levi)
+    return _walk(rs)
 
 
 def _ored_columns(buffer: bytes, width: int, count: int) -> bytes:
@@ -243,29 +238,25 @@ def _ored_columns(buffer: bytes, width: int, count: int) -> bytes:
     return ored.to_bytes(count, "little")
 
 
-def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
+def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
     """The walk of :func:`_closure`, once its checks have passed."""
     rank, width = rs.rank, rs.num_positive + 1  # a record: its length, then its images
-    guards = _guards(rs, levi)
-    left_tables = _lane_tables([(_ZERO - 1 - i,) if levi >> i & 1 else () for i in range(rank)])
-    # the g-th guard blocks its step where -alpha_i, its generator's, or one
-    # of its forbidden codes is an image
-    blocked_tables = _lane_tables([(_ZERO - bit.bit_length(), *(_ZERO + s for s in forbidden))
-                                   for bit, _, forbidden in guards])
-    steps = [(g >> 3, bytes(not b >> (g & 7) & 1 for b in range(256)), _byte_table(table))
-             for g, (_, table, _) in enumerate(guards)]
-    right_lanes = [range(lane, min(rank, lane + 8)) for lane in range(0, rank, 8)]
-    typecode = "H" if rank <= 8 else "I"
-    item = array(typecode).itemsize
-    # where a mask's lanes go in its item, least significant first: the
-    # right lanes, then the left
-    offsets = range(item) if sys.byteorder == "little" else range(item - 1, -1, -1)
+    guards = _guards(rs)
+    left_table = _bit_table([(_ZERO - 1 - i,) for i in range(rank)])
+    # guard i blocks its step where -alpha_i or one of its forbidden codes is
+    # an image
+    blocked_table = _bit_table([(_ZERO - 1 - i, *(_ZERO + s for s in forbidden))
+                                for i, (_, forbidden) in enumerate(guards)])
+    steps = [(bytes(not b >> i & 1 for b in range(256)), _byte_table(table))
+             for i, (table, _) in enumerate(guards)]
+    # where a mask's right byte and its left byte lie in its uint16
+    right_at, left_at = (0, 1) if sys.byteorder == "little" else (1, 0)
     step = [bytes(range(_ZERO + 1, _ZERO + width))]
-    for length, size in enumerate(_layer_sizes(rs, levi)):
+    for length, size in enumerate(_layer_sizes(rs, full_mask(rank))):
         if len(step) != size:
             raise ContractError(
-                f"{len(step)} elements of length {length} in W_{mask_str(levi)} of "
-                f"{rs.type_name()}; its Poincaré polynomial has {size}")
+                f"{len(step)} elements of length {length} in W({rs.type_name()}); its "
+                f"Poincaré polynomial has {size}")
         # taken from the end in blocks, so sorted in reverse: a block's
         # elements are freed once its records are yielded
         step.sort(reverse=True)
@@ -278,30 +269,25 @@ def _walk(rs: RootSystem, levi: int) -> Iterator[tuple[bytes, array]]:
             count = len(block)
             buffer = code.join([b"", *block])  # per element its length, then its images
             negative = buffer.translate(_NEGATIVE)
-            lanes = [sum(int.from_bytes(negative[1 + j::width], "little") << (j & 7)
-                         for j in lane).to_bytes(count, "little") for lane in right_lanes]
-            lanes.extend(_ored_columns(buffer.translate(table), width, count)
-                         for table in left_tables)
-            masks = bytearray(item * count)
-            for offset, lane in zip(offsets, lanes):
-                masks[offset::item] = lane
-            blocked = [_ored_columns(buffer.translate(table), width, count)
-                       for table in blocked_tables]
-            for lane, lets_through, table in steps:  # s_i·w for each step taken
-                nxt.extend(map(bytes.translate, compress(block, blocked[lane].translate(
-                    lets_through)), repeat(table)))
-            yield buffer.translate(_SIGNED_BYTE), array(typecode, masks)
+            masks = bytearray(2 * count)
+            masks[right_at::2] = sum(int.from_bytes(negative[1 + j::width], "little") << j
+                                     for j in range(rank)).to_bytes(count, "little")
+            masks[left_at::2] = _ored_columns(buffer.translate(left_table), width, count)
+            blocked = _ored_columns(buffer.translate(blocked_table), width, count)
+            for lets_through, table in steps:  # s_i·w for each step taken
+                nxt.extend(map(bytes.translate, compress(block, blocked.translate(lets_through)),
+                               repeat(table)))
+            yield buffer.translate(_SIGNED_BYTE), array("H", masks)
         step = nxt
     if step:
-        raise ContractError(f"elements of length {length + 1} in W_{mask_str(levi)} of "
-                            f"{rs.type_name()}, past its longest element")
+        raise ContractError(f"elements of length {length + 1} in W({rs.type_name()}), past "
+                            "its longest element")
 
 
 def _joined(blocks: Iterator[tuple[bytes, array]]) -> tuple[array, array]:
     """The blocks of :func:`_closure` as one array of records and one of
     masks."""
-    block, masks = next(blocks)  # the identity's, masks in the type's array
-    records = array("b", block)
+    records, masks = array("b"), array("H")
     for block, block_masks in blocks:
         records.frombytes(block)
         masks.extend(block_masks)
@@ -314,29 +300,10 @@ def _unpacked(records: array, width: int) -> Iterator[tuple[SignedImages, int]]:
             for start in range(0, len(records), width))
 
 
-def _check_cap(rs: RootSystem, levi: int) -> None:
-    """Refuse, before any element is built, a subgroup larger than
-    ``DEFAULT_WEYL_CAP``."""
-    order = parabolic_order(rs, levi)
-    if order > DEFAULT_WEYL_CAP:
-        raise ResourceLimitError(f"Weyl enumeration for {rs.type_name()} exceeds cap "
-                                 f"{DEFAULT_WEYL_CAP} ({order} elements)")
-
-
 @lru_cache(maxsize=None)
 def generate_weyl(rs: RootSystem) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
-    _check_cap(rs, full_mask(rs.rank))
-    return WeylGroup(rs, *_joined(_closure(rs, full_mask(rs.rank))))
-
-
-@lru_cache(maxsize=None)
-def parabolic_subgroup(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:
-    """Subgroup generated by the reflections of the subset ``levi``."""
-    validate_mask(levi, rs.rank)
-    _check_cap(rs, levi)
-    records, _ = _joined(_closure(rs, levi))
-    return tuple(starmap(WeylElement, _unpacked(records, rs.num_positive + 1)))
+    return WeylGroup(rs, *_joined(_closure(rs)))
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +606,7 @@ def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> Wey
         return generate_weyl(rs)
     group = load_weyl_cache(rs, cache_dir)
     if group is None:
-        full = full_mask(rs.rank)
-        _check_cap(rs, full)
-        path = save_weyl_cache(rs, _closure(rs, full), cache_dir)
+        path = save_weyl_cache(rs, _closure(rs), cache_dir)
         group = load_weyl_cache(rs, cache_dir)
         if group is None:
             raise ConfigurationError(f"the Weyl cache {path} does not read back as written")

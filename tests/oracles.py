@@ -346,16 +346,14 @@ def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
 
 
 def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
-    """``left << 8 | right`` for every element, in group order, as uint16;
-    over rank 8, ``left << 16 | right`` as uint32.  Bit j of the right mask
-    is set when w(alpha_j) < 0, bit i of the left mask when w^-1(alpha_i) <
-    0, that is when -alpha_i is an image."""
-    shift = 8 if rs.rank <= 8 else 16
-    left_of = {frozenset(-1 - i for i in mask_indices(m)): m << shift
+    """``left << 8 | right`` for every element, in group order, as uint16.
+    Bit j of the right mask is set when w(alpha_j) < 0, bit i of the left
+    mask when w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+    left_of = {frozenset(-1 - i for i in mask_indices(m)): m << 8
                for m in range(1 << rs.rank)}
     negated_simple = frozenset(range(-rs.rank, 0))
     right_bits = tuple(1 << j for j in range(rs.rank))
-    return array("H" if shift == 8 else "I", [  # compress reads only the first rank images
+    return array("H", [  # compress reads only the first rank images
         left_of[negated_simple.intersection(images)]
         + sum(compress(right_bits, map(_is_negative, images)))
         for images in map(attrgetter("signed_images"), group)])

@@ -30,7 +30,7 @@ EXPORTS = [
     "RootSystem", "build_root_system", "full_mask", "mask_from_indices", "mask_indices",
     "mask_size", "max_rho_coefficient", "parse_type", "rho_coefficients",
     "DoubleCosetRep", "WeylElement", "WeylGroup", "generate_weyl", "iter_kostant_reps",
-    "kostant_reps", "load_or_generate", "parabolic_order", "parabolic_subgroup",
+    "kostant_reps", "load_or_generate", "parabolic_order",
 ]
 
 
@@ -59,7 +59,7 @@ def test_parabolic_order_is_defined_with_the_root_data():
     from steinberg_ext import ringcond, rootdata, weyl
 
     assert steinberg_ext.parabolic_order is rootdata.parabolic_order is weyl.parabolic_order
-    assert ringcond.parabolic_order is rootdata.parabolic_order
+    assert ringcond.parabolic_exponents is rootdata.parabolic_exponents
 
 
 def test_unknown_names_are_missing():

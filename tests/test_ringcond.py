@@ -116,13 +116,43 @@ def test_banal_examples():
     assert not shared.ok and shared.char_divides
 
 
+# the fundamental degrees as tabulated (Humphreys, Reflection Groups and
+# Coxeter Groups, §3.7): A_n 2..n+1, B_n and C_n the even 2..2n, D_n the
+# even 2..2n-2 and n, and the exceptional ones
+_DEGREES = {
+    ("G", 2): (2, 6),
+    ("F", 4): (2, 6, 8, 12),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+def _tabulated(series, rank):
+    if (series, rank) in _DEGREES:
+        return _DEGREES[series, rank]
+    if series == "A":
+        return tuple(range(2, rank + 2))
+    if series in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    return tuple(sorted([*range(2, 2 * rank - 1, 2), rank]))  # D
+
+
 def test_degree_tables():
     assert weyl_degrees("A", 1) == (2,)
     assert weyl_degrees("A", 2) == (2, 3)
     assert weyl_degrees("B", 2) == (2, 4)
+    assert weyl_degrees("C", 3) == (2, 4, 6)
     assert weyl_degrees("D", 4) == (2, 4, 4, 6)
+    assert weyl_degrees("D", 5) == (2, 4, 5, 6, 8)
     assert weyl_degrees("G", 2) == (2, 6)
+    assert weyl_degrees("F", 4) == (2, 6, 8, 12)
+    assert weyl_degrees("E", 6) == (2, 5, 6, 8, 9, 12)
+    assert weyl_degrees("E", 7) == (2, 6, 8, 10, 12, 14, 18)
     assert weyl_degrees("E", 8) == (2, 8, 12, 14, 18, 20, 24, 30)
+    for name in ("A7", "A32", "B9", "C16", "D6", "D7", "D32"):
+        series, rank = parse_type(name)
+        assert weyl_degrees(series, rank) == _tabulated(series, rank), name
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "F4"])

@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from steinberg_ext.errors import ContractError, ResourceLimitError
+from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
 from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
                                    levi_root_indices, parse_type)
@@ -17,7 +17,6 @@ from steinberg_ext.weyl import (
     load_or_generate,
     load_weyl_cache,
     parabolic_order,
-    parabolic_subgroup,
     save_weyl_cache,
     weyl_cache_path,
 )
@@ -81,23 +80,23 @@ def test_enumeration_cap_is_checked_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the group was enumerated")
 
-    monkeypatch.setattr(weyl, "_closure", no_enumeration)
+    monkeypatch.setattr(weyl, "_walk", no_enumeration)
     start = time.perf_counter()
     for name in ("E7", "E8"):
         rs = build_root_system(*parse_type(name))
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             weyl.generate_weyl(rs)
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            weyl.parabolic_subgroup(rs, full_mask(7))  # E7 in either
+            weyl._closure(rs)
     assert time.perf_counter() - start < 1
 
 
 def test_parabolic_sizes():
     rs = build_root_system("A", 2)
-    assert len(parabolic_subgroup(rs, 0)) == 1
-    assert len(parabolic_subgroup(rs, 0b01)) == 2
+    assert len(oracles.weyl_closure_by_seen_set(rs, 0)) == parabolic_order(rs, 0) == 1
+    assert len(oracles.weyl_closure_by_seen_set(rs, 0b01)) == parabolic_order(rs, 0b01) == 2
     b2 = build_root_system("B", 2)
-    assert parabolic_subgroup(b2, full_mask(2)) == generate_weyl(b2)
+    assert oracles.weyl_closure_by_seen_set(b2, full_mask(2)) == generate_weyl(b2)
 
 
 def test_kostant_examples():
@@ -200,7 +199,7 @@ def test_exponents_match_the_filtered_formulas_e6():
 def test_parabolic_order_matches_subgroup(name):
     rs = build_root_system(*parse_type(name))
     for levi in range(full_mask(rs.rank) + 1):
-        assert parabolic_order(rs, levi) == len(parabolic_subgroup(rs, levi))
+        assert parabolic_order(rs, levi) == len(oracles.weyl_closure_by_seen_set(rs, levi))
 
 
 def test_partition_check_catches_a_corrupted_group():
@@ -508,8 +507,8 @@ def test_a_walk_that_fails_or_is_interrupted_leaves_no_file(tmp_path, monkeypatc
     layer_sizes, walk = weyl._layer_sizes, weyl._walk
     midway = []
 
-    def interrupted(rs, levi):
-        blocks = walk(rs, levi)
+    def interrupted(rs):
+        blocks = walk(rs)
         yield next(blocks)
         midway.extend(p.name for p in tmp_path.iterdir())
         raise KeyboardInterrupt
@@ -552,9 +551,9 @@ def test_a_miss_writes_the_walk_as_it_goes(tmp_path):
 
     rs = build_root_system("E", 6)
     full = full_mask(rs.rank)
-    weyl._guards(rs, full)  # fills the reflection tables, kept for the process
+    weyl._guards(rs)  # fills the reflection tables, kept for the process
     sizes = weyl._layer_sizes(rs, full)
-    path, peak = _traced_peak(lambda: save_weyl_cache(rs, weyl._closure(rs, full), tmp_path))
+    path, peak = _traced_peak(lambda: save_weyl_cache(rs, weyl._closure(rs), tmp_path))
     assert (sum(sizes), max(sizes)) == (51840, 3662)
     assert peak <= 2 * sum(sizes) + 256 * max(sizes), peak
     group = generate_weyl(rs)
@@ -664,9 +663,8 @@ def test_kostant_reps_from_cache_match_generated(name, tmp_path):
 def test_generated_lengths_count_negative_images(name):
     # lengths come from the breadth-first step an element is reached at
     rs = build_root_system(*parse_type(name))
-    for levi in range(full_mask(rs.rank) + 1):
-        for w in parabolic_subgroup(rs, levi):
-            assert w.length == sum(1 for s in w.signed_images if s < 0)
+    for w in generate_weyl(rs):
+        assert w.length == sum(1 for s in w.signed_images if s < 0)
     assert all(permutes_roots(rs, w) for w in generate_weyl(rs))
 
 
@@ -694,7 +692,7 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
 
     rs = build_root_system(*parse_type(name))
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
-    records, masks = weyl._joined(weyl._closure(rs, full_mask(rs.rank)))
+    records, masks = weyl._joined(weyl._closure(rs))
     assert records.typecode == "b"
     assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
     assert masks == oracles.descent_masks(rs, oracle)
@@ -708,48 +706,33 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
     assert walked == oracle and walked.masks == masks
 
 
+def _in_levi(rs, levi):
+    """The elements of the whole walked group that lie in W_levi: those whose
+    inversions are all roots of the Levi."""
+    roots, group = levi_root_indices(rs, levi), generate_weyl(rs)
+    return [(w, mask) for w, mask in zip(group, group.masks)
+            if all(k in roots for k, s in enumerate(w.signed_images) if s < 0)]
+
+
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
 def test_parabolic_subgroups_match_the_seen_set_closure(name):
+    """Every parabolic subgroup, read off the whole walked group, is the
+    seen-set closure of its generators, in group order."""
     rs = build_root_system(*parse_type(name))
     for levi in range(full_mask(rs.rank) + 1):
-        assert parabolic_subgroup(rs, levi) == oracles.weyl_closure_by_seen_set(rs, levi)
+        assert [w for w, _ in _in_levi(rs, levi)] == \
+            list(oracles.weyl_closure_by_seen_set(rs, levi))
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
 def test_parabolic_masks_match_the_descent_scan(name):
-    """The masks the walk yields for every Levi, not only for the full
-    group, are the oracle's scan of the seen-set closure's elements."""
-    import steinberg_ext.weyl as weyl
-
+    """An element of W_levi has its descents in the Levi, and the same ones
+    in W_levi as in W: so the whole walk's masks of a parabolic subgroup's
+    elements are the oracle's scan of the seen-set closure's elements."""
     rs = build_root_system(*parse_type(name))
     for levi in range(full_mask(rs.rank) + 1):
-        _, masks = weyl._joined(weyl._closure(rs, levi))
-        assert masks == oracles.descent_masks(rs, oracles.weyl_closure_by_seen_set(rs, levi))
-
-
-# Levis with a generator past index 7: its left bit, and over 8 generators
-# a guard's verdict bit, lies past the first byte lane
-PAST_RANK_8 = [("A", 12, 0b110000000000, 6),  # generators 10 and 11: A2
-               ("A", 15, 0b101010101010111, 1536),  # A3 x A1^6, 9 generators
-               ("B", 9, 0b110000001, 16)]  # A1 x B2
-
-
-@pytest.mark.parametrize("series,rank,levi,order", PAST_RANK_8)
-def test_a_levi_past_the_eighth_generator(series, rank, levi, order):
-    """Over rank 8 a mask takes one byte lane per 8 simple roots, so the
-    masks are ``left << 16 | right`` in a uint32 array; every group under
-    the cap has rank at most 8, so the full groups and the cache file keep
-    uint16.  (``left << 8`` of a generator past 7 overflowed uint16.)"""
-    import steinberg_ext.weyl as weyl
-
-    rs = build_root_system(series, rank)
-    oracle = oracles.weyl_closure_by_seen_set(rs, levi)
-    assert len(oracle) == order == parabolic_order(rs, levi)
-    assert parabolic_subgroup(rs, levi) == oracle
-    records, masks = weyl._joined(weyl._closure(rs, levi))
-    assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
-    assert masks.typecode == "I" and masks == oracles.descent_masks(rs, oracle)
-    assert masks[-1] == levi << 16 | levi  # the longest element descends at every generator
+        assert [mask for _, mask in _in_levi(rs, levi)] == \
+            oracles.descent_masks(rs, oracles.weyl_closure_by_seen_set(rs, levi)).tolist()
 
 
 def test_the_walk_reads_a_block_in_c_not_element_by_element():
@@ -761,8 +744,8 @@ def test_the_walk_reads_a_block_in_c_not_element_by_element():
 
     rs = build_root_system("E", 6)
     full = full_mask(rs.rank)
-    weyl._guards(rs, full)  # fills the reflection tables, kept for the process
-    walk = weyl._closure(rs, full)
+    weyl._guards(rs)  # fills the reflection tables, kept for the process
+    walk = weyl._closure(rs)
     calls = 0
 
     def count(frame, event, arg):
@@ -789,23 +772,23 @@ def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
     full = full_mask(rs.rank)
     guards, layer_sizes = weyl._guards, weyl._layer_sizes
 
-    def admits_duplicates(rs, levi):  # s_0 s_2 = s_2 s_0 is reached from both
-        return tuple((bit, table, frozenset()) for bit, table, _ in guards(rs, levi))
+    def admits_duplicates(rs):  # s_0 s_2 = s_2 s_0 is reached from both
+        return tuple((table, frozenset()) for table, _ in guards(rs))
 
-    def drops_elements(rs, levi):  # the last generator is taken from the identity only
-        *rest, (bit, table, _) = guards(rs, levi)
-        return (*rest, (bit, table, frozenset(range(-rs.num_positive, 0))))
+    def drops_elements(rs):  # the last generator is taken from the identity only
+        *rest, (table, _) = guards(rs)
+        return (*rest, (table, frozenset(range(-rs.num_positive, 0))))
 
     for wrong in (admits_duplicates, drops_elements):
         monkeypatch.setattr(weyl, "_guards", wrong)
         with pytest.raises(ContractError, match="Poincaré polynomial"):
-            list(weyl._closure(rs, full))
+            list(weyl._closure(rs))
     monkeypatch.setattr(weyl, "_guards", guards)
     monkeypatch.setattr(weyl, "_layer_sizes", lambda rs, levi: layer_sizes(rs, levi)[:-1])
     with pytest.raises(ContractError, match="past its longest element"):
-        list(weyl._closure(rs, full))
+        list(weyl._closure(rs))
     monkeypatch.undo()
-    assert weyl._joined(weyl._closure(rs, full))[0].tolist() == \
+    assert weyl._joined(weyl._closure(rs))[0].tolist() == \
         [x for w in generate_weyl(rs) for x in (w.length, *w.signed_images)]
 
 
@@ -816,30 +799,53 @@ def test_simple_roots_out_of_place_are_refused():
     roots = rs.positive_roots
     for moved in ((roots[3], *roots[1:3], roots[0], *roots[4:]), roots[1:] + roots[:1]):
         with pytest.raises(ContractError, match="first 3 positive roots"):
-            weyl._closure(rs._replace(positive_roots=moved), full_mask(3))
+            weyl._closure(rs._replace(positive_roots=moved))
 
 
 def test_byte_codes_hold_at_most_127_roots(monkeypatch):
-    """An image is one byte inside the enumeration, so a subgroup of a type
-    with over 127 positive roots is refused before any element is built,
-    however small the subgroup."""
+    """An image is one byte code inside the walk, which holds at most 127
+    positive roots; the cap refuses every type with more, before the walk
+    starts."""
     import steinberg_ext.weyl as weyl
 
     def no_enumeration(*args):
         raise AssertionError("the enumeration started")
 
-    a16 = build_root_system("A", 16)  # 136 positive roots
-    monkeypatch.setattr(weyl, "_guards", no_enumeration)
-    monkeypatch.setattr(weyl, "_layer_sizes", no_enumeration)
+    wide = [build_root_system(*t) for t in (("A", 16), ("B", 12), ("C", 12), ("D", 12))]
+    assert min(rs.num_positive for rs in wide) > 127
+    monkeypatch.setattr(weyl, "_walk", no_enumeration)
     start = time.perf_counter()
-    for levi in (0, 0b1, full_mask(16)):
-        with pytest.raises(ResourceLimitError, match="at most 127"):
-            weyl._closure(a16, levi)
-    with pytest.raises(ResourceLimitError, match="at most 127"):
-        weyl.parabolic_subgroup(a16, 0b11)
+    for rs in wide:
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            weyl._closure(rs)
     assert time.perf_counter() - start < 0.1
-    monkeypatch.undo()
-    assert len(weyl.parabolic_subgroup(build_root_system("A", 15), 0b11)) == 6  # 120 roots
+
+
+def test_the_cap_bounds_the_walk(monkeypatch):
+    """Every type of rank at most MAX_RANK with |W| under the cap has rank at
+    most 8, so a mask side and a guard's verdicts fit one byte, and at most
+    49 positive roots (B7), so an image fits one byte code; A9 and A16 are
+    refused before the walk starts."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.rootdata import MAX_RANK, SERIES
+
+    types, walked = 0, []
+    for series in SERIES:
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                rs = build_root_system(series, rank)
+            except ConfigurationError:  # no such type
+                continue
+            types += 1
+            if parabolic_order(rs, full_mask(rank)) <= weyl.DEFAULT_WEYL_CAP:
+                walked.append(rs)
+    assert types == 128
+    assert max(rs.rank for rs in walked) == 8
+    assert max(rs.num_positive for rs in walked) == 49 == build_root_system("B", 7).num_positive
+    monkeypatch.setattr(weyl, "_walk", lambda rs: pytest.fail("the walk started"))
+    for rank in (9, 16):
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            weyl._closure(build_root_system("A", rank))
 
 
 def test_closure_holds_one_layer_beside_what_it_returns():
@@ -854,11 +860,11 @@ def test_closure_holds_one_layer_beside_what_it_returns():
 
     rs = build_root_system("E", 6)
     full = full_mask(rs.rank)
-    weyl._guards(rs, full)  # fills the reflection tables, kept for the process
+    weyl._guards(rs)  # fills the reflection tables, kept for the process
     weyl._layer_sizes(rs, full)
     tracemalloc.start()
     try:
-        records, masks = weyl._joined(weyl._closure(rs, full))
+        records, masks = weyl._joined(weyl._closure(rs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
