@@ -6,7 +6,7 @@ representative to print them.  So each pair of an ``--all-pairs`` sweep is
 checked against data taken in one pass over the group's records and masks,
 over the sweep's one ring (:class:`DescentClasses`), and from it per J,
 instead of through the representatives of
-:func:`~steinberg_ext.weyl.kostant_reps`; a pair that fails a check is
+:func:`~steinberg_ext.weyl.iter_kostant_reps`; a pair that fails a check is
 rerun through them, so that it raises what the per-representative path
 raises.  A single pair, which would pay the whole pass over the group for
 its few representatives, ``dcosets`` and ``ext-induced --method strata``,
@@ -31,6 +31,7 @@ from .weyl import (
     _identity_images,
     _inversion_sum,
     _is_negative,
+    _kilmoyer_sum,
     _reader,
     levi_difference_sum,
     parabolic_order,
@@ -115,19 +116,17 @@ class DescentClasses:
 
     def covers(self, I: int, J: int) -> bool:
         """Whether the (W_I, W_J) double cosets partition the group, as
-        ``kostant_reps`` checks it: the group has |W| elements, no
-        representative fails the Levi guard of ``_intersect_levi``, and
-        Kilmoyer's sizes |W_I||W_J|/|W_{I n S_J(w)}| add up to |W|."""
+        ``iter_kostant_reps`` checks it, but at t = 1: the group has |W|
+        elements, no representative fails the Levi guard of
+        ``_intersect_levi``, and Kilmoyer's sizes |W_I||W_J|/|W_{I n S_J(w)}|
+        add up to |W| (:func:`~steinberg_ext.weyl._kilmoyer_sum`)."""
         forbidden = I << 8 | J
         if self.size != self.order or any(
                 J >> b & 1 and not mask & forbidden and not support & ~I
                 for mask, b, support in self.suspects):
             return False
-        orders = self.orders
-        outer = orders[I] * orders[J]
-        return self.order == sum(count * (outer // orders[levi & I])
-                                 for (left, levi), count in self.counts(J).items()
-                                 if not left & I)
+        return self.order == _kilmoyer_sum(self.orders, I, J, (
+            (levi & I, count) for (left, levi), count in self.counts(J).items() if not left & I))
 
 
 def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup,

@@ -37,10 +37,10 @@ import struct
 import sys
 import zlib
 from array import array
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
+from math import prod
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -120,34 +120,47 @@ def _guards(rs: RootSystem) -> tuple[tuple[SignedImages, frozenset[int]], ...]:
     return tuple(guards)
 
 
-def _times(a: list[int], b: list[int]) -> list[int]:
-    """The product of two polynomials, as coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+_DIGIT = 64  # a Poincaré polynomial is held at t = 2^64, a coefficient per digit
 
 
-def _over(a: list[int], b: list[int]) -> list[int]:
-    """The quotient of a polynomial by one that divides it with constant
-    term 1 (a Poincaré polynomial), as coefficient lists."""
-    rest, out = list(a), []
-    for k in range(len(a) - len(b) + 1):
-        out.append(rest[k])
-        for j, y in enumerate(b):
-            rest[k + j] -= out[k] * y
-    return out
+@lru_cache(maxsize=None)
+def _poincare(rs: RootSystem, levi: int) -> int:
+    """W_levi(t) = the product of 1 + t + ... + t^m over the exponents m, at
+    t = 2^64: its coefficients, at most |W_levi|, are its digits.  A Levi
+    over the cap is refused: :func:`_kilmoyer_sum` is exact only under it."""
+    if parabolic_order(rs, levi) > DEFAULT_WEYL_CAP:
+        raise ContractError(f"a Levi subgroup of {rs.type_name()} is over the cap")
+    t = 1 << _DIGIT
+    return prod(((t << _DIGIT * m) - 1) // (t - 1) for m in parabolic_exponents(rs, levi))
+
+
+def _digits(value: int) -> list[int]:
+    """The coefficients, lowest first, of a polynomial from its value at 2^64."""
+    return [value >> _DIGIT * k & (1 << _DIGIT) - 1
+            for k in range((value.bit_length() + _DIGIT - 1) // _DIGIT)]
 
 
 def _layer_sizes(rs: RootSystem, levi: int) -> list[int]:
-    """The number of elements of each length in W_levi: the coefficients of
-    the Poincaré polynomial, the product of 1 + q + ... + q^m over the
-    exponents m."""
-    sizes = [1]
-    for m in parabolic_exponents(rs, levi):
-        sizes = _times(sizes, [1] * (m + 1))
-    return sizes
+    """The number of elements of each length in W_levi: W_levi(t)'s coefficients."""
+    return _digits(_poincare(rs, levi))
+
+
+def _kilmoyer_sum(values, I: int, J: int, weighted: Iterable[tuple[int, int]]) -> int:
+    """The sum of weight·W_I(t)·W_J(t)/W_L(t) over the (L, weight) pairs,
+    from ``values``, a table of W_L(t) at one t indexed by L.
+
+    By Kilmoyer's theorem W_I n wW_Jw^-1 = W_levi(w) for a minimal
+    representative w, and each element of W_I w W_J is x·w·y with lengths
+    adding, x in W_I and y a minimal representative of W_J modulo a
+    conjugate of W_levi(w) (Geck and Pfeiffer §2.1–2.2).  So the double
+    cosets partition W iff this is W(t) when L's weight sums t^l(w) over the
+    representatives w of Levi L.  L lies in I, so W_L(t) divides W_I(t) and
+    ``//`` is exact at any t.  At t = 2^64 equal values mean equal
+    polynomials: under the cap there are at most 2^20 representatives and a
+    quotient's coefficients are at most |W_I||W_J| < 2^40, so every
+    coefficient on either side is below 2^20·2^40 < 2^64."""
+    outer = values[I] * values[J]
+    return sum(weight * (outer // values[levi]) for levi, weight in weighted)
 
 
 # Inside the enumeration signed image s is the byte _ZERO + s, its byte code,
@@ -403,40 +416,27 @@ def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions
                      simple_j: tuple[int, ...], phi_i: frozenset[int]) -> None:
     """Check that the (W_I, W_J) double cosets of the representatives at
     ``positions`` partition ``group``, reading of each only its length and
-    the images of the simple roots.
-
-    By Kilmoyer's theorem W_I n wW_Jw^-1 = W_levi(w), and each element of
-    W_I w W_J is x·w·y with lengths adding, x in W_I and y a minimal
-    representative of W_J modulo a conjugate of W_levi(w) (Geck and Pfeiffer
-    §2.1–2.2).  So the coset of w has |W_I||W_J|/|W_levi(w)| elements, and
-    t^l(w)·W_I(t)·W_J(t)/W_levi(w)(t) counts them by length: these must add
-    up to |W|, and degree by degree to the Poincaré polynomial W(t)."""
-    records, width, rank = group._records, group._width, rs.rank
-    by_levi: Counter = Counter()  # representatives by (levi, length)
+    the images of the simple roots: the group has |W| elements, and
+    :func:`_kilmoyer_sum` is W(t) at t = 2^64, so also at t = 1."""
+    records, width, rank, full = group._records, group._width, rs.rank, full_mask(rs.rank)
+    if len(group) != parabolic_order(rs, full):
+        raise ContractError(f"{len(group)} group elements; |W({rs.type_name()})| = "
+                            f"{parabolic_order(rs, full)}: double cosets do not partition the "
+                            "Weyl group")
+    weights: dict[int, int] = {}  # the sum of t^l(w) at t = 2^64, by levi(w)
     for position in positions:
         start = position * width
         levi, _ = _intersect_levi(rs, records[start + 1:start + 1 + rank], simple_j, phi_i)
-        by_levi[levi, records[start]] += 1
-    full = full_mask(rank)
-    order, outer = parabolic_order(rs, full), parabolic_order(rs, I) * parabolic_order(rs, J)
-    covered = sum(count * (outer // parabolic_order(rs, levi))
-                  for (levi, _), count in by_levi.items())
-    if covered != order or len(group) != order:
-        raise ContractError(
-            f"double cosets cover {covered} of {len(group)} group elements; "
-            f"|W({rs.type_name()})| = {order}: they do not partition the Weyl group")
-    outer_series = _times(_layer_sizes(rs, I), _layer_sizes(rs, J))
-    series = {levi: _over(outer_series, _layer_sizes(rs, levi)) for levi, _ in by_levi}
-    graded: Counter = Counter()
-    for (levi, length), count in by_levi.items():
-        for k, size in enumerate(series[levi]):
-            graded[length + k] += count * size
-    expected = dict(enumerate(_layer_sizes(rs, full)))
-    if dict(graded) != expected:
-        raise ContractError(
-            f"double cosets cover {[graded[k] for k in expected]} group elements by length; "
-            f"W({rs.type_name()})(t) has {list(expected.values())}: they do not partition "
-            "the Weyl group by length")
+        if records[start] < 0:  # no power of t: a corrupted record
+            raise ContractError(f"a representative of length {records[start]}: double "
+                                "cosets do not partition the Weyl group by length")
+        weights[levi] = weights.get(levi, 0) + (1 << _DIGIT * records[start])
+    values = {levi: _poincare(rs, levi) for levi in (I, J, full, *weights)}
+    covered = _kilmoyer_sum(values, I, J, weights.items())
+    if covered != values[full]:
+        raise ContractError(f"double cosets cover {_digits(covered)} group elements by length; "
+                            f"W({rs.type_name()})(t) has {_digits(values[full])}: they do "
+                            "not partition the Weyl group by length")
 
 
 def iter_kostant_reps(rs: RootSystem, I: int, J: int,

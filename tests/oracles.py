@@ -12,7 +12,10 @@ builders:
   (``gamma_exponents``, ``delta_exponents``, ``intersect_levi``) that
   ``kostant_reps`` specialises to minimal representatives, the element
   helpers ``simple_reflection``, ``compose_images`` and ``permutes_roots``,
-  the descent-mask scan ``descent_masks`` that pins the enumerator's masks,
+  the Poincaré polynomials as coefficient lists (``poincare_times``,
+  ``poincare_over``, ``layer_sizes``) that pin the package's values at
+  t = 2^64, the descent-mask scan ``descent_masks`` that pins the
+  enumerator's masks,
   ``weyl_group``, which builds a group (a corrupted one, say) from an element
   list, and ``integer_rank``;
 - ``kostant_reps_by_enumeration``, which enumerates double cosets to pin the
@@ -43,6 +46,7 @@ from steinberg_ext.rootdata import (
     mask_indices,
     mask_size,
     mask_str,
+    parabolic_exponents,
     validate_mask,
 )
 from steinberg_ext.weyl import (
@@ -283,6 +287,36 @@ def invariant_factors_by_factoring(moduli) -> list[int]:
 
 def integer_rank(m: IntMatrix) -> int:
     return len(smith_divisors(m))
+
+
+def poincare_times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poincare_over(a: list[int], b: list[int]) -> list[int]:
+    """The quotient of a polynomial by one that divides it with constant
+    term 1 (a Poincaré polynomial), as coefficient lists."""
+    rest, out = list(a), []
+    for k in range(len(a) - len(b) + 1):
+        out.append(rest[k])
+        for j, y in enumerate(b):
+            rest[k + j] -= out[k] * y
+    return out
+
+
+def layer_sizes(rs: RootSystem, levi: int) -> list[int]:
+    """The number of elements of each length in W_levi: the coefficients of
+    the Poincaré polynomial, the product of 1 + q + ... + q^m over the
+    exponents m."""
+    sizes = [1]
+    for m in parabolic_exponents(rs, levi):
+        sizes = poincare_times(sizes, [1] * (m + 1))
+    return sizes
 
 
 def _length_of(images: SignedImages) -> int:

@@ -16,12 +16,13 @@ def test_the_driver_fails_a_changed_byte(capsys):
     flipped = A2_Q[:-1] + ("0" if A2_Q[-1] != "0" else "1")
     start = time.perf_counter()
     for digest, code in ((A2_Q, 0), (flipped, 1)):
-        sweeps = {"A2-Q": sweep_digests.Sweep("A2", "Q", "off", digest)}
-        assert sweep_digests.main([], sweeps) == code
+        runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", digest)}
+        assert sweep_digests.main([], runs) == code
         out, err = capsys.readouterr()
         assert out.splitlines()[1].startswith("A2-Q\tok\t" if code == 0 else "A2-Q\tFAIL")
         assert (A2_Q in out) == bool(code) and (digest in err) == bool(code)
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
-    assert list(sweep_digests.SWEEPS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
-                                          "A8-strata", "E6-strata"]
+    assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
+                                        "A8-strata", "E6-strata", "E6-dcosets",
+                                        "E6-ext-induced", "D7-dcosets", "D7-ext-induced"]

@@ -257,6 +257,107 @@ def test_the_count_by_length_catches_what_the_count_misses():
                 kostant_reps(rs, I, J, corrupted)
 
 
+def test_the_count_by_length_names_the_counts():
+    """The failure lists the representatives' counts by length against the
+    coefficients of W(t): at (0, 0) every element is a representative, so
+    moving the longest element up a length moves one count up a degree."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    expected = oracles.layer_sizes(rs, full_mask(rs.rank))
+    moved = [*expected[:-1], 0, 1]
+    corrupted = oracles.weyl_group(rs, _with_lengths(group, {len(group) - 1: len(expected)}))
+    with pytest.raises(ContractError, match="do not partition the Weyl group by length") as err:
+        kostant_reps(rs, 0, 0, corrupted)
+    assert f"cover {moved} group elements by length; W(B3)(t) has {expected}:" in str(err.value)
+    negative = oracles.weyl_group(rs, _with_lengths(group, {len(group) - 1: -1}))
+    with pytest.raises(ContractError, match="length -1: double cosets do not partition"):
+        kostant_reps(rs, 0, 0, negative)
+    assert weyl._layer_sizes(rs, full_mask(rs.rank)) == expected == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
+
+
+def _types_under_the_cap():
+    """Every type whose group is under the cap: all have rank at most 8
+    (``test_the_cap_bounds_the_walk``)."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.rootdata import SERIES
+
+    for series in SERIES:
+        for rank in range(1, 9):
+            try:
+                rs = build_root_system(series, rank)
+            except ConfigurationError:  # no such type
+                continue
+            if parabolic_order(rs, full_mask(rank)) <= weyl.DEFAULT_WEYL_CAP:
+                yield rs
+
+
+def test_layer_sizes_match_the_coefficient_lists():
+    """W_L(t) held at t = 2^64 reads back, digit by digit, as the product of
+    the coefficient lists 1 + t + ... + t^m, for every L of every type under
+    the cap."""
+    import steinberg_ext.weyl as weyl
+
+    types = list(_types_under_the_cap())
+    assert len(types) == 27 and max(rs.rank for rs in types) == 8
+    for rs in types:
+        for levi in range(1 << rs.rank):
+            assert weyl._layer_sizes(rs, levi) == oracles.layer_sizes(rs, levi), (rs, levi)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_4)
+def test_the_quotients_at_2_64_match_the_coefficient_lists(name):
+    """For every (I, J) and every L inside I, W_I(t)·W_J(t)/W_L(t) taken on
+    the values at t = 2^64 has the digits of the exact quotient of the
+    coefficient lists."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system(*parse_type(name))
+    sizes = [oracles.layer_sizes(rs, levi) for levi in range(1 << rs.rank)]
+    for I in range(1 << rs.rank):
+        for J in range(1 << rs.rank):
+            outer = weyl._poincare(rs, I) * weyl._poincare(rs, J)
+            product = oracles.poincare_times(sizes[I], sizes[J])
+            for L in (L for L in range(I + 1) if not L & ~I):
+                assert weyl._digits(outer // weyl._poincare(rs, L)) == \
+                    oracles.poincare_over(product, sizes[L]), (I, J, L)
+
+
+def test_one_kilmoyer_sum_serves_both_checks(monkeypatch):
+    """The class path's count at t = 1 and the representatives' count at
+    t = 2^64 are one helper: a sum that misses W(t) fails both."""
+    import steinberg_ext.strata as strata
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    classes = strata.DescentClasses(rs, group, RingSpec(1009, 3))
+    pairs = [(0, 0), (0b011, 0b110), (0b111, 0b111)]
+    assert all(classes.covers(I, J) for I, J in pairs)
+    for module in (weyl, strata):
+        monkeypatch.setattr(module, "_kilmoyer_sum", lambda *args: False)
+    for I, J in pairs:
+        assert not classes.covers(I, J)
+        with pytest.raises(ContractError, match="do not partition"):
+            kostant_reps(rs, I, J, group)
+
+
+def test_a_poincare_polynomial_over_the_cap_is_refused():
+    """Only under the cap is every coefficient Kilmoyer's sum can reach below
+    2^64, so a Levi over it is refused, and one under it in the same type is
+    not."""
+    import steinberg_ext.weyl as weyl
+
+    e8 = build_root_system("E", 8)
+    for rs, levi in ((build_root_system("E", 7), 0b1111111), (e8, 0b11111111),
+                     (e8, 0b1111111), (build_root_system("A", 9), 0b111111111)):
+        assert parabolic_order(rs, levi) > weyl.DEFAULT_WEYL_CAP
+        with pytest.raises(ContractError, match="over the cap"):
+            weyl._poincare(rs, levi)
+    assert weyl._layer_sizes(e8, 0b11) == oracles.layer_sizes(e8, 0b11)
+
+
 def test_the_partition_is_checked_before_the_first_representative(monkeypatch):
     """The representatives stream, but the check that their cosets partition
     the group runs in the call that asks for them, reading no element: a

@@ -1,17 +1,20 @@
-"""Rerun the recorded ``verify --all-pairs`` sweeps and check their bytes.
+"""Rerun the recorded ``verify --all-pairs`` sweeps and single queries, and
+check their bytes.
 
     python3 tools/sweep_digests.py [NAME ...]
 
-Each sweep in ``SWEEPS`` (or each one named) runs once, as
-``python -m steinberg_ext verify --type T --ring R --all-pairs --strata S``
-from this checkout's ``src``, one process at a time.  Its stdout sha256 is
-compared with the full digest held here, and its wall time and peak RSS
-(the child's own ``ru_maxrss``) are printed.  The exit code is 1 if any
-digest differs or any sweep exits non-zero, else 0.
+Each command in ``RUNS`` (or each one named) runs once, as
+``python -m steinberg_ext ARGS`` from this checkout's ``src``, one process
+at a time.  Its stdout sha256 is compared with the full digest held here,
+and its wall time and peak RSS (the child's own ``ru_maxrss``) are printed.
+The exit code is 1 if any digest differs or any command exits non-zero,
+else 0.
 
-These sweeps are larger than tier-1 can afford: about a minute in all on a
-2-core host.  A change to code that a sweep runs reruns them, and records
-the printed table for the parent and the change.  Standard library only.
+The sweeps are larger than tier-1 can afford: about a minute in all on a
+2-core host.  The single queries check the representatives of the largest
+groups under the Weyl cap, E6 and D7, which no tier-1 test reads.  A change
+to code that a command runs reruns them, and records the printed table for
+the parent and the change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,26 +30,41 @@ from typing import NamedTuple
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-class Sweep(NamedTuple):
-    type_name: str
-    ring: str
-    strata: str
-    digest: str  # sha256 of the sweep's stdout
+class Run(NamedTuple):
+    args: tuple[str, ...]  # the command line after ``python -m steinberg_ext``
+    digest: str  # sha256 of the command's stdout
 
 
-SWEEPS = {
-    "E7-Q": Sweep("E7", "Q", "off",
+def sweep(type_name: str, ring: str, strata: str, digest: str) -> Run:
+    """``verify --all-pairs`` over one type and ring."""
+    return Run(("verify", "--type", type_name, "--ring", ring, "--all-pairs",
+                "--strata", strata), digest)
+
+
+RING = "q=3,d=1000003"
+RUNS = {
+    "E7-Q": sweep("E7", "Q", "off",
                   "4f4dd28f362d7cc1d90ce9171d9153b6a70ddf6d86bcdc41f541219cb3672ea1"),
-    "E8-Q": Sweep("E8", "Q", "off",
+    "E8-Q": sweep("E8", "Q", "off",
                   "a7d2c1eb0159d98bbf67910db5591e381eab00dcd6e141d05850a927492c4abb"),
-    "D7-strata": Sweep("D7", "q=3,d=1000003", "on",
+    "D7-strata": sweep("D7", RING, "on",
                        "5b7d330fbd903775a5146457e63d30fe6f2440e7a712d77d8fd20722883d6999"),
-    "B7-strata": Sweep("B7", "q=3,d=1000003", "on",
+    "B7-strata": sweep("B7", RING, "on",
                        "66a4e2d936c33e8293f7aafa1c6c4fcdf03b3e7c2a98a89ed05a57b7763e75b3"),
-    "A8-strata": Sweep("A8", "q=3,d=1000003", "on",
+    "A8-strata": sweep("A8", RING, "on",
                        "f8313a129c87f89c1d22099ff83ee79f9a6bda748aee4f0024a3321d10e31dc9"),
-    "E6-strata": Sweep("E6", "q=3,d=1000003", "on",
+    "E6-strata": sweep("E6", RING, "on",
                        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088"),
+    "E6-dcosets": Run(("dcosets", "--type", "E6", "--I", "1", "--J", "0,5", "--ring", RING),
+                      "c28fc676d9ec21845759025dec4abfb1a5bc0db5a61d83fb5028b7228f8f291f"),
+    "E6-ext-induced": Run(("ext-induced", "--type", "E6", "--I", "", "--J", "",
+                           "--method", "strata", "--ring", RING),
+                          "d07fb8017901046540a19317ea01e5e2bdf51a4a938b1a61e64aa20d8de2735a"),
+    "D7-dcosets": Run(("dcosets", "--type", "D7", "--I", "1", "--J", "0,5", "--ring", RING),
+                      "bda9bc05381e006b61d93065f47395abf751f42fa82c178334ba109398ce8e8e"),
+    "D7-ext-induced": Run(("ext-induced", "--type", "D7", "--I", "1", "--J", "0,5",
+                           "--method", "strata", "--ring", RING),
+                          "459c0b28643a41fddf9c3aa16e616cd451653a9c2119f9573fa2e4d2ed4dd2d2"),
 }
 
 
@@ -57,10 +75,9 @@ class Result(NamedTuple):
     peak_mb: float
 
 
-def run(sweep: Sweep) -> Result:
-    """Run one sweep in its own process and hash its stdout as it comes."""
-    argv = [sys.executable, "-m", "steinberg_ext", "verify", "--type", sweep.type_name,
-            "--ring", sweep.ring, "--all-pairs", "--strata", sweep.strata]
+def run(entry: Run) -> Result:
+    """Run one command in its own process and hash its stdout as it comes."""
+    argv = [sys.executable, "-m", "steinberg_ext", *entry.args]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     digest = hashlib.sha256()
@@ -77,25 +94,25 @@ def run(sweep: Sweep) -> Result:
     return Result(digest.hexdigest(), proc.returncode, wall, peak)
 
 
-def main(argv: list[str] | None = None, sweeps: dict[str, Sweep] = SWEEPS) -> int:
+def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
     names = sys.argv[1:] if argv is None else argv
-    unknown = [name for name in names if name not in sweeps]
+    unknown = [name for name in names if name not in runs]
     if unknown:
-        print(f"unknown sweep {', '.join(unknown)}; known: {', '.join(sweeps)}",
+        print(f"unknown run {', '.join(unknown)}; known: {', '.join(runs)}",
               file=sys.stderr)
         return 2
     failed = 0
-    print("sweep\tverdict\twall_s\tpeak_mb\tdigest")
-    for name in names or sweeps:
-        sweep = sweeps[name]
-        result = run(sweep)
-        ok = result.exit_code == 0 and result.digest == sweep.digest
+    print("run\tverdict\twall_s\tpeak_mb\tdigest")
+    for name in names or runs:
+        entry = runs[name]
+        result = run(entry)
+        ok = result.exit_code == 0 and result.digest == entry.digest
         failed += not ok
         verdict = "ok" if ok else f"FAIL (exit {result.exit_code})"
         print(f"{name}\t{verdict}\t{result.wall_s:.2f}\t{result.peak_mb:.1f}\t"
               f"{result.digest if not ok else result.digest[:16]}", flush=True)
         if not ok:
-            print(f"{name}: expected {sweep.digest}", file=sys.stderr)
+            print(f"{name}: expected {entry.digest}", file=sys.stderr)
     return 1 if failed else 0
 
 
