@@ -3,15 +3,16 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against data taken in one pass over the group's records and masks,
-over the sweep's one ring (:class:`DescentClasses`), and from it per J,
-instead of through the representatives of
-:func:`~steinberg_ext.weyl.iter_kostant_reps`; a pair that fails a check is
-rerun through them, so that it raises what the per-representative path
-raises.  A single pair, which would pay the whole pass over the group for
-its few representatives, ``dcosets`` and ``ext-induced --method strata``,
-which print or return each representative, keep that path.  Only ``verify``
-imports this module, so no other command compiles it.
+checked against data taken in one pass over the group's records and masks
+(:class:`DescentClasses`), and from it per J, instead of through the
+representatives of :func:`~steinberg_ext.weyl.iter_kostant_reps`; the ring
+is one verdict, bon, which implies every certificate.  A pair that fails a
+check, or any pair over a ring without bon, is rerun through them, so that
+it raises what the per-representative path raises.  A single pair, which
+would pay the whole pass over the group for its few representatives,
+``dcosets`` and ``ext-induced --method strata``, which print or return each
+representative, keep that path.  Only ``verify`` imports this module, so no
+other command compiles it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .tables import ExtTable, ext_induced_closed, exterior_table
 from .weyl import (
     WeylGroup,
     _identity_images,
-    _inversion_sum,
     _is_negative,
     _kilmoyer_sum,
     _reader,
@@ -40,18 +40,15 @@ from .weyl import (
 
 class DescentClasses:
     """A group's elements sorted into the classes that decide its double
-    cosets, in one pass over the group and over one ring, for checks that
-    pay per class and not per representative.
+    cosets, in one pass over the group, for checks that pay per class and
+    not per representative.
 
+    - ``certifies``: whether q^e - 1 is a unit over ``spec`` for 1 <= e <= m,
+      the largest coefficient of 2 rho (bon); then every certificate holds.
     - ``classes``: elements counted by descent mask and simple-image map
       (entry b is 1 << i when w(alpha_b) = alpha_i, else 0).
-    - ``uncertified``: the masks holding a non-identity element none of
-      whose right descents b has a unit q^gamma_b - 1 over ``spec``; a
-      stratum's certificate reads exactly these (see
-      ``certificates.vanishing_certificate``).  Each element's inversion
-      sum gamma is summed once, here, and read only at its right descents,
-      in a table of the units q^e - 1 for e up to the largest coefficient
-      of 2 rho (bon's bound), which bounds every gamma_b.
+    - ``uncertified``: the masks holding an element of nonzero length with
+      no negative simple image, so no gamma certificate (none if genuine).
     - ``suspects``: (mask, b, support) for each element and b where
       w(alpha_b) is negative outside the right mask (support 0), or a
       non-simple positive root whose support misses the left mask.  In a
@@ -75,7 +72,11 @@ class DescentClasses:
         misses_left = [[bool(support) and not support & left for support in support_of]
                        for left in range(1 << rank)]
         right_bits = tuple(1 << b for b in range(rank))
-        unit = [False, *(_unit_value(spec, e)[1] for e in range(1, max_rho_coefficient(rs) + 1))]
+        # At a right descent b, 1 <= gamma_b <= (2 rho)_b <= m: alpha_b lies in
+        # N(w), and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too.  So
+        # under bon any right descent and any delta candidate certifies, and
+        # no element's gamma is summed.
+        self.certifies = all(_unit_value(spec, e + 1)[1] for e in range(max_rho_coefficient(rs)))
         classes: Counter = Counter()
         uncertified = set()
         suspects = []
@@ -83,11 +84,10 @@ class DescentClasses:
         for mask, (images, length) in zip(group.masks, group.records()):
             simple = images[:rank]
             classes[mask, tuple(map(simple_bit.__getitem__, simple))] += 1
-            gamma = _inversion_sum(rs, images)
             descents = list(map(_is_negative, simple))
             if length == 0:
                 identities.append((images, mask))
-            elif not any(map(unit.__getitem__, compress(gamma, descents))):
+            elif not any(descents):
                 uncertified.add(mask)
             stray = sum(compress(right_bits, descents)) & ~mask
             if stray or any(map(misses_left[mask >> 8].__getitem__, simple)):
@@ -133,27 +133,27 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGro
                   classes: DescentClasses | None = None) -> None:
     """Check that every stratum's certificate is where the theorem puts it
     (none on the identity with J inside I alone), per descent class when
-    ``classes``, taken from ``group`` over ``spec``, are given:
+    ``classes``, taken from ``group`` over ``spec``, are given and certify
+    (:attr:`DescentClasses.certifies`):
 
     - the double cosets partition the group (:meth:`DescentClasses.covers`);
-    - no mask the pair reads holds an element without a gamma certificate;
-    - the identity has a delta certificate when J is not inside I;
+    - no mask the pair reads is ``uncertified``;
+    - the identity has a delta candidate when J is not inside I;
     - the table (the identity's exterior algebra when J is inside I, zero
       otherwise) equals the closed form.
 
-    A pair failing any of them, or given no classes, goes through its
-    representatives, which raise what :func:`ext_induced_via_strata`
+    A pair failing any of them, or given no certifying classes, goes through
+    its representatives, which raise what :func:`ext_induced_via_strata`
     raises: a table that disagrees with the closed form raises
     ``VerificationError``."""
     survives = not J & ~I
-    if classes is not None:
+    if classes is not None and classes.certifies:
         forbidden = I << 8 | J
         table = exterior_table(rs.rank - mask_size(J)) if survives else ExtTable({})
         if (classes.identity_alone and classes.covers(I, J)
                 and not any(not mask & forbidden for mask in classes.uncertified)
-                and (survives or any(
-                    _unit_value(spec, e)[1] for _, e in
-                    _delta_candidates(rs, I, J, levi_difference_sum(rs, J, J & I))))
+                and (survives or _delta_candidates(rs, I, J,
+                                                   levi_difference_sum(rs, J, J & I)))
                 and table.same_modules(ext_induced_closed(rs, I, J, spec))):
             return
     ext_induced_via_strata(rs, I, J, spec, group)

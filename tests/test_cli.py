@@ -661,34 +661,44 @@ def test_a_larger_sweep_builds_only_its_new_shapes(capsys, monkeypatch, fresh_ca
     assert len(homology._ROW_HOMOLOGY) == 15
 
 
-def test_verify_sums_each_inversion_set_and_converts_each_table_row_once(capsys, monkeypatch,
-                                                                         fresh_caches):
-    """The strata pass sums the inversion set of each of the 48 elements of
-    W(B3) once, counted in both modules that sum them, and each distinct
-    built table takes each of its rows over the ring once: 70 rows in all,
-    20 for the 10 ext tables (keyed by |K| and |J \\ I|) and 50 for the 20
-    ext-vi tables."""
+def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row_once(
+        capsys, monkeypatch, fresh_caches):
+    """The B3 strata sweep sums no element's inversion set and asks whether
+    q^e - 1 is a unit once per e up to the largest coefficient of 2 rho,
+    per element and per pair never (bon alone certifies every stratum), and
+    each distinct built table takes each of its rows over the ring once: 70
+    rows in all, 20 for the 10 ext tables (keyed by |K| and |J \\ I|) and 50
+    for the 20 ext-vi tables."""
+    import steinberg_ext.certificates as certificates
     import steinberg_ext.extengine as eng
     import steinberg_ext.strata as strata
     import steinberg_ext.weyl as weyl
+    from steinberg_ext.rootdata import build_root_system, max_rho_coefficient
 
-    summed, over_ring = [], []
-    inversion_sum, coefficients = weyl._inversion_sum, eng.homology_with_coefficients
+    summed, tried, over_ring = [], [], []
+    inversion_sum, unit_value = weyl._inversion_sum, certificates._unit_value
+    coefficients = eng.homology_with_coefficients
 
     def counting_sum(rs, images):
-        summed.append((rs.rank, images))
+        summed.append(images)
         return inversion_sum(rs, images)
+
+    def counting_unit(spec, exponent):
+        tried.append(exponent)
+        return unit_value(spec, exponent)
 
     def counting_coefficients(c, spec):
         over_ring.append(spec.d)
         return coefficients(c, spec)
 
-    for module in (weyl, strata):
-        monkeypatch.setattr(module, "_inversion_sum", counting_sum)
+    monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
+    for module in (certificates, strata):
+        monkeypatch.setattr(module, "_unit_value", counting_unit)
     monkeypatch.setattr(eng, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
-    assert len(summed) == len(set(summed)) == 48  # |W(B3)|
+    assert summed == []
+    assert tried == list(range(1, max_rho_coefficient(build_root_system("B", 3)) + 1))
     assert over_ring == [0] * 70
 
 
@@ -1041,9 +1051,11 @@ def test_verify_makes_each_closed_form_once_per_check(capsys, monkeypatch):
 def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, monkeypatch,
                                                                        fresh_caches):
     """A stand-in ring on which q^e - 1 is no unit for one exponent e that
-    is the only one at the right descents of exactly one element of W(B3):
-    the class path reruns the first pair that reads its mask through the
-    representatives, so exit code and stderr are those of the per-rep path."""
+    is the only one at the right descents of exactly one element of W(B3),
+    for the certificates alone (the ring check still passes): the classes
+    do not certify, so the sweep reruns its pairs through the
+    representatives, and exit code and stderr are those of the per-rep
+    path."""
     import steinberg_ext.certificates as certificates
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.strata import DescentClasses

@@ -28,10 +28,12 @@ from steinberg_ext.extengine import (
     vanishing_certificate,
 )
 from steinberg_ext.homology import HomologyResult
-from steinberg_ext.ringcond import RingSpec, check_ring
-from steinberg_ext.rootdata import build_root_system, full_mask, mask_size, parse_type
+from steinberg_ext.ringcond import RingSpec, bon_check, check_ring, parse_ring
+from steinberg_ext.rootdata import (build_root_system, full_mask, mask_size, max_rho_coefficient,
+                                    parse_type)
 from steinberg_ext.strata import DescentClasses, verify_strata
-from steinberg_ext.weyl import DoubleCosetRep, generate_weyl, kostant_reps
+from steinberg_ext.weyl import (DoubleCosetRep, WeylElement, _inversion_sum, generate_weyl,
+                                kostant_reps, levi_difference_sum)
 
 import oracles
 from oracles import delta_exponents, gamma_exponents, simple_reflection
@@ -43,6 +45,9 @@ Z5 = RingSpec(5, 3)
 Z23 = RingSpec(23, 3)
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+# every type of rank <= 5
+RANK_5_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5", "D4", "D5",
+                "F4", "G2"]
 
 
 def table(entries):
@@ -169,10 +174,10 @@ class _RerunThroughTheReps(Exception):
 
 
 def _class_verdicts(monkeypatch, rs, group, pairs):
-    """Per pair and ring, whether :func:`verify_strata` answers from the
-    descent classes over that ring alone, against whether every
-    representative is certified; the Levi of each representative against
-    the class counts."""
+    """Per pair and ring, :func:`verify_strata` answers from the descent
+    classes alone exactly when they certify (the ring passes bon), and then
+    every representative is certified; the Levi of each representative
+    against the class counts."""
     import steinberg_ext.strata as strata
 
     def rerun(*args, **kwargs):
@@ -195,19 +200,19 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
                 every_rep_certified = True
             except RingAssumptionError:
                 every_rep_certified = False
+            assert every_rep_certified or not classes.certifies, (I, J, spec)
             try:
                 verify_strata(rs, I, J, spec, group, classes)
+                answered_alone = True
             except _RerunThroughTheReps:
-                assert not every_rep_certified, (I, J, spec)
-                continue
-            assert every_rep_certified, (I, J, spec)
+                answered_alone = False
+            assert answered_alone == classes.certifies, (I, J, spec)
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
-                                  "C4", "C5", "D4", "D5", "F4", "G2"])
+@pytest.mark.parametrize("name", RANK_5_TYPES)
 def test_descent_classes_match_the_representatives(name, monkeypatch):
     """Every pair of every type of rank <= 5, over a ring that certifies
-    every stratum and one (Z/5, q = 3) that does not."""
+    every stratum and one (Z/5, q = 3) that fails bon on all but A1 and A2."""
     rs = build_root_system(*parse_type(name))
     full = full_mask(rs.rank)
     pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
@@ -268,6 +273,68 @@ def test_a_corrupted_group_fails_the_class_path_too():
     assert classes.covers(0, 0) and not classes.identity_alone
     with pytest.raises(ContractError, match="by length"):
         verify_strata(rs, 0, 0, Z23, doubled, classes)
+
+
+@pytest.mark.parametrize("name", RANK_5_TYPES + ["E6"])
+def test_every_certificate_exponent_lies_in_bons_range(name):
+    """What lets the class pass certify by bon alone: at every right
+    descent b of every element, 1 <= gamma_b <= m, the largest coefficient
+    of 2 rho (w0, with N(w0) = Phi+, reaches m), and every nonzero delta_b
+    of every J and L inside J lies in 1..m."""
+    rs = build_root_system(*parse_type(name))
+    m = max_rho_coefficient(rs)
+    gammas = set()
+    for images, _ in generate_weyl(rs).records():
+        gamma = _inversion_sum(rs, images)
+        gammas.update(gamma[b] for b in range(rs.rank) if images[b] < 0)
+    assert min(gammas) == 1 and max(gammas) == m
+    full = full_mask(rs.rank)
+    deltas = {e for J in range(full + 1) for L in range(full + 1) if not L & ~J
+              for e in levi_difference_sum(rs, J, L) if e}
+    assert not deltas or 1 <= min(deltas) and max(deltas) <= m
+
+
+@pytest.mark.parametrize("name", [name for name in RANK_5_TYPES if int(name[1:]) <= 4])
+def test_the_classes_certify_exactly_where_bon_holds(name):
+    """``DescentClasses.certifies`` is bon's verdict, over rings that pass
+    and fail it."""
+    rs = build_root_system(*parse_type(name))
+    group = generate_weyl(rs)
+    for ring in ("Q", "q=3,d=5", "q=2,d=7", "q=3,d=7", "q=2,d=3", "q=3,d=1009"):
+        spec = parse_ring(ring)
+        assert DescentClasses(rs, group, spec).certifies == bon_check(rs, spec).ok, ring
+
+
+def test_an_element_without_a_right_descent_fails_the_class_path_too():
+    """B3 with the negative simple image of one reflection s_b made
+    positive in its record, its masks left genuine: s_b is a representative
+    of each pair whose I and J miss b, and has no right descent to pair a
+    gamma certificate with.  Those 16 pairs raise through the classes as
+    they do through the representatives; every other pair passes."""
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    elements = list(group)
+    at, b = next((p, b) for p, (images, length) in enumerate(group.records())
+                 for b in range(rs.rank) if length == 1 and images[b] < 0)
+    images = list(elements[at].signed_images)
+    images[b] = -images[b]
+    elements[at] = WeylElement(tuple(images), 1)
+    corrupted = oracles.weyl_group(rs, elements, group.masks)
+    classes = DescentClasses(rs, corrupted, Z23)
+    assert classes.certifies and classes.uncertified == {group.masks[at]}
+    full = full_mask(rs.rank)
+    raised = {}
+    for I in range(full + 1):
+        for J in range(full + 1):
+            for by in (classes, None):
+                try:
+                    verify_strata(rs, I, J, Z23, corrupted, by)
+                except ContractError as e:
+                    raised.setdefault((I, J), []).append(str(e))
+    missing_b = [(I, J) for I in range(full + 1) for J in range(full + 1) if not (I | J) >> b & 1]
+    assert len(missing_b) == 16 and sorted(raised) == missing_b
+    assert all(len(texts) == 2 and all("no gamma certificate direction" in text for text in texts)
+               for texts in raised.values())
 
 
 def _hide_one_rep(rs, group, w_at, I, J, masks):
