@@ -374,7 +374,7 @@ def cmd_verify(args) -> int:
 
     full = full_mask(rank)
     if args.all_pairs:
-        pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
+        pairs = [(I, J) for J in range(full + 1) for I in range(full + 1)]
         subsets = list(range(full + 1))
     else:
         pairs = [(I, J)]

@@ -1053,7 +1053,7 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     """A stand-in ring on which q^e - 1 is no unit for one exponent e that
     is the only one at the right descents of exactly one element of W(B3),
     for the certificates alone (the ring check still passes): the classes
-    do not certify, so the sweep reruns its pairs through the
+    do not answer, so the sweep reruns its pairs through the
     representatives, and exit code and stderr are those of the per-rep
     path."""
     import steinberg_ext.certificates as certificates
@@ -1079,6 +1079,88 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     by_rep = run_cli(capsys, *argv)
     assert by_class == by_rep
     assert by_class[:2] == (3, "") and "has no unit" in by_class[2]
+
+
+def _b3_breaking(invariant):
+    """W(B3) with one invariant of a Weyl group that
+    ``DescentClasses.answers`` folds in broken, and every other one kept."""
+    import oracles
+    from array import array
+
+    from steinberg_ext.rootdata import build_root_system, support_mask
+    from steinberg_ext.weyl import WeylElement, generate_weyl
+
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    elements, masks = list(group), array("H", group.masks)
+    p = 1  # a simple reflection s_b, with left and right mask {b}
+    b = (masks[p] & 0xFF).bit_length() - 1
+    images = list(elements[p].signed_images)
+    if invariant == "size":  # w0 dropped
+        del elements[-1], masks[-1]
+    elif invariant == "identity alone at length 0":
+        elements[p] = elements[p]._replace(length=0)
+    elif invariant == "a right descent":  # s_b fixes alpha_b, and its mask agrees
+        images[b] = -images[b]
+        elements[p] = WeylElement(tuple(images), 1)
+        masks[p] &= ~(1 << b)
+    elif invariant == "right mask":  # a right descent the images do not have
+        masks[p] |= 1 << next(c for c in range(rs.rank) if images[c] > 0)
+    else:  # "levi guard": some w(alpha_c) non-simple, its support cleared on the left
+        p, c = next((p, c) for p, w in enumerate(elements) for c in range(rs.rank)
+                    if w.signed_images[c] > rs.rank)
+        masks[p] &= ~(support_mask(rs.positive_roots[elements[p].signed_images[c] - 1]) << 8)
+    return rs, group, oracles.weyl_group(rs, elements, masks)
+
+
+@pytest.mark.parametrize("invariant", ["size", "identity alone at length 0", "a right descent",
+                                       "right mask", "levi guard"])
+def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, monkeypatch,
+                                                          fresh_caches):
+    """The classes of a group that breaks any one invariant do not answer,
+    and the sweep prints, exits and says on stderr what it does with every
+    pair rerun through the representatives."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.ringcond import RingSpec
+    from steinberg_ext.strata import DescentClasses
+
+    rs, group, corrupted = _b3_breaking(invariant)
+    spec = RingSpec(1009, 3)
+    assert DescentClasses(rs, group, spec).answers
+    assert not DescentClasses(rs, corrupted, spec).answers
+    monkeypatch.setattr(weyl, "load_or_generate", lambda rs, cache_dir=None: corrupted)
+    argv = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
+    by_class = run_cli(capsys, *argv)
+    monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
+    assert by_class == run_cli(capsys, *argv)
+
+
+def test_a_sweep_counts_one_j_at_a_time(capsys, monkeypatch, fresh_caches):
+    """A D4 strata sweep takes J in the outer loop: it counts each J's
+    classes once, 16 counts in all, and drops the last J's counts before it
+    makes the next J's, so the classes never hold two."""
+    import steinberg_ext.strata as strata
+
+    made = []
+    classes_init = strata.DescentClasses.__init__
+
+    class Watched(Counter):
+        def items(self):
+            J, counts = self.owner._counts  # what the classes hold as a count starts
+            made.append(J)
+            assert counts == {}, J
+            return super().items()
+
+    def watching_init(self, rs, group, spec):
+        classes_init(self, rs, group, spec)
+        self.classes = Watched(self.classes)
+        self.classes.owner = self
+
+    monkeypatch.setattr(strata.DescentClasses, "__init__", watching_init)
+    code, out, _ = run_cli(capsys, "verify", "--type", "D4", "--ring", "q=3,d=1009",
+                           "--all-pairs", "--strata", "on")
+    assert code == 0 and "0 failed" in out
+    assert made == list(range(16))
 
 
 def test_verify_compares_each_check_once(capsys, monkeypatch):

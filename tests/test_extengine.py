@@ -175,9 +175,9 @@ class _RerunThroughTheReps(Exception):
 
 def _class_verdicts(monkeypatch, rs, group, pairs):
     """Per pair and ring, :func:`verify_strata` answers from the descent
-    classes alone exactly when they certify (the ring passes bon), and then
-    every representative is certified; the Levi of each representative
-    against the class counts."""
+    classes of a genuine group alone exactly when they answer, which is
+    where the ring passes bon, and then every representative is certified;
+    the Levi of each representative against the class counts."""
     import steinberg_ext.strata as strata
 
     def rerun(*args, **kwargs):
@@ -189,9 +189,10 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
         reps = kostant_reps(rs, I, J, group)
         for spec, classes in over.items():
             levis = Counter()
-            for (left, image), count in classes.counts(J).items():
+            for left, by_image in classes.counts(J).items():
                 if not left & I:
-                    levis[image & I] += count
+                    for image, count in by_image.items():
+                        levis[image & I] += count
             assert levis == Counter(rep.levi for rep in reps), (I, J)
             assert classes.covers(I, J), (I, J)
             try:
@@ -200,13 +201,13 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
                 every_rep_certified = True
             except RingAssumptionError:
                 every_rep_certified = False
-            assert every_rep_certified or not classes.certifies, (I, J, spec)
+            assert every_rep_certified or not classes.answers, (I, J, spec)
             try:
                 verify_strata(rs, I, J, spec, group, classes)
                 answered_alone = True
             except _RerunThroughTheReps:
                 answered_alone = False
-            assert answered_alone == classes.certifies, (I, J, spec)
+            assert answered_alone == classes.answers == bon_check(rs, spec).ok, (I, J, spec)
 
 
 @pytest.mark.parametrize("name", RANK_5_TYPES)
@@ -262,7 +263,7 @@ def test_a_corrupted_group_fails_the_class_path_too():
         for I, J in tried:
             group = oracles.weyl_group(rs, elements)
             classes = DescentClasses(rs, group, Z23)
-            assert not (classes.identity_alone and classes.covers(I, J))
+            assert not classes.answers
             with pytest.raises(ContractError, match="do not partition"):
                 verify_strata(rs, I, J, Z23, group, classes)
     # at (0, 0) every element is a representative, so the sizes of the group
@@ -270,7 +271,7 @@ def test_a_corrupted_group_fails_the_class_path_too():
     # elements of length 0)
     doubled = oracles.weyl_group(rs, swapped[1])
     classes = DescentClasses(rs, doubled, Z23)
-    assert classes.covers(0, 0) and not classes.identity_alone
+    assert classes.covers(0, 0) and not classes.answers
     with pytest.raises(ContractError, match="by length"):
         verify_strata(rs, 0, 0, Z23, doubled, classes)
 
@@ -296,20 +297,21 @@ def test_every_certificate_exponent_lies_in_bons_range(name):
 
 @pytest.mark.parametrize("name", [name for name in RANK_5_TYPES if int(name[1:]) <= 4])
 def test_the_classes_certify_exactly_where_bon_holds(name):
-    """``DescentClasses.certifies`` is bon's verdict, over rings that pass
-    and fail it."""
+    """On a genuine group ``DescentClasses.answers`` is bon's verdict, over
+    rings that pass and fail it."""
     rs = build_root_system(*parse_type(name))
     group = generate_weyl(rs)
     for ring in ("Q", "q=3,d=5", "q=2,d=7", "q=3,d=7", "q=2,d=3", "q=3,d=1009"):
         spec = parse_ring(ring)
-        assert DescentClasses(rs, group, spec).certifies == bon_check(rs, spec).ok, ring
+        assert DescentClasses(rs, group, spec).answers == bon_check(rs, spec).ok, ring
 
 
 def test_an_element_without_a_right_descent_fails_the_class_path_too():
     """B3 with the negative simple image of one reflection s_b made
     positive in its record, its masks left genuine: s_b is a representative
     of each pair whose I and J miss b, and has no right descent to pair a
-    gamma certificate with.  Those 16 pairs raise through the classes as
+    gamma certificate with.  Its right mask no longer matches its signs, so
+    the classes do not answer: those 16 pairs raise through the classes as
     they do through the representatives; every other pair passes."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
@@ -321,7 +323,7 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too():
     elements[at] = WeylElement(tuple(images), 1)
     corrupted = oracles.weyl_group(rs, elements, group.masks)
     classes = DescentClasses(rs, corrupted, Z23)
-    assert classes.certifies and classes.uncertified == {group.masks[at]}
+    assert DescentClasses(rs, group, Z23).answers and not classes.answers
     full = full_mask(rs.rank)
     raised = {}
     for I in range(full + 1):
@@ -355,8 +357,9 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
     through its masks: it carries alpha_b (b in J) onto a non-simple root of
     Phi_I with its left mask cleared, or onto a negative root with bit b of
     its right mask cleared.  With a genuine representative of the same coset
-    size hidden, Kilmoyer's sum still comes to |W|: only the Levi guard of
-    intersect_levi tells, and the class path keeps it."""
+    size hidden, Kilmoyer's sum still comes to |W| (``covers`` passes): only
+    the Levi guard of intersect_levi tells, and the class path keeps it as
+    an invariant of ``answers``."""
     from steinberg_ext.rootdata import support_mask
 
     rs = build_root_system("A", 3)
@@ -383,10 +386,11 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
     corrupted = oracles.weyl_group(rs, group[:], masks)
     classes = DescentClasses(rs, corrupted, Z23)
     orders = classes.orders
-    assert classes.size == classes.order == sum(
+    assert len(corrupted) == classes.order == sum(
         count * orders[I] * orders[J] // orders[levi & I]
-        for (left, levi), count in classes.counts(J).items() if not left & I)
-    assert not classes.covers(I, J)
+        for left, by_levi in classes.counts(J).items() if not left & I
+        for levi, count in by_levi.items())
+    assert classes.covers(I, J) and not classes.answers
     with pytest.raises(ContractError, match=expected):
         verify_strata(rs, I, J, Z23, corrupted, classes)
 
