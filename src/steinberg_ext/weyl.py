@@ -37,11 +37,11 @@ import struct
 import sys
 import zlib
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, repeat
 from math import prod
-from operator import eq, itemgetter
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,23 +72,11 @@ class WeylElement(NamedTuple):
         return self.length == 0
 
 
-def _identity_images(n: int) -> SignedImages:
-    return tuple(range(1, n + 1))
-
-
 def _action_table(u: SignedImages) -> SignedImages:
     """u as a lookup table on signed images: entry s is u's signed image of
     the root that s stands for, for s = 1..N and, counted from the end,
     s = -1..-N."""
     return (0, *u, *(-s for s in reversed(u)))
-
-
-def _reader(positions: SignedImages) -> Callable[[SignedImages], SignedImages]:
-    """The entries of a tuple at ``positions``, read in C as one tuple."""
-    if len(positions) == 1:  # itemgetter would return the bare entry
-        (k,) = positions
-        return lambda table: (table[k],)
-    return itemgetter(*positions)
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +160,8 @@ _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
 # byte code -> its image as a signed byte, and -> 1 for a negative image, else 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
 _NEGATIVE = bytes(b < _ZERO for b in range(256))
+# where a mask's right byte and its left byte lie in its uint16
+_RIGHT_AT, _LEFT_AT = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def _byte_table(table: SignedImages) -> bytes:
@@ -262,8 +252,6 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
                                 for i, (_, forbidden) in enumerate(guards)])
     steps = [(bytes(not b >> i & 1 for b in range(256)), _byte_table(table))
              for i, (table, _) in enumerate(guards)]
-    # where a mask's right byte and its left byte lie in its uint16
-    right_at, left_at = (0, 1) if sys.byteorder == "little" else (1, 0)
     step = [bytes(range(_ZERO + 1, _ZERO + width))]
     for length, size in enumerate(_layer_sizes(rs, full_mask(rank))):
         if len(step) != size:
@@ -283,9 +271,9 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
             buffer = code.join([b"", *block])  # per element its length, then its images
             negative = buffer.translate(_NEGATIVE)
             masks = bytearray(2 * count)
-            masks[right_at::2] = sum(int.from_bytes(negative[1 + j::width], "little") << j
-                                     for j in range(rank)).to_bytes(count, "little")
-            masks[left_at::2] = _ored_columns(buffer.translate(left_table), width, count)
+            masks[_RIGHT_AT::2] = sum(int.from_bytes(negative[1 + j::width], "little") << j
+                                      for j in range(rank)).to_bytes(count, "little")
+            masks[_LEFT_AT::2] = _ored_columns(buffer.translate(left_table), width, count)
             blocked = _ored_columns(buffer.translate(blocked_table), width, count)
             for lets_through, table in steps:  # s_i·w for each step taken
                 nxt.extend(map(bytes.translate, compress(block, blocked.translate(lets_through)),
@@ -305,12 +293,6 @@ def _joined(blocks: Iterator[tuple[bytes, array]]) -> tuple[array, array]:
         records.frombytes(block)
         masks.extend(block_masks)
     return records, masks
-
-
-def _unpacked(records: array, width: int) -> Iterator[tuple[SignedImages, int]]:
-    """(signed images, length) of each record of ``width`` entries."""
-    return ((tuple(records[start + 1:start + width]), records[start])
-            for start in range(0, len(records), width))
 
 
 @lru_cache(maxsize=None)
@@ -384,17 +366,23 @@ class WeylGroup(Sequence):
     signed byte each) and a descent mask per element.  A generated group and
     one read from the cache both come as these arrays, with no element
     built: each read decodes its element from the records.  Slices are
-    tuples; a group equals any sequence of its elements."""
+    tuples; a group equals any sequence of its elements.  The class pass of
+    ``verify`` reads the arrays by columns instead, a byte per element
+    (:meth:`column`, and the masks' two bytes), and builds no element."""
 
     def __init__(self, rs: RootSystem, records: array, masks: array) -> None:
         self._width = rs.num_positive + 1
         self._records = records
         self.masks = masks
 
-    def records(self) -> Iterator[tuple[SignedImages, int]]:
-        """(signed images, length) of every element, in group order, read
-        from the records without building an element."""
-        return _unpacked(self._records, self._width)
+    def column(self, k: int) -> bytes:
+        """Entry k of every record in group order, a byte each: k = 0 the
+        lengths, k = 1 + j the signed images of the j-th positive root."""
+        return self._records[k::self._width].tobytes()
+
+    def record(self, position: int) -> bytes:
+        """The record at ``position`` as bytes, without building its element."""
+        return self._records[position * self._width:(position + 1) * self._width].tobytes()
 
     def __len__(self) -> int:
         return len(self.masks)

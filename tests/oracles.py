@@ -29,12 +29,12 @@ builders:
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, product
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from steinberg_ext.errors import ConfigurationError, ContractError
 from steinberg_ext.homology import ChainComplex, IntMatrix, smith_divisors, subset_lattice_complex
@@ -55,10 +55,8 @@ from steinberg_ext.weyl import (
     WeylElement,
     WeylGroup,
     _action_table,
-    _identity_images,
     _intersect_levi,
     _is_negative,
-    _reader,
     _root_sum,
     _simple_reflection_images,
     generate_weyl,
@@ -317,6 +315,18 @@ def layer_sizes(rs: RootSystem, levi: int) -> list[int]:
     for m in parabolic_exponents(rs, levi):
         sizes = poincare_times(sizes, [1] * (m + 1))
     return sizes
+
+
+def _identity_images(n: int) -> SignedImages:
+    return tuple(range(1, n + 1))
+
+
+def _reader(positions: SignedImages) -> Callable[[SignedImages], SignedImages]:
+    """The entries of a tuple at ``positions``, read in C as one tuple."""
+    if len(positions) == 1:  # itemgetter would return the bare entry
+        (k,) = positions
+        return lambda table: (table[k],)
+    return itemgetter(*positions)
 
 
 def _length_of(images: SignedImages) -> int:

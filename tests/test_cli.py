@@ -1100,6 +1100,8 @@ def _b3_breaking(invariant):
         del elements[-1], masks[-1]
     elif invariant == "identity alone at length 0":
         elements[p] = elements[p]._replace(length=0)
+    elif invariant == "identity mask":  # a left descent the identity's images do not have
+        masks[0] |= 1 << 8
     elif invariant == "a right descent":  # s_b fixes alpha_b, and its mask agrees
         images[b] = -images[b]
         elements[p] = WeylElement(tuple(images), 1)
@@ -1113,8 +1115,8 @@ def _b3_breaking(invariant):
     return rs, group, oracles.weyl_group(rs, elements, masks)
 
 
-@pytest.mark.parametrize("invariant", ["size", "identity alone at length 0", "a right descent",
-                                       "right mask", "levi guard"])
+@pytest.mark.parametrize("invariant", ["size", "identity alone at length 0", "identity mask",
+                                       "a right descent", "right mask", "levi guard"])
 def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, monkeypatch,
                                                           fresh_caches):
     """The classes of a group that breaks any one invariant do not answer,
@@ -1136,31 +1138,31 @@ def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, mon
 
 
 def test_a_sweep_counts_one_j_at_a_time(capsys, monkeypatch, fresh_caches):
-    """A D4 strata sweep takes J in the outer loop: it counts each J's
-    classes once, 16 counts in all, and drops the last J's counts before it
-    makes the next J's, so the classes never hold two."""
+    """A D4 strata sweep takes J in the outer loop: it counts each J once,
+    16 counts in all, and drops the last J's counts before it makes the
+    next J's, so the classes never hold two."""
     import steinberg_ext.strata as strata
 
-    made = []
+    made, owners = [], []
     classes_init = strata.DescentClasses.__init__
 
     class Watched(Counter):
-        def items(self):
-            J, counts = self.owner._counts  # what the classes hold as a count starts
+        def __init__(self, keys):
+            J, counts = owners[-1]._counts  # what the classes hold as a count starts
             made.append(J)
             assert counts == {}, J
-            return super().items()
+            super().__init__(keys)
 
     def watching_init(self, rs, group, spec):
         classes_init(self, rs, group, spec)
-        self.classes = Watched(self.classes)
-        self.classes.owner = self
+        owners.append(self)
 
     monkeypatch.setattr(strata.DescentClasses, "__init__", watching_init)
+    monkeypatch.setattr(strata, "Counter", Watched)
     code, out, _ = run_cli(capsys, "verify", "--type", "D4", "--ring", "q=3,d=1009",
                            "--all-pairs", "--strata", "on")
     assert code == 0 and "0 failed" in out
-    assert made == list(range(16))
+    assert len(owners) == 1 and made == list(range(16))
 
 
 def test_verify_compares_each_check_once(capsys, monkeypatch):

@@ -276,6 +276,49 @@ def test_a_corrupted_group_fails_the_class_path_too():
         verify_strata(rs, 0, 0, Z23, doubled, classes)
 
 
+def _b3_shuffled():
+    """W(B3) with its elements and masks shuffled together, the identity
+    neither first nor last; and the identity's position."""
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    order = list(range(len(group)))
+    random.Random(3).shuffle(order)
+    assert 0 < order.index(0) < len(order) - 1
+    return rs, group, [group[p] for p in order], array("H", (group.masks[p] for p in order))
+
+
+def test_the_class_pass_reads_the_group_in_any_order():
+    """The columns are read by element, not by position: a genuine group in
+    another order, the identity neither first nor last, answers and counts
+    every J as it does in group order."""
+    rs, group, elements, masks = _b3_shuffled()
+    shuffled = oracles.weyl_group(rs, elements, masks)
+    for spec in (Z23, Z5):
+        classes, by_element = DescentClasses(rs, group, spec), DescentClasses(rs, shuffled, spec)
+        assert by_element.answers == classes.answers == (spec is Z23)
+        for J in range(full_mask(rs.rank) + 1):
+            assert by_element.counts(J) == classes.counts(J), J
+
+
+def test_a_shuffled_group_without_the_identity_at_length_0_fails_the_class_path():
+    """In the shuffled group, the record of length 0 made some other
+    element's: the identity's with two images of non-simple roots swapped,
+    which no other invariant reads, or a simple reflection's, whose mask
+    and right descent go with it."""
+    rs, _, elements, masks = _b3_shuffled()
+    at = next(p for p, w in enumerate(elements) if w.is_identity)
+    images = list(elements[at].signed_images)
+    images[3], images[4] = images[4], images[3]
+    reflection = next(p for p, w in enumerate(elements) if w.length == 1)
+    for p, w in ((at, WeylElement(tuple(images), 0)),
+                 (reflection, elements[reflection]._replace(length=0))):
+        corrupted = list(elements)
+        corrupted[p] = w
+        if p == reflection:  # the identity leaves length 0
+            corrupted[at] = elements[at]._replace(length=1)
+        assert not DescentClasses(rs, oracles.weyl_group(rs, corrupted, masks), Z23).answers
+
+
 @pytest.mark.parametrize("name", RANK_5_TYPES + ["E6"])
 def test_every_certificate_exponent_lies_in_bons_range(name):
     """What lets the class pass certify by bon alone: at every right
@@ -285,7 +328,8 @@ def test_every_certificate_exponent_lies_in_bons_range(name):
     rs = build_root_system(*parse_type(name))
     m = max_rho_coefficient(rs)
     gammas = set()
-    for images, _ in generate_weyl(rs).records():
+    for w in generate_weyl(rs):
+        images = w.signed_images
         gamma = _inversion_sum(rs, images)
         gammas.update(gamma[b] for b in range(rs.rank) if images[b] < 0)
     assert min(gammas) == 1 and max(gammas) == m
@@ -316,8 +360,8 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too():
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     elements = list(group)
-    at, b = next((p, b) for p, (images, length) in enumerate(group.records())
-                 for b in range(rs.rank) if length == 1 and images[b] < 0)
+    at, b = next((p, b) for p, w in enumerate(elements)
+                 for b in range(rs.rank) if w.length == 1 and w.signed_images[b] < 0)
     images = list(elements[at].signed_images)
     images[b] = -images[b]
     elements[at] = WeylElement(tuple(images), 1)

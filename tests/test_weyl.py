@@ -985,8 +985,10 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
     built = _counting_decodes(monkeypatch)
     rs = build_root_system("B", 3)
     group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
-    assert list(group.records())[5] == tuple(oracles.weyl_closure_by_seen_set(
-        rs, full_mask(3))[5])
+    oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(3))
+    assert group.column(0) == bytes(w.length for w in oracle)
+    assert group.record(5) == bytes(s & 0xFF for s in (oracle[5].length,
+                                                       *oracle[5].signed_images))
     assert DescentClasses(rs, group, RingSpec(1009, 3)).answers and not built
     assert group[5] == group[5] and group[5] is not group[5] and len(built) == 4
     assert group[-1] == group[len(group) - 1] and len(built) == 6
