@@ -24,17 +24,19 @@ _EXPORTS = {
     "tables": (
         "ExtTable",
         "ModulePiece",
-        "Orientation",
-        "ext_cuspidal_line",
         "ext_induced_closed",
         "exterior_table",
         "induced_cohomology",
-        "orientation_from_permutation",
-        "orientation_from_subset",
         "steinberg_degree",
-        "subset_from_orientation",
         "tensor_with_exterior",
         "trivial_cohomology",
+    ),
+    "zelevinsky": (
+        "Orientation",
+        "ext_cuspidal_line",
+        "orientation_from_permutation",
+        "orientation_from_subset",
+        "subset_from_orientation",
     ),
     "certificates": (
         "VanishingCertificate",
@@ -50,14 +52,16 @@ _EXPORTS = {
         "ChainComplex",
         "HomologyResult",
         "IntMatrix",
-        "SmithForm",
         "exterior_row_complex",
         "homology_over_Z",
         "homology_with_coefficients",
         "reverse_transpose",
         "smith_divisors",
-        "smith_normal_form",
         "subset_lattice_complex",
+    ),
+    "smith": (
+        "SmithForm",
+        "smith_normal_form",
     ),
     "ringcond": (
         "ConditionReport",
@@ -94,7 +98,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(("certificates", "cli", "errors", "extengine", "homology", "ringcond",
-                         "rootdata", "strata", "tables", "weyl"))
+                         "rootdata", "smith", "strata", "sweep", "tables", "weyl", "zelevinsky"))
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

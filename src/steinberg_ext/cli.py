@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification mismatch, 2 usage error, 3 ring-assumption error.
+1 verification mismatch, 2 usage error, 3 ring-assumption error, 141
+(128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
-from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING
 
@@ -30,10 +32,8 @@ from .rootdata import (
     STRATA,
     RootSystem,
     build_root_system,
-    full_mask,
     mask_from_indices,
     mask_indices,
-    mask_str,
     parse_type,
 )
 
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RING = 3
+EXIT_PIPE = 141
 
 # verify --all-pairs sweeps 4^rank pairs: every type of rank <= 8, E8 included
 MAX_PAIRS = 1 << 16
@@ -353,13 +354,9 @@ def cmd_check_ring(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Every check of one pair, or of all pairs, in one loop over the root
-    system, ring and group parsed and built once.  The strata are checked
-    per descent class in a sweep, per representative for a single pair.  The
-    engine compares each table with its closed form: a check whose call raises
-    a ``VerificationError`` prints its lines as FAIL, and the sweep goes on."""
-    from .extengine import cohomology_rows_exact, cohomology_v, ext_steinberg, ext_v_to_induced
-
+    """Every check of one pair, or of all pairs
+    (:func:`~steinberg_ext.sweep.verify_lines`), after the pair cap and the
+    ring's conditions; one line per check, sorted, then a summary line."""
     rs, spec, I, J = _parse_query(args)
     series, rank = rs.series, rs.rank
     if args.all_pairs and 4 ** rank > MAX_PAIRS:
@@ -372,62 +369,11 @@ def cmd_verify(args) -> int:
             f"ring {format_ring(spec)} fails the conditions for {series}{rank}: "
             + json.dumps(report.to_json_dict()["witness"], sort_keys=True))
 
-    full = full_mask(rank)
-    if args.all_pairs:
-        pairs = [(I, J) for J in range(full + 1) for I in range(full + 1)]
-        subsets = list(range(full + 1))
-    else:
-        pairs = [(I, J)]
-        subsets = sorted({I, J})
+    from .sweep import verify_lines  # only verify compiles it
+
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
-    group = classes = None
-    if strata:
-        # loaded, with the descent classes a sweep reads, before any work, so
-        # that a group over the cap is refused at once; the classes cost one
-        # pass over the group, which a sweep pays for all its pairs and a
-        # single pair would pay for its few representatives
-        from .strata import DescentClasses, verify_strata  # only verify compiles it
-        from .weyl import load_or_generate
-
-        group = load_or_generate(rs, args.cache_dir)
-        if args.all_pairs:
-            classes = DescentClasses(rs, group, spec)
-
-    methods = (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced))
-    label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
-    lines: list[str] = []
-
-    def record(check: str, subject: str, ok: bool, detail: str = "") -> None:
-        suffix = f" ({detail})" if detail else ""
-        lines.append(f"{'PASS' if ok else 'FAIL'} {check} {subject}{suffix}")
-
-    for I in subsets:
-        try:
-            cohomology_v(rs, I, spec, COMPLEX_BUILT)
-            record("cohomology", f"I={label(I)}", cohomology_rows_exact(rs, I))
-        except VerificationError as e:
-            record("cohomology", f"I={label(I)}", False, str(e))
-
-    for I, J in pairs:
-        pair = f"I={label(I)} J={label(J)}"
-        for check, table_of in methods:
-            # the ring passed above, so a check passes unless the engine's
-            # comparison with the closed form raises
-            try:
-                table_of(rs, I, J, spec, COMPLEX_BUILT)
-                record(check, pair, True)
-            except VerificationError as e:
-                record(check, pair, False, str(e))
-        if group is not None:
-            # RingAssumptionError propagates: the dispatcher turns it into exit 3
-            try:
-                verify_strata(rs, I, J, spec, group, classes)
-                ok, detail = True, ""
-            except VerificationError as e:
-                ok, detail = False, str(e)
-            record("strata", pair, ok, detail)
-            record("certificates", pair, ok, detail)
-
+    lines = verify_lines(rs, spec, I, J, all_pairs=args.all_pairs, strata=strata,
+                         cache_dir=args.cache_dir)
     lines.sort()
     for line in lines:
         sys.stdout.write(line + "\n")
@@ -438,8 +384,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zelevinsky(args) -> int:
-    from .tables import (ext_cuspidal_line, orientation_from_permutation,
-                         orientation_from_subset, subset_from_orientation)
+    from .zelevinsky import (ext_cuspidal_line, orientation_from_permutation,
+                             orientation_from_subset, subset_from_orientation)
 
     k = args.k
     if k < 2:
@@ -518,7 +464,18 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    raise SystemExit(parse_and_dispatch(sys.argv[1:]))
+    try:
+        code = parse_and_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, which is no mismatch: the exit-time flush
+        # goes to devnull, as in the recipe of Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    # the collection at exit then skips every object the run made; unlike
+    # os._exit, this keeps atexit handlers and the exit-time flush
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ constructed subset-lattice complex; the complex-built path asserts agreement
 with the closed form whenever the coefficient ring passes the bon / banal
 checks, and labels its output "outside hypotheses" otherwise.  The strata
 path, the one that reads a Weyl group and no complex, is defined in
-:mod:`~steinberg_ext.certificates` and re-exported here, so the commands
-that run it never compile :mod:`~steinberg_ext.homology`.
+:mod:`~steinberg_ext.certificates` and re-exported here on first access,
+so the commands that run it never compile :mod:`~steinberg_ext.homology`,
+and the commands that build a table never compile the strata path.
 
 Every complex-built table stacks rows t of one builder over one subset B,
 :func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
@@ -32,6 +33,7 @@ quotient representation.
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib import import_module
 from math import comb
 from operator import mul
 
@@ -55,30 +57,35 @@ from .rootdata import (
     mask_str,
     validate_mask,
 )
+# the closed forms are imported from here too, as callers always have
 from .tables import (
     ExtTable,
     ModulePiece,
     _merge,
+    ext_induced_closed,
     ext_steinberg_closed,
     ext_v_to_induced_closed,
-    tensor_with_exterior,
-)
-# the names callers have always imported from here: the strata path, which
-# reads no complex and so lives in ``certificates``, and the closed forms and
-# orientations of ``tables``
-from .certificates import VanishingCertificate, ext_induced_via_strata, vanishing_certificate
-from .tables import (
-    Orientation,
-    ext_cuspidal_line,
-    ext_induced_closed,
     exterior_table,
     induced_cohomology,
-    orientation_from_permutation,
-    orientation_from_subset,
     steinberg_degree,
-    subset_from_orientation,
+    tensor_with_exterior,
     trivial_cohomology,
 )
+
+# and, on first access, the names of two modules no table command compiles:
+# the strata path, which reads no complex, and the orientations of zelevinsky
+_ELSEWHERE = {
+    "certificates": ("VanishingCertificate", "ext_induced_via_strata", "vanishing_certificate"),
+    "zelevinsky": ("Orientation", "ext_cuspidal_line", "orientation_from_permutation",
+                   "orientation_from_subset", "subset_from_orientation"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _ELSEWHERE.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

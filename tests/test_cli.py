@@ -366,29 +366,31 @@ def test_cli_import_leaves_multiprocessing_out():
 
 
 # (argv, package modules the command must not load, modules it must load)
+_TABLE_MODULES = {"certificates", "zelevinsky", "smith", "sweep"}  # none a table command runs
 _COMMAND_MODULES = (
-    (("check-ring", "--type", "A5"), {"homology", "extengine", "weyl", "strata"}, set()),
+    (("check-ring", "--type", "A5"),
+     {"homology", "extengine", "weyl", "strata", "tables", "zelevinsky", "sweep"}, set()),
     (("zelevinsky", "--k", "4", "--I", "0", "--J", "1,2"),
-     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
+     {"homology", "extengine", "weyl", "strata", "sweep"}, {"tables", "zelevinsky"}),
     (("cohomology", "--type", "A3", "--I", "1", "--object", "induced"),
-     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
+     {"homology", "extengine", "weyl", "strata", "zelevinsky", "sweep"}, {"tables"}),
     (("ext-induced", "--type", "A3", "--I", "1", "--J", "1"),
-     {"homology", "extengine", "weyl", "strata"}, {"tables"}),
-    (("cohomology", "--type", "A3", "--I", "1", "--method", "both"), {"weyl", "strata"},
-     {"homology"}),
-    (("ext", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"), {"weyl", "strata"},
-     {"homology"}),
-    (("ext-vi", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"), {"weyl", "strata"},
-     {"homology"}),
-    (("verify", "--type", "A2", "--all-pairs", "--strata", "off"), {"weyl", "strata"},
-     {"homology"}),
-    (("dcosets", "--type", "A2", "--I", "0", "--J", "1"), {"strata"}, {"weyl"}),
-    (("ext-induced", "--type", "A2", "--method", "strata"), {"strata"}, {"weyl"}),
-    (("verify", "--type", "A2", "--all-pairs"), set(), {"strata"}),
+     {"homology", "extengine", "weyl", "strata", "zelevinsky", "sweep"}, {"tables"}),
+    (("cohomology", "--type", "A3", "--I", "1", "--method", "both"),
+     {"weyl", "strata"} | _TABLE_MODULES, {"homology"}),
+    (("ext", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"),
+     {"weyl", "strata"} | _TABLE_MODULES, {"homology"}),
+    (("ext-vi", "--type", "A3", "--I", "0", "--J", "1", "--method", "both"),
+     {"weyl", "strata"} | _TABLE_MODULES, {"homology"}),
+    (("verify", "--type", "A2", "--all-pairs", "--strata", "off"),
+     {"weyl", "strata"} | _TABLE_MODULES - {"sweep"}, {"homology", "sweep"}),
+    (("dcosets", "--type", "A2", "--I", "0", "--J", "1"), {"strata", "sweep"}, {"weyl"}),
+    (("ext-induced", "--type", "A2", "--method", "strata"), {"strata", "sweep"}, {"weyl"}),
+    (("verify", "--type", "A2", "--all-pairs"), {"zelevinsky", "smith"}, {"strata", "sweep"}),
     (("dcosets", "--type", "A2", "--I", "0", "--J", "1", "--ring", "q=3,d=1009"),
-     {"homology", "extengine", "strata"}, {"weyl"}),
+     {"homology", "extengine", "strata", "sweep"}, {"weyl", "certificates"}),
     (("ext-induced", "--type", "A2", "--method", "strata", "--ring", "q=3,d=1009"),
-     {"homology", "extengine", "strata"}, {"weyl"}),
+     {"homology", "extengine", "strata", "sweep"}, {"weyl", "certificates"}),
 )
 
 
@@ -407,10 +409,11 @@ def _modules_loaded(argv) -> set[str]:
 
 def test_only_verify_compiles_the_class_checks():
     """Every command is one process that imports (and, without bytecode,
-    compiles) only the modules it runs: the per-class strata checks stay
-    out of all but ``verify``, the Weyl group out of every command that
-    reads no group, and the complexes out of ``check-ring`` and every
-    command that prints only closed forms."""
+    compiles) only the modules it runs: the sweep loop and the per-class
+    strata checks stay out of all but ``verify``, the Weyl group out of
+    every command that reads no group, the complexes out of ``check-ring``
+    and every command that prints only closed forms, and the certificates,
+    the orientations and the dense Smith form out of every table command."""
     for argv, absent, present in _COMMAND_MODULES:
         loaded = _modules_loaded(argv)
         assert not loaded & absent and present <= loaded, (argv, sorted(loaded))
@@ -510,6 +513,53 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["table"] == {"0": {"rank": 1, "torsion": []}}
+
+
+def _module_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_main_ends_through_system_exit_with_the_run_frozen():
+    """``main`` freezes the objects the run made, so the collection at exit
+    skips them, and still ends through ``SystemExit``: an atexit hook
+    registered before it runs and sees them frozen, the exit codes are the
+    dispatcher's, and a profiler around the module prints its stats."""
+    hook = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+            "file=sys.stderr))\n"
+            "from steinberg_ext.cli import main\n"
+            "main()\n")
+    proc = subprocess.run([sys.executable, "-c", hook, "check-ring", "--type", "A2"],
+                          capture_output=True, text=True, env=_module_env())
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert json.loads(proc.stdout)["query"] == {"series": "A", "rank": 2, "ring": "Q"}
+    for code, argv in ((0, ["check-ring", "--type", "A2"]),
+                       (2, ["check-ring", "--type", "A2", "--format", "tsv"]),
+                       (3, ["verify", "--type", "A1", "--ring", "q=3,d=2", "--all-pairs"])):
+        proc = subprocess.run([sys.executable, "-m", "steinberg_ext", *argv],
+                              capture_output=True, text=True, env=_module_env())
+        assert proc.returncode == code, (argv, proc.stderr)
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "steinberg_ext",
+                           "check-ring", "--type", "A2"],
+                          capture_output=True, text=True, env=_module_env())
+    assert proc.returncode == 0 and "function calls" in proc.stdout, proc.stderr
+
+
+def test_a_closed_stdout_exits_141_and_prints_nothing_on_stderr():
+    """A reader that takes one line and closes the pipe is no verification
+    failure: the sweep exits 128 + SIGPIPE with no traceback.  The A6 sweep
+    prints about 300 kB, more than a pipe holds, so a write meets the
+    closed pipe."""
+    proc = subprocess.Popen([sys.executable, "-m", "steinberg_ext", "verify", "--type", "A6",
+                             "--ring", "Q", "--all-pairs", "--strata", "off"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    assert proc.stdout.readline() == b"PASS cohomology I={0,1,2,3,4,5}\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_negative_center_rank_is_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
 from steinberg_ext.extengine import cohomology_v, steinberg_degree
-from steinberg_ext import homology
+from steinberg_ext import homology, smith
 from steinberg_ext.homology import (
     ChainComplex,
     HomologyResult,
@@ -552,7 +552,7 @@ def test_every_row_a_command_can_build_reduces_by_unit_pivots(monkeypatch):
         raise AssertionError(f"a {m.rows}x{m.cols} block reached the dense Smith normal form")
 
     monkeypatch.setattr(IntMatrix, "mul", counting)
-    monkeypatch.setattr(homology, "smith_normal_form", dense)
+    monkeypatch.setattr(smith, "smith_normal_form", dense)  # where smith_divisors looks
     for m in range(1, top + 1):
         rs = build_root_system("A", m)
         for t in range(m + 1):
