@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, ResourceLimitError, _Frozen
 from .rootdata import RootSystem, full_mask, mask_indices, mask_size, mask_str, validate_mask
 from .ringcond import RingSpec
 
@@ -30,10 +30,11 @@ from .ringcond import RingSpec
 Column = tuple[tuple[int, int], ...]
 
 
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Integer matrix by sparse columns: ``columns[j]`` lists the nonzero
-    ``(row, value)`` pairs of column j in increasing row order.  Immutable,
-    compared and hashed by (rows, cols, columns)."""
+    ``(row, value)`` pairs of column j in increasing row order."""
+
+    _fields = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: tuple[Column, ...]) -> None:
         if rows < 0 or len(columns) != cols:
@@ -52,20 +53,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "columns", columns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.columns))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, columns={self.columns!r})"
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -216,11 +203,12 @@ def _eliminate_unit(rows: dict[int, dict[int, int]], where: dict[int, set[int]],
 LabelSource = Callable[[], Iterable[Iterable[str]]]
 
 
-class ChainComplex:
+class ChainComplex(_Frozen):
     """Graded free modules with integer differentials, ``differentials[k]``
     mapping degree-k chains to degree-(k+1) chains.  Basis labels are built
-    from the keyword-only ``label_source`` the first time ``labels`` is read.
-    Immutable, compared and hashed by (ranks, differentials)."""
+    from the keyword-only ``label_source`` the first time ``labels`` is read."""
+
+    _fields = ("ranks", "differentials")
 
     def __init__(self, ranks: tuple[int, ...], differentials: tuple[IntMatrix, ...], *,
                  label_source: LabelSource | None = None) -> None:
@@ -236,20 +224,6 @@ class ChainComplex:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "differentials", differentials)
         object.__setattr__(self, "label_source", label_source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ranks, self.differentials) == (other.ranks, other.differentials)
-
-    def __hash__(self) -> int:
-        return hash((self.ranks, self.differentials))
-
-    def __repr__(self) -> str:
-        return f"ChainComplex(ranks={self.ranks!r}, differentials={self.differentials!r})"
 
     @cached_property
     def labels(self) -> tuple[tuple[str, ...], ...]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError, _Frozen
 from .rootdata import (RootSystem, build_root_system, full_mask, max_rho_coefficient,
                        parabolic_exponents)
 
@@ -37,10 +37,12 @@ def _prime_power_base(q: int) -> int:
     return p
 
 
-class RingSpec:
+class RingSpec(_Frozen):
     """Coefficient ring: Q (``d == 0``) or Z/d, plus the residue order q of
     the underlying local field and its prime ``residue_char``, factored once
-    here.  Immutable, compared and hashed by (d, q)."""
+    here."""
+
+    _fields = ("d", "q")
 
     def __init__(self, d: int, q: int) -> None:
         if d < 0 or d == 1:
@@ -48,20 +50,6 @@ class RingSpec:
         object.__setattr__(self, "residue_char", _prime_power_base(q))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.q) == (other.d, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.q))
-
-    def __repr__(self) -> str:
-        return f"RingSpec(d={self.d!r}, q={self.q!r})"
 
     @property
     def is_rational(self) -> bool:

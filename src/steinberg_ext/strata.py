@@ -11,9 +11,12 @@ verdict, whether the classes answer: the ring passes bon, which implies
 every certificate, and the group keeps what a Weyl group keeps.  A pair
 that fails a check, and every pair where the classes do not answer, is
 rerun through the representatives, so that it raises what the
-per-representative path raises.  A single pair, and ``dcosets`` and
+per-representative path raises.  A single pair keeps that path, though
+the classes would cost it less, because it checks more: the representatives
+check the partition at t = 2^64, degree by degree, and
+:meth:`DescentClasses.covers` counts at t = 1 only.  ``dcosets`` and
 ``ext-induced --method strata``, which print or return each representative,
-keep that path.  Only ``verify`` imports this module, so no other command
+keep it too.  Only ``verify`` imports this module, so no other command
 compiles it.
 """
 

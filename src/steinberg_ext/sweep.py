@@ -30,9 +30,9 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
     group = classes = None
     if strata:
         # loaded, with the descent classes a sweep reads, before any work, so
-        # that a group over the cap is refused at once; the classes cost one
-        # pass over the group, which a sweep pays for all its pairs and a
-        # single pair would pay for its few representatives
+        # that a group over the cap is refused at once; a single pair reads
+        # its representatives, which check the partition at t = 2^64, where
+        # the classes count at t = 1 only
         from .strata import DescentClasses, verify_strata  # only verify compiles it
         from .weyl import load_or_generate
 

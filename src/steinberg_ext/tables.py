@@ -15,15 +15,8 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigurationError, ContractError, ResourceLimitError
-from .rootdata import (
-    MAX_RANK,
-    RootSystem,
-    full_mask,
-    mask_size,
-    mask_str,
-    validate_mask,
-)
+from .errors import ConfigurationError, ResourceLimitError, _Record
+from .rootdata import MAX_RANK, RootSystem, full_mask, mask_size, validate_mask
 
 if TYPE_CHECKING:
     from .ringcond import RingSpec
@@ -41,24 +34,16 @@ class ModulePiece(NamedTuple):
         return self.rank == 0 and not self.torsion
 
 
-class ExtTable:
+class ExtTable(_Record):
     """Degree-indexed module descriptions; an absent degree is the zero
     module.  Only ``entries`` takes part in equality of answers
     (:meth:`same_modules`); ``==`` compares both fields."""
 
+    _fields = ("entries", "outside_hypotheses")
+
     def __init__(self, entries: dict[int, ModulePiece], outside_hypotheses: bool = False) -> None:
         self.entries = entries
         self.outside_hypotheses = outside_hypotheses
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.entries, self.outside_hypotheses)
-                == (other.entries, other.outside_hypotheses))
-
-    def __repr__(self) -> str:
-        return (f"ExtTable(entries={self.entries!r}, "
-                f"outside_hypotheses={self.outside_hypotheses!r})")
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.entries))
@@ -104,17 +89,13 @@ def tensor_with_exterior(table: ExtTable, c: int) -> ExtTable:
 
 def steinberg_degree(rs: RootSystem, I: int, J: int) -> tuple[int, int]:
     """The nonvanishing degree ``|I u J| - |I n J|`` and the reduction subset
-    ``K = (Delta \\ I) u J``; the degree chain through K is asserted to close.
-    """
-    delta = full_mask(rs.rank)
-    K = (delta & ~I) | J
-    i0 = mask_size(I | J) - mask_size(I & J)
-    chain = (mask_size(delta & ~K) + mask_size(delta & ~I)
-             + mask_size(J) - mask_size(K))
-    if chain != i0:
-        raise ContractError(
-            f"degree chain {chain} != |IuJ| - |InJ| = {i0} for I={mask_str(I)} J={mask_str(J)}")
-    return i0, K
+    ``K = (Delta \\ I) u J`` of two masks inside the rank.  K is the disjoint
+    union of Delta \\ I and I n J, so the degree chain through K,
+    ``|Delta \\ K| + |Delta \\ I| + |J| - |K|``, is |I \\ J| + |J \\ I|: it
+    closes for every such pair, and a mask past the rank is refused."""
+    validate_mask(I, rs.rank)
+    validate_mask(J, rs.rank)
+    return mask_size(I | J) - mask_size(I & J), (full_mask(rs.rank) & ~I) | J
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +138,8 @@ def ext_steinberg_closed(rs: RootSystem, I: int, J: int, center_rank: int = 0) -
     """Ext between the generalized Steinberg modules of I and J: one line in
     degree ``|I u J| - |I n J|``, tensored with the binomial table of the
     center."""
-    validate_mask(I, rs.rank)
-    validate_mask(J, rs.rank)
+    i0, _ = steinberg_degree(rs, I, J)  # refuses a mask past the rank first
     check_center_rank(center_rank)
-    i0, _ = steinberg_degree(rs, I, J)
     return tensor_with_exterior(ExtTable({i0: ModulePiece(1)}), center_rank)
 
 

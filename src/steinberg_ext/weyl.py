@@ -400,6 +400,14 @@ class WeylGroup(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
+def _misses(column: memoryview, subset: int) -> int:
+    """A byte column of masks as an integer, a byte per element: 1 where the
+    mask misses ``subset``, else 0.  Read from a view, the column is copied
+    once."""
+    return int.from_bytes(bytes(column).translate(bytes(not m & subset for m in range(256))),
+                          "little")
+
+
 def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions,
                      simple_j: tuple[int, ...], phi_i: frozenset[int]) -> None:
     """Check that the (W_I, W_J) double cosets of the representatives at
@@ -411,14 +419,17 @@ def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions
         raise ContractError(f"{len(group)} group elements; |W({rs.type_name()})| = "
                             f"{parabolic_order(rs, full)}: double cosets do not partition the "
                             "Weyl group")
-    weights: dict[int, int] = {}  # the sum of t^l(w) at t = 2^64, by levi(w)
+    tally: dict[tuple[int, int], int] = {}  # the representatives by (levi(w), l(w))
     for position in positions:
         start = position * width
         levi, _ = _intersect_levi(rs, records[start + 1:start + 1 + rank], simple_j, phi_i)
         if records[start] < 0:  # no power of t: a corrupted record
             raise ContractError(f"a representative of length {records[start]}: double "
                                 "cosets do not partition the Weyl group by length")
-        weights[levi] = weights.get(levi, 0) + (1 << _DIGIT * records[start])
+        tally[levi, records[start]] = tally.get((levi, records[start]), 0) + 1
+    weights: dict[int, int] = {}  # the sum of t^l(w) at t = 2^64, by levi(w)
+    for (levi, length), count in tally.items():
+        weights[levi] = weights.get(levi, 0) + (count << _DIGIT * length)
     values = {levi: _poincare(rs, levi) for levi in (I, J, full, *weights)}
     covered = _kilmoyer_sum(values, I, J, weights.items())
     if covered != values[full]:
@@ -435,10 +446,10 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int,
 
     w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
     w^-1(alpha_i) > 0 for every i in I, so the representatives are the
-    elements whose descent masks miss J on the right and I on the left, found
-    in a scan of the masks.  A first scan, made in this call before any
-    representative is read, checks that their cosets partition the group
-    (:func:`_check_partition`), so a corrupted group raises
+    elements whose descent masks miss J on the right and I on the left, kept
+    by one filter over the masks' byte columns.  A first scan, made in this
+    call before any representative is read, checks that their cosets
+    partition the group (:func:`_check_partition`), so a corrupted group raises
     ``ContractError`` before its first representative is used.
 
     For such a w the filters of the general gamma and delta formulas (kept
@@ -451,12 +462,14 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int,
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     group = elements if elements is not None else generate_weyl(rs)
-    forbidden = I << 8 | J
     phi_i = levi_root_indices(rs, I)
     simple_j = mask_indices(J)
+    masks = memoryview(group.masks).cast("B")
+    keep = _misses(masks[_LEFT_AT::2], I) & _misses(masks[_RIGHT_AT::2], J)
+    keep = keep.to_bytes(len(group), "little")
 
     def positions() -> Iterator[int]:
-        return (p for p, mask in enumerate(group.masks) if not mask & forbidden)
+        return compress(range(len(group)), keep)
 
     _check_partition(rs, I, J, group, positions(), simple_j, phi_i)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import ContractError, VerificationError
+from .errors import ContractError, VerificationError, _Frozen
 from .rootdata import build_root_system, mask_size, validate_mask
 from .tables import ExtTable, ModulePiece, ext_steinberg_closed
 
@@ -18,29 +18,17 @@ if TYPE_CHECKING:
     from .ringcond import RingSpec
 
 
-class Orientation:
+class Orientation(_Frozen):
     """Orientation of the path graph on k segment vertices: bit i set means
-    edge i points forward.  Immutable, compared and hashed by (k, forward)."""
+    edge i points forward."""
+
+    _fields = ("k", "forward")
 
     def __init__(self, k: int, forward: int) -> None:
         if k < 1 or forward < 0 or forward >> max(k - 1, 0):
             raise ContractError(f"orientation bits out of range for k={k}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "forward", forward)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.forward) == (other.k, other.forward)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.forward))
-
-    def __repr__(self) -> str:
-        return f"Orientation(k={self.k!r}, forward={self.forward!r})"
 
     def bits(self) -> tuple[bool, ...]:
         return tuple(bool(self.forward >> i & 1) for i in range(self.k - 1))
@@ -53,10 +41,7 @@ def orientation_from_subset(k: int, I: int) -> Orientation:
     if k < 1:
         raise ContractError("need at least one segment")
     validate_mask(I, k - 1)
-    orientation = Orientation(k, I)
-    if subset_from_orientation(orientation) != I:
-        raise ContractError("orientation/subset round trip failed")
-    return orientation
+    return Orientation(k, I)
 
 
 def subset_from_orientation(orientation: Orientation) -> int:
@@ -82,10 +67,8 @@ def ext_cuspidal_line(k: int, I: int, J: int, spec: RingSpec) -> ExtTable:
     (a rank-one center on top of the type A answer)."""
     if k < 2:
         raise ContractError("cuspidal line needs k >= 2 segments")
-    validate_mask(I, k - 1)
-    validate_mask(J, k - 1)
-    i0 = mask_size(I | J) - mask_size(I & J)
     reference = ext_steinberg_closed(build_root_system("A", k - 1), I, J, center_rank=1)
+    i0 = mask_size(I | J) - mask_size(I & J)
     table = ExtTable({i0: ModulePiece(1), i0 + 1: ModulePiece(1)})
     if not table.same_modules(reference):
         raise VerificationError(

@@ -421,9 +421,10 @@ def test_only_verify_compiles_the_class_checks():
 
 def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeypatch,
                                                                  fresh_caches):
-    """The descent classes cost a pass over the whole group, which a sweep
-    pays once for all its pairs and a single pair would pay for its few
-    representatives: a single pair goes through them, a sweep does not."""
+    """A single pair goes through its representatives, which check the
+    partition at t = 2^64, degree by degree; the descent classes count it at
+    t = 1 only, so a sweep takes them for its speed and a single pair, whose
+    check they would weaken, does not."""
     import steinberg_ext.strata as strata
     import steinberg_ext.weyl as weyl
 

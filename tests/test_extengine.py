@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from steinberg_ext.errors import ContractError, RingAssumptionError, VerificationError
+from steinberg_ext.errors import (ConfigurationError, ContractError, RingAssumptionError,
+                                  VerificationError)
 from steinberg_ext.extengine import (
     CLOSED_FORM,
     COMPLEX_BUILT,
@@ -521,6 +522,18 @@ def test_steinberg_degree_identity():
                 i0, K = steinberg_degree(rs, I, J)
                 assert i0 == mask_size(I | J) - mask_size(I & J)
                 assert K & ~((full & ~I) | J) == 0
+
+
+@pytest.mark.parametrize("I, J", [(0b1000, 0), (0b1000, 0b1000), (0, 0b1000), (-1, 0)])
+def test_steinberg_degree_refuses_a_mask_past_the_rank(I, J):
+    """Inside the rank the degree and K need no check; past it the masks are
+    refused, ahead of a center rank over the cap, as by every other closed
+    form."""
+    a3 = build_root_system("A", 3)
+    with pytest.raises(ConfigurationError, match="beyond rank 3"):
+        steinberg_degree(a3, I, J)
+    with pytest.raises(ConfigurationError, match="beyond rank 3"):
+        ext_steinberg(a3, I, J, Q, center_rank=33)
 
 
 def test_ext_steinberg_anchors():

@@ -57,18 +57,33 @@ RECORDS = [
 def test_record_behaviour(cls, fields, frozen):
     positional, keyword = cls(*fields.values()), cls(**fields)
     assert positional == keyword
-    assert pickle.loads(pickle.dumps(positional)) == positional
+    # a named tuple equals the tuple of its fields; a hand-written record does not
+    assert (positional == tuple(fields.values())) is issubclass(cls, tuple)
+    unpickled = pickle.loads(pickle.dumps(positional))
+    assert unpickled == positional
     shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
     assert repr(positional) == f"{cls.__name__}({shown})"
     name = next(iter(fields))
     if frozen:
-        assert hash(positional) == hash(keyword)
-        with pytest.raises(AttributeError):
-            setattr(positional, name, fields[name])
+        assert hash(positional) == hash(keyword) == hash(unpickled)
+        for record in (positional, unpickled):
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[name])
     else:  # a mutable record compares by value and so has no hash
         assert cls.__hash__ is None
         setattr(positional, name, {})
         assert positional != keyword
+
+
+def test_a_field_outside_the_key_takes_no_part():
+    """``label_source`` is a field of ``ChainComplex`` but not of its key:
+    complexes that differ only there are equal, hash and print alike."""
+    d = (IntMatrix.from_rows([[2]]),)
+    plain = ChainComplex((1, 1), d)
+    labelled = ChainComplex((1, 1), d, label_source=lambda: (("a",), ("b",)))
+    assert plain == labelled and hash(plain) == hash(labelled)
+    assert repr(plain) == repr(labelled) == f"ChainComplex(ranks=(1, 1), differentials={d!r})"
+    assert (plain.labels, labelled.labels) == ((), (("a",), ("b",)))
 
 
 def test_importing_the_cli_does_not_import_dataclasses():
