@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContractError, RingAssumptionError, VerificationError
-from .ringcond import RingSpec, format_ring, is_unit
+from .ringcond import RingSpec, _unit_value, format_ring
 from .rootdata import RootSystem, mask_size, mask_str
 from .tables import ExtTable, ModulePiece, _merge, ext_induced_closed, exterior_table
 
@@ -31,21 +31,6 @@ class VanishingCertificate(NamedTuple):
     exponent: int
     unit_value: int
     branch: str  # "gamma" or "delta"
-
-
-# q^e - 1 (mod d unless d = 0) and whether it is a unit, by (d, q, e)
-_UNIT_VALUES: dict[tuple[int, int, int], tuple[int, bool]] = {}
-
-
-def _unit_value(spec: RingSpec, exponent: int) -> tuple[int, bool]:
-    """``q^exponent - 1`` over ``spec`` and whether it is a unit."""
-    key = (spec.d, spec.q, exponent)
-    if key not in _UNIT_VALUES:
-        value = spec.q ** exponent - 1
-        if not spec.is_rational:
-            value %= spec.d
-        _UNIT_VALUES[key] = (value, is_unit(value, spec))
-    return _UNIT_VALUES[key]
 
 
 def _delta_candidates(rs: RootSystem, I: int, J: int, delta) -> list[tuple[int, int]]:

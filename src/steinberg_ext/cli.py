@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import sys
+from functools import partial
 from itertools import permutations
 from typing import TYPE_CHECKING
 
@@ -221,19 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
+def _emit_built(args, table_of, query: dict) -> int:
+    """Emit ``table_of(method=..., complexes_out=...)``, the table of a
+    command with ``--method`` and ``--dump-complex``, with its complexes if
+    it dumped any.  The built path checks itself against the closed form,
+    so ``both`` builds."""
+    dumps: list | None = [] if args.dump_complex else None
+    table = table_of(method=CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT,
+                     complexes_out=dumps)
+    emit_table(table, args.format, query, args.method, {"complexes": dumps} if dumps else None)
+    return EXIT_OK
+
+
 def cmd_ext(args) -> int:
     from .extengine import ext_steinberg
 
     rs, spec, I, J = _parse_query(args)
-    dumps: list | None = [] if args.dump_complex else None
-    # the built path checks itself against the closed form, so "both" builds
-    method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
-    table = ext_steinberg(rs, I, J, spec, method, args.center_rank, complexes_out=dumps)
-    query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J),
-                        center_rank=args.center_rank)
-    extra = {"complexes": dumps} if dumps else None
-    emit_table(table, args.format, query, args.method, extra)
-    return EXIT_OK
+    return _emit_built(args, partial(ext_steinberg, rs, I, J, spec,
+                                     center_rank=args.center_rank),
+                       _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J),
+                                   center_rank=args.center_rank))
 
 
 def cmd_ext_induced(args) -> int:
@@ -260,39 +268,25 @@ def cmd_ext_vi(args) -> int:
     from .extengine import ext_v_to_induced
 
     rs, spec, I, J = _parse_query(args)
-    dumps: list | None = [] if args.dump_complex else None
-    method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
-    table = ext_v_to_induced(rs, I, J, spec, method, complexes_out=dumps)
-    query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
-    extra = {"complexes": dumps} if dumps else None
-    emit_table(table, args.format, query, args.method, extra)
-    return EXIT_OK
+    return _emit_built(args, partial(ext_v_to_induced, rs, I, J, spec),
+                       _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J)))
 
 
 def cmd_cohomology(args) -> int:
-    from .tables import check_center_rank
+    from .tables import check_center_rank, induced_cohomology, trivial_cohomology
 
     rs, spec, I, _ = _parse_query(args)
     check_center_rank(args.center_rank)  # only the trivial object reads it; check it for all
-    dumps: list | None = [] if args.dump_complex else None
-    if args.object == "trivial":
-        from .tables import trivial_cohomology
-
-        table = trivial_cohomology(rs, spec, args.center_rank)
-    elif args.object == "induced":
-        from .tables import induced_cohomology
-
-        table = induced_cohomology(rs, I, spec)
-    else:
-        from .extengine import cohomology_v
-
-        method = CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT
-        table = cohomology_v(rs, I, spec, method, complexes_out=dumps)
     query = _query_dict(rs, spec, I=_subset_list(I), object=args.object,
                         center_rank=args.center_rank)
-    extra = {"complexes": dumps} if dumps else None
-    emit_table(table, args.format, query, args.method if args.object == "v" else CLOSED_FORM,
-               extra)
+    if args.object == "v":
+        from .extengine import cohomology_v
+
+        return _emit_built(args, partial(cohomology_v, rs, I, spec), query)
+    # the induced and trivial modules have a closed form only, and dump nothing
+    table = (trivial_cohomology(rs, spec, args.center_rank) if args.object == "trivial"
+             else induced_cohomology(rs, I, spec))
+    emit_table(table, args.format, query, CLOSED_FORM)
     return EXIT_OK
 
 

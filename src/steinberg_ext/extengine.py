@@ -51,7 +51,6 @@ from .rootdata import (
     CLOSED_FORM,
     COMPLEX_BUILT,
     RootSystem,
-    build_root_system,
     full_mask,
     mask_size,
     mask_str,
@@ -103,10 +102,10 @@ def total_degree(inner: int, lattice_s: int, lattice_top: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ring_passes(series: str, rank: int, spec: RingSpec) -> bool:
-    """Whether the ring passes its checks for the type, keyed by the type's
-    name: a root system is slow to hash, a ring hashes by (d, q)."""
-    return check_ring(build_root_system(series, rank), spec).ok
+def _ring_passes(rs: RootSystem, spec: RingSpec) -> bool:
+    """Whether the ring passes its checks for the type, asked once per
+    distinct built table."""
+    return check_ring(rs, spec).ok
 
 
 # The most dense matrix entries a dumped table may print, summed over the
@@ -133,8 +132,9 @@ def _dense_entries(m: int, last: int, constant: int | None) -> int:
 def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B: int, *,
                  masks: tuple[int, ...] = (), span: int | None = None, shift: int = 0,
                  zeros: int = 0, numbered: bool = True, center_rank: int = 0,
-                 complexes_out: list | None = None) -> ExtTable:
-    """The complex-built table, checked against ``closed``, refused first if
+                 complexes_out: list | None = None, method: str = COMPLEX_BUILT) -> ExtTable:
+    """The table ``method`` gives: ``closed`` itself for the closed form, or
+    the complex-built table, checked against ``closed``, refused first if
     a row it builds, or a dump of its rows, would be over its cap: rows t up
     to ``|Delta \\ (B n span)|`` with no vertical maps between them, each
     row's homology over ``spec``, a class at lattice degree s of row t placed
@@ -151,6 +151,10 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     zeros are not in the key: only a printed row reads them, and a dump
     builds its rows and reads no kept table.  Each caller still compares the
     table with its own closed form."""
+    if method == CLOSED_FORM:
+        return closed
+    if method != COMPLEX_BUILT:
+        raise ContractError(f"unknown method {method!r}")
     key = (rs.series, rs.rank, mask_size(B), None if span is None else mask_size(span), shift,
            center_rank, spec.d, spec.q)
     if complexes_out is None and key in _BUILT_TABLES:
@@ -158,7 +162,7 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     else:
         entries, dumps = _build_rows(rs, spec, B, span, shift, zeros, numbered, center_rank,
                                      complexes_out)
-        passes = _ring_passes(rs.series, rs.rank, spec)
+        passes = _ring_passes(rs, spec)
         _BUILT_TABLES[key] = entries, dumps, passes
     built = ExtTable(dict(entries))  # the caller's to change, not the kept table
     if not passes:
@@ -231,12 +235,8 @@ def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FO
     validate_mask(I, rs.rank)
     m = rs.rank - mask_size(I)
     closed = ExtTable({m: ModulePiece(1)})
-    if method == CLOSED_FORM:
-        return closed
-    if method != COMPLEX_BUILT:
-        raise ContractError(f"unknown method {method!r}")
     return _built_table(rs, spec, closed, "cohomology_v(I={})", I, masks=(I,),
-                        numbered=False, complexes_out=complexes_out)
+                        numbered=False, complexes_out=complexes_out, method=method)
 
 
 def cohomology_rows_exact(rs: RootSystem, I: int) -> bool:
@@ -254,14 +254,10 @@ def ext_v_to_induced(rs: RootSystem, I: int, J: int, spec: RingSpec,
     The built path resolves in the contravariant argument, so each row is the
     reverse-transposed constant row of rank ``C(|Delta \\ J|, t)`` over I u J.
     """
-    closed = ext_v_to_induced_closed(rs, I, J)
-    if method == CLOSED_FORM:
-        return closed
-    if method != COMPLEX_BUILT:
-        raise ContractError(f"unknown method {method!r}")
-    return _built_table(rs, spec, closed, "ext_v_to_induced(I={}, J={})", I | J,
-                        masks=(I, J), span=J, shift=mask_size(J & ~I), zeros=mask_size(J & ~I),
-                        complexes_out=complexes_out)
+    return _built_table(rs, spec, ext_v_to_induced_closed(rs, I, J),
+                        "ext_v_to_induced(I={}, J={})", I | J, masks=(I, J), span=J,
+                        shift=mask_size(J & ~I), zeros=mask_size(J & ~I),
+                        complexes_out=complexes_out, method=method)
 
 
 def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
@@ -272,12 +268,8 @@ def ext_steinberg(rs: RootSystem, I: int, J: int, spec: RingSpec,
     resolves the second argument: exterior-power rows over J whose summands
     outside the reduction subset K are zero, which are the rows over K
     shifted by ``|J \\ I|``."""
-    closed = ext_steinberg_closed(rs, I, J, center_rank)
-    if method == CLOSED_FORM:
-        return closed
-    if method != COMPLEX_BUILT:
-        raise ContractError(f"unknown method {method!r}")
     K = (full_mask(rs.rank) & ~I) | J
-    return _built_table(rs, spec, closed, "ext_steinberg(I={}, J={})", K, masks=(I, J),
-                        shift=mask_size(J & ~I), zeros=mask_size(K & ~J),
-                        center_rank=center_rank, complexes_out=complexes_out)
+    return _built_table(rs, spec, ext_steinberg_closed(rs, I, J, center_rank),
+                        "ext_steinberg(I={}, J={})", K, masks=(I, J), shift=mask_size(J & ~I),
+                        zeros=mask_size(K & ~J), center_rank=center_rank,
+                        complexes_out=complexes_out, method=method)

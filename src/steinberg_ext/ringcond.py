@@ -164,14 +164,29 @@ class ConditionReport(NamedTuple):
         }
 
 
+# q^e - 1 (mod d unless d = 0) and whether it is a unit, by (d, q, e): every
+# power of q a ring check or a stratum certificate reads
+_UNIT_VALUES: dict[tuple[int, int, int], tuple[int, bool]] = {}
+
+
+def _unit_value(spec: RingSpec, exponent: int) -> tuple[int, bool]:
+    """``q^exponent - 1`` over ``spec`` and whether it is a unit."""
+    key = (spec.d, spec.q, exponent)
+    if key not in _UNIT_VALUES:
+        value = spec.q ** exponent - 1
+        if not spec.is_rational:
+            value %= spec.d
+        _UNIT_VALUES[key] = (value, is_unit(value, spec))
+    return _UNIT_VALUES[key]
+
+
 def bon_check(rs: RootSystem, spec: RingSpec) -> BonReport:
     """Every ``1 - q^r`` for r up to the largest coefficient of the
     sum-of-positive-roots character must be a unit."""
-    n_max = max_rho_coefficient(rs)
-    for r in range(1, n_max + 1):
-        factor = 1 - spec.q ** r
-        if not is_unit(factor, spec):
-            return BonReport(False, r, factor if spec.is_rational else factor % spec.d)
+    for r in range(1, max_rho_coefficient(rs) + 1):
+        value, unit = _unit_value(spec, r)
+        if not unit:  # reported as 1 - q^r, reduced mod d
+            return BonReport(False, r, -value if spec.is_rational else -value % spec.d)
     return BonReport(True)
 
 
@@ -184,9 +199,9 @@ def banal_proxy_check(rs: RootSystem, spec: RingSpec) -> BanalReport:
     if gcd(spec.d, spec.residue_char) != 1:
         return BanalReport(False, char_divides=True)
     for deg in weyl_degrees(rs.series, rs.rank):
-        factor = spec.q ** deg - 1
-        if not is_unit(factor, spec):
-            return BanalReport(False, failing_degree=deg, failing_factor=factor % spec.d)
+        value, unit = _unit_value(spec, deg)
+        if not unit:
+            return BanalReport(False, failing_degree=deg, failing_factor=value)
     return BanalReport(True)
 
 

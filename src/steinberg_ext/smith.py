@@ -30,10 +30,6 @@ class SmithForm(NamedTuple):
     u: IntMatrix  # rows x rows, unimodular
     v: IntMatrix  # cols x cols, unimodular
 
-    @property
-    def rank(self) -> int:
-        return len(self.divisors)
-
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize ``u * m * v = diag(divisors)`` with positive divisors in a

@@ -27,9 +27,9 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .certificates import _delta_candidates, _unit_value, ext_induced_via_strata
-from .ringcond import RingSpec
-from .rootdata import RootSystem, mask_indices, mask_size, max_rho_coefficient, support_mask
+from .certificates import _delta_candidates, ext_induced_via_strata
+from .ringcond import RingSpec, bon_check
+from .rootdata import RootSystem, mask_indices, mask_size, support_mask
 from .tables import ExtTable, ext_induced_closed, exterior_table
 from .weyl import (_LEFT_AT, _RIGHT_AT, WeylGroup, _kilmoyer_sum, levi_difference_sum,
                    parabolic_order)
@@ -73,7 +73,7 @@ class DescentClasses:
         # and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too, so under bon any
         # right descent and any delta candidate certifies.  A stray root's support
         # misses the left mask: its column and its AND with the left one differ in 0s.
-        self.answers = (all(_unit_value(spec, e + 1)[1] for e in range(max_rho_coefficient(rs)))
+        self.answers = (bon_check(rs, spec).ok
                         and size == self.order and lengths.count(0) == 1
                         and group.record(at) == bytes(range(n + 1)) and group.masks[at] == 0
                         and right.count(0) == 1 and int.from_bytes(right, "little") == signs

@@ -31,7 +31,6 @@ an element is decoded from its record on each read.
 
 from __future__ import annotations
 
-import codecs
 import os
 import struct
 import sys
@@ -511,7 +510,7 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 _CACHE_MAGIC = b"WGC4" + sys.byteorder[0].encode()
 _CACHE_HEADER = struct.Struct("<cBII")
 _CACHE_CRC = struct.Struct("<I")
-_CHUNK = 1 << 16  # the record bytes the range check reads at a time
+_CHUNK = 1 << 16  # the bytes the range check holds at a time
 
 
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
@@ -580,20 +579,17 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
             tail = fh.read()
     except OSError:
         return None
-    # every length and image lies in -N..N, as a signed byte: decoding the
-    # records a chunk at a time by a map that leaves every other byte
-    # undefined (U+FFFE) raises, and holds one chunk's decoding; the
-    # checksum reads the same chunks, in place
-    valid = frozenset(s & 0xFF for s in range(-n, n + 1))
-    decoding = "".join("\0" if b in valid else "\ufffe" for b in range(256))
-    view, crc = memoryview(records), 0
-    try:
-        for start in range(0, size, _CHUNK):
-            chunk = view[start:start + _CHUNK]
-            codecs.charmap_decode(chunk, "strict", decoding)
-            crc = zlib.crc32(chunk, crc)
-    except UnicodeDecodeError:
-        return None
+    # every length and image lies in -N..N, as a signed byte: deleting those
+    # bytes from a copy of the records, half a chunk at a time, leaves none
+    # (the copy and the deletion's buffer hold one chunk); the checksum reads
+    # the same halves, in place
+    valid = bytes(s & 0xFF for s in range(-n, n + 1))
+    view, crc, step = memoryview(records), 0, _CHUNK // 2
+    for start in range(0, size, step):
+        half = view[start:start + step]
+        if bytes(half).translate(None, valid):
+            return None
+        crc = zlib.crc32(half, crc)
     if tail != _CACHE_CRC.pack(zlib.crc32(masks, crc)):
         return None
     return WeylGroup(rs, records, masks)

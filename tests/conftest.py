@@ -2,20 +2,25 @@ import pytest
 
 import steinberg_ext.extengine as extengine
 import steinberg_ext.homology as homology
+import steinberg_ext.ringcond as ringcond
 import steinberg_ext.weyl as weyl
 
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
     """Empty per-process caches for a test that counts what is computed or
-    swaps in stand-ins: the rows' homology over Z and the built tables (the
-    process's own dicts come back afterwards), and the Weyl groups generated
-    so far, so that the next query generates its group or reads it from disk.
-    The groups made during the test are dropped afterwards: they may have
-    been made under the test's stand-ins."""
+    swaps in stand-ins: the rows' homology over Z, the built tables and the
+    values q^e - 1 with their unit verdicts (the process's own dicts come
+    back afterwards), and the ring verdicts of the built tables and the Weyl
+    groups generated so far, so that the next query generates its group or
+    reads it from disk.  The verdicts and groups made during the test are
+    dropped afterwards: they may have been made under the test's stand-ins."""
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     monkeypatch.setattr(extengine, "_BUILT_TABLES", {})
-    memo = weyl.generate_weyl  # a test may patch the name
-    memo.cache_clear()
+    monkeypatch.setattr(ringcond, "_UNIT_VALUES", {})
+    memos = extengine._ring_passes, weyl.generate_weyl  # a test may patch the names
+    for memo in memos:
+        memo.cache_clear()
     yield
-    memo.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

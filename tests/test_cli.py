@@ -714,37 +714,37 @@ def test_a_larger_sweep_builds_only_its_new_shapes(capsys, monkeypatch, fresh_ca
 
 def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row_once(
         capsys, monkeypatch, fresh_caches):
-    """The B3 strata sweep sums no element's inversion set and asks whether
-    q^e - 1 is a unit once per e up to the largest coefficient of 2 rho,
-    per element and per pair never (bon alone certifies every stratum), and
-    each distinct built table takes each of its rows over the ring once: 70
-    rows in all, 20 for the 10 ext tables (keyed by |K| and |J \\ I|) and 50
-    for the 20 ext-vi tables."""
-    import steinberg_ext.certificates as certificates
+    """The B3 strata sweep sums no element's inversion set and computes
+    q^e - 1 and whether it is a unit once per e up to the largest
+    coefficient of 2 rho, in the unit table of ``ringcond`` that the ring
+    checks and the certificates share, per element and per pair never (bon
+    alone certifies every stratum), and each distinct built table takes each
+    of its rows over the ring once: 70 rows in all, 20 for the 10 ext tables
+    (keyed by |K| and |J \\ I|) and 50 for the 20 ext-vi tables."""
     import steinberg_ext.extengine as eng
-    import steinberg_ext.strata as strata
+    import steinberg_ext.ringcond as ringcond
     import steinberg_ext.weyl as weyl
     from steinberg_ext.rootdata import build_root_system, max_rho_coefficient
 
     summed, tried, over_ring = [], [], []
-    inversion_sum, unit_value = weyl._inversion_sum, certificates._unit_value
+    inversion_sum = weyl._inversion_sum
     coefficients = eng.homology_with_coefficients
 
     def counting_sum(rs, images):
         summed.append(images)
         return inversion_sum(rs, images)
 
-    def counting_unit(spec, exponent):
-        tried.append(exponent)
-        return unit_value(spec, exponent)
+    class CountingTable(dict):
+        def __setitem__(self, key, value):
+            tried.append(key[2])  # the exponent of (d, q, e)
+            super().__setitem__(key, value)
 
     def counting_coefficients(c, spec):
         over_ring.append(spec.d)
         return coefficients(c, spec)
 
     monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
-    for module in (certificates, strata):
-        monkeypatch.setattr(module, "_unit_value", counting_unit)
+    monkeypatch.setattr(ringcond, "_UNIT_VALUES", CountingTable())
     monkeypatch.setattr(eng, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
@@ -1101,13 +1101,15 @@ def test_verify_makes_each_closed_form_once_per_check(capsys, monkeypatch):
 
 def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, monkeypatch,
                                                                        fresh_caches):
-    """A stand-in ring on which q^e - 1 is no unit for one exponent e that
-    is the only one at the right descents of exactly one element of W(B3),
-    for the certificates alone (the ring check still passes): the classes
-    do not answer, so the sweep reruns its pairs through the
-    representatives, and exit code and stderr are those of the per-rep
-    path."""
-    import steinberg_ext.certificates as certificates
+    """A stand-in unit table in which q^e - 1 is no unit for one exponent e
+    that is the only one at the right descents of exactly one element of
+    W(B3).  The table is shared, so the ring would now fail bon at e; the
+    command's own ring report is stubbed with the real one, which passes, so
+    that the sweep runs.  The classes, which read bon, do not answer, so the
+    sweep reruns its pairs through the representatives, and exit code and
+    stderr are those of the per-rep path."""
+    import steinberg_ext.cli as cli
+    import steinberg_ext.ringcond as ringcond
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.strata import DescentClasses
     from steinberg_ext.weyl import _inversion_sum, generate_weyl
@@ -1120,10 +1122,10 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
         if len(exponents) == 1:
             only[exponents.pop()] += 1
     e = min(e for e, count in only.items() if count == 1)
-    is_unit = certificates.is_unit
-    monkeypatch.setattr(certificates, "is_unit",
-                        lambda value, spec: value != (3 ** e - 1) % 1009 and is_unit(value, spec))
-    monkeypatch.setattr(certificates, "_UNIT_VALUES", {})
+    report = ringcond.check_ring(rs, ringcond.RingSpec(1009, 3))
+    assert report.ok
+    monkeypatch.setattr(cli, "check_ring", lambda *args, **kwargs: report)
+    monkeypatch.setattr(ringcond, "_UNIT_VALUES", {(1009, 3, e): ((3 ** e - 1) % 1009, False)})
     argv = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
     by_class = run_cli(capsys, *argv)
     monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)

@@ -73,6 +73,24 @@ def test_every_subcommand_is_replayed_through_the_entry_point():
                for command, name in ENTRY_POINT_CASES.items())
 
 
+# the program and each subcommand, in the order the parser lists them
+HELP_COMMANDS = ("", "ext", "ext-induced", "ext-vi", "cohomology", "dcosets", "check-ring",
+                 "verify", "zelevinsky")
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    """``--help`` of the program and of each subcommand, as printed at 80
+    columns (argparse wraps to ``COLUMNS``), each after a ``$`` line naming
+    it: ``golden/help.txt``.  The layout is that of argparse on Python 3.11."""
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for command in HELP_COMMANDS:
+        argv = [command, "--help"] if command else ["--help"]
+        assert parse_and_dispatch(argv) == 0
+        pages.append(f"$ steinberg-ext {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "".join(pages).encode() == (GOLDEN / "help.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(ENTRY_POINT_CASES.values()))
 def test_golden_replay_through_the_entry_point(name):
     """In a process of its own, as a user runs it, and without bytecode, so

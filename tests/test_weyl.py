@@ -664,7 +664,7 @@ def test_a_miss_writes_the_walk_as_it_goes(tmp_path):
 
 def test_a_load_reads_the_group_in_place(tmp_path):
     """The records and masks are read straight into the arrays the group
-    keeps, and the range check decodes one chunk at a time: on E6 the traced
+    keeps, and the range check holds one chunk at a time: on E6 the traced
     peak of a load is what it keeps plus one chunk (and the file object)."""
     import steinberg_ext.weyl as weyl
 

@@ -12,7 +12,10 @@ else 0.
 
 The sweeps are larger than tier-1 can afford: about a minute in all on a
 2-core host.  The single queries check the representatives of the largest
-groups under the Weyl cap, E6 and D7, which no tier-1 test reads.  A change
+groups under the Weyl cap, E6 and D7, which no tier-1 test reads, and two
+complex-built tables at rank 7 and 8, where the golden corpus stops at
+rank 4: an E7 cohomology table with every row dumped, and an E8 ext table
+tensored with a center of rank 2.  A change
 to code that a command runs reruns them, and records the printed table for
 the parent and the change.  Standard library only.
 """
@@ -65,6 +68,12 @@ RUNS = {
     "D7-ext-induced": Run(("ext-induced", "--type", "D7", "--I", "1", "--J", "0,5",
                            "--method", "strata", "--ring", RING),
                           "459c0b28643a41fddf9c3aa16e616cd451653a9c2119f9573fa2e4d2ed4dd2d2"),
+    "E7-cohomology-dump": Run(("cohomology", "--type", "E7", "--I", "", "--method", "both",
+                               "--dump-complex", "--ring", RING),
+                              "956d83b1c0761fa2f7e6a7f0d4cbfb110472ecfadc22d1a5192454f8f09becbb"),
+    "E8-ext-center": Run(("ext", "--type", "E8", "--I", "0,1,2,3,4,5,6,7", "--J", "",
+                          "--method", "both", "--center-rank", "2", "--ring", RING),
+                         "beddf4f51a945f507264cc300a9f71b177ae778fc819a99c63b82b29c49b1b04"),
 }
 
 
