@@ -31,11 +31,8 @@ from .certificates import _delta_candidates, ext_induced_via_strata
 from .ringcond import RingSpec, bon_check
 from .rootdata import RootSystem, mask_indices, mask_size, support_mask
 from .tables import ExtTable, ext_induced_closed, exterior_table
-from .weyl import (_LEFT_AT, _RIGHT_AT, WeylGroup, _kilmoyer_sum, levi_difference_sum,
-                   parabolic_order)
-
-# a signed byte -> 1 where it is negative, and a byte -> 1 where it is not 0
-_NEGATIVE, _NONZERO = bytes(s > 127 for s in range(256)), bytes(map(bool, range(256)))
+from .weyl import (_LEFT_AT, _NEGATIVE, _NONZERO, _RIGHT_AT, WeylGroup, _kilmoyer_sum, _misses,
+                   levi_difference_sum, parabolic_order)
 
 
 class DescentClasses:
@@ -51,7 +48,7 @@ class DescentClasses:
       descent, the direction of its gamma certificate; the right mask is
       where the simple images are negative; and no w(alpha_b) is a
       non-simple root of Phi_K while w misses K on the left (Kilmoyer with
-      I = K and J = {b}: no such w exists), the Levi guard of ``_intersect_levi``.
+      I = K and J = {b}: no such w exists), as ``iter_kostant_reps`` guards.
     """
 
     def __init__(self, rs: RootSystem, group: WeylGroup, spec: RingSpec) -> None:
@@ -94,7 +91,7 @@ class DescentClasses:
             keys[_LEFT_AT::2] = self._left
             keys[_RIGHT_AT::2] = reduce(or_, (self._simple[j] for j in mask_indices(J)),
                                         0).to_bytes(size, "little")
-            keep = self._right.translate(bytes(not mask & J for mask in range(256)))
+            keep = self._right.translate(_misses(J))
             for key, count in Counter(compress(memoryview(keys).cast("H"), keep)).items():
                 counts.setdefault(key >> 8, {})[key & 0xFF] = count
         return self._counts[1]

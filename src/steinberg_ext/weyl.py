@@ -7,26 +7,24 @@ unique per element, so subgroup and double-coset computations are plain set
 operations, and the length function is the count of negative entries.
 
 A group is enumerated once (``_closure``), by a breadth-first walk that
-reaches each element from its smallest left descent and yields, layer by
+reaches each element from its smallest left descent.  It yields, layer by
 layer, flat records (per element its length, then its signed images, one
-signed byte each) and one descent mask per element.  Inside the walk an
-element is a ``bytes`` of byte codes, image s as the byte 128 + s: composing
-with a simple reflection is one ``bytes.translate``, and sorting the byte
-strings of a length layer sorts it by signed images.  Each sorted layer is
-read 256 elements at a time, by columns: the block is joined into one
-buffer, and its descent masks and guards come from translating that buffer
-by 256-byte tables and OR-ing its columns as big integers, so a block costs
-a fixed number of bytes operations however many elements it holds.  The
-block is translated to its signed-byte records and yielded, so the walk
-holds about one layer and none of its output.  Only whole groups are
-walked, and only under the enumeration cap, which every type over rank 8
-exceeds: so a group has at most 49 positive roots, well within a byte
-code's 127, and a mask is ``left << 8 | right`` in a uint16.  The records
-and masks are what a :class:`WeylGroup` holds and what its cache file
-stores: a generated group joins them into two arrays, and a cache miss
-writes them to the file as they come and reads the group back from it.  So
-a generated group and one read from the cache have one representation, and
-an element is decoded from its record on each read.
+signed byte each) and a descent mask ``left << 8 | right`` per element.
+Inside the walk an element is a ``bytes`` of byte codes (image s as
+128 + s), so a step is one ``bytes.translate`` and sorting a layer sorts it
+by signed images; a sorted layer is read 256 elements at a time by
+columns, a fixed number of bytes operations per block.  Only whole groups
+under the enumeration cap are walked, so a group has rank at most 8 and at
+most 49 positive roots.  The records and masks are what a
+:class:`WeylGroup` holds and what its cache file stores, so a generated
+group and one read from the cache have one representation, and an element
+is decoded from its record on each read.
+
+The minimal double-coset representatives of a pair (``iter_kostant_reps``)
+are read the same way: one filter over the mask columns keeps them, and a
+block of 64 at a time gives their Levis and their exponent vectors gamma
+by translating its columns and adding them as big integers, a byte lane
+per representative.
 """
 
 from __future__ import annotations
@@ -36,9 +34,10 @@ import struct
 import sys
 import zlib
 from array import array
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat, starmap
 from math import prod
 from operator import eq
 from pathlib import Path
@@ -156,9 +155,11 @@ def _kilmoyer_sum(values, I: int, J: int, weighted: Iterable[tuple[int, int]]) -
 # signed byte.
 _ZERO = 128
 _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
-# byte code -> its image as a signed byte, and -> 1 for a negative image, else 0
+_REPS = 64  # the representatives of a pair read by columns at a time
+# byte code -> its image as a signed byte; a signed byte -> 1 where it is
+# negative, and a byte -> 1 where it is not 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
-_NEGATIVE = bytes(b < _ZERO for b in range(256))
+_NEGATIVE, _NONZERO = bytes(s > 127 for s in range(256)), bytes(map(bool, range(256)))
 # where a mask's right byte and its left byte lie in its uint16
 _RIGHT_AT, _LEFT_AT = (0, 1) if sys.byteorder == "little" else (1, 0)
 
@@ -268,8 +269,8 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
             block.reverse()
             count = len(block)
             buffer = code.join([b"", *block])  # per element its length, then its images
-            negative = buffer.translate(_NEGATIVE)
-            masks = bytearray(2 * count)
+            records, masks = buffer.translate(_SIGNED_BYTE), bytearray(2 * count)
+            negative = records.translate(_NEGATIVE)
             masks[_RIGHT_AT::2] = sum(int.from_bytes(negative[1 + j::width], "little") << j
                                       for j in range(rank)).to_bytes(count, "little")
             masks[_LEFT_AT::2] = _ored_columns(buffer.translate(left_table), width, count)
@@ -277,7 +278,7 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
             for lets_through, table in steps:  # s_i·w for each step taken
                 nxt.extend(map(bytes.translate, compress(block, blocked.translate(lets_through)),
                                repeat(table)))
-            yield buffer.translate(_SIGNED_BYTE), array("H", masks)
+            yield records, array("H", masks)
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W({rs.type_name()}), past "
@@ -331,34 +332,6 @@ def levi_difference_sum(rs: RootSystem, J: int, L: int) -> Coords:
     return _root_sum(rs, levi_root_indices(rs, J) - levi_root_indices(rs, L))
 
 
-def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, ...],
-                    phi_i: frozenset[int]) -> tuple[int, int]:
-    """The Levi subset w carries into I, and the subset of J it comes from."""
-    levi = source = 0
-    for b in simple_j:
-        j = images[b] - 1
-        if j < 0:
-            raise ContractError(
-                f"w(alpha_{b}) is negative; not a minimal double-coset representative")
-        if j in phi_i:
-            if j >= rs.rank:
-                raise ContractError(
-                    f"w(alpha_{b}) lies in the I-Levi but is not simple; "
-                    "not a minimal double-coset representative")
-            levi |= 1 << j
-            source |= 1 << b
-    return levi, source
-
-
-_is_negative = (0).__gt__
-
-
-def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
-    """Sum of the inversion set N(w) = {alpha > 0 : w(alpha) < 0}."""
-    return tuple(map(sum, zip(zero_coords(rs.rank),
-                              *compress(rs.positive_roots, map(_is_negative, images)))))
-
-
 class WeylGroup(Sequence):
     """A Weyl group in group order, as the two arrays of :func:`_closure`:
     the flat records (per element its length, then its signed images, one
@@ -399,36 +372,92 @@ class WeylGroup(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def _misses(column: memoryview, subset: int) -> int:
-    """A byte column of masks as an integer, a byte per element: 1 where the
-    mask misses ``subset``, else 0.  Read from a view, the column is copied
-    once."""
-    return int.from_bytes(bytes(column).translate(bytes(not m & subset for m in range(256))),
-                          "little")
+def _misses(subset: int) -> bytes:
+    """The ``bytes.translate`` table of a mask byte: 1 where it misses ``subset``."""
+    return bytes(not m & subset for m in range(256))
 
 
-def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions,
-                     simple_j: tuple[int, ...], phi_i: frozenset[int]) -> None:
-    """Check that the (W_I, W_J) double cosets of the representatives at
-    ``positions`` partition ``group``, reading of each only its length and
-    the images of the simple roots: the group has |W| elements, and
-    :func:`_kilmoyer_sum` is W(t) at t = 2^64, so also at t = 1."""
-    records, width, rank, full = group._records, group._width, rs.rank, full_mask(rs.rank)
+def _rep_blocks(rs: RootSystem, I: int, J: int, group: WeylGroup,
+                keep: bytes) -> Iterator[tuple[bytearray, bytes, bytes]]:
+    """The representatives ``keep`` marks, at most ``_REPS`` at a time: their
+    records joined, and levi(w) and L', a byte each, from the image columns
+    of the alpha_j, j in J (j in L' and i in levi(w) where w(alpha_j) is
+    alpha_i, i in I).  ``ContractError`` at the first with a negative image,
+    a non-simple root of the I-Levi as an image, or a negative length."""
+    width, rank = group._width, rs.rank
+    simple_j, phi_i = mask_indices(J), levi_root_indices(rs, I)
+    # a signed image -> 1 << i where it is alpha_i, i in I; -> 1 where it is
+    # not positive or a non-simple root of the I-Levi
+    into_i = bytes(1 << s - 1 if 0 < s <= rank and s - 1 in phi_i else 0 for s in range(256))
+    stray = bytes(not 0 < s < 128 or s > rank and s - 1 in phi_i for s in range(256))
+    records, positions = memoryview(group._records).cast("B"), compress(range(len(group)), keep)
+    while True:
+        buffer = bytearray()
+        for p in islice(positions, _REPS):
+            buffer += records[p * width:(p + 1) * width]
+        if not buffer:
+            return
+        images, lengths = [buffer[1 + b::width] for b in simple_j], buffer[::width]
+        wrong = int.from_bytes(lengths.translate(_NEGATIVE), "little")
+        for image in images:
+            wrong |= int.from_bytes(image.translate(stray), "little")
+        if wrong:
+            e = ((wrong & -wrong).bit_length() - 1) // 8  # the first one, by its lowest byte
+            for b, s in zip(simple_j, (image[e] for image in images)):
+                if stray[s]:
+                    why = "lies in the I-Levi but is not simple" if 0 < s < 128 else "is negative"
+                    raise ContractError(f"w(alpha_{b}) {why}; not a minimal double-coset "
+                                        "representative")
+            raise ContractError(f"a representative of length {lengths[e] - 256}: double "
+                                "cosets do not partition the Weyl group by length")
+        levi = source = 0
+        for b, image in zip(simple_j, images):
+            column = image.translate(into_i)
+            levi |= int.from_bytes(column, "little")
+            source |= int.from_bytes(column.translate(_NONZERO), "little") << b
+        count = len(lengths)
+        yield buffer, levi.to_bytes(count, "little"), source.to_bytes(count, "little")
+
+
+def iter_kostant_reps(rs: RootSystem, I: int, J: int,
+                      elements: WeylGroup | None = None) -> Iterator[DoubleCosetRep]:
+    """One minimal-length representative per (W_I, W_J) double coset, in
+    group order (by length, then signed images), streamed a block
+    (:func:`_rep_blocks`) at a time and none kept here.
+
+    w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
+    w^-1(alpha_i) > 0 for every i in I: its descent masks miss J on the
+    right and I on the left, one filter over the masks' byte columns.  A
+    first pass over the blocks, in this call, counts them by (levi(w), l(w))
+    and checks that their cosets partition the group (:func:`_kilmoyer_sum`
+    at t = 2^64), so a corrupted group raises ``ContractError`` first.
+
+    For such a w the general gamma and delta formulas (references in
+    ``tests/oracles.py``) simplify.  gamma is the sum of the inversion set
+    of w, summed in byte lanes, one per representative: the sign column of
+    each positive root times each of its nonzero coordinates (gamma_c is at
+    most (2 rho)_c, at most 54 under the cap).  delta is the sum of the
+    J-Levi's positive roots outside the Levi of L' = {j in J : w(alpha_j)
+    in I}, which w carries onto the Levi of levi(w); kept per L'."""
+    validate_mask(I, rs.rank)
+    validate_mask(J, rs.rank)
+    group = elements if elements is not None else generate_weyl(rs)
+    full, width, n = full_mask(rs.rank), group._width, rs.num_positive
     if len(group) != parabolic_order(rs, full):
         raise ContractError(f"{len(group)} group elements; |W({rs.type_name()})| = "
                             f"{parabolic_order(rs, full)}: double cosets do not partition the "
                             "Weyl group")
-    tally: dict[tuple[int, int], int] = {}  # the representatives by (levi(w), l(w))
-    for position in positions:
-        start = position * width
-        levi, _ = _intersect_levi(rs, records[start + 1:start + 1 + rank], simple_j, phi_i)
-        if records[start] < 0:  # no power of t: a corrupted record
-            raise ContractError(f"a representative of length {records[start]}: double "
-                                "cosets do not partition the Weyl group by length")
-        tally[levi, records[start]] = tally.get((levi, records[start]), 0) + 1
-    weights: dict[int, int] = {}  # the sum of t^l(w) at t = 2^64, by levi(w)
+    masks = memoryview(group.masks).cast("B")
+    keep = (int.from_bytes(bytes(masks[_LEFT_AT::2]).translate(_misses(I)), "little")
+            & int.from_bytes(bytes(masks[_RIGHT_AT::2]).translate(_misses(J)), "little")
+            ).to_bytes(len(group), "little")
+
+    tally: Counter[tuple[int, int]] = Counter()  # the representatives by (levi(w), l(w))
+    for buffer, levi, _ in _rep_blocks(rs, I, J, group, keep):
+        tally.update(zip(levi, buffer[::width]))
+    weights: Counter[int] = Counter()  # the sum of t^l(w) at t = 2^64, by levi(w)
     for (levi, length), count in tally.items():
-        weights[levi] = weights.get(levi, 0) + (count << _DIGIT * length)
+        weights[levi] += count << _DIGIT * length
     values = {levi: _poincare(rs, levi) for levi in (I, J, full, *weights)}
     covered = _kilmoyer_sum(values, I, J, weights.items())
     if covered != values[full]:
@@ -436,58 +465,26 @@ def _check_partition(rs: RootSystem, I: int, J: int, group: WeylGroup, positions
                             f"W({rs.type_name()})(t) has {_digits(values[full])}: they do "
                             "not partition the Weyl group by length")
 
+    lanes = [[(k, root[c]) for k, root in enumerate(rs.positive_roots) if root[c]]
+             for c in range(rs.rank)]  # per coordinate c, (k, c-th coordinate of root k)
+    delta_of: dict[int, Coords] = {}  # by L'
 
-def iter_kostant_reps(rs: RootSystem, I: int, J: int,
-                      elements: WeylGroup | None = None) -> Iterator[DoubleCosetRep]:
-    """One minimal-length representative per (W_I, W_J) double coset, in
-    group order (by length, then signed images), each decoded as it is
-    read: the representatives stream, and none is kept here.
+    def block(buffer: bytearray, levi: bytes, source: bytes) -> Iterator[DoubleCosetRep]:
+        negative, signed = buffer.translate(_NEGATIVE), memoryview(buffer).cast("b")
+        signs = [int.from_bytes(negative[1 + k::width], "little") for k in range(n)]
+        # a list: a tuple grown from a generator, once freed, stays on a free list
+        gammas = zip(*[sum(signs[k] * c for k, c in lane).to_bytes(len(levi), "little")
+                       for lane in lanes])
+        for start, gamma, levi_w, source_w in zip(range(0, len(buffer), width), gammas,
+                                                  levi, source):
+            w = WeylElement(tuple(signed[start + 1:start + width]), signed[start])
+            if source_w not in delta_of:
+                delta_of[source_w] = levi_difference_sum(rs, J, source_w)
+            yield DoubleCosetRep(w=w, I=I, J=J, length=w.length, gamma_exp=gamma,
+                                 delta_exp=delta_of[source_w], levi=levi_w)
 
-    w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
-    w^-1(alpha_i) > 0 for every i in I, so the representatives are the
-    elements whose descent masks miss J on the right and I on the left, kept
-    by one filter over the masks' byte columns.  A first scan, made in this
-    call before any representative is read, checks that their cosets
-    partition the group (:func:`_check_partition`), so a corrupted group raises
-    ``ContractError`` before its first representative is used.
-
-    For such a w the filters of the general gamma and delta formulas (kept
-    as references in ``tests/oracles.py``) simplify.  w keeps the J-Levi's positive roots
-    positive and w^-1 the I-Levi's, so gamma is the sum of the inversion set
-    of w alone, summed per representative.  w carries the positive roots of
-    the Levi of L' = {j in J : w(alpha_j) in I} onto those of the Levi of levi(w),
-    so delta is the sum of the J-Levi's positive roots outside the L'-Levi,
-    kept per L' in each call."""
-    validate_mask(I, rs.rank)
-    validate_mask(J, rs.rank)
-    group = elements if elements is not None else generate_weyl(rs)
-    phi_i = levi_root_indices(rs, I)
-    simple_j = mask_indices(J)
-    masks = memoryview(group.masks).cast("B")
-    keep = _misses(masks[_LEFT_AT::2], I) & _misses(masks[_RIGHT_AT::2], J)
-    keep = keep.to_bytes(len(group), "little")
-
-    def positions() -> Iterator[int]:
-        return compress(range(len(group)), keep)
-
-    _check_partition(rs, I, J, group, positions(), simple_j, phi_i)
-
-    def reps() -> Iterator[DoubleCosetRep]:
-        delta_of: dict[int, Coords] = {}  # by L'
-        for position in positions():
-            w = group[position]
-            images = w.signed_images
-            levi, source = _intersect_levi(rs, images, simple_j, phi_i)
-            if source not in delta_of:
-                delta_of[source] = levi_difference_sum(rs, J, source)
-            yield DoubleCosetRep(
-                w=w, I=I, J=J, length=w.length,
-                gamma_exp=_inversion_sum(rs, images),
-                delta_exp=delta_of[source],
-                levi=levi,
-            )
-
-    return reps()
+    # a block's generator, once exhausted, drops its columns before the next is read
+    return chain.from_iterable(starmap(block, _rep_blocks(rs, I, J, group, keep)))
 
 
 def kostant_reps(rs: RootSystem, I: int, J: int,

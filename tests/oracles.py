@@ -10,7 +10,9 @@ builders:
 - the definitions the package once held and no command runs, kept as they
   were written: the general gamma and delta formulas and the Levi wrapper
   (``gamma_exponents``, ``delta_exponents``, ``intersect_levi``) that
-  ``kostant_reps`` specialises to minimal representatives, the element
+  ``kostant_reps`` specialises to minimal representatives, the readings
+  of one representative that ``kostant_reps`` makes by columns instead
+  (``_intersect_levi``, ``_is_negative``, ``_inversion_sum``), the element
   helpers ``simple_reflection``, ``compose_images`` and ``permutes_roots``,
   the Poincaré polynomials as coefficient lists (``poincare_times``,
   ``poincare_over``, ``layer_sizes``) that pin the package's values at
@@ -48,6 +50,7 @@ from steinberg_ext.rootdata import (
     mask_str,
     parabolic_exponents,
     validate_mask,
+    zero_coords,
 )
 from steinberg_ext.weyl import (
     DoubleCosetRep,
@@ -55,8 +58,6 @@ from steinberg_ext.weyl import (
     WeylElement,
     WeylGroup,
     _action_table,
-    _intersect_levi,
-    _is_negative,
     _root_sum,
     _simple_reflection_images,
     generate_weyl,
@@ -352,6 +353,34 @@ def permutes_roots(rs: RootSystem, w: WeylElement) -> bool:
     images = [abs(s) - 1 for s in w.signed_images]
     return sorted(images) == list(range(rs.num_positive)) and \
         w.length == _length_of(w.signed_images)
+
+
+def _intersect_levi(rs: RootSystem, images: SignedImages, simple_j: tuple[int, ...],
+                    phi_i: frozenset[int]) -> tuple[int, int]:
+    """The Levi subset w carries into I, and the subset of J it comes from."""
+    levi = source = 0
+    for b in simple_j:
+        j = images[b] - 1
+        if j < 0:
+            raise ContractError(
+                f"w(alpha_{b}) is negative; not a minimal double-coset representative")
+        if j in phi_i:
+            if j >= rs.rank:
+                raise ContractError(
+                    f"w(alpha_{b}) lies in the I-Levi but is not simple; "
+                    "not a minimal double-coset representative")
+            levi |= 1 << j
+            source |= 1 << b
+    return levi, source
+
+
+_is_negative = (0).__gt__
+
+
+def _inversion_sum(rs: RootSystem, images: SignedImages) -> Coords:
+    """Sum of the inversion set N(w) = {alpha > 0 : w(alpha) < 0}."""
+    return tuple(map(sum, zip(zero_coords(rs.rank),
+                              *compress(rs.positive_roots, map(_is_negative, images)))))
 
 
 def _gamma(rs: RootSystem, images: SignedImages, phi_i: frozenset[int],

@@ -714,7 +714,8 @@ def test_a_larger_sweep_builds_only_its_new_shapes(capsys, monkeypatch, fresh_ca
 
 def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row_once(
         capsys, monkeypatch, fresh_caches):
-    """The B3 strata sweep sums no element's inversion set and computes
+    """The B3 strata sweep sums no element's inversion set, since it reads
+    no representative (``iter_kostant_reps`` is never called), and computes
     q^e - 1 and whether it is a unit once per e up to the largest
     coefficient of 2 rho, in the unit table of ``ringcond`` that the ring
     checks and the certificates share, per element and per pair never (bon
@@ -726,13 +727,13 @@ def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row
     import steinberg_ext.weyl as weyl
     from steinberg_ext.rootdata import build_root_system, max_rho_coefficient
 
-    summed, tried, over_ring = [], [], []
-    inversion_sum = weyl._inversion_sum
+    read, tried, over_ring = [], [], []
+    reps = weyl.iter_kostant_reps
     coefficients = eng.homology_with_coefficients
 
-    def counting_sum(rs, images):
-        summed.append(images)
-        return inversion_sum(rs, images)
+    def counting_reps(rs, I, J, elements=None):
+        read.append((I, J))
+        return reps(rs, I, J, elements)
 
     class CountingTable(dict):
         def __setitem__(self, key, value):
@@ -743,12 +744,12 @@ def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row
         over_ring.append(spec.d)
         return coefficients(c, spec)
 
-    monkeypatch.setattr(weyl, "_inversion_sum", counting_sum)
+    monkeypatch.setattr(weyl, "iter_kostant_reps", counting_reps)
     monkeypatch.setattr(ringcond, "_UNIT_VALUES", CountingTable())
     monkeypatch.setattr(eng, "homology_with_coefficients", counting_coefficients)
     argv, expected = _golden("verify_B3_all")  # over Q, strata on (auto, rank 3)
     assert run_cli(capsys, *argv)[:2] == (0, expected)
-    assert summed == []
+    assert read == []
     assert tried == list(range(1, max_rho_coefficient(build_root_system("B", 3)) + 1))
     assert over_ring == [0] * 70
 
@@ -1112,7 +1113,9 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     import steinberg_ext.ringcond as ringcond
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.strata import DescentClasses
-    from steinberg_ext.weyl import _inversion_sum, generate_weyl
+    from steinberg_ext.weyl import generate_weyl
+
+    from oracles import _inversion_sum
 
     rs = build_root_system("B", 3)
     only = Counter()

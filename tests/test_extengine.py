@@ -33,11 +33,11 @@ from steinberg_ext.ringcond import RingSpec, bon_check, check_ring, parse_ring
 from steinberg_ext.rootdata import (build_root_system, full_mask, mask_size, max_rho_coefficient,
                                     parse_type)
 from steinberg_ext.strata import DescentClasses, verify_strata
-from steinberg_ext.weyl import (DoubleCosetRep, WeylElement, _inversion_sum, generate_weyl,
-                                kostant_reps, levi_difference_sum)
+from steinberg_ext.weyl import (DoubleCosetRep, WeylElement, generate_weyl, kostant_reps,
+                                levi_difference_sum)
 
 import oracles
-from oracles import delta_exponents, gamma_exponents, simple_reflection
+from oracles import _inversion_sum, delta_exponents, gamma_exponents, simple_reflection
 
 Q = RingSpec.rationals()
 Z5 = RingSpec(5, 3)
@@ -403,8 +403,8 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
     Phi_I with its left mask cleared, or onto a negative root with bit b of
     its right mask cleared.  With a genuine representative of the same coset
     size hidden, Kilmoyer's sum still comes to |W| (``covers`` passes): only
-    the Levi guard of intersect_levi tells, and the class path keeps it as
-    an invariant of ``answers``."""
+    the Levi guard of ``iter_kostant_reps`` tells, and the class path keeps
+    it as an invariant of ``answers``."""
     from steinberg_ext.rootdata import support_mask
 
     rs = build_root_system("A", 3)

@@ -26,4 +26,5 @@ def test_the_driver_fails_a_changed_byte(capsys):
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
                                         "A8-strata", "E6-strata", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
+                                        "E6-dcosets-small", "E6-ext-induced-small",
                                         "E7-cohomology-dump", "E8-ext-center"]

@@ -949,6 +949,19 @@ def test_the_cap_bounds_the_walk(monkeypatch):
             weyl._closure(build_root_system("A", rank))
 
 
+def test_gamma_fits_a_byte_lane_under_the_cap():
+    """``iter_kostant_reps`` sums gamma in byte lanes, a byte per
+    representative, and a coordinate of gamma is at most that of 2 rho, since
+    N(w) lies in Phi+.  Every type under the cap has max_rho_coefficient at
+    most 54 (C7), so one byte holds it.  E8 reaches 270 and is over the cap;
+    admitting it would need 2-byte lanes."""
+    from steinberg_ext.rootdata import max_rho_coefficient
+
+    peaks = {rs.type_name(): max_rho_coefficient(rs) for rs in _types_under_the_cap()}
+    assert max(peaks.values()) == peaks["C7"] == 54
+    assert "E8" not in peaks and max_rho_coefficient(build_root_system("E", 8)) == 270
+
+
 def test_closure_holds_one_layer_beside_what_it_returns():
     """The enumeration yields each layer's records on their own: what the
     traced peak of joining them on E6 holds beyond the records and masks

@@ -12,12 +12,14 @@ else 0.
 
 The sweeps are larger than tier-1 can afford: about a minute in all on a
 2-core host.  The single queries check the representatives of the largest
-groups under the Weyl cap, E6 and D7, which no tier-1 test reads, and two
-complex-built tables at rank 7 and 8, where the golden corpus stops at
-rank 4: an E7 cohomology table with every row dumped, and an E8 ext table
-tensored with a center of rank 2.  A change
-to code that a command runs reruns them, and records the printed table for
-the parent and the change.  Standard library only.
+groups under the Weyl cap, E6 and D7, which no tier-1 test reads: four
+large pairs, and two small E6 pairs (144 and 1,260 representatives) of
+the size that ``perfbench``'s ``exceptional-queries`` times.  Two more
+check complex-built tables at rank 7 and 8, where the golden corpus stops
+at rank 4: an E7 cohomology table with every row dumped, and an E8 ext
+table tensored with a center of rank 2.  A change to code that a command
+runs reruns them, and records the printed table for the parent and the
+change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ RUNS = {
     "D7-ext-induced": Run(("ext-induced", "--type", "D7", "--I", "1", "--J", "0,5",
                            "--method", "strata", "--ring", RING),
                           "459c0b28643a41fddf9c3aa16e616cd451653a9c2119f9573fa2e4d2ed4dd2d2"),
+    "E6-dcosets-small": Run(("dcosets", "--type", "E6", "--I", "0,2,3,4", "--J", "1,3",
+                             "--ring", RING),
+                            "a20f954a992c05d37afd3797d1f46c80b5298469b8ed97f8d2d67966f10f936e"),
+    "E6-ext-induced-small": Run(
+        ("ext-induced", "--type", "E6", "--I", "0,2,3", "--J", "1", "--method", "strata",
+         "--ring", "Q"),
+        "60208eff068dac9b6ecee91a1f7d4fa00b8f820e50799dd695d94e3d1fe824ec"),
     "E7-cohomology-dump": Run(("cohomology", "--type", "E7", "--I", "", "--method", "both",
                                "--dump-complex", "--ring", RING),
                               "956d83b1c0761fa2f7e6a7f0d4cbfb110472ecfadc22d1a5192454f8f09becbb"),
