@@ -225,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_built(args, table_of, query: dict) -> int:
     """Emit ``table_of(method=..., complexes_out=...)``, the table of a
     command with ``--method`` and ``--dump-complex``, with its complexes if
-    it dumped any.  The built path checks itself against the closed form,
-    so ``both`` builds."""
-    dumps: list | None = [] if args.dump_complex else None
+    it dumped any; only JSON prints them, so only JSON asks for them.  The
+    built path checks itself against the closed form, so ``both`` builds."""
+    dumps: list | None = [] if args.dump_complex and args.format == "json" else None
     table = table_of(method=CLOSED_FORM if args.method == CLOSED_FORM else COMPLEX_BUILT,
                      complexes_out=dumps)
     emit_table(table, args.format, query, args.method, {"complexes": dumps} if dumps else None)

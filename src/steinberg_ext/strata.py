@@ -22,6 +22,7 @@ compiles it.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import reduce
 from itertools import compress
@@ -31,8 +32,8 @@ from .certificates import _delta_candidates, ext_induced_via_strata
 from .ringcond import RingSpec, bon_check
 from .rootdata import RootSystem, mask_indices, mask_size, support_mask
 from .tables import ExtTable, ext_induced_closed, exterior_table
-from .weyl import (_LEFT_AT, _NEGATIVE, _NONZERO, _RIGHT_AT, WeylGroup, _kilmoyer_sum, _misses,
-                   levi_difference_sum, parabolic_order)
+from .weyl import (_NEGATIVE, _NONZERO, WeylGroup, _kilmoyer_sum, _misses, levi_difference_sum,
+                   parabolic_order)
 
 
 class DescentClasses:
@@ -55,8 +56,8 @@ class DescentClasses:
         rank, n, size = rs.rank, rs.num_positive, len(group)
         self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rank))
         self.order = self.orders[-1]
-        masks, lengths = group.masks.tobytes(), group.column(0)
-        self._left, self._right = left, right = masks[_LEFT_AT::2], masks[_RIGHT_AT::2]
+        lengths = group.column(0)
+        self._left, self._right = left, right = group.left, group.right
         # a signed image -> 1 << i where it is alpha_i, its support where it is non-simple
         simple = bytes(1 << s - 1 if 0 < s <= rank else 0 for s in range(256))
         supports = bytes(support_mask(rs.positive_roots[s - 1]) if rank < s <= n else 0
@@ -72,7 +73,7 @@ class DescentClasses:
         # misses the left mask: its column and its AND with the left one differ in 0s.
         self.answers = (bon_check(rs, spec).ok
                         and size == self.order and lengths.count(0) == 1
-                        and group.record(at) == bytes(range(n + 1)) and group.masks[at] == 0
+                        and group.record(at) == bytes(range(n + 1)) and left[at] == right[at] == 0
                         and right.count(0) == 1 and int.from_bytes(right, "little") == signs
                         and all((int.from_bytes(support, "little") & held).to_bytes(size, "little")
                                 .translate(_NONZERO) == support.translate(_NONZERO)
@@ -82,18 +83,19 @@ class DescentClasses:
     def counts(self, J: int) -> dict[int, dict[int, int]]:
         """The elements whose right mask misses J, counted by left mask, then
         by S_J(w), the set of simple roots w carries some alpha_j (j in J)
-        onto: one ``Counter`` over the 2-byte keys left << 8 | S_J(w), kept
-        for the last J asked only."""
+        onto: one ``Counter`` over 2-byte keys, the left mask then S_J(w), as
+        native uint16s, split back once per distinct key; kept for the last J."""
         if self._counts[0] != J:
             self._counts = J, {}  # the last J's counts go before these are made
             counts, size = self._counts[1], len(self._left)
             keys = bytearray(2 * size)
-            keys[_LEFT_AT::2] = self._left
-            keys[_RIGHT_AT::2] = reduce(or_, (self._simple[j] for j in mask_indices(J)),
-                                        0).to_bytes(size, "little")
+            keys[::2] = self._left
+            keys[1::2] = reduce(or_, (self._simple[j] for j in mask_indices(J)),
+                                0).to_bytes(size, "little")
             keep = self._right.translate(_misses(J))
             for key, count in Counter(compress(memoryview(keys).cast("H"), keep)).items():
-                counts.setdefault(key >> 8, {})[key & 0xFF] = count
+                left, s_j = key.to_bytes(2, sys.byteorder)
+                counts.setdefault(left, {})[s_j] = count
         return self._counts[1]
 
     def covers(self, I: int, J: int) -> bool:

@@ -9,13 +9,13 @@ operations, and the length function is the count of negative entries.
 A group is enumerated once (``_closure``), by a breadth-first walk that
 reaches each element from its smallest left descent.  It yields, layer by
 layer, flat records (per element its length, then its signed images, one
-signed byte each) and a descent mask ``left << 8 | right`` per element.
+signed byte each) and two columns, the left and right descent masks.
 Inside the walk an element is a ``bytes`` of byte codes (image s as
 128 + s), so a step is one ``bytes.translate`` and sorting a layer sorts it
 by signed images; a sorted layer is read 256 elements at a time by
 columns, a fixed number of bytes operations per block.  Only whole groups
 under the enumeration cap are walked, so a group has rank at most 8 and at
-most 49 positive roots.  The records and masks are what a
+most 49 positive roots.  The records and the two mask columns are what a
 :class:`WeylGroup` holds and what its cache file stores, so a generated
 group and one read from the cache have one representation, and an element
 is decoded from its record on each read.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import zlib
 from array import array
 from collections import Counter
@@ -160,8 +159,6 @@ _REPS = 64  # the representatives of a pair read by columns at a time
 # negative, and a byte -> 1 where it is not 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
 _NEGATIVE, _NONZERO = bytes(s > 127 for s in range(256)), bytes(map(bool, range(256)))
-# where a mask's right byte and its left byte lie in its uint16
-_RIGHT_AT, _LEFT_AT = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def _byte_table(table: SignedImages) -> bytes:
@@ -185,12 +182,12 @@ def _bit_table(codes_of: Sequence[Iterable[int]]) -> bytes:
     return bytes(table)
 
 
-def _closure(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
+def _closure(rs: RootSystem) -> Iterator[tuple[bytes, bytes, bytes]]:
     """Enumerate the Weyl group of ``rs`` in group order, as it is walked:
     one length layer after the other, each in blocks of at most ``_BLOCK``
     elements, a block as its records (per element its length, then its
-    signed images, one signed byte each) and its descent masks
-    ``left << 8 | right`` in a uint16 array.  A group over
+    signed images, one signed byte each), its left masks and its right
+    masks, one byte per element each.  A group over
     ``DEFAULT_WEYL_CAP``, or a type with its simple roots out of place, is
     refused here, before any element is built.  Every type under the cap has
     rank at most 8 and at most 49 positive roots (B7), so a mask side and a
@@ -241,7 +238,7 @@ def _ored_columns(buffer: bytes, width: int, count: int) -> bytes:
     return ored.to_bytes(count, "little")
 
 
-def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
+def _walk(rs: RootSystem) -> Iterator[tuple[bytes, bytes, bytes]]:
     """The walk of :func:`_closure`, once its checks have passed."""
     rank, width = rs.rank, rs.num_positive + 1  # a record: its length, then its images
     guards = _guards(rs)
@@ -269,30 +266,31 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, array]]:
             block.reverse()
             count = len(block)
             buffer = code.join([b"", *block])  # per element its length, then its images
-            records, masks = buffer.translate(_SIGNED_BYTE), bytearray(2 * count)
+            records = buffer.translate(_SIGNED_BYTE)
             negative = records.translate(_NEGATIVE)
-            masks[_RIGHT_AT::2] = sum(int.from_bytes(negative[1 + j::width], "little") << j
-                                      for j in range(rank)).to_bytes(count, "little")
-            masks[_LEFT_AT::2] = _ored_columns(buffer.translate(left_table), width, count)
+            right = sum(int.from_bytes(negative[1 + j::width], "little") << j
+                        for j in range(rank)).to_bytes(count, "little")
+            left = _ored_columns(buffer.translate(left_table), width, count)
             blocked = _ored_columns(buffer.translate(blocked_table), width, count)
             for lets_through, table in steps:  # s_i·w for each step taken
                 nxt.extend(map(bytes.translate, compress(block, blocked.translate(lets_through)),
                                repeat(table)))
-            yield records, array("H", masks)
+            yield records, left, right
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in W({rs.type_name()}), past "
                             "its longest element")
 
 
-def _joined(blocks: Iterator[tuple[bytes, array]]) -> tuple[array, array]:
-    """The blocks of :func:`_closure` as one array of records and one of
-    masks."""
-    records, masks = array("b"), array("H")
-    for block, block_masks in blocks:
+def _joined(blocks: Iterator[tuple[bytes, bytes, bytes]]) -> tuple[array, bytearray, bytearray]:
+    """The blocks of :func:`_closure` as one array of records and the two
+    mask columns."""
+    records, left, right = array("b"), bytearray(), bytearray()
+    for block, block_left, block_right in blocks:
         records.frombytes(block)
-        masks.extend(block_masks)
-    return records, masks
+        left += block_left
+        right += block_right
+    return records, left, right
 
 
 @lru_cache(maxsize=None)
@@ -333,19 +331,19 @@ def levi_difference_sum(rs: RootSystem, J: int, L: int) -> Coords:
 
 
 class WeylGroup(Sequence):
-    """A Weyl group in group order, as the two arrays of :func:`_closure`:
-    the flat records (per element its length, then its signed images, one
-    signed byte each) and a descent mask per element.  A generated group and
-    one read from the cache both come as these arrays, with no element
-    built: each read decodes its element from the records.  Slices are
-    tuples; a group equals any sequence of its elements.  The class pass of
-    ``verify`` reads the arrays by columns instead, a byte per element
-    (:meth:`column`, and the masks' two bytes), and builds no element."""
+    """A Weyl group in group order, as :func:`_closure` yields it: the flat
+    records (per element its length, then its signed images, one signed byte
+    each) and the descent masks ``left`` and ``right``, a byte per element
+    each.  A generated group and one read from the cache both come so, with
+    no element built: each read decodes its element from the records.
+    Slices are tuples; a group equals any sequence of its elements.  The
+    class pass of ``verify`` reads the group by columns instead, a byte per
+    element (:meth:`column`, ``left`` and ``right``), and builds none."""
 
-    def __init__(self, rs: RootSystem, records: array, masks: array) -> None:
+    def __init__(self, rs: RootSystem, records: array, left: bytearray, right: bytearray) -> None:
         self._width = rs.num_positive + 1
         self._records = records
-        self.masks = masks
+        self.left, self.right = left, right
 
     def column(self, k: int) -> bytes:
         """Entry k of every record in group order, a byte each: k = 0 the
@@ -357,7 +355,7 @@ class WeylGroup(Sequence):
         return self._records[position * self._width:(position + 1) * self._width].tobytes()
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.left)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -427,7 +425,7 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int,
 
     w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
     w^-1(alpha_i) > 0 for every i in I: its descent masks miss J on the
-    right and I on the left, one filter over the masks' byte columns.  A
+    right and I on the left, one filter over the two mask columns.  A
     first pass over the blocks, in this call, counts them by (levi(w), l(w))
     and checks that their cosets partition the group (:func:`_kilmoyer_sum`
     at t = 2^64), so a corrupted group raises ``ContractError`` first.
@@ -447,9 +445,8 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int,
         raise ContractError(f"{len(group)} group elements; |W({rs.type_name()})| = "
                             f"{parabolic_order(rs, full)}: double cosets do not partition the "
                             "Weyl group")
-    masks = memoryview(group.masks).cast("B")
-    keep = (int.from_bytes(bytes(masks[_LEFT_AT::2]).translate(_misses(I)), "little")
-            & int.from_bytes(bytes(masks[_RIGHT_AT::2]).translate(_misses(J)), "little")
+    keep = (int.from_bytes(group.left.translate(_misses(I)), "little")
+            & int.from_bytes(group.right.translate(_misses(J)), "little")
             ).to_bytes(len(group), "little")
 
     tally: Counter[tuple[int, int]] = Counter()  # the representatives by (levi(w), l(w))
@@ -496,15 +493,15 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 # ---------------------------------------------------------------------------
 # optional binary cache, one file per (series, rank)
 #
-# Layout: the magic, which names the byte order of the masks (l or b), the
-# little-endian header (series, rank, N positive roots, element count), one
-# record per element in group order (length, then the N signed images, one
-# signed byte each), one uint16 descent mask per element (left << 8 | right),
-# then the little-endian CRC-32 of the records and masks.  These are the two
-# arrays a WeylGroup holds, written as they are held and read straight back
-# into them; a file of the other byte order, or of an older format, is a miss.
+# Layout: the magic, the little-endian header (series, rank, N positive
+# roots, element count), one record per element in group order (length,
+# then the N signed images, one signed byte each), the left masks, then the
+# right masks, a byte per element each, and the little-endian CRC-32 of all
+# three.  These are what a WeylGroup holds, written as they are held and
+# read straight back into them; no entry is wider than a byte, so a file
+# reads the same on every host.  A file of an older format is a miss.
 
-_CACHE_MAGIC = b"WGC4" + sys.byteorder[0].encode()
+_CACHE_MAGIC = b"WGC5"
 _CACHE_HEADER = struct.Struct("<cBII")
 _CACHE_CRC = struct.Struct("<I")
 _CHUNK = 1 << 16  # the bytes the range check holds at a time
@@ -514,15 +511,15 @@ def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
     return Path(cache_dir) / f"weyl_{series}{rank}.bin"
 
 
-def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, array]],
+def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]],
                     cache_dir: str | Path) -> Path:
-    """Write the cache file of ``rs`` from ``blocks``, pairs of records and
-    masks as :func:`_closure` yields them (a held group is the one pair of
-    its arrays): each block's records as it comes, then the masks, kept
-    until then, and the header last.  The file is written under a temporary
-    name in its directory and renamed into place when complete, so a walk
-    that fails or is interrupted leaves no file; a path that cannot be
-    written is a configuration error."""
+    """Write the cache file of ``rs`` from ``blocks``, triples of records,
+    left and right masks as :func:`_closure` yields them (a held group is
+    the one triple it holds): each block's records as it comes, then the
+    left and the right masks, kept until then, and the header last.  The
+    file is written under a temporary name in its directory and renamed
+    into place when complete, so a walk that fails or is interrupted leaves
+    no file; a path that cannot be written is a configuration error."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
@@ -531,16 +528,17 @@ def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, array]],
         try:
             with partial.open("wb") as fh:
                 fh.seek(prefix)
-                crc, masks = 0, array("H")
-                for records, block_masks in blocks:
+                crc, left, right = 0, bytearray(), bytearray()
+                for records, block_left, block_right in blocks:
                     fh.write(records)
                     crc = zlib.crc32(records, crc)
-                    masks.extend(block_masks)
-                fh.write(masks)
-                fh.write(_CACHE_CRC.pack(zlib.crc32(masks, crc)))
+                    left += block_left
+                    right += block_right
+                fh.writelines((left, right))
+                fh.write(_CACHE_CRC.pack(zlib.crc32(right, zlib.crc32(left, crc))))
                 fh.seek(0)
                 fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
-                    rs.series.encode(), rs.rank, rs.num_positive, len(masks)))
+                    rs.series.encode(), rs.rank, rs.num_positive, len(left)))
             os.replace(partial, path)
         except BaseException:
             partial.unlink(missing_ok=True)
@@ -552,11 +550,11 @@ def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, array]],
 
 
 def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
-    """Load the cached group, reading its records and masks straight into
-    the arrays it keeps; returns None on a missing file, an older format or
-    the other byte order, a header mismatch, a wrong file size, a checksum
-    that does not match, or a record entry outside -N..N (the cache is then
-    simply rewritten)."""
+    """Load the cached group, reading its records and mask columns straight
+    into the arrays it keeps; returns None on a missing file, an older
+    format, a header mismatch, a wrong file size, a checksum that does not
+    match, or a record entry outside -N..N (the cache is then simply
+    rewritten)."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
@@ -570,8 +568,8 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
             size = count * (n + 1)
             if os.fstat(fh.fileno()).st_size != prefix + size + 2 * count + _CACHE_CRC.size:
                 return None
-            records, masks = array("b", [0]) * size, array("H", [0]) * count
-            if fh.readinto(records) != size or fh.readinto(masks) != 2 * count:
+            records, left, right = array("b", [0]) * size, bytearray(count), bytearray(count)
+            if fh.readinto(records) + fh.readinto(left) + fh.readinto(right) != size + 2 * count:
                 return None  # it shrank while read
             tail = fh.read()
     except OSError:
@@ -587,9 +585,9 @@ def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
         if bytes(half).translate(None, valid):
             return None
         crc = zlib.crc32(half, crc)
-    if tail != _CACHE_CRC.pack(zlib.crc32(masks, crc)):
+    if tail != _CACHE_CRC.pack(zlib.crc32(right, zlib.crc32(left, crc))):
         return None
-    return WeylGroup(rs, records, masks)
+    return WeylGroup(rs, records, left, right)
 
 
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:

@@ -433,17 +433,26 @@ def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
 
 
 def weyl_group(rs: RootSystem, elements: Sequence[WeylElement],
-               masks: array | None = None) -> WeylGroup:
+               masks: Sequence[int] | None = None) -> WeylGroup:
     """A group of ``elements`` in their order, right or corrupted: their
-    records packed, and their descent masks scanned unless given."""
+    records packed, and their descent masks (``left << 8 | right``) scanned
+    unless given, split into the group's left and right columns."""
     records = array("b", chain.from_iterable((w.length, *w.signed_images) for w in elements))
-    return WeylGroup(rs, records, descent_masks(rs, elements) if masks is None else masks)
+    masks = descent_masks(rs, elements) if masks is None else masks
+    return WeylGroup(rs, records, bytearray(m >> 8 for m in masks),
+                     bytearray(m & 0xFF for m in masks))
 
 
-def blocks(group: WeylGroup) -> list[tuple[array, array]]:
-    """A held group as the one block of records and masks that
-    :func:`~steinberg_ext.weyl.save_weyl_cache` writes."""
-    return [(group._records, group.masks)]
+def masks(group: WeylGroup) -> array:
+    """The descent masks of ``group`` as :func:`descent_masks` gives them,
+    ``left << 8 | right`` per element in uint16, from its two columns."""
+    return array("H", (left << 8 | right for left, right in zip(group.left, group.right)))
+
+
+def blocks(group: WeylGroup) -> list[tuple[array, bytearray, bytearray]]:
+    """A held group as the one block of records, left masks and right masks
+    that :func:`~steinberg_ext.weyl.save_weyl_cache` writes."""
+    return [(group._records, group.left, group.right)]
 
 
 def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:

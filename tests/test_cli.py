@@ -886,6 +886,18 @@ def test_a_dump_over_the_cap_is_refused_before_any_row(capsys, monkeypatch):
     assert extengine._dense_entries(7, 7, 7) == 10306296 > extengine.DUMP_CAP
 
 
+def test_a_tsv_table_asks_for_no_dump(capsys):
+    """TSV prints no complexes, so ``--dump-complex`` asks for none under
+    it: the E7 ext-vi table over I = J = {}, whose dump would be over the
+    cap, prints its TSV rows with exit 0, the bytes it prints without the
+    option."""
+    argv = ("ext-vi", "--type", "E7", "--I", "", "--J", "", "--method", "complex_built",
+            "--format", "tsv")
+    dumped = run_cli(capsys, *argv, "--dump-complex")
+    assert dumped[0] == 0 and dumped[1].startswith("degree\trank\ttorsion\n")
+    assert dumped == run_cli(capsys, *argv)
+
+
 def test_the_dump_bound_counts_the_printed_entries(capsys, monkeypatch):
     import steinberg_ext.extengine as extengine
 
@@ -1141,14 +1153,13 @@ def _b3_breaking(invariant):
     """W(B3) with one invariant of a Weyl group that
     ``DescentClasses.answers`` folds in broken, and every other one kept."""
     import oracles
-    from array import array
 
     from steinberg_ext.rootdata import build_root_system, support_mask
     from steinberg_ext.weyl import WeylElement, generate_weyl
 
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
-    elements, masks = list(group), array("H", group.masks)
+    elements, masks = list(group), oracles.masks(group)
     p = 1  # a simple reflection s_b, with left and right mask {b}
     b = (masks[p] & 0xFF).bit_length() - 1
     images = list(elements[p].signed_images)

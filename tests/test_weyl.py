@@ -250,7 +250,7 @@ def test_the_count_by_length_catches_what_the_count_misses():
         assert len(tried) == 1 + bool(I and J)
         for lengths in tried:
             corrupted = oracles.weyl_group(rs, _with_lengths(group, lengths))
-            assert corrupted.masks == group.masks
+            assert oracles.masks(corrupted) == oracles.masks(group)
             assert DescentClasses(rs, corrupted, RingSpec(1009, 3)).covers(I, J)
             with pytest.raises(ContractError, match="do not partition the Weyl group by "
                                                     "length"):
@@ -498,19 +498,19 @@ def test_cache_rejects_corruption(tmp_path):
     assert load_weyl_cache(rs, tmp_path) is None
 
 
-_MAGIC = b"WGC4" + sys.byteorder[0].encode()  # the masks' byte order, l or b
+_MAGIC = b"WGC5"
 _RECORDS_AT = len(_MAGIC) + struct.calcsize("<cBII")
 
 
 def _cache_layout(rs, count):
-    """Offsets of the record block and of the mask block in a cache file:
-    one byte per record entry."""
+    """Offsets of the record block and of the mask columns (the left one,
+    then the right one) in a cache file: one byte per record entry."""
     return _RECORDS_AT, _RECORDS_AT + count * (rs.num_positive + 1)
 
 
 def _sealed(raw: bytes) -> bytes:
-    """A cache file's bytes up to its masks, closed by the CRC-32 of its
-    record and mask blocks."""
+    """A cache file's bytes up to its CRC, closed by the CRC-32 of its
+    records and mask columns."""
     return raw + struct.pack("<I", zlib.crc32(raw[_RECORDS_AT:]))
 
 
@@ -530,32 +530,43 @@ def test_cache_v1_file_is_a_miss_and_is_rewritten(tmp_path):
         struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in group))
     assert load_weyl_cache(rs, tmp_path) is None
     assert load_or_generate(rs, tmp_path) == group
-    assert path.read_bytes()[:5] == _MAGIC
+    assert path.read_bytes()[:4] == _MAGIC
     assert load_weyl_cache(rs, tmp_path) == group
 
 
-def test_a_cache_of_the_other_byte_order_or_format_wgc2_is_a_miss_and_is_rewritten(tmp_path):
-    """The masks are written in the host's byte order, which the magic names;
-    a file tagged with the other order, even with its masks swapped to match,
-    and a file in the former WGC2 format (int32 records) are misses, and the
-    next load-or-generate rewrites them in this host's format."""
+def _uint16_layout(rs, elements, magic):
+    """A file of the former WGC3 and WGC4 layouts, without the CRC that WGC4
+    appends: the magic, a letter naming the host's byte order, the header,
+    the records, and a uint16 ``left << 8 | right`` per element in that
+    order."""
+    n = rs.num_positive
+    return (magic + sys.byteorder[0].encode()
+            + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
+            + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
+            + struct.pack(f"={len(elements)}H", *oracles.descent_masks(rs, elements)))
+
+
+def test_a_cache_of_format_wgc4_or_wgc2_is_a_miss_and_is_rewritten(tmp_path):
+    """A file in the former WGC4 format (uint16 masks in the byte order its
+    magic names, and a CRC-32 that matches them) and one in the WGC2 format
+    (int32 records) are misses, and the next load-or-generate rewrites them
+    in the current format, the same on every host."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     n = rs.num_positive
     header = struct.pack("<cBII", b"B", 3, n, len(group))
-    other = "little" if sys.byteorder == "big" else "big"
-    records = b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in group)
-    swapped = b"".join(mask.to_bytes(2, other) for mask in group.masks)
+    wgc4 = _uint16_layout(rs, group, b"WGC4")
     wgc2 = b"".join(struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in group)
     path = weyl_cache_path(tmp_path, "B", 3)
-    for raw in (b"WGC3" + other[0].encode() + header + records + swapped,
-                b"WGC2" + header + wgc2 + struct.pack(f"<{len(group)}H", *group.masks)):
+    # WGC4's magic has a fifth byte, so its records start one byte later
+    for raw in (wgc4 + struct.pack("<I", zlib.crc32(wgc4[_RECORDS_AT + 1:])),
+                b"WGC2" + header + wgc2 + struct.pack(f"<{len(group)}H", *oracles.masks(group))):
         path.write_bytes(raw)
         assert load_weyl_cache(rs, tmp_path) is None
         assert load_or_generate(rs, tmp_path) == group
         assert path.read_bytes() == _oracle_cache_bytes(rs, group)
         cached = load_weyl_cache(rs, tmp_path)
-        assert cached == group and cached.masks == group.masks
+        assert cached == group and oracles.masks(cached) == oracles.masks(group)
 
 
 @pytest.mark.parametrize("entry", [4, 10, -10, 99, 127, -128])
@@ -592,7 +603,7 @@ def test_a_wgc3_file_is_a_miss_and_is_rewritten(tmp_path):
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     path = weyl_cache_path(tmp_path, "B", 3)
-    path.write_bytes(b"WGC3" + _oracle_cache_bytes(rs, group)[4:-4])
+    path.write_bytes(_uint16_layout(rs, group, b"WGC3"))
     assert load_weyl_cache(rs, tmp_path) is None
     assert load_or_generate(rs, tmp_path) == group
     assert path.read_bytes() == _oracle_cache_bytes(rs, group)
@@ -671,7 +682,7 @@ def test_a_load_reads_the_group_in_place(tmp_path):
     rs = build_root_system("E", 6)
     load_or_generate(rs, tmp_path)
     group, peak = _traced_peak(lambda: load_weyl_cache(rs, tmp_path))
-    kept = len(group._records) + group.masks.itemsize * len(group.masks)
+    kept = len(group._records) + len(group.left) + len(group.right)
     assert kept == 51840 * 39 and kept > 16 * weyl._CHUNK
     assert peak - kept <= weyl._CHUNK + 8192, peak - kept
     assert group == generate_weyl(rs)
@@ -702,7 +713,7 @@ def test_cache_flipped_left_descent_fails_the_partition_check(tmp_path):
     for position in (0, 1, len(group) // 2, len(group) - 1):
         for i in range(rs.rank):
             corrupted = bytearray(raw)
-            corrupted[masks_at + 2 * position + 1] ^= 1 << i  # left mask: high byte
+            corrupted[masks_at + position] ^= 1 << i  # the left column comes first
             path.write_bytes(_resealed(bytes(corrupted)))
             cached = load_weyl_cache(rs, tmp_path)
             assert cached == group  # the records are intact
@@ -777,14 +788,14 @@ RANK_AT_MOST_5 = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C
 
 
 def _oracle_cache_bytes(rs, elements):
-    """A WGC4 file for ``elements``, packed record by record with struct: one
-    signed byte per entry, the masks in the host's byte order, and the CRC-32
-    of both."""
-    n = rs.num_positive
+    """A WGC5 file for ``elements``, packed record by record with struct: one
+    signed byte per entry, the left masks of the oracle's scan, then its
+    right masks, a byte each, and the CRC-32 of all three."""
+    n, masks = rs.num_positive, oracles.descent_masks(rs, elements)
     return _sealed(
         _MAGIC + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
         + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
-        + struct.pack(f"={len(elements)}H", *oracles.descent_masks(rs, elements)))
+        + bytes(mask >> 8 for mask in masks) + bytes(mask & 0xFF for mask in masks))
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["A6", "B6", "C6", "D6", "F4", "E6"])
@@ -793,9 +804,10 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
 
     rs = build_root_system(*parse_type(name))
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
-    records, masks = weyl._joined(weyl._closure(rs))
+    records, left, right = weyl._joined(weyl._closure(rs))
     assert records.typecode == "b"
     assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
+    masks = oracles.masks(weyl.WeylGroup(rs, records, left, right))
     assert masks == oracles.descent_masks(rs, oracle)
     group = generate_weyl(rs)
     assert group == oracle
@@ -804,14 +816,14 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
     # a miss writes the file as the walk makes each layer, and reads it back
     walked = load_or_generate(rs, tmp_path / "walked")
     assert weyl_cache_path(tmp_path / "walked", rs.series, rs.rank).read_bytes() == expected
-    assert walked == oracle and walked.masks == masks
+    assert walked == oracle and oracles.masks(walked) == masks
 
 
 def _in_levi(rs, levi):
     """The elements of the whole walked group that lie in W_levi: those whose
     inversions are all roots of the Levi."""
     roots, group = levi_root_indices(rs, levi), generate_weyl(rs)
-    return [(w, mask) for w, mask in zip(group, group.masks)
+    return [(w, mask) for w, mask in zip(group, oracles.masks(group))
             if all(k in roots for k, s in enumerate(w.signed_images) if s < 0)]
 
 
@@ -855,7 +867,7 @@ def test_the_walk_reads_a_block_in_c_not_element_by_element():
 
     sys.setprofile(count)
     try:
-        blocks = [masks for _, masks in walk]  # no C call of its own
+        blocks = [left for _, left, _ in walk]  # no C call of its own
     finally:
         sys.setprofile(None)
     elements = sum(map(len, blocks))
@@ -978,13 +990,13 @@ def test_closure_holds_one_layer_beside_what_it_returns():
     weyl._layer_sizes(rs, full)
     tracemalloc.start()
     try:
-        records, masks = weyl._joined(weyl._closure(rs))
+        records, left, right = weyl._joined(weyl._closure(rs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = records.itemsize * len(records) + masks.itemsize * len(masks)
+    kept = records.itemsize * len(records) + len(left) + len(right)
     largest = max(weyl._layer_sizes(rs, full))
-    assert len(masks) == 51840 and largest == 3662
+    assert len(left) == len(right) == 51840 and largest == 3662
     assert records.itemsize == 1 and peak - kept <= 256 * largest, (peak, kept)
 
 
