@@ -3,9 +3,9 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against columns read off the group, a byte per element each
-(:class:`DescentClasses`), and counted from them one J at a time, instead
-of through the representatives of
+checked against columns cut from the walk's blocks, a byte per element
+each (:class:`DescentClasses`), with no group held, and counted from them
+one J at a time, instead of through the representatives of
 :func:`~steinberg_ext.weyl.iter_kostant_reps`.  The columns give one
 verdict, whether the classes answer: the ring passes bon, which implies
 every certificate, and the group keeps what a Weyl group keeps.  A pair
@@ -24,22 +24,24 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from functools import reduce
 from itertools import compress
 from operator import or_
 
 from .certificates import _delta_candidates, ext_induced_via_strata
 from .ringcond import RingSpec, bon_check
-from .rootdata import RootSystem, mask_indices, mask_size, support_mask
+from .rootdata import RootSystem, mask_indices, mask_size, parabolic_order, support_mask
 from .tables import ExtTable, ext_induced_closed, exterior_table
-from .weyl import (_NEGATIVE, _NONZERO, WeylGroup, _kilmoyer_sum, _misses, levi_difference_sum,
-                   parabolic_order)
+from .weyl import _NEGATIVE, _NONZERO, _kilmoyer_sum, _misses, levi_difference_sum
 
 
 class DescentClasses:
     """A group read by columns, a byte per element each, for checks that
     pay per descent class and not per representative: its lengths, its left
     and right masks, and per simple root alpha_b the signed images w(alpha_b).
+    Cut from ``blocks`` as each comes, the (records, left, right) triples of
+    :func:`~steinberg_ext.weyl._closure` (a held group is its one triple).
 
     - ``answers``: whether the columns decide every pair.  The ring passes
       bon (q^e - 1 is a unit for 1 <= e <= m, the largest coefficient of
@@ -52,32 +54,45 @@ class DescentClasses:
       I = K and J = {b}: no such w exists), as ``iter_kostant_reps`` guards.
     """
 
-    def __init__(self, rs: RootSystem, group: WeylGroup, spec: RingSpec) -> None:
-        rank, n, size = rs.rank, rs.num_positive, len(group)
+    def __init__(self, rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]],
+                 spec: RingSpec) -> None:
+        rank, width = rs.rank, rs.num_positive + 1
         self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rank))
         self.order = self.orders[-1]
-        lengths = group.column(0)
-        self._left, self._right = left, right = group.left, group.right
         # a signed image -> 1 << i where it is alpha_i, its support where it is non-simple
         simple = bytes(1 << s - 1 if 0 < s <= rank else 0 for s in range(256))
-        supports = bytes(support_mask(rs.positive_roots[s - 1]) if rank < s <= n else 0
+        supports = bytes(support_mask(rs.positive_roots[s - 1]) if rank < s < width else 0
                          for s in range(256))
-        images = [group.column(1 + b) for b in range(rank)]
-        self._simple = [int.from_bytes(image.translate(simple), "little") for image in images]
-        signs = sum(int.from_bytes(image.translate(_NEGATIVE), "little") << b
-                    for b, image in enumerate(images))
-        held, at = int.from_bytes(left, "little"), lengths.find(0)
-        # At a right descent b, 1 <= gamma_b <= (2 rho)_b <= m: alpha_b lies in N(w),
-        # and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too, so under bon any
-        # right descent and any delta candidate certifies.  A stray root's support
-        # misses the left mask: its column and its AND with the left one differ in 0s.
-        self.answers = (bon_check(rs, spec).ok
-                        and size == self.order and lengths.count(0) == 1
-                        and group.record(at) == bytes(range(n + 1)) and left[at] == right[at] == 0
-                        and right.count(0) == 1 and int.from_bytes(right, "little") == signs
-                        and all((int.from_bytes(support, "little") & held).to_bytes(size, "little")
-                                .translate(_NONZERO) == support.translate(_NONZERO)
-                                for support in (image.translate(supports) for image in images)))
+        self._left, self._right = left, right = bytearray(), bytearray()
+        columns = [bytearray() for _ in range(rank)]
+        zeros, kept = 0, True  # the elements of length 0; whether every block keeps the rest
+        for records, block_left, block_right in blocks:
+            view, size = memoryview(records).cast("B"), len(block_left)
+            lengths, held = view[::width].tobytes(), int.from_bytes(block_left, "little")
+            at = lengths.find(0)
+            if at >= 0:  # the identity, if it is the one element of length 0
+                zeros += lengths.count(0)
+                kept &= (view[at * width:(at + 1) * width] == bytes(range(width))
+                         and block_left[at] == block_right[at] == 0)
+            # At a right descent b, 1 <= gamma_b <= (2 rho)_b <= m: alpha_b lies in N(w),
+            # and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too, so under bon any
+            # right descent and any delta candidate certifies.  A stray root's support
+            # misses the left mask: its column and its AND with the left one differ in 0s.
+            signs = 0
+            for b, column in enumerate(columns):  # one image column held at a time
+                image = view[1 + b::width].tobytes()
+                column += image.translate(simple)
+                signs |= int.from_bytes(image.translate(_NEGATIVE), "little") << b
+                support = image.translate(supports)
+                kept &= ((int.from_bytes(support, "little") & held).to_bytes(size, "little")
+                         .translate(_NONZERO) == support.translate(_NONZERO))
+            kept &= int.from_bytes(block_right, "little") == signs
+            left += block_left
+            right += block_right
+        # each column is dropped once it is read
+        self._simple = [int.from_bytes(columns.pop(0), "little") for _ in range(rank)]
+        self.answers = (bon_check(rs, spec).ok and kept and zeros == 1
+                        and len(left) == self.order and right.count(0) == 1)
         self._counts: tuple[int, dict[int, dict[int, int]]] = (-1, {})
 
     def counts(self, J: int) -> dict[int, dict[int, int]]:
@@ -108,11 +123,11 @@ class DescentClasses:
             for levi, count in by.items()))
 
 
-def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGroup,
+def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group,
                   classes: DescentClasses | None = None) -> None:
     """Check that every stratum's certificate is where the theorem puts it
     (none on the identity with J inside I alone), per descent class when
-    ``classes``, taken from ``group`` over ``spec``, are given and answer
+    ``classes``, taken from the group over ``spec``, are given and answer
     (:attr:`DescentClasses.answers`):
 
     - the double cosets partition the group (:meth:`DescentClasses.covers`);
@@ -121,7 +136,8 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group: WeylGro
       otherwise) equals the closed form.
 
     A pair failing any of them, or given no classes that answer, goes
-    through its representatives, which raise what
+    through its representatives, in ``group``, or with None in the group
+    :func:`~steinberg_ext.weyl.generate_weyl` makes once, which raise what
     :func:`ext_induced_via_strata` raises: a table that disagrees with the
     closed form raises ``VerificationError``."""
     survives = not J & ~I

@@ -1,7 +1,7 @@
 """The checks of ``verify``, of one pair or all pairs, in one loop over the
-root system, ring and group built once; the strata per descent class in a
-sweep, per representative for a single pair.  Only ``verify``, which
-parses, refuses and prints, imports this module.
+root system, ring and descent classes or group built once; the strata per
+descent class in a sweep, per representative for a single pair.  Only
+``verify``, which parses, refuses and prints, imports this module.
 """
 
 from __future__ import annotations
@@ -29,16 +29,20 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
         subsets = sorted({I, J})
     group = classes = None
     if strata:
-        # loaded, with the descent classes a sweep reads, before any work, so
-        # that a group over the cap is refused at once; a single pair reads
-        # its representatives, which check the partition at t = 2^64, where
-        # the classes count at t = 1 only
+        # the descent classes a sweep reads are cut from the walk's blocks, or
+        # from a cached group's one block, before any work, so that a group over
+        # the cap is refused at once; without a cache a sweep holds no group,
+        # and a failing pair's representatives generate it, once.  A single
+        # pair reads its representatives, which check the partition at
+        # t = 2^64, where the classes count at t = 1 only
+        from . import weyl
         from .strata import DescentClasses, verify_strata  # only verify compiles it
-        from .weyl import load_or_generate
 
-        group = load_or_generate(rs, cache_dir)
+        if cache_dir is not None or not all_pairs:
+            group = weyl.load_or_generate(rs, cache_dir)
         if all_pairs:
-            classes = DescentClasses(rs, group, spec)
+            classes = DescentClasses(rs, weyl._closure(rs) if group is None else
+                                     [(group._records, group.left, group.right)], spec)
 
     methods = (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced))
     label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
@@ -65,7 +69,7 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
                 record(check, pair, True)
             except VerificationError as e:
                 record(check, pair, False, str(e))
-        if group is not None:
+        if strata:
             # RingAssumptionError propagates: the dispatcher turns it into exit 3
             try:
                 verify_strata(rs, I, J, spec, group, classes)

@@ -336,23 +336,12 @@ class WeylGroup(Sequence):
     each) and the descent masks ``left`` and ``right``, a byte per element
     each.  A generated group and one read from the cache both come so, with
     no element built: each read decodes its element from the records.
-    Slices are tuples; a group equals any sequence of its elements.  The
-    class pass of ``verify`` reads the group by columns instead, a byte per
-    element (:meth:`column`, ``left`` and ``right``), and builds none."""
+    Slices are tuples; a group equals any sequence of its elements."""
 
     def __init__(self, rs: RootSystem, records: array, left: bytearray, right: bytearray) -> None:
         self._width = rs.num_positive + 1
         self._records = records
         self.left, self.right = left, right
-
-    def column(self, k: int) -> bytes:
-        """Entry k of every record in group order, a byte each: k = 0 the
-        lengths, k = 1 + j the signed images of the j-th positive root."""
-        return self._records[k::self._width].tobytes()
-
-    def record(self, position: int) -> bytes:
-        """The record at ``position`` as bytes, without building its element."""
-        return self._records[position * self._width:(position + 1) * self._width].tobytes()
 
     def __len__(self) -> int:
         return len(self.left)

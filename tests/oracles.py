@@ -449,10 +449,16 @@ def masks(group: WeylGroup) -> array:
     return array("H", (left << 8 | right for left, right in zip(group.left, group.right)))
 
 
-def blocks(group: WeylGroup) -> list[tuple[array, bytearray, bytearray]]:
-    """A held group as the one block of records, left masks and right masks
-    that :func:`~steinberg_ext.weyl.save_weyl_cache` writes."""
-    return [(group._records, group.left, group.right)]
+def blocks(group: WeylGroup, size: int | None = None) -> list[tuple[array, bytearray, bytearray]]:
+    """A held group as blocks of records, left masks and right masks, as
+    :func:`~steinberg_ext.weyl._closure` yields them and
+    :func:`~steinberg_ext.weyl.save_weyl_cache` writes them: the one block it
+    holds, or blocks of at most ``size`` elements in group order."""
+    if size is None:
+        return [(group._records, group.left, group.right)]
+    width = group._width
+    return [(group._records[p * width:(p + size) * width], group.left[p:p + size],
+             group.right[p:p + size]) for p in range(0, len(group), size)]
 
 
 def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:

@@ -1021,6 +1021,43 @@ def test_verify_sweep_bytes_are_pinned(capsys):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def test_a_sweep_holds_no_group_and_a_failing_one_generates_it_once(capsys, monkeypatch,
+                                                                   fresh_caches):
+    """A D4 strata sweep reads its classes off the walk: with the group's
+    generation and its cache refused, it prints its pinned bytes.  With
+    every class check failing, every pair reruns through its representatives
+    and prints the same bytes; the sweep walks the group twice, once for the
+    classes and once for the one group the reruns generate."""
+    import hashlib
+
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.strata import DescentClasses
+
+    argv = ("verify", "--type", "D4", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
+    digest = PINNED_SWEEPS[("D4", "q=3,d=1009", "on")]
+    generate, load, closure = weyl.generate_weyl, weyl.load_or_generate, weyl._closure
+
+    def refused(*args):
+        raise AssertionError("the sweep asked for a group")
+
+    monkeypatch.setattr(weyl, "generate_weyl", refused)
+    monkeypatch.setattr(weyl, "load_or_generate", refused)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    walks = []
+
+    def counting(rs):
+        walks.append(rs.type_name())
+        return closure(rs)
+
+    monkeypatch.setattr(weyl, "generate_weyl", generate)
+    monkeypatch.setattr(weyl, "load_or_generate", load)
+    monkeypatch.setattr(weyl, "_closure", counting)
+    monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
+    assert run_cli(capsys, *argv)[:2] == (0, out)
+    assert walks == ["D4", "D4"]
+
+
 def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, monkeypatch):
     import steinberg_ext.extengine as eng
     from steinberg_ext.errors import ContractError
@@ -1188,18 +1225,32 @@ def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, mon
                                                           fresh_caches):
     """The classes of a group that breaks any one invariant do not answer,
     and the sweep prints, exits and says on stderr what it does with every
-    pair rerun through the representatives."""
+    pair rerun through the representatives.  The group is the walk's, so the
+    class pass reads it, and so does the group the reruns generate."""
+    import oracles
+
     import steinberg_ext.weyl as weyl
     from steinberg_ext.ringcond import RingSpec
     from steinberg_ext.strata import DescentClasses
 
     rs, group, corrupted = _b3_breaking(invariant)
     spec = RingSpec(1009, 3)
-    assert DescentClasses(rs, group, spec).answers
-    assert not DescentClasses(rs, corrupted, spec).answers
-    monkeypatch.setattr(weyl, "load_or_generate", lambda rs, cache_dir=None: corrupted)
+    assert DescentClasses(rs, oracles.blocks(group), spec).answers
+    assert not DescentClasses(rs, oracles.blocks(corrupted), spec).answers
+    # in blocks of 5 elements, as a walk yields blocks, so the classes carry
+    # each verdict from block to block
+    monkeypatch.setattr(weyl, "_closure", lambda rs: iter(oracles.blocks(corrupted, 5)))
+    weyl.generate_weyl.cache_clear()  # the group _b3_breaking generated
+    built, classes_init = [], DescentClasses.__init__
+
+    def watching_init(self, *args):
+        classes_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(DescentClasses, "__init__", watching_init)
     argv = ("verify", "--type", "B3", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
     by_class = run_cli(capsys, *argv)
+    assert [classes.answers for classes in built] == [False]
     monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
     assert by_class == run_cli(capsys, *argv)
 
@@ -1220,8 +1271,8 @@ def test_a_sweep_counts_one_j_at_a_time(capsys, monkeypatch, fresh_caches):
             assert counts == {}, J
             super().__init__(keys)
 
-    def watching_init(self, rs, group, spec):
-        classes_init(self, rs, group, spec)
+    def watching_init(self, rs, blocks, spec):
+        classes_init(self, rs, blocks, spec)
         owners.append(self)
 
     monkeypatch.setattr(strata.DescentClasses, "__init__", watching_init)

@@ -185,7 +185,8 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
         raise _RerunThroughTheReps
 
     monkeypatch.setattr(strata, "ext_induced_via_strata", rerun)
-    over = {spec: DescentClasses(rs, group, spec) for spec in (RingSpec(1009, 3), Z5)}
+    over = {spec: DescentClasses(rs, oracles.blocks(group), spec)
+            for spec in (RingSpec(1009, 3), Z5)}
     for I, J in pairs:
         reps = kostant_reps(rs, I, J, group)
         for spec, classes in over.items():
@@ -263,7 +264,7 @@ def test_a_corrupted_group_fails_the_class_path_too():
             [(e, pairs[1:]) for e in swapped]:
         for I, J in tried:
             group = oracles.weyl_group(rs, elements)
-            classes = DescentClasses(rs, group, Z23)
+            classes = DescentClasses(rs, oracles.blocks(group), Z23)
             assert not classes.answers
             with pytest.raises(ContractError, match="do not partition"):
                 verify_strata(rs, I, J, Z23, group, classes)
@@ -271,7 +272,7 @@ def test_a_corrupted_group_fails_the_class_path_too():
     # with the identity doubled add up; the count by length tells (two
     # elements of length 0)
     doubled = oracles.weyl_group(rs, swapped[1])
-    classes = DescentClasses(rs, doubled, Z23)
+    classes = DescentClasses(rs, oracles.blocks(doubled), Z23)
     assert classes.covers(0, 0) and not classes.answers
     with pytest.raises(ContractError, match="by length"):
         verify_strata(rs, 0, 0, Z23, doubled, classes)
@@ -296,7 +297,8 @@ def test_the_class_pass_reads_the_group_in_any_order():
     rs, group, elements, masks = _b3_shuffled()
     shuffled = oracles.weyl_group(rs, elements, masks)
     for spec in (Z23, Z5):
-        classes, by_element = DescentClasses(rs, group, spec), DescentClasses(rs, shuffled, spec)
+        classes = DescentClasses(rs, oracles.blocks(group), spec)
+        by_element = DescentClasses(rs, oracles.blocks(shuffled), spec)
         assert by_element.answers == classes.answers == (spec is Z23)
         for J in range(full_mask(rs.rank) + 1):
             assert by_element.counts(J) == classes.counts(J), J
@@ -318,7 +320,8 @@ def test_a_shuffled_group_without_the_identity_at_length_0_fails_the_class_path(
         corrupted[p] = w
         if p == reflection:  # the identity leaves length 0
             corrupted[at] = elements[at]._replace(length=1)
-        assert not DescentClasses(rs, oracles.weyl_group(rs, corrupted, masks), Z23).answers
+        broken = oracles.weyl_group(rs, corrupted, masks)
+        assert not DescentClasses(rs, oracles.blocks(broken), Z23).answers
 
 
 @pytest.mark.parametrize("name", RANK_5_TYPES + ["E6"])
@@ -349,7 +352,8 @@ def test_the_classes_certify_exactly_where_bon_holds(name):
     group = generate_weyl(rs)
     for ring in ("Q", "q=3,d=5", "q=2,d=7", "q=3,d=7", "q=2,d=3", "q=3,d=1009"):
         spec = parse_ring(ring)
-        assert DescentClasses(rs, group, spec).answers == bon_check(rs, spec).ok, ring
+        answers = DescentClasses(rs, oracles.blocks(group), spec).answers
+        assert answers == bon_check(rs, spec).ok, ring
 
 
 def test_an_element_without_a_right_descent_fails_the_class_path_too():
@@ -368,8 +372,8 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too():
     images[b] = -images[b]
     elements[at] = WeylElement(tuple(images), 1)
     corrupted = oracles.weyl_group(rs, elements, oracles.masks(group))
-    classes = DescentClasses(rs, corrupted, Z23)
-    assert DescentClasses(rs, group, Z23).answers and not classes.answers
+    classes = DescentClasses(rs, oracles.blocks(corrupted), Z23)
+    assert DescentClasses(rs, oracles.blocks(group), Z23).answers and not classes.answers
     full = full_mask(rs.rank)
     raised = {}
     for I in range(full + 1):
@@ -431,7 +435,7 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
     else:
         raise AssertionError("no such element in A3")
     corrupted = oracles.weyl_group(rs, group[:], masks)
-    classes = DescentClasses(rs, corrupted, Z23)
+    classes = DescentClasses(rs, oracles.blocks(corrupted), Z23)
     orders = classes.orders
     assert len(corrupted) == classes.order == sum(
         count * orders[I] * orders[J] // orders[levi & I]

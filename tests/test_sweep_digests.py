@@ -28,3 +28,31 @@ def test_the_driver_fails_a_changed_byte(capsys):
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "E7-cohomology-dump", "E8-ext-center"]
+
+
+def test_every_round_must_match(capsys, monkeypatch):
+    """With ``--rounds 2`` the driver runs the A2 sweep twice, one process at
+    a time, and prints the median wall time and peak of the two; a run whose
+    second round prints other bytes fails, though its first matched."""
+    runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", A2_Q)}
+    rounds, run = [], sweep_digests.run
+
+    def counted(entry):
+        rounds.append(run(entry))
+        return rounds[-1]
+
+    monkeypatch.setattr(sweep_digests, "run", counted)
+    assert sweep_digests.main(["--rounds", "2"], runs) == 0
+    out, err = capsys.readouterr()
+    name, verdict, wall, peak, digest = out.splitlines()[1].split("\t")
+    assert (name, verdict, digest, len(rounds)) == ("A2-Q", "ok", A2_Q[:16], 2)
+    assert float(wall) == round((rounds[0].wall_s + rounds[1].wall_s) / 2, 2)
+    assert float(peak) == round((rounds[0].peak_mb + rounds[1].peak_mb) / 2, 1)
+    assert err.count("A2-Q\tround ") == 2
+
+    changed = iter([rounds[0], rounds[1]._replace(digest="0" * 64)])
+    monkeypatch.setattr(sweep_digests, "run", lambda entry: next(changed))
+    assert sweep_digests.main(["--rounds", "2", "A2-Q"], runs) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].startswith("A2-Q\tFAIL (exit 0)\t") and "0" * 64 in out
+    assert A2_Q in err

@@ -251,7 +251,7 @@ def test_the_count_by_length_catches_what_the_count_misses():
         for lengths in tried:
             corrupted = oracles.weyl_group(rs, _with_lengths(group, lengths))
             assert oracles.masks(corrupted) == oracles.masks(group)
-            assert DescentClasses(rs, corrupted, RingSpec(1009, 3)).covers(I, J)
+            assert DescentClasses(rs, oracles.blocks(corrupted), RingSpec(1009, 3)).covers(I, J)
             with pytest.raises(ContractError, match="do not partition the Weyl group by "
                                                     "length"):
                 kostant_reps(rs, I, J, corrupted)
@@ -332,7 +332,7 @@ def test_one_kilmoyer_sum_serves_both_checks(monkeypatch):
 
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
-    classes = strata.DescentClasses(rs, group, RingSpec(1009, 3))
+    classes = strata.DescentClasses(rs, oracles.blocks(group), RingSpec(1009, 3))
     pairs = [(0, 0), (0b011, 0b110), (0b111, 0b111)]
     assert all(classes.covers(I, J) for I, J in pairs)
     for module in (weyl, strata):
@@ -1000,6 +1000,26 @@ def test_closure_holds_one_layer_beside_what_it_returns():
     assert records.itemsize == 1 and peak - kept <= 256 * largest, (peak, kept)
 
 
+def test_the_class_pass_holds_less_than_the_group():
+    """The descent classes are cut from the walk's blocks as they come: the
+    traced peak of building them on E6 stays below the group's records,
+    |W|(N + 1) = 51,840 * 37 bytes, which a held group would take first."""
+    import tracemalloc
+
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.strata import DescentClasses
+
+    rs, spec = build_root_system("E", 6), RingSpec(1000003, 3)
+    DescentClasses(rs, weyl._closure(rs), spec)  # fills the tables kept for the process
+    tracemalloc.start()
+    try:
+        classes = DescentClasses(rs, weyl._closure(rs), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes.answers and peak < 51840 * (rs.num_positive + 1) == 1918080, peak
+
+
 def test_generated_group_decodes_on_each_read(monkeypatch):
     """Generating a group, and the class pass over it, decode no element;
     each read decodes its element from the records, so two reads are equal,
@@ -1011,10 +1031,12 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
     rs = build_root_system("B", 3)
     group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(3))
-    assert group.column(0) == bytes(w.length for w in oracle)
-    assert group.record(5) == bytes(s & 0xFF for s in (oracle[5].length,
-                                                       *oracle[5].signed_images))
-    assert DescentClasses(rs, group, RingSpec(1009, 3)).answers and not built
+    (records, _, _), = oracles.blocks(group)
+    width = rs.num_positive + 1
+    assert records[::width].tobytes() == bytes(w.length for w in oracle)
+    assert records[5 * width:6 * width].tobytes() == bytes(
+        s & 0xFF for s in (oracle[5].length, *oracle[5].signed_images))
+    assert DescentClasses(rs, oracles.blocks(group), RingSpec(1009, 3)).answers and not built
     assert group[5] == group[5] and group[5] is not group[5] and len(built) == 4
     assert group[-1] == group[len(group) - 1] and len(built) == 6
     elements = list(group)
@@ -1035,5 +1057,5 @@ def test_a_read_leaves_its_group_as_it_found_it(tmp_path):
         for I, J in ((0, 0), (0b011, 0b110), (0b111, 0b111)):
             kostant_reps(rs, I, J, group)
         assert list(group)[1:5] == list(group[1:5])
-        DescentClasses(rs, group, RingSpec(1009, 3))
+        DescentClasses(rs, oracles.blocks(group), RingSpec(1009, 3))
         assert set(vars(group)) == before

@@ -1,14 +1,15 @@
 """Rerun the recorded ``verify --all-pairs`` sweeps and single queries, and
 check their bytes.
 
-    python3 tools/sweep_digests.py [NAME ...]
+    python3 tools/sweep_digests.py [--rounds N] [NAME ...]
 
-Each command in ``RUNS`` (or each one named) runs once, as
-``python -m steinberg_ext ARGS`` from this checkout's ``src``, one process
-at a time.  Its stdout sha256 is compared with the full digest held here,
-and its wall time and peak RSS (the child's own ``ru_maxrss``) are printed.
-The exit code is 1 if any digest differs or any command exits non-zero,
-else 0.
+Each command in ``RUNS`` (or each one named) runs N times (once by
+default), as ``python -m steinberg_ext ARGS`` from this checkout's ``src``,
+one process at a time.  Each round's stdout sha256 is compared with the
+full digest held here, and the median wall time and peak RSS (the child's
+own ``ru_maxrss``) over the rounds are printed, each round's on stderr
+when there are several.  A command is ``ok`` only if every round exits 0
+with its digest.  The exit code is 1 if any command is not ok, else 0.
 
 The sweeps are larger than tier-1 can afford: about a minute in all on a
 2-core host.  The single queries check the representatives of the largest
@@ -24,12 +25,14 @@ change.  Standard library only.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -113,21 +116,37 @@ def run(entry: Run) -> Result:
 
 
 def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = [name for name in names if name not in runs]
+    parser = argparse.ArgumentParser(description="Rerun the recorded commands and check "
+                                                 "their stdout digests.")
+    parser.add_argument("names", nargs="*", metavar="NAME")
+    parser.add_argument("--rounds", type=int, default=1,
+                        help="runs of each command, one process at a time (default 1)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    unknown = [name for name in args.names if name not in runs]
     if unknown:
         print(f"unknown run {', '.join(unknown)}; known: {', '.join(runs)}",
               file=sys.stderr)
         return 2
     failed = 0
     print("run\tverdict\twall_s\tpeak_mb\tdigest")
-    for name in names or runs:
+    for name in args.names or runs:
         entry = runs[name]
-        result = run(entry)
+        results = []
+        for k in range(args.rounds):
+            results.append(run(entry))
+            if args.rounds > 1:
+                print(f"{name}\tround {k + 1}\t{results[-1].wall_s:.2f}\t"
+                      f"{results[-1].peak_mb:.1f}", file=sys.stderr)
+        # the first round that fails, else the last
+        result = next((r for r in results if r.exit_code or r.digest != entry.digest),
+                      results[-1])
         ok = result.exit_code == 0 and result.digest == entry.digest
         failed += not ok
         verdict = "ok" if ok else f"FAIL (exit {result.exit_code})"
-        print(f"{name}\t{verdict}\t{result.wall_s:.2f}\t{result.peak_mb:.1f}\t"
+        print(f"{name}\t{verdict}\t{median(r.wall_s for r in results):.2f}\t"
+              f"{median(r.peak_mb for r in results):.1f}\t"
               f"{result.digest if not ok else result.digest[:16]}", flush=True)
         if not ok:
             print(f"{name}: expected {entry.digest}", file=sys.stderr)
