@@ -131,7 +131,7 @@ def _add_common(p: argparse.ArgumentParser, ring_default: str | None = "Q") -> N
 # the options only some subcommands read, each added where its handler reads it
 _OPTIONS = {
     "--format": {"choices": ("json", "tsv"), "default": "json"},
-    "--cache-dir": {"help": "optional Weyl cache directory"},
+    "--cache-dir": {"help": "optional Weyl cache directory", "type": lambda text: text or None},
     "--assume-theta": {"action": "store_true",
                        "help": "acknowledge the character-lattice comparison assumption"},
     "--dump-complex": {"action": "store_true",
@@ -250,9 +250,9 @@ def cmd_ext_induced(args) -> int:
         from .tables import ext_induced_closed
 
         if args.cache_dir is not None:  # a closed-form query can prepare the cache
-            from .weyl import load_or_generate
+            from .weyl import cached_blocks
 
-            load_or_generate(rs, args.cache_dir)
+            cached_blocks(rs, args.cache_dir, read_back=False)
         table = ext_induced_closed(rs, I, J, spec)
     else:
         from .certificates import ext_induced_via_strata

@@ -3,9 +3,9 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against columns cut from the walk's blocks, a byte per element
-each (:class:`DescentClasses`), with no group held, and counted from them
-one J at a time, instead of through the representatives of
+checked against columns cut from blocks, the walk's or the cache file's, a
+byte per element each (:class:`DescentClasses`), with no group held, and
+counted from them one J at a time, not through the representatives of
 :func:`~steinberg_ext.weyl.iter_kostant_reps`.  The columns give one
 verdict, whether the classes answer: the ring passes bon, which implies
 every certificate, and the group keeps what a Weyl group keeps.  A pair
@@ -41,7 +41,7 @@ class DescentClasses:
     pay per descent class and not per representative: its lengths, its left
     and right masks, and per simple root alpha_b the signed images w(alpha_b).
     Cut from ``blocks`` as each comes, the (records, left, right) triples of
-    :func:`~steinberg_ext.weyl._closure` (a held group is its one triple).
+    the walk (:func:`~steinberg_ext.weyl._closure`) or of the cache file.
 
     - ``answers``: whether the columns decide every pair.  The ring passes
       bon (q^e - 1 is a unit for 1 <= e <= m, the largest coefficient of

@@ -29,20 +29,18 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
         subsets = sorted({I, J})
     group = classes = None
     if strata:
-        # the descent classes a sweep reads are cut from the walk's blocks, or
-        # from a cached group's one block, before any work, so that a group over
-        # the cap is refused at once; without a cache a sweep holds no group,
-        # and a failing pair's representatives generate it, once.  A single
-        # pair reads its representatives, which check the partition at
-        # t = 2^64, where the classes count at t = 1 only
+        # a sweep cuts its descent classes from the walk's or the cache file's
+        # blocks first, so a group over the cap is refused at once, and holds no
+        # group: failing pairs' representatives generate it, once.  A single pair
+        # reads its representatives, which check the partition at t = 2^64
         from . import weyl
         from .strata import DescentClasses, verify_strata  # only verify compiles it
 
-        if cache_dir is not None or not all_pairs:
+        if not all_pairs:
             group = weyl.load_or_generate(rs, cache_dir)
-        if all_pairs:
-            classes = DescentClasses(rs, weyl._closure(rs) if group is None else
-                                     [(group._records, group.left, group.right)], spec)
+        else:
+            classes = DescentClasses(rs, weyl._closure(rs) if cache_dir is None else
+                                     weyl.cached_blocks(rs, cache_dir), spec)
 
     methods = (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced))
     label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask

@@ -7,18 +7,15 @@ unique per element, so subgroup and double-coset computations are plain set
 operations, and the length function is the count of negative entries.
 
 A group is enumerated once (``_closure``), by a breadth-first walk that
-reaches each element from its smallest left descent.  It yields, layer by
-layer, flat records (per element its length, then its signed images, one
-signed byte each) and two columns, the left and right descent masks.
-Inside the walk an element is a ``bytes`` of byte codes (image s as
-128 + s), so a step is one ``bytes.translate`` and sorting a layer sorts it
-by signed images; a sorted layer is read 256 elements at a time by
-columns, a fixed number of bytes operations per block.  Only whole groups
-under the enumeration cap are walked, so a group has rank at most 8 and at
-most 49 positive roots.  The records and the two mask columns are what a
-:class:`WeylGroup` holds and what its cache file stores, so a generated
-group and one read from the cache have one representation, and an element
-is decoded from its record on each read.
+reaches each element from its smallest left descent and yields blocks,
+layer by layer: flat records (per element its length, then its signed
+images, one signed byte each) and two columns, the left and right descent
+masks.  Only whole groups under the enumeration cap are walked, so a group
+has rank at most 8 and at most 49 positive roots.  The cache file stores
+the same records and columns, and its one reader (``_read_cache``) yields
+them as blocks again.  A :class:`WeylGroup` is filled from blocks, and a
+strata sweep reads them by columns and holds no group; an element is
+decoded from its record on each read.
 
 The minimal double-coset representatives of a pair (``iter_kostant_reps``)
 are read the same way: one filter over the mask columns keeps them, and a
@@ -282,21 +279,26 @@ def _walk(rs: RootSystem) -> Iterator[tuple[bytes, bytes, bytes]]:
                             "its longest element")
 
 
-def _joined(blocks: Iterator[tuple[bytes, bytes, bytes]]) -> tuple[array, bytearray, bytearray]:
-    """The blocks of :func:`_closure` as one array of records and the two
-    mask columns."""
-    records, left, right = array("b"), bytearray(), bytearray()
-    for block, block_left, block_right in blocks:
-        records.frombytes(block)
-        left += block_left
-        right += block_right
-    return records, left, right
+def _filled(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]) -> WeylGroup:
+    """The group of ``rs`` from its ``blocks`` (:func:`_closure`): each fills
+    its part of the arrays the group keeps, preallocated, as it comes."""
+    count, width = parabolic_order(rs, full_mask(rs.rank)), rs.num_positive + 1
+    records, left, right = array("b", [0]) * (count * width), bytearray(count), bytearray(count)
+    view, start = memoryview(records).cast("B"), 0
+    for block in blocks:
+        end = start + len(block[1])
+        view[start * width:end * width] = memoryview(block[0]).cast("B")
+        left[start:end], right[start:end], start = block[1], block[2], end
+        del block  # dropped before the next is read
+    if start != count:
+        raise ContractError(f"{start} elements in W({rs.type_name()}), of order {count}")
+    return WeylGroup(rs, records, left, right)
 
 
 @lru_cache(maxsize=None)
 def generate_weyl(rs: RootSystem) -> WeylGroup:
     """The full Weyl group, identity first, sorted by length."""
-    return WeylGroup(rs, *_joined(_closure(rs)))
+    return _filled(rs, _closure(rs))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +488,13 @@ def kostant_reps(rs: RootSystem, I: int, J: int,
 # roots, element count), one record per element in group order (length,
 # then the N signed images, one signed byte each), the left masks, then the
 # right masks, a byte per element each, and the little-endian CRC-32 of all
-# three.  These are what a WeylGroup holds, written as they are held and
-# read straight back into them; no entry is wider than a byte, so a file
-# reads the same on every host.  A file of an older format is a miss.
+# three.  These are what the walk yields and a WeylGroup holds, written as
+# they come and read back as blocks again; no entry is wider than a byte, so
+# a file reads the same on every host.  A file of an older format is a miss.
 
 _CACHE_MAGIC = b"WGC5"
-_CACHE_HEADER = struct.Struct("<cBII")
-_CACHE_CRC = struct.Struct("<I")
-_CHUNK = 1 << 16  # the bytes the range check holds at a time
+_CACHE_HEAD = struct.Struct("<4scBII")  # the magic, then the header
+_CHUNK = 1 << 16  # the bytes of the file the reader holds at a time
 
 
 def weyl_cache_path(cache_dir: str | Path, series: str, rank: int) -> Path:
@@ -511,12 +512,11 @@ def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]
     no file; a path that cannot be written is a configuration error."""
     path = weyl_cache_path(cache_dir, rs.series, rs.rank)
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with partial.open("wb") as fh:
-                fh.seek(prefix)
+                fh.seek(_CACHE_HEAD.size)
                 crc, left, right = 0, bytearray(), bytearray()
                 for records, block_left, block_right in blocks:
                     fh.write(records)
@@ -524,10 +524,10 @@ def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]
                     left += block_left
                     right += block_right
                 fh.writelines((left, right))
-                fh.write(_CACHE_CRC.pack(zlib.crc32(right, zlib.crc32(left, crc))))
+                fh.write(zlib.crc32(right, zlib.crc32(left, crc)).to_bytes(4, "little"))
                 fh.seek(0)
-                fh.write(_CACHE_MAGIC + _CACHE_HEADER.pack(
-                    rs.series.encode(), rs.rank, rs.num_positive, len(left)))
+                fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, rs.series.encode(), rs.rank,
+                                          rs.num_positive, len(left)))
             os.replace(partial, path)
         except BaseException:
             partial.unlink(missing_ok=True)
@@ -538,57 +538,73 @@ def save_weyl_cache(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]
     return path
 
 
-def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
-    """Load the cached group, reading its records and mask columns straight
-    into the arrays it keeps; returns None on a missing file, an older
-    format, a header mismatch, a wrong file size, a checksum that does not
-    match, or a record entry outside -N..N (the cache is then simply
-    rewritten)."""
-    path = weyl_cache_path(cache_dir, rs.series, rs.rank)
-    prefix = len(_CACHE_MAGIC) + _CACHE_HEADER.size
+def _read_cache(rs: RootSystem, cache_dir: str | Path) -> Iterator:
+    """The one reader of the cache file of ``rs``.  It checks the whole file, a
+    chunk at a time, and yields nothing on a miss: no file, another format, a
+    header not that of ``rs`` and |W|, a record entry outside -N..N, a checksum
+    that does not match, or a wrong size.  Else it yields True, then re-reads
+    the file, unbuffered, for the blocks :func:`_closure` yields: whole records,
+    at most ``_CHUNK`` bytes of them, and their masks."""
+    n, count = rs.num_positive, parabolic_order(rs, full_mask(rs.rank))
+    head = _CACHE_HEAD.pack(_CACHE_MAGIC, rs.series.encode(), rs.rank, n, count)
+    size, body = count * (n + 1), count * (n + 3)  # the records; with the masks
     try:
-        with path.open("rb") as fh:
-            head = fh.read(prefix)
-            if len(head) != prefix or not head.startswith(_CACHE_MAGIC):
-                return None
-            series, rank, n, count = _CACHE_HEADER.unpack_from(head, len(_CACHE_MAGIC))
-            if series != rs.series.encode() or rank != rs.rank or n != rs.num_positive:
-                return None
-            size = count * (n + 1)
-            if os.fstat(fh.fileno()).st_size != prefix + size + 2 * count + _CACHE_CRC.size:
-                return None
-            records, left, right = array("b", [0]) * size, bytearray(count), bytearray(count)
-            if fh.readinto(records) + fh.readinto(left) + fh.readinto(right) != size + 2 * count:
-                return None  # it shrank while read
-            tail = fh.read()
+        fh = weyl_cache_path(cache_dir, rs.series, rs.rank).open("rb", buffering=0)
     except OSError:
-        return None
-    # every length and image lies in -N..N, as a signed byte: deleting those
-    # bytes from a copy of the records, half a chunk at a time, leaves none
-    # (the copy and the deletion's buffer hold one chunk); the checksum reads
-    # the same halves, in place
-    valid = bytes(s & 0xFF for s in range(-n, n + 1))
-    view, crc, step = memoryview(records), 0, _CHUNK // 2
-    for start in range(0, size, step):
-        half = view[start:start + step]
-        if bytes(half).translate(None, valid):
-            return None
-        crc = zlib.crc32(half, crc)
-    if tail != _CACHE_CRC.pack(zlib.crc32(right, zlib.crc32(left, crc))):
-        return None
-    return WeylGroup(rs, records, left, right)
+        return
+    with fh:
+        try:
+            if fh.read(len(head)) != head:
+                return
+            # every length and image lies in -N..N: deleting those bytes leaves none
+            valid, crc = bytes(s & 0xFF for s in range(-n, n + 1)), 0
+            for start in range(0, body, _CHUNK):
+                chunk = fh.read(min(_CHUNK, body - start))
+                if chunk[:max(size - start, 0)].translate(None, valid):
+                    return
+                crc = zlib.crc32(chunk, crc)
+            del chunk  # before any block is read
+            if fh.read() != crc.to_bytes(4, "little"):  # the checksum, then the end of the file
+                return
+        except OSError:
+            return
+        yield True
+
+        def read(offset: int, length: int) -> bytes:
+            fh.seek(len(head) + offset)
+            return fh.read(length)
+
+        step = _CHUNK // (n + 1)
+        for start in range(0, count, step):
+            k = min(step, count - start)
+            yield (read(start * (n + 1), k * (n + 1)), read(size + start, k),
+                   read(size + count + start, k))
+
+
+def load_weyl_cache(rs: RootSystem, cache_dir: str | Path) -> WeylGroup | None:
+    """Load the cached group from the blocks of :func:`_read_cache`, or None
+    on a miss (the cache is then simply rewritten)."""
+    blocks = _read_cache(rs, cache_dir)
+    return None if next(blocks, None) is None else _filled(rs, blocks)
+
+
+def cached_blocks(rs: RootSystem, cache_dir: str | Path,
+                  read_back: bool = True) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """The blocks of the cache file of ``rs`` (:func:`_read_cache`), which a
+    miss first writes as the walk makes each layer and, with ``read_back``,
+    reads back; without, a closed-form query only checks or writes the file."""
+    blocks = _read_cache(rs, cache_dir)
+    if next(blocks, None) is None:
+        path = save_weyl_cache(rs, _closure(rs), cache_dir)
+        if read_back and next(blocks := _read_cache(rs, cache_dir), None) is None:
+            raise ConfigurationError(f"the Weyl cache {path} does not read back as written")
+    return blocks
 
 
 def load_or_generate(rs: RootSystem, cache_dir: str | Path | None = None) -> WeylGroup:
     """The Weyl group of ``rs``: generated, or with a directory read from its
-    cache file, which a miss first writes as the walk makes each layer; the
-    group is then read back from the file, so none is held twice."""
+    cache file, which a miss first writes and reads back (:func:`cached_blocks`)."""
     if cache_dir is None:
         return generate_weyl(rs)
     group = load_weyl_cache(rs, cache_dir)
-    if group is None:
-        path = save_weyl_cache(rs, _closure(rs), cache_dir)
-        group = load_weyl_cache(rs, cache_dir)
-        if group is None:
-            raise ConfigurationError(f"the Weyl cache {path} does not read back as written")
-    return group
+    return _filled(rs, cached_blocks(rs, cache_dir)) if group is None else group

@@ -225,6 +225,21 @@ def test_cache_dir_used(tmp_path, capsys):
     assert code == 0 and first == second
 
 
+@pytest.mark.parametrize("argv", [
+    ("dcosets", "--type", "A2", "--I", "", "--J", ""),
+    ("ext-induced", "--type", "A2", "--I", "0", "--J", "", "--ring", "Q"),
+    ("verify", "--type", "A2", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on"),
+])
+def test_an_empty_cache_dir_is_no_cache_dir(argv, tmp_path, capsys, monkeypatch):
+    """An empty ``--cache-dir`` reads as none, as an empty ``--ring`` does for
+    ``dcosets``: the command prints what it prints without the option and
+    writes no cache file into the working directory (``Path('')`` is ``.``)."""
+    monkeypatch.chdir(tmp_path)
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", "") == expected
+    assert not list(tmp_path.iterdir())
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_text())
                      if name.startswith(("dcosets_B3", "dcosets_F4",
@@ -348,6 +363,42 @@ def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys):
     assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B3.bin"]
     rs = build_root_system("B", 3)
     assert load_weyl_cache(rs, tmp_path) == generate_weyl(rs)
+
+
+def _no_group(*args):
+    raise AssertionError("a WeylGroup was built")
+
+
+def test_a_closed_form_query_prepares_the_cache_with_no_group(tmp_path, capsys, monkeypatch,
+                                                             fresh_caches):
+    """A closed-form ``ext-induced`` with a cache directory checks the file
+    with the one reader and writes it on a miss: it builds no group, on a
+    miss or on a hit, reads nothing back, walks nothing on a hit, and leaves
+    the bytes a group's own file has."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.rootdata import build_root_system
+
+    reads, read_cache = [], weyl._read_cache
+
+    def counting(*args):
+        reads.append(args)
+        return read_cache(*args)
+
+    monkeypatch.setattr(weyl, "WeylGroup", _no_group)
+    monkeypatch.setattr(weyl, "_read_cache", counting)
+    argv = ("ext-induced", "--type", "B3", "--I", "", "--J", "", "--ring", "Q",
+            "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *argv)
+    path = weyl.weyl_cache_path(tmp_path, "B", 3)
+    raw = path.read_bytes()
+    monkeypatch.setattr(weyl, "_walk", _no_group)
+    assert run_cli(capsys, *argv)[:2] == (code, cold) and code == 0
+    assert path.read_bytes() == raw and len(reads) == 2  # one check per query
+    monkeypatch.undo()
+    rs = build_root_system("B", 3)
+    assert weyl.load_weyl_cache(rs, tmp_path) == weyl.generate_weyl(rs)
+    fresh = weyl.save_weyl_cache(rs, weyl._closure(rs), tmp_path / "fresh")
+    assert fresh.read_bytes() == raw
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -1056,6 +1107,26 @@ def test_a_sweep_holds_no_group_and_a_failing_one_generates_it_once(capsys, monk
     monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
     assert run_cli(capsys, *argv)[:2] == (0, out)
     assert walks == ["D4", "D4"]
+
+
+def test_a_cached_sweep_holds_no_group(tmp_path, capsys, monkeypatch, fresh_caches):
+    """With ``--cache-dir`` a D4 strata sweep holds no group either: a cold
+    sweep, which writes the walk to the file and reads it back, and a warm
+    one, which walks nothing, print the pinned bytes with no group built,
+    the class pass reading the file's blocks."""
+    import hashlib
+
+    import steinberg_ext.weyl as weyl
+
+    argv = ("verify", "--type", "D4", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on",
+            "--cache-dir", str(tmp_path))
+    digest = PINNED_SWEEPS[("D4", "q=3,d=1009", "on")]
+    monkeypatch.setattr(weyl, "WeylGroup", _no_group)
+    for run in ("cold", "warm"):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, run
+        assert [p.name for p in tmp_path.iterdir()] == ["weyl_D4.bin"]
+        monkeypatch.setattr(weyl, "_walk", _no_group)
 
 
 def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import tempfile
 import time
 from pathlib import Path
 
@@ -8,6 +10,7 @@ sweep_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep_digests)
 
 A2_Q = "ed54a0a803d4471800ce55e00a610ce8d8d08f372621aabd133f93c224693174"
+A2_STRATA = "be984913a320184f3fbe5a2e1d63c1e537ceeb48c28a593f3f13212f2175e981"
 
 
 def test_the_driver_fails_a_changed_byte(capsys):
@@ -24,10 +27,15 @@ def test_the_driver_fails_a_changed_byte(capsys):
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
-                                        "A8-strata", "E6-strata", "E6-dcosets",
+                                        "A8-strata", "E6-strata", "E6-strata-cache",
+                                        "D7-strata-cache", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "E7-cohomology-dump", "E8-ext-center"]
+    runs = sweep_digests.RUNS
+    for name in ("E6-strata", "D7-strata"):  # the same sweep and bytes, through a cache
+        cached = runs[f"{name}-cache"]
+        assert cached.cached and cached._replace(cached=False) == runs[name]
 
 
 def test_every_round_must_match(capsys, monkeypatch):
@@ -56,3 +64,51 @@ def test_every_round_must_match(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.splitlines()[1].startswith("A2-Q\tFAIL (exit 0)\t") and "0" * 64 in out
     assert A2_Q in err
+
+
+def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys, monkeypatch):
+    """``--against`` this checkout, with ``--rounds 1`` and ``--json``: an A2
+    sweep over Q and a cached A2 strata sweep run once from each side, the
+    cached one after an untimed run per side that primes its own cache
+    directory, removed at exit.  The JSON holds each side's median and
+    quartiles of wall time and peak; a changed digest fails its run, which
+    is then not timed."""
+    checkout = _PATH.parent.parent
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", A2_Q),
+            "A2-strata-cache": sweep_digests.sweep("A2", "q=3,d=1009", "on", A2_STRATA,
+                                                   cached=True)}
+    path = tmp_path / "bench.json"
+    argv = ["--rounds", "1", "--against", str(checkout), "--json", str(path)]
+    assert sweep_digests.main(argv, runs) == 0
+    out, _ = capsys.readouterr()
+    assert [line.split("\t")[:2] for line in out.splitlines()] == [
+        ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata-cache", "ok"]]
+    assert all(len(line.split("\t")) == 7 for line in out.splitlines())
+    report = json.loads(path.read_text())
+    assert set(report) == {"python", "cpu_count", "bytecode", "against", "runs"}
+    assert report["against"] == checkout.name and list(report["runs"]) == list(runs)
+    for name, record in report["runs"].items():
+        assert set(record) == {"argv", "rounds", "ok", "this", "against", "wins"}, name
+        assert record["rounds"] == 1 and record["ok"] and record["wins"] in (0, 1)
+        for side in ("this", "against"):
+            assert set(record[side]) == ({"wall_s", "peak_mb", "cold"} if "cache" in name
+                                         else {"wall_s", "peak_mb"})
+            for metric in ("wall_s", "peak_mb"):
+                spread = record[side][metric]
+                assert list(spread) == ["q1", "median", "q3"]
+                assert spread["q1"] == spread["median"] == spread["q3"] > 0
+    assert report["runs"]["A2-strata-cache"]["argv"][-2:] == ["--cache-dir", "DIR"]
+    assert not list((tmp_path / "tmp").iterdir())
+
+    flipped = A2_STRATA[:-1] + ("0" if A2_STRATA[-1] != "0" else "1")
+    runs["A2-strata-cache"] = runs["A2-strata-cache"]._replace(digest=flipped)
+    assert sweep_digests.main([*argv, "A2-strata-cache"], runs) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split("\t") == ["A2-strata-cache", "FAIL (exit 0)", "-", "-",
+                                                A2_STRATA, "-", "-"]
+    assert flipped in err
+    assert json.loads(path.read_text())["runs"] == {"A2-strata-cache": {
+        "argv": [*runs["A2-strata-cache"].args, "--cache-dir", "DIR"], "rounds": 1,
+        "ok": False}}

@@ -804,10 +804,10 @@ def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
 
     rs = build_root_system(*parse_type(name))
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
-    records, left, right = weyl._joined(weyl._closure(rs))
-    assert records.typecode == "b"
-    assert records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
-    masks = oracles.masks(weyl.WeylGroup(rs, records, left, right))
+    walked = weyl._filled(rs, weyl._closure(rs))
+    assert walked._records.typecode == "b"
+    assert walked._records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
+    masks = oracles.masks(walked)
     assert masks == oracles.descent_masks(rs, oracle)
     group = generate_weyl(rs)
     assert group == oracle
@@ -901,8 +901,21 @@ def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
     with pytest.raises(ContractError, match="past its longest element"):
         list(weyl._closure(rs))
     monkeypatch.undo()
-    assert weyl._joined(weyl._closure(rs))[0].tolist() == \
+    assert weyl._filled(rs, weyl._closure(rs))._records.tolist() == \
         [x for w in generate_weyl(rs) for x in (w.length, *w.signed_images)]
+
+
+def test_a_group_is_filled_whole_from_its_blocks():
+    """A group's arrays are preallocated at |W| and filled from blocks of
+    any size; blocks that fall short of |W| are refused, not padded."""
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    filled = weyl._filled(rs, oracles.blocks(group, 5))
+    assert filled == group and oracles.masks(filled) == oracles.masks(group)
+    with pytest.raises(ContractError, match=r"45 elements in W\(B3\), of order 48"):
+        weyl._filled(rs, oracles.blocks(group, 5)[:-1])
 
 
 def test_simple_roots_out_of_place_are_refused():
@@ -976,8 +989,8 @@ def test_gamma_fits_a_byte_lane_under_the_cap():
 
 def test_closure_holds_one_layer_beside_what_it_returns():
     """The enumeration yields each layer's records on their own: what the
-    traced peak of joining them on E6 holds beyond the records and masks
-    joined stays within 256 bytes for each element of the largest layer
+    traced peak of filling a group from them on E6 holds beyond its records
+    and masks stays within 256 bytes for each element of the largest layer
     (3,662 elements, so 0.94 MB; keeping every layer's byte strings alive
     takes over 4 MB)."""
     import tracemalloc
@@ -990,10 +1003,11 @@ def test_closure_holds_one_layer_beside_what_it_returns():
     weyl._layer_sizes(rs, full)
     tracemalloc.start()
     try:
-        records, left, right = weyl._joined(weyl._closure(rs))
+        walked = weyl._filled(rs, weyl._closure(rs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    records, left, right = walked._records, walked.left, walked.right
     kept = records.itemsize * len(records) + len(left) + len(right)
     largest = max(weyl._layer_sizes(rs, full))
     assert len(left) == len(right) == 51840 and largest == 3662

@@ -1,7 +1,7 @@
 """Rerun the recorded ``verify --all-pairs`` sweeps and single queries, and
-check their bytes.
+check their bytes; optionally time them against a second checkout.
 
-    python3 tools/sweep_digests.py [--rounds N] [NAME ...]
+    python3 tools/sweep_digests.py [--rounds N] [--against DIR] [--json PATH] [NAME ...]
 
 Each command in ``RUNS`` (or each one named) runs N times (once by
 default), as ``python -m steinberg_ext ARGS`` from this checkout's ``src``,
@@ -11,6 +11,17 @@ own ``ru_maxrss``) over the rounds are printed, each round's on stderr
 when there are several.  A command is ``ok`` only if every round exits 0
 with its digest.  The exit code is 1 if any command is not ok, else 0.
 
+With ``--against DIR`` each round runs the command twice, once from this
+checkout's ``src`` and once from ``DIR/src`` (a second checkout, such as
+the parent commit unpacked by ``git archive``), the side that goes first
+alternating from round to round.  A command whose digest differs on
+either side fails and is not timed.  ``--json PATH`` writes, per command,
+its argv, the rounds, each side's median and quartiles of wall time and
+peak (for a cached command also the wall time and peak of the cold run
+that primed its cache) and the rounds this checkout was the faster in
+(``wins``); and the Python version, ``os.cpu_count()`` and whether the
+children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset).
+
 The sweeps are larger than tier-1 can afford: about a minute in all on a
 2-core host.  The single queries check the representatives of the largest
 groups under the Weyl cap, E6 and D7, which no tier-1 test reads: four
@@ -18,21 +29,29 @@ large pairs, and two small E6 pairs (144 and 1,260 representatives) of
 the size that ``perfbench``'s ``exceptional-queries`` times.  Two more
 check complex-built tables at rank 7 and 8, where the golden corpus stops
 at rank 4: an E7 cohomology table with every row dumped, and an E8 ext
-table tensored with a center of rank 2.  A change to code that a command
-runs reruns them, and records the printed table for the parent and the
-change.  Standard library only.
+table tensored with a center of rank 2.  The E6 and D7 strata sweeps run
+once more each with ``--cache-dir``, with the uncached digests: each
+invocation makes one temporary directory, with a cache directory per side
+that one untimed run primes, and removes it at exit, so every timed round
+reads a warm cache.  A change to code that a command runs reruns them, and
+records the printed table for the parent and the change.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 import time
+from collections.abc import Iterable
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,12 +60,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class Run(NamedTuple):
     args: tuple[str, ...]  # the command line after ``python -m steinberg_ext``
     digest: str  # sha256 of the command's stdout
+    cached: bool = False  # run with ``--cache-dir``, a warm one when timed
+    src: Path = SRC  # the checkout's ``src`` the command runs from
 
 
-def sweep(type_name: str, ring: str, strata: str, digest: str) -> Run:
+def sweep(type_name: str, ring: str, strata: str, digest: str, cached: bool = False) -> Run:
     """``verify --all-pairs`` over one type and ring."""
     return Run(("verify", "--type", type_name, "--ring", ring, "--all-pairs",
-                "--strata", strata), digest)
+                "--strata", strata), digest, cached)
 
 
 RING = "q=3,d=1000003"
@@ -63,6 +84,12 @@ RUNS = {
                        "f8313a129c87f89c1d22099ff83ee79f9a6bda748aee4f0024a3321d10e31dc9"),
     "E6-strata": sweep("E6", RING, "on",
                        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088"),
+    "E6-strata-cache": sweep("E6", RING, "on",
+                             "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088",
+                             cached=True),
+    "D7-strata-cache": sweep("D7", RING, "on",
+                             "5b7d330fbd903775a5146457e63d30fe6f2440e7a712d77d8fd20722883d6999",
+                             cached=True),
     "E6-dcosets": Run(("dcosets", "--type", "E6", "--I", "1", "--J", "0,5", "--ring", RING),
                       "c28fc676d9ec21845759025dec4abfb1a5bc0db5a61d83fb5028b7228f8f291f"),
     "E6-ext-induced": Run(("ext-induced", "--type", "E6", "--I", "", "--J", "",
@@ -100,7 +127,7 @@ def run(entry: Run) -> Result:
     """Run one command in its own process and hash its stdout as it comes."""
     argv = [sys.executable, "-m", "steinberg_ext", *entry.args]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        filter(None, (str(entry.src), os.environ.get("PYTHONPATH")))))
     digest = hashlib.sha256()
     start = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
@@ -115,12 +142,27 @@ def run(entry: Run) -> Result:
     return Result(digest.hexdigest(), proc.returncode, wall, peak)
 
 
+def spread(values: list[float]) -> dict[str, float]:
+    """The median and quartiles of ``values``; one value is all three."""
+    q1, _, q3 = quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"q1": round(q1, 4), "median": round(median(values), 4), "q3": round(q3, 4)}
+
+
+def failure(results: Iterable[Result], digest: str) -> Result | None:
+    """The first of ``results`` that exits nonzero or prints other bytes."""
+    return next((r for r in results if r.exit_code or r.digest != digest), None)
+
+
 def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
     parser = argparse.ArgumentParser(description="Rerun the recorded commands and check "
                                                  "their stdout digests.")
     parser.add_argument("names", nargs="*", metavar="NAME")
     parser.add_argument("--rounds", type=int, default=1,
                         help="runs of each command, one process at a time (default 1)")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="a second checkout, whose src each round also runs")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="write each command's rounds, medians and quartiles here")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -129,27 +171,60 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
         print(f"unknown run {', '.join(unknown)}; known: {', '.join(runs)}",
               file=sys.stderr)
         return 2
+    sides = {"this": SRC}
+    if args.against:
+        sides["against"] = args.against.resolve() / "src"
+    report: dict = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
+                    "bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                    "against": args.against and args.against.resolve().name, "runs": {}}
     failed = 0
-    print("run\tverdict\twall_s\tpeak_mb\tdigest")
-    for name in args.names or runs:
-        entry = runs[name]
-        results = []
-        for k in range(args.rounds):
-            results.append(run(entry))
-            if args.rounds > 1:
-                print(f"{name}\tround {k + 1}\t{results[-1].wall_s:.2f}\t"
-                      f"{results[-1].peak_mb:.1f}", file=sys.stderr)
-        # the first round that fails, else the last
-        result = next((r for r in results if r.exit_code or r.digest != entry.digest),
-                      results[-1])
-        ok = result.exit_code == 0 and result.digest == entry.digest
-        failed += not ok
-        verdict = "ok" if ok else f"FAIL (exit {result.exit_code})"
-        print(f"{name}\t{verdict}\t{median(r.wall_s for r in results):.2f}\t"
-              f"{median(r.peak_mb for r in results):.1f}\t"
-              f"{result.digest if not ok else result.digest[:16]}", flush=True)
-        if not ok:
-            print(f"{name}: expected {entry.digest}", file=sys.stderr)
+    print("run\tverdict\twall_s\tpeak_mb\tdigest"
+          + ("\tagainst_wall_s\tagainst_peak_mb" if args.against else ""))
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for name in args.names or runs:
+            entry = runs[name]
+            # the command as each side runs it: a cached one with a directory of its
+            # own, primed by one untimed run, which must print the digest too
+            commands = {side: entry._replace(src=src, args=entry.args + (
+                ("--cache-dir", str(Path(cache_dir, side))) if entry.cached else ()))
+                for side, src in sides.items()}
+            primed = {side: run(commands[side]) for side in sides} if entry.cached else {}
+            bad = failure(primed.values(), entry.digest)
+            results: dict[str, list[Result]] = {side: [] for side in sides}
+            for k in range(args.rounds if bad is None else 0):
+                for side in list(sides)[::(-1) ** k]:  # the side that goes first alternates
+                    results[side].append(run(commands[side]))
+                    if args.rounds > 1:
+                        label = f"{side} round" if args.against else "round"
+                        print(f"{name}\t{label} {k + 1}\t{results[side][-1].wall_s:.2f}\t"
+                              f"{results[side][-1].peak_mb:.1f}", file=sys.stderr)
+                bad = failure((results[side][-1] for side in sides), entry.digest)
+                if bad is not None:
+                    break
+            record = report["runs"][name] = {
+                "argv": [*entry.args, *(("--cache-dir", "DIR") if entry.cached else ())],
+                "rounds": args.rounds, "ok": bad is None}
+            if bad is not None:  # not timed
+                failed += 1
+                print(f"{name}\tFAIL (exit {bad.exit_code})\t-\t-\t{bad.digest}"
+                      + "\t-\t-" * bool(args.against), flush=True)
+                print(f"{name}: expected {entry.digest}", file=sys.stderr)
+                continue
+            for side, rs in results.items():
+                record[side] = {"wall_s": spread([r.wall_s for r in rs]),
+                                "peak_mb": spread([r.peak_mb for r in rs])}
+                if side in primed:  # the untimed run that wrote the cache
+                    record[side]["cold"] = {"wall_s": round(primed[side].wall_s, 4),
+                                            "peak_mb": round(primed[side].peak_mb, 4)}
+            if args.against:  # ties count for neither side
+                record["wins"] = sum(this.wall_s < other.wall_s for this, other
+                                     in zip(results["this"], results["against"]))
+            medians = [f"{record[side]['wall_s']['median']:.2f}\t"
+                       f"{record[side]['peak_mb']['median']:.1f}" for side in sides]
+            print("\t".join([name, "ok", medians[0], entry.digest[:16], *medians[1:]]),
+                  flush=True)
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=2) + "\n")
     return 1 if failed else 0
 
 
