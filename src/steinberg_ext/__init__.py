@@ -89,11 +89,8 @@ _EXPORTS = {
     "weyl": (
         "DoubleCosetRep",
         "WeylElement",
-        "WeylGroup",
-        "generate_weyl",
         "iter_kostant_reps",
         "kostant_reps",
-        "load_or_generate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

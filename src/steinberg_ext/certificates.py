@@ -98,16 +98,15 @@ def vanishing_certificate(rs: RootSystem, rep: DoubleCosetRep,
         f"{sorted(set(e for _, e in candidates))}); the ring fails the bon/banal requirements")
 
 
-def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                           elements=None) -> ExtTable:
+def ext_induced_via_strata(rs: RootSystem, I: int, J: int, spec: RingSpec) -> ExtTable:
     """Ext between induced modules computed stratum by stratum along the
     double-coset filtration: every certified stratum contributes zero, the
     lone uncertified one contributes the closed-form exterior algebra.  The
     representatives stream, so none is kept once certified."""
-    from .weyl import iter_kostant_reps  # a certificate alone needs no group code
+    from .weyl import iter_kostant_reps  # a certificate alone needs no walk
 
     out: dict[int, ModulePiece] = {}
-    for rep in iter_kostant_reps(rs, I, J, elements):
+    for rep in iter_kostant_reps(rs, I, J):
         if vanishing_certificate(rs, rep, spec) is None:
             for degree, piece in exterior_table(rs.rank - mask_size(J)).entries.items():
                 _merge(out, degree, piece.rank, piece.torsion)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 # Each handler imports the modules it runs where it runs them: every command
 # is a process of its own, and compiles only those (check-ring compiles no
-# table module, and only the strata paths compile the Weyl group).
+# table module, and only the strata paths compile the Weyl walk).
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -131,7 +131,7 @@ def _add_common(p: argparse.ArgumentParser, ring_default: str | None = "Q") -> N
 # the options only some subcommands read, each added where its handler reads it
 _OPTIONS = {
     "--format": {"choices": ("json", "tsv"), "default": "json"},
-    "--cache-dir": {"help": "optional Weyl cache directory", "type": lambda text: text or None},
+    "--cache-dir": {"help": "accepted and ignored: no Weyl cache is read or written"},
     "--assume-theta": {"action": "store_true",
                        "help": "acknowledge the character-lattice comparison assumption"},
     "--dump-complex": {"action": "store_true",
@@ -249,16 +249,11 @@ def cmd_ext_induced(args) -> int:
     if args.method == CLOSED_FORM:
         from .tables import ext_induced_closed
 
-        if args.cache_dir is not None:  # a closed-form query can prepare the cache
-            from .weyl import cached_blocks
-
-            cached_blocks(rs, args.cache_dir, read_back=False)
         table = ext_induced_closed(rs, I, J, spec)
     else:
         from .certificates import ext_induced_via_strata
-        from .weyl import load_or_generate
 
-        table = ext_induced_via_strata(rs, I, J, spec, load_or_generate(rs, args.cache_dir))
+        table = ext_induced_via_strata(rs, I, J, spec)
     query = _query_dict(rs, spec, I=_subset_list(I), J=_subset_list(J))
     emit_table(table, args.format, query, args.method)
     return EXIT_OK
@@ -291,10 +286,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_dcosets(args) -> int:
-    from .weyl import iter_kostant_reps, load_or_generate
+    from .weyl import iter_kostant_reps
 
     rs, spec, I, J = _parse_query(args)
-    reps = iter_kostant_reps(rs, I, J, load_or_generate(rs, args.cache_dir))
+    reps = iter_kostant_reps(rs, I, J)
     if spec is not None:
         from .certificates import vanishing_certificate
     # Each row is encoded as it is made: one json.dumps of the whole document
@@ -366,8 +361,7 @@ def cmd_verify(args) -> int:
     from .sweep import verify_lines  # only verify compiles it
 
     strata = args.strata == "on" or (args.strata == "auto" and rank <= 3)
-    lines = verify_lines(rs, spec, I, J, all_pairs=args.all_pairs, strata=strata,
-                         cache_dir=args.cache_dir)
+    lines = verify_lines(rs, spec, I, J, all_pairs=args.all_pairs, strata=strata)
     lines.sort()
     for line in lines:
         sys.stdout.write(line + "\n")

@@ -3,17 +3,17 @@
 
 ``verify --strata on`` prints two lines per pair and needs no
 representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against columns cut from blocks, the walk's or the cache file's, a
-byte per element each (:class:`DescentClasses`), with no group held, and
-counted from them one J at a time, not through the representatives of
+checked against columns cut from the blocks of the whole walk, a byte per
+element each (:class:`DescentClasses`), with no group held, and counted
+from them one J at a time, not through the representatives of
 :func:`~steinberg_ext.weyl.iter_kostant_reps`.  The columns give one
 verdict, whether the classes answer: the ring passes bon, which implies
 every certificate, and the group keeps what a Weyl group keeps.  A pair
 that fails a check, and every pair where the classes do not answer, is
-rerun through the representatives, so that it raises what the
-per-representative path raises.  A single pair keeps that path, though
-the classes would cost it less, because it checks more: the representatives
-check the partition at t = 2^64, degree by degree, and
+rerun through the representatives, read off its own walk of X_J, so that
+it raises what the per-representative path raises.  A single pair keeps
+that path, though the classes would cost it less, because it checks more:
+the representatives check the partition at t = 2^64, degree by degree, and
 :meth:`DescentClasses.covers` counts at t = 1 only.  ``dcosets`` and
 ``ext-induced --method strata``, which print or return each representative,
 keep it too.  Only ``verify`` imports this module, so no other command
@@ -41,7 +41,7 @@ class DescentClasses:
     pay per descent class and not per representative: its lengths, its left
     and right masks, and per simple root alpha_b the signed images w(alpha_b).
     Cut from ``blocks`` as each comes, the (records, left, right) triples of
-    the walk (:func:`~steinberg_ext.weyl._closure`) or of the cache file.
+    the whole walk (:func:`~steinberg_ext.weyl._closure` with J = 0).
 
     - ``answers``: whether the columns decide every pair.  The ring passes
       bon (q^e - 1 is a unit for 1 <= e <= m, the largest coefficient of
@@ -123,7 +123,7 @@ class DescentClasses:
             for levi, count in by.items()))
 
 
-def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group,
+def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
                   classes: DescentClasses | None = None) -> None:
     """Check that every stratum's certificate is where the theorem puts it
     (none on the identity with J inside I alone), per descent class when
@@ -136,8 +136,7 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group,
       otherwise) equals the closed form.
 
     A pair failing any of them, or given no classes that answer, goes
-    through its representatives, in ``group``, or with None in the group
-    :func:`~steinberg_ext.weyl.generate_weyl` makes once, which raise what
+    through its representatives, read off a walk of X_J, which raise what
     :func:`ext_induced_via_strata` raises: a table that disagrees with the
     closed form raises ``VerificationError``."""
     survives = not J & ~I
@@ -148,4 +147,4 @@ def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec, group,
                                                    levi_difference_sum(rs, J, J & I)))
                 and table.same_modules(ext_induced_closed(rs, I, J, spec))):
             return
-    ext_induced_via_strata(rs, I, J, spec, group)
+    ext_induced_via_strata(rs, I, J, spec)

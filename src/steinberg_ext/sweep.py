@@ -1,7 +1,8 @@
 """The checks of ``verify``, of one pair or all pairs, in one loop over the
-root system, ring and descent classes or group built once; the strata per
-descent class in a sweep, per representative for a single pair.  Only
-``verify``, which parses, refuses and prints, imports this module.
+root system, ring and descent classes built once; the strata per descent
+class in a sweep, per representative, from a walk of X_J, for a single pair
+and for a sweep pair that fails.  Only ``verify``, which parses, refuses and
+prints, imports this module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .rootdata import COMPLEX_BUILT, RootSystem, full_mask, mask_str
 
 
 def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: bool,
-                 strata: bool, cache_dir: str | None) -> list[str]:
+                 strata: bool) -> list[str]:
     """One PASS or FAIL line per check of the pair (I, J), or of every pair
     with ``all_pairs``, in the order the checks ran; the strata checks only
     with ``strata``.  The ring has passed its conditions."""
@@ -27,20 +28,19 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
     else:
         pairs = [(I, J)]
         subsets = sorted({I, J})
-    group = classes = None
+    classes = None
     if strata:
-        # a sweep cuts its descent classes from the walk's or the cache file's
-        # blocks first, so a group over the cap is refused at once, and holds no
-        # group: failing pairs' representatives generate it, once.  A single pair
-        # reads its representatives, which check the partition at t = 2^64
+        # the walk is asked for first, so a group over the cap is refused before
+        # any check runs.  A sweep cuts its descent classes from the walk's
+        # blocks and holds no group; a single pair, and each sweep pair that
+        # fails, reads its representatives off its own walk of X_J, and they
+        # check the partition at t = 2^64
         from . import weyl
         from .strata import DescentClasses, verify_strata  # only verify compiles it
 
-        if not all_pairs:
-            group = weyl.load_or_generate(rs, cache_dir)
-        else:
-            classes = DescentClasses(rs, weyl._closure(rs) if cache_dir is None else
-                                     weyl.cached_blocks(rs, cache_dir), spec)
+        walk = weyl._closure(rs)
+        if all_pairs:
+            classes = DescentClasses(rs, walk, spec)
 
     methods = (("ext-methods", ext_steinberg), ("vi-methods", ext_v_to_induced))
     label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
@@ -70,7 +70,7 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
         if strata:
             # RingAssumptionError propagates: the dispatcher turns it into exit 3
             try:
-                verify_strata(rs, I, J, spec, group, classes)
+                verify_strata(rs, I, J, spec, classes)
                 ok, detail = True, ""
             except VerificationError as e:
                 ok, detail = False, str(e)

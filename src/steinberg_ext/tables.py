@@ -5,7 +5,7 @@ below reads only root data and subset masks: nothing here builds a complex
 or a Weyl group, so a command that prints only closed forms (``zelevinsky``,
 whose segment-graph orientations are in :mod:`~steinberg_ext.zelevinsky`;
 ``cohomology`` of the trivial or induced module; ``ext-induced`` without
-strata or a cache directory) compiles neither :mod:`~steinberg_ext.homology`
+strata) compiles neither :mod:`~steinberg_ext.homology`
 nor :mod:`~steinberg_ext.weyl`.  The complex-built and stratum paths of
 :mod:`~steinberg_ext.extengine` check themselves against these.
 """

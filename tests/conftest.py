@@ -3,7 +3,6 @@ import pytest
 import steinberg_ext.extengine as extengine
 import steinberg_ext.homology as homology
 import steinberg_ext.ringcond as ringcond
-import steinberg_ext.weyl as weyl
 
 
 @pytest.fixture
@@ -11,16 +10,13 @@ def fresh_caches(monkeypatch):
     """Empty per-process caches for a test that counts what is computed or
     swaps in stand-ins: the rows' homology over Z, the built tables and the
     values q^e - 1 with their unit verdicts (the process's own dicts come
-    back afterwards), and the ring verdicts of the built tables and the Weyl
-    groups generated so far, so that the next query generates its group or
-    reads it from disk.  The verdicts and groups made during the test are
-    dropped afterwards: they may have been made under the test's stand-ins."""
+    back afterwards), and the ring verdicts of the built tables.  The
+    verdicts made during the test are dropped afterwards: they may have been
+    made under the test's stand-ins."""
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     monkeypatch.setattr(extengine, "_BUILT_TABLES", {})
     monkeypatch.setattr(ringcond, "_UNIT_VALUES", {})
-    memos = extengine._ring_passes, weyl.generate_weyl  # a test may patch the names
-    for memo in memos:
-        memo.cache_clear()
+    ring_passes = extengine._ring_passes  # a test may patch the name
+    ring_passes.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    ring_passes.cache_clear()

@@ -17,12 +17,18 @@ builders:
   the Poincaré polynomials as coefficient lists (``poincare_times``,
   ``poincare_over``, ``layer_sizes``) that pin the package's values at
   t = 2^64, the descent-mask scan ``descent_masks`` that pins the
-  enumerator's masks,
-  ``weyl_group``, which builds a group (a corrupted one, say) from an element
-  list, and ``integer_rank``;
-- ``kostant_reps_by_enumeration``, which enumerates double cosets to pin the
-  descent-set version, and the former seen-set Weyl closure, which pins the
-  descent-guarded enumerator;
+  enumerator's masks, and ``integer_rank``;
+- the held group the package once had, ``WeylGroup`` (its flat records and
+  two mask columns, an element decoded on each read), filled from the whole
+  walk's blocks by ``generate_weyl``; ``weyl_group``, which builds one (a
+  corrupted one, say) from an element list; ``blocks``, which gives a held
+  group's X_J as the walk yields blocks, and ``walking``, a stand-in walk
+  over them;
+- ``kostant_reps_by_filter``, the representatives as the package read them
+  before it walked X_J: one filter over the whole group's mask columns,
+  which pins the walk of X_J; ``kostant_reps_by_enumeration``, which
+  enumerates double cosets to pin the descent-set version; and the former
+  seen-set Weyl closure, which pins the descent-guarded enumerator;
 - the three former row builders at the end, kept as written (on the
   package's ``subset_lattice_complex``) to pin the one gated row builder
   that replaced them.
@@ -31,13 +37,15 @@ builders:
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, compress, islice, product
 from math import comb
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 
+from steinberg_ext import weyl
 from steinberg_ext.errors import ConfigurationError, ContractError
 from steinberg_ext.homology import ChainComplex, IntMatrix, smith_divisors, subset_lattice_complex
 from steinberg_ext.rootdata import (
@@ -49,6 +57,7 @@ from steinberg_ext.rootdata import (
     mask_size,
     mask_str,
     parabolic_exponents,
+    parabolic_order,
     validate_mask,
     zero_coords,
 )
@@ -56,11 +65,9 @@ from steinberg_ext.weyl import (
     DoubleCosetRep,
     SignedImages,
     WeylElement,
-    WeylGroup,
     _action_table,
     _root_sum,
     _simple_reflection_images,
-    generate_weyl,
 )
 
 
@@ -432,6 +439,60 @@ def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
         for images in map(attrgetter("signed_images"), group)])
 
 
+class WeylGroup(Sequence):
+    """A Weyl group in group order, as :func:`~steinberg_ext.weyl._closure`
+    yields it: the flat records (per element its length, then its signed
+    images, one signed byte each) and the descent masks ``left`` and
+    ``right``, a byte per element each, with no element built: each read
+    decodes its element from the records (through ``weyl.WeylElement``, so
+    a test can count the decodes).  Slices are tuples; a group equals any
+    sequence of its elements."""
+
+    def __init__(self, rs: RootSystem, records: array, left: bytearray, right: bytearray) -> None:
+        self._width = rs.num_positive + 1
+        self._records = records
+        self.left, self.right = left, right
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        start = range(len(self))[index] * self._width
+        return weyl.WeylElement(tuple(self._records[start + 1:start + self._width]),
+                                self._records[start])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+def filled(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]) -> WeylGroup:
+    """The group of ``rs`` from its ``blocks`` (as the whole walk yields
+    them): each fills its part of the arrays the group keeps, preallocated,
+    as it comes; blocks that fall short of |W| are refused, not padded."""
+    count, width = parabolic_order(rs, full_mask(rs.rank)), rs.num_positive + 1
+    records, left, right = array("b", [0]) * (count * width), bytearray(count), bytearray(count)
+    view, start = memoryview(records).cast("B"), 0
+    for block in blocks:
+        end = start + len(block[1])
+        view[start * width:end * width] = memoryview(block[0]).cast("B")
+        left[start:end], right[start:end], start = block[1], block[2], end
+        del block  # dropped before the next is read
+    if start != count:
+        raise ContractError(f"{start} elements in W({rs.type_name()}), of order {count}")
+    return WeylGroup(rs, records, left, right)
+
+
+@lru_cache(maxsize=None)
+def generate_weyl(rs: RootSystem) -> WeylGroup:
+    """The full Weyl group, identity first, sorted by length: the whole
+    walk, held."""
+    return filled(rs, weyl._closure(rs))
+
+
 def weyl_group(rs: RootSystem, elements: Sequence[WeylElement],
                masks: Sequence[int] | None = None) -> WeylGroup:
     """A group of ``elements`` in their order, right or corrupted: their
@@ -449,16 +510,113 @@ def masks(group: WeylGroup) -> array:
     return array("H", (left << 8 | right for left, right in zip(group.left, group.right)))
 
 
-def blocks(group: WeylGroup, size: int | None = None) -> list[tuple[array, bytearray, bytearray]]:
-    """A held group as blocks of records, left masks and right masks, as
-    :func:`~steinberg_ext.weyl._closure` yields them and
-    :func:`~steinberg_ext.weyl.save_weyl_cache` writes them: the one block it
-    holds, or blocks of at most ``size`` elements in group order."""
-    if size is None:
-        return [(group._records, group.left, group.right)]
+def blocks(group: WeylGroup, size: int | None = None,
+           J: int = 0) -> list[tuple[array, bytearray, bytearray]]:
+    """A held group's X_J, its elements whose right mask misses J, as blocks
+    of records, left masks and right masks, as
+    :func:`~steinberg_ext.weyl._closure` yields them: one block, or blocks of
+    at most ``size`` elements in group order."""
     width = group._width
-    return [(group._records[p * width:(p + size) * width], group.left[p:p + size],
-             group.right[p:p + size]) for p in range(0, len(group), size)]
+    kept = [p for p, right in enumerate(group.right) if not right & J]
+    records = array("b", chain.from_iterable(group._records[p * width:(p + 1) * width]
+                                             for p in kept))
+    left, right = bytearray(group.left[p] for p in kept), bytearray(group.right[p] for p in kept)
+    if size is None:
+        return [(records, left, right)]
+    return [(records[p * width:(p + size) * width], left[p:p + size], right[p:p + size])
+            for p in range(0, len(kept), size)]
+
+
+def walking(group: WeylGroup, size: int | None = None):
+    """A stand-in for :func:`~steinberg_ext.weyl._closure` that yields the
+    :func:`blocks` of ``group``'s X_J, a corrupted group's say."""
+    return lambda rs, J=0: iter(blocks(group, size, J))
+
+
+def _filter_rep_blocks(rs: RootSystem, I: int, J: int, group: WeylGroup, keep: bytes):
+    """The representatives ``keep`` marks, at most 64 at a time: their
+    records joined, and levi(w) and L', a byte each, from the image columns
+    of the alpha_j, j in J.  ``ContractError`` at the first with a negative
+    image, a non-simple root of the I-Levi as an image, or a negative
+    length."""
+    width, rank = group._width, rs.rank
+    simple_j, phi_i = mask_indices(J), levi_root_indices(rs, I)
+    into_i = bytes(1 << s - 1 if 0 < s <= rank and s - 1 in phi_i else 0 for s in range(256))
+    stray = bytes(not 0 < s < 128 or s > rank and s - 1 in phi_i for s in range(256))
+    records, positions = memoryview(group._records).cast("B"), compress(range(len(group)), keep)
+    while True:
+        buffer = bytearray()
+        for p in islice(positions, 64):
+            buffer += records[p * width:(p + 1) * width]
+        if not buffer:
+            return
+        images, lengths = [buffer[1 + b::width] for b in simple_j], buffer[::width]
+        wrong = int.from_bytes(lengths.translate(weyl._NEGATIVE), "little")
+        for image in images:
+            wrong |= int.from_bytes(image.translate(stray), "little")
+        if wrong:
+            e = ((wrong & -wrong).bit_length() - 1) // 8
+            for b, s in zip(simple_j, (image[e] for image in images)):
+                if stray[s]:
+                    why = "lies in the I-Levi but is not simple" if 0 < s < 128 else "is negative"
+                    raise ContractError(f"w(alpha_{b}) {why}; not a minimal double-coset "
+                                        "representative")
+            raise ContractError(f"a representative of length {lengths[e] - 256}: double "
+                                "cosets do not partition the Weyl group by length")
+        levi = source = 0
+        for b, image in zip(simple_j, images):
+            column = image.translate(into_i)
+            levi |= int.from_bytes(column, "little")
+            source |= int.from_bytes(column.translate(weyl._NONZERO), "little") << b
+        count = len(lengths)
+        yield buffer, levi.to_bytes(count, "little"), source.to_bytes(count, "little")
+
+
+def kostant_reps_by_filter(rs: RootSystem, I: int, J: int,
+                           group: WeylGroup | None = None) -> tuple[DoubleCosetRep, ...]:
+    """The minimal double-coset representatives as the package read them
+    from a held group before it walked X_J: one filter over the whole
+    group's two mask columns keeps the elements whose masks miss J on the
+    right and I on the left, and a first pass checks the group's size and
+    Kilmoyer's sum at t = 2^64 before any is decoded."""
+    validate_mask(I, rs.rank)
+    validate_mask(J, rs.rank)
+    group = generate_weyl(rs) if group is None else group
+    full, width, n = full_mask(rs.rank), group._width, rs.num_positive
+    if len(group) != parabolic_order(rs, full):
+        raise ContractError(f"{len(group)} group elements; |W({rs.type_name()})| = "
+                            f"{parabolic_order(rs, full)}: double cosets do not partition the "
+                            "Weyl group")
+    keep = (int.from_bytes(group.left.translate(weyl._misses(I)), "little")
+            & int.from_bytes(group.right.translate(weyl._misses(J)), "little")
+            ).to_bytes(len(group), "little")
+    tally: Counter[tuple[int, int]] = Counter()
+    for buffer, levi, _ in _filter_rep_blocks(rs, I, J, group, keep):
+        tally.update(zip(levi, buffer[::width]))
+    weights: Counter[int] = Counter()
+    for (levi, length), count in tally.items():
+        weights[levi] += count << weyl._DIGIT * length
+    values = {levi: weyl._poincare(rs, levi) for levi in (I, J, full, *weights)}
+    covered = weyl._kilmoyer_sum(values, I, J, weights.items())
+    if covered != values[full]:
+        raise ContractError(f"double cosets cover {weyl._digits(covered)} group elements by "
+                            f"length; W({rs.type_name()})(t) has {weyl._digits(values[full])}: "
+                            "they do not partition the Weyl group by length")
+    lanes = [[(k, root[c]) for k, root in enumerate(rs.positive_roots) if root[c]]
+             for c in range(rs.rank)]
+    reps = []
+    for buffer, levi, source in _filter_rep_blocks(rs, I, J, group, keep):
+        negative, signed = buffer.translate(weyl._NEGATIVE), memoryview(buffer).cast("b")
+        signs = [int.from_bytes(negative[1 + k::width], "little") for k in range(n)]
+        gammas = zip(*[sum(signs[k] * c for k, c in lane).to_bytes(len(levi), "little")
+                       for lane in lanes])
+        for start, gamma, levi_w, source_w in zip(range(0, len(buffer), width), gammas,
+                                                  levi, source):
+            w = WeylElement(tuple(signed[start + 1:start + width]), signed[start])
+            reps.append(DoubleCosetRep(w=w, I=I, J=J, length=w.length, gamma_exp=gamma,
+                                       delta_exp=weyl.levi_difference_sum(rs, J, source_w),
+                                       levi=levi_w))
+    return tuple(reps)
 
 
 def weyl_closure_by_seen_set(rs: RootSystem, levi: int) -> tuple[WeylElement, ...]:

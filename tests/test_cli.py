@@ -215,14 +215,15 @@ def test_dump_complex(capsys):
 
 
 def test_cache_dir_used(tmp_path, capsys):
-    code, first, _ = run_cli(capsys, "dcosets", "--type", "B2", "--I", "0", "--J", "1",
-                             "--cache-dir", str(tmp_path))
-    assert code == 0
-    cache_files = list(tmp_path.glob("weyl_*.bin"))
-    assert len(cache_files) == 1
-    code, second, _ = run_cli(capsys, "dcosets", "--type", "B2", "--I", "0", "--J", "1",
-                              "--cache-dir", str(tmp_path))
-    assert code == 0 and first == second
+    """``--cache-dir`` is accepted and used for nothing: twice through one
+    directory, a query prints what it prints without the option, and the
+    directory stays empty."""
+    argv = ("dcosets", "--type", "B2", "--I", "0", "--J", "1")
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    for _ in range(2):
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,22 +250,47 @@ WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_te
 @pytest.mark.parametrize("name", WEYL_GOLDEN)
 def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypatch,
                                                fresh_caches):
-    # the recorded bytes, once writing the cache and once reading it back
+    """The recorded bytes with ``--cache-dir``, which is accepted and reads
+    and writes nothing: the query walks X_J of its own J, once, and the
+    directory stays empty."""
     import steinberg_ext.weyl as weyl
 
     case = json.loads((GOLDEN / "cases.json").read_text())[name]
     expected = (GOLDEN / f"{name}.out").read_bytes()
-    argv = (*case["argv"], "--cache-dir", str(tmp_path))
-    code, cold, _ = run_cli(capsys, *argv)
-    assert (code, cold.encode()) == (case["exit"], expected)
-    assert len(list(tmp_path.glob("weyl_*.bin"))) == 1
+    walks, closure = [], weyl._closure
 
-    def no_generation(*a, **k):
-        raise AssertionError("the Weyl group was generated, not read from the cache")
+    def counting(rs, J=0):
+        walks.append(J)
+        return closure(rs, J)
 
-    monkeypatch.setattr(weyl, "generate_weyl", no_generation)
-    code, warm, _ = run_cli(capsys, *argv)
-    assert (code, warm.encode()) == (case["exit"], expected)
+    monkeypatch.setattr(weyl, "_closure", counting)
+    argv = case["argv"]
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out.encode()) == (case["exit"], expected)
+    J = sum(1 << int(j) for j in argv[argv.index("--J") + 1].split(","))
+    assert walks == [J] and not list(tmp_path.iterdir())
+
+
+def _former_b3_cache(changed):
+    """A B3 file as the former Weyl cache wrote it (format WGC5: a header,
+    a record per element of its length and images, a signed byte each, the
+    left and the right masks, a byte per element each, and a CRC-32 of them,
+    made to match), with ``changed(records)`` for its records."""
+    import struct
+    import zlib
+
+    import oracles
+    from steinberg_ext.rootdata import build_root_system
+
+    rs = build_root_system("B", 3)
+    group, n = oracles.generate_weyl(rs), rs.num_positive
+    masks = oracles.masks(group)
+    records = bytearray(b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images)
+                                 for w in group))
+    changed(records)
+    body = records + bytes(m >> 8 for m in masks) + bytes(m & 0xFF for m in masks)
+    return (b"WGC5" + struct.pack("<cBII", b"B", 3, n, len(group)) + body
+            + struct.pack("<I", zlib.crc32(body)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,47 +301,39 @@ def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypat
 ])
 def test_a_cache_record_outside_the_signed_images_is_a_miss(argv, tmp_path, capsys,
                                                             fresh_caches):
-    """Element 5's first image set to 99 in a B3 cache file, whose images lie
-    in -9..9: each strata command prints what it prints without a cache,
-    exits 0, and rewrites the file."""
-    from steinberg_ext.rootdata import build_root_system
-    from steinberg_ext.weyl import load_or_generate, weyl_cache_path
-
+    """Element 5's first image set to 99 in a B3 file of the former cache,
+    whose images lie in -9..9: nothing reads the directory, so each strata
+    command prints what it prints without it, exits 0, and leaves the file
+    as it was."""
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0
-    rs = build_root_system("B", 3)
-    group = load_or_generate(rs, tmp_path)
-    path = weyl_cache_path(tmp_path, "B", 3)
-    raw = path.read_bytes()
-    width = rs.num_positive + 1
-    at = len(raw) - 4 - len(group) * (width + 2) + 5 * width + 1  # element 5's first image
-    path.write_bytes(raw[:at] + bytes((99,)) + raw[at + 1:])
+    raw = _former_b3_cache(lambda records: records.__setitem__(5 * 10 + 1, 99))
+    path = tmp_path / "weyl_B3.bin"
+    path.write_bytes(raw)
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
-    assert path.read_bytes() == raw
+    assert path.read_bytes() == raw and list(tmp_path.iterdir()) == [path]
 
 
 def test_a_wrong_cache_record_inside_the_signed_images_is_a_miss(tmp_path, capsys,
                                                                 fresh_caches):
-    """Element 5's third image negated (-3 to 3) in a B3 cache file: every
-    entry stays inside -9..9, so only the file's checksum can tell.  With the
-    file read as it stood, ``dcosets`` printed another sha256 (c846a5ed...)
-    and exited 0; it is a miss, so the command prints what it prints without
-    a cache and rewrites the file."""
+    """Element 5's third image negated (-3 to 3) in a B3 file of the former
+    cache, its checksum made to match: read as it stood, ``dcosets`` printed
+    another sha256 (c846a5ed...).  Nothing reads the directory, so the
+    command prints what it prints without it and leaves the file as it
+    was."""
     import hashlib
-
-    from steinberg_ext.rootdata import build_root_system
-    from steinberg_ext.weyl import load_or_generate, weyl_cache_path
 
     argv = ("dcosets", "--type", "B3", "--I", "", "--J", "")
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0 and hashlib.sha256(expected.encode()).hexdigest().startswith("5ac5951b")
-    rs = build_root_system("B", 3)
-    group = load_or_generate(rs, tmp_path)
-    path = weyl_cache_path(tmp_path, "B", 3)
-    raw = path.read_bytes()
-    at = len(raw) - 4 - len(group) * (rs.num_positive + 3) + 5 * (rs.num_positive + 1) + 3
-    assert group[5].signed_images[2] == raw[at] - 256 == -3
-    path.write_bytes(raw[:at] + bytes((3,)) + raw[at + 1:])
+
+    def negated(records):
+        assert records[5 * 10 + 3] == 256 - 3
+        records[5 * 10 + 3] = 3
+
+    raw = _former_b3_cache(negated)
+    path = tmp_path / "weyl_B3.bin"
+    path.write_bytes(raw)
     assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
     assert path.read_bytes() == raw
 
@@ -327,9 +345,9 @@ def test_a_wrong_cache_record_inside_the_signed_images_is_a_miss(tmp_path, capsy
 ])
 def test_a_corrupted_group_is_refused_before_any_certificate(argv, capsys, monkeypatch):
     """The representatives stream to the certificates and rows, but the
-    check that their cosets partition the group comes first: a group with
-    one element dropped exits 1 with the contract violation, with no
-    certificate computed and nothing on stdout."""
+    check that their cosets partition the group comes first: a walk of X_J
+    with one representative dropped exits 1 with the contract violation,
+    with no certificate computed and nothing on stdout."""
     import steinberg_ext.certificates as certificates
     import steinberg_ext.weyl as weyl
     from steinberg_ext.rootdata import build_root_system
@@ -337,7 +355,9 @@ def test_a_corrupted_group_is_refused_before_any_certificate(argv, capsys, monke
     import oracles
 
     rs = build_root_system("B", 3)
-    corrupted = oracles.weyl_group(rs, weyl.generate_weyl(rs)[:-1])
+    group = oracles.generate_weyl(rs)
+    last = group.index(oracles.kostant_reps_by_filter(rs, 0b011, 0b110)[-1].w)
+    corrupted = oracles.weyl_group(rs, group[:last] + group[last + 1:])
     certified = []
     certificate = certificates.vanishing_certificate
 
@@ -345,60 +365,24 @@ def test_a_corrupted_group_is_refused_before_any_certificate(argv, capsys, monke
         certified.append(args[1])
         return certificate(*args)
 
-    monkeypatch.setattr(weyl, "load_or_generate", lambda rs, cache_dir: corrupted)
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(corrupted))
     monkeypatch.setattr(certificates, "vanishing_certificate", counting)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, certified) == (1, "", []) and "do not partition" in err
 
 
-def test_closed_form_ext_induced_writes_the_cache(tmp_path, capsys):
-    # a closed-form query still leaves a readable cache file behind, so one
-    # cold query can prepare the cache for later strata and dcosets queries
-    from steinberg_ext.rootdata import build_root_system
-    from steinberg_ext.weyl import generate_weyl, load_weyl_cache
-
-    code, _, _ = run_cli(capsys, "ext-induced", "--type", "B3", "--I", "", "--J", "",
-                         "--ring", "Q", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B3.bin"]
-    rs = build_root_system("B", 3)
-    assert load_weyl_cache(rs, tmp_path) == generate_weyl(rs)
-
-
-def _no_group(*args):
-    raise AssertionError("a WeylGroup was built")
-
-
-def test_a_closed_form_query_prepares_the_cache_with_no_group(tmp_path, capsys, monkeypatch,
-                                                             fresh_caches):
-    """A closed-form ``ext-induced`` with a cache directory checks the file
-    with the one reader and writes it on a miss: it builds no group, on a
-    miss or on a hit, reads nothing back, walks nothing on a hit, and leaves
-    the bytes a group's own file has."""
+def test_a_closed_form_query_with_a_cache_dir_walks_and_writes_nothing(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A closed-form ``ext-induced`` with a cache directory, which once
+    prepared the cache for later queries, prints what it prints without the
+    option, walks no group and leaves the directory empty."""
     import steinberg_ext.weyl as weyl
-    from steinberg_ext.rootdata import build_root_system
 
-    reads, read_cache = [], weyl._read_cache
-
-    def counting(*args):
-        reads.append(args)
-        return read_cache(*args)
-
-    monkeypatch.setattr(weyl, "WeylGroup", _no_group)
-    monkeypatch.setattr(weyl, "_read_cache", counting)
-    argv = ("ext-induced", "--type", "B3", "--I", "", "--J", "", "--ring", "Q",
-            "--cache-dir", str(tmp_path))
-    code, cold, _ = run_cli(capsys, *argv)
-    path = weyl.weyl_cache_path(tmp_path, "B", 3)
-    raw = path.read_bytes()
-    monkeypatch.setattr(weyl, "_walk", _no_group)
-    assert run_cli(capsys, *argv)[:2] == (code, cold) and code == 0
-    assert path.read_bytes() == raw and len(reads) == 2  # one check per query
-    monkeypatch.undo()
-    rs = build_root_system("B", 3)
-    assert weyl.load_weyl_cache(rs, tmp_path) == weyl.generate_weyl(rs)
-    fresh = weyl.save_weyl_cache(rs, weyl._closure(rs), tmp_path / "fresh")
-    assert fresh.read_bytes() == raw
+    argv = ("ext-induced", "--type", "B3", "--I", "", "--J", "", "--ring", "Q")
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(weyl, "_walk", _no_enumeration)
+    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -498,24 +482,6 @@ def test_a_single_pair_reads_its_representatives_not_the_classes(capsys, monkeyp
     assert (passes, asked) == ([], [(0b001, 0b110)])
     assert run_cli(capsys, *base, "--all-pairs")[0] == 0
     assert (passes, asked) == ([3], [(0b001, 0b110)])
-
-
-def test_verify_strata_writes_then_reads_the_cache(tmp_path, capsys, monkeypatch,
-                                                   fresh_caches):
-    import steinberg_ext.weyl as weyl
-
-    args = ("verify", "--type", "B2", "--ring", "q=3,d=1009", "--all-pairs",
-            "--strata", "on", "--cache-dir", str(tmp_path))
-    code, first, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert [p.name for p in tmp_path.glob("weyl_*.bin")] == ["weyl_B2.bin"]
-
-    def no_generation(*a, **k):
-        raise AssertionError("the Weyl group was generated, not read from the cache")
-
-    monkeypatch.setattr(weyl, "generate_weyl", no_generation)
-    code, second, _ = run_cli(capsys, *args)
-    assert code == 0 and second == first
 
 
 def test_verify_checks_the_ring_once_per_sweep(capsys, monkeypatch, fresh_caches):
@@ -683,13 +649,15 @@ def test_an_option_a_handler_does_not_read_is_an_unknown_argument(capsys):
     ("verify", "--type", "A2", "--ring", "q=3,d=23", "--strata", "on"),
 ])
 def test_an_unwritable_cache_dir_is_a_usage_error(argv, tmp_path, capsys, fresh_caches):
-    """A cache directory that is a regular file: the cache cannot be read,
-    and writing it exits 2 with the path named, before any output."""
+    """A cache directory that is a regular file, which once exited 2 when the
+    cache could not be written: nothing is read or written now, so the
+    command exits 0 and prints what it prints without the option, and the
+    file is left as it was."""
     taken = tmp_path / "file"
     taken.write_text("")
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(taken))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot write the Weyl cache ") and str(taken) in err
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", str(taken)) == expected
+    assert taken.read_text() == ""
 
 
 DUMP_CASES = ("coh_A3_dump", "coh_G2_dump", "ext_A3_dump", "ext_B3_dump", "extvi_A3_dump",
@@ -984,10 +952,13 @@ def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsy
     monkeypatch.setattr(weyl, "_walk", _no_enumeration)
     monkeypatch.setattr(extengine, "cohomology_v", no_rows)
     for t in ("E7", "E8"):
+        # whatever J is, the walk of X_J is refused on the whole group's order
         _refused_quickly(capsys, "dcosets", "--type", t, "--I", "0", "--J", "1")
-        # a closed form that is asked to prepare the cache needs the group
-        _refused_quickly(capsys, "ext-induced", "--type", t, "--I", "0", "--J", "0",
-                         "--ring", "Q", "--cache-dir", str(tmp_path))
+        _refused_quickly(capsys, "ext-induced", "--type", t, "--I", "0", "--J", "0,1,2,3",
+                         "--ring", "Q", "--method", "strata", "--cache-dir", str(tmp_path))
+        # a single pair is refused before any of its checks runs
+        _refused_quickly(capsys, "verify", "--type", t, "--ring", "Q", "--I", "0", "--J", "1",
+                         "--strata", "on")
         _refused_quickly(capsys, "verify", "--type", t, "--ring", "Q", "--all-pairs",
                          "--strata", "on")
     assert not list(tmp_path.iterdir())
@@ -996,7 +967,6 @@ def test_groups_over_the_weyl_cap_are_refused_before_enumeration(tmp_path, capsy
 def test_closed_form_ext_induced_builds_no_group(capsys, monkeypatch):
     import steinberg_ext.weyl as weyl
 
-    monkeypatch.setattr(weyl, "generate_weyl", _no_enumeration)
     monkeypatch.setattr(weyl, "_closure", _no_enumeration)
     for t, rank in (("E7", 7), ("E8", 8)):
         out = _answered_quickly(capsys, "ext-induced", "--type", t, "--I", "0", "--J", "0",
@@ -1017,16 +987,15 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
 
 
 def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, fresh_caches):
-    """A cold dcosets query, which enumerates the group and writes the cache,
-    and a warm one, which reads the records and descent masks from disk,
-    print the same bytes.  A group has one constructor, which takes its masks
-    as given, so no query scans them."""
+    """Two dcosets queries through one cache directory, which once wrote the
+    cache and then read it, print the same bytes: each walks its own X_J,
+    and the directory stays empty."""
     argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
             "--cache-dir", str(tmp_path))
     code, cold, _ = run_cli(capsys, *argv)
     assert code == 0
     code, warm, _ = run_cli(capsys, *argv)
-    assert (code, warm) == (0, cold)
+    assert (code, warm) == (0, cold) and not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -1072,13 +1041,12 @@ def test_verify_sweep_bytes_are_pinned(capsys):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
-def test_a_sweep_holds_no_group_and_a_failing_one_generates_it_once(capsys, monkeypatch,
-                                                                   fresh_caches):
-    """A D4 strata sweep reads its classes off the walk: with the group's
-    generation and its cache refused, it prints its pinned bytes.  With
-    every class check failing, every pair reruns through its representatives
-    and prints the same bytes; the sweep walks the group twice, once for the
-    classes and once for the one group the reruns generate."""
+def test_a_sweep_holds_no_group_and_a_failing_pair_walks_its_own_x_j(capsys, monkeypatch,
+                                                                    fresh_caches):
+    """A D4 strata sweep reads its classes off one whole walk and asks for no
+    representative: it prints its pinned bytes.  With every class check
+    failing, every pair reruns through its representatives, each read off a
+    walk of its own X_J, and prints the same bytes."""
     import hashlib
 
     import steinberg_ext.weyl as weyl
@@ -1086,34 +1054,29 @@ def test_a_sweep_holds_no_group_and_a_failing_one_generates_it_once(capsys, monk
 
     argv = ("verify", "--type", "D4", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
     digest = PINNED_SWEEPS[("D4", "q=3,d=1009", "on")]
-    generate, load, closure = weyl.generate_weyl, weyl.load_or_generate, weyl._closure
+    closure, walks = weyl._closure, []
 
-    def refused(*args):
-        raise AssertionError("the sweep asked for a group")
+    def counting(rs, J=0):
+        walks.append(J)
+        return closure(rs, J)
 
-    monkeypatch.setattr(weyl, "generate_weyl", refused)
-    monkeypatch.setattr(weyl, "load_or_generate", refused)
+    monkeypatch.setattr(weyl, "_closure", counting)
+    monkeypatch.setattr(weyl, "iter_kostant_reps", _no_enumeration)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
-    walks = []
-
-    def counting(rs):
-        walks.append(rs.type_name())
-        return closure(rs)
-
-    monkeypatch.setattr(weyl, "generate_weyl", generate)
-    monkeypatch.setattr(weyl, "load_or_generate", load)
+    assert walks == [0]
+    monkeypatch.undo()
     monkeypatch.setattr(weyl, "_closure", counting)
     monkeypatch.setattr(DescentClasses, "covers", lambda self, I, J: False)
+    walks.clear()
     assert run_cli(capsys, *argv)[:2] == (0, out)
-    assert walks == ["D4", "D4"]
+    assert walks == [0] + [J for J in range(16) for I in range(16)]
 
 
 def test_a_cached_sweep_holds_no_group(tmp_path, capsys, monkeypatch, fresh_caches):
-    """With ``--cache-dir`` a D4 strata sweep holds no group either: a cold
-    sweep, which writes the walk to the file and reads it back, and a warm
-    one, which walks nothing, print the pinned bytes with no group built,
-    the class pass reading the file's blocks."""
+    """With ``--cache-dir`` a D4 strata sweep holds no group either: twice
+    through one directory, it prints the pinned bytes, each time from one
+    whole walk that its class pass reads, and the directory stays empty."""
     import hashlib
 
     import steinberg_ext.weyl as weyl
@@ -1121,12 +1084,18 @@ def test_a_cached_sweep_holds_no_group(tmp_path, capsys, monkeypatch, fresh_cach
     argv = ("verify", "--type", "D4", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on",
             "--cache-dir", str(tmp_path))
     digest = PINNED_SWEEPS[("D4", "q=3,d=1009", "on")]
-    monkeypatch.setattr(weyl, "WeylGroup", _no_group)
+    closure, walks = weyl._closure, []
+
+    def counting(rs, J=0):
+        walks.append(J)
+        return closure(rs, J)
+
+    monkeypatch.setattr(weyl, "_closure", counting)
     for run in ("cold", "warm"):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, run
-        assert [p.name for p in tmp_path.iterdir()] == ["weyl_D4.bin"]
-        monkeypatch.setattr(weyl, "_walk", _no_group)
+        assert not list(tmp_path.iterdir())
+    assert walks == [0, 0]
 
 
 def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, monkeypatch):
@@ -1233,9 +1202,8 @@ def test_an_uncertified_element_fails_verify_as_the_representatives_do(capsys, m
     import steinberg_ext.ringcond as ringcond
     from steinberg_ext.rootdata import build_root_system
     from steinberg_ext.strata import DescentClasses
-    from steinberg_ext.weyl import generate_weyl
 
-    from oracles import _inversion_sum
+    from oracles import _inversion_sum, generate_weyl
 
     rs = build_root_system("B", 3)
     only = Counter()
@@ -1263,10 +1231,10 @@ def _b3_breaking(invariant):
     import oracles
 
     from steinberg_ext.rootdata import build_root_system, support_mask
-    from steinberg_ext.weyl import WeylElement, generate_weyl
+    from steinberg_ext.weyl import WeylElement
 
     rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
+    group = oracles.generate_weyl(rs)
     elements, masks = list(group), oracles.masks(group)
     p = 1  # a simple reflection s_b, with left and right mask {b}
     b = (masks[p] & 0xFF).bit_length() - 1
@@ -1297,7 +1265,7 @@ def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, mon
     """The classes of a group that breaks any one invariant do not answer,
     and the sweep prints, exits and says on stderr what it does with every
     pair rerun through the representatives.  The group is the walk's, so the
-    class pass reads it, and so does the group the reruns generate."""
+    class pass reads it, and so does each rerun, through its X_J."""
     import oracles
 
     import steinberg_ext.weyl as weyl
@@ -1310,8 +1278,7 @@ def test_a_group_breaking_one_invariant_reruns_every_pair(invariant, capsys, mon
     assert not DescentClasses(rs, oracles.blocks(corrupted), spec).answers
     # in blocks of 5 elements, as a walk yields blocks, so the classes carry
     # each verdict from block to block
-    monkeypatch.setattr(weyl, "_closure", lambda rs: iter(oracles.blocks(corrupted, 5)))
-    weyl.generate_weyl.cache_clear()  # the group _b3_breaking generated
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(corrupted, 5))
     built, classes_init = [], DescentClasses.__init__
 
     def watching_init(self, *args):

@@ -33,11 +33,11 @@ from steinberg_ext.ringcond import RingSpec, bon_check, check_ring, parse_ring
 from steinberg_ext.rootdata import (build_root_system, full_mask, mask_size, max_rho_coefficient,
                                     parse_type)
 from steinberg_ext.strata import DescentClasses, verify_strata
-from steinberg_ext.weyl import (DoubleCosetRep, WeylElement, generate_weyl, kostant_reps,
-                                levi_difference_sum)
+from steinberg_ext.weyl import DoubleCosetRep, WeylElement, kostant_reps, levi_difference_sum
 
 import oracles
-from oracles import _inversion_sum, delta_exponents, gamma_exponents, simple_reflection
+from oracles import (_inversion_sum, delta_exponents, gamma_exponents, generate_weyl,
+                     simple_reflection)
 
 Q = RingSpec.rationals()
 Z5 = RingSpec(5, 3)
@@ -188,7 +188,7 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
     over = {spec: DescentClasses(rs, oracles.blocks(group), spec)
             for spec in (RingSpec(1009, 3), Z5)}
     for I, J in pairs:
-        reps = kostant_reps(rs, I, J, group)
+        reps = kostant_reps(rs, I, J)
         for spec, classes in over.items():
             levis = Counter()
             for left, by_image in classes.counts(J).items():
@@ -205,7 +205,7 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
                 every_rep_certified = False
             assert every_rep_certified or not classes.answers, (I, J, spec)
             try:
-                verify_strata(rs, I, J, spec, group, classes)
+                verify_strata(rs, I, J, spec, classes)
                 answered_alone = True
             except _RerunThroughTheReps:
                 answered_alone = False
@@ -230,52 +230,65 @@ def test_descent_classes_match_the_representatives_e6(monkeypatch):
 
 
 def test_the_strata_path_holds_no_representative_it_has_certified():
-    """The representatives stream through the certificates: beyond its
-    group, the traced peak of ``ext_induced_via_strata`` on D5 does not grow
-    with their number, from 80 (I = {0,1,2}, J = {}) to 1,920 (I = J = {});
-    with every representative held at once it grew by about 1.4 MB."""
+    """The representatives stream through the certificates: beyond the
+    records they keep, a byte per entry, the traced peak of
+    ``ext_induced_via_strata`` on D5 does not grow with their number, from
+    80 (I = {0,1,2}, J = {}) to 1,920 (I = J = {}), both read off the whole
+    walk; with every representative held at once it grew by about 1.4 MB."""
     import tracemalloc
 
     rs = build_root_system("D", 5)
-    group = generate_weyl(rs)
     spec = RingSpec(1009, 3)
     few, many = (0b00111, 0), (0, 0)
-    assert [len(kostant_reps(rs, I, J, group)) for I, J in (few, many)] == [80, 1920]
+    assert [len(kostant_reps(rs, I, J)) for I, J in (few, many)] == [80, 1920]
     peaks = []
     for I, J in (few, many) * 2:  # the first round fills the per-process tables
         tracemalloc.start()
         try:
-            ext_induced_via_strata(rs, I, J, spec, group)
+            ext_induced_via_strata(rs, I, J, spec)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[3] <= peaks[2] + 4096, peaks
+    records = (1920 - 80) * (rs.num_positive + 1)
+    assert peaks[3] <= peaks[2] + records + 4096, peaks
 
 
-def test_a_corrupted_group_fails_the_class_path_too():
-    """The corrupted groups of ``test_partition_check_catches_a_corrupted_group``."""
+def _walking(monkeypatch, group):
+    """The walk, the class pass's and each X_J's, replaced by one over
+    ``group``, a corrupted one."""
+    import steinberg_ext.weyl as weyl
+
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(group))
+
+
+def test_a_corrupted_group_fails_the_class_path_too(monkeypatch):
+    """The corrupted groups of ``test_partition_check_catches_a_corrupted_group``:
+    a representative dropped or doubled, or, in a group of the right size,
+    one replaced by the identity."""
     rs = build_root_system("B", 3)
-    flat = generate_weyl(rs)[:]
-    dropped = [flat[1:], flat[:-1], flat[:20] + flat[21:]]
-    duplicated = [flat[:1] + flat, flat[:20] + flat[19:], flat + flat[-1:]]
-    swapped = [flat[1:] + flat[-1:], flat[:1] + flat[:-1]]
-    pairs = [(0, 0), (0b011, 0b110), (0b111, 0b111)]
-    for elements, tried in [(e, pairs) for e in dropped + duplicated] + \
-            [(e, pairs[1:]) for e in swapped]:
-        for I, J in tried:
-            group = oracles.weyl_group(rs, elements)
-            classes = DescentClasses(rs, oracles.blocks(group), Z23)
+    group = generate_weyl(rs)
+    flat = group[:]
+    for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
+        reps = [group.index(rep.w) for rep in oracles.kostant_reps_by_filter(rs, I, J)]
+        ends = sorted({reps[0], reps[len(reps) // 2], reps[-1]})
+        for elements in ([flat[:p] + flat[p + 1:] for p in ends]
+                         + [flat[:p + 1] + flat[p:] for p in ends]
+                         + [flat[:p] + flat[:1] + flat[p + 1:] for p in reps[1:2]]):
+            corrupted = oracles.weyl_group(rs, elements)
+            classes = DescentClasses(rs, oracles.blocks(corrupted), Z23)
             assert not classes.answers
+            _walking(monkeypatch, corrupted)
             with pytest.raises(ContractError, match="do not partition"):
-                verify_strata(rs, I, J, Z23, group, classes)
+                verify_strata(rs, I, J, Z23, classes)
     # at (0, 0) every element is a representative, so the sizes of the group
     # with the identity doubled add up; the count by length tells (two
     # elements of length 0)
-    doubled = oracles.weyl_group(rs, swapped[1])
+    doubled = oracles.weyl_group(rs, flat[:1] + flat[:-1])
     classes = DescentClasses(rs, oracles.blocks(doubled), Z23)
     assert classes.covers(0, 0) and not classes.answers
+    _walking(monkeypatch, doubled)
     with pytest.raises(ContractError, match="by length"):
-        verify_strata(rs, 0, 0, Z23, doubled, classes)
+        verify_strata(rs, 0, 0, Z23, classes)
 
 
 def _b3_shuffled():
@@ -356,7 +369,7 @@ def test_the_classes_certify_exactly_where_bon_holds(name):
         assert answers == bon_check(rs, spec).ok, ring
 
 
-def test_an_element_without_a_right_descent_fails_the_class_path_too():
+def test_an_element_without_a_right_descent_fails_the_class_path_too(monkeypatch):
     """B3 with the negative simple image of one reflection s_b made
     positive in its record, its masks left genuine: s_b is a representative
     of each pair whose I and J miss b, and has no right descent to pair a
@@ -374,13 +387,14 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too():
     corrupted = oracles.weyl_group(rs, elements, oracles.masks(group))
     classes = DescentClasses(rs, oracles.blocks(corrupted), Z23)
     assert DescentClasses(rs, oracles.blocks(group), Z23).answers and not classes.answers
+    _walking(monkeypatch, corrupted)
     full = full_mask(rs.rank)
     raised = {}
     for I in range(full + 1):
         for J in range(full + 1):
             for by in (classes, None):
                 try:
-                    verify_strata(rs, I, J, Z23, corrupted, by)
+                    verify_strata(rs, I, J, Z23, by)
                 except ContractError as e:
                     raised.setdefault((I, J), []).append(str(e))
     missing_b = [(I, J) for I in range(full + 1) for J in range(full + 1) if not (I | J) >> b & 1]
@@ -393,7 +407,7 @@ def _hide_one_rep(rs, group, w_at, I, J, masks):
     """Hide from (I, J) a genuine representative, neither the identity nor
     the element at ``w_at``, whose coset has |W_I||W_J| elements (Levi {}),
     by giving it a descent in J on the right; whether there is one."""
-    for rep in kostant_reps(rs, I, J, group):
+    for rep in kostant_reps(rs, I, J):
         at = group.index(rep.w)
         if rep.levi == 0 and at not in (0, w_at):
             masks[at] |= J & -J
@@ -402,7 +416,7 @@ def _hide_one_rep(rs, group, w_at, I, J, masks):
 
 
 @pytest.mark.parametrize("corruption", ["non-simple", "negative"])
-def test_the_levi_guard_is_kept_by_the_class_path(corruption):
+def test_the_levi_guard_is_kept_by_the_class_path(corruption, monkeypatch):
     """A3: an element w that is no representative of (I, J) reads as one
     through its masks: it carries alpha_b (b in J) onto a non-simple root of
     Phi_I with its left mask cleared, or onto a negative root with bit b of
@@ -442,8 +456,9 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption):
         for left, by_levi in classes.counts(J).items() if not left & I
         for levi, count in by_levi.items())
     assert classes.covers(I, J) and not classes.answers
+    _walking(monkeypatch, corrupted)
     with pytest.raises(ContractError, match=expected):
-        verify_strata(rs, I, J, Z23, corrupted, classes)
+        verify_strata(rs, I, J, Z23, classes)
 
 
 def test_a_disagreement_names_the_table(monkeypatch, fresh_caches):

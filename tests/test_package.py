@@ -29,8 +29,7 @@ EXPORTS = [
     "format_ring", "is_unit", "parse_ring", "weyl_degrees",
     "RootSystem", "build_root_system", "full_mask", "mask_from_indices", "mask_indices",
     "mask_size", "max_rho_coefficient", "parse_type", "rho_coefficients",
-    "DoubleCosetRep", "WeylElement", "WeylGroup", "generate_weyl", "iter_kostant_reps",
-    "kostant_reps", "load_or_generate", "parabolic_order",
+    "DoubleCosetRep", "WeylElement", "iter_kostant_reps", "kostant_reps", "parabolic_order",
 ]
 
 

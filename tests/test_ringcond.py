@@ -12,7 +12,8 @@ from steinberg_ext.ringcond import (
     weyl_degrees,
 )
 from steinberg_ext.rootdata import build_root_system, parse_type
-from steinberg_ext.weyl import generate_weyl
+
+from oracles import generate_weyl
 
 
 def test_ring_spec_validation():

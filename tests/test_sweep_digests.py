@@ -26,14 +26,15 @@ def test_the_driver_fails_a_changed_byte(capsys):
         assert (A2_Q in out) == bool(code) and (digest in err) == bool(code)
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
+    twins = ("E6-strata", "D7-strata", "E6-dcosets-small", "E6-ext-induced-small")
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
-                                        "A8-strata", "E6-strata", "E6-strata-cache",
-                                        "D7-strata-cache", "E6-dcosets",
+                                        "A8-strata", "E6-strata", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
-                                        "E7-cohomology-dump", "E8-ext-center"]
+                                        "E7-cohomology-dump", "E8-ext-center",
+                                        *(f"{name}-cache" for name in twins)]
     runs = sweep_digests.RUNS
-    for name in ("E6-strata", "D7-strata"):  # the same sweep and bytes, through a cache
+    for name in twins:  # the same command and bytes, through a cache directory
         cached = runs[f"{name}-cache"]
         assert cached.cached and cached._replace(cached=False) == runs[name]
 
@@ -71,8 +72,8 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys, monkeypat
     sweep over Q and a cached A2 strata sweep run once from each side, the
     cached one after an untimed run per side that primes its own cache
     directory, removed at exit.  The JSON holds each side's median and
-    quartiles of wall time and peak; a changed digest fails its run, which
-    is then not timed."""
+    quartiles of wall time and peak, and says that only the sides of one run
+    are paired; a changed digest fails its run, which is then not timed."""
     checkout = _PATH.parent.parent
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
@@ -87,7 +88,8 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys, monkeypat
         ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata-cache", "ok"]]
     assert all(len(line.split("\t")) == 7 for line in out.splitlines())
     report = json.loads(path.read_text())
-    assert set(report) == {"python", "cpu_count", "bytecode", "against", "runs"}
+    assert set(report) == {"python", "cpu_count", "bytecode", "against", "paired", "runs"}
+    assert report["paired"].startswith("only the two sides of one run")
     assert report["against"] == checkout.name and list(report["runs"]) == list(runs)
     for name, record in report["runs"].items():
         assert set(record) == {"argv", "rounds", "ok", "this", "against", "wins"}, name

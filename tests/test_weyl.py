@@ -1,4 +1,3 @@
-import os
 import random
 import struct
 import sys
@@ -7,25 +6,19 @@ import zlib
 
 import pytest
 
+from steinberg_ext.cli import parse_and_dispatch
 from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
 from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
                                    levi_root_indices, parse_type)
-from steinberg_ext.weyl import (
-    generate_weyl,
-    kostant_reps,
-    load_or_generate,
-    load_weyl_cache,
-    parabolic_order,
-    save_weyl_cache,
-    weyl_cache_path,
-)
+from steinberg_ext.weyl import kostant_reps, parabolic_order
 
 import oracles
 from oracles import (
     _delta,
     delta_exponents,
     gamma_exponents,
+    generate_weyl,
     intersect_levi,
     permutes_roots,
     simple_reflection,
@@ -70,8 +63,11 @@ def test_enumeration_cap(monkeypatch):
 
     rs = build_root_system("A", 3)
     monkeypatch.setattr(weyl, "DEFAULT_WEYL_CAP", 10)
-    with pytest.raises(ResourceLimitError):
-        weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
+    for J in (0, 0b111):  # the cap bounds the whole group, whatever X_J is walked
+        with pytest.raises(ResourceLimitError):
+            weyl._closure(rs, J)
+        with pytest.raises(ResourceLimitError):
+            weyl.iter_kostant_reps(rs, 0b111, J)
 
 
 def test_enumeration_cap_is_checked_before_enumerating(monkeypatch):
@@ -85,7 +81,7 @@ def test_enumeration_cap_is_checked_before_enumerating(monkeypatch):
     for name in ("E7", "E8"):
         rs = build_root_system(*parse_type(name))
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            weyl.generate_weyl(rs)
+            weyl.iter_kostant_reps(rs, 0b1, 0b1111)
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             weyl._closure(rs)
     assert time.perf_counter() - start < 1
@@ -149,6 +145,25 @@ def test_kostant_reps_match_enumeration(name):
             assert kostant_reps(rs, I, J) == oracles.kostant_reps_by_enumeration(rs, I, J)
 
 
+RANK_AT_MOST_5 = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+                  "C5", "D4", "D5", "G2"]
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["F4", "E6"])
+def test_kostant_reps_match_the_filter_over_the_whole_group(name):
+    """The representatives read off the walk of X_J are those that one filter
+    over the whole held group's mask columns keeps, in the same order and
+    equal in every field: on every pair of rank at most 5, and on 12 seeded
+    E6 pairs."""
+    rs = build_root_system(*parse_type(name))
+    full = full_mask(rs.rank)
+    pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
+    if name == "E6":
+        pairs = random.Random(4141).sample(pairs, 12)
+    for I, J in pairs:
+        assert kostant_reps(rs, I, J) == oracles.kostant_reps_by_filter(rs, I, J), (I, J)
+
+
 def _widest_pair(rs, w):
     """The largest (I, J) that w is the minimal representative for: I and J
     outside its left and right descents."""
@@ -202,25 +217,33 @@ def test_parabolic_order_matches_subgroup(name):
         assert parabolic_order(rs, levi) == len(oracles.weyl_closure_by_seen_set(rs, levi))
 
 
-def test_partition_check_catches_a_corrupted_group():
+def _walking(monkeypatch, rs, elements, masks=None):
+    """The walk of X_J replaced by one over ``elements``, a corrupted group."""
+    import steinberg_ext.weyl as weyl
+
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(oracles.weyl_group(rs, elements, masks)))
+
+
+def test_partition_check_catches_a_corrupted_group(monkeypatch):
+    """A walk that yields X_J with a representative dropped or doubled fails
+    the partition check; so does one of the right size, with one dropped and
+    another doubled, where only the coset sizes can tell."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     flat = group[:]  # a tuple, to cut and splice
-    dropped = [flat[1:], flat[:-1], flat[:20] + flat[21:]]
-    duplicated = [flat[:1] + flat, flat[:20] + flat[19:], flat + flat[-1:]]
-    for elements in dropped + duplicated:
-        for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
+    for I, J in [(0, 0), (0b011, 0b110), (0b111, 0b111)]:
+        reps = [group.index(rep.w) for rep in oracles.kostant_reps_by_filter(rs, I, J)]
+        ends = sorted({reps[0], reps[len(reps) // 2], reps[-1]})
+        dropped = [flat[:p] + flat[p + 1:] for p in ends]
+        duplicated = [flat[:p + 1] + flat[p:] for p in ends]
+        swapped = [flat[:p] + flat[:1] + flat[p + 1:] for p in reps[1:2]]  # the identity twice
+        for elements in dropped + duplicated + swapped:
+            _walking(monkeypatch, rs, elements)
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, oracles.weyl_group(rs, elements))
-    # one representative dropped or doubled in a group of the right size: only
-    # the coset sizes can tell (the longest element is no representative here)
-    swapped = [flat[1:] + flat[-1:], flat[:1] + flat[:-1]]
-    for elements in swapped:
-        for I, J in [(0b011, 0b110), (0b111, 0b111)]:
-            with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, I, J, oracles.weyl_group(rs, elements))
-    # the intact group still passes after a corrupted one was bucketed
-    assert kostant_reps(rs, 0b011, 0b110, group) == kostant_reps(rs, 0b011, 0b110)
+                kostant_reps(rs, I, J)
+    # the real walk still passes after a corrupted one was bucketed
+    monkeypatch.undo()
+    assert kostant_reps(rs, 0b011, 0b110) == oracles.kostant_reps_by_filter(rs, 0b011, 0b110)
 
 
 def _with_lengths(group, lengths):
@@ -229,11 +252,12 @@ def _with_lengths(group, lengths):
     return [w._replace(length=lengths.get(k, w.length)) for k, w in enumerate(group)]
 
 
-def test_the_count_by_length_catches_what_the_count_misses():
+def test_the_count_by_length_catches_what_the_count_misses(monkeypatch):
     """A representative at the wrong length, or two of different Levi
     subsets with their lengths swapped, leave every coset's size and so
     Kilmoyer's count at t = 1 as they were (the class path's ``covers``
     passes), but not the count by length: its sum must be W(t)."""
+    import steinberg_ext.weyl as weyl
     from steinberg_ext.strata import DescentClasses
 
     rs = build_root_system("B", 3)
@@ -252,12 +276,14 @@ def test_the_count_by_length_catches_what_the_count_misses():
             corrupted = oracles.weyl_group(rs, _with_lengths(group, lengths))
             assert oracles.masks(corrupted) == oracles.masks(group)
             assert DescentClasses(rs, oracles.blocks(corrupted), RingSpec(1009, 3)).covers(I, J)
+            monkeypatch.setattr(weyl, "_closure", oracles.walking(corrupted))
             with pytest.raises(ContractError, match="do not partition the Weyl group by "
                                                     "length"):
-                kostant_reps(rs, I, J, corrupted)
+                kostant_reps(rs, I, J)
+            monkeypatch.undo()
 
 
-def test_the_count_by_length_names_the_counts():
+def test_the_count_by_length_names_the_counts(monkeypatch):
     """The failure lists the representatives' counts by length against the
     coefficients of W(t): at (0, 0) every element is a representative, so
     moving the longest element up a length moves one count up a degree."""
@@ -267,14 +293,15 @@ def test_the_count_by_length_names_the_counts():
     group = generate_weyl(rs)
     expected = oracles.layer_sizes(rs, full_mask(rs.rank))
     moved = [*expected[:-1], 0, 1]
-    corrupted = oracles.weyl_group(rs, _with_lengths(group, {len(group) - 1: len(expected)}))
+    _walking(monkeypatch, rs, _with_lengths(group, {len(group) - 1: len(expected)}))
     with pytest.raises(ContractError, match="do not partition the Weyl group by length") as err:
-        kostant_reps(rs, 0, 0, corrupted)
+        kostant_reps(rs, 0, 0)
     assert f"cover {moved} group elements by length; W(B3)(t) has {expected}:" in str(err.value)
-    negative = oracles.weyl_group(rs, _with_lengths(group, {len(group) - 1: -1}))
+    _walking(monkeypatch, rs, _with_lengths(group, {len(group) - 1: -1}))
     with pytest.raises(ContractError, match="length -1: double cosets do not partition"):
-        kostant_reps(rs, 0, 0, negative)
-    assert weyl._layer_sizes(rs, full_mask(rs.rank)) == expected == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
+        kostant_reps(rs, 0, 0)
+    full = full_mask(rs.rank)
+    assert weyl._digits(weyl._poincare(rs, full)) == expected == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
 
 
 def _types_under_the_cap():
@@ -303,7 +330,8 @@ def test_layer_sizes_match_the_coefficient_lists():
     assert len(types) == 27 and max(rs.rank for rs in types) == 8
     for rs in types:
         for levi in range(1 << rs.rank):
-            assert weyl._layer_sizes(rs, levi) == oracles.layer_sizes(rs, levi), (rs, levi)
+            assert weyl._digits(weyl._poincare(rs, levi)) == oracles.layer_sizes(rs, levi), \
+                (rs, levi)
 
 
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
@@ -340,7 +368,7 @@ def test_one_kilmoyer_sum_serves_both_checks(monkeypatch):
     for I, J in pairs:
         assert not classes.covers(I, J)
         with pytest.raises(ContractError, match="do not partition"):
-            kostant_reps(rs, I, J, group)
+            kostant_reps(rs, I, J)
 
 
 def test_a_poincare_polynomial_over_the_cap_is_refused():
@@ -355,21 +383,24 @@ def test_a_poincare_polynomial_over_the_cap_is_refused():
         assert parabolic_order(rs, levi) > weyl.DEFAULT_WEYL_CAP
         with pytest.raises(ContractError, match="over the cap"):
             weyl._poincare(rs, levi)
-    assert weyl._layer_sizes(e8, 0b11) == oracles.layer_sizes(e8, 0b11)
+    assert weyl._digits(weyl._poincare(e8, 0b11)) == oracles.layer_sizes(e8, 0b11)
 
 
 def test_the_partition_is_checked_before_the_first_representative(monkeypatch):
     """The representatives stream, but the check that their cosets partition
     the group runs in the call that asks for them, reading no element: a
-    corrupted group raises before any representative is decoded."""
+    walk that yields a corrupted X_J raises before any representative is
+    decoded."""
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system("B", 3)
-    corrupted = oracles.weyl_group(rs, generate_weyl(rs)[1:])
+    closure, corrupted = weyl._closure, oracles.weyl_group(rs, generate_weyl(rs)[1:])
     built = _counting_decodes(monkeypatch)
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(corrupted))
     with pytest.raises(ContractError, match="do not partition"):
-        weyl.iter_kostant_reps(rs, 0b011, 0b110, corrupted)
-    reps = weyl.iter_kostant_reps(rs, 0b011, 0b110, generate_weyl(rs))
+        weyl.iter_kostant_reps(rs, 0b011, 0b110)
+    monkeypatch.setattr(weyl, "_closure", closure)
+    reps = weyl.iter_kostant_reps(rs, 0b011, 0b110)
     assert not built
     assert next(reps).w.is_identity and len(built) == 1
     monkeypatch.undo()
@@ -478,34 +509,14 @@ def test_levi_matches_double_coset_rep():
                         assert rep.levi == I & J
 
 
-def test_cache_roundtrip(tmp_path):
-    rs = build_root_system("B", 2)
-    elements = generate_weyl(rs)
-    save_weyl_cache(rs, oracles.blocks(elements), tmp_path)
-    assert load_weyl_cache(rs, tmp_path) == elements
-    # header mismatch: a different rank must refuse the file
-    other = build_root_system("B", 3)
-    assert load_weyl_cache(other, tmp_path) is None
-    assert load_or_generate(other, tmp_path) == generate_weyl(other)
-    assert load_weyl_cache(other, tmp_path) == generate_weyl(other)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    rs = build_root_system("A", 2)
-    path = save_weyl_cache(rs, oracles.blocks(generate_weyl(rs)), tmp_path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    assert load_weyl_cache(rs, tmp_path) is None
-
+# ---------------------------------------------------------------------------
+# the former Weyl cache: ``--cache-dir`` is accepted and reads and writes
+# nothing, so a file that the cache once wrote, sound or corrupted, is never
+# read or rewritten
 
 _MAGIC = b"WGC5"
 _RECORDS_AT = len(_MAGIC) + struct.calcsize("<cBII")
-
-
-def _cache_layout(rs, count):
-    """Offsets of the record block and of the mask columns (the left one,
-    then the right one) in a cache file: one byte per record entry."""
-    return _RECORDS_AT, _RECORDS_AT + count * (rs.num_positive + 1)
+_DCOSETS_B3 = ("dcosets", "--type", "B3", "--I", "", "--J", "")
 
 
 def _sealed(raw: bytes) -> bytes:
@@ -514,130 +525,88 @@ def _sealed(raw: bytes) -> bytes:
     return raw + struct.pack("<I", zlib.crc32(raw[_RECORDS_AT:]))
 
 
-def _resealed(raw: bytes) -> bytes:
-    """A cache file with its checksum made to match its blocks again: a
-    corruption the checksum cannot see."""
-    return _sealed(raw[:-4])
+def _oracle_cache_bytes(rs, elements):
+    """A WGC5 file, the last format the cache wrote, for ``elements``,
+    packed record by record with struct: one signed byte per entry, the left
+    masks of the oracle's scan, then its right masks, a byte each, and the
+    CRC-32 of all three."""
+    n, masks = rs.num_positive, oracles.descent_masks(rs, elements)
+    return _sealed(
+        _MAGIC + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
+        + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
+        + bytes(mask >> 8 for mask in masks) + bytes(mask & 0xFF for mask in masks))
 
 
-def test_cache_v1_file_is_a_miss_and_is_rewritten(tmp_path):
-    # the previous format: same header and records, magic WGC1, no masks
+def _left_alone(capsys, cache_dir, files, *argvs):
+    """Each of ``argvs`` with ``--cache-dir`` over a directory that holds
+    ``files`` (name -> bytes): it prints what it prints without the option,
+    and the directory keeps those files as they were and gains none."""
+    for name, raw in files.items():
+        (cache_dir / name).write_bytes(raw)
+    for argv in argvs:
+        assert parse_and_dispatch(list(argv)) == 0
+        expected = capsys.readouterr().out
+        assert parse_and_dispatch([*argv, "--cache-dir", str(cache_dir)]) == 0
+        assert capsys.readouterr().out == expected, argv
+    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == files
+
+
+def _b3_cache_bytes():
     rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    n = rs.num_positive
-    path = weyl_cache_path(tmp_path, "B", 3)
-    path.write_bytes(b"WGC1" + struct.pack("<cBII", b"B", 3, n, len(group)) + b"".join(
-        struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in group))
-    assert load_weyl_cache(rs, tmp_path) is None
-    assert load_or_generate(rs, tmp_path) == group
-    assert path.read_bytes()[:4] == _MAGIC
-    assert load_weyl_cache(rs, tmp_path) == group
+    return rs, _oracle_cache_bytes(rs, generate_weyl(rs))
 
 
-def _uint16_layout(rs, elements, magic):
-    """A file of the former WGC3 and WGC4 layouts, without the CRC that WGC4
-    appends: the magic, a letter naming the host's byte order, the header,
-    the records, and a uint16 ``left << 8 | right`` per element in that
-    order."""
-    n = rs.num_positive
-    return (magic + sys.byteorder[0].encode()
-            + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
-            + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
-            + struct.pack(f"={len(elements)}H", *oracles.descent_masks(rs, elements)))
+def test_cache_roundtrip(tmp_path, capsys):
+    """Nothing makes a round trip through the directory: B2 and B3 queries
+    with one ``--cache-dir`` print what they print without it, write no file
+    for either group, and leave the B2 file of the former cache as it was."""
+    rs = build_root_system("B", 2)
+    _left_alone(capsys, tmp_path, {"weyl_B2.bin": _oracle_cache_bytes(rs, generate_weyl(rs))},
+                ("dcosets", "--type", "B2", "--I", "0", "--J", "1"), _DCOSETS_B3)
 
 
-def test_a_cache_of_format_wgc4_or_wgc2_is_a_miss_and_is_rewritten(tmp_path):
-    """A file in the former WGC4 format (uint16 masks in the byte order its
-    magic names, and a CRC-32 that matches them) and one in the WGC2 format
-    (int32 records) are misses, and the next load-or-generate rewrites them
-    in the current format, the same on every host."""
-    rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    n = rs.num_positive
-    header = struct.pack("<cBII", b"B", 3, n, len(group))
-    wgc4 = _uint16_layout(rs, group, b"WGC4")
-    wgc2 = b"".join(struct.pack(f"<I{n}i", w.length, *w.signed_images) for w in group)
-    path = weyl_cache_path(tmp_path, "B", 3)
-    # WGC4's magic has a fifth byte, so its records start one byte later
-    for raw in (wgc4 + struct.pack("<I", zlib.crc32(wgc4[_RECORDS_AT + 1:])),
-                b"WGC2" + header + wgc2 + struct.pack(f"<{len(group)}H", *oracles.masks(group))):
-        path.write_bytes(raw)
-        assert load_weyl_cache(rs, tmp_path) is None
-        assert load_or_generate(rs, tmp_path) == group
-        assert path.read_bytes() == _oracle_cache_bytes(rs, group)
-        cached = load_weyl_cache(rs, tmp_path)
-        assert cached == group and oracles.masks(cached) == oracles.masks(group)
+def test_cache_rejects_corruption(tmp_path, capsys):
+    rs, raw = _b3_cache_bytes()
+    _left_alone(capsys, tmp_path, {"weyl_B3.bin": raw[:-3]}, _DCOSETS_B3)
 
 
 @pytest.mark.parametrize("entry", [4, 10, -10, 99, 127, -128])
-def test_a_record_entry_outside_the_signed_images_is_a_miss(entry, tmp_path):
+def test_a_record_entry_outside_the_signed_images_is_a_miss(entry, tmp_path, capsys):
     """B3 has 9 positive roots, so every length and image lies in -9..9; a
-    record byte outside that, in an image or in a length, makes the file a
-    miss, which the next load-or-generate rewrites, even with the checksum
-    made to match.  Without it, any changed byte is a miss."""
-    rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    path = save_weyl_cache(rs, oracles.blocks(group), tmp_path)
-    raw = path.read_bytes()
-    records_at, _ = _cache_layout(rs, len(group))
-    width = rs.num_positive + 1
-    for at in (records_at + 5 * width + 1, records_at + 5 * width, records_at,
-               records_at + len(group) * width - 1):
-        corrupted = bytearray(raw)
-        corrupted[at] = entry & 0xFF
-        if corrupted != raw:
-            path.write_bytes(bytes(corrupted))
-            assert load_weyl_cache(rs, tmp_path) is None
-        path.write_bytes(_resealed(bytes(corrupted)))
-        if -9 <= entry <= 9:  # in range: it loads, and is left to the checks downstream
-            assert load_weyl_cache(rs, tmp_path) is not None
-            continue
-        assert load_weyl_cache(rs, tmp_path) is None
-        assert load_or_generate(rs, tmp_path) == group
-        assert path.read_bytes() == raw
+    former cache file with element 5's first image set to ``entry``, its
+    checksum made to match, in range or not, is never read: the query prints
+    its bytes and leaves the file as it was."""
+    rs, raw = _b3_cache_bytes()
+    at = _RECORDS_AT + 5 * (rs.num_positive + 1) + 1
+    corrupted = _sealed(raw[:at] + bytes((entry & 0xFF,)) + raw[at + 1:-4])
+    _left_alone(capsys, tmp_path, {"weyl_B3.bin": corrupted}, _DCOSETS_B3)
 
 
-def test_a_wgc3_file_is_a_miss_and_is_rewritten(tmp_path):
-    """The former format, WGC3: the same header, records and masks, with no
-    checksum.  It is a miss, and the next load-or-generate rewrites it."""
-    rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    path = weyl_cache_path(tmp_path, "B", 3)
-    path.write_bytes(_uint16_layout(rs, group, b"WGC3"))
-    assert load_weyl_cache(rs, tmp_path) is None
-    assert load_or_generate(rs, tmp_path) == group
-    assert path.read_bytes() == _oracle_cache_bytes(rs, group)
-
-
-def test_a_walk_that_fails_or_is_interrupted_leaves_no_file(tmp_path, monkeypatch):
-    """A miss writes the file as the walk goes, under a temporary name that
-    becomes the file's only when the walk is complete: a walk that fails its
-    layer check, or is interrupted, leaves the directory as it found it."""
+def test_a_walk_that_fails_or_is_interrupted_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """With ``--cache-dir``, a walk that fails its layer check exits 1 with
+    the contract violation, and one that is interrupted raises; either way
+    the directory is left as it was found, empty."""
     import steinberg_ext.weyl as weyl
 
-    rs = build_root_system("B", 3)
-    layer_sizes, walk = weyl._layer_sizes, weyl._walk
-    midway = []
+    digits, walk = weyl._digits, weyl._walk
+    argv = [*_DCOSETS_B3, "--cache-dir", str(tmp_path)]
 
-    def interrupted(rs):
-        blocks = walk(rs)
+    def interrupted(rs, J):
+        blocks = walk(rs, J)
         yield next(blocks)
-        midway.extend(p.name for p in tmp_path.iterdir())
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(weyl, "_layer_sizes", lambda rs, levi: layer_sizes(rs, levi)[:-1])
-    with pytest.raises(ContractError, match="past its longest element"):
-        load_or_generate(rs, tmp_path)
+    monkeypatch.setattr(weyl, "_digits", lambda value: digits(value)[:-1])
+    assert parse_and_dispatch(argv) == 1
+    assert "past its longest element" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-    monkeypatch.setattr(weyl, "_layer_sizes", layer_sizes)
+    monkeypatch.setattr(weyl, "_digits", digits)
     monkeypatch.setattr(weyl, "_walk", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        load_or_generate(rs, tmp_path)
-    assert midway == [f"weyl_B3.bin.{os.getpid()}.tmp"]
+        parse_and_dispatch(argv)
     assert not list(tmp_path.iterdir())
     monkeypatch.undo()
-    assert load_or_generate(rs, tmp_path) == generate_weyl(rs)
-    assert [p.name for p in tmp_path.iterdir()] == ["weyl_B3.bin"]
+    assert parse_and_dispatch(argv) == 0 and not list(tmp_path.iterdir())
 
 
 def _traced_peak(call):
@@ -652,76 +621,44 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_a_miss_writes_the_walk_as_it_goes(tmp_path):
-    """On a miss the walk's records go to the file block by block and only
-    the masks wait, 2 bytes per element: on E6 (51,840 elements) the traced
-    peak of writing the file stays within the masks plus 256 bytes for each
-    element of the largest layer (3,662, so 0.94 MB), where the group's
-    records alone take 1.9 MB; the file is the oracle's bytes, and the group
-    read back from it is the generated one."""
+def test_the_representatives_keep_only_their_own_records():
+    """The walk of X_J is read a block at a time, and only the
+    representatives' records are kept: on E6 with J = {}, whose X_J is the
+    whole group, and I = Delta, one representative, the traced peak of the
+    call stays below the group's records, |W|(N + 1) = 51,840 * 37 bytes,
+    which keeping X_J would take first."""
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system("E", 6)
     full = full_mask(rs.rank)
-    weyl._guards(rs)  # fills the reflection tables, kept for the process
-    sizes = weyl._layer_sizes(rs, full)
-    path, peak = _traced_peak(lambda: save_weyl_cache(rs, weyl._closure(rs), tmp_path))
-    assert (sum(sizes), max(sizes)) == (51840, 3662)
-    assert peak <= 2 * sum(sizes) + 256 * max(sizes), peak
-    group = generate_weyl(rs)
-    assert path.read_bytes() == _oracle_cache_bytes(rs, group)
-    assert load_or_generate(rs, tmp_path) == group
+    weyl.kostant_reps(rs, full, 0)  # fills the tables kept for the process
+    reps, peak = _traced_peak(lambda: weyl.kostant_reps(rs, full, 0))
+    assert len(reps) == 1 and peak < 51840 * (rs.num_positive + 1) == 1918080, peak
 
 
-def test_a_load_reads_the_group_in_place(tmp_path):
-    """The records and masks are read straight into the arrays the group
-    keeps, and the range check holds one chunk at a time: on E6 the traced
-    peak of a load is what it keeps plus one chunk (and the file object)."""
-    import steinberg_ext.weyl as weyl
-
-    rs = build_root_system("E", 6)
-    load_or_generate(rs, tmp_path)
-    group, peak = _traced_peak(lambda: load_weyl_cache(rs, tmp_path))
-    kept = len(group._records) + len(group.left) + len(group.right)
-    assert kept == 51840 * 39 and kept > 16 * weyl._CHUNK
-    assert peak - kept <= weyl._CHUNK + 8192, peak - kept
-    assert group == generate_weyl(rs)
+def test_cache_truncated_mask_block_is_a_miss(tmp_path, capsys):
+    rs, raw = _b3_cache_bytes()
+    masks_at = _RECORDS_AT + 48 * (rs.num_positive + 1)
+    assert len(raw) == masks_at + 2 * 48 + 4
+    for cut in (raw[:masks_at], raw[:-6], raw[:-4], raw[:-1], raw + b"\0\0"):
+        _left_alone(capsys, tmp_path, {"weyl_B3.bin": cut}, _DCOSETS_B3)
 
 
-def test_cache_truncated_mask_block_is_a_miss(tmp_path):
+def test_cache_flipped_left_descent_fails_the_partition_check(monkeypatch):
+    """With J = {} and I = {i}, flipping bit i of one element's left mask in
+    the blocks the walk yields adds or drops one representative, so the
+    Kilmoyer sum misses W(t)."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
-    path = save_weyl_cache(rs, oracles.blocks(group), tmp_path)
-    raw = path.read_bytes()
-    _, masks_at = _cache_layout(rs, len(group))
-    assert len(raw) == masks_at + 2 * len(group) + 4
-    for cut in (masks_at, len(raw) - 6, len(raw) - 4, len(raw) - 1):
-        path.write_bytes(raw[:cut])
-        assert load_weyl_cache(rs, tmp_path) is None
-    path.write_bytes(raw + b"\0\0")
-    assert load_weyl_cache(rs, tmp_path) is None
-
-
-def test_cache_flipped_left_descent_fails_the_partition_check(tmp_path):
-    # with J = {} and I = {i}, flipping bit i of one element's left mask adds
-    # or drops one representative, so the Kilmoyer sum misses |W| by |W_I|
-    rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    path = save_weyl_cache(rs, oracles.blocks(group), tmp_path)
-    raw = path.read_bytes()
-    _, masks_at = _cache_layout(rs, len(group))
     for position in (0, 1, len(group) // 2, len(group) - 1):
         for i in range(rs.rank):
-            corrupted = bytearray(raw)
-            corrupted[masks_at + position] ^= 1 << i  # the left column comes first
-            path.write_bytes(_resealed(bytes(corrupted)))
-            cached = load_weyl_cache(rs, tmp_path)
-            assert cached == group  # the records are intact
+            masks = oracles.masks(group)
+            masks[position] ^= 1 << 8 + i  # the left mask is the high byte
+            _walking(monkeypatch, rs, group, masks)
             with pytest.raises(ContractError, match="do not partition"):
-                kostant_reps(rs, 1 << i, 0, cached)
-    path.write_bytes(raw)
-    assert kostant_reps(rs, 0b001, 0, load_weyl_cache(rs, tmp_path)) == \
-        kostant_reps(rs, 0b001, 0)
+                kostant_reps(rs, 1 << i, 0)
+    _walking(monkeypatch, rs, group)
+    assert kostant_reps(rs, 0b001, 0) == oracles.kostant_reps_by_filter(rs, 0b001, 0)
 
 
 def _counting_decodes(monkeypatch) -> list:
@@ -739,38 +676,6 @@ def _counting_decodes(monkeypatch) -> list:
     return built
 
 
-def test_cached_group_decodes_on_each_read(tmp_path, monkeypatch):
-    """Loading a group decodes no element; each read decodes its element
-    from the records, so two reads are equal, not one object."""
-    rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    save_weyl_cache(rs, oracles.blocks(group), tmp_path)
-    built = _counting_decodes(monkeypatch)
-    cached = load_weyl_cache(rs, tmp_path)
-    assert len(cached) == len(group) and not built
-    assert cached[5] == cached[5] and cached[5] is not cached[5] and len(built) == 4
-    assert cached[-1] == cached[len(group) - 1] == group[-1]
-    monkeypatch.undo()
-    assert cached == group and group == cached and cached == list(group)
-    assert cached != group[1:] and cached != group[::-1]
-    assert list(cached) == list(group)
-    assert cached[2:7] == group[2:7]
-    assert [cached[k] for k in range(len(cached))] == list(cached)
-    with pytest.raises(IndexError):
-        cached[len(group)]
-
-
-@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
-def test_kostant_reps_from_cache_match_generated(name, tmp_path):
-    rs = build_root_system(*parse_type(name))
-    full = full_mask(rs.rank)
-    pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
-    generated = [kostant_reps(rs, I, J) for I, J in pairs]
-    save_weyl_cache(rs, oracles.blocks(generate_weyl(rs)), tmp_path)
-    cached = load_weyl_cache(rs, tmp_path)
-    assert [kostant_reps(rs, I, J, cached) for I, J in pairs] == generated
-
-
 @pytest.mark.parametrize("name", RANK_AT_MOST_4)
 def test_generated_lengths_count_negative_images(name):
     # lengths come from the breadth-first step an element is reached at
@@ -783,40 +688,28 @@ def test_generated_lengths_count_negative_images(name):
 # ---------------------------------------------------------------------------
 # the descent-guarded enumerator against the seen-set closure it replaced
 
-RANK_AT_MOST_5 = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
-                  "C5", "D4", "D5", "G2"]
-
-
-def _oracle_cache_bytes(rs, elements):
-    """A WGC5 file for ``elements``, packed record by record with struct: one
-    signed byte per entry, the left masks of the oracle's scan, then its
-    right masks, a byte each, and the CRC-32 of all three."""
-    n, masks = rs.num_positive, oracles.descent_masks(rs, elements)
-    return _sealed(
-        _MAGIC + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
-        + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
-        + bytes(mask >> 8 for mask in masks) + bytes(mask & 0xFF for mask in masks))
-
-
 @pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["A6", "B6", "C6", "D6", "F4", "E6"])
-def test_enumeration_matches_the_seen_set_closure(name, tmp_path):
+def test_enumeration_matches_the_seen_set_closure(name):
+    """The whole walk is the seen-set closure in group order, with the
+    oracle's masks; and for every J the walk of X_J yields, in that order,
+    exactly the closure's elements whose right mask misses J, with their
+    records and masks."""
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system(*parse_type(name))
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(rs.rank))
-    walked = weyl._filled(rs, weyl._closure(rs))
+    walked = oracles.filled(rs, weyl._closure(rs))
     assert walked._records.typecode == "b"
     assert walked._records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
     masks = oracles.masks(walked)
     assert masks == oracles.descent_masks(rs, oracle)
-    group = generate_weyl(rs)
-    assert group == oracle
-    expected = _oracle_cache_bytes(rs, oracle)
-    assert save_weyl_cache(rs, oracles.blocks(group), tmp_path / "saved").read_bytes() == expected
-    # a miss writes the file as the walk makes each layer, and reads it back
-    walked = load_or_generate(rs, tmp_path / "walked")
-    assert weyl_cache_path(tmp_path / "walked", rs.series, rs.rank).read_bytes() == expected
-    assert walked == oracle and oracles.masks(walked) == masks
+    assert generate_weyl(rs) == oracle
+    for J in range(1, full_mask(rs.rank) + 1):
+        (records, left, right), = oracles.blocks(walked, J=J)
+        walk = list(weyl._closure(rs, J))
+        assert b"".join(block[0] for block in walk) == records.tobytes(), J
+        assert b"".join(block[1] for block in walk) == left, J
+        assert b"".join(block[2] for block in walk) == right, J
 
 
 def _in_levi(rs, levi):
@@ -851,7 +744,7 @@ def test_parabolic_masks_match_the_descent_scan(name):
 def test_the_walk_reads_a_block_in_c_not_element_by_element():
     """A block of up to 256 elements costs the walk a fixed number of C
     calls, whatever it holds: one E6 walk (51,840 elements in 225 blocks)
-    makes 23,130, under one for every two elements, where a loop over the
+    makes 23,045, under one for every two elements, where a loop over the
     elements made about five per element (243,052)."""
     import steinberg_ext.weyl as weyl
 
@@ -883,7 +776,7 @@ def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
 
     rs = build_root_system("B", 3)
     full = full_mask(rs.rank)
-    guards, layer_sizes = weyl._guards, weyl._layer_sizes
+    guards, digits = weyl._guards, weyl._digits
 
     def admits_duplicates(rs):  # s_0 s_2 = s_2 s_0 is reached from both
         return tuple((table, frozenset()) for table, _ in guards(rs))
@@ -897,25 +790,46 @@ def test_a_wrong_guard_fails_the_layer_check(monkeypatch):
         with pytest.raises(ContractError, match="Poincaré polynomial"):
             list(weyl._closure(rs))
     monkeypatch.setattr(weyl, "_guards", guards)
-    monkeypatch.setattr(weyl, "_layer_sizes", lambda rs, levi: layer_sizes(rs, levi)[:-1])
-    with pytest.raises(ContractError, match="past its longest element"):
-        list(weyl._closure(rs))
+    monkeypatch.setattr(weyl, "_digits", lambda value: digits(value)[:-1])
+    for J in (0, 0b110):
+        with pytest.raises(ContractError, match="past its longest element"):
+            list(weyl._closure(rs, J))
     monkeypatch.undo()
-    assert weyl._filled(rs, weyl._closure(rs))._records.tolist() == \
-        [x for w in generate_weyl(rs) for x in (w.length, *w.signed_images)]
+    assert oracles.filled(rs, weyl._closure(rs))._records.tolist() == \
+        [x for w in oracles.weyl_closure_by_seen_set(rs, full) for x in (w.length, *w.signed_images)]
 
 
-def test_a_group_is_filled_whole_from_its_blocks():
-    """A group's arrays are preallocated at |W| and filled from blocks of
-    any size; blocks that fall short of |W| are refused, not padded."""
+def test_a_walk_of_x_j_without_its_j_guard_fails_the_layer_check(monkeypatch):
+    """With the guard that keeps the walk in X_J dropped (its bit table sends
+    the code of +alpha_i to no bit), the walk of X_J steps out of it at
+    length 1, and that layer's size is not W(t)/W_J(t)'s coefficient: the
+    representatives raise ``ContractError`` in the call, before any is
+    yielded or decoded."""
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system("B", 3)
+    bit_table, simple = weyl._bit_table, [(weyl._ZERO + 1 + i,) for i in range(rs.rank)]
+    monkeypatch.setattr(weyl, "_bit_table",
+                        lambda codes_of: bytes(256) if codes_of == simple else bit_table(codes_of))
+    built = _counting_decodes(monkeypatch)
+    for J, why in ((0b001, "; its Poincaré polynomial has 2"),
+                   (0b110, "; its Poincaré polynomial has 1"), (0b111, ", past its longest")):
+        with pytest.raises(ContractError, match=rf"of length 1 in W\(B3\)/W_\{{.*\}}{why}"):
+            weyl.iter_kostant_reps(rs, 0, J)
+    assert not built
+    assert len(list(weyl._closure(rs))) == 10  # the whole walk has no J guard to drop
+
+
+def test_a_group_is_filled_whole_from_its_blocks():
+    """The reference group's arrays are preallocated at |W| and filled from
+    blocks of any size; blocks that fall short of |W| are refused, not
+    padded."""
+    rs = build_root_system("B", 3)
     group = generate_weyl(rs)
-    filled = weyl._filled(rs, oracles.blocks(group, 5))
+    filled = oracles.filled(rs, oracles.blocks(group, 5))
     assert filled == group and oracles.masks(filled) == oracles.masks(group)
     with pytest.raises(ContractError, match=r"45 elements in W\(B3\), of order 48"):
-        weyl._filled(rs, oracles.blocks(group, 5)[:-1])
+        oracles.filled(rs, oracles.blocks(group, 5)[:-1])
 
 
 def test_simple_roots_out_of_place_are_refused():
@@ -968,7 +882,7 @@ def test_the_cap_bounds_the_walk(monkeypatch):
     assert types == 128
     assert max(rs.rank for rs in walked) == 8
     assert max(rs.num_positive for rs in walked) == 49 == build_root_system("B", 7).num_positive
-    monkeypatch.setattr(weyl, "_walk", lambda rs: pytest.fail("the walk started"))
+    monkeypatch.setattr(weyl, "_walk", lambda *args: pytest.fail("the walk started"))
     for rank in (9, 16):
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             weyl._closure(build_root_system("A", rank))
@@ -1000,16 +914,16 @@ def test_closure_holds_one_layer_beside_what_it_returns():
     rs = build_root_system("E", 6)
     full = full_mask(rs.rank)
     weyl._guards(rs)  # fills the reflection tables, kept for the process
-    weyl._layer_sizes(rs, full)
+    sizes = weyl._digits(weyl._poincare(rs, full))
     tracemalloc.start()
     try:
-        walked = weyl._filled(rs, weyl._closure(rs))
+        walked = oracles.filled(rs, weyl._closure(rs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     records, left, right = walked._records, walked.left, walked.right
     kept = records.itemsize * len(records) + len(left) + len(right)
-    largest = max(weyl._layer_sizes(rs, full))
+    largest = max(sizes)
     assert len(left) == len(right) == 51840 and largest == 3662
     assert records.itemsize == 1 and peak - kept <= 256 * largest, (peak, kept)
 
@@ -1035,15 +949,14 @@ def test_the_class_pass_holds_less_than_the_group():
 
 
 def test_generated_group_decodes_on_each_read(monkeypatch):
-    """Generating a group, and the class pass over it, decode no element;
-    each read decodes its element from the records, so two reads are equal,
-    not one object."""
-    import steinberg_ext.weyl as weyl
+    """Generating the reference group, and the class pass over it, decode no
+    element; each read decodes its element from the records, so two reads
+    are equal, not one object."""
     from steinberg_ext.strata import DescentClasses
 
     built = _counting_decodes(monkeypatch)
     rs = build_root_system("B", 3)
-    group = weyl.generate_weyl.__wrapped__(rs)  # not the memoised one
+    group = generate_weyl.__wrapped__(rs)  # not the memoised one
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(3))
     (records, _, _), = oracles.blocks(group)
     width = rs.num_positive + 1
@@ -1058,18 +971,17 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
     assert group[2:7] == tuple(elements[2:7]) and len(built) == 59
 
 
-def test_a_read_leaves_its_group_as_it_found_it(tmp_path):
-    """A group holds its records and masks and keeps nothing a read makes:
-    representatives, decoded elements and the class pass leave its
-    attributes as they were."""
+def test_a_read_leaves_its_group_as_it_found_it():
+    """The reference group holds its records and masks and keeps nothing a
+    read makes: the filter's representatives, decoded elements and the class
+    pass leave its attributes as they were."""
     from steinberg_ext.strata import DescentClasses
 
     rs = build_root_system("B", 3)
-    save_weyl_cache(rs, oracles.blocks(generate_weyl(rs)), tmp_path)
-    for group in (generate_weyl.__wrapped__(rs), load_weyl_cache(rs, tmp_path)):
-        before = set(vars(group))
-        for I, J in ((0, 0), (0b011, 0b110), (0b111, 0b111)):
-            kostant_reps(rs, I, J, group)
-        assert list(group)[1:5] == list(group[1:5])
-        DescentClasses(rs, oracles.blocks(group), RingSpec(1009, 3))
-        assert set(vars(group)) == before
+    group = generate_weyl.__wrapped__(rs)
+    before = set(vars(group))
+    for I, J in ((0, 0), (0b011, 0b110), (0b111, 0b111)):
+        oracles.kostant_reps_by_filter(rs, I, J, group)
+    assert list(group)[1:5] == list(group[1:5])
+    DescentClasses(rs, oracles.blocks(group), RingSpec(1009, 3))
+    assert set(vars(group)) == before

@@ -19,8 +19,11 @@ either side fails and is not timed.  ``--json PATH`` writes, per command,
 its argv, the rounds, each side's median and quartiles of wall time and
 peak (for a cached command also the wall time and peak of the cold run
 that primed its cache) and the rounds this checkout was the faster in
-(``wins``); and the Python version, ``os.cpu_count()`` and whether the
-children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset).
+(``wins``); the Python version, ``os.cpu_count()`` and whether the
+children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset); and
+``paired``, which says what compares: only the two sides of one command,
+round by round.  Different commands are timed minutes apart, on a host
+whose speed drifts, so two commands of one file do not compare.
 
 The sweeps are larger than tier-1 can afford: about a minute in all on a
 2-core host.  The single queries check the representatives of the largest
@@ -29,13 +32,15 @@ large pairs, and two small E6 pairs (144 and 1,260 representatives) of
 the size that ``perfbench``'s ``exceptional-queries`` times.  Two more
 check complex-built tables at rank 7 and 8, where the golden corpus stops
 at rank 4: an E7 cohomology table with every row dumped, and an E8 ext
-table tensored with a center of rank 2.  The E6 and D7 strata sweeps run
-once more each with ``--cache-dir``, with the uncached digests: each
-invocation makes one temporary directory, with a cache directory per side
-that one untimed run primes, and removes it at exit, so every timed round
-reads a warm cache.  A change to code that a command runs reruns them, and
-records the printed table for the parent and the change.  Standard library
-only.
+table tensored with a center of rank 2.  The E6 and D7 strata sweeps and
+the two small E6 pairs run once more each with ``--cache-dir``, with the
+uncached digests: each invocation makes one temporary directory, with a
+cache directory per side that one untimed run primes, and removes it at
+exit.  The package keeps no Weyl cache and accepts the option for nothing,
+so these runs time it against a checkout that still keeps one (an older
+parent) with a warm cache in every timed round.  A change to code that a
+command runs reruns them, and records the printed table for the parent and
+the change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -84,12 +89,6 @@ RUNS = {
                        "f8313a129c87f89c1d22099ff83ee79f9a6bda748aee4f0024a3321d10e31dc9"),
     "E6-strata": sweep("E6", RING, "on",
                        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088"),
-    "E6-strata-cache": sweep("E6", RING, "on",
-                             "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088",
-                             cached=True),
-    "D7-strata-cache": sweep("D7", RING, "on",
-                             "5b7d330fbd903775a5146457e63d30fe6f2440e7a712d77d8fd20722883d6999",
-                             cached=True),
     "E6-dcosets": Run(("dcosets", "--type", "E6", "--I", "1", "--J", "0,5", "--ring", RING),
                       "c28fc676d9ec21845759025dec4abfb1a5bc0db5a61d83fb5028b7228f8f291f"),
     "E6-ext-induced": Run(("ext-induced", "--type", "E6", "--I", "", "--J", "",
@@ -114,6 +113,9 @@ RUNS = {
                           "--method", "both", "--center-rank", "2", "--ring", RING),
                          "beddf4f51a945f507264cc300a9f71b177ae778fc819a99c63b82b29c49b1b04"),
 }
+# the same commands, and bytes, with --cache-dir
+RUNS.update((f"{name}-cache", RUNS[name]._replace(cached=True)) for name in (
+    "E6-strata", "D7-strata", "E6-dcosets-small", "E6-ext-induced-small"))
 
 
 class Result(NamedTuple):
@@ -176,7 +178,10 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
         sides["against"] = args.against.resolve() / "src"
     report: dict = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
                     "bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
-                    "against": args.against and args.against.resolve().name, "runs": {}}
+                    "against": args.against and args.against.resolve().name,
+                    "paired": "only the two sides of one run, round by round: different "
+                              "runs were timed minutes apart and do not compare",
+                    "runs": {}}
     failed = 0
     print("run\tverdict\twall_s\tpeak_mb\tdigest"
           + ("\tagainst_wall_s\tagainst_peak_mb" if args.against else ""))
