@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification sweeps for one type and ring")
     _add_common(p)
     _pair_args(p)
-    _add_options(p, "--cache-dir")
     p.add_argument("--all-pairs", action="store_true",
                    help="sweep every pair of subsets instead of a single (I, J)")
     p.add_argument("--strata", choices=("auto", "on", "off"), default="auto",

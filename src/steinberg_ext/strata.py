@@ -40,21 +40,22 @@ class DescentClasses:
     """A group read by columns, a byte per element each, for checks that
     pay per descent class and not per representative: its lengths, its left
     and right masks, and per simple root alpha_b the signed images w(alpha_b).
-    Cut from ``blocks`` as each comes, the (records, left, right) triples of
-    the whole walk (:func:`~steinberg_ext.weyl._closure` with J = 0).
+    Cut from ``blocks`` as each comes, the (records, left) pairs of the whole
+    walk (:func:`~steinberg_ext.weyl._closure` with J = 0); the right mask
+    is where the simple images are negative.
 
     - ``answers``: whether the columns decide every pair.  The ring passes
       bon (q^e - 1 is a unit for 1 <= e <= m, the largest coefficient of
       2 rho), so every certificate holds, and the group keeps what a Weyl
       group keeps: it has |W| elements; one element has length 0, wherever
-      it sits, the identity, with mask 0; every other element has a right
-      descent, the direction of its gamma certificate; the right mask is
-      where the simple images are negative; and no w(alpha_b) is a
-      non-simple root of Phi_K while w misses K on the left (Kilmoyer with
-      I = K and J = {b}: no such w exists), as ``iter_kostant_reps`` guards.
+      it sits, the identity, with left mask 0; every other element has a
+      right descent, the direction of its gamma certificate; and no
+      w(alpha_b) is a non-simple root of Phi_K while w misses K on the left
+      (Kilmoyer with I = K and J = {b}: no such w exists), as
+      ``iter_kostant_reps`` guards.
     """
 
-    def __init__(self, rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]],
+    def __init__(self, rs: RootSystem, blocks: Iterable[tuple[bytes, bytes]],
                  spec: RingSpec) -> None:
         rank, width = rs.rank, rs.num_positive + 1
         self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rank))
@@ -66,14 +67,14 @@ class DescentClasses:
         self._left, self._right = left, right = bytearray(), bytearray()
         columns = [bytearray() for _ in range(rank)]
         zeros, kept = 0, True  # the elements of length 0; whether every block keeps the rest
-        for records, block_left, block_right in blocks:
+        for records, block_left in blocks:
             view, size = memoryview(records).cast("B"), len(block_left)
             lengths, held = view[::width].tobytes(), int.from_bytes(block_left, "little")
             at = lengths.find(0)
             if at >= 0:  # the identity, if it is the one element of length 0
                 zeros += lengths.count(0)
                 kept &= (view[at * width:(at + 1) * width] == bytes(range(width))
-                         and block_left[at] == block_right[at] == 0)
+                         and block_left[at] == 0)
             # At a right descent b, 1 <= gamma_b <= (2 rho)_b <= m: alpha_b lies in N(w),
             # and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too, so under bon any
             # right descent and any delta candidate certifies.  A stray root's support
@@ -86,9 +87,8 @@ class DescentClasses:
                 support = image.translate(supports)
                 kept &= ((int.from_bytes(support, "little") & held).to_bytes(size, "little")
                          .translate(_NONZERO) == support.translate(_NONZERO))
-            kept &= int.from_bytes(block_right, "little") == signs
             left += block_left
-            right += block_right
+            right += signs.to_bytes(size, "little")
         # each column is dropped once it is read
         self._simple = [int.from_bytes(columns.pop(0), "little") for _ in range(rank)]
         self.answers = (bon_check(rs, spec).ok and kept and zeros == 1

@@ -9,12 +9,12 @@ operations, and the length function is the count of negative entries.
 A group, or X_J, the minimal representatives of W/W_J, is enumerated by
 one breadth-first walk (``_closure``) that reaches each element from its
 smallest left descent and yields blocks, layer by layer: flat records (per
-element its length, then its signed images, one signed byte each) and two
-columns, the left and right descent masks.  Only types whose whole group is
-under the enumeration cap are walked, so a group has rank at most 8 and at
-most 49 positive roots.  No group is held: a strata sweep cuts its columns
-from the blocks of the whole walk, and an element is decoded from its
-record only when a representative is yielded.
+element its length, then its signed images, one signed byte each) and a
+column of left descent masks.  Only types whose whole group is under the
+enumeration cap are walked, so a group has rank at most 8 and at most 49
+positive roots.  No group is held: a strata sweep cuts its columns from the
+blocks of the whole walk, and an element is decoded from its record only
+when a representative is yielded.
 
 The minimal double-coset representatives of a pair (``iter_kostant_reps``)
 are the elements of the walk of X_J whose left mask misses I: a block of 64
@@ -168,18 +168,19 @@ def _bit_table(codes_of: Sequence[Iterable[int]]) -> bytes:
     return bytes(table)
 
 
-def _closure(rs: RootSystem, J: int = 0) -> Iterator[tuple[bytes, bytes, bytes]]:
+def _closure(rs: RootSystem, J: int = 0) -> Iterator[tuple[bytes, bytes]]:
     """Enumerate X_J, the minimal representatives of W/W_J (the elements
     whose right mask misses J; the whole Weyl group of ``rs`` for J = 0), in
     group order, as it is walked: one length layer after the other, each in
     blocks of at most ``_BLOCK`` elements, a block as its records (per
-    element its length, then its signed images, one signed byte each), its
-    left masks and its right masks, one byte per element each.  A type whose
-    group is over ``DEFAULT_WEYL_CAP``, or one with its simple roots out of
-    place, is refused here, before any element is built, whatever J is.
-    Every type under the cap has rank at most 8 and at most 49 positive roots
-    (B7), so a mask side and a guard's verdicts take one byte, and an image
-    one byte code.
+    element its length, then its signed images, one signed byte each) and
+    its left masks, one byte per element.  A type whose group is over
+    ``DEFAULT_WEYL_CAP``, or one with its simple roots out of place, is
+    refused here, before any element is built, whatever J is.  Every type
+    under the cap has rank at most 8 and at most 49 positive roots (B7), so
+    a mask and a guard's verdicts take one byte, and an image one byte code.
+    The right mask, where the first rank images are negative, is left to
+    the reader that needs it.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -204,13 +205,12 @@ def _closure(rs: RootSystem, J: int = 0) -> Iterator[tuple[bytes, bytes, bytes]]
     code of -alpha_i is an image) and the guards' verdicts (a bit per
     generator, set where its own left descent or one of its forbidden codes
     is an image, or, in a column alpha_j with j in J, where the code of
-    +alpha_i is); the signs of the first rank columns give the right mask.
-    A generator's steps are the translates of the elements its verdict bit
-    lets through (``compress``), and the block's records are one more
-    ``translate``, to signed bytes.  So a block costs a fixed number of
-    bytes operations, whatever it holds.  It is yielded and dropped: the
-    walk holds about one layer, part of the one it reads and part of the one
-    it makes, and nothing it has yielded."""
+    +alpha_i is).  A generator's steps are the translates of the elements
+    its verdict bit lets through (``compress``), and the block's records are
+    one more ``translate``, to signed bytes.  So a block costs a fixed
+    number of bytes operations, whatever it holds.  It is yielded and
+    dropped: the walk holds about one layer, part of the one it reads and
+    part of the one it makes, and nothing it has yielded."""
     rank = rs.rank
     order = parabolic_order(rs, full_mask(rank))
     if order > DEFAULT_WEYL_CAP:
@@ -232,7 +232,7 @@ def _ored_columns(buffer: bytes, width: int) -> int:
     return ored
 
 
-def _walk(rs: RootSystem, J: int) -> Iterator[tuple[bytes, bytes, bytes]]:
+def _walk(rs: RootSystem, J: int) -> Iterator[tuple[bytes, bytes]]:
     """The walk of :func:`_closure`, once its checks have passed."""
     rank, width = rs.rank, rs.num_positive + 1  # a record: its length, then its images
     guards = _guards(rs)
@@ -261,10 +261,6 @@ def _walk(rs: RootSystem, J: int) -> Iterator[tuple[bytes, bytes, bytes]]:
             block.reverse()
             count = len(block)
             buffer = code.join([b"", *block])  # per element its length, then its images
-            records = buffer.translate(_SIGNED_BYTE)
-            negative = records.translate(_NEGATIVE)
-            right = sum(int.from_bytes(negative[1 + j::width], "little") << j
-                        for j in range(rank)).to_bytes(count, "little")
             left = _ored_columns(buffer.translate(left_table), width).to_bytes(count, "little")
             blocked = _ored_columns(buffer.translate(blocked_table), width)
             for j in mask_indices(J):
@@ -273,7 +269,7 @@ def _walk(rs: RootSystem, J: int) -> Iterator[tuple[bytes, bytes, bytes]]:
             for lets_through, table in steps:  # s_i·w for each step taken
                 nxt.extend(map(bytes.translate, compress(block, blocked.translate(lets_through)),
                                repeat(table)))
-            yield records, left, right
+            yield buffer.translate(_SIGNED_BYTE), left
         step = nxt
     if step:
         raise ContractError(f"elements of length {length + 1} in {name}, past its longest "
@@ -321,7 +317,7 @@ def _kept_records(rs: RootSystem, I: int, J: int) -> bytearray:
     misses I, the minimal (W_I, W_J) double-coset representatives, joined in
     group order; the walk's other records are dropped with their block."""
     width, misses_i, kept = rs.num_positive + 1, _misses(I), bytearray()
-    for records, left, _ in _closure(rs, J):
+    for records, left in _closure(rs, J):
         for start in compress(range(0, len(records), width), left.translate(misses_i)):
             kept += records[start:start + width]
     return kept

@@ -17,7 +17,8 @@ builders:
   the Poincaré polynomials as coefficient lists (``poincare_times``,
   ``poincare_over``, ``layer_sizes``) that pin the package's values at
   t = 2^64, the descent-mask scan ``descent_masks`` that pins the
-  enumerator's masks, and ``integer_rank``;
+  enumerator's left masks and the class pass's right ones, and
+  ``integer_rank``;
 - the held group the package once had, ``WeylGroup`` (its flat records and
   two mask columns, an element decoded on each read), filled from the whole
   walk's blocks by ``generate_weyl``; ``weyl_group``, which builds one (a
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, compress, islice, product
@@ -425,33 +426,44 @@ def intersect_levi(rs: RootSystem, w: WeylElement, I: int, J: int) -> int:
                            levi_root_indices(rs, I))[0]
 
 
-def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
-    """``left << 8 | right`` for every element, in group order, as uint16.
-    Bit j of the right mask is set when w(alpha_j) < 0, bit i of the left
-    mask when w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
+def _descent_scan(rs: RootSystem, images_of: Iterable[Sequence[int]]) -> Iterator[int]:
+    """``left << 8 | right`` for each sequence of signed images, one at a
+    time.  Bit j of the right mask is set when w(alpha_j) < 0, bit i of the
+    left mask when w^-1(alpha_i) < 0, that is when -alpha_i is an image."""
     left_of = {frozenset(-1 - i for i in mask_indices(m)): m << 8
                for m in range(1 << rs.rank)}
     negated_simple = frozenset(range(-rs.rank, 0))
     right_bits = tuple(1 << j for j in range(rs.rank))
-    return array("H", [  # compress reads only the first rank images
-        left_of[negated_simple.intersection(images)]
-        + sum(compress(right_bits, map(_is_negative, images)))
-        for images in map(attrgetter("signed_images"), group)])
+    for images in images_of:  # compress reads only the first rank images
+        yield (left_of[negated_simple.intersection(images)]
+               + sum(compress(right_bits, map(_is_negative, images))))
+
+
+def descent_masks(rs: RootSystem, group: Sequence[WeylElement]) -> array:
+    """The :func:`_descent_scan` of every element, in group order, as uint16."""
+    return array("H", _descent_scan(rs, map(attrgetter("signed_images"), group)))
 
 
 class WeylGroup(Sequence):
     """A Weyl group in group order, as :func:`~steinberg_ext.weyl._closure`
     yields it: the flat records (per element its length, then its signed
-    images, one signed byte each) and the descent masks ``left`` and
-    ``right``, a byte per element each, with no element built: each read
-    decodes its element from the records (through ``weyl.WeylElement``, so
-    a test can count the decodes).  Slices are tuples; a group equals any
-    sequence of its elements."""
+    images, one signed byte each) and the left masks, a byte per element,
+    with no element built: each read decodes its element from the records
+    (through ``weyl.WeylElement``, so a test can count the decodes).  Beside
+    them the group keeps the right masks, a byte per element, which the walk
+    does not yield: given, or the right half of the oracle's descent scan.
+    Slices are tuples; a group equals any sequence of its elements."""
 
-    def __init__(self, rs: RootSystem, records: array, left: bytearray, right: bytearray) -> None:
+    def __init__(self, rs: RootSystem, records: array, left: bytearray,
+                 right: bytearray | None = None) -> None:
         self._width = rs.num_positive + 1
         self._records = records
-        self.left, self.right = left, right
+        self.left = left
+        if right is None:  # scanned from the records, with no element built
+            width = self._width
+            right = bytearray(m & 0xFF for m in _descent_scan(
+                rs, (records[start + 1:start + width] for start in range(0, len(records), width))))
+        self.right = right
 
     def __len__(self) -> int:
         return len(self.left)
@@ -469,21 +481,21 @@ class WeylGroup(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def filled(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes, bytes]]) -> WeylGroup:
+def filled(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes]]) -> WeylGroup:
     """The group of ``rs`` from its ``blocks`` (as the whole walk yields
     them): each fills its part of the arrays the group keeps, preallocated,
     as it comes; blocks that fall short of |W| are refused, not padded."""
     count, width = parabolic_order(rs, full_mask(rs.rank)), rs.num_positive + 1
-    records, left, right = array("b", [0]) * (count * width), bytearray(count), bytearray(count)
+    records, left = array("b", [0]) * (count * width), bytearray(count)
     view, start = memoryview(records).cast("B"), 0
     for block in blocks:
         end = start + len(block[1])
         view[start * width:end * width] = memoryview(block[0]).cast("B")
-        left[start:end], right[start:end], start = block[1], block[2], end
+        left[start:end], start = block[1], end
         del block  # dropped before the next is read
     if start != count:
         raise ContractError(f"{start} elements in W({rs.type_name()}), of order {count}")
-    return WeylGroup(rs, records, left, right)
+    return WeylGroup(rs, records, left)
 
 
 @lru_cache(maxsize=None)
@@ -511,19 +523,19 @@ def masks(group: WeylGroup) -> array:
 
 
 def blocks(group: WeylGroup, size: int | None = None,
-           J: int = 0) -> list[tuple[array, bytearray, bytearray]]:
+           J: int = 0) -> list[tuple[array, bytearray]]:
     """A held group's X_J, its elements whose right mask misses J, as blocks
-    of records, left masks and right masks, as
-    :func:`~steinberg_ext.weyl._closure` yields them: one block, or blocks of
-    at most ``size`` elements in group order."""
+    of records and left masks, as :func:`~steinberg_ext.weyl._closure`
+    yields them: one block, or blocks of at most ``size`` elements in group
+    order."""
     width = group._width
     kept = [p for p, right in enumerate(group.right) if not right & J]
     records = array("b", chain.from_iterable(group._records[p * width:(p + 1) * width]
                                              for p in kept))
-    left, right = bytearray(group.left[p] for p in kept), bytearray(group.right[p] for p in kept)
+    left = bytearray(group.left[p] for p in kept)
     if size is None:
-        return [(records, left, right)]
-    return [(records[p * width:(p + size) * width], left[p:p + size], right[p:p + size])
+        return [(records, left)]
+    return [(records[p * width:(p + size) * width], left[p:p + size])
             for p in range(0, len(kept), size)]
 
 

@@ -373,9 +373,10 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too(monkeypatch
     """B3 with the negative simple image of one reflection s_b made
     positive in its record, its masks left genuine: s_b is a representative
     of each pair whose I and J miss b, and has no right descent to pair a
-    gamma certificate with.  Its right mask no longer matches its signs, so
-    the classes do not answer: those 16 pairs raise through the classes as
-    they do through the representatives; every other pair passes."""
+    gamma certificate with.  The class pass reads its right mask off its
+    signs, so two elements have no right descent and the classes do not
+    answer: those 16 pairs raise through the classes as they do through the
+    representatives; every other pair passes."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     elements = list(group)
@@ -406,11 +407,12 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too(monkeypatch
 def _hide_one_rep(rs, group, w_at, I, J, masks):
     """Hide from (I, J) a genuine representative, neither the identity nor
     the element at ``w_at``, whose coset has |W_I||W_J| elements (Levi {}),
-    by giving it a descent in J on the right; whether there is one."""
+    by giving it a descent in I on the left, or, with I empty, in J on the
+    right; whether there is one."""
     for rep in kostant_reps(rs, I, J):
         at = group.index(rep.w)
         if rep.levi == 0 and at not in (0, w_at):
-            masks[at] |= J & -J
+            masks[at] |= (I & -I) << 8 if I else J & -J
             return True
     return False
 
@@ -423,7 +425,10 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption, monkeypatch):
     its right mask cleared.  With a genuine representative of the same coset
     size hidden, Kilmoyer's sum still comes to |W| (``covers`` passes): only
     the Levi guard of ``iter_kostant_reps`` tells, and the class path keeps
-    it as an invariant of ``answers``."""
+    it as an invariant of ``answers``.  The class path reads no right mask:
+    it takes them from the signs of the simple images, so a right mask
+    cleared reaches only the walk of X_J.  There the representatives raise,
+    and the classes, cut from the whole walk, answer as a genuine group's."""
     from steinberg_ext.rootdata import support_mask
 
     rs = build_root_system("A", 3)
@@ -455,7 +460,14 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption, monkeypatch):
         count * orders[I] * orders[J] // orders[levi & I]
         for left, by_levi in classes.counts(J).items() if not left & I
         for levi, count in by_levi.items())
-    assert classes.covers(I, J) and not classes.answers
+    assert classes.covers(I, J)
+    if corruption == "negative":
+        genuine_classes = DescentClasses(rs, oracles.blocks(group), Z23)
+        assert classes.answers and classes.counts(J) == genuine_classes.counts(J)
+        verify_strata(rs, I, J, Z23, classes)
+        classes = None  # the representatives, read off the walk of X_J
+    else:
+        assert not classes.answers
     _walking(monkeypatch, corrupted)
     with pytest.raises(ContractError, match=expected):
         verify_strata(rs, I, J, Z23, classes)

@@ -1,8 +1,9 @@
 import importlib.util
 import json
-import tempfile
 import time
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "sweep_digests.py"
 _spec = importlib.util.spec_from_file_location("sweep_digests", _PATH)
@@ -26,17 +27,11 @@ def test_the_driver_fails_a_changed_byte(capsys):
         assert (A2_Q in out) == bool(code) and (digest in err) == bool(code)
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
-    twins = ("E6-strata", "D7-strata", "E6-dcosets-small", "E6-ext-induced-small")
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
                                         "A8-strata", "E6-strata", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
-                                        "E7-cohomology-dump", "E8-ext-center",
-                                        *(f"{name}-cache" for name in twins)]
-    runs = sweep_digests.RUNS
-    for name in twins:  # the same command and bytes, through a cache directory
-        cached = runs[f"{name}-cache"]
-        assert cached.cached and cached._replace(cached=False) == runs[name]
+                                        "E7-cohomology-dump", "E8-ext-center"]
 
 
 def test_every_round_must_match(capsys, monkeypatch):
@@ -67,25 +62,21 @@ def test_every_round_must_match(capsys, monkeypatch):
     assert A2_Q in err
 
 
-def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys, monkeypatch):
+def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys):
     """``--against`` this checkout, with ``--rounds 1`` and ``--json``: an A2
-    sweep over Q and a cached A2 strata sweep run once from each side, the
-    cached one after an untimed run per side that primes its own cache
-    directory, removed at exit.  The JSON holds each side's median and
-    quartiles of wall time and peak, and says that only the sides of one run
-    are paired; a changed digest fails its run, which is then not timed."""
+    sweep over Q and an A2 strata sweep run once from each side.  The JSON
+    holds each side's median and quartiles of wall time and peak, and says
+    that only the sides of one run are paired; a changed digest fails its
+    run, which is then not timed."""
     checkout = _PATH.parent.parent
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    (tmp_path / "tmp").mkdir()
     runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", A2_Q),
-            "A2-strata-cache": sweep_digests.sweep("A2", "q=3,d=1009", "on", A2_STRATA,
-                                                   cached=True)}
+            "A2-strata": sweep_digests.sweep("A2", "q=3,d=1009", "on", A2_STRATA)}
     path = tmp_path / "bench.json"
     argv = ["--rounds", "1", "--against", str(checkout), "--json", str(path)]
     assert sweep_digests.main(argv, runs) == 0
     out, _ = capsys.readouterr()
     assert [line.split("\t")[:2] for line in out.splitlines()] == [
-        ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata-cache", "ok"]]
+        ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata", "ok"]]
     assert all(len(line.split("\t")) == 7 for line in out.splitlines())
     report = json.loads(path.read_text())
     assert set(report) == {"python", "cpu_count", "bytecode", "against", "paired", "runs"}
@@ -93,24 +84,43 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys, monkeypat
     assert report["against"] == checkout.name and list(report["runs"]) == list(runs)
     for name, record in report["runs"].items():
         assert set(record) == {"argv", "rounds", "ok", "this", "against", "wins"}, name
+        assert record["argv"] == list(runs[name].args)
         assert record["rounds"] == 1 and record["ok"] and record["wins"] in (0, 1)
         for side in ("this", "against"):
-            assert set(record[side]) == ({"wall_s", "peak_mb", "cold"} if "cache" in name
-                                         else {"wall_s", "peak_mb"})
+            assert set(record[side]) == {"wall_s", "peak_mb"}
             for metric in ("wall_s", "peak_mb"):
                 spread = record[side][metric]
                 assert list(spread) == ["q1", "median", "q3"]
                 assert spread["q1"] == spread["median"] == spread["q3"] > 0
-    assert report["runs"]["A2-strata-cache"]["argv"][-2:] == ["--cache-dir", "DIR"]
-    assert not list((tmp_path / "tmp").iterdir())
 
     flipped = A2_STRATA[:-1] + ("0" if A2_STRATA[-1] != "0" else "1")
-    runs["A2-strata-cache"] = runs["A2-strata-cache"]._replace(digest=flipped)
-    assert sweep_digests.main([*argv, "A2-strata-cache"], runs) == 1
+    runs["A2-strata"] = runs["A2-strata"]._replace(digest=flipped)
+    assert sweep_digests.main([*argv, "A2-strata"], runs) == 1
     out, err = capsys.readouterr()
-    assert out.splitlines()[1].split("\t") == ["A2-strata-cache", "FAIL (exit 0)", "-", "-",
+    assert out.splitlines()[1].split("\t") == ["A2-strata", "FAIL (exit 0)", "-", "-",
                                                 A2_STRATA, "-", "-"]
     assert flipped in err
-    assert json.loads(path.read_text())["runs"] == {"A2-strata-cache": {
-        "argv": [*runs["A2-strata-cache"].args, "--cache-dir", "DIR"], "rounds": 1,
-        "ok": False}}
+    assert json.loads(path.read_text())["runs"] == {"A2-strata": {
+        "argv": list(runs["A2-strata"].args), "rounds": 1, "ok": False}}
+
+
+def test_against_a_checkout_without_the_package_exits_2_before_any_round(tmp_path, capsys,
+                                                                         monkeypatch):
+    """With this checkout's ``src`` on the caller's ``PYTHONPATH``, a DIR
+    whose ``src`` is missing, or holds no package, would have this checkout
+    imported on both sides; the driver exits 2 naming the side, before any
+    round and before it writes the JSON."""
+    monkeypatch.setenv("PYTHONPATH", str(sweep_digests.SRC))
+    monkeypatch.setattr(sweep_digests, "run",
+                        lambda entry: pytest.fail("a round ran"))
+    runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", A2_Q)}
+    path = tmp_path / "bench.json"
+    for against in (tmp_path / "no-such-checkout", tmp_path):
+        if against == tmp_path:
+            (tmp_path / "src").mkdir()
+        argv = ["--rounds", "2", "--against", str(against), "--json", str(path)]
+        assert sweep_digests.main(argv, runs) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"against: {against / 'src'} does not provide")
+        assert str(sweep_digests.SRC / "steinberg_ext") in err
+    assert not path.exists()

@@ -644,7 +644,7 @@ def test_cache_truncated_mask_block_is_a_miss(tmp_path, capsys):
         _left_alone(capsys, tmp_path, {"weyl_B3.bin": cut}, _DCOSETS_B3)
 
 
-def test_cache_flipped_left_descent_fails_the_partition_check(monkeypatch):
+def test_a_flipped_left_descent_fails_the_partition_check(monkeypatch):
     """With J = {} and I = {i}, flipping bit i of one element's left mask in
     the blocks the walk yields adds or drops one representative, so the
     Kilmoyer sum misses W(t)."""
@@ -691,9 +691,9 @@ def test_generated_lengths_count_negative_images(name):
 @pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["A6", "B6", "C6", "D6", "F4", "E6"])
 def test_enumeration_matches_the_seen_set_closure(name):
     """The whole walk is the seen-set closure in group order, with the
-    oracle's masks; and for every J the walk of X_J yields, in that order,
-    exactly the closure's elements whose right mask misses J, with their
-    records and masks."""
+    oracle's left masks; and for every J the walk of X_J yields, in that
+    order, exactly the closure's elements whose right mask misses J, with
+    their records and left masks, in pairs."""
     import steinberg_ext.weyl as weyl
 
     rs = build_root_system(*parse_type(name))
@@ -701,15 +701,30 @@ def test_enumeration_matches_the_seen_set_closure(name):
     walked = oracles.filled(rs, weyl._closure(rs))
     assert walked._records.typecode == "b"
     assert walked._records.tolist() == [x for w in oracle for x in (w.length, *w.signed_images)]
-    masks = oracles.masks(walked)
-    assert masks == oracles.descent_masks(rs, oracle)
+    assert walked.left == bytes(m >> 8 for m in oracles.descent_masks(rs, oracle))
     assert generate_weyl(rs) == oracle
     for J in range(1, full_mask(rs.rank) + 1):
-        (records, left, right), = oracles.blocks(walked, J=J)
+        (records, left), = oracles.blocks(walked, J=J)
         walk = list(weyl._closure(rs, J))
+        assert {len(block) for block in walk} == {2}, J
         assert b"".join(block[0] for block in walk) == records.tobytes(), J
         assert b"".join(block[1] for block in walk) == left, J
-        assert b"".join(block[2] for block in walk) == right, J
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_5 + ["F4", "E6"])
+def test_the_class_pass_makes_the_right_masks_of_the_descent_scan(name):
+    """The walk yields no right masks: the class pass makes them from the
+    signs of the simple images, and on the whole walk they are the right
+    half of the oracle's descent scan, in group order, as its left column
+    is the left half."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.strata import DescentClasses
+
+    rs = build_root_system(*parse_type(name))
+    classes = DescentClasses(rs, weyl._closure(rs), RingSpec(1009, 3))
+    masks = oracles.descent_masks(rs, generate_weyl(rs))
+    assert classes._right == bytes(m & 0xFF for m in masks)
+    assert classes._left == bytes(m >> 8 for m in masks)
 
 
 def _in_levi(rs, levi):
@@ -760,7 +775,7 @@ def test_the_walk_reads_a_block_in_c_not_element_by_element():
 
     sys.setprofile(count)
     try:
-        blocks = [left for _, left, _ in walk]  # no C call of its own
+        blocks = [left for _, left in walk]  # no C call of its own
     finally:
         sys.setprofile(None)
     elements = sum(map(len, blocks))
@@ -958,7 +973,7 @@ def test_generated_group_decodes_on_each_read(monkeypatch):
     rs = build_root_system("B", 3)
     group = generate_weyl.__wrapped__(rs)  # not the memoised one
     oracle = oracles.weyl_closure_by_seen_set(rs, full_mask(3))
-    (records, _, _), = oracles.blocks(group)
+    (records, _), = oracles.blocks(group)
     width = rs.num_positive + 1
     assert records[::width].tobytes() == bytes(w.length for w in oracle)
     assert records[5 * width:6 * width].tobytes() == bytes(

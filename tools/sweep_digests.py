@@ -14,13 +14,15 @@ with its digest.  The exit code is 1 if any command is not ok, else 0.
 With ``--against DIR`` each round runs the command twice, once from this
 checkout's ``src`` and once from ``DIR/src`` (a second checkout, such as
 the parent commit unpacked by ``git archive``), the side that goes first
-alternating from round to round.  A command whose digest differs on
-either side fails and is not timed.  ``--json PATH`` writes, per command,
-its argv, the rounds, each side's median and quartiles of wall time and
-peak (for a cached command also the wall time and peak of the cold run
-that primed its cache) and the rounds this checkout was the faster in
-(``wins``); the Python version, ``os.cpu_count()`` and whether the
-children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset); and
+alternating from round to round.  Before any round, a child started in
+each side's environment must import ``steinberg_ext`` from under that
+side's ``src``, or the exit code is 2: a ``PYTHONPATH`` of the caller's
+cannot stand in for a checkout that lacks the package.  A command whose
+digest differs on either side fails and is not timed.  ``--json PATH``
+writes, per command, its argv, the rounds, each side's median and
+quartiles of wall time and peak, and the rounds this checkout was the
+faster in (``wins``); the Python version, ``os.cpu_count()`` and whether
+the children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset); and
 ``paired``, which says what compares: only the two sides of one command,
 round by round.  Different commands are timed minutes apart, on a host
 whose speed drifts, so two commands of one file do not compare.
@@ -32,15 +34,9 @@ large pairs, and two small E6 pairs (144 and 1,260 representatives) of
 the size that ``perfbench``'s ``exceptional-queries`` times.  Two more
 check complex-built tables at rank 7 and 8, where the golden corpus stops
 at rank 4: an E7 cohomology table with every row dumped, and an E8 ext
-table tensored with a center of rank 2.  The E6 and D7 strata sweeps and
-the two small E6 pairs run once more each with ``--cache-dir``, with the
-uncached digests: each invocation makes one temporary directory, with a
-cache directory per side that one untimed run primes, and removes it at
-exit.  The package keeps no Weyl cache and accepts the option for nothing,
-so these runs time it against a checkout that still keeps one (an older
-parent) with a warm cache in every timed round.  A change to code that a
-command runs reruns them, and records the printed table for the parent and
-the change.  Standard library only.
+table tensored with a center of rank 2.  A change to code that a command
+runs reruns them, and records the printed table for the parent and the
+change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -65,14 +60,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class Run(NamedTuple):
     args: tuple[str, ...]  # the command line after ``python -m steinberg_ext``
     digest: str  # sha256 of the command's stdout
-    cached: bool = False  # run with ``--cache-dir``, a warm one when timed
     src: Path = SRC  # the checkout's ``src`` the command runs from
 
 
-def sweep(type_name: str, ring: str, strata: str, digest: str, cached: bool = False) -> Run:
+def sweep(type_name: str, ring: str, strata: str, digest: str) -> Run:
     """``verify --all-pairs`` over one type and ring."""
     return Run(("verify", "--type", type_name, "--ring", ring, "--all-pairs",
-                "--strata", strata), digest, cached)
+                "--strata", strata), digest)
 
 
 RING = "q=3,d=1000003"
@@ -113,9 +107,6 @@ RUNS = {
                           "--method", "both", "--center-rank", "2", "--ring", RING),
                          "beddf4f51a945f507264cc300a9f71b177ae778fc819a99c63b82b29c49b1b04"),
 }
-# the same commands, and bytes, with --cache-dir
-RUNS.update((f"{name}-cache", RUNS[name]._replace(cached=True)) for name in (
-    "E6-strata", "D7-strata", "E6-dcosets-small", "E6-ext-induced-small"))
 
 
 class Result(NamedTuple):
@@ -125,14 +116,28 @@ class Result(NamedTuple):
     peak_mb: float
 
 
+def environment(src: Path) -> dict[str, str]:
+    """The environment a command runs in from ``src``: the caller's, with
+    ``src`` first on ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+
+
+def imported_from(src: Path) -> Path | None:
+    """Where a child started with ``src``'s environment imports
+    ``steinberg_ext`` from; ``None`` if it cannot import it."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import steinberg_ext; print(steinberg_ext.__file__)"],
+                          capture_output=True, text=True, env=environment(src))
+    return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 else None
+
+
 def run(entry: Run) -> Result:
     """Run one command in its own process and hash its stdout as it comes."""
     argv = [sys.executable, "-m", "steinberg_ext", *entry.args]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(entry.src), os.environ.get("PYTHONPATH")))))
     digest = hashlib.sha256()
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=environment(entry.src))
     for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
         digest.update(chunk)
     proc.stdout.close()
@@ -176,6 +181,12 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
     sides = {"this": SRC}
     if args.against:
         sides["against"] = args.against.resolve() / "src"
+    for side, src in sides.items():
+        found = imported_from(src)
+        if found is None or not found.is_relative_to(src.resolve()):
+            print(f"{side}: {src} does not provide steinberg_ext; a child run from it "
+                  f"imports {found or 'nothing'}", file=sys.stderr)
+            return 2
     report: dict = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
                     "bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
                     "against": args.against and args.against.resolve().name,
@@ -185,49 +196,39 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
     failed = 0
     print("run\tverdict\twall_s\tpeak_mb\tdigest"
           + ("\tagainst_wall_s\tagainst_peak_mb" if args.against else ""))
-    with tempfile.TemporaryDirectory() as cache_dir:
-        for name in args.names or runs:
-            entry = runs[name]
-            # the command as each side runs it: a cached one with a directory of its
-            # own, primed by one untimed run, which must print the digest too
-            commands = {side: entry._replace(src=src, args=entry.args + (
-                ("--cache-dir", str(Path(cache_dir, side))) if entry.cached else ()))
-                for side, src in sides.items()}
-            primed = {side: run(commands[side]) for side in sides} if entry.cached else {}
-            bad = failure(primed.values(), entry.digest)
-            results: dict[str, list[Result]] = {side: [] for side in sides}
-            for k in range(args.rounds if bad is None else 0):
-                for side in list(sides)[::(-1) ** k]:  # the side that goes first alternates
-                    results[side].append(run(commands[side]))
-                    if args.rounds > 1:
-                        label = f"{side} round" if args.against else "round"
-                        print(f"{name}\t{label} {k + 1}\t{results[side][-1].wall_s:.2f}\t"
-                              f"{results[side][-1].peak_mb:.1f}", file=sys.stderr)
-                bad = failure((results[side][-1] for side in sides), entry.digest)
-                if bad is not None:
-                    break
-            record = report["runs"][name] = {
-                "argv": [*entry.args, *(("--cache-dir", "DIR") if entry.cached else ())],
-                "rounds": args.rounds, "ok": bad is None}
-            if bad is not None:  # not timed
-                failed += 1
-                print(f"{name}\tFAIL (exit {bad.exit_code})\t-\t-\t{bad.digest}"
-                      + "\t-\t-" * bool(args.against), flush=True)
-                print(f"{name}: expected {entry.digest}", file=sys.stderr)
-                continue
-            for side, rs in results.items():
-                record[side] = {"wall_s": spread([r.wall_s for r in rs]),
-                                "peak_mb": spread([r.peak_mb for r in rs])}
-                if side in primed:  # the untimed run that wrote the cache
-                    record[side]["cold"] = {"wall_s": round(primed[side].wall_s, 4),
-                                            "peak_mb": round(primed[side].peak_mb, 4)}
-            if args.against:  # ties count for neither side
-                record["wins"] = sum(this.wall_s < other.wall_s for this, other
-                                     in zip(results["this"], results["against"]))
-            medians = [f"{record[side]['wall_s']['median']:.2f}\t"
-                       f"{record[side]['peak_mb']['median']:.1f}" for side in sides]
-            print("\t".join([name, "ok", medians[0], entry.digest[:16], *medians[1:]]),
-                  flush=True)
+    for name in args.names or runs:
+        entry = runs[name]
+        commands = {side: entry._replace(src=src) for side, src in sides.items()}
+        results: dict[str, list[Result]] = {side: [] for side in sides}
+        bad = None
+        for k in range(args.rounds):
+            for side in list(sides)[::(-1) ** k]:  # the side that goes first alternates
+                results[side].append(run(commands[side]))
+                if args.rounds > 1:
+                    label = f"{side} round" if args.against else "round"
+                    print(f"{name}\t{label} {k + 1}\t{results[side][-1].wall_s:.2f}\t"
+                          f"{results[side][-1].peak_mb:.1f}", file=sys.stderr)
+            bad = failure((results[side][-1] for side in sides), entry.digest)
+            if bad is not None:
+                break
+        record = report["runs"][name] = {"argv": list(entry.args), "rounds": args.rounds,
+                                         "ok": bad is None}
+        if bad is not None:  # not timed
+            failed += 1
+            print(f"{name}\tFAIL (exit {bad.exit_code})\t-\t-\t{bad.digest}"
+                  + "\t-\t-" * bool(args.against), flush=True)
+            print(f"{name}: expected {entry.digest}", file=sys.stderr)
+            continue
+        for side, rs in results.items():
+            record[side] = {"wall_s": spread([r.wall_s for r in rs]),
+                            "peak_mb": spread([r.peak_mb for r in rs])}
+        if args.against:  # ties count for neither side
+            record["wins"] = sum(this.wall_s < other.wall_s for this, other
+                                 in zip(results["this"], results["against"]))
+        medians = [f"{record[side]['wall_s']['median']:.2f}\t"
+                   f"{record[side]['peak_mb']['median']:.1f}" for side in sides]
+        print("\t".join([name, "ok", medians[0], entry.digest[:16], *medians[1:]]),
+              flush=True)
     if args.json:
         args.json.write_text(json.dumps(report, indent=2) + "\n")
     return 1 if failed else 0
