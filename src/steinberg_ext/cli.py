@@ -291,8 +291,8 @@ def cmd_dcosets(args) -> int:
     reps = iter_kostant_reps(rs, I, J)
     if spec is not None:
         from .certificates import vanishing_certificate
-    # Each row is encoded as it is made: one json.dumps of the whole document
-    # holds a fragment per token, which on E6 outweighs the group itself.
+    # Each row is encoded as it is made, not by one json.dumps of the whole
+    # document, which would hold a string fragment per token at once.
     tsv = args.format == "tsv"
     rows = ["length\tgamma_exp\tdelta_exp\tlevi\tsurviving"] if tsv else []
     for rep in reps:

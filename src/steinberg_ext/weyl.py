@@ -10,17 +10,14 @@ A group, or X_J, the minimal representatives of W/W_J, is enumerated by
 one breadth-first walk (``_closure``) that reaches each element from its
 smallest left descent and yields blocks, layer by layer: flat records (per
 element its length, then its signed images, one signed byte each) and a
-column of left descent masks.  Only types whose whole group is under the
-enumeration cap are walked, so a group has rank at most 8 and at most 49
-positive roots.  No group is held: a strata sweep cuts its columns from the
-blocks of the whole walk, and an element is decoded from its record only
-when a representative is yielded.
+column of left descent masks.  No group is held: a strata sweep cuts its
+columns from the blocks of the whole walk, and an element is decoded from
+its record only when a representative is yielded.
 
 The minimal double-coset representatives of a pair (``iter_kostant_reps``)
 are the elements of the walk of X_J whose left mask misses I: a block of 64
 at a time gives their Levis and their exponent vectors gamma by translating
-its columns and adding them as big integers, a byte lane per
-representative.
+its columns and adding them as big integers, a byte lane per representative.
 """
 
 from __future__ import annotations
@@ -102,10 +99,8 @@ _DIGIT = 64  # a Poincaré polynomial is held at t = 2^64, a coefficient per dig
 @lru_cache(maxsize=None)
 def _poincare(rs: RootSystem, levi: int) -> int:
     """W_levi(t) = the product of 1 + t + ... + t^m over the exponents m, at
-    t = 2^64: its coefficients, at most |W_levi|, are its digits.  A Levi
-    over the cap is refused: :func:`_kilmoyer_sum` is exact only under it."""
-    if parabolic_order(rs, levi) > DEFAULT_WEYL_CAP:
-        raise ContractError(f"a Levi subgroup of {rs.type_name()} is over the cap")
+    t = 2^64: its coefficients, at most |W_levi|, are its digits while that
+    is below 2^64, as at every rank up to 8."""
     t = 1 << _DIGIT
     return prod(((t << _DIGIT * m) - 1) // (t - 1) for m in parabolic_exponents(rs, levi))
 
@@ -126,18 +121,21 @@ def _kilmoyer_sum(values, I: int, J: int, weighted: Iterable[tuple[int, int]]) -
     conjugate of W_levi(w) (Geck and Pfeiffer §2.1–2.2).  So the double
     cosets partition W iff this is W(t) when L's weight sums t^l(w) over the
     representatives w of Levi L.  L lies in I, so W_L(t) divides W_I(t) and
-    ``//`` is exact at any t.  At t = 2^64 equal values mean equal
-    polynomials: under the cap there are at most 2^20 representatives and a
-    quotient's coefficients are at most |W_I||W_J| < 2^40, so every
-    coefficient on either side is below 2^20·2^40 < 2^64."""
+    ``//`` is exact at any t.  At t = 2^64 (:func:`iter_kostant_reps`) equal
+    values mean equal polynomials by the pair's own sizes: the walk of X_J
+    has passed its layer check, so there are at most |W|/|W_J|
+    representatives, and a quotient's coefficients sum to at most
+    |W_I||W_J|, so no coefficient on either side exceeds |W||W_I| <= |W|^2,
+    below 2^64 as |W| < 2^32 at rank <= 8.  A walk past X_J fails that check
+    (``test_a_walk_of_x_j_without_its_j_guard_fails_the_layer_check``).
+    At t = 1 (``DescentClasses.covers``) nothing carries."""
     outer = values[I] * values[J]
     return sum(weight * (outer // values[levi]) for levi, weight in weighted)
 
 
 # Inside the enumeration signed image s is the byte _ZERO + s, its byte code,
-# so the images of at most 127 positive roots fit, and every group under the
-# cap has at most 49; a record holds each image, and each length, as one
-# signed byte.
+# so the images of at most 127 positive roots fit (a group under the cap has
+# at most 49); a record holds each image, and each length, as a signed byte.
 _ZERO = 128
 _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
 _REPS = 64  # the representatives of a pair read by columns at a time
@@ -176,11 +174,13 @@ def _closure(rs: RootSystem, J: int = 0) -> Iterator[tuple[bytes, bytes]]:
     element its length, then its signed images, one signed byte each) and
     its left masks, one byte per element.  A type whose group is over
     ``DEFAULT_WEYL_CAP``, or one with its simple roots out of place, is
-    refused here, before any element is built, whatever J is.  Every type
-    under the cap has rank at most 8 and at most 49 positive roots (B7), so
-    a mask and a guard's verdicts take one byte, and an image one byte code.
-    The right mask, where the first rank images are negative, is left to
-    the reader that needs it.
+    refused here, before any element is built, whatever J is.  The cap
+    bounds the walk alone; no sum's exactness rests on it.  Every type under
+    it has rank at most 8 and at most 49 positive roots (B7), so a mask and
+    a guard's verdicts take a byte, an image a byte code and gamma a byte
+    lane, as ``test_the_cap_bounds_the_walk`` and
+    ``test_gamma_fits_a_byte_lane_under_the_cap`` check for any cap.  Right
+    masks (where the first rank images are negative) are left to a reader.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -372,8 +372,7 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep
     their records are kept (:func:`_kept_records`).  A first pass over them,
     in this call, counts them by (levi(w), l(w)) and checks that their
     cosets partition the group (:func:`_kilmoyer_sum` at t = 2^64), so a
-    walk that yields a wrong X_J raises ``ContractError`` first, and a group
-    over the cap is refused before any element is built.
+    walk that yields a wrong X_J raises ``ContractError`` first.
 
     For such a w the general gamma and delta formulas (references in
     ``tests/oracles.py``) simplify.  gamma is the sum of the inversion set

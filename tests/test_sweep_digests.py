@@ -27,8 +27,9 @@ def test_the_driver_fails_a_changed_byte(capsys):
         assert (A2_Q in out) == bool(code) and (digest in err) == bool(code)
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
-    assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "D7-strata", "B7-strata",
-                                        "A8-strata", "E6-strata", "E6-dcosets",
+    assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "B4-Q", "F4-Q", "A5-Q", "B5-Q",
+                                        "E7-zd", "E8-zd", "D7-strata", "B7-strata",
+                                        "A8-strata", "E6-strata", "F4-strata", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "E7-cohomology-dump", "E8-ext-center"]

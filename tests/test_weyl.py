@@ -304,10 +304,7 @@ def test_the_count_by_length_names_the_counts(monkeypatch):
     assert weyl._digits(weyl._poincare(rs, full)) == expected == [1, 3, 5, 7, 8, 8, 7, 5, 3, 1]
 
 
-def _types_under_the_cap():
-    """Every type whose group is under the cap: all have rank at most 8
-    (``test_the_cap_bounds_the_walk``)."""
-    import steinberg_ext.weyl as weyl
+def _types_of_rank_at_most_8():
     from steinberg_ext.rootdata import SERIES
 
     for series in SERIES:
@@ -316,8 +313,16 @@ def _types_under_the_cap():
                 rs = build_root_system(series, rank)
             except ConfigurationError:  # no such type
                 continue
-            if parabolic_order(rs, full_mask(rank)) <= weyl.DEFAULT_WEYL_CAP:
-                yield rs
+            yield rs
+
+
+def _types_under_the_cap():
+    """Every type whose group is under the cap: all have rank at most 8
+    (``test_the_cap_bounds_the_walk``)."""
+    import steinberg_ext.weyl as weyl
+
+    return [rs for rs in _types_of_rank_at_most_8()
+            if parabolic_order(rs, full_mask(rs.rank)) <= weyl.DEFAULT_WEYL_CAP]
 
 
 def test_layer_sizes_match_the_coefficient_lists():
@@ -371,19 +376,24 @@ def test_one_kilmoyer_sum_serves_both_checks(monkeypatch):
             kostant_reps(rs, I, J)
 
 
-def test_a_poincare_polynomial_over_the_cap_is_refused():
-    """Only under the cap is every coefficient Kilmoyer's sum can reach below
-    2^64, so a Levi over it is refused, and one under it in the same type is
-    not."""
+def test_a_poincare_polynomial_past_the_cap_is_exact():
+    """The cap bounds the walk, not the Poincaré polynomials: W_L(t) at
+    t = 2^64 reads back as its coefficient list for every L of six types
+    over the cap, E8 and A9 included.  Kilmoyer's sum is exact when |W|^2 is
+    below 2^64 (``_kilmoyer_sum``), as it is for every type of rank at most
+    8."""
     import steinberg_ext.weyl as weyl
 
-    e8 = build_root_system("E", 8)
-    for rs, levi in ((build_root_system("E", 7), 0b1111111), (e8, 0b11111111),
-                     (e8, 0b1111111), (build_root_system("A", 9), 0b111111111)):
-        assert parabolic_order(rs, levi) > weyl.DEFAULT_WEYL_CAP
-        with pytest.raises(ContractError, match="over the cap"):
-            weyl._poincare(rs, levi)
-    assert weyl._digits(weyl._poincare(e8, 0b11)) == oracles.layer_sizes(e8, 0b11)
+    for name in ("E7", "E8", "B8", "C8", "D8", "A9"):
+        rs = build_root_system(*parse_type(name))
+        assert parabolic_order(rs, full_mask(rs.rank)) > weyl.DEFAULT_WEYL_CAP
+        for levi in range(1 << rs.rank):
+            assert weyl._digits(weyl._poincare(rs, levi)) == oracles.layer_sizes(rs, levi), \
+                (name, levi)
+    orders = {rs.type_name(): parabolic_order(rs, full_mask(rs.rank))
+              for rs in _types_of_rank_at_most_8()}
+    assert len(orders) == 32 and max(orders.values()) == orders["E8"] == 696_729_600
+    assert all(order ** 2 < 1 << 64 for order in orders.values())
 
 
 def test_the_partition_is_checked_before_the_first_representative(monkeypatch):

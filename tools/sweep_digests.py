@@ -27,16 +27,18 @@ the children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset); and
 round by round.  Different commands are timed minutes apart, on a host
 whose speed drifts, so two commands of one file do not compare.
 
-The sweeps are larger than tier-1 can afford: about a minute in all on a
-2-core host.  The single queries check the representatives of the largest
-groups under the Weyl cap, E6 and D7, which no tier-1 test reads: four
-large pairs, and two small E6 pairs (144 and 1,260 representatives) of
-the size that ``perfbench``'s ``exceptional-queries`` times.  Two more
-check complex-built tables at rank 7 and 8, where the golden corpus stops
-at rank 4: an E7 cohomology table with every row dumped, and an E8 ext
-table tensored with a center of rank 2.  A change to code that a command
-runs reruns them, and records the printed table for the parent and the
-change.  Standard library only.
+The large sweeps are more than tier-1 can afford: about a minute in all
+on a 2-core host.  Beside them run the north star's small sweeps (B4, F4,
+A5 and B5 over Q, F4 strata) and E7 and E8 over Z/d without strata, each
+in about a second or less.  The single queries check the representatives
+of the largest groups under the Weyl cap, E6 and D7, which no tier-1 test
+reads: four large pairs, and two small E6 pairs (144 and 1,260
+representatives) of the size that ``perfbench``'s ``exceptional-queries``
+times.  Two more check complex-built tables at rank 7 and 8, where the
+golden corpus stops at rank 4: an E7 cohomology table with every row
+dumped, and an E8 ext table tensored with a center of rank 2.  A change to
+code that a command runs reruns them, and records the printed table for
+the parent and the change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -75,6 +77,18 @@ RUNS = {
                   "4f4dd28f362d7cc1d90ce9171d9153b6a70ddf6d86bcdc41f541219cb3672ea1"),
     "E8-Q": sweep("E8", "Q", "off",
                   "a7d2c1eb0159d98bbf67910db5591e381eab00dcd6e141d05850a927492c4abb"),
+    "B4-Q": sweep("B4", "Q", "off",
+                  "3fe30727aee7aaf42ef8a99188d14ffce6b572fef560030953728ab91911c8f1"),
+    "F4-Q": sweep("F4", "Q", "off",
+                  "c7df79505cce000fb865fa7060408dd69f23b03005a7562a08a9ed16121c1c36"),
+    "A5-Q": sweep("A5", "Q", "off",
+                  "97fceb9ef26f3240b09190febad0ae9a395f6e7a81f70a2fee187a65b7ff897e"),
+    "B5-Q": sweep("B5", "Q", "off",
+                  "e7b1985209f1da6ef2f9ebf559e7db48185fbef49912c6096d4460b0f2c474d7"),
+    "E7-zd": sweep("E7", RING, "off",
+                   "ee4986c85281bf3b176fcf4d54569a5862f22a58e00f804fc87fd5d2b0bc5cfb"),
+    "E8-zd": sweep("E8", RING, "off",
+                   "a6addbe355088bd0df358c22719ac9092e6b858662bf0a0e88f8c2528d452f63"),
     "D7-strata": sweep("D7", RING, "on",
                        "5b7d330fbd903775a5146457e63d30fe6f2440e7a712d77d8fd20722883d6999"),
     "B7-strata": sweep("B7", RING, "on",
@@ -83,6 +97,8 @@ RUNS = {
                        "f8313a129c87f89c1d22099ff83ee79f9a6bda748aee4f0024a3321d10e31dc9"),
     "E6-strata": sweep("E6", RING, "on",
                        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088"),
+    "F4-strata": sweep("F4", RING, "on",
+                       "d9e55c086be7cc228e62de5d57a56b498ec736dae8c2f490185867b03536d0fa"),
     "E6-dcosets": Run(("dcosets", "--type", "E6", "--I", "1", "--J", "0,5", "--ring", RING),
                       "c28fc676d9ec21845759025dec4abfb1a5bc0db5a61d83fb5028b7228f8f291f"),
     "E6-ext-induced": Run(("ext-induced", "--type", "E6", "--I", "", "--J", "",
