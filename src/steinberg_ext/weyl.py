@@ -100,7 +100,11 @@ _DIGIT = 64  # a Poincaré polynomial is held at t = 2^64, a coefficient per dig
 def _poincare(rs: RootSystem, levi: int) -> int:
     """W_levi(t) = the product of 1 + t + ... + t^m over the exponents m, at
     t = 2^64: its coefficients, at most |W_levi|, are its digits while that
-    is below 2^64, as at every rank up to 8."""
+    is below 2^64, as at every rank up to 8; a larger W_levi raises
+    ``ContractError``."""
+    if parabolic_order(rs, levi) >= 1 << _DIGIT:
+        raise ContractError(f"W_{mask_str(levi)} of {rs.type_name()} has order at least "
+                            f"2^{_DIGIT}: its coefficients need not fit a digit")
     t = 1 << _DIGIT
     return prod(((t << _DIGIT * m) - 1) // (t - 1) for m in parabolic_exponents(rs, levi))
 

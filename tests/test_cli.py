@@ -1098,6 +1098,68 @@ def test_a_contract_violation_in_verify_exits_one_and_prints_nothing(capsys, mon
     assert (code, out) == (1, "") and "stand-in failure" in err
 
 
+B3_INJECTED = "f9a76fbe336cf5183ce0e6eeb49d12b53d3a1a3251d1bacbd69fa118348877d6"
+
+
+def test_failures_injected_mid_sweep_print_in_sorted_order(capsys, monkeypatch, fresh_caches):
+    """A B3 strata sweep over q=3,d=1009 with failures injected mid-sweep: a
+    closed form that disagrees for two pairs (FAIL lines with the engine's
+    text), a cohomology row that is not exact for one subset (a FAIL line with
+    no detail), and one pair whose classes do not cover and whose
+    representatives disagree with the closed form (its strata and
+    certificates lines both FAIL with the representatives' text).  The FAIL
+    lines come first, every line in sorted order, and the bytes are those of
+    the sweep that held and sorted all its lines."""
+    import hashlib
+
+    import steinberg_ext.certificates as certificates
+    import steinberg_ext.extengine as eng
+    from steinberg_ext.rootdata import build_root_system
+    from steinberg_ext.strata import DescentClasses
+
+    steinberg_closed, induced_closed = eng.ext_steinberg_closed, certificates.ext_induced_closed
+    rows_exact, covers = eng.cohomology_rows_exact, DescentClasses.covers
+    disagree, uncovered = {(0b011, 0b100), (0b101, 0b110)}, (0b011, 0b001)
+    assert all(steinberg_closed(build_root_system("B", 3), I, J).entries for I, J in disagree)
+    monkeypatch.setattr(eng, "ext_steinberg_closed", lambda rs, I, J, *rest: (
+        ExtTable({}) if (I, J) in disagree else steinberg_closed(rs, I, J, *rest)))
+    monkeypatch.setattr(eng, "cohomology_rows_exact",
+                        lambda rs, I: I != 0b110 and rows_exact(rs, I))
+    monkeypatch.setattr(DescentClasses, "covers",
+                        lambda self, I, J: (I, J) != uncovered and covers(self, I, J))
+    monkeypatch.setattr(certificates, "ext_induced_closed", lambda rs, I, J, spec: (
+        ExtTable({}) if (I, J) == uncovered else induced_closed(rs, I, J, spec)))
+    code, out, _ = run_cli(capsys, "verify", "--type", "B3", "--ring", "q=3,d=1009",
+                           "--all-pairs", "--strata", "on")
+    lines = out.splitlines()
+    assert code == 1 and hashlib.sha256(out.encode()).hexdigest() == B3_INJECTED
+    assert lines[-1] == "checked 264 assertions for B3 over q=3,d=1009: 259 passed, 5 failed"
+    assert lines[:-1] == sorted(lines[:-1])
+    assert [line[:4] for line in lines[:6]] == ["FAIL"] * 5 + ["PASS"]
+    assert "FAIL cohomology I={1,2}" in lines and "FAIL strata I={0,1} J={0} (strata path" in out
+
+
+def test_a_sweep_that_raises_after_half_its_pairs_prints_nothing(capsys, monkeypatch,
+                                                                 fresh_caches):
+    """A contract violation raised after half a sweep's pairs have been
+    checked exits 1, with its message on stderr and nothing on stdout."""
+    import steinberg_ext.extengine as eng
+    from steinberg_ext.errors import ContractError
+
+    ext_steinberg, calls = eng.ext_steinberg, []
+
+    def half(rs, I, J, *rest):
+        calls.append((I, J))
+        if len(calls) > 32:
+            raise ContractError("stand-in failure after half the pairs")
+        return ext_steinberg(rs, I, J, *rest)
+
+    monkeypatch.setattr(eng, "ext_steinberg", half)
+    code, out, err = run_cli(capsys, "verify", "--type", "B3", "--ring", "q=3,d=1009",
+                             "--all-pairs", "--strata", "on")
+    assert (code, out, len(calls)) == (1, "", 33) and "stand-in failure" in err
+
+
 def test_verify_builds_each_distinct_table_once(capsys, monkeypatch, fresh_caches):
     """A5 over Q: 1,024 pairs ask for 2,048 built tables and 32 cohomology
     tables, but an ext table depends only on (|K|, |J \\ I|), an ext-vi

@@ -51,16 +51,27 @@ def shared_cache_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", GROUP_CASES)
-def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, capsys):
+def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, capsys,
+                                                        monkeypatch):
     """Each case that walks a group, once through one cache directory shared
     by all of them.  The option is accepted and nothing is read or written,
     so every run is cold and a second would repeat the first (the name is
-    from when the option read a cache): it prints the golden bytes, and the
-    directory stays empty."""
-    case = CASES[name]
+    from when the option read a cache): it prints the golden bytes, walks
+    X_J of its own J once, and the directory stays empty."""
+    import steinberg_ext.weyl as weyl
+
+    case, walks, closure = CASES[name], [], weyl._closure
+
+    def counting(rs, J=0):
+        walks.append(J)
+        return closure(rs, J)
+
+    monkeypatch.setattr(weyl, "_closure", counting)
     code = parse_and_dispatch([*case["argv"], "--cache-dir", str(shared_cache_dir)])
     assert code == case["exit"]
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    J = case["argv"][case["argv"].index("--J") + 1]
+    assert walks == [sum(1 << int(j) for j in J.split(",") if j)], walks
     assert not list(shared_cache_dir.iterdir())
 
 

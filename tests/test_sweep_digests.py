@@ -29,10 +29,17 @@ def test_the_driver_fails_a_changed_byte(capsys):
     assert sweep_digests.main(["no-such-sweep"]) == 2
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "B4-Q", "F4-Q", "A5-Q", "B5-Q",
                                         "E7-zd", "E8-zd", "D7-strata", "B7-strata",
-                                        "A8-strata", "E6-strata", "F4-strata", "E6-dcosets",
+                                        "A8-strata", "E6-strata", "F4-strata",
+                                        "B4-strata-zd", "D4-strata-zd", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "E7-cohomology-dump", "E8-ext-center"]
+    from test_cli import PINNED_SWEEPS  # the benchmark's strata sweeps, pinned in tier-1
+
+    for name in ("B4", "D4"):
+        key = (name, "q=3,d=1009", "on")
+        assert sweep_digests.RUNS[f"{name}-strata-zd"] == sweep_digests.sweep(
+            *key, PINNED_SWEEPS[key])
 
 
 def test_every_round_must_match(capsys, monkeypatch):

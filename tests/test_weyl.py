@@ -396,6 +396,21 @@ def test_a_poincare_polynomial_past_the_cap_is_exact():
     assert all(order ** 2 < 1 << 64 for order in orders.values())
 
 
+def test_a_poincare_polynomial_of_order_past_a_digit_is_refused():
+    """W(t) of A21 has a coefficient of 65 bits, which no digit at t = 2^64
+    holds: ``_poincare`` raises rather than return wrong digits.  A19, whose
+    order is below 2^64, still reads back as its coefficient list."""
+    import steinberg_ext.weyl as weyl
+
+    a21, a19 = build_root_system("A", 21), build_root_system("A", 19)
+    assert max(oracles.layer_sizes(a21, full_mask(21))) >= 1 << 64
+    with pytest.raises(ContractError, match="order at least 2\\^64"):
+        weyl._poincare(a21, full_mask(21))
+    assert parabolic_order(a19, full_mask(19)) < 1 << 64
+    assert weyl._digits(weyl._poincare(a19, full_mask(19))) == \
+        oracles.layer_sizes(a19, full_mask(19))
+
+
 def test_the_partition_is_checked_before_the_first_representative(monkeypatch):
     """The representatives stream, but the check that their cosets partition
     the group runs in the call that asks for them, reading no element: a

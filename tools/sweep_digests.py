@@ -29,16 +29,17 @@ whose speed drifts, so two commands of one file do not compare.
 
 The large sweeps are more than tier-1 can afford: about a minute in all
 on a 2-core host.  Beside them run the north star's small sweeps (B4, F4,
-A5 and B5 over Q, F4 strata) and E7 and E8 over Z/d without strata, each
-in about a second or less.  The single queries check the representatives
-of the largest groups under the Weyl cap, E6 and D7, which no tier-1 test
-reads: four large pairs, and two small E6 pairs (144 and 1,260
-representatives) of the size that ``perfbench``'s ``exceptional-queries``
-times.  Two more check complex-built tables at rank 7 and 8, where the
-golden corpus stops at rank 4: an E7 cohomology table with every row
-dumped, and an E8 ext table tensored with a center of rank 2.  A change to
-code that a command runs reruns them, and records the printed table for
-the parent and the change.  Standard library only.
+A5 and B5 over Q, F4 strata), the strata sweeps that ``perfbench``'s
+``strata-zd`` times (B4 and D4 over q=3,d=1009), and E7 and E8 over Z/d
+without strata, each in about a second or less.  The single queries check
+the representatives of the largest groups under the Weyl cap, E6 and D7,
+which no tier-1 test reads: four large pairs, and two small E6 pairs (144
+and 1,260 representatives) of the size that ``perfbench``'s
+``exceptional-queries`` times.  Two more check complex-built tables at
+rank 7 and 8, where the golden corpus stops at rank 4: an E7 cohomology
+table with every row dumped, and an E8 ext table tensored with a center of
+rank 2.  A change to code that a command runs reruns them, and records the
+printed table for the parent and the change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ RUNS = {
                        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088"),
     "F4-strata": sweep("F4", RING, "on",
                        "d9e55c086be7cc228e62de5d57a56b498ec736dae8c2f490185867b03536d0fa"),
+    "B4-strata-zd": sweep("B4", "q=3,d=1009", "on",
+                          "f78312b99bfed4a1ead59dfd41085383843bf821102b4d65c380d5ad096574a0"),
+    "D4-strata-zd": sweep("D4", "q=3,d=1009", "on",
+                          "3929917d6680ed91b831bff5ab032e5d89174854df8f38863139ab72814e88aa"),
     "E6-dcosets": Run(("dcosets", "--type", "E6", "--I", "1", "--J", "0,5", "--ring", RING),
                       "c28fc676d9ec21845759025dec4abfb1a5bc0db5a61d83fb5028b7228f8f291f"),
     "E6-ext-induced": Run(("ext-induced", "--type", "E6", "--I", "", "--J", "",
