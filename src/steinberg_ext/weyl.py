@@ -15,9 +15,11 @@ columns from the blocks of the whole walk, and an element is decoded from
 its record only when a representative is yielded.
 
 The minimal double-coset representatives of a pair (``iter_kostant_reps``)
-are the elements of the walk of X_J whose left mask misses I: a block of 64
-at a time gives their Levis and their exponent vectors gamma by translating
-its columns and adding them as big integers, a byte lane per representative.
+are the elements of the walk of X_J whose left mask misses I, read once
+when the walk is done: their length column and the image columns of the
+alpha_j, j in J, read whole, give the guards, their Levis and L', and a block
+of 64 at a time gives their exponent vectors gamma by translating its
+columns and adding them as big integers, a byte lane per representative.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, repeat
 from math import prod
 from typing import NamedTuple
 
@@ -142,7 +144,7 @@ def _kilmoyer_sum(values, I: int, J: int, weighted: Iterable[tuple[int, int]]) -
 # at most 49); a record holds each image, and each length, as a signed byte.
 _ZERO = 128
 _BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
-_REPS = 64  # the representatives of a pair read by columns at a time
+_REPS = 64  # the representatives of a pair whose gamma lanes are summed at a time
 # byte code -> its image as a signed byte; a signed byte -> 1 where it is
 # negative, and a byte -> 1 where it is not 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
@@ -316,87 +318,74 @@ def _misses(subset: int) -> bytes:
     return bytes(not m & subset for m in range(256))
 
 
-def _kept_records(rs: RootSystem, I: int, J: int) -> bytearray:
-    """The records of the elements of X_J (:func:`_closure`) whose left mask
-    misses I, the minimal (W_I, W_J) double-coset representatives, joined in
-    group order; the walk's other records are dropped with their block."""
-    width, misses_i, kept = rs.num_positive + 1, _misses(I), bytearray()
-    for records, left in _closure(rs, J):
-        for start in compress(range(0, len(records), width), left.translate(misses_i)):
-            kept += records[start:start + width]
-    return kept
-
-
-def _rep_blocks(rs: RootSystem, I: int, J: int,
-                records: bytearray) -> Iterator[tuple[bytearray, bytes, bytes]]:
-    """The representatives whose ``records`` are joined, at most ``_REPS`` at
-    a time: their records, and levi(w) and L', a byte each, from the image
-    columns of the alpha_j, j in J (j in L' and i in levi(w) where w(alpha_j)
-    is alpha_i, i in I).  ``ContractError`` at the first with a negative
-    image, a non-simple root of the I-Levi as an image, or a negative
-    length."""
-    width, rank = rs.num_positive + 1, rs.rank
+def _kept(rs: RootSystem, I: int, J: int) -> tuple[bytearray, bytes, bytes]:
+    """The minimal (W_I, W_J) double-coset representatives, read once: the
+    records of the elements of X_J (:func:`_closure`) whose left mask misses
+    I, joined in group order, and their levi(w) and L' columns, a byte each.
+    Once the walk has passed its layer check, the length column and the image
+    columns of the alpha_j, j in J, are read whole: j is in L' and i in
+    levi(w) where w(alpha_j) is alpha_i, i in I.  ``ContractError`` names the
+    first representative, in group order, with a negative image, a non-simple
+    root of the I-Levi as an image, or a negative length."""
+    width, rank, misses_i, records = rs.num_positive + 1, rs.rank, _misses(I), bytearray()
+    for block, left in _closure(rs, J):
+        for start in compress(range(0, len(block), width), left.translate(misses_i)):
+            records += block[start:start + width]
     simple_j, phi_i = mask_indices(J), levi_root_indices(rs, I)
     # a signed image -> 1 << i where it is alpha_i, i in I; -> 1 where it is
     # not positive or a non-simple root of the I-Levi
     into_i = bytes(1 << s - 1 if 0 < s <= rank and s - 1 in phi_i else 0 for s in range(256))
     stray = bytes(not 0 < s < 128 or s > rank and s - 1 in phi_i for s in range(256))
-    for start in range(0, len(records), _REPS * width):
-        buffer = records[start:start + _REPS * width]
-        images, lengths = [buffer[1 + b::width] for b in simple_j], buffer[::width]
-        wrong = int.from_bytes(lengths.translate(_NEGATIVE), "little")
-        for image in images:
-            wrong |= int.from_bytes(image.translate(stray), "little")
-        if wrong:
-            e = ((wrong & -wrong).bit_length() - 1) // 8  # the first one, by its lowest byte
-            for b, s in zip(simple_j, (image[e] for image in images)):
-                if stray[s]:
-                    why = "lies in the I-Levi but is not simple" if 0 < s < 128 else "is negative"
-                    raise ContractError(f"w(alpha_{b}) {why}; not a minimal double-coset "
-                                        "representative")
-            raise ContractError(f"a representative of length {lengths[e] - 256}: double "
-                                "cosets do not partition the Weyl group by length")
-        levi = source = 0
-        for b, image in zip(simple_j, images):
-            column = image.translate(into_i)
-            levi |= int.from_bytes(column, "little")
-            source |= int.from_bytes(column.translate(_NONZERO), "little") << b
-        count = len(lengths)
-        yield buffer, levi.to_bytes(count, "little"), source.to_bytes(count, "little")
+    lengths, images = records[::width], [records[1 + b::width] for b in simple_j]
+    firsts = [e for e in (lengths.translate(_NEGATIVE).find(1),
+                          *(image.translate(stray).find(1) for image in images)) if e >= 0]
+    if firsts:
+        e = min(firsts)
+        for b, s in zip(simple_j, (image[e] for image in images)):
+            if stray[s]:
+                why = "lies in the I-Levi but is not simple" if 0 < s < 128 else "is negative"
+                raise ContractError(f"w(alpha_{b}) {why}; not a minimal double-coset "
+                                    "representative")
+        raise ContractError(f"a representative of length {lengths[e] - 256}: double "
+                            "cosets do not partition the Weyl group by length")
+    levi = source = 0
+    for b, image in zip(simple_j, images):
+        column = image.translate(into_i)
+        levi |= int.from_bytes(column, "little")
+        source |= int.from_bytes(column.translate(_NONZERO), "little") << b
+    count = len(lengths)
+    return records, levi.to_bytes(count, "little"), source.to_bytes(count, "little")
 
 
 def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep]:
     """One minimal-length representative per (W_I, W_J) double coset, in
-    group order (by length, then signed images), streamed a block
-    (:func:`_rep_blocks`) at a time.
+    group order (by length, then signed images), read once (:func:`_kept`).
 
     w is minimal in its double coset iff w(alpha_j) > 0 for every j in J and
     w^-1(alpha_i) > 0 for every i in I: w lies in X_J, and its left mask
-    misses I.  So one walk of X_J (:func:`_closure`) gives them, and only
-    their records are kept (:func:`_kept_records`).  A first pass over them,
-    in this call, counts them by (levi(w), l(w)) and checks that their
-    cosets partition the group (:func:`_kilmoyer_sum` at t = 2^64), so a
-    walk that yields a wrong X_J raises ``ContractError`` first.
+    misses I.  So one walk of X_J (:func:`_closure`) gives them.  In this
+    call, their Levi and length columns count them by (levi(w), l(w)) and
+    check that their cosets partition the group (:func:`_kilmoyer_sum` at
+    t = 2^64), so a walk that yields a wrong X_J raises ``ContractError``
+    before any representative is decoded.
 
     For such a w the general gamma and delta formulas (references in
     ``tests/oracles.py``) simplify.  gamma is the sum of the inversion set
-    of w, summed in byte lanes, one per representative: the sign column of
-    each positive root times each of its nonzero coordinates (gamma_c is at
-    most (2 rho)_c, at most 54 under the cap).  delta is the sum of the
-    J-Levi's positive roots outside the Levi of L' = {j in J : w(alpha_j)
-    in I}, which w carries onto the Levi of levi(w); kept per L'."""
+    of w, summed ``_REPS`` representatives at a time in byte lanes, one per
+    representative: the sign column of each positive root times each of its
+    nonzero coordinates (gamma_c is at most (2 rho)_c, at most 54 under the
+    cap).  delta is the sum of the J-Levi's positive roots outside the Levi
+    of L' = {j in J : w(alpha_j) in I}, which w carries onto the Levi of
+    levi(w); computed once per L'."""
     validate_mask(I, rs.rank)
     validate_mask(J, rs.rank)
     full, width, n = full_mask(rs.rank), rs.num_positive + 1, rs.num_positive
-    records = _kept_records(rs, I, J)
+    records, levi, sources = _kept(rs, I, J)
 
-    tally: Counter[tuple[int, int]] = Counter()  # the representatives by (levi(w), l(w))
-    for buffer, levi, _ in _rep_blocks(rs, I, J, records):
-        tally.update(zip(levi, buffer[::width]))
     weights: Counter[int] = Counter()  # the sum of t^l(w) at t = 2^64, by levi(w)
-    for (levi, length), count in tally.items():
-        weights[levi] += count << _DIGIT * length
-    values = {levi: _poincare(rs, levi) for levi in (I, J, full, *weights)}
+    for (levi_w, length), count in Counter(zip(levi, records[::width])).items():
+        weights[levi_w] += count << _DIGIT * length
+    values = {levi_w: _poincare(rs, levi_w) for levi_w in (I, J, full, *weights)}
     covered = _kilmoyer_sum(values, I, J, weights.items())
     if covered != values[full]:
         raise ContractError(f"double cosets cover {_digits(covered)} group elements by length; "
@@ -405,24 +394,24 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep
 
     lanes = [[(k, root[c]) for k, root in enumerate(rs.positive_roots) if root[c]]
              for c in range(rs.rank)]  # per coordinate c, (k, c-th coordinate of root k)
-    delta_of: dict[int, Coords] = {}  # by L'
+    delta_of = {source: levi_difference_sum(rs, J, source) for source in set(sources)}
 
-    def block(buffer: bytearray, levi: bytes, source: bytes) -> Iterator[DoubleCosetRep]:
-        negative, signed = buffer.translate(_NEGATIVE), memoryview(buffer).cast("b")
-        signs = [int.from_bytes(negative[1 + k::width], "little") for k in range(n)]
-        # a list: a tuple grown from a generator, once freed, stays on a free list
-        gammas = zip(*[sum(signs[k] * c for k, c in lane).to_bytes(len(levi), "little")
-                       for lane in lanes])
-        for start, gamma, levi_w, source_w in zip(range(0, len(buffer), width), gammas,
-                                                  levi, source):
-            w = WeylElement(tuple(signed[start + 1:start + width]), signed[start])
-            if source_w not in delta_of:
-                delta_of[source_w] = levi_difference_sum(rs, J, source_w)
-            yield DoubleCosetRep(w=w, I=I, J=J, length=w.length, gamma_exp=gamma,
-                                 delta_exp=delta_of[source_w], levi=levi_w)
+    def stream() -> Iterator[DoubleCosetRep]:
+        for first in range(0, len(levi), _REPS):
+            buffer = records[first * width:(first + _REPS) * width]
+            block_levi, block_sources = levi[first:first + _REPS], sources[first:first + _REPS]
+            negative, signed = buffer.translate(_NEGATIVE), memoryview(buffer).cast("b")
+            signs = [int.from_bytes(negative[1 + k::width], "little") for k in range(n)]
+            # a list: a tuple grown from a generator, once freed, stays on a free list
+            gammas = zip(*[sum(signs[k] * c for k, c in lane).to_bytes(len(block_levi), "little")
+                           for lane in lanes])
+            for start, gamma, levi_w, source in zip(range(0, len(buffer), width), gammas,
+                                                    block_levi, block_sources):
+                w = WeylElement(tuple(signed[start + 1:start + width]), signed[start])
+                yield DoubleCosetRep(w=w, I=I, J=J, length=w.length, gamma_exp=gamma,
+                                     delta_exp=delta_of[source], levi=levi_w)
 
-    # a block's generator, once exhausted, drops its columns before the next is read
-    return chain.from_iterable(starmap(block, _rep_blocks(rs, I, J, records)))
+    return stream()
 
 
 def kostant_reps(rs: RootSystem, I: int, J: int) -> tuple[DoubleCosetRep, ...]:

@@ -33,7 +33,8 @@ def test_the_driver_fails_a_changed_byte(capsys):
                                         "B4-strata-zd", "D4-strata-zd", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
-                                        "E7-cohomology-dump", "E8-ext-center"]
+                                        "A8-ext-induced", "E7-cohomology-dump",
+                                        "E8-ext-center"]
     from test_cli import PINNED_SWEEPS  # the benchmark's strata sweeps, pinned in tier-1
 
     for name in ("B4", "D4"):

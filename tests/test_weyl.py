@@ -432,6 +432,67 @@ def test_the_partition_is_checked_before_the_first_representative(monkeypatch):
     assert (next(reps), *reps) == kostant_reps(rs, 0b011, 0b110)[1:]
 
 
+@pytest.mark.parametrize("corruption,expected", [
+    ("non-simple", r"w\(alpha_3\) lies in the I-Levi but is not simple"),
+    ("negative", r"w\(alpha_3\) is negative"),
+    ("length", "a representative of length -1: double cosets do not partition")])
+def test_a_stray_representative_past_the_first_block_is_named(corruption, expected,
+                                                               monkeypatch):
+    """D5, I = {0, 1}, J = {0, 3}: 104 representatives.  The walk stand-in's
+    100th kept record, past the first 64, carries a non-simple root of Phi_I
+    or a negative root as w(alpha_3), or a negative length, and the 102nd
+    carries a negative w(alpha_0): the guards read the whole columns, so the
+    100th, the first in group order, is named, and in the call, before any
+    representative is decoded."""
+    import steinberg_ext.weyl as weyl
+
+    rs, I, J = build_root_system("D", 5), 0b00011, 0b01001
+    group = generate_weyl(rs)
+    masks, elements = oracles.masks(group), list(group)
+    kept = [p for p, mask in enumerate(masks) if not mask & J and not mask >> 8 & I]
+    assert len(kept) == len(kostant_reps(rs, I, J)) == 104
+    assert rs.positive_roots[8] == (1, 1, 0, 0, 0) and 8 in levi_root_indices(rs, I)
+
+    def corrupt(p, b, image=None):  # w(alpha_b) made ``image``, or negated
+        images = list(elements[p].signed_images)
+        images[b] = -images[b] if image is None else image
+        elements[p] = elements[p]._replace(signed_images=tuple(images))
+
+    if corruption == "length":
+        elements[kept[99]] = elements[kept[99]]._replace(length=-1)
+    else:
+        corrupt(kept[99], 3, 9 if corruption == "non-simple" else None)
+    corrupt(kept[101], 0)
+    monkeypatch.setattr(weyl, "_closure",
+                        oracles.walking(oracles.weyl_group(rs, elements, masks), 256))
+    built = _counting_decodes(monkeypatch)
+    with pytest.raises(ContractError, match=expected):
+        weyl.iter_kostant_reps(rs, I, J)
+    assert not built
+
+
+def test_the_representatives_are_read_once(monkeypatch):
+    """One stream consumed whole walks X_J once, reads its representatives
+    once, and sums delta once per L': D5, I = {0, 1}, J = {2, 4}, 80
+    representatives in two blocks, four L'."""
+    import steinberg_ext.weyl as weyl
+
+    rs, I, J = build_root_system("D", 5), 0b00011, 0b10100
+    closure, kept, difference = weyl._closure, weyl._kept, weyl.levi_difference_sum
+    walks, reads, sources = [], [], []
+    monkeypatch.setattr(weyl, "_closure", lambda rs, J=0: walks.append(J) or closure(rs, J))
+    monkeypatch.setattr(weyl, "_kept", lambda *args: reads.append(args) or kept(*args))
+    monkeypatch.setattr(weyl, "levi_difference_sum",
+                        lambda rs, J, L: sources.append(L) or difference(rs, J, L))
+    reps = tuple(weyl.iter_kostant_reps(rs, I, J))
+    assert walks == [J] and reads == [(rs, I, J)]
+    expected = oracles.kostant_reps_by_enumeration(rs, I, J)
+    assert reps == expected and len(reps) == 80
+    into_i = {sum(1 << j for j in (2, 4) if rep.w.signed_images[j] in (1, 2))  # L'
+              for rep in expected}
+    assert sorted(sources) == sorted(into_i) == [0, 4, 16, 20]
+
+
 def test_gamma_exponent_examples():
     a1 = build_root_system("A", 1)
     s = simple_reflection(a1, 0)

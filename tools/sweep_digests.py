@@ -33,13 +33,15 @@ A5 and B5 over Q, F4 strata), the strata sweeps that ``perfbench``'s
 ``strata-zd`` times (B4 and D4 over q=3,d=1009), and E7 and E8 over Z/d
 without strata, each in about a second or less.  The single queries check
 the representatives of the largest groups under the Weyl cap, E6 and D7,
-which no tier-1 test reads: four large pairs, and two small E6 pairs (144
+which no tier-1 test reads: four large pairs, two small E6 pairs (144
 and 1,260 representatives) of the size that ``perfbench``'s
-``exceptional-queries`` times.  Two more check complex-built tables at
-rank 7 and 8, where the golden corpus stops at rank 4: an E7 cohomology
-table with every row dumped, and an E8 ext table tensored with a center of
-rank 2.  A change to code that a command runs reruns them, and records the
-printed table for the parent and the change.  Standard library only.
+``exceptional-queries`` times, and the longest stream of representatives
+under the cap, A8's 362,880 at I = J = {} (about 2 s).  Two more check
+complex-built tables at rank 7 and 8, where the golden corpus stops at
+rank 4: an E7 cohomology table with every row dumped, and an E8 ext table
+tensored with a center of rank 2.  A change to code that a command runs
+reruns them, and records the printed table for the parent and the change.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ RUNS = {
         ("ext-induced", "--type", "E6", "--I", "0,2,3", "--J", "1", "--method", "strata",
          "--ring", "Q"),
         "60208eff068dac9b6ecee91a1f7d4fa00b8f820e50799dd695d94e3d1fe824ec"),
+    "A8-ext-induced": Run(("ext-induced", "--type", "A8", "--I", "", "--J", "",
+                           "--method", "strata", "--ring", "Q"),
+                          "718af23f05b542a587ec599552d6bec71d9cb24da2c283ee51163036ebfbc83d"),
     "E7-cohomology-dump": Run(("cohomology", "--type", "E7", "--I", "", "--method", "both",
                                "--dump-complex", "--ring", RING),
                               "956d83b1c0761fa2f7e6a7f0d4cbfb110472ecfadc22d1a5192454f8f09becbb"),
