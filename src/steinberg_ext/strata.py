@@ -2,22 +2,17 @@
 ``verify``.
 
 ``verify --strata on`` prints two lines per pair and needs no
-representative to print them.  So each pair of an ``--all-pairs`` sweep is
-checked against columns cut from the blocks of the whole walk, a byte per
-element each (:class:`DescentClasses`), with no group held, and counted
-from them one J at a time, not through the representatives of
-:func:`~steinberg_ext.weyl.iter_kostant_reps`.  The columns give one
-verdict, whether the classes answer: the ring passes bon, which implies
-every certificate, and the group keeps what a Weyl group keeps.  A pair
-that fails a check, and every pair where the classes do not answer, is
-rerun through the representatives, read off its own walk of X_J, so that
-it raises what the per-representative path raises.  A single pair keeps
-that path, though the classes would cost it less, because it checks more:
-the representatives check the partition at t = 2^64, degree by degree, and
-:meth:`DescentClasses.covers` counts at t = 1 only.  ``dcosets`` and
-``ext-induced --method strata``, which print or return each representative,
-keep it too.  Only ``verify`` imports this module, so no other command
-compiles it.
+representative to print them.  So an ``--all-pairs`` sweep checks each
+pair against the columns that the one reader of a walk
+(:func:`~steinberg_ext.weyl._columns`) cuts from the whole walk, a byte per
+element each (:class:`DescentClasses`), with no group held, counted one J
+at a time; a pair they do not settle is rerun through its representatives
+(:func:`verify_strata`).  A single pair keeps that path, though the classes
+would cost it less, because it checks more: the representatives check the
+partition at t = 2^64, degree by degree, and :meth:`DescentClasses.covers`
+counts at t = 1 only.  ``dcosets`` and ``ext-induced --method strata``,
+which print or return each representative, keep it too.  Only ``verify``
+imports this module, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -31,68 +26,37 @@ from operator import or_
 
 from .certificates import _delta_candidates, ext_induced_via_strata
 from .ringcond import RingSpec, bon_check
-from .rootdata import RootSystem, mask_indices, mask_size, parabolic_order, support_mask
+from .rootdata import RootSystem, full_mask, mask_indices, mask_size, parabolic_order
 from .tables import ExtTable, ext_induced_closed, exterior_table
-from .weyl import _NEGATIVE, _NONZERO, _kilmoyer_sum, _misses, levi_difference_sum
+from .weyl import _columns, _kilmoyer_sum, _misses, levi_difference_sum
 
 
 class DescentClasses:
     """A group read by columns, a byte per element each, for checks that
-    pay per descent class and not per representative: its lengths, its left
-    and right masks, and per simple root alpha_b the signed images w(alpha_b).
-    Cut from ``blocks`` as each comes, the (records, left) pairs of the whole
-    walk (:func:`~steinberg_ext.weyl._closure` with J = 0); the right mask
-    is where the simple images are negative.
+    pay per descent class and not per representative: the one reader over
+    the whole walk's ``blocks`` (J = 0) with B = Delta, whose signs are then
+    the right masks.
 
     - ``answers``: whether the columns decide every pair.  The ring passes
       bon (q^e - 1 is a unit for 1 <= e <= m, the largest coefficient of
-      2 rho), so every certificate holds, and the group keeps what a Weyl
-      group keeps: it has |W| elements; one element has length 0, wherever
-      it sits, the identity, with left mask 0; every other element has a
-      right descent, the direction of its gamma certificate; and no
-      w(alpha_b) is a non-simple root of Phi_K while w misses K on the left
-      (Kilmoyer with I = K and J = {b}: no such w exists), as
-      ``iter_kostant_reps`` guards.
+      2 rho), so every certificate holds: at a right descent b,
+      1 <= gamma_b <= (2 rho)_b <= m, as alpha_b lies in N(w) and N(w) in
+      Phi+, and every nonzero delta_b lies in 1..m too.  And the group keeps
+      what a Weyl group keeps: it has |W| elements; one element has length
+      0, wherever it sits, the identity, with left mask 0; every other
+      element has a right descent, the direction of its gamma certificate;
+      and the reader's Levi guard passes, as ``iter_kostant_reps``'s does.
     """
 
     def __init__(self, rs: RootSystem, blocks: Iterable[tuple[bytes, bytes]],
                  spec: RingSpec) -> None:
-        rank, width = rs.rank, rs.num_positive + 1
-        self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rank))
+        self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rs.rank))
         self.order = self.orders[-1]
-        # a signed image -> 1 << i where it is alpha_i, its support where it is non-simple
-        simple = bytes(1 << s - 1 if 0 < s <= rank else 0 for s in range(256))
-        supports = bytes(support_mask(rs.positive_roots[s - 1]) if rank < s < width else 0
-                         for s in range(256))
-        self._left, self._right = left, right = bytearray(), bytearray()
-        columns = [bytearray() for _ in range(rank)]
-        zeros, kept = 0, True  # the elements of length 0; whether every block keeps the rest
-        for records, block_left in blocks:
-            view, size = memoryview(records).cast("B"), len(block_left)
-            lengths, held = view[::width].tobytes(), int.from_bytes(block_left, "little")
-            at = lengths.find(0)
-            if at >= 0:  # the identity, if it is the one element of length 0
-                zeros += lengths.count(0)
-                kept &= (view[at * width:(at + 1) * width] == bytes(range(width))
-                         and block_left[at] == 0)
-            # At a right descent b, 1 <= gamma_b <= (2 rho)_b <= m: alpha_b lies in N(w),
-            # and N(w) in Phi+.  Every nonzero delta_b lies in 1..m too, so under bon any
-            # right descent and any delta candidate certifies.  A stray root's support
-            # misses the left mask: its column and its AND with the left one differ in 0s.
-            signs = 0
-            for b, column in enumerate(columns):  # one image column held at a time
-                image = view[1 + b::width].tobytes()
-                column += image.translate(simple)
-                signs |= int.from_bytes(image.translate(_NEGATIVE), "little") << b
-                support = image.translate(supports)
-                kept &= ((int.from_bytes(support, "little") & held).to_bytes(size, "little")
-                         .translate(_NONZERO) == support.translate(_NONZERO))
-            left += block_left
-            right += signs.to_bytes(size, "little")
+        self._left, simple, self._right, stray, identity = _columns(rs, blocks, full_mask(rs.rank))
         # each column is dropped once it is read
-        self._simple = [int.from_bytes(columns.pop(0), "little") for _ in range(rank)]
-        self.answers = (bon_check(rs, spec).ok and kept and zeros == 1
-                        and len(left) == self.order and right.count(0) == 1)
+        self._simple = [int.from_bytes(simple.pop(0), "little") for _ in range(rs.rank)]
+        self.answers = (bon_check(rs, spec).ok and identity and not stray
+                        and len(self._left) == self.order and self._right.count(0) == 1)
         self._counts: tuple[int, dict[int, dict[int, int]]] = (-1, {})
 
     def counts(self, J: int) -> dict[int, dict[int, int]]:

@@ -10,16 +10,12 @@ A group, or X_J, the minimal representatives of W/W_J, is enumerated by
 one breadth-first walk (``_closure``) that reaches each element from its
 smallest left descent and yields blocks, layer by layer: flat records (per
 element its length, then its signed images, one signed byte each) and a
-column of left descent masks.  No group is held: a strata sweep cuts its
-columns from the blocks of the whole walk, and an element is decoded from
-its record only when a representative is yielded.
-
-The minimal double-coset representatives of a pair (``iter_kostant_reps``)
-are the elements of the walk of X_J whose left mask misses I, read once
-when the walk is done: their length column and the image columns of the
-alpha_j, j in J, read whole, give the guards, their Levis and L', and a block
-of 64 at a time gives their exponent vectors gamma by translating its
-columns and adding them as big integers, a byte lane per representative.
+column of left descent masks.  No group is held.  One reader
+(``_columns``) cuts from the blocks of any such walk the columns a caller
+reads, with the one Levi guard: a strata sweep reads the whole walk with
+it, and a pair (``iter_kostant_reps``) the elements of its walk of X_J
+whose left mask misses I, its minimal double-coset representatives.  An
+element is decoded from its record only when a representative is yielded.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from .rootdata import (
     mask_str,
     parabolic_exponents,
     parabolic_order,
+    support_mask,
     validate_mask,
     zero_coords,
 )
@@ -185,8 +182,7 @@ def _closure(rs: RootSystem, J: int = 0) -> Iterator[tuple[bytes, bytes]]:
     it has rank at most 8 and at most 49 positive roots (B7), so a mask and
     a guard's verdicts take a byte, an image a byte code and gamma a byte
     lane, as ``test_the_cap_bounds_the_walk`` and
-    ``test_gamma_fits_a_byte_lane_under_the_cap`` check for any cap.  Right
-    masks (where the first rank images are negative) are left to a reader.
+    ``test_gamma_fits_a_byte_lane_under_the_cap`` check for any cap.
 
     A breadth-first walk by left multiplication, layer by layer in length.
     Each element is reached once, from its smallest left descent i: from w
@@ -282,6 +278,46 @@ def _walk(rs: RootSystem, J: int) -> Iterator[tuple[bytes, bytes]]:
                             "element")
 
 
+def _columns(rs: RootSystem, blocks: Iterable[tuple[bytes, bytes]], B: int
+             ) -> tuple[bytearray, list[bytearray], bytearray, int, bool]:
+    """The one reader of a walk of X_J (:func:`_closure`, any J), for a set
+    B of simple roots.  Cut block by block, joined in walk order, a byte per
+    element each: the left masks, per b in B (increasing) w(alpha_b) as a
+    simple-root bit (1 << i where it is alpha_i, else 0), and the signs (bit
+    b where w(alpha_b) < 0).  And two verdicts for a caller to weigh: the
+    Levi guard, byte e of an int nonzero where some w(alpha_b) is a
+    non-simple root whose support K misses w's left mask (by Kilmoyer, no
+    Weyl group element does that: W_K n wW_{b}w^-1, holding the reflection
+    in w(alpha_b), would be a standard parabolic subgroup of W_K); and
+    whether the identity, with left mask 0, is alone at length 0."""
+    width, rank, bits = rs.num_positive + 1, rs.rank, mask_indices(B)
+    simple = bytes(1 << s - 1 if 0 < s <= rank else 0 for s in range(256))
+    supports = bytes(support_mask(rs.positive_roots[s - 1]) if rank < s < width else 0
+                     for s in range(256))
+    left, signs, images = bytearray(), bytearray(), [bytearray() for _ in bits]
+    stray, zeros, identity = 0, 0, False
+    for records, block_left in blocks:
+        size, block_signs, block_stray = len(block_left), 0, 0
+        for b, column in zip(bits, images):
+            image = bytes(records[1 + b::width])  # a slice of a signed array has no translate
+            column += image.translate(simple)
+            block_signs |= int.from_bytes(image.translate(_NEGATIVE), "little") << b
+            support = image.translate(supports)
+            meets = (int.from_bytes(support, "little")
+                     & int.from_bytes(block_left, "little")).to_bytes(size, "little")
+            # 1 where there is a support, and back to 0 where it meets the left mask
+            block_stray |= (int.from_bytes(support.translate(_NONZERO), "little")
+                            ^ int.from_bytes(meets.translate(_NONZERO), "little"))
+        lengths = bytes(records[::width])
+        at, zeros = lengths.find(0), zeros + lengths.count(0)
+        identity |= at >= 0 and (bytes(records[at * width:(at + 1) * width]) == bytes(range(width))
+                                 and block_left[at] == 0)
+        stray |= block_stray << 8 * len(left)
+        left += block_left
+        signs += block_signs.to_bytes(size, "little")
+    return left, images, signs, stray, identity and zeros == 1
+
+
 # ---------------------------------------------------------------------------
 # double cosets and the character exponents of their strata
 
@@ -321,40 +357,38 @@ def _misses(subset: int) -> bytes:
 def _kept(rs: RootSystem, I: int, J: int) -> tuple[bytearray, bytes, bytes]:
     """The minimal (W_I, W_J) double-coset representatives, read once: the
     records of the elements of X_J (:func:`_closure`) whose left mask misses
-    I, joined in group order, and their levi(w) and L' columns, a byte each.
-    Once the walk has passed its layer check, the length column and the image
-    columns of the alpha_j, j in J, are read whole: j is in L' and i in
-    levi(w) where w(alpha_j) is alpha_i, i in I.  ``ContractError`` names the
-    first representative, in group order, with a negative image, a non-simple
-    root of the I-Levi as an image, or a negative length."""
-    width, rank, misses_i, records = rs.num_positive + 1, rs.rank, _misses(I), bytearray()
-    for block, left in _closure(rs, J):
-        for start in compress(range(0, len(block), width), left.translate(misses_i)):
+    I, joined in group order, and, from :func:`_columns` with B = J once the
+    walk has passed its layer check, their levi(w) and L' columns, a byte
+    each.  ``ContractError`` names the first one, in group order, with a
+    negative image or length, or whose Levi guard fails."""
+    width, misses_i, records, left = rs.num_positive + 1, _misses(I), bytearray(), bytearray()
+    for block, block_left in _closure(rs, J):
+        keep = block_left.translate(misses_i)
+        for start in compress(range(0, len(block), width), keep):
             records += block[start:start + width]
-    simple_j, phi_i = mask_indices(J), levi_root_indices(rs, I)
-    # a signed image -> 1 << i where it is alpha_i, i in I; -> 1 where it is
-    # not positive or a non-simple root of the I-Levi
-    into_i = bytes(1 << s - 1 if 0 < s <= rank and s - 1 in phi_i else 0 for s in range(256))
-    stray = bytes(not 0 < s < 128 or s > rank and s - 1 in phi_i for s in range(256))
-    lengths, images = records[::width], [records[1 + b::width] for b in simple_j]
-    firsts = [e for e in (lengths.translate(_NEGATIVE).find(1),
-                          *(image.translate(stray).find(1) for image in images)) if e >= 0]
-    if firsts:
-        e = min(firsts)
-        for b, s in zip(simple_j, (image[e] for image in images)):
-            if stray[s]:
-                why = "lies in the I-Levi but is not simple" if 0 < s < 128 else "is negative"
+        left.extend(compress(block_left, keep))
+    _, images, signs, stray, _ = _columns(rs, [(records, left)], J)
+    wrong = (int.from_bytes(records[::width].translate(_NEGATIVE), "little")
+             | int.from_bytes(signs, "little") | stray)
+    if wrong:
+        e = ((wrong & -wrong).bit_length() - 1) // 8
+        for b in mask_indices(J):
+            s = records[e * width + 1 + b]
+            support = support_mask(rs.positive_roots[s - 1]) if rs.rank < s < width else 0
+            if s > 127 or support and not support & left[e]:
+                why = ("is negative" if s > 127 else
+                       "lies in the I-Levi but is not simple" if not support & ~I else
+                       "is not simple, and its support misses the left mask of w")
                 raise ContractError(f"w(alpha_{b}) {why}; not a minimal double-coset "
                                     "representative")
-        raise ContractError(f"a representative of length {lengths[e] - 256}: double "
+        raise ContractError(f"a representative of length {records[e * width] - 256}: double "
                             "cosets do not partition the Weyl group by length")
-    levi = source = 0
-    for b, image in zip(simple_j, images):
-        column = image.translate(into_i)
+    inside_i, levi, source = bytes(m & I for m in range(256)), 0, 0
+    for b, image in zip(mask_indices(J), images):
+        column = image.translate(inside_i)
         levi |= int.from_bytes(column, "little")
         source |= int.from_bytes(column.translate(_NONZERO), "little") << b
-    count = len(lengths)
-    return records, levi.to_bytes(count, "little"), source.to_bytes(count, "little")
+    return records, levi.to_bytes(len(left), "little"), source.to_bytes(len(left), "little")
 
 
 def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep]:

@@ -240,37 +240,6 @@ def test_an_empty_cache_dir_is_no_cache_dir(argv, tmp_path, capsys, monkeypatch)
     assert not list(tmp_path.iterdir())
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-# F4 only: ``test_golden_replay_through_a_cold_then_a_warm_cache`` replays
-# the B3 cases with the same argv and assertions
-WEYL_GOLDEN = sorted(name for name in json.loads((GOLDEN / "cases.json").read_text())
-                     if name.startswith(("dcosets_F4", "extind_F4")))
-
-
-@pytest.mark.parametrize("name", WEYL_GOLDEN)
-def test_golden_weyl_queries_through_the_cache(name, tmp_path, capsys, monkeypatch,
-                                               fresh_caches):
-    """The recorded bytes with ``--cache-dir``, which is accepted and reads
-    and writes nothing: the query walks X_J of its own J, once, and the
-    directory stays empty."""
-    import steinberg_ext.weyl as weyl
-
-    case = json.loads((GOLDEN / "cases.json").read_text())[name]
-    expected = (GOLDEN / f"{name}.out").read_bytes()
-    walks, closure = [], weyl._closure
-
-    def counting(rs, J=0):
-        walks.append(J)
-        return closure(rs, J)
-
-    monkeypatch.setattr(weyl, "_closure", counting)
-    argv = case["argv"]
-    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert (code, out.encode()) == (case["exit"], expected)
-    J = sum(1 << int(j) for j in argv[argv.index("--J") + 1].split(","))
-    assert walks == [J] and not list(tmp_path.iterdir())
-
-
 def _former_b3_cache(changed):
     """A B3 file as the former Weyl cache wrote it (format WGC5: a header,
     a record per element of its length and images, a signed byte each, the
@@ -676,6 +645,9 @@ def test_a_cache_dir_that_is_a_file_is_left_alone(argv, tmp_path, capsys, fresh_
 
 DUMP_CASES = ("coh_A3_dump", "coh_G2_dump", "ext_A3_dump", "ext_B3_dump", "extvi_A3_dump",
               "extvi_G2_dump")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _golden(name):

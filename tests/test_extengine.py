@@ -229,6 +229,32 @@ def test_descent_classes_match_the_representatives_e6(monkeypatch):
     _class_verdicts(monkeypatch, rs, generate_weyl(rs), pairs + [(0, 0), (0b111111, 0)])
 
 
+@pytest.mark.parametrize("name", RANK_5_TYPES + ["E6"])
+def test_the_reader_counts_each_x_j_as_the_classes_of_the_whole_walk(name):
+    """The one reader in both modes.  Over the walk of each X_J with B = J,
+    the tally of (left mask, S_J(w)), S_J(w) the OR of the simple bits of
+    J's images, is ``counts(J)`` of the classes read over the whole walk
+    with B = Delta, which keep the elements whose right mask misses J.
+    Every verdict of the quotient's walk passes.  E6 walks 486,397 elements
+    over its 64 quotients."""
+    from steinberg_ext.weyl import _closure, _columns
+
+    rs = build_root_system(*parse_type(name))
+    classes, walked = DescentClasses(rs, _closure(rs), Z23), 0
+    for J in range(full_mask(rs.rank) + 1):
+        left, images, signs, stray, identity = _columns(rs, _closure(rs, J), J)
+        s_j = 0
+        for image in images:
+            s_j |= int.from_bytes(image, "little")
+        tally = {}
+        for (mask, s), count in Counter(zip(left, s_j.to_bytes(len(left), "little"))).items():
+            tally.setdefault(mask, {})[s] = count
+        assert tally == classes.counts(J), J
+        assert identity and not stray and signs.count(0) == len(signs) == len(left), J
+        walked += len(left)
+    assert name != "E6" or walked == 486_397
+
+
 def test_the_strata_path_holds_no_representative_it_has_certified():
     """The representatives stream through the certificates: beyond the
     records they keep, a byte per entry, the traced peak of

@@ -28,7 +28,7 @@ def test_the_driver_fails_a_changed_byte(capsys):
     assert time.perf_counter() - start < 2
     assert sweep_digests.main(["no-such-sweep"]) == 2
     assert list(sweep_digests.RUNS) == ["E7-Q", "E8-Q", "B4-Q", "F4-Q", "A5-Q", "B5-Q",
-                                        "E7-zd", "E8-zd", "D7-strata", "B7-strata",
+                                        "E6-Q", "E7-zd", "E8-zd", "D7-strata", "B7-strata",
                                         "A8-strata", "E6-strata", "F4-strata",
                                         "B4-strata-zd", "D4-strata-zd", "E6-dcosets",
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",

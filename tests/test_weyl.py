@@ -471,6 +471,35 @@ def test_a_stray_representative_past_the_first_block_is_named(corruption, expect
     assert not built
 
 
+def test_a_non_simple_image_outside_the_i_levi_missing_the_left_mask_is_named(monkeypatch):
+    """A3, I = {}, J = {1}: s_0 carries alpha_1 onto alpha_0 + alpha_1, whose
+    support meets its left mask {0}.  With that mask cleared, no Weyl group
+    element is left that does what s_0 does (Kilmoyer with I = {0, 1} and
+    J = {1}), but nothing of the I-Levi is involved, the signs are genuine
+    and, at I = {}, Kilmoyer's sum is W(t) as before: only the Levi guard
+    that both readers share tells, and it names w(alpha_1) before any
+    representative is decoded.  The classes of the same group do not
+    answer."""
+    import steinberg_ext.weyl as weyl
+    from steinberg_ext.strata import DescentClasses
+
+    rs = build_root_system("A", 3)
+    group = generate_weyl(rs)
+    masks = oracles.masks(group)
+    at = next(p for p, w in enumerate(group) if w.length == 1 and w.signed_images[0] < 0)
+    assert rs.positive_roots[group[at].signed_images[1] - 1] == (1, 1, 0)
+    assert masks[at] >> 8 == 0b001
+    masks[at] &= 0xFF
+    corrupted = oracles.weyl_group(rs, group[:], masks)
+    assert not DescentClasses(rs, oracles.blocks(corrupted), RingSpec(1009, 3)).answers
+    monkeypatch.setattr(weyl, "_closure", oracles.walking(corrupted))
+    built = _counting_decodes(monkeypatch)
+    with pytest.raises(ContractError, match=r"^w\(alpha_1\) is not simple, and its support "
+                                            "misses the left mask of w; not a minimal"):
+        weyl.iter_kostant_reps(rs, 0, 0b010)
+    assert not built
+
+
 def test_the_representatives_are_read_once(monkeypatch):
     """One stream consumed whole walks X_J once, reads its representatives
     once, and sums delta once per L': D5, I = {0, 1}, J = {2, 4}, 80

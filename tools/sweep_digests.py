@@ -29,7 +29,7 @@ whose speed drifts, so two commands of one file do not compare.
 
 The large sweeps are more than tier-1 can afford: about a minute in all
 on a 2-core host.  Beside them run the north star's small sweeps (B4, F4,
-A5 and B5 over Q, F4 strata), the strata sweeps that ``perfbench``'s
+A5, B5 and E6 over Q, F4 strata), the strata sweeps that ``perfbench``'s
 ``strata-zd`` times (B4 and D4 over q=3,d=1009), and E7 and E8 over Z/d
 without strata, each in about a second or less.  The single queries check
 the representatives of the largest groups under the Weyl cap, E6 and D7,
@@ -88,6 +88,8 @@ RUNS = {
                   "97fceb9ef26f3240b09190febad0ae9a395f6e7a81f70a2fee187a65b7ff897e"),
     "B5-Q": sweep("B5", "Q", "off",
                   "e7b1985209f1da6ef2f9ebf559e7db48185fbef49912c6096d4460b0f2c474d7"),
+    "E6-Q": sweep("E6", "Q", "off",
+                  "8c79ade299a9bde63a3947668033fd9228d24e2c5a81706495880d76738590a8"),
     "E7-zd": sweep("E7", RING, "off",
                    "ee4986c85281bf3b176fcf4d54569a5862f22a58e00f804fc87fd5d2b0bc5cfb"),
     "E8-zd": sweep("E8", RING, "off",
