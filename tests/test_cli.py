@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -187,6 +189,10 @@ def test_dcosets_json_and_tsv(capsys):
     assert lines[0] == "length\tgamma_exp\tdelta_exp\tlevi\tsurviving"
     assert len(lines) == 3
 
+    # B3 with I = J = {}: each of the 48 elements is a representative
+    code, out, _ = run_cli(capsys, "dcosets", "--type", "B3", "--I", "", "--J", "")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest().startswith("5ac5951b")
+
 
 def test_zelevinsky(capsys):
     code, out, _ = run_cli(capsys, "zelevinsky", "--k", "3", "--I", "0", "--J", "1")
@@ -214,72 +220,52 @@ def test_dump_complex(capsys):
     assert all(set(c) == {"ranks", "differentials", "labels"} for c in data["complexes"])
 
 
-def test_cache_dir_used(tmp_path, capsys):
-    """``--cache-dir`` is accepted and used for nothing: twice through one
-    directory, a query prints what it prints without the option, and the
-    directory stays empty."""
-    argv = ("dcosets", "--type", "B2", "--I", "0", "--J", "1")
+def _tree(root):
+    """Every path under ``root`` with its bytes, ``None`` for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+# the commands that take --cache-dir: a walk of X_J each, and a closed form
+_CACHE_DIR_COMMANDS = {
+    "dcosets": ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009"),
+    "ext-induced-strata-zd": ("ext-induced", "--type", "B3", "--I", "", "--J", "0",
+                              "--ring", "q=3,d=1009", "--method", "strata"),
+    "ext-induced-closed-form": ("ext-induced", "--type", "B3", "--I", "", "--J", "",
+                                "--ring", "Q"),
+}
+
+
+@pytest.mark.parametrize("given", ["empty-dir", "dir-holding-a-file", "file", "empty-string"])
+@pytest.mark.parametrize("command", sorted(_CACHE_DIR_COMMANDS))
+def test_cache_dir_is_accepted_and_opens_nothing(command, given, tmp_path, capsys,
+                                                 monkeypatch):
+    """``--cache-dir`` stays on ``dcosets`` and ``ext-induced`` because
+    ``perfbench`` passes it (``test_the_benchmark_command_lines_parse``), and
+    names nothing the command opens: given an empty directory, one holding a
+    file, a regular file, or ``''`` from an empty working directory
+    (``Path('')`` is ``.``), the command exits as it does without the option
+    with the same bytes, and leaves what it was given byte for byte.  The
+    closed form walks no group either way."""
+    import steinberg_ext.weyl as weyl
+
+    argv = _CACHE_DIR_COMMANDS[command]
+    if command == "ext-induced-closed-form":
+        monkeypatch.setattr(weyl, "_closure", _no_enumeration)
     expected = run_cli(capsys, *argv)
     assert expected[0] == 0
-    for _ in range(2):
-        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv", [
-    ("dcosets", "--type", "A2", "--I", "", "--J", ""),
-    ("ext-induced", "--type", "A2", "--I", "0", "--J", "", "--ring", "Q"),
-])
-def test_an_empty_cache_dir_is_no_cache_dir(argv, tmp_path, capsys, monkeypatch):
-    """An empty ``--cache-dir`` reads as none, as an empty ``--ring`` does for
-    ``dcosets``: the command prints what it prints without the option and
-    writes no cache file into the working directory (``Path('')`` is ``.``)."""
     monkeypatch.chdir(tmp_path)
-    expected = run_cli(capsys, *argv)
-    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", "") == expected
-    assert not list(tmp_path.iterdir())
-
-
-def _former_b3_cache(changed):
-    """A B3 file as the former Weyl cache wrote it (format WGC5: a header,
-    a record per element of its length and images, a signed byte each, the
-    left and the right masks, a byte per element each, and a CRC-32 of them,
-    made to match), with ``changed(records)`` for its records."""
-    import struct
-    import zlib
-
-    import oracles
-    from steinberg_ext.rootdata import build_root_system
-
-    rs = build_root_system("B", 3)
-    group, n = oracles.generate_weyl(rs), rs.num_positive
-    masks = oracles.masks(group)
-    records = bytearray(b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images)
-                                 for w in group))
-    changed(records)
-    body = records + bytes(m >> 8 for m in masks) + bytes(m & 0xFF for m in masks)
-    return (b"WGC5" + struct.pack("<cBII", b"B", 3, n, len(group)) + body
-            + struct.pack("<I", zlib.crc32(body)))
-
-
-@pytest.mark.parametrize("argv", [
-    ("dcosets", "--type", "B3", "--I", "", "--J", ""),
-    ("ext-induced", "--type", "B3", "--I", "", "--J", "0", "--ring", "q=3,d=1009",
-     "--method", "strata"),
-])
-def test_a_cache_record_outside_the_signed_images_is_a_miss(argv, tmp_path, capsys,
-                                                            fresh_caches):
-    """Element 5's first image set to 99 in a B3 file of the former cache,
-    whose images lie in -9..9: nothing reads the directory, so each
-    command prints what it prints without it, exits 0, and leaves the file
-    as it was."""
-    code, expected, _ = run_cli(capsys, *argv)
-    assert code == 0
-    raw = _former_b3_cache(lambda records: records.__setitem__(5 * 10 + 1, 99))
-    path = tmp_path / "weyl_B3.bin"
-    path.write_bytes(raw)
-    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
-    assert path.read_bytes() == raw and list(tmp_path.iterdir()) == [path]
+    given_path = tmp_path / "weyl"
+    if given == "file":
+        given_path.write_bytes(bytes(range(256)))
+    elif given != "empty-string":
+        given_path.mkdir()
+        if given == "dir-holding-a-file":
+            (given_path / "weyl_B3.bin").write_bytes(bytes(range(256)))
+    before = _tree(tmp_path)
+    option = "" if given == "empty-string" else str(given_path)
+    assert run_cli(capsys, *argv, "--cache-dir", option) == expected
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,38 +274,13 @@ def test_a_cache_record_outside_the_signed_images_is_a_miss(argv, tmp_path, caps
 ])
 def test_verify_takes_no_cache_dir(argv, tmp_path, capsys, fresh_caches):
     """``verify`` has no ``--cache-dir``: given one, over a directory that
-    holds a B3 file of the former cache, it exits 2 with a usage error,
-    prints nothing on stdout, and leaves the directory as it was."""
-    raw = _former_b3_cache(lambda records: None)
+    holds a file, it exits 2 with a usage error, prints nothing on stdout,
+    and leaves the directory as it was."""
     path = tmp_path / "weyl_B3.bin"
-    path.write_bytes(raw)
+    path.write_bytes(bytes(range(256)))
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "") and f"unrecognized arguments: --cache-dir {tmp_path}" in err
-    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == raw
-
-
-def test_a_wrong_cache_record_inside_the_signed_images_is_a_miss(tmp_path, capsys,
-                                                                fresh_caches):
-    """Element 5's third image negated (-3 to 3) in a B3 file of the former
-    cache, its checksum made to match: read as it stood, ``dcosets`` printed
-    another sha256 (c846a5ed...).  Nothing reads the directory, so the
-    command prints what it prints without it and leaves the file as it
-    was."""
-    import hashlib
-
-    argv = ("dcosets", "--type", "B3", "--I", "", "--J", "")
-    code, expected, _ = run_cli(capsys, *argv)
-    assert code == 0 and hashlib.sha256(expected.encode()).hexdigest().startswith("5ac5951b")
-
-    def negated(records):
-        assert records[5 * 10 + 3] == 256 - 3
-        records[5 * 10 + 3] = 3
-
-    raw = _former_b3_cache(negated)
-    path = tmp_path / "weyl_B3.bin"
-    path.write_bytes(raw)
-    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path))[:2] == (0, expected)
-    assert path.read_bytes() == raw
+    assert _tree(tmp_path) == {"weyl_B3.bin": bytes(range(256))}
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,20 +314,6 @@ def test_a_corrupted_group_is_refused_before_any_certificate(argv, capsys, monke
     monkeypatch.setattr(certificates, "vanishing_certificate", counting)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, certified) == (1, "", []) and "do not partition" in err
-
-
-def test_a_closed_form_query_with_a_cache_dir_walks_and_writes_nothing(tmp_path, capsys,
-                                                                      monkeypatch):
-    """A closed-form ``ext-induced`` with a cache directory, which once
-    prepared the cache for later queries, prints what it prints without the
-    option, walks no group and leaves the directory empty."""
-    import steinberg_ext.weyl as weyl
-
-    argv = ("ext-induced", "--type", "B3", "--I", "", "--J", "", "--ring", "Q")
-    expected = run_cli(capsys, *argv)
-    monkeypatch.setattr(weyl, "_walk", _no_enumeration)
-    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == expected
-    assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -624,24 +571,36 @@ def test_an_option_a_handler_does_not_read_is_an_unknown_argument(capsys):
         assert f"unrecognized arguments: {' '.join(given)}" in err
 
 
+def test_the_benchmark_command_lines_parse(monkeypatch):
+    """Every command line of ``perfbench/workloads.py``, its setups and three
+    seeds of each workload's ops, parses: a CLI change that turned one into
+    a usage error (exit 2) would fail the benchmark's ops.  Its
+    ``exceptional-queries`` passes ``--cache-dir`` to ``ext-induced`` and
+    ``dcosets``, which is why they still take it."""
+    from steinberg_ext.cli import build_parser
+
+    path = SRC_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    parser, given_a_cache_dir = build_parser(), set()
+    for name in workloads.WORKLOADS:
+        ops = workloads.setup_ops(name, "weyl")
+        for seed in range(3):
+            ops += workloads.op_list(name, seed, "weyl")
+        for op in ops:
+            try:
+                args = parser.parse_args(list(op.argv))
+            except SystemExit:
+                pytest.fail(f"{name}: {op.label()} is a usage error")
+            if getattr(args, "cache_dir", None) is not None:
+                given_a_cache_dir.add(args.command)
+    assert given_a_cache_dir == {"ext-induced", "dcosets"}
+
+
 # ---------------------------------------------------------------------------
 # per-process row cache
-
-@pytest.mark.parametrize("argv", [
-    ("dcosets", "--type", "A2"),
-    ("ext-induced", "--type", "A2", "--ring", "q=3,d=23", "--method", "strata"),
-])
-def test_a_cache_dir_that_is_a_file_is_left_alone(argv, tmp_path, capsys, fresh_caches):
-    """A cache directory that is a regular file, which once exited 2 when the
-    cache could not be written: nothing is read or written now, so the
-    command exits 0 and prints what it prints without the option, and the
-    file is left as it was."""
-    taken = tmp_path / "file"
-    taken.write_text("")
-    expected = run_cli(capsys, *argv)
-    assert expected[0] == 0 and run_cli(capsys, *argv, "--cache-dir", str(taken)) == expected
-    assert taken.read_text() == ""
-
 
 DUMP_CASES = ("coh_A3_dump", "coh_G2_dump", "ext_A3_dump", "ext_B3_dump", "extvi_A3_dump",
               "extvi_G2_dump")
@@ -972,18 +931,6 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
     assert rootdata.parse_type("A32") == ("A", 32)
 
 
-def test_a_cold_and_a_warm_dcosets_print_the_same_bytes(tmp_path, capsys, fresh_caches):
-    """Two dcosets queries through one cache directory, which once wrote the
-    cache and then read it, print the same bytes: each walks its own X_J,
-    and the directory stays empty."""
-    argv = ("dcosets", "--type", "B3", "--I", "1", "--J", "0,2", "--ring", "q=3,d=1009",
-            "--cache-dir", str(tmp_path))
-    code, cold, _ = run_cli(capsys, *argv)
-    assert code == 0
-    code, warm, _ = run_cli(capsys, *argv)
-    assert (code, warm) == (0, cold) and not list(tmp_path.iterdir())
-
-
 # ---------------------------------------------------------------------------
 # verify pays per class and per distinct table
 
@@ -1019,8 +966,6 @@ def test_each_pair_alone_prints_its_lines_of_the_sweep(capsys):
 
 
 def test_verify_sweep_bytes_are_pinned(capsys):
-    import hashlib
-
     for (name, ring, strata), digest in PINNED_SWEEPS.items():
         args = ("verify", "--type", name, "--ring", ring, "--all-pairs", "--strata", strata)
         code, out, _ = run_cli(capsys, *args)
@@ -1033,8 +978,6 @@ def test_a_sweep_holds_no_group_and_a_failing_pair_walks_its_own_x_j(capsys, mon
     representative: it prints its pinned bytes.  With every class check
     failing, every pair reruns through its representatives, each read off a
     walk of its own X_J, and prints the same bytes."""
-    import hashlib
-
     import steinberg_ext.weyl as weyl
     from steinberg_ext.strata import DescentClasses
 
@@ -1083,8 +1026,6 @@ def test_failures_injected_mid_sweep_print_in_sorted_order(capsys, monkeypatch, 
     certificates lines both FAIL with the representatives' text).  The FAIL
     lines come first, every line in sorted order, and the bytes are those of
     the sweep that held and sorted all its lines."""
-    import hashlib
-
     import steinberg_ext.certificates as certificates
     import steinberg_ext.extengine as eng
     from steinberg_ext.rootdata import build_root_system

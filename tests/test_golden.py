@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import steinberg_ext.weyl as weyl
 from steinberg_ext.cli import parse_and_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -30,36 +31,16 @@ ENTRY_POINT_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_replay(name, capsys):
-    case = CASES[name]
-    code = parse_and_dispatch(case["argv"])
-    out = capsys.readouterr().out
-    assert code == case["exit"]
-    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-
-
-# the cases that walk a Weyl group and take --cache-dir (verify takes none)
+# the cases that read a pair's representatives off a walk of X_J of their J
 GROUP_CASES = sorted(name for name, case in CASES.items()
                      if case["argv"][0] == "dcosets"
                      or "strata" in case["argv"] and case["argv"][0] == "ext-induced")
 
 
-@pytest.fixture(scope="module")
-def shared_cache_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("weyl")
-
-
-@pytest.mark.parametrize("name", GROUP_CASES)
-def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, capsys,
-                                                        monkeypatch):
-    """Each case that walks a group, once through one cache directory shared
-    by all of them.  The option is accepted and nothing is read or written,
-    so every run is cold and a second would repeat the first (the name is
-    from when the option read a cache): it prints the golden bytes, walks
-    X_J of its own J once, and the directory stays empty."""
-    import steinberg_ext.weyl as weyl
-
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_replay(name, capsys, monkeypatch):
+    """Each case prints its golden bytes with its exit code, and a case in
+    ``GROUP_CASES`` walks X_J of its own J, once."""
     case, walks, closure = CASES[name], [], weyl._closure
 
     def counting(rs, J=0):
@@ -67,12 +48,13 @@ def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, 
         return closure(rs, J)
 
     monkeypatch.setattr(weyl, "_closure", counting)
-    code = parse_and_dispatch([*case["argv"], "--cache-dir", str(shared_cache_dir)])
+    code = parse_and_dispatch(case["argv"])
+    out = capsys.readouterr().out
     assert code == case["exit"]
-    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
-    J = case["argv"][case["argv"].index("--J") + 1]
-    assert walks == [sum(1 << int(j) for j in J.split(",") if j)], walks
-    assert not list(shared_cache_dir.iterdir())
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    if name in GROUP_CASES:
+        J = case["argv"][case["argv"].index("--J") + 1]
+        assert walks == [sum(1 << int(j) for j in J.split(",") if j)], walks
 
 
 def test_every_subcommand_is_replayed_through_the_entry_point():

@@ -88,7 +88,9 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys):
         ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata", "ok"]]
     assert all(len(line.split("\t")) == 7 for line in out.splitlines())
     report = json.loads(path.read_text())
-    assert set(report) == {"python", "cpu_count", "bytecode", "against", "paired", "runs"}
+    assert set(report) == {"python", "cpu_count", "bytecode", "pycache", "against", "paired",
+                           "runs"}
+    assert report["pycache"] == sweep_digests.PYCACHE_POLICY
     assert report["paired"].startswith("only the two sides of one run")
     assert report["against"] == checkout.name and list(report["runs"]) == list(runs)
     for name, record in report["runs"].items():
@@ -111,6 +113,33 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys):
     assert flipped in err
     assert json.loads(path.read_text())["runs"] == {"A2-strata": {
         "argv": list(runs["A2-strata"].args), "rounds": 1, "ok": False}}
+
+
+def test_each_side_reads_bytecode_from_a_prefix_of_its_own(capsys, monkeypatch):
+    """``--against`` this checkout, with ``PYTHONDONTWRITEBYTECODE`` set: the
+    children of the two sides run with two distinct ``PYTHONPYCACHEPREFIX``
+    directories, neither under either side's ``src``, each holding the
+    package's bytecode before the side's first round; both are gone when
+    ``main`` returns."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    checkout = _PATH.parent.parent
+    compiled, run = {}, sweep_digests.run
+
+    def recorded(entry):
+        compiled.setdefault(entry.pycache, {p.name.split(".")[0]
+                                            for p in entry.pycache.rglob("*.pyc")})
+        return run(entry)
+
+    monkeypatch.setattr(sweep_digests, "run", recorded)
+    runs = {"A2-Q": sweep_digests.sweep("A2", "Q", "off", A2_Q)}
+    assert sweep_digests.main(["--rounds", "2", "--against", str(checkout)], runs) == 0
+    capsys.readouterr()
+    assert len(compiled) == 2
+    for prefix, modules in compiled.items():
+        assert not any(prefix.is_relative_to(src) for src in (sweep_digests.SRC,
+                                                               checkout / "src")), prefix
+        assert {"cli", "weyl", "argparse", "locale"} <= modules
+        assert not prefix.exists()
 
 
 def test_against_a_checkout_without_the_package_exits_2_before_any_round(tmp_path, capsys,

@@ -1,12 +1,9 @@
 import random
-import struct
 import sys
 import time
-import zlib
 
 import pytest
 
-from steinberg_ext.cli import parse_and_dispatch
 from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
 from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import (build_root_system, cartan_matrix, full_mask,
@@ -624,106 +621,6 @@ def test_levi_matches_double_coset_rep():
                         assert rep.levi == I & J
 
 
-# ---------------------------------------------------------------------------
-# the former Weyl cache: ``--cache-dir`` is accepted and reads and writes
-# nothing, so a file that the cache once wrote, sound or corrupted, is never
-# read or rewritten
-
-_MAGIC = b"WGC5"
-_RECORDS_AT = len(_MAGIC) + struct.calcsize("<cBII")
-_DCOSETS_B3 = ("dcosets", "--type", "B3", "--I", "", "--J", "")
-
-
-def _sealed(raw: bytes) -> bytes:
-    """A cache file's bytes up to its CRC, closed by the CRC-32 of its
-    records and mask columns."""
-    return raw + struct.pack("<I", zlib.crc32(raw[_RECORDS_AT:]))
-
-
-def _oracle_cache_bytes(rs, elements):
-    """A WGC5 file, the last format the cache wrote, for ``elements``,
-    packed record by record with struct: one signed byte per entry, the left
-    masks of the oracle's scan, then its right masks, a byte each, and the
-    CRC-32 of all three."""
-    n, masks = rs.num_positive, oracles.descent_masks(rs, elements)
-    return _sealed(
-        _MAGIC + struct.pack("<cBII", rs.series.encode(), rs.rank, n, len(elements))
-        + b"".join(struct.pack(f"{n + 1}b", w.length, *w.signed_images) for w in elements)
-        + bytes(mask >> 8 for mask in masks) + bytes(mask & 0xFF for mask in masks))
-
-
-def _left_alone(capsys, cache_dir, files, *argvs):
-    """Each of ``argvs`` with ``--cache-dir`` over a directory that holds
-    ``files`` (name -> bytes): it prints what it prints without the option,
-    and the directory keeps those files as they were and gains none."""
-    for name, raw in files.items():
-        (cache_dir / name).write_bytes(raw)
-    for argv in argvs:
-        assert parse_and_dispatch(list(argv)) == 0
-        expected = capsys.readouterr().out
-        assert parse_and_dispatch([*argv, "--cache-dir", str(cache_dir)]) == 0
-        assert capsys.readouterr().out == expected, argv
-    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == files
-
-
-def _b3_cache_bytes():
-    rs = build_root_system("B", 3)
-    return rs, _oracle_cache_bytes(rs, generate_weyl(rs))
-
-
-def test_cache_roundtrip(tmp_path, capsys):
-    """Nothing makes a round trip through the directory: B2 and B3 queries
-    with one ``--cache-dir`` print what they print without it, write no file
-    for either group, and leave the B2 file of the former cache as it was."""
-    rs = build_root_system("B", 2)
-    _left_alone(capsys, tmp_path, {"weyl_B2.bin": _oracle_cache_bytes(rs, generate_weyl(rs))},
-                ("dcosets", "--type", "B2", "--I", "0", "--J", "1"), _DCOSETS_B3)
-
-
-def test_cache_rejects_corruption(tmp_path, capsys):
-    rs, raw = _b3_cache_bytes()
-    _left_alone(capsys, tmp_path, {"weyl_B3.bin": raw[:-3]}, _DCOSETS_B3)
-
-
-@pytest.mark.parametrize("entry", [4, 10, -10, 99, 127, -128])
-def test_a_record_entry_outside_the_signed_images_is_a_miss(entry, tmp_path, capsys):
-    """B3 has 9 positive roots, so every length and image lies in -9..9; a
-    former cache file with element 5's first image set to ``entry``, its
-    checksum made to match, in range or not, is never read: the query prints
-    its bytes and leaves the file as it was."""
-    rs, raw = _b3_cache_bytes()
-    at = _RECORDS_AT + 5 * (rs.num_positive + 1) + 1
-    corrupted = _sealed(raw[:at] + bytes((entry & 0xFF,)) + raw[at + 1:-4])
-    _left_alone(capsys, tmp_path, {"weyl_B3.bin": corrupted}, _DCOSETS_B3)
-
-
-def test_a_walk_that_fails_or_is_interrupted_leaves_no_file(tmp_path, monkeypatch, capsys):
-    """With ``--cache-dir``, a walk that fails its layer check exits 1 with
-    the contract violation, and one that is interrupted raises; either way
-    the directory is left as it was found, empty."""
-    import steinberg_ext.weyl as weyl
-
-    digits, walk = weyl._digits, weyl._walk
-    argv = [*_DCOSETS_B3, "--cache-dir", str(tmp_path)]
-
-    def interrupted(rs, J):
-        blocks = walk(rs, J)
-        yield next(blocks)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(weyl, "_digits", lambda value: digits(value)[:-1])
-    assert parse_and_dispatch(argv) == 1
-    assert "past its longest element" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-    monkeypatch.setattr(weyl, "_digits", digits)
-    monkeypatch.setattr(weyl, "_walk", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        parse_and_dispatch(argv)
-    assert not list(tmp_path.iterdir())
-    monkeypatch.undo()
-    assert parse_and_dispatch(argv) == 0 and not list(tmp_path.iterdir())
-
-
 def _traced_peak(call):
     """``call()`` and the peak of the memory traced while it ran."""
     import tracemalloc
@@ -749,14 +646,6 @@ def test_the_representatives_keep_only_their_own_records():
     weyl.kostant_reps(rs, full, 0)  # fills the tables kept for the process
     reps, peak = _traced_peak(lambda: weyl.kostant_reps(rs, full, 0))
     assert len(reps) == 1 and peak < 51840 * (rs.num_positive + 1) == 1918080, peak
-
-
-def test_cache_truncated_mask_block_is_a_miss(tmp_path, capsys):
-    rs, raw = _b3_cache_bytes()
-    masks_at = _RECORDS_AT + 48 * (rs.num_positive + 1)
-    assert len(raw) == masks_at + 2 * 48 + 4
-    for cut in (raw[:masks_at], raw[:-6], raw[:-4], raw[:-1], raw + b"\0\0"):
-        _left_alone(capsys, tmp_path, {"weyl_B3.bin": cut}, _DCOSETS_B3)
 
 
 def test_a_flipped_left_descent_fails_the_partition_check(monkeypatch):

@@ -14,18 +14,31 @@ with its digest.  The exit code is 1 if any command is not ok, else 0.
 With ``--against DIR`` each round runs the command twice, once from this
 checkout's ``src`` and once from ``DIR/src`` (a second checkout, such as
 the parent commit unpacked by ``git archive``), the side that goes first
-alternating from round to round.  Before any round, a child started in
-each side's environment must import ``steinberg_ext`` from under that
-side's ``src``, or the exit code is 2: a ``PYTHONPATH`` of the caller's
-cannot stand in for a checkout that lacks the package.  A command whose
-digest differs on either side fails and is not timed.  ``--json PATH``
-writes, per command, its argv, the rounds, each side's median and
-quartiles of wall time and peak, and the rounds this checkout was the
-faster in (``wins``); the Python version, ``os.cpu_count()`` and whether
-the children could write bytecode (``PYTHONDONTWRITEBYTECODE`` unset); and
-``paired``, which says what compares: only the two sides of one command,
-round by round.  Different commands are timed minutes apart, on a host
-whose speed drifts, so two commands of one file do not compare.
+alternating from round to round.  A command whose digest differs on either
+side fails and is not timed.
+
+Each side's children share a ``PYTHONPYCACHEPREFIX`` of their own, a fresh
+temporary directory outside both checkouts, removed at exit, so no child
+reads a checkout's ``__pycache__``: with ``PYTHONDONTWRITEBYTECODE`` set, a
+stale or missing ``.pyc`` on one side only would be compiled again in
+every child of that side.  Before any round, one child of each side, with
+bytecode writable, fills the side's prefix: it imports each module of the
+package but ``__main__`` and builds the CLI's parser.  So every child
+reads the bytecode of what it imports, compiled in this run from its own
+side's sources, but for the three lines of ``__main__`` (an empty prefix would have each child compile every
+standard-library module it imports as well: about 0.17 s and 2.5 MB more
+per small query on a 2-core host).  That child must import ``steinberg_ext``
+from under its side's ``src``, or the exit code is 2: a ``PYTHONPATH`` of
+the caller's cannot stand in for a checkout that lacks the package.
+
+``--json PATH`` writes, per command, its argv, the rounds, each side's
+median and quartiles of wall time and peak, and the rounds this checkout
+was the faster in (``wins``); the Python version, ``os.cpu_count()``,
+whether the children could write bytecode (``PYTHONDONTWRITEBYTECODE``
+unset) and the bytecode prefix policy (``pycache``); and ``paired``, which
+says what compares: only the two sides of one command, round by round.
+Different commands are timed minutes apart, on a host whose speed drifts,
+so two commands of one file do not compare.
 
 The large sweeps are more than tier-1 can afford: about a minute in all
 on a 2-core host.  Beside them run the north star's small sweeps (B4, F4,
@@ -53,6 +66,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from collections.abc import Iterable
 from pathlib import Path
@@ -60,12 +74,17 @@ from statistics import median, quantiles
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PYCACHE_POLICY = ("each side's children share a PYTHONPYCACHEPREFIX of their own, a fresh "
+                  "temporary directory outside both checkouts removed at exit, which one "
+                  "child of the side fills before the first round: no child reads a "
+                  "checkout's __pycache__")
 
 
 class Run(NamedTuple):
     args: tuple[str, ...]  # the command line after ``python -m steinberg_ext``
     digest: str  # sha256 of the command's stdout
     src: Path = SRC  # the checkout's ``src`` the command runs from
+    pycache: Path | None = None  # the bytecode prefix of ``src``'s children
 
 
 def sweep(type_name: str, ring: str, strata: str, digest: str) -> Run:
@@ -144,19 +163,40 @@ class Result(NamedTuple):
     peak_mb: float
 
 
-def environment(src: Path) -> dict[str, str]:
+def environment(src: Path, pycache: Path | None) -> dict[str, str]:
     """The environment a command runs in from ``src``: the caller's, with
-    ``src`` first on ``PYTHONPATH``."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    ``src`` first on ``PYTHONPATH`` and, if given, ``pycache`` as
+    ``PYTHONPYCACHEPREFIX``, where the child reads and writes bytecode
+    instead of in any ``__pycache__``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    if pycache is not None:
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
 
 
-def imported_from(src: Path) -> Path | None:
-    """Where a child started with ``src``'s environment imports
-    ``steinberg_ext`` from; ``None`` if it cannot import it."""
-    proc = subprocess.run([sys.executable, "-c",
-                           "import steinberg_ext; print(steinberg_ext.__file__)"],
-                          capture_output=True, text=True, env=environment(src))
+# imports each module of the package but ``__main__`` (which would run) and
+# builds the CLI's parser (argparse imports ``locale`` then), so that the
+# bytecode of every module a command imports is in the prefix; it imports
+# nothing else, so the prefix holds no module that a command does not need
+_PREPARE = """\
+import importlib, os, steinberg_ext
+for name in os.listdir(steinberg_ext.__path__[0]):
+    if name.endswith(".py") and name != "__main__.py":
+        importlib.import_module("steinberg_ext." + name[:-3])
+steinberg_ext.cli.build_parser()
+print(steinberg_ext.__file__)
+"""
+
+
+def prepare(src: Path, pycache: Path) -> Path | None:
+    """Fill the prefix ``pycache`` with the bytecode of ``src``'s package, in
+    a child started with ``src``'s environment and bytecode writable, and
+    say where it imports ``steinberg_ext`` from; ``None`` if it cannot."""
+    env = environment(src, pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run([sys.executable, "-c", _PREPARE],
+                          capture_output=True, text=True, env=env)
     return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 else None
 
 
@@ -165,7 +205,8 @@ def run(entry: Run) -> Result:
     argv = [sys.executable, "-m", "steinberg_ext", *entry.args]
     digest = hashlib.sha256()
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=environment(entry.src))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            env=environment(entry.src, entry.pycache))
     for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
         digest.update(chunk)
     proc.stdout.close()
@@ -206,17 +247,26 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
         print(f"unknown run {', '.join(unknown)}; known: {', '.join(runs)}",
               file=sys.stderr)
         return 2
+    with tempfile.TemporaryDirectory(prefix="sweep-digests-pycache-") as pycache:
+        return compare(args, runs, Path(pycache))
+
+
+def compare(args: argparse.Namespace, runs: dict[str, Run], pycache: Path) -> int:
+    """Run the commands ``args`` names from each side, each side's children
+    with their own bytecode prefix under ``pycache``."""
     sides = {"this": SRC}
     if args.against:
         sides["against"] = args.against.resolve() / "src"
+    prefixes = {side: pycache / side for side in sides}
     for side, src in sides.items():
-        found = imported_from(src)
+        found = prepare(src, prefixes[side])
         if found is None or not found.is_relative_to(src.resolve()):
             print(f"{side}: {src} does not provide steinberg_ext; a child run from it "
                   f"imports {found or 'nothing'}", file=sys.stderr)
             return 2
     report: dict = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
                     "bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                    "pycache": PYCACHE_POLICY,
                     "against": args.against and args.against.resolve().name,
                     "paired": "only the two sides of one run, round by round: different "
                               "runs were timed minutes apart and do not compare",
@@ -226,7 +276,8 @@ def main(argv: list[str] | None = None, runs: dict[str, Run] = RUNS) -> int:
           + ("\tagainst_wall_s\tagainst_peak_mb" if args.against else ""))
     for name in args.names or runs:
         entry = runs[name]
-        commands = {side: entry._replace(src=src) for side, src in sides.items()}
+        commands = {side: entry._replace(src=src, pycache=prefixes[side])
+                    for side, src in sides.items()}
         results: dict[str, list[Result]] = {side: [] for side in sides}
         bad = None
         for k in range(args.rounds):
