@@ -37,10 +37,10 @@ GROUP_CASES = sorted(name for name, case in CASES.items()
                      or "strata" in case["argv"] and case["argv"][0] == "ext-induced")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_replay(name, capsys, monkeypatch):
-    """Each case prints its golden bytes with its exit code, and a case in
-    ``GROUP_CASES`` walks X_J of its own J, once."""
+def _replay(name, monkeypatch, capsys, *extra):
+    """Run case ``name`` with ``extra`` appended to its argv: its exit code
+    and stdout bytes must be the golden ones, and a case in ``GROUP_CASES``
+    must walk X_J of its own J, once."""
     case, walks, closure = CASES[name], [], weyl._closure
 
     def counting(rs, J=0):
@@ -48,13 +48,34 @@ def test_golden_replay(name, capsys, monkeypatch):
         return closure(rs, J)
 
     monkeypatch.setattr(weyl, "_closure", counting)
-    code = parse_and_dispatch(case["argv"])
+    code = parse_and_dispatch([*case["argv"], *extra])
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     if name in GROUP_CASES:
         J = case["argv"][case["argv"].index("--J") + 1]
         assert walks == [sum(1 << int(j) for j in J.split(",") if j)], walks
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_replay(name, capsys, monkeypatch):
+    _replay(name, monkeypatch, capsys)
+
+
+@pytest.fixture(scope="module")
+def shared_cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("weyl")
+
+
+@pytest.mark.parametrize("name", GROUP_CASES)
+def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, capsys,
+                                                        monkeypatch):
+    """Each case that walks a group, once more with one ``--cache-dir``
+    shared by all of them (the name is from when the option read a cache).
+    The option is accepted and opens nothing, so every run is cold: the
+    golden bytes, one walk of X_J, and the directory stays empty."""
+    _replay(name, monkeypatch, capsys, "--cache-dir", str(shared_cache_dir))
+    assert not list(shared_cache_dir.iterdir())
 
 
 def test_every_subcommand_is_replayed_through_the_entry_point():
