@@ -6,13 +6,15 @@ representative to print them.  So an ``--all-pairs`` sweep checks each
 pair against the columns that the one reader of a walk
 (:func:`~steinberg_ext.weyl._columns`) cuts from the whole walk, a byte per
 element each (:class:`DescentClasses`), with no group held, counted one J
-at a time; a pair they do not settle is rerun through its representatives
-(:func:`verify_strata`).  A single pair keeps that path, though the classes
-would cost it less, because it checks more: the representatives check the
-partition at t = 2^64, degree by degree, and :meth:`DescentClasses.covers`
-counts at t = 1 only.  ``dcosets`` and ``ext-induced --method strata``,
-which print or return each representative, keep it too.  Only ``verify``
-imports this module, so no other command compiles it.
+at a time; a pair they do not settle (:meth:`DescentClasses.settles`) is
+rerun through its representatives
+(:func:`~steinberg_ext.certificates.ext_induced_via_strata`).  A single
+pair takes its representatives alone, though the classes would cost it
+less, because the representatives check more: the partition at t = 2^64,
+degree by degree, where :meth:`DescentClasses.covers` counts at t = 1 only.
+``dcosets`` and ``ext-induced --method strata``, which print or return each
+representative, take them too.  Only ``verify`` imports this module, so no
+other command compiles it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .certificates import _delta_candidates, ext_induced_via_strata
+from .certificates import _delta_candidates
 from .ringcond import RingSpec, bon_check
 from .rootdata import RootSystem, full_mask, mask_indices, mask_size, parabolic_order
 from .tables import ExtTable, ext_induced_closed, exterior_table
@@ -50,6 +52,7 @@ class DescentClasses:
 
     def __init__(self, rs: RootSystem, blocks: Iterable[tuple[bytes, bytes]],
                  spec: RingSpec) -> None:
+        self._rs, self._spec = rs, spec
         self.orders = tuple(parabolic_order(rs, levi) for levi in range(1 << rs.rank))
         self.order = self.orders[-1]
         self._left, simple, self._right, stray, identity = _columns(rs, blocks, full_mask(rs.rank))
@@ -86,29 +89,18 @@ class DescentClasses:
             (levi & I, count) for left, by in self.counts(J).items() if not left & I
             for levi, count in by.items()))
 
+    def settles(self, I: int, J: int) -> bool:
+        """Whether the classes answer (``answers``) and every stratum of
+        (I, J) has its certificate where the theorem puts it (none on the
+        identity with J inside I alone):
 
-def verify_strata(rs: RootSystem, I: int, J: int, spec: RingSpec,
-                  classes: DescentClasses | None = None) -> None:
-    """Check that every stratum's certificate is where the theorem puts it
-    (none on the identity with J inside I alone), per descent class when
-    ``classes``, taken from the group over ``spec``, are given and answer
-    (:attr:`DescentClasses.answers`):
-
-    - the double cosets partition the group (:meth:`DescentClasses.covers`);
-    - the identity has a delta candidate when J is not inside I;
-    - the table (the identity's exterior algebra when J is inside I, zero
-      otherwise) equals the closed form.
-
-    A pair failing any of them, or given no classes that answer, goes
-    through its representatives, read off a walk of X_J, which raise what
-    :func:`ext_induced_via_strata` raises: a table that disagrees with the
-    closed form raises ``VerificationError``."""
-    survives = not J & ~I
-    if classes is not None and classes.answers:
+        - the double cosets partition the group (:meth:`covers`);
+        - the identity has a delta candidate when J is not inside I;
+        - the table (the identity's exterior algebra when J is inside I,
+          zero otherwise) equals the closed form."""
+        rs, survives = self._rs, not J & ~I
         table = exterior_table(rs.rank - mask_size(J)) if survives else ExtTable({})
-        if (classes.covers(I, J)
-                and (survives or _delta_candidates(rs, I, J,
-                                                   levi_difference_sum(rs, J, J & I)))
-                and table.same_modules(ext_induced_closed(rs, I, J, spec))):
-            return
-    ext_induced_via_strata(rs, I, J, spec)
+        return (self.answers and self.covers(I, J)
+                and (survives or bool(_delta_candidates(rs, I, J,
+                                                        levi_difference_sum(rs, J, J & I))))
+                and table.same_modules(ext_induced_closed(rs, I, J, self._spec)))

@@ -1,7 +1,6 @@
 """The checks of ``verify``, of one pair or all pairs, in one loop over the
 root system, ring and descent classes built once, keeping only the
-failures; the strata per descent class in a sweep, per representative, from
-a walk of X_J, for a single pair and for a sweep pair that fails.  Only
+failures; the strata as :mod:`~steinberg_ext.strata` says.  Only
 ``verify``, which parses, refuses and prints, imports this module."""
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
     label = lru_cache(maxsize=None)(mask_str)  # a subset as printed, once per mask
     if strata:
         # the walk is asked for first, so a group over the cap is refused before
-        # any check runs.  A sweep cuts its descent classes from the walk's
-        # blocks and holds no group; a single pair, and each sweep pair that
-        # fails, reads its representatives off its own walk of X_J, and they
-        # check the partition at t = 2^64
+        # any check runs
         from . import weyl
-        from .strata import DescentClasses, verify_strata  # only verify compiles it
+        from .certificates import ext_induced_via_strata
+        from .strata import DescentClasses  # only verify compiles it
 
         walk = weyl._closure(rs)
         classes = DescentClasses(rs, walk, spec) if all_pairs else None
@@ -53,8 +50,8 @@ def verify_lines(rs: RootSystem, spec: RingSpec, I: int, J: int, *, all_pairs: b
     for A, B in ((A, B) for B in subsets for A in subsets) if all_pairs else [(I, J)]:
         try_check("ext-methods", A, B, ext_steinberg, B, spec, COMPLEX_BUILT)
         try_check("vi-methods", A, B, ext_v_to_induced, B, spec, COMPLEX_BUILT)
-        if strata:
-            try_check("strata", A, B, verify_strata, B, spec, classes)
+        if strata and not (all_pairs and classes.settles(A, B)):
+            try_check("strata", A, B, ext_induced_via_strata, B, spec)
 
     def subject(A: int, B: int) -> str:
         return f"I={label(A)}" + (f" J={label(B)}" if B >= 0 else "")

@@ -140,8 +140,9 @@ def _kilmoyer_sum(values, I: int, J: int, weighted: Iterable[tuple[int, int]]) -
 # so the images of at most 127 positive roots fit (a group under the cap has
 # at most 49); a record holds each image, and each length, as a signed byte.
 _ZERO = 128
-_BLOCK = 256  # the elements of a layer the walk reads, and yields, at a time
-_REPS = 64  # the representatives of a pair whose gamma lanes are summed at a time
+# the elements of a layer the walk reads and yields, and the representatives
+# of a pair whose gamma lanes are summed, at a time
+_BLOCK = 256
 # byte code -> its image as a signed byte; a signed byte -> 1 where it is
 # negative, and a byte -> 1 where it is not 0
 _SIGNED_BYTE = bytes((b - _ZERO) & 0xFF for b in range(256))
@@ -405,7 +406,7 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep
 
     For such a w the general gamma and delta formulas (references in
     ``tests/oracles.py``) simplify.  gamma is the sum of the inversion set
-    of w, summed ``_REPS`` representatives at a time in byte lanes, one per
+    of w, summed ``_BLOCK`` representatives at a time in byte lanes, one per
     representative: the sign column of each positive root times each of its
     nonzero coordinates (gamma_c is at most (2 rho)_c, at most 54 under the
     cap).  delta is the sum of the J-Levi's positive roots outside the Levi
@@ -431,9 +432,9 @@ def iter_kostant_reps(rs: RootSystem, I: int, J: int) -> Iterator[DoubleCosetRep
     delta_of = {source: levi_difference_sum(rs, J, source) for source in set(sources)}
 
     def stream() -> Iterator[DoubleCosetRep]:
-        for first in range(0, len(levi), _REPS):
-            buffer = records[first * width:(first + _REPS) * width]
-            block_levi, block_sources = levi[first:first + _REPS], sources[first:first + _REPS]
+        for first in range(0, len(levi), _BLOCK):
+            buffer = records[first * width:(first + _BLOCK) * width]
+            block_levi, block_sources = levi[first:first + _BLOCK], sources[first:first + _BLOCK]
             negative, signed = buffer.translate(_NEGATIVE), memoryview(buffer).cast("b")
             signs = [int.from_bytes(negative[1 + k::width], "little") for k in range(n)]
             # a list: a tuple grown from a generator, once freed, stays on a free list

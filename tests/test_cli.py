@@ -12,6 +12,7 @@ import pytest
 
 from steinberg_ext.cli import parse_and_dispatch, render_table
 from steinberg_ext.extengine import ExtTable, ModulePiece
+from test_sweep_digests import sweep_digests
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -934,16 +935,10 @@ def test_a_rank_over_the_cap_is_refused_before_any_root(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # verify pays per class and per distinct table
 
-# sha256 of the stdout of verify --all-pairs, pinned from the per-representative
-# and per-pair implementation
-PINNED_SWEEPS = {
-    ("D4", "q=3,d=1009", "on"): "3929917d6680ed91b831bff5ab032e5d89174854df8f38863139ab72814e88aa",
-    ("B4", "q=3,d=1009", "on"): "f78312b99bfed4a1ead59dfd41085383843bf821102b4d65c380d5ad096574a0",
-    ("A5", "Q", "off"): "97fceb9ef26f3240b09190febad0ae9a395f6e7a81f70a2fee187a65b7ff897e",
-    ("B5", "Q", "off"): "e7b1985209f1da6ef2f9ebf559e7db48185fbef49912c6096d4460b0f2c474d7",
-    ("E6", "q=3,d=1000003", "on"):
-        "ba46536f89c8fc40881efb5b05499562c1c7b28a95c1d8cbecbcdc2a8c42c088",
-}
+# the recorded verify --all-pairs runs that tier-1 affords, their stdout sha256
+# pinned from the per-representative and per-pair implementation
+PINNED_SWEEPS = {name: sweep_digests.RUNS[name] for name in (
+    "D4-strata-zd", "B4-strata-zd", "A5-Q", "B5-Q", "E6-strata")}
 
 
 def test_each_pair_alone_prints_its_lines_of_the_sweep(capsys):
@@ -966,10 +961,9 @@ def test_each_pair_alone_prints_its_lines_of_the_sweep(capsys):
 
 
 def test_verify_sweep_bytes_are_pinned(capsys):
-    for (name, ring, strata), digest in PINNED_SWEEPS.items():
-        args = ("verify", "--type", name, "--ring", ring, "--all-pairs", "--strata", strata)
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, name
+    for name, run in PINNED_SWEEPS.items():
+        code, out, _ = run_cli(capsys, *run.args)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == run.digest, name
 
 
 def test_a_sweep_holds_no_group_and_a_failing_pair_walks_its_own_x_j(capsys, monkeypatch,
@@ -981,8 +975,7 @@ def test_a_sweep_holds_no_group_and_a_failing_pair_walks_its_own_x_j(capsys, mon
     import steinberg_ext.weyl as weyl
     from steinberg_ext.strata import DescentClasses
 
-    argv = ("verify", "--type", "D4", "--ring", "q=3,d=1009", "--all-pairs", "--strata", "on")
-    digest = PINNED_SWEEPS[("D4", "q=3,d=1009", "on")]
+    argv, digest = PINNED_SWEEPS["D4-strata-zd"][:2]
     closure, walks = weyl._closure, []
 
     def counting(rs, J=0):

@@ -32,7 +32,7 @@ from steinberg_ext.homology import HomologyResult
 from steinberg_ext.ringcond import RingSpec, bon_check, check_ring, parse_ring
 from steinberg_ext.rootdata import (build_root_system, full_mask, mask_size, max_rho_coefficient,
                                     parse_type)
-from steinberg_ext.strata import DescentClasses, verify_strata
+from steinberg_ext.strata import DescentClasses
 from steinberg_ext.weyl import DoubleCosetRep, WeylElement, kostant_reps, levi_difference_sum
 
 import oracles
@@ -170,21 +170,11 @@ def test_strata_failure_scope_over_z5():
     assert blocked == 103
 
 
-class _RerunThroughTheReps(Exception):
-    pass
-
-
-def _class_verdicts(monkeypatch, rs, group, pairs):
-    """Per pair and ring, :func:`verify_strata` answers from the descent
-    classes of a genuine group alone exactly when they answer, which is
-    where the ring passes bon, and then every representative is certified;
-    the Levi of each representative against the class counts."""
-    import steinberg_ext.strata as strata
-
-    def rerun(*args, **kwargs):
-        raise _RerunThroughTheReps
-
-    monkeypatch.setattr(strata, "ext_induced_via_strata", rerun)
+def _class_verdicts(rs, group, pairs):
+    """Per pair and ring, the descent classes of a genuine group settle the
+    pair exactly when they answer, which is where the ring passes bon, and
+    then every representative is certified; the Levi of each representative
+    against the class counts."""
     over = {spec: DescentClasses(rs, oracles.blocks(group), spec)
             for spec in (RingSpec(1009, 3), Z5)}
     for I, J in pairs:
@@ -197,36 +187,27 @@ def _class_verdicts(monkeypatch, rs, group, pairs):
                         levis[image & I] += count
             assert levis == Counter(rep.levi for rep in reps), (I, J)
             assert classes.covers(I, J), (I, J)
-            try:
-                for rep in reps:
-                    vanishing_certificate(rs, rep, spec)
-                every_rep_certified = True
-            except RingAssumptionError:
-                every_rep_certified = False
-            assert every_rep_certified or not classes.answers, (I, J, spec)
-            try:
-                verify_strata(rs, I, J, spec, classes)
-                answered_alone = True
-            except _RerunThroughTheReps:
-                answered_alone = False
-            assert answered_alone == classes.answers == bon_check(rs, spec).ok, (I, J, spec)
+            verdict = bon_check(rs, spec).ok
+            assert classes.settles(I, J) == classes.answers == verdict, (I, J, spec)
+            for rep in reps if verdict else ():
+                vanishing_certificate(rs, rep, spec)
 
 
 @pytest.mark.parametrize("name", RANK_5_TYPES)
-def test_descent_classes_match_the_representatives(name, monkeypatch):
+def test_descent_classes_match_the_representatives(name):
     """Every pair of every type of rank <= 5, over a ring that certifies
     every stratum and one (Z/5, q = 3) that fails bon on all but A1 and A2."""
     rs = build_root_system(*parse_type(name))
     full = full_mask(rs.rank)
     pairs = [(I, J) for I in range(full + 1) for J in range(full + 1)]
-    _class_verdicts(monkeypatch, rs, generate_weyl(rs), pairs)
+    _class_verdicts(rs, generate_weyl(rs), pairs)
 
 
-def test_descent_classes_match_the_representatives_e6(monkeypatch):
+def test_descent_classes_match_the_representatives_e6():
     rs = build_root_system("E", 6)
     rng = random.Random(6)
     pairs = [(rng.getrandbits(6), rng.getrandbits(6)) for _ in range(12)]
-    _class_verdicts(monkeypatch, rs, generate_weyl(rs), pairs + [(0, 0), (0b111111, 0)])
+    _class_verdicts(rs, generate_weyl(rs), pairs + [(0, 0), (0b111111, 0)])
 
 
 @pytest.mark.parametrize("name", RANK_5_TYPES + ["E6"])
@@ -302,19 +283,19 @@ def test_a_corrupted_group_fails_the_class_path_too(monkeypatch):
                          + [flat[:p] + flat[:1] + flat[p + 1:] for p in reps[1:2]]):
             corrupted = oracles.weyl_group(rs, elements)
             classes = DescentClasses(rs, oracles.blocks(corrupted), Z23)
-            assert not classes.answers
+            assert not classes.answers and not classes.settles(I, J)
             _walking(monkeypatch, corrupted)
             with pytest.raises(ContractError, match="do not partition"):
-                verify_strata(rs, I, J, Z23, classes)
+                ext_induced_via_strata(rs, I, J, Z23)
     # at (0, 0) every element is a representative, so the sizes of the group
     # with the identity doubled add up; the count by length tells (two
     # elements of length 0)
     doubled = oracles.weyl_group(rs, flat[:1] + flat[:-1])
     classes = DescentClasses(rs, oracles.blocks(doubled), Z23)
-    assert classes.covers(0, 0) and not classes.answers
+    assert classes.covers(0, 0) and not classes.answers and not classes.settles(0, 0)
     _walking(monkeypatch, doubled)
     with pytest.raises(ContractError, match="by length"):
-        verify_strata(rs, 0, 0, Z23, classes)
+        ext_induced_via_strata(rs, 0, 0, Z23)
 
 
 def _b3_shuffled():
@@ -400,9 +381,9 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too(monkeypatch
     positive in its record, its masks left genuine: s_b is a representative
     of each pair whose I and J miss b, and has no right descent to pair a
     gamma certificate with.  The class pass reads its right mask off its
-    signs, so two elements have no right descent and the classes do not
-    answer: those 16 pairs raise through the classes as they do through the
-    representatives; every other pair passes."""
+    signs, so two elements have no right descent and the classes settle no
+    pair: through the representatives those 16 pairs raise, and every other
+    pair passes."""
     rs = build_root_system("B", 3)
     group = generate_weyl(rs)
     elements = list(group)
@@ -419,15 +400,31 @@ def test_an_element_without_a_right_descent_fails_the_class_path_too(monkeypatch
     raised = {}
     for I in range(full + 1):
         for J in range(full + 1):
-            for by in (classes, None):
-                try:
-                    verify_strata(rs, I, J, Z23, by)
-                except ContractError as e:
-                    raised.setdefault((I, J), []).append(str(e))
+            assert not classes.settles(I, J), (I, J)
+            try:
+                ext_induced_via_strata(rs, I, J, Z23)
+            except ContractError as e:
+                raised[I, J] = str(e)
     missing_b = [(I, J) for I in range(full + 1) for J in range(full + 1) if not (I | J) >> b & 1]
     assert len(missing_b) == 16 and sorted(raised) == missing_b
-    assert all(len(texts) == 2 and all("no gamma certificate direction" in text for text in texts)
-               for texts in raised.values())
+    assert all("no gamma certificate direction" in text for text in raised.values())
+
+
+def test_a_trivial_delta_character_fails_the_class_path_too(monkeypatch):
+    """With every delta vector made zero, the identity of a B2 pair with J
+    not inside I has no delta candidate: the classes do not settle the pair
+    (they settle (J, J), which needs none), and its representatives raise."""
+    import steinberg_ext.strata as strata
+    import steinberg_ext.weyl as weyl
+
+    rs = build_root_system("B", 2)
+    classes = DescentClasses(rs, oracles.blocks(generate_weyl(rs)), Z23)
+    for module in (strata, weyl):
+        monkeypatch.setattr(module, "levi_difference_sum", lambda rs, J, L: (0,) * rs.rank)
+    for I, J in ((0, 0b01), (0b01, 0b10), (0, 0b11)):
+        assert not classes.settles(I, J) and classes.settles(J, J), (I, J)
+        with pytest.raises(ContractError, match="trivial delta character"):
+            ext_induced_via_strata(rs, I, J, Z23)
 
 
 def _hide_one_rep(rs, group, w_at, I, J, masks):
@@ -490,13 +487,12 @@ def test_the_levi_guard_is_kept_by_the_class_path(corruption, monkeypatch):
     if corruption == "negative":
         genuine_classes = DescentClasses(rs, oracles.blocks(group), Z23)
         assert classes.answers and classes.counts(J) == genuine_classes.counts(J)
-        verify_strata(rs, I, J, Z23, classes)
-        classes = None  # the representatives, read off the walk of X_J
+        assert classes.settles(I, J)
     else:
-        assert not classes.answers
-    _walking(monkeypatch, corrupted)
+        assert not classes.answers and not classes.settles(I, J)
+    _walking(monkeypatch, corrupted)  # the representatives, read off the walk of X_J
     with pytest.raises(ContractError, match=expected):
-        verify_strata(rs, I, J, Z23, classes)
+        ext_induced_via_strata(rs, I, J, Z23)
 
 
 def test_a_disagreement_names_the_table(monkeypatch, fresh_caches):

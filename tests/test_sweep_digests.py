@@ -35,12 +35,6 @@ def test_the_driver_fails_a_changed_byte(capsys):
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "A8-ext-induced", "E7-cohomology-dump",
                                         "E8-ext-center"]
-    from test_cli import PINNED_SWEEPS  # the benchmark's strata sweeps, pinned in tier-1
-
-    for name in ("B4", "D4"):
-        key = (name, "q=3,d=1009", "on")
-        assert sweep_digests.RUNS[f"{name}-strata-zd"] == sweep_digests.sweep(
-            *key, PINNED_SWEEPS[key])
 
 
 def test_every_round_must_match(capsys, monkeypatch):
@@ -71,6 +65,20 @@ def test_every_round_must_match(capsys, monkeypatch):
     assert A2_Q in err
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM off /proc")
+def test_a_commands_peak_is_its_own():
+    """An A2 sweep started by this process, with 32 MB more held by it,
+    reads a peak below this process's own ``ru_maxrss``, which Linux folds
+    into a child's at ``exec``: the peak is the child's since ``exec``."""
+    import resource
+
+    held = b"\1" * (32 << 20)
+    result = sweep_digests.run(sweep_digests.sweep("A2", "Q", "off", A2_Q))
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert (result.exit_code, result.digest, len(held)) == (0, A2_Q, 32 << 20)
+    assert 0 < result.peak_mb < own, (result.peak_mb, own)
+
+
 def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys):
     """``--against`` this checkout, with ``--rounds 1`` and ``--json``: an A2
     sweep over Q and an A2 strata sweep run once from each side.  The JSON
@@ -88,9 +96,10 @@ def test_against_a_checkout_writes_each_side_to_json(tmp_path, capsys):
         ["run", "verdict"], ["A2-Q", "ok"], ["A2-strata", "ok"]]
     assert all(len(line.split("\t")) == 7 for line in out.splitlines())
     report = json.loads(path.read_text())
-    assert set(report) == {"python", "cpu_count", "bytecode", "pycache", "against", "paired",
-                           "runs"}
+    assert set(report) == {"python", "cpu_count", "bytecode", "pycache", "peak", "against",
+                           "paired", "runs"}
     assert report["pycache"] == sweep_digests.PYCACHE_POLICY
+    assert report["peak"] == sweep_digests.PEAK_POLICY
     assert report["paired"].startswith("only the two sides of one run")
     assert report["against"] == checkout.name and list(report["runs"]) == list(runs)
     for name, record in report["runs"].items():

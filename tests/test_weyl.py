@@ -435,12 +435,12 @@ def test_the_partition_is_checked_before_the_first_representative(monkeypatch):
     ("length", "a representative of length -1: double cosets do not partition")])
 def test_a_stray_representative_past_the_first_block_is_named(corruption, expected,
                                                                monkeypatch):
-    """D5, I = {0, 1}, J = {0, 3}: 104 representatives.  The walk stand-in's
-    100th kept record, past the first 64, carries a non-simple root of Phi_I
-    or a negative root as w(alpha_3), or a negative length, and the 102nd
-    carries a negative w(alpha_0): the guards read the whole columns, so the
-    100th, the first in group order, is named, and in the call, before any
-    representative is decoded."""
+    """D5, I = {0, 1}, J = {0, 3}: 104 representatives, streamed here 64 at
+    a time.  The walk stand-in's 100th kept record, past the first block,
+    carries a non-simple root of Phi_I or a negative root as w(alpha_3), or
+    a negative length, and the 102nd carries a negative w(alpha_0): the
+    guards read the whole columns, so the 100th, the first in group order,
+    is named, and in the call, before any representative is decoded."""
     import steinberg_ext.weyl as weyl
 
     rs, I, J = build_root_system("D", 5), 0b00011, 0b01001
@@ -462,6 +462,7 @@ def test_a_stray_representative_past_the_first_block_is_named(corruption, expect
     corrupt(kept[101], 0)
     monkeypatch.setattr(weyl, "_closure",
                         oracles.walking(oracles.weyl_group(rs, elements, masks), 256))
+    monkeypatch.setattr(weyl, "_BLOCK", 64)
     built = _counting_decodes(monkeypatch)
     with pytest.raises(ContractError, match=expected):
         weyl.iter_kostant_reps(rs, I, J)
@@ -500,7 +501,7 @@ def test_a_non_simple_image_outside_the_i_levi_missing_the_left_mask_is_named(mo
 def test_the_representatives_are_read_once(monkeypatch):
     """One stream consumed whole walks X_J once, reads its representatives
     once, and sums delta once per L': D5, I = {0, 1}, J = {2, 4}, 80
-    representatives in two blocks, four L'."""
+    representatives in two blocks of 64, four L'."""
     import steinberg_ext.weyl as weyl
 
     rs, I, J = build_root_system("D", 5), 0b00011, 0b10100
@@ -510,6 +511,7 @@ def test_the_representatives_are_read_once(monkeypatch):
     monkeypatch.setattr(weyl, "_kept", lambda *args: reads.append(args) or kept(*args))
     monkeypatch.setattr(weyl, "levi_difference_sum",
                         lambda rs, J, L: sources.append(L) or difference(rs, J, L))
+    monkeypatch.setattr(weyl, "_BLOCK", 64)
     reps = tuple(weyl.iter_kostant_reps(rs, I, J))
     assert walks == [J] and reads == [(rs, I, J)]
     expected = oracles.kostant_reps_by_enumeration(rs, I, J)

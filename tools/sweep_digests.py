@@ -4,12 +4,12 @@ check their bytes; optionally time them against a second checkout.
     python3 tools/sweep_digests.py [--rounds N] [--against DIR] [--json PATH] [NAME ...]
 
 Each command in ``RUNS`` (or each one named) runs N times (once by
-default), as ``python -m steinberg_ext ARGS`` from this checkout's ``src``,
-one process at a time.  Each round's stdout sha256 is compared with the
-full digest held here, and the median wall time and peak RSS (the child's
-own ``ru_maxrss``) over the rounds are printed, each round's on stderr
-when there are several.  A command is ``ok`` only if every round exits 0
-with its digest.  The exit code is 1 if any command is not ok, else 0.
+default), as ``python -m steinberg_ext ARGS`` runs it, from this checkout's
+``src``, one process at a time.  Each round's stdout sha256 is compared
+with the full digest held here, and the median wall time and peak RSS over
+the rounds are printed, each round's on stderr when there are several.  A
+command is ``ok`` only if every round exits 0 with its digest.  The exit
+code is 1 if any command is not ok, else 0.
 
 With ``--against DIR`` each round runs the command twice, once from this
 checkout's ``src`` and once from ``DIR/src`` (a second checkout, such as
@@ -31,14 +31,23 @@ per small query on a 2-core host).  That child must import ``steinberg_ext``
 from under its side's ``src``, or the exit code is 2: a ``PYTHONPATH`` of
 the caller's cannot stand in for a checkout that lacks the package.
 
+A command's peak is its own high-water mark since ``exec``: ``VmHWM`` from
+``/proc/self/status``, which the child, started by a few lines that run the
+package as ``-m`` does, reads as it exits and writes to a pipe.  Its
+``ru_maxrss`` would not do: Linux folds the high-water mark of the process
+that started it, this tool's, into that value at ``exec``, so no small
+command would read below the tool's own size.  Where ``/proc`` is absent,
+the peak falls back to ``ru_maxrss``.
+
 ``--json PATH`` writes, per command, its argv, the rounds, each side's
 median and quartiles of wall time and peak, and the rounds this checkout
 was the faster in (``wins``); the Python version, ``os.cpu_count()``,
 whether the children could write bytecode (``PYTHONDONTWRITEBYTECODE``
-unset) and the bytecode prefix policy (``pycache``); and ``paired``, which
-says what compares: only the two sides of one command, round by round.
-Different commands are timed minutes apart, on a host whose speed drifts,
-so two commands of one file do not compare.
+unset), the bytecode prefix policy (``pycache``) and the peak policy
+(``peak``); and ``paired``, which says what compares: only the two sides
+of one command, round by round.  Different commands are timed minutes
+apart, on a host whose speed drifts, so two commands of one file do not
+compare.
 
 The large sweeps are more than tier-1 can afford: about a minute in all
 on a 2-core host.  Beside them run the north star's small sweeps (B4, F4,
@@ -78,6 +87,9 @@ PYCACHE_POLICY = ("each side's children share a PYTHONPYCACHEPREFIX of their own
                   "temporary directory outside both checkouts removed at exit, which one "
                   "child of the side fills before the first round: no child reads a "
                   "checkout's __pycache__")
+PEAK_POLICY = ("each child's own VmHWM from /proc/self/status, its high-water mark since "
+               "exec, which it writes to a pipe as it exits; its ru_maxrss, which on Linux "
+               "holds this tool's own peak too, where /proc is absent")
 
 
 class Run(NamedTuple):
@@ -200,21 +212,45 @@ def prepare(src: Path, pycache: Path) -> Path | None:
     return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 else None
 
 
+# runs ``python -m steinberg_ext ARGS`` as ``-m`` does, given first the write
+# end of a pipe, to which it writes its ``VmHWM`` line (in kB) as it exits
+_LAUNCH = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    try:
+        with open("/proc/self/status", "rb") as status:
+            os.write(fd, next(line for line in status if line.startswith(b"VmHWM:")))
+    except (OSError, StopIteration):
+        pass
+atexit.register(report)
+runpy.run_module("steinberg_ext", run_name="__main__", alter_sys=True)
+"""
+
+
 def run(entry: Run) -> Result:
     """Run one command in its own process and hash its stdout as it comes."""
-    argv = [sys.executable, "-m", "steinberg_ext", *entry.args]
+    read, write = os.pipe()
+    argv = [sys.executable, "-c", _LAUNCH, str(write), *entry.args]
     digest = hashlib.sha256()
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                            env=environment(entry.src, entry.pycache))
+    try:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, pass_fds=(write,),
+                                env=environment(entry.src, entry.pycache))
+    finally:
+        os.close(write)
     for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
         digest.update(chunk)
     proc.stdout.close()
+    with open(read, "rb") as pipe:
+        hwm = pipe.read().split()  # [b"VmHWM:", kB, b"kB"], or nothing
     _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in kilobytes on Linux, in bytes on macOS
-    peak = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    if hwm:
+        peak = int(hwm[1]) / 1024
+    else:  # ru_maxrss is in kilobytes on Linux, in bytes on macOS
+        peak = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     return Result(digest.hexdigest(), proc.returncode, wall, peak)
 
 
@@ -266,7 +302,7 @@ def compare(args: argparse.Namespace, runs: dict[str, Run], pycache: Path) -> in
             return 2
     report: dict = {"python": platform.python_version(), "cpu_count": os.cpu_count(),
                     "bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
-                    "pycache": PYCACHE_POLICY,
+                    "pycache": PYCACHE_POLICY, "peak": PEAK_POLICY,
                     "against": args.against and args.against.resolve().name,
                     "paired": "only the two sides of one run, round by round: different "
                               "runs were timed minutes apart and do not compare",
