@@ -14,11 +14,11 @@ Every complex-built table stacks rows t of one builder over one subset B,
 :func:`~steinberg_ext.homology.exterior_row_complex` over ``B <= L <= Delta``:
 cohomology over I (B = I), Ext between Steinberg modules (B = K, shift
 ``|J \\ I|``) and Ext into an induced module (B = I u J, span J, reversed,
-shift ``|J \\ I|``).  A row depends only on its shape, ``m = |Delta \\ B|``
-and t, so each row's integer homology is looked up under ``(m, t)``, and a
-row is built as a complex again only to be printed.  Each built table is
-kept for the process, with the ring's verdict, under everything the two
-depend on (:func:`_built_table`).
+shift ``|J \\ I|``, read off its t = 0 row).  A row depends only on its
+shape, ``m = |Delta \\ B|`` and t, so each row's integer homology is looked
+up under ``(m, t)``, and a row is built as a complex again only to be
+printed.  Each built table is kept for the process, with the ring's
+verdict, under everything the two depend on (:func:`_built_table`).
 
 Degree bookkeeping is centralized in :func:`total_degree`.  A lattice complex
 over ``bottom <= L <= Delta`` is graded by ``s = |Delta \\ L|`` with top
@@ -138,9 +138,12 @@ def _built_table(rs: RootSystem, spec: RingSpec, closed: ExtTable, what: str, B:
     a row it builds, or a dump of its rows, would be over its cap: rows t up
     to ``|Delta \\ (B n span)|`` with no vertical maps between them, each
     row's homology over ``spec``, a class at lattice degree s of row t placed
-    in degree ``shift + t + s - |Delta \\ B|``, or at index u of a (constant)
-    row with a span, read reversed, in ``shift + t + u``.  A row is printed
-    with ``zeros`` zero degrees after its last, or before its first if read
+    in degree ``shift + t + s - |Delta \\ B|``, tensored with the exterior
+    algebra of the center.  With a span, row t is the constant row of
+    ``C(|Delta \\ span|, t)`` copies of row 0, read reversed: the table is
+    row 0, a class at index u in degree ``shift + u``, tensored with the
+    exterior algebra of rank ``|Delta \\ span|``.  A row is printed with
+    ``zeros`` zero degrees after its last, or before its first if read
     reversed.  A disagreement names the table as ``what``, formatted with the
     subsets ``masks``.
 
@@ -195,18 +198,19 @@ def _build_rows(rs: RootSystem, spec: RingSpec, B: int, span: int | None, shift:
             raise ResourceLimitError(f"a dump of the rows over {mask_str(B)} in rank {rs.rank} "
                                      f"would print {dense} matrix entries, over the cap of "
                                      f"{DUMP_CAP}")
+
+    def row(t: int) -> dict:
+        c = exterior_row_complex(rs, B, t, span=span, numbered=numbered)
+        data = complex_to_json_dict(c if span is None else reverse_transpose(c))
+        for key, fill in (("ranks", 0), ("differentials", []), ("labels", [])):
+            pad = [fill] * zeros
+            data[key] = data[key] + pad if span is None else pad + data[key]
+        return data
+
     entries: dict[int, ModulePiece] = {}
     dumps = []
-    for t in range(last + 1):
-        def row(t=t) -> dict:
-            c = exterior_row_complex(rs, B, t, span=span, numbered=numbered)
-            data = complex_to_json_dict(c if span is None else reverse_transpose(c))
-            for key, fill in (("ranks", 0), ("differentials", []), ("labels", [])):
-                pad = [fill] * zeros
-                data[key] = data[key] + pad if span is None else pad + data[key]
-            return data
-
-        hom = row_homology(rs, B, t, span)
+    for t in range(last + 1 if span is None else 1):
+        hom = row_homology(rs, B, t)
         hom = homology_with_coefficients(hom if span is None else hom.dual(), spec)
         inner = shift + t
         row_dump = None
@@ -216,15 +220,16 @@ def _build_rows(rs: RootSystem, spec: RingSpec, B: int, span: int | None, shift:
             if n < 0:
                 raise VerificationError(
                     f"nonzero homology at negative total degree {n}",
-                    {"row": inner, "lattice_degree": s, "complex": row()})
+                    {"row": inner, "lattice_degree": s, "complex": row(t)})
             _merge(entries, n, rank, torsion)
             row_dump = row_dump or {"row": inner, "homology": {}}
             row_dump["homology"][str(s)] = {"rank": rank, "torsion": list(torsion)}
-        if complexes_out is not None:
-            complexes_out.append(row())
         if row_dump:
             dumps.append(row_dump)
-    return tensor_with_exterior(ExtTable(entries), center_rank).entries, dumps
+    if complexes_out is not None:
+        complexes_out.extend(map(row, range(last + 1)))
+    c = center_rank if span is None else last
+    return tensor_with_exterior(ExtTable(entries), c).entries, dumps
 
 
 def cohomology_v(rs: RootSystem, I: int, spec: RingSpec, method: str = CLOSED_FORM,

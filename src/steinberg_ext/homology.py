@@ -490,16 +490,7 @@ def exterior_row_complex(rs: RootSystem, bottom: int, t: int, *, span: int | Non
 _ROW_HOMOLOGY: dict[tuple[int, int], HomologyResult] = {}
 
 
-def _copies(rs: RootSystem, bottom: int, t: int, span: int) -> int:
-    """How many copies of the t = 0 row over ``bottom`` the constant row with
-    ``span`` is."""
-    if span & ~bottom:
-        raise ContractError(f"span {mask_str(span)} is not inside {mask_str(bottom)}")
-    return comb(rs.rank - mask_size(span), t)
-
-
-def row_homology(rs: RootSystem, bottom: int, t: int,
-                 span: int | None = None) -> HomologyResult:
+def row_homology(rs: RootSystem, bottom: int, t: int) -> HomologyResult:
     """Integer homology of that row of :func:`exterior_row_complex`.
 
     The row over ``bottom`` reads only its m free simple roots: numbering
@@ -508,14 +499,8 @@ def row_homology(rs: RootSystem, bottom: int, t: int,
     the L-summand by the product of those signs over the free roots outside
     L undoes it.  So the homology depends on (m, t) alone, and each shape is
     built (from the row the caller asked for), checked (``d d = 0``) and
-    reduced once per process.  A constant row (``span <= bottom``) is
-    ``C(rank - |span|, t)`` copies of its t = 0 row, the exterior row of
-    t = 0, so it is never built."""
+    reduced once per process."""
     validate_mask(bottom, rs.rank)
-    if span is not None:
-        h, copies = row_homology(rs, bottom, 0), _copies(rs, bottom, t, span)
-        return HomologyResult(tuple(copies * r for r in h.free_ranks),
-                              tuple(tuple(sorted(x * copies)) for x in h.torsion))
     key = (rs.rank - mask_size(bottom), t)
     if key not in _ROW_HOMOLOGY:
         _ROW_HOMOLOGY[key] = homology_over_Z(exterior_row_complex(rs, bottom, t))

@@ -146,10 +146,15 @@ class RootSystem(NamedTuple):
 
     def reflect(self, coords: Coords, i: int) -> Coords:
         """Apply the simple reflection s_i to a character vector."""
-        pairing = sum(coords[j] * self.cartan[i][j] for j in range(self.rank))
-        out = list(coords)
-        out[i] -= pairing
-        return tuple(out)
+        return _reflect(self.cartan, coords, i)
+
+
+def _reflect(cartan: tuple[Coords, ...], coords: Coords, i: int) -> Coords:
+    """The simple reflection s_i of the Cartan matrix ``cartan`` applied to
+    a vector in the basis of simple roots."""
+    out = list(coords)
+    out[i] -= sum(c * a for c, a in zip(coords, cartan[i]))
+    return tuple(out)
 
 
 def _positive_closure(cartan: tuple[Coords, ...]) -> tuple[Coords, ...]:
@@ -161,10 +166,7 @@ def _positive_closure(cartan: tuple[Coords, ...]) -> tuple[Coords, ...]:
         nxt = []
         for coords in frontier:
             for i in range(rank):
-                pairing = sum(coords[j] * cartan[i][j] for j in range(rank))
-                image = list(coords)
-                image[i] -= pairing
-                image = tuple(image)
+                image = _reflect(cartan, coords, i)
                 if min(image) >= 0 and image not in seen:
                     seen.add(image)
                     nxt.append(image)

@@ -685,8 +685,10 @@ def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row
     coefficient of 2 rho, in the unit table of ``ringcond`` that the ring
     checks and the certificates share, per element and per pair never (bon
     alone certifies every stratum), and each distinct built table takes each
-    of its rows over the ring once: 70 rows in all, 20 for the 10 ext tables
-    (keyed by |K| and |J \\ I|) and 50 for the 20 ext-vi tables."""
+    row it reads over the ring once: 40 rows in all, 20 for the 10 ext tables
+    (keyed by |K| and |J \\ I|) and one for each of the 20 ext-vi tables,
+    whose constant rows are the t = 0 row tensored with an exterior
+    algebra."""
     import steinberg_ext.extengine as eng
     import steinberg_ext.ringcond as ringcond
     import steinberg_ext.weyl as weyl
@@ -716,7 +718,7 @@ def test_verify_sums_no_inversion_set_tries_each_unit_once_and_converts_each_row
     assert run_cli(capsys, *argv)[:2] == (0, expected)
     assert read == []
     assert tried == list(range(1, max_rho_coefficient(build_root_system("B", 3)) + 1))
-    assert over_ring == [0] * 70
+    assert over_ring == [0] * 40
 
 
 def test_dumps_rebuild_rows_the_cache_already_holds(capsys, fresh_caches):

@@ -22,12 +22,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one case per subcommand in the corpus, replayed as its own process
 ENTRY_POINT_CASES = {
+    "check-ring": "checkring_B3_zd",
     "cohomology": "coh_G2_dump",
     "dcosets": "dcosets_B3_json_zd",
     "ext": "ext_B3_center",
     "ext-induced": "extind_F4_strata_zd",
     "ext-vi": "extvi_B3_zd_tsv",
     "verify": "verify_G2_strata",
+    "zelevinsky": "zelevinsky_k5_zd_tsv",
 }
 
 
@@ -79,7 +81,10 @@ def test_golden_replay_through_a_cold_then_a_warm_cache(name, shared_cache_dir, 
 
 
 def test_every_subcommand_is_replayed_through_the_entry_point():
-    assert {case["argv"][0] for case in CASES.values()} == set(ENTRY_POINT_CASES)
+    """Every subcommand the parser lists has golden cases, one of them
+    replayed in a process of its own."""
+    assert {case["argv"][0] for case in CASES.values()} == set(HELP_COMMANDS[1:])
+    assert set(ENTRY_POINT_CASES) == set(HELP_COMMANDS[1:])
     assert all(CASES[name]["argv"][0] == command
                for command, name in ENTRY_POINT_CASES.items())
 

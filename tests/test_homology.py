@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from steinberg_ext.errors import ConfigurationError, ContractError, ResourceLimitError
 from steinberg_ext.extengine import cohomology_v, steinberg_degree
-from steinberg_ext import homology, smith
+from steinberg_ext import extengine, homology, smith
 from steinberg_ext.homology import (
     ChainComplex,
     HomologyResult,
@@ -29,6 +29,7 @@ from steinberg_ext.homology import (
 from steinberg_ext.ringcond import RingSpec
 from steinberg_ext.rootdata import (COMPLEX_BUILT, build_root_system, full_mask, mask_size,
                                     parse_type)
+from steinberg_ext.tables import ModulePiece, _merge
 
 import oracles
 from oracles import integer_rank
@@ -451,11 +452,15 @@ def test_row_builder_matches_the_former_builders(name):
 
 @pytest.mark.parametrize("name", RANK_LE_4)
 def test_row_homology_matches_the_former_rows(name, monkeypatch):
-    """The homology that ``row_homology`` derives (padded, scaled from the
-    t = 0 row for a constant row, dualised for a reversed one) is the
-    homology of the row the former builders built."""
+    """The homology that ``row_homology`` derives (padded) is the homology
+    of the row the former builders built.  An ext-vi table, built from its
+    t = 0 row alone with shift = |gate \\ bottom|, is the table assembled
+    over Q and Z/1009 from the former builders' reversed constant rows, row
+    by row: those rows start with that many zero degrees, so a class at
+    their index u lands in degree t + u."""
     monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {})
     rs = build_root_system(*parse_type(name))
+    rings = RingSpec.rationals(), RingSpec(1009, 3)
     for bottom, gate, spans in _gated_rows(rs):
         zeros = mask_size(gate & ~bottom)
         for t in range(rs.rank - mask_size(bottom) + 1):
@@ -463,24 +468,35 @@ def test_row_homology_matches_the_former_rows(name, monkeypatch):
                     == homology_over_Z(oracles.gated_exterior_row(rs, bottom, gate, t)))
         for J in spans:
             n = rs.rank - mask_size(J)
-            for t in range(n + 1):
-                key = (bottom, gate, t, J)
-                reference = oracles.gated_constant_row(rs, bottom, gate, comb(n, t))
-                derived = row_homology(rs, gate, t, span=J)
-                assert _padded_homology(derived, zeros) == homology_over_Z(reference), key
-                assert (_padded_homology(derived.dual(), zeros, before=True)
-                        == homology_over_Z(reverse_transpose(reference))), key
+            rows = [homology_over_Z(reverse_transpose(
+                oracles.gated_constant_row(rs, bottom, gate, comb(n, t)))) for t in range(n + 1)]
+            for spec in rings:
+                expected = {}
+                for t, h in enumerate(rows):
+                    h = homology_with_coefficients(h, spec)
+                    for u in h.nonzero_degrees():
+                        _merge(expected, t + u, h.free_ranks[u], h.torsion[u])
+                built, _ = extengine._build_rows(rs, spec, gate, J, zeros, zeros, True, 0, None)
+                assert built == expected, (bottom, gate, J, spec.d)
 
 
 def test_constant_row_homology_repeats_torsion(monkeypatch):
-    """No t = 0 row has torsion, so the scaling is checked on a stand-in."""
+    """No t = 0 row has torsion, so an ext-vi table is built from a stand-in
+    with torsion in two degrees.  Over Z/8 its dual (the row read reversed)
+    is Z/4, Z/2 + Z/4 and Z/8 + Z/2 at u = 0, 1, 2, and each summand appears
+    C(n, j) times in degree shift + u + j, n = rank - |span|."""
     a3 = build_root_system("A", 3)
-    stand_in = HomologyResult((0, 1), ((), (2, 6)))
-    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {(1, 0): stand_in})  # m = 3 - |{0,1}|
-    assert row_homology(a3, 0b011, 1, span=0b001) == HomologyResult((0, 2), ((), (2, 2, 6, 6)))
-    assert row_homology(a3, 0b011, 1, span=0b011).dual() == HomologyResult((1, 0), ((), (2, 6)))
-    with pytest.raises(ContractError):
-        row_homology(a3, 0b011, 0, span=0b100)
+    stand_in = HomologyResult((1, 0, 0), ((), (2,), (4,)))
+    monkeypatch.setattr(homology, "_ROW_HOMOLOGY", {(2, 0): stand_in})  # m = 3 - |{0}|
+    row = {0: ModulePiece(0, (4,)), 1: ModulePiece(0, (2, 4)), 2: ModulePiece(1, (2,))}
+    for span, shift in ((0b001, 1), (0, 0)):
+        n = 3 - mask_size(span)
+        expected = {}
+        for u, piece in row.items():
+            for j in range(n + 1):
+                _merge(expected, shift + u + j, piece.rank * comb(n, j), piece.torsion * comb(n, j))
+        built, _ = extengine._build_rows(a3, RingSpec(8, 3), 0b001, span, shift, 0, True, 0, None)
+        assert built == expected, span
 
 
 def _row_over_nothing(m, t):
@@ -576,8 +592,6 @@ def test_a_bad_mask_is_refused_on_a_cache_hit(fresh_caches):
     for bad in (0b100, 0b1000, -1):  # each of one bit, so of the cached m = 1
         with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
             row_homology(a2, bad, 0)
-        with pytest.raises(ConfigurationError, match="bits beyond rank 2"):
-            row_homology(a2, bad, 0, span=0)
     assert len(homology._ROW_HOMOLOGY) == cached
 
 

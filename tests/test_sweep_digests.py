@@ -34,7 +34,7 @@ def test_the_driver_fails_a_changed_byte(capsys):
                                         "E6-ext-induced", "D7-dcosets", "D7-ext-induced",
                                         "E6-dcosets-small", "E6-ext-induced-small",
                                         "A8-ext-induced", "E7-cohomology-dump",
-                                        "E8-ext-center"]
+                                        "E8-ext-center", "E8-ext-vi", "E6-ext-vi-dump"]
 
 
 def test_every_round_must_match(capsys, monkeypatch):

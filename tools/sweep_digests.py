@@ -58,11 +58,15 @@ the representatives of the largest groups under the Weyl cap, E6 and D7,
 which no tier-1 test reads: four large pairs, two small E6 pairs (144
 and 1,260 representatives) of the size that ``perfbench``'s
 ``exceptional-queries`` times, and the longest stream of representatives
-under the cap, A8's 362,880 at I = J = {} (about 2 s).  Two more check
-complex-built tables at rank 7 and 8, where the golden corpus stops at
-rank 4: an E7 cohomology table with every row dumped, and an E8 ext table
-tensored with a center of rank 2.  A change to code that a command runs
-reruns them, and records the printed table for the parent and the change.
+under the cap, A8's 362,880 at I = J = {} (about 2 s).  Four more check
+complex-built tables at rank 6 to 8, where the golden corpus stops at
+rank 4: an E7 cohomology table with every row dumped, an E8 ext table
+tensored with a center of rank 2, and two ext-vi tables, of the kind every
+sweep checks for each pair and ``exceptional-queries`` times: E8 at
+I = Delta, J = {}, nine degrees of rank C(8, j), and E6 at I = J = {}
+with every constant row dumped (about 2.3 MB).  A change to code that a
+command runs reruns them, and records the printed table for the parent
+and the change.
 Standard library only.
 """
 
@@ -165,6 +169,12 @@ RUNS = {
     "E8-ext-center": Run(("ext", "--type", "E8", "--I", "0,1,2,3,4,5,6,7", "--J", "",
                           "--method", "both", "--center-rank", "2", "--ring", RING),
                          "beddf4f51a945f507264cc300a9f71b177ae778fc819a99c63b82b29c49b1b04"),
+    "E8-ext-vi": Run(("ext-vi", "--type", "E8", "--I", "0,1,2,3,4,5,6,7", "--J", "",
+                      "--method", "both", "--ring", RING),
+                     "2a3617e468ed9f170395364076bcf5513f03739be8559fd48d750776094bbe02"),
+    "E6-ext-vi-dump": Run(("ext-vi", "--type", "E6", "--I", "", "--J", "", "--method", "both",
+                           "--dump-complex", "--ring", RING),
+                          "c47eb5b22cfc7762b62e710f47d5f5f88efa586338b806001fd9362a98b284dc"),
 }
 
 
